@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .bethe import bethe_free_energy
 from .bp import (
-    initial_messages,
     solve_fixed_point,
     verify_high_noise,
     verify_ldgm_message_bounds,
@@ -47,7 +48,7 @@ from .exact import (
     conditional_entropy_ldgm,
     conditional_entropy_ldpc,
 )
-from .expansion import convergence_criterion_q, polymer_series
+from .expansion import polymer_series
 from .graphs import (
     SCHEMA_VERSION,
     ChannelParams,
@@ -62,12 +63,10 @@ from .graphs import (
 from .loops import (
     ActivityEvaluator,
     enumerate_generalized_loops,
-    enumerate_polymers,
     high_temperature_activity_bound,
     ldgm_activity_bound,
     ldpc_type_activity_bound,
-    loop_sum_direct,
-    split_small_large,
+    verify_loop_identity,
 )
 from .ratefunc import rate_function_profile
 
@@ -157,11 +156,11 @@ def _sample_ensemble(ensemble: str, l: int, r: int, n: int, seed: int) -> Factor
 def _instance_seeds(seed: int, n: int, index: int) -> tuple[int, int]:
     """(topology seed, channel seed) for one sampled instance.
 
-    Even/odd split keeps the two streams disjoint; the n term keeps rows
-    of a size sweep independent of each other.
+    Both are drawn from one SeedSequence keyed on the whole (seed, n, index)
+    triple, so distinct triples give unrelated streams.
     """
-    base = 2 * (seed + 131 * n + index)
-    return base, base + 1
+    topo, channel = np.random.SeedSequence((seed, n, index)).generate_state(2)
+    return int(topo), int(channel)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,8 @@ def _induced_type(graph: FactorGraph, edge_ids: tuple[int, ...]) -> tuple[str, s
     return fmt(var_counts), fmt(check_counts)
 
 
-def _dump_loops(args, graph: FactorGraph, evaluator: ActivityEvaluator) -> None:
+def _dump_loops(args, graph: FactorGraph) -> None:
+    evaluator = ActivityEvaluator(graph, _run_bp(graph, args).messages)
     kind = graph.weights.kind
     theta = ChannelParams(p=args.p).theta if args.p is not None else None
     if theta is not None and not 0.0 < theta <= 0.1:
@@ -291,47 +291,21 @@ def _dump_loops(args, graph: FactorGraph, evaluator: ActivityEvaluator) -> None:
 
 def cmd_verify_identity(args) -> int:
     graph = _load_graph_arg(args)
-    exact = brute_force_log_partition(graph)
-    result = _run_bp(graph, args)
-    breakdown = bethe_free_energy(graph, result.messages)
-    lsum = loop_sum_direct(graph, result.messages, budget=args.budget)
-    if lsum.total <= 0.0:
-        raise LoopGasError(
-            f"loop sum total {lsum.total} is not positive; cannot take its log"
-        )
-    ln_loop_sum = math.log(lsum.total)
-    residual = abs(
-        exact.log_z - graph.n * breakdown.f_bethe - ln_loop_sum
+    report = verify_loop_identity(
+        graph,
+        damping=args.damping,
+        tol=args.bp_tol,
+        max_iter=args.max_iter,
+        budget=args.budget,
+        split_lambda=args.split_lambda,
     )
-    polymers = enumerate_polymers(graph, budget=args.budget)
-    q_report = convergence_criterion_q(graph, result.messages, polymers=polymers)
-    split = split_small_large(
-        graph, result.messages, args.split_lambda, budget=args.budget
-    )
-    evaluator = ActivityEvaluator(graph, result.messages)
-    max_dangling = 0.0
-    for e in range(len(graph.edges)):
-        max_dangling = max(max_dangling, abs(evaluator.value((e,))))
-    payload = {
-        "ln_z_exact": exact.log_z,
-        "f_bethe": breakdown.f_bethe,
-        "ln_loop_sum": ln_loop_sum,
-        "residual": residual,
-        "bp_residual": result.residual,
-        "q": q_report.q,
-        "z_small": split.z_small,
-        "r_large": split.r_large,
-        "loop_count": lsum.loop_count,
-        "polymer_count": lsum.polymer_count,
-        "max_dangling_activity": max_dangling,
-    }
-    fieldnames = sorted(payload)
-    _emit(args, payload, fieldnames, [payload])
+    payload = dataclasses.asdict(report)
+    _emit(args, payload, sorted(payload), [payload])
     if args.dump_loops is not None:
-        _dump_loops(args, graph, evaluator)
-    if residual > args.tolerance:
+        _dump_loops(args, graph)
+    if report.residual > args.tolerance:
         print(
-            f"identity residual {residual:.3e} exceeds tolerance {args.tolerance:.3e}",
+            f"identity residual {report.residual:.3e} exceeds tolerance {args.tolerance:.3e}",
             file=sys.stderr,
         )
         return EXIT_TOLERANCE

@@ -21,7 +21,7 @@ from .errors import (
     OrderTooLargeError,
 )
 from .graphs import FactorGraph
-from .loops import ActivityEvaluator, Polymer, enumerate_polymers
+from .loops import ActivityEvaluator, Polymer, enumerate_polymers, max_node_load
 
 URSELL_MAX_ORDER = 7
 
@@ -216,16 +216,7 @@ def _q_from_weights(
     weights: list[float],
     size_cutoff: int | None,
 ) -> QReport:
-    per_node = [0.0] * (graph.n + graph.m)
-    for p, w in zip(polymers, weights):
-        mask = p.node_mask
-        node = 0
-        while mask:
-            if mask & 1:
-                per_node[node] += w
-            mask >>= 1
-            node += 1
-    q = max(per_node, default=0.0)
+    q = max_node_load(graph.n + graph.m, (p.node_mask for p in polymers), weights)
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 

@@ -9,8 +9,11 @@ out, and the sum collapses onto generalized loops: subsets whose every touched
 node has induced degree at least two.
 
 Polymers are connected generalized loops; every generalized loop is a disjoint
-union of polymers and its activity factorizes over them, which is what the
-composition routine in loop_sum exploits.
+union of polymers and its activity factorizes over them.
+
+One depth-first walk visits every generalized loop, carrying its activity
+when asked.  Enumeration, the loop sum, its small/large split and the
+one-pass identity check are leaf functions over that walk.
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ class Polymer:
 
 
 @dataclass(frozen=True)
-class ActivityReport:
-    value: float
-    var_factors: tuple[tuple[int, float], ...]
-    check_factors: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
 class LoopSumResult:
     total: float
     loop_count: int
@@ -92,14 +88,19 @@ class SplitResult:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    residual: float
+    """The verify-identity payload; see verify_loop_identity."""
+
     ln_z_exact: float
     f_bethe: float
     ln_loop_sum: float
+    residual: float
+    bp_residual: float
+    q: float
+    z_small: float
+    r_large: float
     loop_count: int
     polymer_count: int
-    bp_residual: float
-    max_factorization_error: float
+    max_dangling_activity: float
 
 
 @dataclass(frozen=True)
@@ -107,225 +108,6 @@ class FullExpansionReport:
     residual: float
     subset_count: int
     max_dangling_activity: float
-
-
-def subgraph_from_edges(graph: FactorGraph, edge_ids: tuple[int, ...]) -> LoopSubgraph:
-    """Wrap an arbitrary edge subset; no degree condition is imposed."""
-    mask = 0
-    for e in edge_ids:
-        i, a = graph.edges[e]
-        mask |= (1 << i) | (1 << (graph.n + a))
-    return LoopSubgraph(
-        edge_ids=tuple(sorted(edge_ids)),
-        node_mask=mask,
-        size=mask.bit_count(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-def _check_block_options(
-    graph: FactorGraph,
-) -> list[list[tuple[tuple[int, ...], int, tuple[int, ...]]]]:
-    """Per check: the locally admissible edge subsets (size != 1).
-
-    Every option is (edge_ids, var_mask, var_list), ordered empty-first then
-    by (size, ids), so the depth-first walk below is deterministic.
-    """
-    options = []
-    for a in range(graph.m):
-        eids = graph.check_edges[a]
-        opts: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = [((), 0, ())]
-        for k in range(2, len(eids) + 1):
-            for combo in itertools.combinations(eids, k):
-                mask = 0
-                for e in combo:
-                    mask |= 1 << graph.edges[e][0]
-                opts.append((combo, mask, tuple(graph.edges[e][0] for e in combo)))
-        options.append(opts)
-    return options
-
-
-def _var_last_check(graph: FactorGraph) -> list[int]:
-    last = [-1] * graph.n
-    for i, a in graph.edges:
-        last[i] = max(last[i], a)
-    return last
-
-
-def _walk_loops(
-    graph: FactorGraph,
-    max_edges: int,
-    max_nodes: int,
-    budget: int,
-    emit,
-) -> None:
-    """Depth-first walk over per-check edge subsets with degree pruning.
-
-    Checks are processed in index order; each picks one locally admissible
-    subset.  A branch dies as soon as a variable whose checks are all decided
-    has induced degree one, or the edge or node caps are exceeded.  emit is
-    called at each admissible leaf with (chosen_per_check, var_deg).
-    """
-    options = _check_block_options(graph)
-    var_last = _var_last_check(graph)
-    # variables whose last incident check is a, to finalize after level a
-    finalize: list[list[int]] = [[] for _ in range(graph.m)]
-    for i, a in enumerate(var_last):
-        if a >= 0:
-            finalize[a].append(i)
-    var_deg = [0] * graph.n
-    chosen: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    visits = 0
-
-    def dfs(a: int, n_edges: int, var_mask: int, n_checks: int) -> None:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceededError(
-                f"loop enumeration exceeded budget of {budget} visits"
-            )
-        if a == graph.m:
-            if n_edges:
-                emit(chosen, var_deg)
-            return
-        for opt in options[a]:
-            eids, mask, var_list = opt
-            ne = n_edges + len(eids)
-            if ne > max_edges:
-                continue
-            grown = var_mask | mask
-            n_nodes = grown.bit_count() + n_checks + (1 if eids else 0)
-            if n_nodes > max_nodes:
-                continue
-            for i in var_list:
-                var_deg[i] += 1
-            if all(var_deg[i] != 1 for i in finalize[a]):
-                chosen.append(opt)
-                dfs(a + 1, ne, grown, n_checks + (1 if eids else 0))
-                chosen.pop()
-            for i in var_list:
-                var_deg[i] -= 1
-
-    dfs(0, 0, 0, 0)
-
-
-def enumerate_generalized_loops(
-    graph: FactorGraph,
-    max_edges: int | None = None,
-    max_nodes: int | None = None,
-    budget: int = 10_000_000,
-) -> list[LoopSubgraph]:
-    """All nonempty edge subsets with every touched node of induced degree >= 2.
-
-    The walk assigns whole per-check edge subsets (their sizes are never one),
-    pruning on variable degrees as soon as a variable's last check is decided
-    and on the edge and node caps.  Each visited state counts against the
-    budget.
-    """
-    e_cap = graph.edge_count if max_edges is None else max_edges
-    n_cap = graph.n + graph.m if max_nodes is None else max_nodes
-    out: list[LoopSubgraph] = []
-    n = graph.n
-
-    def emit(chosen, var_deg) -> None:
-        edge_ids: list[int] = []
-        mask = 0
-        for a, (eids, vmask, _vl) in enumerate(chosen):
-            if eids:
-                edge_ids.extend(eids)
-                mask |= vmask | (1 << (n + a))
-        out.append(
-            LoopSubgraph(
-                edge_ids=tuple(edge_ids),
-                node_mask=mask,
-                size=mask.bit_count(),
-            )
-        )
-
-    _walk_loops(graph, e_cap, n_cap, budget, emit)
-    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
-    return out
-
-
-def _spanning_edges(graph: FactorGraph, edge_ids: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Spanning-tree edge ids if the subgraph is connected, else None."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: list[int] = []
-    for e in edge_ids:
-        i, a = graph.edges[e]
-        u, v = i, graph.n + a
-        for x in (u, v):
-            if x not in parent:
-                parent[x] = x
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(e)
-    roots = {find(x) for x in parent}
-    if len(roots) != 1:
-        return None
-    return tuple(tree)
-
-
-def enumerate_polymers(
-    graph: FactorGraph,
-    max_size: int | None = None,
-    budget: int = 10_000_000,
-) -> list[Polymer]:
-    """Connected generalized loops with at most max_size touched nodes."""
-    n_cap = graph.n + graph.m if max_size is None else max_size
-    n = graph.n
-    out: list[Polymer] = []
-
-    def emit(chosen, var_deg) -> None:
-        blocks = [
-            (eids, vmask, a)
-            for a, (eids, vmask, _vl) in enumerate(chosen)
-            if eids
-        ]
-        # merge check blocks through shared variables; connected iff one pool
-        pool = blocks[0][1]
-        rest = blocks[1:]
-        while rest:
-            nxt = []
-            progress = False
-            for b in rest:
-                if b[1] & pool:
-                    pool |= b[1]
-                    progress = True
-                else:
-                    nxt.append(b)
-            if not progress:
-                return
-            rest = nxt
-        edge_ids = tuple(e for eids, _m, _a in blocks for e in eids)
-        mask = pool
-        for _eids, _m, a in blocks:
-            mask |= 1 << (n + a)
-        tree = _spanning_edges(graph, edge_ids)
-        assert tree is not None
-        out.append(
-            Polymer(
-                edge_ids=edge_ids,
-                node_mask=mask,
-                size=mask.bit_count(),
-                spanning_edges=tree,
-            )
-        )
-
-    _walk_loops(graph, graph.edge_count, n_cap, budget, emit)
-    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,134 +254,115 @@ class ActivityEvaluator:
         return out
 
 
-def activity(
-    graph: FactorGraph,
-    messages: MessageSet,
-    subgraph: LoopSubgraph | Polymer,
-    evaluator: ActivityEvaluator | None = None,
-) -> ActivityReport:
-    """Product of touched-node factors for an edge subset.
-
-    Exact for arbitrary messages and arbitrary subsets; untouched nodes
-    contribute a factor of one and are omitted from the report.  Pass a
-    prebuilt evaluator when sweeping many subsets of one instance.
-    """
-    ev = evaluator if evaluator is not None else ActivityEvaluator(graph, messages)
-    g_edges = set(subgraph.edge_ids)
-    tv, tc = ev.touched(subgraph.edge_ids)
-    var_factors = tuple((i, ev.var_factor(i, g_edges)) for i in tv)
-    check_factors = tuple((a, ev.check_factor(a, g_edges)) for a in tc)
-    value = 1.0
-    for _, v in var_factors:
-        value *= v
-    for _, v in check_factors:
-        value *= v
-    return ActivityReport(
-        value=value, var_factors=var_factors, check_factors=check_factors
-    )
-
-
 # ---------------------------------------------------------------------------
-# loop sums
+# the loop walk
 
 
-def _pool_connected(blocks: list[int]) -> bool:
-    """Whether the var masks of the chosen blocks merge into one pool."""
-    pool = blocks[0]
-    rest = blocks[1:]
-    while rest:
-        nxt = []
-        progress = False
-        for b in rest:
-            if b & pool:
-                pool |= b
-                progress = True
-            else:
-                nxt.append(b)
-        if not progress:
-            return False
-        rest = nxt
-    return True
+def _check_block_options(graph: FactorGraph) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Per check: the locally admissible edge subsets (size != 1).
 
-
-def _pool_components(blocks: list[int]) -> list[tuple[int, int]]:
-    """Connected components of the chosen blocks: (var mask, block count)."""
-    comps: list[tuple[int, int]] = []
-    rest = list(blocks)
-    while rest:
-        pool = rest.pop()
-        count = 1
-        progress = True
-        while progress:
-            progress = False
-            nxt = []
-            for b in rest:
-                if b & pool:
-                    pool |= b
-                    count += 1
-                    progress = True
-                else:
-                    nxt.append(b)
-            rest = nxt
-        comps.append((pool, count))
-    return comps
-
-
-def _fused_walk(graph: FactorGraph, messages: MessageSet, budget: int, leaf) -> None:
-    """Visit every generalized loop, calling leaf(activity, block var masks).
-
-    The enumerator's walk repeated with the activity built up on the way
-    down: each check contributes a factor depending only on its own
-    included-edge subset, each variable a factor looked up by its included
-    edges once its last check is decided.  One var mask per nonempty check
-    block is handed to the leaf for connectivity work; the list is reused
-    across calls and must not be retained.
+    Every option is (node_mask, edge_ids), the mask holding the check and
+    its chosen variables (0 for the empty option), ordered empty-first then
+    by (size, ids), so the depth-first walk below is deterministic.
     """
-    ev = ActivityEvaluator(graph, messages)
+    options = []
+    for a in range(graph.m):
+        eids = graph.check_edges[a]
+        opts: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for k in range(2, len(eids) + 1):
+            for combo in itertools.combinations(eids, k):
+                mask = 1 << (graph.n + a)
+                for e in combo:
+                    mask |= 1 << graph.edges[e][0]
+                opts.append((mask, combo))
+        options.append(opts)
+    return options
+
+
+def _walk(
+    graph: FactorGraph,
+    leaf,
+    budget: int,
+    evaluator: ActivityEvaluator | None = None,
+    max_edges: int | None = None,
+    max_nodes: int | None = None,
+) -> None:
+    """Visit every generalized loop once, calling leaf(activity, blocks).
+
+    Checks are processed in index order; each picks one locally admissible
+    edge subset.  A branch dies as soon as a variable whose checks are all
+    decided has induced degree one, or the edge or node caps are exceeded;
+    every visited state counts against the budget.  With an evaluator the
+    activity is built up on the way down: each check contributes a factor
+    depending only on its own included-edge subset, each variable a factor
+    looked up by its included edges once its last check is decided.  Without
+    one it stays 1.  blocks holds the nonempty check blocks as (node_mask,
+    edge_ids) in check order; the list is reused across calls and must not be
+    retained.
+    """
+    e_cap = graph.edge_count if max_edges is None else max_edges
+    n_cap = graph.n + graph.m if max_nodes is None else max_nodes
+    # the edge and node tallies only matter when a cap can bind; the uncapped
+    # walks behind the loop sums skip them to keep each visit cheap
+    capped = e_cap < graph.edge_count or n_cap < graph.n + graph.m
     options = _check_block_options(graph)
-    var_last = _var_last_check(graph)
+    # variables whose last incident check is a, to finalize after level a
     finalize: list[list[int]] = [[] for _ in range(graph.m)]
-    for i, a in enumerate(var_last):
-        if a >= 0:
-            finalize[a].append(i)
-    # precomputed factor tables
-    var_pos: dict[int, tuple[int, int]] = {}
+    for i, eids in enumerate(graph.var_edges):
+        if eids:
+            finalize[max(graph.edges[e][1] for e in eids)].append(i)
+    var_bit: dict[int, tuple[int, int]] = {}
     for i, eids in enumerate(graph.var_edges):
         for k, e in enumerate(eids):
-            var_pos[e] = (i, 1 << k)
+            var_bit[e] = (i, 1 << k)
+    # factor tables: per variable by included-edge bits, per check option
     var_table: list[list[float]] = []
     for i, eids in enumerate(graph.var_edges):
-        row = []
-        for mask in range(1 << len(eids)):
-            subset = {e for k, e in enumerate(eids) if (mask >> k) & 1}
-            row.append(ev.var_factor(i, subset) if subset else 1.0)
+        row = [1.0] * (1 << len(eids))
+        if evaluator is not None:
+            for bits in range(1, len(row)):
+                subset = {e for k, e in enumerate(eids) if (bits >> k) & 1}
+                row[bits] = evaluator.var_factor(i, subset)
         var_table.append(row)
-    # per check: (factor, [(var, bit), ...], var_mask, nonempty)
-    mapped: list[list[tuple[float, list[tuple[int, int]], int, bool]]] = []
+    # per check: (factor, [(var, bit), ...], block)
+    rows: list[list[tuple[float, list[tuple[int, int]], tuple[int, tuple[int, ...]]]]] = []
     for a, opts in enumerate(options):
-        rows = []
-        for eids, vmask, _vl in opts:
-            factor = ev.check_factor(a, set(eids)) if eids else 1.0
-            rows.append((factor, [var_pos[e] for e in eids], vmask, bool(eids)))
-        mapped.append(rows)
+        rows.append(
+            [
+                (
+                    evaluator.check_factor(a, set(eids))
+                    if evaluator is not None and eids
+                    else 1.0,
+                    [var_bit[e] for e in eids],
+                    (mask, eids),
+                )
+                for mask, eids in opts
+            ]
+        )
 
     var_inc = [0] * graph.n
-    blocks: list[int] = []  # var masks of nonempty chosen blocks
+    blocks: list[tuple[int, tuple[int, ...]]] = []
     visits = 0
     m = graph.m
 
-    def dfs(a: int, prod: float) -> None:
+    def dfs(a: int, prod: float, n_edges: int, node_mask: int) -> None:
         nonlocal visits
         visits += 1
         if visits > budget:
             raise BudgetExceededError(
-                f"loop sum exceeded budget of {budget} visits"
+                f"loop walk exceeded budget of {budget} visits"
             )
         if a == m:
             if blocks:
                 leaf(prod, blocks)
             return
-        for factor, bits, vmask, nonempty in mapped[a]:
+        ne, grown = n_edges, node_mask
+        for factor, bits, block in rows[a]:
+            if capped:
+                ne = n_edges + len(bits)
+                grown = node_mask | block[0]
+                if ne > e_cap or grown.bit_count() > n_cap:
+                    continue
             for i, bit in bits:
                 var_inc[i] ^= bit
             p2 = prod * factor
@@ -612,16 +375,132 @@ def _fused_walk(graph: FactorGraph, messages: MessageSet, budget: int, leaf) -> 
                         break
                     p2 *= var_table[i][mk]
             if not dead:
-                if nonempty:
-                    blocks.append(vmask)
-                    dfs(a + 1, p2)
+                if bits:
+                    blocks.append(block)
+                    dfs(a + 1, p2, ne, grown)
                     blocks.pop()
                 else:
-                    dfs(a + 1, p2)
+                    dfs(a + 1, p2, ne, grown)
             for i, bit in bits:
                 var_inc[i] ^= bit
 
-    dfs(0, 1.0)
+    dfs(0, 1.0, 0, 0)
+
+
+def _components(
+    blocks: list[tuple[int, tuple[int, ...]]],
+) -> list[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
+    """Connected components of check blocks joined through shared variables.
+
+    Each component is (node mask, its blocks in merge order): every block
+    after the first shares a variable with the ones before it.
+    """
+    comps = []
+    rest = blocks
+    while rest:
+        pool = rest[0][0]
+        members = [rest[0]]
+        rest = rest[1:]
+        grew = True
+        while grew:
+            grew = False
+            nxt = []
+            for b in rest:
+                if b[0] & pool:
+                    pool |= b[0]
+                    members.append(b)
+                    grew = True
+                else:
+                    nxt.append(b)
+            rest = nxt
+        comps.append((pool, members))
+    return comps
+
+
+def max_node_load(node_count: int, masks, weights) -> float:
+    """max over nodes of the summed weights of the node masks through it.
+
+    Each node's sum runs in the order of the masks, so a fixed order gives a
+    reproducible value.
+    """
+    per_node = [0.0] * node_count
+    for mask, w in zip(masks, weights):
+        while mask:
+            low = mask & -mask
+            per_node[low.bit_length() - 1] += w
+            mask ^= low
+    return max(per_node, default=0.0)
+
+
+# ---------------------------------------------------------------------------
+# enumeration and loop sums
+
+
+def enumerate_generalized_loops(
+    graph: FactorGraph,
+    max_edges: int | None = None,
+    max_nodes: int | None = None,
+    budget: int = 10_000_000,
+) -> list[LoopSubgraph]:
+    """All nonempty edge subsets with every touched node of induced degree >= 2.
+
+    Sorted by (edge count, edge ids); the caps and the budget are the walk's.
+    """
+    out: list[LoopSubgraph] = []
+
+    def leaf(_prod: float, blocks) -> None:
+        mask = 0
+        edge_ids: list[int] = []
+        for bmask, eids in blocks:
+            mask |= bmask
+            edge_ids.extend(eids)
+        out.append(
+            LoopSubgraph(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
+        )
+
+    _walk(graph, leaf, budget, max_edges=max_edges, max_nodes=max_nodes)
+    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
+    return out
+
+
+def enumerate_polymers(
+    graph: FactorGraph,
+    max_size: int | None = None,
+    budget: int = 10_000_000,
+) -> list[Polymer]:
+    """Connected generalized loops with at most max_size touched nodes."""
+    out: list[Polymer] = []
+
+    def leaf(_prod: float, blocks) -> None:
+        comps = _components(blocks)
+        if len(comps) != 1:
+            return
+        mask, members = comps[0]
+        # the first block's star, then per merged block one edge into the
+        # tree so far and the edges to its new variables
+        tree: list[int] = []
+        reached = 0
+        for bmask, eids in members:
+            linked = not reached
+            for e in eids:
+                if (reached >> graph.edges[e][0]) & 1:
+                    if linked:
+                        continue
+                    linked = True
+                tree.append(e)
+            reached |= bmask
+        out.append(
+            Polymer(
+                edge_ids=tuple(e for _m, eids in blocks for e in eids),
+                node_mask=mask,
+                size=mask.bit_count(),
+                spanning_edges=tuple(tree),
+            )
+        )
+
+    _walk(graph, leaf, budget, max_nodes=max_size)
+    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
+    return out
 
 
 def loop_sum_direct(
@@ -629,88 +508,26 @@ def loop_sum_direct(
     messages: MessageSet,
     budget: int = 10_000_000,
 ) -> LoopSumResult:
-    """1 + sum of activities over all generalized loops, in one fused walk.
+    """1 + sum of activities over all generalized loops, in one walk.
 
     Leaf terms are collected and fsummed, so the result matches summing
     per-loop activities without ever materializing the loops.  Connected
     leaves are counted to report how many of the loops are single polymers.
     """
     terms: list[float] = []
-    state = {"polymers": 0}
+    polymers = 0
 
-    def leaf(prod: float, blocks: list[int]) -> None:
+    def leaf(prod: float, blocks) -> None:
+        nonlocal polymers
         terms.append(prod)
-        if _pool_connected(blocks):
-            state["polymers"] += 1
+        if len(_components(blocks)) == 1:
+            polymers += 1
 
-    _fused_walk(graph, messages, budget, leaf)
+    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
     return LoopSumResult(
         total=1.0 + math.fsum(terms),
         loop_count=len(terms),
-        polymer_count=state["polymers"],
-    )
-
-
-def loop_sum(
-    graph: FactorGraph,
-    messages: MessageSet,
-    polymers: list[Polymer] | None = None,
-    budget: int = 10_000_000,
-) -> LoopSumResult:
-    """1 + sum of activities over all generalized loops.
-
-    Works by composing pairwise node-disjoint polymers; the activity of a
-    disjoint union is the product of the activities, so each composition term
-    is one generalized loop.  Terms are accumulated exactly with fsum.  The
-    composition route is the natural one when polymers are few; on graphs
-    where most loops are already connected, loop_sum_direct is much faster.
-    """
-    if polymers is None:
-        polymers = enumerate_polymers(graph, budget=budget)
-    ev = ActivityEvaluator(graph, messages)
-    acts = [ev.value(p.edge_ids) for p in polymers]
-    masks = [p.node_mask for p in polymers]
-    terms: list[float] = []
-    count = 0
-
-    def extend(start: int, mask: int, prod: float) -> None:
-        nonlocal count
-        for j in range(start, len(polymers)):
-            if masks[j] & mask:
-                continue
-            count += 1
-            if count > budget:
-                raise BudgetExceededError(
-                    f"loop composition exceeded budget of {budget} terms"
-                )
-            term = prod * acts[j]
-            terms.append(term)
-            extend(j + 1, mask | masks[j], term)
-
-    extend(0, 0, 1.0)
-    return LoopSumResult(
-        total=1.0 + math.fsum(terms),
-        loop_count=len(terms),
-        polymer_count=len(polymers),
-    )
-
-
-def loop_sum_bruteforce(
-    graph: FactorGraph,
-    messages: MessageSet,
-    budget: int = 10_000_000,
-) -> LoopSumResult:
-    """Same total as loop_sum but via direct loop enumeration; test oracle."""
-    loops = enumerate_generalized_loops(graph, budget=budget)
-    ev = ActivityEvaluator(graph, messages)
-    terms = [ev.value(g.edge_ids) for g in loops]
-    polymer_count = sum(
-        1 for g in loops if _spanning_edges(graph, g.edge_ids) is not None
-    )
-    return LoopSumResult(
-        total=1.0 + math.fsum(terms),
-        loop_count=len(loops),
-        polymer_count=polymer_count,
+        polymer_count=polymers,
     )
 
 
@@ -725,22 +542,19 @@ def split_small_large(
     Every generalized loop decomposes into disjoint polymers; a loop term is
     small when each of those polymers has size < lam * n.  z_small collects
     1 plus the small terms, r_large everything else, so z_small + r_large
-    equals the loop-sum total.  Runs the same fused walk as loop_sum_direct,
-    classifying each leaf by the connected components of its check blocks
-    (component size = pooled variables plus merged checks).
+    equals the loop-sum total.
     """
     threshold = lam * graph.n
     small_terms: list[float] = []
     large_terms: list[float] = []
 
-    def leaf(prod: float, blocks: list[int]) -> None:
-        for vmask, count in _pool_components(blocks):
-            if vmask.bit_count() + count >= threshold:
-                large_terms.append(prod)
-                return
-        small_terms.append(prod)
+    def leaf(prod: float, blocks) -> None:
+        if any(mask.bit_count() >= threshold for mask, _b in _components(blocks)):
+            large_terms.append(prod)
+        else:
+            small_terms.append(prod)
 
-    _fused_walk(graph, messages, budget, leaf)
+    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
     z_small = 1.0 + math.fsum(small_terms)
     r_large = math.fsum(large_terms)
     return SplitResult(
@@ -762,71 +576,63 @@ def verify_loop_identity(
     tol: float = 1e-12,
     max_iter: int = 10_000,
     budget: int = 10_000_000,
-    factorization_cap: int = 50,
-    factorization_size_cap: int = 8,
+    split_lambda: float = 0.5,
 ) -> IdentityReport:
     """Check ln Z = n f_bethe + ln(1 + sum of loop activities) on one instance.
 
-    Runs BP to a fixed point, sums the loop series with the fused walk and
-    compares against the brute-force partition function.  A sample of
-    disjoint unions of small polymers is re-evaluated as a single subset to
-    confirm the activity factorizes over polymers.
+    Takes ln Z by brute force, runs BP to a fixed point for f_bethe, then
+    walks the generalized loops once.  That one walk gives the loop sum and
+    its count, the polymers among the loops (the connected ones) with the
+    single-node statistic q over them, and the loop sum split at polymer
+    size split_lambda * n, each term summed the way loop_sum_direct,
+    split_small_large and convergence_criterion_q sum it.
+    max_dangling_activity is the largest single-edge activity, which
+    vanishes at an exact fixed point.
     """
+    ln_z = brute_force_log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
     f = bethe_free_energy(graph, bp.messages).f_bethe
-    ls = loop_sum_direct(graph, bp.messages, budget=budget)
-    if ls.total <= 0.0:
-        raise LogDomainError(f"loop-sum total {ls.total} is not positive")
-    ln_loop = math.log(ls.total)
-    ln_z = brute_force_log_partition(graph).log_z
-    residual = abs(ln_z - graph.n * f - ln_loop)
-
-    max_fact = 0.0
-    checked = 0
-    scanned = 0
-    scan_cap = 400 * factorization_cap  # disjoint combos can be rare
     ev = ActivityEvaluator(graph, bp.messages)
-    polymers = enumerate_polymers(
-        graph, max_size=factorization_size_cap, budget=budget
-    )
-    acts = {p.edge_ids: ev.value(p.edge_ids) for p in polymers}
-    for k in (2, 3):
-        if checked >= factorization_cap or scanned >= scan_cap:
-            break
-        for combo in itertools.combinations(range(len(polymers)), k):
-            scanned += 1
-            if scanned >= scan_cap:
-                break
-            mask = 0
-            ok = True
-            for j in combo:
-                if polymers[j].node_mask & mask:
-                    ok = False
-                    break
-                mask |= polymers[j].node_mask
-            if not ok:
-                continue
-            merged: tuple[int, ...] = tuple(
-                sorted(e for j in combo for e in polymers[j].edge_ids)
-            )
-            direct = ev.value(merged)
-            prod = 1.0
-            for j in combo:
-                prod *= acts[polymers[j].edge_ids]
-            max_fact = max(max_fact, abs(direct - prod))
-            checked += 1
-            if checked >= factorization_cap:
-                break
+    threshold = split_lambda * graph.n
+    terms: list[float] = []
+    small_terms: list[float] = []
+    large_terms: list[float] = []
+    polymer_masks: list[int] = []
+    q_weights: list[float] = []
+
+    def leaf(prod: float, blocks) -> None:
+        terms.append(prod)
+        comps = _components(blocks)
+        if len(comps) == 1:
+            mask = comps[0][0]
+            polymer_masks.append(mask)
+            q_weights.append(abs(prod) * math.exp(mask.bit_count()))
+        if any(mask.bit_count() >= threshold for mask, _b in comps):
+            large_terms.append(prod)
+        else:
+            small_terms.append(prod)
+
+    _walk(graph, leaf, budget, ev)
+    total = 1.0 + math.fsum(terms)
+    if total <= 0.0:
+        raise LogDomainError(f"loop-sum total {total} is not positive")
+    ln_loop = math.log(total)
     return IdentityReport(
-        residual=residual,
         ln_z_exact=ln_z,
         f_bethe=f,
         ln_loop_sum=ln_loop,
-        loop_count=ls.loop_count,
-        polymer_count=ls.polymer_count,
+        residual=abs(ln_z - graph.n * f - ln_loop),
         bp_residual=bp.residual,
-        max_factorization_error=max_fact,
+        q=max_node_load(graph.n + graph.m, polymer_masks, q_weights),
+        z_small=1.0 + math.fsum(small_terms),
+        r_large=math.fsum(large_terms),
+        loop_count=len(terms),
+        polymer_count=len(polymer_masks),
+        max_dangling_activity=max(
+            (abs(ev.value((e,))) for e in range(graph.edge_count)), default=0.0
+        ),
     )
+
 
 
 def tree_exactness_report(

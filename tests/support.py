@@ -15,6 +15,7 @@ import random
 import numpy as np
 
 from loopgas import (
+    ActivityEvaluator,
     FactorGraph,
     GeneralWeights,
     LdgmWeights,
@@ -23,9 +24,12 @@ from loopgas import (
     apply_channel,
     attach_random_general_weights,
     build_factor_graph,
+    enumerate_generalized_loops,
+    enumerate_polymers,
     sample_ldgm,
     sample_regular_bipartite,
 )
+from loopgas.loops import LoopSumResult
 
 # ---------------------------------------------------------------------------
 # instance builders
@@ -173,6 +177,85 @@ def oracle_split(
         else:
             small.append(term)
     return 1.0 + math.fsum(small), math.fsum(large)
+
+
+# ---------------------------------------------------------------------------
+# loop-sum oracles: polymer composition, per-loop evaluation, factorization
+
+
+def loop_sum(graph: FactorGraph, messages: MessageSet) -> LoopSumResult:
+    """1 + sum of activities over all generalized loops, by composing polymers.
+
+    The activity of a disjoint union is the product of the activities, so
+    each set of pairwise node-disjoint polymers is one generalized loop.
+    """
+    polymers = enumerate_polymers(graph)
+    ev = ActivityEvaluator(graph, messages)
+    acts = [ev.value(p.edge_ids) for p in polymers]
+    masks = [p.node_mask for p in polymers]
+    terms: list[float] = []
+
+    def extend(start: int, mask: int, prod: float) -> None:
+        for j in range(start, len(polymers)):
+            if masks[j] & mask:
+                continue
+            term = prod * acts[j]
+            terms.append(term)
+            extend(j + 1, mask | masks[j], term)
+
+    extend(0, 0, 1.0)
+    return LoopSumResult(
+        total=1.0 + math.fsum(terms),
+        loop_count=len(terms),
+        polymer_count=len(polymers),
+    )
+
+
+def loop_sum_bruteforce(graph: FactorGraph, messages: MessageSet) -> LoopSumResult:
+    """Same total as loop_sum, evaluating every enumerated loop on its own."""
+    loops = enumerate_generalized_loops(graph)
+    ev = ActivityEvaluator(graph, messages)
+    terms = [ev.value(g.edge_ids) for g in loops]
+    polymer_count = sum(
+        1 for g in loops if len(_edge_components(graph, frozenset(g.edge_ids))) == 1
+    )
+    return LoopSumResult(
+        total=1.0 + math.fsum(terms),
+        loop_count=len(loops),
+        polymer_count=polymer_count,
+    )
+
+
+def max_factorization_error(
+    graph: FactorGraph, messages: MessageSet, cap: int = 50, size_cap: int = 8
+) -> float:
+    """Largest |K(union) - product of K(polymer)| over disjoint polymer unions.
+
+    Samples up to cap unions of two or three pairwise disjoint polymers of
+    size <= size_cap and evaluates each union as a single edge subset.
+    """
+    checked = 0
+    scanned = 0
+    scan_cap = 400 * cap  # disjoint combos can be rare
+    ev = ActivityEvaluator(graph, messages)
+    polymers = enumerate_polymers(graph, max_size=size_cap)
+    acts = [ev.value(p.edge_ids) for p in polymers]
+    worst = 0.0
+    for k in (2, 3):
+        for combo in itertools.combinations(range(len(polymers)), k):
+            scanned += 1
+            if checked >= cap or scanned >= scan_cap:
+                return worst
+            masks = [polymers[j].node_mask for j in combo]
+            if any(u & v for u, v in itertools.combinations(masks, 2)):
+                continue
+            merged = tuple(sorted(e for j in combo for e in polymers[j].edge_ids))
+            prod = 1.0
+            for j in combo:
+                prod *= acts[j]
+            worst = max(worst, abs(ev.value(merged) - prod))
+            checked += 1
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ subprocesses at the end of the file."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -26,6 +27,7 @@ from loopgas import (
     load_graph,
     save_graph,
     solve_fixed_point,
+    verify_loop_identity,
 )
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
 from loopgas.exact import codeword_count_gf2
@@ -232,6 +234,42 @@ def test_verify_identity_budget_exit(tmp_path):
     assert rc == 3
 
 
+def test_verify_identity_payload_is_the_library_report(tmp_path):
+    path = _ldpc_file(tmp_path)
+    out = str(tmp_path / "vi.json")
+    rc = main([
+        "verify-identity", "--graph", path, "--p", "0.45", "--channel-seed", "1",
+        "--split-lambda", "1.5", "--out", out,
+    ])
+    assert rc == 0
+    report = verify_loop_identity(
+        apply_channel(load_graph(path), 0.45, 1), split_lambda=1.5
+    )
+    want = {**dataclasses.asdict(report), "schema_version": "1"}
+    assert json.loads(open(out).read()) == want
+
+
+def test_verify_identity_walks_the_loops_once(tmp_path, monkeypatch):
+    import loopgas.loops
+
+    walks = []
+    walk = loopgas.loops._walk
+
+    def counted(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(loopgas.loops, "_walk", counted)
+    path = _ldpc_file(tmp_path)
+    argv = ["verify-identity", "--graph", path, "--p", "0.45",
+            "--out", str(tmp_path / "vi.json")]
+    assert main(argv) == 0
+    assert len(walks) == 1
+    # the per-loop CSV is the one extra walk
+    assert main(argv + ["--dump-loops", str(tmp_path / "loops.csv")]) == 0
+    assert len(walks) == 3
+
+
 def test_dump_loops_rows_and_type_bounds(tmp_path):
     path = _sparse_file(tmp_path)
     out = str(tmp_path / "vi.json")
@@ -377,6 +415,18 @@ def test_entropy_symmetric_channel_matches_code_dimension(tmp_path):
         graph = _sample_ensemble("ldpc-regular", 3, 4, 4, topo_seed)
         want = codeword_count_gf2(graph) * LN2 / graph.n
         assert abs(row["h_exact"] - want) <= 1e-10
+
+
+def test_instance_seed_streams_do_not_collide():
+    # neighbouring base seeds, and neighbouring sizes, share no instance
+    for index in range(3):
+        assert set(_instance_seeds(1, 8, index)).isdisjoint(
+            _instance_seeds(0, 8, index + 1)
+        )
+    assert set(_instance_seeds(0, 8, 131)).isdisjoint(_instance_seeds(0, 9, 0))
+    topo, channel = _instance_seeds(0, 8, 0)
+    assert topo != channel
+    assert _instance_seeds(0, 8, 0) == (topo, channel)
 
 
 def test_entropy_exhaustive_average(tmp_path):

@@ -242,12 +242,12 @@ def test_loop_sum_routes_agree_on_arbitrary_messages(builder, args, seed):
     g = builder(*args)
     msgs = sp.random_messages(g, seed=seed)
     direct = lg.loop_sum_direct(g, msgs)
-    composed = lg.loop_sum(g, msgs)
-    brute = lg.loop_sum_bruteforce(g, msgs)
+    composed = sp.loop_sum(g, msgs)
+    brute = sp.loop_sum_bruteforce(g, msgs)
     assert direct.total == pytest.approx(composed.total, abs=1e-12)
     assert direct.total == pytest.approx(brute.total, abs=1e-12)
     assert direct.loop_count == composed.loop_count == brute.loop_count
-    assert direct.polymer_count == composed.polymer_count
+    assert direct.polymer_count == composed.polymer_count == brute.polymer_count
 
 
 def test_loop_sum_budget():
@@ -291,12 +291,41 @@ def test_identity_random_battery():
             continue  # a non-converged run proves nothing either way
         checked += 1
         assert report.residual <= 1e-8
-        assert report.max_factorization_error <= 1e-12
+        messages = lg.solve_fixed_point(g).messages
+        assert sp.max_factorization_error(g, messages) <= 1e-12
         assert report.polymer_count <= report.loop_count
         assert report.ln_z_exact == pytest.approx(
             g.n * report.f_bethe + report.ln_loop_sum, abs=1e-9
         )
     assert checked >= 18
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        sp.ldpc_instance(3, 4, 4, 0.35, 1, chan_seed=1),
+        sp.ldgm_instance(2, 4, 6, 0.42, 2, chan_seed=2),
+        sp.general_instance(3, 4, 4, 0.15, 3),
+        sp.random_tree(9, 4, "ldpc"),
+    ],
+    ids=["ldpc", "ldgm", "general", "tree"],
+)
+def test_one_pass_identity_matches_separate_routes(graph):
+    bp = lg.solve_fixed_point(graph)
+    direct = lg.loop_sum_direct(graph, bp.messages)
+    q = lg.convergence_criterion_q(
+        graph, bp.messages, polymers=lg.enumerate_polymers(graph)
+    ).q
+    for lam in (0.3, 0.5, 0.9, 1.5):
+        report = lg.verify_loop_identity(graph, split_lambda=lam)
+        split = lg.split_small_large(graph, bp.messages, lam)
+        assert report.ln_loop_sum == math.log(direct.total)
+        assert report.loop_count == direct.loop_count
+        assert report.polymer_count == direct.polymer_count
+        assert report.z_small == split.z_small
+        assert report.r_large == split.r_large
+        assert report.q == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert report.bp_residual == bp.residual
 
 
 def test_full_expansion_on_arbitrary_messages():
