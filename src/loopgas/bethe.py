@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
-from .bp import MessageSet, check_coupling_tables
-from .graphs import FactorGraph, GeneralWeights, LdgmWeights, LdpcWeights
+from .bp import MessageSet, check_forms, check_sum
+from .graphs import FactorGraph, GeneralWeights, LdpcWeights
 
 
 @dataclass(frozen=True)
@@ -31,44 +31,6 @@ def _safe_log(x: float, what: str) -> float:
     if x <= 0.0:
         raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
     return math.log(x)
-
-
-def _check_term_ldpc(graph: FactorGraph, t: np.ndarray, a: int) -> float:
-    prod = 1.0
-    for e in graph.check_edges[a]:
-        prod *= float(t[e])
-    return _safe_log(1.0 + prod, f"check {a}") - math.log(2.0)
-
-
-def _check_term_ldgm(graph: FactorGraph, t: np.ndarray, a: int, h_a: float) -> float:
-    prod = 1.0
-    for e in graph.check_edges[a]:
-        prod *= float(t[e])
-    return _safe_log(1.0 + math.tanh(h_a) * prod, f"check {a}") + math.log(
-        math.cosh(h_a)
-    )
-
-
-def _check_term_general(
-    graph: FactorGraph,
-    t: np.ndarray,
-    a: int,
-    terms: list[tuple[int, float]],
-) -> float:
-    eids = graph.check_edges[a]
-    d = len(eids)
-    tv = [float(t[e]) for e in eids]
-    acc = 0.0
-    for cfg in range(1 << d):
-        log_psi = 0.0
-        for mask, bj in terms:
-            log_psi += bj * (1.0 - 2.0 * ((cfg & mask).bit_count() & 1))
-        w = math.exp(log_psi)
-        for k in range(d):
-            s_k = 1.0 - 2.0 * ((cfg >> k) & 1)
-            w *= (1.0 + s_k * tv[k]) / 2.0
-        acc += w
-    return _safe_log(acc, f"check {a}")
 
 
 def _var_term(graph: FactorGraph, that: np.ndarray, i: int, h_i: float) -> float:
@@ -89,36 +51,37 @@ def bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdow
     point of the message space whose log arguments stay positive
     (LogDomainError otherwise).
     """
+    return _free_energy(graph, messages, check_forms(graph))
+
+
+def _free_energy(
+    graph: FactorGraph, messages: MessageSet, forms: list
+) -> BetheBreakdown:
     t = messages.var_to_check
     that = messages.check_to_var
+    tv = t.tolist()
     w = graph.weights
 
-    if isinstance(w, LdpcWeights):
-        check_terms = tuple(
-            _check_term_ldpc(graph, t, a) for a in range(graph.m)
-        )
-        var_terms = tuple(
-            _var_term(graph, that, i, w.variable_fields[i]) for i in range(graph.n)
-        )
-    elif isinstance(w, LdgmWeights):
-        check_terms = tuple(
-            _check_term_ldgm(graph, t, a, w.check_fields[a]) for a in range(graph.m)
-        )
-        var_terms = tuple(_var_term(graph, that, i, 0.0) for i in range(graph.n))
+    check_terms = []
+    if isinstance(w, GeneralWeights):
+        for a, psi in enumerate(forms):
+            eids = graph.check_edges[a]
+            pairs = [((1.0 + tv[e]) / 2.0, (1.0 - tv[e]) / 2.0) for e in eids]
+            check_terms.append(_safe_log(check_sum(psi, pairs), f"check {a}"))
     else:
-        assert isinstance(w, GeneralWeights)
-        tables = check_coupling_tables(graph)
-        check_terms = tuple(
-            _check_term_general(graph, t, a, tables[a]) for a in range(graph.m)
-        )
-        var_terms = tuple(_var_term(graph, that, i, 0.0) for i in range(graph.n))
+        for a, (c, tau) in enumerate(forms):
+            prod = math.prod(tv[e] for e in graph.check_edges[a])
+            check_terms.append(_safe_log(1.0 + tau * prod, f"check {a}") + math.log(c))
+    fields = w.variable_fields if isinstance(w, LdpcWeights) else (0.0,) * graph.n
+    var_terms = tuple(_var_term(graph, that, i, fields[i]) for i in range(graph.n))
 
     edge_terms = tuple(
         _safe_log(1.0 + float(t[e]) * float(that[e]), f"edge {e}") - math.log(2.0)
         for e in range(graph.edge_count)
     )
 
-    # ldpc/ldgm terms above are already written in the halved normalisation;
+    # check terms carry c_a, so a parity check is already in the halved
+    # normalisation the general terms get from their (1 +- t)/2 weights;
     # for the variable and edge terms that normalisation cancels between the
     # two sums except for the explicit log-2 bookkeeping carried along.
     f = (
@@ -126,7 +89,7 @@ def bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdow
     ) / graph.n
     return BetheBreakdown(
         f_bethe=f,
-        check_terms=check_terms,
+        check_terms=tuple(check_terms),
         var_terms=var_terms,
         edge_terms=edge_terms,
     )
@@ -150,10 +113,13 @@ def stationarity_check(
             f"messages reach {biggest}, too close to the boundary for step {fd_step}"
         )
 
+    forms = check_forms(graph)
+
     def value(tv: np.ndarray, hv: np.ndarray) -> float:
-        return bethe_free_energy(
+        return _free_energy(
             graph,
             MessageSet(kind=messages.kind, var_to_check=tv, check_to_var=hv),
+            forms,
         ).f_bethe
 
     worst = 0.0

@@ -5,6 +5,14 @@ variable-to-check log-likelihood message on edge e, check_to_var[e] the
 check-to-variable direction.  Sweeps are fully synchronous (both directions
 recomputed from the previous iterate), which keeps trajectories independent
 of edge order.
+
+Checks come in two forms, shared with the Bethe free energy and the loop
+activities.  ldpc and ldgm checks have the parity form
+psi_a(s) = c_a (1 + tau_a prod s), with (c, tau) = (1/2, 1) for a parity
+constraint and (cosh h_a, tanh h_a) for a generator field; their local sums
+close in products of tanh messages.  General checks are tabulated once, psi_a
+over all 2^d local configurations, and every local sum is a contraction of
+that table with one weight pair per edge (check_marginal).
 """
 
 from __future__ import annotations
@@ -73,136 +81,149 @@ def _exclusive_products(values: list[float]) -> list[float]:
     return [prefix[k] * suffix[k + 1] for k in range(d)]
 
 
-def check_coupling_tables(graph: FactorGraph) -> list[list[tuple[int, float]]]:
-    """Per check: coupling terms as (local bitmask, beta*J) pairs."""
+def parity_form(graph: FactorGraph) -> list[tuple[float, float]]:
+    """Per check of an ldpc or ldgm graph: (c_a, tau_a) with
+    psi_a(s) = c_a (1 + tau_a prod s)."""
+    w = graph.weights
+    if isinstance(w, LdpcWeights):
+        return [(0.5, 1.0)] * graph.m
+    assert isinstance(w, LdgmWeights)
+    return [(math.cosh(h), math.tanh(h)) for h in w.check_fields]
+
+
+def check_tables(graph: FactorGraph) -> list[list[float]]:
+    """Per check of a general-weight graph: psi_a over its 2^d local
+    configurations.  Bit k of a configuration is set when the k-th neighbour
+    in check_neighbors order has spin -1."""
     w = graph.weights
     assert isinstance(w, GeneralWeights)
-    tables = []
     for a in range(graph.m):
-        hood = list(graph.check_neighbors(a))
-        local = {i: k for k, i in enumerate(hood)}
-        terms = []
-        for subset, j in w.couplings[a]:
-            mask = 0
-            for i in subset:
-                mask |= 1 << local[i]
-            terms.append((mask, w.beta * j))
-        tables.append(terms)
-    return tables
-
-
-def _general_check_update(
-    graph: FactorGraph,
-    t_in: np.ndarray,
-    out: np.ndarray,
-    tables: list[list[tuple[int, float]]],
-) -> None:
-    for a in range(graph.m):
-        eids = graph.check_edges[a]
-        d = len(eids)
-        if d == 0:
-            continue
+        d = graph.check_degree(a)
         if d > CHECK_TABLE_MAX_DEGREE:
             raise DegreeTooLargeError(
                 f"check {a} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
             )
-        t = [t_in[e] for e in eids]
-        terms = tables[a]
-        num = [0.0] * d
-        den = [0.0] * d
-        for cfg in range(1 << d):
+    tables = []
+    for a in range(graph.m):
+        hood = graph.check_neighbors(a)
+        pos = {i: k for k, i in enumerate(hood)}
+        terms = [
+            (sum(1 << pos[i] for i in subset), w.beta * j)
+            for subset, j in w.couplings[a]
+        ]
+        psi = []
+        for cfg in range(1 << len(hood)):
             log_psi = 0.0
             for mask, bj in terms:
                 log_psi += bj * (1.0 - 2.0 * ((cfg & mask).bit_count() & 1))
-            psi = math.exp(log_psi)
-            for k in range(d):
-                s_k = 1.0 - 2.0 * ((cfg >> k) & 1)
-                w = psi
-                for j in range(d):
-                    if j != k:
-                        s_j = 1.0 - 2.0 * ((cfg >> j) & 1)
-                        w *= 1.0 + s_j * t[j]
-                num[k] += s_k * w
-                den[k] += w
-        for k, e in enumerate(eids):
-            out[e] = num[k] / den[k]
+            psi.append(math.exp(log_psi))
+        tables.append(psi)
+    return tables
 
 
-def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
-    """One synchronous sweep: both directions recomputed from the old iterate."""
-    E = graph.edge_count
-    new_t = np.zeros(E)
-    new_that = np.zeros(E)
-    t_old = messages.var_to_check
-    that_old = messages.check_to_var
-    w = graph.weights
+def check_marginal(
+    psi: list[float], w: list[tuple[float, float]], k: int
+) -> tuple[float, float]:
+    """(sum over x_k = +1, sum over x_k = -1) of psi(x) prod_{j != k} w_j(x_j).
 
-    # check -> variable
-    if isinstance(w, LdpcWeights):
-        for a in range(graph.m):
+    w holds one (spin +1, spin -1) weight pair per neighbour.  The table is
+    folded one axis at a time: the axes above k from the top, then the ones
+    below k from the bottom, so each edge costs O(2^d).
+    """
+    t = psi
+    for j in range(len(w) - 1, k, -1):
+        wp, wm = w[j]
+        half = len(t) >> 1
+        t = [p * wp + q * wm for p, q in zip(t[:half], t[half:])]
+    for j in range(k):
+        wp, wm = w[j]
+        t = [p * wp + q * wm for p, q in zip(t[0::2], t[1::2])]
+    return t[0], t[1]
+
+
+def check_sum(psi: list[float], w: list[tuple[float, float]]) -> float:
+    """sum over x of psi(x) prod_k w_k(x_k)."""
+    if not w:
+        return psi[0]
+    plus, minus = check_marginal(psi, w, 0)
+    return plus * w[0][0] + minus * w[0][1]
+
+
+def check_forms(graph: FactorGraph) -> list:
+    """check_tables for general weights, parity_form for ldpc and ldgm."""
+    if isinstance(graph.weights, GeneralWeights):
+        return check_tables(graph)
+    return parity_form(graph)
+
+
+def _check_update(graph: FactorGraph, t: list[float], forms: list) -> np.ndarray:
+    out = np.zeros(graph.edge_count)
+    if isinstance(graph.weights, GeneralWeights):
+        for a, psi in enumerate(forms):
             eids = graph.check_edges[a]
-            vals = [float(t_old[e]) for e in eids]
+            pairs = [(1.0 + t[e], 1.0 - t[e]) for e in eids]
             for k, e in enumerate(eids):
-                prod = 1.0
-                for j, v in enumerate(vals):
-                    if j != k:
-                        prod *= v
-                new_that[e] = prod
-    elif isinstance(w, LdgmWeights):
-        for a in range(graph.m):
-            eids = graph.check_edges[a]
-            th = math.tanh(w.check_fields[a])
-            vals = [float(t_old[e]) for e in eids]
-            excl = _exclusive_products(vals)
-            for k, e in enumerate(eids):
-                new_that[e] = th * excl[k]
+                plus, minus = check_marginal(psi, pairs, k)
+                out[e] = (plus - minus) / (plus + minus)
     else:
-        _general_check_update(graph, t_old, new_that, check_coupling_tables(graph))
+        for a, (_c, tau) in enumerate(forms):
+            eids = graph.check_edges[a]
+            excl = _exclusive_products([t[e] for e in eids])
+            for k, e in enumerate(eids):
+                out[e] = tau * excl[k]
+    return out
 
-    # variable -> check
+
+def _sweep(graph: FactorGraph, messages: MessageSet, forms: list) -> MessageSet:
+    w = graph.weights
+    new_that = _check_update(graph, messages.var_to_check.tolist(), forms)
+    new_t = np.zeros(graph.edge_count)
+    that_old = messages.check_to_var.tolist()
     fields = w.variable_fields if isinstance(w, LdpcWeights) else None
     for i in range(graph.n):
         eids = graph.var_edges[i]
         if not eids:
             continue
         base = math.tanh(fields[i]) if fields is not None else 0.0
-        vals = [float(that_old[e]) for e in eids]
-        excl = _exclusive_combine(vals, base)
+        excl = _exclusive_combine([that_old[e] for e in eids], base)
         for k, e in enumerate(eids):
             new_t[e] = excl[k]
-
     return MessageSet(kind=w.kind, var_to_check=new_t, check_to_var=new_that)
+
+
+def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
+    """One synchronous sweep: both directions recomputed from the old iterate."""
+    return _sweep(graph, messages, check_forms(graph))
 
 
 def initial_messages(graph: FactorGraph) -> MessageSet:
     """Default starting point: zeros, except ldpc which seeds the channel
     fields on variable messages and their first-order products on check
     messages."""
-    E = graph.edge_count
     w = graph.weights
-    t = np.zeros(E)
-    that = np.zeros(E)
-    if isinstance(w, LdpcWeights):
-        for e, (i, _a) in enumerate(graph.edges):
-            t[e] = math.tanh(w.variable_fields[i])
-        for a in range(graph.m):
-            eids = graph.check_edges[a]
-            vals = [float(t[e]) for e in eids]
-            excl = _exclusive_products(vals)
-            for k, e in enumerate(eids):
-                that[e] = excl[k]
-    return MessageSet(kind=w.kind, var_to_check=t, check_to_var=that)
+    if not isinstance(w, LdpcWeights):
+        zeros = np.zeros(graph.edge_count)
+        return MessageSet(kind=w.kind, var_to_check=zeros, check_to_var=zeros.copy())
+    t = [math.tanh(w.variable_fields[i]) for i, _a in graph.edges]
+    return MessageSet(
+        kind=w.kind,
+        var_to_check=np.array(t, dtype=float),
+        check_to_var=_check_update(graph, t, parity_form(graph)),
+    )
+
+
+def _distance(x: MessageSet, y: MessageSet) -> float:
+    return float(
+        max(
+            np.abs(x.var_to_check - y.var_to_check).max(initial=0.0),
+            np.abs(x.check_to_var - y.check_to_var).max(initial=0.0),
+        )
+    )
 
 
 def residual_of(graph: FactorGraph, messages: MessageSet) -> float:
     """Sup-norm distance between messages and one undamped sweep of them."""
-    swept = bp_sweep(graph, messages)
-    return float(
-        max(
-            np.abs(swept.var_to_check - messages.var_to_check).max(initial=0.0),
-            np.abs(swept.check_to_var - messages.check_to_var).max(initial=0.0),
-        )
-    )
+    return _distance(bp_sweep(graph, messages), messages)
 
 
 def solve_fixed_point(
@@ -220,10 +241,11 @@ def solve_fixed_point(
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
     msgs = init.copy() if init is not None else initial_messages(graph)
+    forms = check_forms(graph)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        swept = bp_sweep(graph, msgs)
+        swept = _sweep(graph, msgs, forms)
         if damping > 0.0:
             swept = MessageSet(
                 kind=swept.kind,
@@ -232,12 +254,7 @@ def solve_fixed_point(
                 check_to_var=(1.0 - damping) * swept.check_to_var
                 + damping * msgs.check_to_var,
             )
-        residual = float(
-            max(
-                np.abs(swept.var_to_check - msgs.var_to_check).max(initial=0.0),
-                np.abs(swept.check_to_var - msgs.check_to_var).max(initial=0.0),
-            )
-        )
+        residual = _distance(swept, msgs)
         msgs = swept
         if residual <= tol:
             break
@@ -253,15 +270,15 @@ def solve_fixed_point(
 # fixed-point verification predicates
 
 
+def _within(values: np.ndarray, cap: float) -> bool:
+    return values.size == 0 or float(np.abs(values).max()) <= cap + 1e-12
+
+
 def verify_high_noise(messages: MessageSet, channel: ChannelParams) -> bool:
     """All variable-to-check messages within the high-noise threshold theta."""
     if messages.kind != "ldpc":
         raise ValueError("the high-noise predicate applies to ldpc messages")
-    if messages.var_to_check.size == 0:
-        return True
-    return bool(
-        np.abs(messages.var_to_check).max() <= channel.theta + 1e-12
-    )
+    return _within(messages.var_to_check, channel.theta)
 
 
 def verify_high_temperature_bounds(messages: MessageSet, graph: FactorGraph) -> bool:
@@ -272,17 +289,9 @@ def verify_high_temperature_bounds(messages: MessageSet, graph: FactorGraph) -> 
     mu = w.mu()
     if mu >= 0.5:
         raise ValueError(f"bounds require mu < 1/2, got mu = {mu}")
-    slack = 1e-12
-    ok_var = (
-        messages.var_to_check.size == 0
-        or np.abs(messages.var_to_check).max()
-        <= 2.0 * (graph.l_max - 1) * mu + slack
+    return _within(messages.var_to_check, 2.0 * (graph.l_max - 1) * mu) and _within(
+        messages.check_to_var, 2.0 * mu
     )
-    ok_check = (
-        messages.check_to_var.size == 0
-        or np.abs(messages.check_to_var).max() <= 2.0 * mu + slack
-    )
-    return bool(ok_var and ok_check)
 
 
 def verify_ldgm_message_bounds(messages: MessageSet, graph: FactorGraph) -> bool:
@@ -291,13 +300,6 @@ def verify_ldgm_message_bounds(messages: MessageSet, graph: FactorGraph) -> bool
     if not isinstance(w, LdgmWeights):
         raise ValueError("these bounds apply to ldgm weights")
     h = max((abs(x) for x in w.check_fields), default=0.0)
-    slack = 1e-12
-    ok_var = (
-        messages.var_to_check.size == 0
-        or np.abs(messages.var_to_check).max() <= 4.0 * (graph.l_max - 1) * h + slack
+    return _within(messages.var_to_check, 4.0 * (graph.l_max - 1) * h) and _within(
+        messages.check_to_var, 4.0 * h
     )
-    ok_check = (
-        messages.check_to_var.size == 0
-        or np.abs(messages.check_to_var).max() <= 4.0 * h + slack
-    )
-    return bool(ok_var and ok_check)

@@ -61,11 +61,10 @@ from .graphs import (
     sample_regular_bipartite,
 )
 from .loops import (
-    ActivityEvaluator,
-    enumerate_generalized_loops,
     high_temperature_activity_bound,
     ldgm_activity_bound,
     ldpc_type_activity_bound,
+    loop_activities,
     verify_loop_identity,
 )
 from .ratefunc import rate_function_profile
@@ -256,15 +255,13 @@ def _induced_type(graph: FactorGraph, edge_ids: tuple[int, ...]) -> tuple[str, s
 
 
 def _dump_loops(args, graph: FactorGraph) -> None:
-    evaluator = ActivityEvaluator(graph, _run_bp(graph, args).messages)
+    messages = _run_bp(graph, args).messages
     kind = graph.weights.kind
     theta = ChannelParams(p=args.p).theta if args.p is not None else None
     if theta is not None and not 0.0 < theta <= 0.1:
         theta = None  # type bound does not apply; leave the column empty
     rows = []
-    for loop in enumerate_generalized_loops(graph, budget=args.budget):
-        if not loop.edge_ids:
-            continue
+    for loop, activity in loop_activities(graph, messages, budget=args.budget):
         var_type, check_type = _induced_type(graph, loop.edge_ids)
         if kind == "general":
             bound: float | str = high_temperature_activity_bound(graph, loop)
@@ -279,7 +276,7 @@ def _dump_loops(args, graph: FactorGraph) -> None:
                 "edges": "|".join(str(e) for e in loop.edge_ids),
                 "var_type": var_type,
                 "check_type": check_type,
-                "activity": evaluator.value(loop.edge_ids),
+                "activity": activity,
                 "bound": bound,
             }
         )

@@ -12,8 +12,9 @@ Polymers are connected generalized loops; every generalized loop is a disjoint
 union of polymers and its activity factorizes over them.
 
 One depth-first walk visits every generalized loop, carrying its activity
-when asked.  Enumeration, the loop sum, its small/large split and the
-one-pass identity check are leaf functions over that walk.
+when asked.  Enumeration (with or without activities), the loop sum, its
+small/large split and the one-pass identity check are leaf functions over
+that walk.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import MessageSet, solve_fixed_point
+from .bp import MessageSet, check_forms, check_sum, solve_fixed_point
 from .bethe import bethe_free_energy
 from .errors import (
     BudgetExceededError,
@@ -133,31 +134,24 @@ class ActivityEvaluator:
         else:
             self.exp_h = [1.0] * graph.n
             self.exp_mh = [1.0] * graph.n
-        if isinstance(w, LdgmWeights):
-            self.tanh_field = [math.tanh(h) for h in w.check_fields]
-        else:
-            self.tanh_field = []
-        if isinstance(w, GeneralWeights):
-            self.tables = []
-            for a in range(graph.m):
-                hood = graph.check_neighbors(a)
-                pos = {i: k for k, i in enumerate(hood)}
-                self.tables.append(
-                    [
-                        (sum(1 << pos[i] for i in subset), w.beta * j)
-                        for subset, j in w.couplings[a]
-                    ]
-                )
-        else:
-            self.tables = []
+        self.forms = check_forms(graph)
 
     def check_factor(self, a: int, g_edges: frozenset[int] | set[int]) -> float:
         graph = self.graph
         t = self.t
         that = self.that
         eids = graph.check_edges[a]
-        d = 0
-        if self.kind != "general":
+        if self.kind == "general":
+            den_w = [((1.0 + t[e]) / 2.0, (1.0 - t[e]) / 2.0) for e in eids]
+            num_w = [
+                ((1.0 - that[e]) / 2.0, (-1.0 - that[e]) / 2.0) if e in g_edges else pair
+                for e, pair in zip(eids, den_w)
+            ]
+            psi = self.forms[a]
+            num = check_sum(psi, num_w)
+            den = check_sum(psi, den_w)
+        else:
+            d = 0
             out_prod = 1.0  # product of t over edges not in g
             in_that = 1.0  # product of t_hat over edges in g
             in_t = 1.0  # product of t over edges in g
@@ -169,34 +163,9 @@ class ActivityEvaluator:
                 else:
                     out_prod *= t[e]
             sign = -1.0 if d % 2 else 1.0
-            if self.kind == "ldpc":
-                num = out_prod + sign * in_that
-                den = 1.0 + out_prod * in_t
-            else:
-                th = self.tanh_field[a]
-                num = sign * in_that + th * out_prod
-                den = 1.0 + th * out_prod * in_t
-        else:
-            dloc = len(eids)
-            tv = [t[e] for e in eids]
-            hv = [that[e] for e in eids]
-            ing = [e in g_edges for e in eids]
-            terms = self.tables[a]
-            num = 0.0
-            den = 0.0
-            for cfg in range(1 << dloc):
-                log_psi = 0.0
-                for mask, bj in terms:
-                    log_psi += bj * (1.0 - 2.0 * ((cfg & mask).bit_count() & 1))
-                psi = math.exp(log_psi)
-                wn = psi
-                wd = psi
-                for k in range(dloc):
-                    s = 1.0 - 2.0 * ((cfg >> k) & 1)
-                    wd *= (1.0 + s * tv[k]) / 2.0
-                    wn *= (s - hv[k]) / 2.0 if ing[k] else (1.0 + s * tv[k]) / 2.0
-                num += wn
-                den += wd
+            _c, tau = self.forms[a]
+            num = sign * in_that + tau * out_prod
+            den = 1.0 + tau * out_prod * in_t
         if abs(den) < _DENOMINATOR_FLOOR * max(1.0, abs(num)):
             raise SingularDenominatorError(
                 f"check {a} normalization {den} is numerically singular"
@@ -417,6 +386,15 @@ def _components(
     return comps
 
 
+def _loop_subgraph(blocks: list[tuple[int, tuple[int, ...]]]) -> LoopSubgraph:
+    mask = 0
+    edge_ids: list[int] = []
+    for bmask, eids in blocks:
+        mask |= bmask
+        edge_ids.extend(eids)
+    return LoopSubgraph(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
+
+
 def max_node_load(node_count: int, masks, weights) -> float:
     """max over nodes of the summed weights of the node masks through it.
 
@@ -449,17 +427,27 @@ def enumerate_generalized_loops(
     out: list[LoopSubgraph] = []
 
     def leaf(_prod: float, blocks) -> None:
-        mask = 0
-        edge_ids: list[int] = []
-        for bmask, eids in blocks:
-            mask |= bmask
-            edge_ids.extend(eids)
-        out.append(
-            LoopSubgraph(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
-        )
+        out.append(_loop_subgraph(blocks))
 
     _walk(graph, leaf, budget, max_edges=max_edges, max_nodes=max_nodes)
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
+    return out
+
+
+def loop_activities(
+    graph: FactorGraph,
+    messages: MessageSet,
+    budget: int = 10_000_000,
+) -> list[tuple[LoopSubgraph, float]]:
+    """Every generalized loop with its activity, in enumerate_generalized_loops
+    order; the activity is the product the walk carries down to the loop."""
+    out: list[tuple[LoopSubgraph, float]] = []
+
+    def leaf(prod: float, blocks) -> None:
+        out.append((_loop_subgraph(blocks), prod))
+
+    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    out.sort(key=lambda pair: (len(pair[0].edge_ids), pair[0].edge_ids))
     return out
 
 

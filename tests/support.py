@@ -105,6 +105,35 @@ def random_messages(graph: FactorGraph, seed: int, scale: float = 0.5) -> Messag
 
 
 # ---------------------------------------------------------------------------
+# spin-enumeration oracle for one general check
+
+
+def oracle_check_sum(graph: FactorGraph, a: int, weight) -> float:
+    """sum over the spins s around check a of psi_a(s) prod_k weight(k, s_k).
+
+    psi_a is read straight from GeneralWeights.couplings, and k runs over the
+    neighbours in check_neighbors order (the order of check_edges[a]).
+    """
+    w = graph.weights
+    assert isinstance(w, GeneralWeights)
+    hood = graph.check_neighbors(a)
+    local = {i: k for k, i in enumerate(hood)}
+    total = 0.0
+    for spins in itertools.product((1.0, -1.0), repeat=len(hood)):
+        log_psi = 0.0
+        for subset, j in w.couplings[a]:
+            prod_s = 1.0
+            for v in subset:
+                prod_s *= spins[local[v]]
+            log_psi += w.beta * j * prod_s
+        term = math.exp(log_psi)
+        for k, s in enumerate(spins):
+            term *= weight(k, s)
+        total += term
+    return total
+
+
+# ---------------------------------------------------------------------------
 # subset-filter oracles for generalized loops and polymers
 
 

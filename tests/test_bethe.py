@@ -49,6 +49,22 @@ def test_tree_exactness(kind):
         assert bd.f_bethe == pytest.approx(exact, abs=1e-10)
 
 
+def test_general_check_terms_match_spin_enumeration():
+    for g in (
+        sp.general_instance(3, 4, 8, beta=0.3, seed=5),
+        sp.random_general_tree(9, 2, beta=0.35),
+    ):
+        msgs = sp.random_messages(g, seed=11)
+        t = msgs.var_to_check
+        bd = lg.bethe_free_energy(g, msgs)
+        for a in range(g.m):
+            eids = g.check_edges[a]
+            want = math.log(
+                sp.oracle_check_sum(g, a, lambda j, s: (1.0 + s * t[eids[j]]) / 2.0)
+            )
+            assert bd.check_terms[a] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_four_cycle_joint_identity():
     # a single loop: ln Z = n * f_bethe + ln(1 + K) with K the loop term
     h0, h1 = 0.4, -0.7

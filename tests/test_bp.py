@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -89,27 +88,16 @@ def test_general_sweep_matches_cavity_enumeration():
     g = sp.general_instance(3, 4, 4, beta=0.3, seed=3)
     msgs = sp.random_messages(g, seed=7)
     out = bp.bp_sweep(g, msgs)
-    w = g.weights
+    t = msgs.var_to_check
     for a in range(g.m):
         eids = g.check_edges[a]
-        hood = g.check_neighbors(a)
-        local = {i: k for k, i in enumerate(hood)}
-        for e, i in zip(eids, hood):
-            num = 0.0
-            den = 0.0
-            for spins in itertools.product((1.0, -1.0), repeat=len(hood)):
-                log_psi = 0.0
-                for subset, j in w.couplings[a]:
-                    prod_s = 1.0
-                    for v in subset:
-                        prod_s *= spins[local[v]]
-                    log_psi += w.beta * j * prod_s
-                weight = math.exp(log_psi)
-                for e2, i2 in zip(eids, hood):
-                    if i2 != i:
-                        weight *= 1.0 + spins[local[i2]] * msgs.var_to_check[e2]
-                num += spins[local[i]] * weight
-                den += weight
+        for k, e in enumerate(eids):
+            num = sp.oracle_check_sum(
+                g, a, lambda j, s: s if j == k else 1.0 + s * t[eids[j]]
+            )
+            den = sp.oracle_check_sum(
+                g, a, lambda j, s: 1.0 if j == k else 1.0 + s * t[eids[j]]
+            )
             assert out.check_to_var[e] == pytest.approx(num / den, abs=1e-13)
 
 
@@ -201,6 +189,15 @@ def test_degree_cap_on_general_checks_only():
     wide = lg.attach_random_general_weights(base, beta=0.1, seed=0)
     with pytest.raises(DegreeTooLargeError):
         lg.solve_fixed_point(wide)
+    zero = lg.MessageSet(
+        kind="general",
+        var_to_check=np.zeros(wide.edge_count),
+        check_to_var=np.zeros(wide.edge_count),
+    )
+    with pytest.raises(DegreeTooLargeError):
+        lg.bethe_free_energy(wide, zero)
+    with pytest.raises(DegreeTooLargeError):
+        lg.ActivityEvaluator(wide, zero).check_factor(0, {0, 1})
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 import support as sp
 import loopgas
 from loopgas import (
+    ActivityEvaluator,
     apply_channel,
     bethe_free_energy,
     brute_force_log_partition,
@@ -268,6 +269,33 @@ def test_verify_identity_walks_the_loops_once(tmp_path, monkeypatch):
     # the per-loop CSV is the one extra walk
     assert main(argv + ["--dump-loops", str(tmp_path / "loops.csv")]) == 0
     assert len(walks) == 3
+
+
+def test_dump_loops_activities_match_the_evaluator(tmp_path):
+    # the CSV takes each activity from the walk; ActivityEvaluator.value
+    # rebuilds it from the loop's edge list alone
+    ldpc = _ldpc_file(tmp_path)
+    general = _gen(
+        tmp_path, "general_cold.json",
+        "--ensemble", "general-regular",
+        "--l", "3", "--r", "4", "--n", "4", "--beta", "0.005", "--seed", "1",
+    )
+    for path, flags in [(ldpc, ["--p", "0.42", "--channel-seed", "1"]), (general, [])]:
+        loops_csv = str(tmp_path / "loops.csv")
+        argv = ["verify-identity", "--graph", path, *flags,
+                "--out", str(tmp_path / "vi.json"), "--dump-loops", loops_csv]
+        assert main(argv) == 0
+        graph = load_graph(path)
+        if flags:
+            graph = apply_channel(graph, 0.42, 1)
+        ev = ActivityEvaluator(graph, solve_fixed_point(graph).messages)
+        rows = list(csv.DictReader(open(loops_csv)))
+        assert rows
+        for row in rows:
+            edge_ids = tuple(int(tok) for tok in row["edges"].split("|"))
+            want = ev.value(edge_ids)
+            got = float(row["activity"])
+            assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), row
 
 
 def test_dump_loops_rows_and_type_bounds(tmp_path):

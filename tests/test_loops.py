@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -184,6 +185,34 @@ def test_ldgm_trivial_point_activities():
     eids = g.var_edges[i]
     assert ev.var_factor(i, set(eids[:2])) == pytest.approx(1.0, abs=1e-15)
     assert ev.var_factor(i, set(eids[:3])) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_general_check_factor_matches_spin_enumeration():
+    rng = random.Random(4)
+    for g in (
+        sp.general_instance(3, 4, 8, beta=0.3, seed=6),
+        sp.random_general_tree(9, 1, beta=0.35),
+    ):
+        msgs = sp.random_messages(g, seed=13)
+        t, that = msgs.var_to_check, msgs.check_to_var
+        ev = lg.ActivityEvaluator(g, msgs)
+        for a in range(g.m):
+            eids = g.check_edges[a]
+            for _ in range(6):
+                picked = [e for e in eids if rng.random() < 0.5] or [eids[0]]
+                sub = set(picked)
+
+                def weight(j, s):
+                    e = eids[j]
+                    return (s - that[e]) / 2.0 if e in sub else (1.0 + s * t[e]) / 2.0
+
+                num = sp.oracle_check_sum(g, a, weight)
+                den = sp.oracle_check_sum(
+                    g, a, lambda j, s: (1.0 + s * t[eids[j]]) / 2.0
+                )
+                assert ev.check_factor(a, sub) == pytest.approx(
+                    num / den, rel=1e-12, abs=1e-14
+                )
 
 
 def test_four_cycle_activity_is_field_product():
