@@ -39,6 +39,7 @@ from .bp import (
 from .errors import (
     BudgetExceededError,
     DegreeTooLargeError,
+    HypothesisNotMetError,
     LoopGasError,
     TooLargeError,
 )
@@ -263,14 +264,16 @@ def _dump_loops(args, graph: FactorGraph) -> None:
     rows = []
     for loop, activity in loop_activities(graph, messages, budget=args.budget):
         var_type, check_type = _induced_type(graph, loop.edge_ids)
-        if kind == "general":
-            bound: float | str = high_temperature_activity_bound(graph, loop)
-        elif kind == "ldgm":
-            bound = ldgm_activity_bound(graph, loop)
-        elif theta is not None:
-            bound = ldpc_type_activity_bound(graph, loop, theta)
-        else:
-            bound = ""
+        bound: float | str = ""
+        try:
+            if kind == "general":
+                bound = high_temperature_activity_bound(graph, loop)
+            elif kind == "ldgm":
+                bound = ldgm_activity_bound(graph, loop)
+            elif theta is not None:
+                bound = ldpc_type_activity_bound(graph, loop, theta)
+        except HypothesisNotMetError:
+            pass  # the coupling or field is too strong for the bound; leave it empty
         rows.append(
             {
                 "edges": "|".join(str(e) for e in loop.edge_ids),

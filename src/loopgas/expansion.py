@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .bp import MessageSet
 from .errors import (
     BudgetExceededError,
@@ -24,6 +26,8 @@ from .graphs import FactorGraph
 from .loops import ActivityEvaluator, Polymer, enumerate_polymers, max_node_load
 
 URSELL_MAX_ORDER = 7
+SERIES_BLOCK = 1 << 12  # multisets per block of polymer_series; bounds its memory
+_UNKNOWN = np.iinfo(np.int32).min  # Ursell coefficient of a pattern not yet seen
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,8 @@ def polymer_series(
     multiplicity factorials.  Multisets of pairwise disjoint polymers drop
     out on their own (their pattern is disconnected).  `z` scales every
     activity; the default 1 evaluates the series itself, smaller values
-    probe its decay.
+    probe its decay.  `budget` caps the number of multisets over all orders;
+    a series that needs more is refused before any of them is evaluated.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
@@ -143,32 +148,21 @@ def polymer_series(
         )
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
+    tuples = sum(
+        math.comb(len(polymers) + order - 1, order) for order in range(1, m_max + 1)
+    )
+    if tuples > budget:
+        raise BudgetExceededError(
+            f"series needs {tuples} tuples, over the budget of {budget};"
+            " lower m_max or restrict size_cutoff"
+        )
     ev = ActivityEvaluator(graph, messages)
     acts = [z * ev.value(p.edge_ids) for p in polymers]
-    masks = [p.node_mask for p in polymers]
-    terms = []
-    tuples_seen = 0
-    for order in range(1, m_max + 1):
-        pieces = []
-        for combo in itertools.combinations_with_replacement(
-            range(len(polymers)), order
-        ):
-            tuples_seen += 1
-            if tuples_seen > budget:
-                raise BudgetExceededError(
-                    f"series enumeration exceeded budget of {budget} tuples;"
-                    " lower m_max or restrict size_cutoff"
-                )
-            u = _multiset_ursell(tuple(masks[j] for j in combo))
-            if u == 0:
-                continue
-            weight = float(u)
-            for j in combo:
-                weight *= acts[j]
-            for _idx, reps in itertools.groupby(combo):
-                weight /= math.factorial(len(list(reps)))
-            pieces.append(weight)
-        terms.append(math.fsum(pieces))
+    node_words = _node_words([p.node_mask for p in polymers])
+    act_array = np.array(acts, dtype=np.float64)
+    terms = [
+        _series_term(order, node_words, act_array) for order in range(1, m_max + 1)
+    ]
     partial = list(itertools.accumulate(terms))
     q_weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
     q_report = _q_from_weights(graph, polymers, q_weights, size_cutoff)
@@ -179,6 +173,86 @@ def polymer_series(
         polymer_count=len(polymers),
         size_cutoff=size_cutoff,
     )
+
+
+def _node_words(masks: list[int]) -> np.ndarray:
+    """Node masks as a (P, words) uint64 array, bit b of a mask in word b // 64."""
+    words = max(1, (max((m.bit_length() for m in masks), default=0) + 63) // 64)
+    low = (1 << 64) - 1
+    rows = [[(m >> (64 * w)) & low for w in range(words)] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(len(masks), words)
+
+
+def _series_term(order: int, node_words: np.ndarray, acts: np.ndarray) -> float:
+    """Order-`order` term: the exact sum of one piece per multiset.
+
+    A piece is float(U) * acts[j] over the multiset's indices in
+    nondecreasing order, then divided by k! for each run of k equal indices,
+    in run order; multisets with U = 0 give no piece.  The Ursell coefficient
+    U depends only on which slots overlap, so it is looked up per pattern
+    code (bit i set when the i-th slot pair overlaps) in a table filled on
+    first use.  math.fsum is exactly rounded, so the order in which the
+    blocks visit the multisets does not change the term.
+    """
+    slot_pairs = list(itertools.combinations(range(order), 2))
+    ursell_of_code = np.full(1 << len(slot_pairs), _UNKNOWN, dtype=np.int32)
+    factorial = np.array([float(math.factorial(k)) for k in range(order + 1)])
+
+    def pieces():
+        for rows in _multiset_blocks(len(acts), order):
+            slot_words = [node_words[rows[:, k]] for k in range(order)]
+            code = np.zeros(len(rows), dtype=np.int64)
+            for bit, (a, b) in enumerate(slot_pairs):
+                overlap = (slot_words[a] & slot_words[b]).any(axis=1)
+                code |= overlap.astype(np.int64) << bit
+            u = ursell_of_code[code]
+            new_codes = np.unique(code[u == _UNKNOWN]).tolist()
+            for c in new_codes:
+                ursell_of_code[c] = connected_mayer_sum(
+                    order, frozenset(e for i, e in enumerate(slot_pairs) if c >> i & 1)
+                )
+            if new_codes:
+                u = ursell_of_code[code]
+            keep = u != 0
+            rows = rows[keep]
+            piece = u[keep].astype(np.float64)
+            for k in range(order):
+                piece *= acts[rows[:, k]]
+            run = np.ones(len(rows), dtype=np.int64)
+            for k in range(order - 1):
+                ends = rows[:, k] != rows[:, k + 1]
+                np.divide(piece, factorial[run], out=piece, where=ends)
+                run = np.where(ends, 1, run + 1)
+            piece /= factorial[run]
+            yield piece.tolist()
+
+    return math.fsum(itertools.chain.from_iterable(pieces()))
+
+
+def _multiset_blocks(p: int, order: int):
+    """Every nondecreasing `order`-tuple over range(p), SERIES_BLOCK rows at a time.
+
+    Colex rank r unranks to c_1 < ... < c_order in range(p + order - 1) with
+    r = sum_k C(c_k, k); the tuple is (c_k - k + 1)_k.  Each block unranks
+    its own rank range, so memory does not grow with the tuple count.
+    """
+    total = math.comb(p + order - 1, order)
+    # C(c, k) for c < p + order - 1; entries past `total` exceed every rank,
+    # so they are clipped to fit int64
+    binom = {
+        k: np.array(
+            [min(math.comb(c, k), total) for c in range(p + order - 1)], dtype=np.int64
+        )
+        for k in range(1, order + 1)
+    }
+    for start in range(0, total, SERIES_BLOCK):
+        rank = np.arange(start, min(start + SERIES_BLOCK, total), dtype=np.int64)
+        rows = np.empty((len(rank), order), dtype=np.int64)
+        for k in range(order, 0, -1):
+            c = np.searchsorted(binom[k], rank, side="right") - 1
+            rank -= binom[k][c]
+            rows[:, k - 1] = c - (k - 1)
+        yield rows
 
 
 def convergence_criterion_q(

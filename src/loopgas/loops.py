@@ -353,7 +353,12 @@ def _walk(
             for i, bit in bits:
                 var_inc[i] ^= bit
 
-    dfs(0, 1.0, 0, 0)
+    try:
+        dfs(0, 1.0, 0, 0)
+    finally:
+        # dfs refers to itself; without the cycle, leaf and what it holds are
+        # freed on return instead of at the next cyclic garbage collection
+        del dfs
 
 
 def _components(

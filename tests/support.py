@@ -21,6 +21,7 @@ from loopgas import (
     LdgmWeights,
     LdpcWeights,
     MessageSet,
+    Polymer,
     apply_channel,
     attach_random_general_weights,
     build_factor_graph,
@@ -28,7 +29,9 @@ from loopgas import (
     enumerate_polymers,
     sample_ldgm,
     sample_regular_bipartite,
+    ursell,
 )
+from loopgas.errors import BudgetExceededError
 from loopgas.loops import LoopSumResult
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,8 @@ def oracle_split(
 
 
 # ---------------------------------------------------------------------------
-# loop-sum oracles: polymer composition, per-loop evaluation, factorization
+# loop-sum oracles: polymer composition, per-loop evaluation, polymer series,
+# factorization
 
 
 def loop_sum(graph: FactorGraph, messages: MessageSet) -> LoopSumResult:
@@ -253,6 +257,52 @@ def loop_sum_bruteforce(graph: FactorGraph, messages: MessageSet) -> LoopSumResu
         loop_count=len(loops),
         polymer_count=polymer_count,
     )
+
+
+def oracle_polymer_series(
+    graph: FactorGraph,
+    messages: MessageSet,
+    m_max: int,
+    size_cutoff: int | None = None,
+    polymers: list[Polymer] | None = None,
+    budget: int = 10_000_000,
+    z: float = 1.0,
+) -> tuple[float, ...]:
+    """Per-order polymer-series terms, one multiset at a time.
+
+    The reference for `polymer_series`: the same pieces, formed one Python
+    multiset after another (Ursell coefficient from the overlap pattern,
+    activity product in index order, one division per run of equal indices)
+    and summed per order by math.fsum.  The budget fires at the first tuple
+    past it, after the work on the earlier ones.
+    """
+    if polymers is None:
+        polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
+    ev = ActivityEvaluator(graph, messages)
+    acts = [z * ev.value(p.edge_ids) for p in polymers]
+    terms = []
+    tuples_seen = 0
+    for order in range(1, m_max + 1):
+        pieces = []
+        for combo in itertools.combinations_with_replacement(
+            range(len(polymers)), order
+        ):
+            tuples_seen += 1
+            if tuples_seen > budget:
+                raise BudgetExceededError(
+                    f"series enumeration exceeded budget of {budget} tuples"
+                )
+            u = ursell([polymers[j] for j in combo])
+            if u == 0:
+                continue
+            weight = float(u)
+            for j in combo:
+                weight *= acts[j]
+            for _idx, reps in itertools.groupby(combo):
+                weight /= math.factorial(len(list(reps)))
+            pieces.append(weight)
+        terms.append(math.fsum(pieces))
+    return tuple(terms)
 
 
 def max_factorization_error(

@@ -330,6 +330,30 @@ def test_dump_loops_rows_and_type_bounds(tmp_path):
     assert rows and all(row["bound"] == "" for row in rows)
 
 
+def test_dump_loops_leaves_the_bound_empty_outside_its_hypothesis(tmp_path):
+    # mu = 0.4 and h = atanh(0.4) are above the high-temperature and ldgm limits
+    general = _gen(
+        tmp_path, "general_3_6.json",
+        "--ensemble", "general-regular",
+        "--l", "3", "--r", "6", "--n", "6", "--beta", "0.2", "--seed", "1",
+    )
+    ldgm = _gen(
+        tmp_path, "ldgm_3_6.json",
+        "--ensemble", "ldgm", "--lambda", "3:1.0", "--p-dist", "6:1.0",
+        "--n", "6", "--seed", "1",
+    )
+    for path, flags in [(general, []), (ldgm, ["--p", "0.3", "--channel-seed", "1"])]:
+        out = str(tmp_path / "vi.json")
+        loops_csv = tmp_path / "loops.csv"
+        loops_csv.unlink(missing_ok=True)
+        argv = ["verify-identity", "--graph", path, *flags,
+                "--out", out, "--dump-loops", str(loops_csv)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(open(loops_csv)))
+        assert len(rows) == json.loads(open(out).read())["loop_count"] > 0
+        assert all(row["bound"] == "" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # series / rate-function
 

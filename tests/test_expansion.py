@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,140 @@ def test_series_tuple_budget():
     res = lg.solve_fixed_point(g)
     with pytest.raises(BudgetExceededError):
         lg.polymer_series(g, res.messages, m_max=3, budget=100)
+
+
+def _ldgm_four_cycles(n, m, extra_edges, ks):
+    """The criterion-6 fixtures: 4-cycles whose checks carry fields atanh(k)."""
+    edges = [(0, 0), (1, 0), (0, 1), (1, 1)] + extra_edges
+    return lg.build_factor_graph(
+        n, m, edges, lg.LdgmWeights(check_fields=[math.atanh(k) for k in ks])
+    )
+
+
+SERIES_CASES = {
+    # the three criterion-6 fixtures, every order the Ursell table supports;
+    # order 6 includes multisets such as (0, 0, 0, 1, 1, 1), divided by 3! twice
+    "single-m7": (lambda: _ldgm_four_cycles(2, 2, [], [0.09, 0.09]), {"m_max": 7}),
+    "disjoint-pair-m7": (
+        lambda: _ldgm_four_cycles(4, 4, [(2, 2), (3, 2), (2, 3), (3, 3)], [0.09] * 4),
+        {"m_max": 7},
+    ),
+    "shared-variable-m7": (
+        lambda: _ldgm_four_cycles(3, 4, [(1, 2), (2, 2), (1, 3), (2, 3)], [0.42] * 4),
+        {"m_max": 7},
+    ),
+    # uneven fields: dividing the pieces of multisets such as (0, 0, 0, 1, 1, 1)
+    # by 3! * 3! at once, instead of by 3! twice, changes the order-6 term
+    "shared-variable-uneven-m7": (
+        lambda: _ldgm_four_cycles(
+            3, 4, [(1, 2), (2, 2), (1, 3), (2, 3)], [0.37, 0.41, 0.29, 0.33]
+        ),
+        {"m_max": 7},
+    ),
+    "ldpc-3-4-n4-c4-m4": (
+        lambda: sp.ldpc_instance(3, 4, 4, 0.45, 2),
+        {"m_max": 4, "size_cutoff": 4},
+    ),
+    # 69 polymers, all with nonzero activity
+    "general-3-4-n8-c6-m3": (
+        lambda: sp.general_instance(3, 4, 8, 0.3, 0),
+        {"m_max": 3, "size_cutoff": 6},
+    ),
+    # 12 polymers with nonzero activity, up to order 6
+    "general-3-4-n8-c4-m6": (
+        lambda: sp.general_instance(3, 4, 8, 0.3, 1),
+        {"m_max": 6, "size_cutoff": 4},
+    ),
+    "general-3-4-n8-c4-m4-z0.5": (
+        lambda: sp.general_instance(3, 4, 8, 0.3, 1),
+        {"m_max": 4, "size_cutoff": 4, "z": 0.5},
+    ),
+    "tree-m4": (lambda: sp.random_tree(9, 1, "ldgm"), {"m_max": 4}),
+    # n + m = 72 nodes: node masks span two uint64 words
+    "ldpc-3-6-n48-c6-m2": (
+        lambda: sp.ldpc_instance(3, 6, 48, 0.45, 1),
+        {"m_max": 2, "size_cutoff": 6},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CASES))
+def test_series_terms_match_the_multiset_loop(case, monkeypatch):
+    build, kwargs = SERIES_CASES[case]
+    g = build()
+    msgs = lg.solve_fixed_point(g).messages
+    # a small block makes every order with more than 97 multisets span blocks
+    monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", 97)
+    sr = lg.polymer_series(g, msgs, **kwargs)
+    expected = sp.oracle_polymer_series(g, msgs, **kwargs)
+    assert [t.hex() for t in sr.terms] == [t.hex() for t in expected]
+    if case.startswith("tree"):
+        assert sr.polymer_count == 0 and all(t == 0.0 for t in sr.terms)
+    if case.startswith("ldpc-3-6-n48"):
+        low = (1 << 64) - 1
+        polys = lg.enumerate_polymers(g, max_size=kwargs["size_cutoff"])
+        assert any(
+            a.node_mask & b.node_mask and not a.node_mask & b.node_mask & low
+            for a, b in itertools.combinations(polys, 2)
+        ), "no polymer pair overlaps only above bit 63"
+
+
+@pytest.mark.parametrize("p,order,block", [(0, 3, 5), (1, 7, 3), (5, 4, 7), (9, 3, 1000)])
+def test_multiset_blocks_cover_each_multiset_once(p, order, block, monkeypatch):
+    monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", block)
+    blocks = list(lg.expansion._multiset_blocks(p, order))
+    assert all(0 < len(rows) <= block for rows in blocks)
+    rows = [tuple(r) for rows in blocks for r in rows.tolist()]
+    assert sorted(rows) == list(
+        itertools.combinations_with_replacement(range(p), order)
+    )
+
+
+def test_series_memory_is_bounded_by_the_block(monkeypatch):
+    g = sp.ldpc_instance(3, 6, 48, 0.45, 1)
+    msgs = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g, max_size=6)
+    assert math.comb(len(polys) + 1, 2) > 24_000
+    monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", 256)
+
+    def peak(m_max):
+        tracemalloc.start()
+        try:
+            lg.polymer_series(g, msgs, m_max=m_max, polymers=polys)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations (caches, lazy imports) are not the series'
+    # order 2 adds 24,310 multisets, 6,486 of them overlapping pairs: one Python
+    # float per piece would hold about 200 KB, one 256-row block about 15 KB
+    assert peak(2) - peak(1) < 60_000
+
+
+def test_series_over_budget_is_refused_before_any_work(monkeypatch):
+    g = sp.ldpc_instance(3, 4, 4, 0.45, 2)
+    msgs = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g, max_size=4)
+    tuples = sum(math.comb(len(polys) + k - 1, k) for k in range(1, 4))
+    calls = []
+    value = lg.ActivityEvaluator.value
+    monkeypatch.setattr(
+        lg.ActivityEvaluator, "value", lambda self, e: calls.append(e) or value(self, e)
+    )
+    ursell_masked = lg.expansion._ursell_masked
+    monkeypatch.setattr(
+        lg.expansion, "_ursell_masked", lambda *a: calls.append(a) or ursell_masked(*a)
+    )
+    with pytest.raises(BudgetExceededError):
+        lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
+    assert calls == []
+    with pytest.raises(BudgetExceededError):
+        sp.oracle_polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
+    at_cap = lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples)
+    assert at_cap.terms == sp.oracle_polymer_series(
+        g, msgs, m_max=3, polymers=polys, budget=tuples
+    )
+    assert calls
 
 
 # ---------------------------------------------------------------------------

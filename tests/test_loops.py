@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -327,6 +329,29 @@ def test_identity_random_battery():
             g.n * report.f_bethe + report.ln_loop_sum, abs=1e-9
         )
     assert checked >= 18
+
+
+def test_walk_frees_its_leaf_on_return():
+    # verify-identity's leaf appends to lists with one entry per loop; a
+    # reference cycle through the walk would keep them alive until the next
+    # cyclic collection
+    g = sp.ldpc_instance(3, 4, 4, 0.45, 2)
+
+    class Sink(list):
+        pass
+
+    sink = Sink()
+    ref = weakref.ref(sink)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lg.loops._walk(g, lambda prod, blocks, sink=sink: sink.append(prod), 10**6)
+        assert sink
+        del sink
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize(
