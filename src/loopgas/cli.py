@@ -2,7 +2,7 @@
 
 Subcommands
     gen              sample a factor graph and write it as JSON
-    exact            brute-force log partition function of a graph file
+    exact            exact log partition function of a graph file
     bp               run message passing and dump the fixed-point messages
     bethe            Bethe free energy breakdown at the fixed point
     verify-identity  check ln Z = n f_bethe + ln(loop sum) on one instance
@@ -44,8 +44,10 @@ from .errors import (
     TooLargeError,
 )
 from .exact import (
+    EXACT_MAX_BITS,
     brute_force_log_partition,
     channel_average,
+    code_space_log_partition,
     conditional_entropy_ldgm,
     conditional_entropy_ldpc,
 )
@@ -189,13 +191,13 @@ def cmd_gen(args) -> int:
 
 def cmd_exact(args) -> int:
     graph = _load_graph_arg(args)
-    report = brute_force_log_partition(graph)
-    _emit(
-        args,
-        {"log_z": report.log_z, "method": "bruteforce", "n": report.n},
-        ["log_z", "method", "n"],
-        [{"log_z": report.log_z, "method": "bruteforce", "n": report.n}],
-    )
+    if graph.n <= EXACT_MAX_BITS or graph.weights.kind == "general":
+        report = brute_force_log_partition(graph)
+        row = {"log_z": report.log_z, "method": "bruteforce", "n": report.n}
+    else:
+        space = code_space_log_partition(graph)
+        row = {"k": space.k, "log_z": space.log_z, "method": "codespace", "n": graph.n}
+    _emit(args, row, list(row), [row])
     return EXIT_OK
 
 
@@ -238,23 +240,6 @@ def cmd_bethe(args) -> int:
 # verify-identity
 
 
-def _induced_type(graph: FactorGraph, edge_ids: tuple[int, ...]) -> tuple[str, str]:
-    var_deg: dict[int, int] = {}
-    check_deg: dict[int, int] = {}
-    for e in edge_ids:
-        i, a = graph.edges[e]
-        var_deg[i] = var_deg.get(i, 0) + 1
-        check_deg[a] = check_deg.get(a, 0) + 1
-    var_counts: dict[int, int] = {}
-    for d in var_deg.values():
-        var_counts[d] = var_counts.get(d, 0) + 1
-    check_counts: dict[int, int] = {}
-    for d in check_deg.values():
-        check_counts[d] = check_counts.get(d, 0) + 1
-    fmt = lambda counts: "|".join(f"{d}:{c}" for d, c in sorted(counts.items()))
-    return fmt(var_counts), fmt(check_counts)
-
-
 def _dump_loops(args, graph: FactorGraph) -> None:
     messages = _run_bp(graph, args).messages
     kind = graph.weights.kind
@@ -262,8 +247,13 @@ def _dump_loops(args, graph: FactorGraph) -> None:
     if theta is not None and not 0.0 < theta <= 0.1:
         theta = None  # type bound does not apply; leave the column empty
     rows = []
-    for loop, activity in loop_activities(graph, messages, budget=args.budget):
-        var_type, check_type = _induced_type(graph, loop.edge_ids)
+    texts: dict[tuple, str] = {}
+    for loop, activity, var_profile, check_profile in loop_activities(
+        graph, messages, budget=args.budget
+    ):
+        for profile in (var_profile, check_profile):
+            if profile not in texts:
+                texts[profile] = "|".join(f"{d}:{c}" for d, c in profile)
         bound: float | str = ""
         try:
             if kind == "general":
@@ -276,9 +266,9 @@ def _dump_loops(args, graph: FactorGraph) -> None:
             pass  # the coupling or field is too strong for the bound; leave it empty
         rows.append(
             {
-                "edges": "|".join(str(e) for e in loop.edge_ids),
-                "var_type": var_type,
-                "check_type": check_type,
+                "edges": "|".join(map(str, loop.edge_ids)),
+                "var_type": texts[var_profile],
+                "check_type": texts[check_profile],
                 "activity": activity,
                 "bound": bound,
             }
@@ -398,9 +388,10 @@ def _trend_instance(job: tuple) -> tuple[float, float, bool]:
     topo_seed, channel_seed = _instance_seeds(seed, n, index)
     graph = _sample_ensemble(ensemble, l, r, n, topo_seed)
     graph = apply_channel(graph, p, channel_seed)
+    # exact first: an over-cap code space is refused before any BP work
+    f_exact = code_space_log_partition(graph).log_z / graph.n
     result = solve_fixed_point(graph, damping=damping, tol=bp_tol, max_iter=max_iter)
     f_bethe = bethe_free_energy(graph, result.messages).f_bethe
-    f_exact = brute_force_log_partition(graph).log_z / graph.n
     channel = ChannelParams(p=p, epsilon=epsilon)
     if graph.weights.kind == "ldpc":
         verified = verify_high_noise(result.messages, channel)
@@ -478,7 +469,7 @@ def _entropy_instance(job: tuple) -> dict:
     graph = _sample_ensemble(ensemble, l, r, n, topo_seed)
 
     def f_exact(g: FactorGraph) -> float:
-        return brute_force_log_partition(g).log_z / g.n
+        return code_space_log_partition(g).log_z / g.n
 
     def f_bethe(g: FactorGraph) -> float:
         result = solve_fixed_point(g, damping=damping, tol=bp_tol, max_iter=max_iter)
@@ -599,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.set_defaults(func=cmd_gen)
 
-    sub = subs.add_parser("exact", help="brute-force log partition function")
+    sub = subs.add_parser(
+        "exact", help="exact log partition function (brute force or code space)"
+    )
     _add_graph_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_exact)

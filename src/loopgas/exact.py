@@ -1,9 +1,20 @@
-"""Exact references: brute-force log partition functions, GF(2) codeword
-counts, and the conditional-entropy formulas they plug into.
+"""Exact references: log partition functions, GF(2) code spaces, and the
+conditional-entropy formulas they plug into.
 
-Everything here is an oracle for the approximate machinery in the sibling
-modules, so clarity and exactness win over speed; the only concession is a
-vectorized configuration sweep so that n up to 26 stays usable.
+Two exact routes compute ln Z:
+
+- brute force sums over all 2^n spin configurations, for every weight
+  family;
+- the code-space route sums over a GF(2) linear space of dimension k.  For
+  ldpc weights Z is a sum over the 2^k codewords, k = n - rank H.  For ldgm
+  weights the high-temperature expansion gives
+  Z = 2^n prod_a cosh h_a * sum_S prod_{a in S} tanh h_a over the check
+  sets S whose variable masks XOR to zero (the dual code).
+
+Both refuse a sum of more than 2^EXACT_MAX_BITS terms before any work.
+Brute force is the oracle: for the code-space route, and for the
+approximate machinery in the sibling modules.  The code-space route gives
+exact values far beyond n = 26 while k stays small.
 """
 
 from __future__ import annotations
@@ -15,11 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooLargeError, WrongWeightKindError
+from .errors import LogDomainError, TooLargeError, WrongWeightKindError
 from .graphs import FactorGraph, GeneralWeights, LdgmWeights, LdpcWeights
 
-BRUTE_FORCE_MAX_VARS = 26
+EXACT_MAX_BITS = 26  # both exact routes sum at most 2^26 terms
 _BLOCK_BITS = 18
+_SPAN_BITS = 9  # code-space blocks are 2^9 x 2^9 codewords
 
 
 @dataclass(frozen=True)
@@ -96,13 +108,11 @@ def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
     by exact summation in a fixed block order, so the result is deterministic
     and insensitive to block size.
 
-    Raises TooLargeError for n > 26.
+    Raises TooLargeError for n > EXACT_MAX_BITS.
     """
     n = graph.n
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise TooLargeError(
-            f"n = {n} exceeds the exhaustive cap {BRUTE_FORCE_MAX_VARS}"
-        )
+    if n > EXACT_MAX_BITS:
+        raise TooLargeError(f"n = {n} exceeds the exhaustive cap {EXACT_MAX_BITS}")
     total = 1 << n
     block = 1 << _BLOCK_BITS
 
@@ -123,19 +133,47 @@ def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
     )
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of bitmask rows, by elimination on leading bits."""
+def _reduced_rows(rows: list[int]) -> dict[int, int]:
+    """Reduced row echelon form over GF(2) of bitmask rows.
+
+    Maps each pivot bit (the lowest set bit of its row) to its row; every
+    pivot bit is clear in all the other rows.
+    """
     pivots: dict[int, int] = {}
     for row in rows:
-        cur = row
-        while cur:
-            hb = cur.bit_length() - 1
-            if hb in pivots:
-                cur ^= pivots[hb]
-            else:
-                pivots[hb] = cur
-                break
-    return len(pivots)
+        for bit, prow in pivots.items():
+            if row >> bit & 1:
+                row ^= prow
+        if row:
+            bit = (row & -row).bit_length() - 1
+            for b, prow in pivots.items():
+                if prow >> bit & 1:
+                    pivots[b] = prow ^ row
+            pivots[bit] = row
+    return pivots
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows."""
+    return len(_reduced_rows(rows))
+
+
+def null_space_gf2(rows: list[int], width: int) -> list[int]:
+    """Basis of {x < 2^width : x & row has even parity for every row}.
+
+    One basis vector per free column f, in increasing f: bit f plus the
+    pivot bits of the reduced rows that contain f.
+    """
+    pivots = _reduced_rows(rows)
+    basis = []
+    for f in range(width):
+        if f not in pivots:
+            vec = 1 << f
+            for bit, prow in pivots.items():
+                if prow >> f & 1:
+                    vec |= 1 << bit
+            basis.append(vec)
+    return basis
 
 
 def codeword_count_gf2(graph: FactorGraph) -> int:
@@ -146,13 +184,147 @@ def codeword_count_gf2(graph: FactorGraph) -> int:
     """
     if graph.weights.kind != "ldpc":
         raise WrongWeightKindError("codeword counting needs ldpc weights")
-    rows = []
-    for a in range(graph.m):
-        mask = 0
+    return len(null_space_gf2(_check_masks(graph), graph.n))
+
+
+# ---------------------------------------------------------------------------
+# code-space log partition function
+
+
+@dataclass(frozen=True)
+class CodeSpaceReport:
+    """ln Z from the code-space route and the dimension k it summed over."""
+
+    log_z: float
+    k: int
+
+
+def _ln_cosh(h: float) -> float:
+    a = abs(h)
+    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+
+
+def _ln_abs_tanh(h: float) -> float:
+    a = abs(h)
+    return math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a))
+
+
+def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
+    """(basis, weights w, sign mask neg, offset) with
+    ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c).
+
+    ldpc: c runs over the codewords, w_i = -2 h_i, offset sum_i h_i.
+    ldgm: c runs over the dual code restricted to the checks with h_a != 0
+    (a zero field has tanh h_a = 0 and kills every set holding a);
+    w_a = ln|tanh h_a|, neg marks h_a < 0, and the offset is
+    n ln 2 + sum_a ln cosh h_a.
+    """
+    w = graph.weights
+    if isinstance(w, LdpcWeights):
+        basis = null_space_gf2(_check_masks(graph), graph.n)
+        weights = np.array([-2.0 * h for h in w.variable_fields])
+        return basis, weights, 0, math.fsum(w.variable_fields)
+    if not isinstance(w, LdgmWeights):
+        raise WrongWeightKindError("the code-space route needs ldpc or ldgm weights")
+    live = [a for a, h in enumerate(w.check_fields) if h != 0.0]
+    # row i: the live checks (by position in live) that variable i feeds
+    rows = [0] * graph.n
+    for pos, a in enumerate(live):
         for i in graph.check_neighbors(a):
-            mask |= 1 << i
-        rows.append(mask)
-    return graph.n - gf2_rank(rows)
+            rows[i] |= 1 << pos
+    basis = null_space_gf2(rows, len(live))
+    fields = [w.check_fields[a] for a in live]
+    weights = np.array([_ln_abs_tanh(h) for h in fields])
+    neg = sum(1 << pos for pos, h in enumerate(fields) if h < 0.0)
+    offset = graph.n * math.log(2.0) + math.fsum(_ln_cosh(h) for h in w.check_fields)
+    return basis, weights, neg, offset
+
+
+def _bits(vec: int, width: int) -> np.ndarray:
+    """The low width bits of vec as a 0/1 float vector, bit 0 first."""
+    raw = np.frombuffer(vec.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:width].astype(np.float64)
+
+
+def _sign(vec: int, neg: int) -> float:
+    return -1.0 if (vec & neg).bit_count() & 1 else 1.0
+
+
+def _span_rows(
+    vectors: list[int], width: int, neg: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every XOR combination of vectors as a 0/1 float row, with its sign.
+
+    Row r combines the vectors whose bit is set in r; its sign is
+    (-1)^{|row & neg|}, which is linear over GF(2) like the row itself.
+    """
+    rows = np.zeros((1, width))
+    signs = np.ones(1)
+    for vec in vectors:
+        rows = np.concatenate([rows, np.abs(rows - _bits(vec, width))])
+        signs = np.concatenate([signs, _sign(vec, neg) * signs])
+    return rows, signs
+
+
+def _span_log_sum(basis: list[int], w: np.ndarray, neg: int, offset: float) -> float:
+    """offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c).
+
+    The low basis vectors index the rows and the middle ones the columns of
+    blocks of at most 2^_SPAN_BITS x 2^_SPAN_BITS codewords; the high ones
+    run in an outer loop.  With c = r xor s,
+    w . c = w . r + w . s - 2 w . (r and s), so a block is one matrix
+    product.  Each block is scaled by its own peak, and the scaled block
+    sums are combined by math.fsum in block order.  Raises LogDomainError
+    when the signed sum is not positive.
+    """
+    width = len(w)
+    low = min(len(basis), _SPAN_BITS)
+    mid = min(len(basis) - low, _SPAN_BITS)
+    rows, row_signs = _span_rows(basis[:low], width, neg)
+    cols, col_signs = _span_rows(basis[low : low + mid], width, neg)
+    row_w = rows @ w
+    high = basis[low + mid :]
+    peaks, partials = [], []
+    for t in range(1 << len(high)):
+        top = 0
+        for j, vec in enumerate(high):
+            if t >> j & 1:
+                top ^= vec
+        block_cols = np.abs(cols - _bits(top, width)) if top else cols
+        log_w = (
+            row_w[:, None]
+            + (block_cols @ w)[None, :]
+            - 2.0 * (rows @ (block_cols * w).T)
+        )
+        peak = float(log_w.max())
+        scaled = np.exp(log_w - peak)
+        if neg:
+            partial = _sign(top, neg) * float(row_signs @ scaled @ col_signs)
+        else:
+            partial = float(scaled.sum())
+        peaks.append(peak)
+        partials.append(partial)
+    peak = max(peaks)
+    total = math.fsum(s * math.exp(p - peak) for p, s in zip(peaks, partials))
+    if not total > 0.0:
+        raise LogDomainError(f"signed code-space sum {total} is not positive")
+    return offset + peak + math.log(total)
+
+
+def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
+    """ln Z of an ldpc or ldgm graph as a sum over its code space.
+
+    Raises TooLargeError when the space has dimension k > EXACT_MAX_BITS,
+    before any term is summed, WrongWeightKindError for general weights and
+    LogDomainError when the signed ldgm sum cancels to a non-positive value.
+    """
+    basis, w, neg, offset = _code_space(graph)
+    k = len(basis)
+    if k > EXACT_MAX_BITS:
+        raise TooLargeError(
+            f"code-space dimension k = {k} exceeds the exhaustive cap {EXACT_MAX_BITS}"
+        )
+    return CodeSpaceReport(log_z=_span_log_sum(basis, w, neg, offset), k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -439,20 +439,60 @@ def enumerate_generalized_loops(
     return out
 
 
+def _degree_profiles(
+    blocks: list[tuple[int, tuple[int, ...]]], n: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """(variable, check) degree profiles of a loop from its check blocks.
+
+    A profile lists (degree, node count) by increasing degree.  A check's
+    degree is its block's edge count; a variable's is the number of blocks
+    whose node mask holds it, tallied with bit-sliced counters:
+    at_least[d] holds the variables in more than d blocks.
+    """
+    var_bits = (1 << n) - 1
+    at_least: list[int] = []
+    check_counts: dict[int, int] = {}
+    for bmask, eids in blocks:
+        check_counts[len(eids)] = check_counts.get(len(eids), 0) + 1
+        carry = bmask & var_bits
+        for d, have in enumerate(at_least):
+            at_least[d] = have | carry
+            carry &= have
+        if carry:
+            at_least.append(carry)
+    at_least.append(0)
+    var_profile = tuple(
+        (d + 1, count)
+        for d in range(len(at_least) - 1)
+        if (count := (at_least[d] & ~at_least[d + 1]).bit_count())
+    )
+    return var_profile, tuple(sorted(check_counts.items()))
+
+
 def loop_activities(
     graph: FactorGraph,
     messages: MessageSet,
     budget: int = 10_000_000,
-) -> list[tuple[LoopSubgraph, float]]:
-    """Every generalized loop with its activity, in enumerate_generalized_loops
-    order; the activity is the product the walk carries down to the loop."""
-    out: list[tuple[LoopSubgraph, float]] = []
+) -> list[tuple[LoopSubgraph, float, tuple, tuple]]:
+    """Every generalized loop with its activity and degree profiles, in
+    enumerate_generalized_loops order.
+
+    Each entry is (loop, activity, variable profile, check profile); the
+    activity is the product the walk carries down to the loop, the profiles
+    come from its check blocks (see _degree_profiles).
+    """
+    out: list[tuple[LoopSubgraph, float, tuple, tuple]] = []
+    n = graph.n
+    # profiles repeat (142 distinct ones over the README demo's 151,338 loops):
+    # keep one copy of each
+    shared: dict[tuple, tuple] = {}
 
     def leaf(prod: float, blocks) -> None:
-        out.append((_loop_subgraph(blocks), prod))
+        profiles = _degree_profiles(blocks, n)
+        out.append((_loop_subgraph(blocks), prod, *shared.setdefault(profiles, profiles)))
 
     _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
-    out.sort(key=lambda pair: (len(pair[0].edge_ids), pair[0].edge_ids))
+    out.sort(key=lambda entry: (len(entry[0].edge_ids), entry[0].edge_ids))
     return out
 
 

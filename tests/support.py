@@ -420,6 +420,49 @@ def oracle_mayer(m: int, edges: frozenset[tuple[int, int]]) -> int:
     return total
 
 
+def disjoint_union(graphs: list[FactorGraph], seed: int) -> FactorGraph:
+    """Side-by-side copies of ldpc or ldgm graphs with the variables
+    relabelled by a seeded permutation; ln Z of the union is the sum of the
+    parts' ln Z."""
+    kind = graphs[0].weights.kind
+    n = sum(g.n for g in graphs)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    edges, var_fields, check_fields = [], [0.0] * n, []
+    n0 = m0 = 0
+    for g in graphs:
+        assert g.weights.kind == kind
+        edges += [(perm[n0 + i], m0 + a) for i, a in g.edges]
+        if kind == "ldpc":
+            for i, h in enumerate(g.weights.variable_fields):
+                var_fields[perm[n0 + i]] = h
+        else:
+            check_fields += g.weights.check_fields
+        n0 += g.n
+        m0 += g.m
+    weights = LdpcWeights(tuple(var_fields)) if kind == "ldpc" else LdgmWeights(tuple(check_fields))
+    return build_factor_graph(n, m0, edges, weights)
+
+
+def oracle_induced_type(graph: FactorGraph, edge_ids: tuple[int, ...]) -> tuple[str, str]:
+    """(variable, check) degree profiles "degree:count|..." of an edge subset,
+    rebuilt from the edge ids alone."""
+    var_deg: dict[int, int] = {}
+    check_deg: dict[int, int] = {}
+    for e in edge_ids:
+        i, a = graph.edges[e]
+        var_deg[i] = var_deg.get(i, 0) + 1
+        check_deg[a] = check_deg.get(a, 0) + 1
+    var_counts: dict[int, int] = {}
+    for d in var_deg.values():
+        var_counts[d] = var_counts.get(d, 0) + 1
+    check_counts: dict[int, int] = {}
+    for d in check_deg.values():
+        check_counts[d] = check_counts.get(d, 0) + 1
+    fmt = lambda counts: "|".join(f"{d}:{c}" for d, c in sorted(counts.items()))
+    return fmt(var_counts), fmt(check_counts)
+
+
 # ---------------------------------------------------------------------------
 # independent log partition function
 
@@ -467,6 +510,43 @@ def oracle_log_z(graph: FactorGraph) -> float:
         weights.append(log_w)
     peak = max(weights)
     return peak + math.log(math.fsum(math.exp(v - peak) for v in weights))
+
+
+def oracle_codewords(graph: FactorGraph) -> list[int]:
+    """Every x with even parity on each check, as bitmasks, in increasing order.
+
+    Meet in the middle: tabulate the check syndromes of all assignments of
+    the first half of the variables and of the second half; a codeword is a
+    pair with equal syndromes.  No elimination, so n up to about 30 is cheap.
+    """
+    n = graph.n
+    syndrome = [0] * n
+    for i, a in graph.edges:
+        syndrome[i] ^= 1 << a
+
+    def table(lo: int, hi: int) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for bits in range(1 << (hi - lo)):
+            s = 0
+            for j in range(hi - lo):
+                if bits >> j & 1:
+                    s ^= syndrome[lo + j]
+            out.setdefault(s, []).append(bits << lo)
+        return out
+
+    left, right = table(0, n // 2), table(n // 2, n)
+    return sorted(x | y for s, xs in left.items() for x in xs for y in right.get(s, ()))
+
+
+def oracle_ldpc_log_z(graph: FactorGraph) -> float:
+    """ln Z of an ldpc graph summed over oracle_codewords."""
+    fields = graph.weights.variable_fields
+    logs = [
+        math.fsum(-h if x >> i & 1 else h for i, h in enumerate(fields))
+        for x in oracle_codewords(graph)
+    ]
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
 
 
 # ---------------------------------------------------------------------------

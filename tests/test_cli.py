@@ -25,6 +25,7 @@ from loopgas import (
     apply_channel,
     bethe_free_energy,
     brute_force_log_partition,
+    code_space_log_partition,
     load_graph,
     save_graph,
     solve_fixed_point,
@@ -124,6 +125,11 @@ def test_exact_matches_library_and_formats(tmp_path):
     assert payload["method"] == "bruteforce"
     assert payload["n"] == 6
     assert payload["schema_version"] == "1"
+    # at n <= 26 the payload is the brute-force one, key for key and byte for byte
+    assert open(out).read() == json.dumps(
+        {"log_z": want, "method": "bruteforce", "n": 6, "schema_version": "1"},
+        indent=2, sort_keys=True,
+    ) + "\n"
 
     out_csv = str(tmp_path / "exact.csv")
     assert main([
@@ -132,6 +138,29 @@ def test_exact_matches_library_and_formats(tmp_path):
     rows = list(csv.DictReader(open(out_csv)))
     assert len(rows) == 1
     assert abs(float(rows[0]["log_z"]) - want) <= 1e-12
+    assert open(out_csv).readline() == "log_z,method,n\n"
+
+
+def test_exact_past_the_brute_force_cap(tmp_path):
+    ldpc = _ldpc_file(tmp_path, n=40, seed=1)
+    out = str(tmp_path / "exact.json")
+    assert main(["exact", "--graph", ldpc, "--p", "0.45", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    graph = apply_channel(load_graph(ldpc), 0.45, 0)
+    assert payload["method"] == "codespace"
+    assert payload["n"] == 40
+    assert payload["k"] == codeword_count_gf2(graph)
+    assert payload["log_z"] == code_space_log_partition(graph).log_z
+    # the symmetric channel leaves the codeword count: ln Z = k ln 2
+    assert main(["exact", "--graph", ldpc, "--p", "0.5", "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert abs(payload["log_z"] - payload["k"] * LN2) <= 1e-12 * payload["log_z"]
+
+    general = _gen(
+        tmp_path, "general_40.json", "--ensemble", "general-regular",
+        "--l", "3", "--r", "4", "--n", "40", "--beta", "0.2",
+    )
+    assert main(["exact", "--graph", general, "--out", out]) == 3
 
 
 def test_bp_dumps_named_fixed_point_messages(tmp_path):
@@ -447,6 +476,69 @@ def test_trend_ldgm_row(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["fraction_verified"]) == 1.0
     assert float(rows[0]["mean_gap"]) > 0.0
+
+
+def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypatch):
+    # (3,6) at n = 60 has k >= 30 > 26: exit 3 without a single BP solve
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve_fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr("loopgas.cli.solve_fixed_point", counting_solve)
+    rc = main([
+        "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "6",
+        "--n-list", "60", "--p", "0.45", "--instances", "2", "--seed", "0",
+        "--threads", "1", "--out", str(tmp_path / "trend.csv"),
+    ])
+    assert rc == 3
+    rc = main([
+        "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "6",
+        "--n", "60", "--p", "0.45", "--instances", "2", "--seed", "0",
+        "--threads", "1", "--out", str(tmp_path / "entropy.json"),
+    ])
+    assert rc == 3
+    assert calls == []
+
+
+def test_trend_past_the_brute_force_cap(tmp_path, record_criterion):
+    # Reports the gaps; asserts only oracle agreement and identities.
+    sizes = (24, 48, 96)
+    common = [
+        "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+        "--n-list", ",".join(map(str, sizes)), "--instances", "2", "--seed", "5",
+        "--threads", "1", "--format", "json",
+    ]
+    runs = {}
+    for p in ("0.45", "0.5"):
+        out = tmp_path / f"trend_{p}.json"
+        assert main(common + ["--p", p, "--out", str(out)]) == 0
+        runs[p] = json.loads(out.read_text())["rows"]
+    assert [row["n"] for row in runs["0.45"]] == list(sizes)
+
+    # at n = 24 the codewords can be listed without elimination: recompute
+    # each gap from that oracle
+    gaps = []
+    for index in range(2):
+        topo, channel = _instance_seeds(5, 24, index)
+        graph = apply_channel(_sample_ensemble("ldpc-regular", 3, 4, 24, topo), 0.45, channel)
+        f_bethe = bethe_free_energy(graph, solve_fixed_point(graph).messages).f_bethe
+        gaps.append(abs(sp.oracle_ldpc_log_z(graph) / 24 - f_bethe))
+    assert runs["0.45"][0]["mean_gap"] == pytest.approx(sum(gaps) / 2, rel=1e-9, abs=1e-15)
+
+    # p = 1/2 at every size: ln Z = k ln 2 and f_bethe = (1 - l/r) ln 2
+    for n, row in zip(sizes, runs["0.5"]):
+        want = []
+        for index in range(2):
+            topo, _channel = _instance_seeds(5, n, index)
+            graph = _sample_ensemble("ldpc-regular", 3, 4, n, topo)
+            want.append(abs(codeword_count_gf2(graph) / n - 0.25) * LN2)
+        assert row["mean_gap"] == pytest.approx(sum(want) / 2, abs=1e-12)
+    record_criterion(
+        "trend past n = 26 (reported, not gated): ldpc (3,4) p = 0.45 mean gaps "
+        + ", ".join(f"n={row['n']}: {row['mean_gap']:.2e}" for row in runs["0.45"])
+    )
 
 
 def test_entropy_symmetric_channel_matches_code_dimension(tmp_path):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 import loopgas as lg
-from loopgas.errors import TooLargeError, WrongWeightKindError
+from loopgas.errors import LogDomainError, TooLargeError, WrongWeightKindError
+from loopgas.exact import null_space_gf2
 
 import support as sp
 
@@ -124,10 +126,161 @@ def test_codeword_count_matches_enumeration():
         assert count == 1 << k
 
 
+def test_null_space_is_the_solution_set():
+    rng = random.Random(11)
+    for _ in range(25):
+        width = rng.randint(1, 9)
+        rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 7))]
+        basis = null_space_gf2(rows, width)
+        assert len(basis) == width - lg.gf2_rank(rows)
+        span = {0}
+        for vec in basis:
+            span |= {x ^ vec for x in span}
+        solutions = {
+            x
+            for x in range(1 << width)
+            if all(bin(x & row).count("1") % 2 == 0 for row in rows)
+        }
+        assert span == solutions
+
+
+def test_oracle_codewords_agree_with_brute_force():
+    for seed in range(3):
+        g = sp.ldpc_instance(3, 4, 12, 0.3, seed)
+        assert len(sp.oracle_codewords(g)) == 1 << lg.codeword_count_gf2(g)
+        assert sp.oracle_ldpc_log_z(g) == pytest.approx(
+            lg.brute_force_log_partition(g).log_z, rel=1e-12
+        )
+
+
 def test_codeword_count_requires_parity_weights():
     g = sp.ldgm_instance(3, 6, 6, 0.2, 0)
     with pytest.raises(WrongWeightKindError):
         lg.codeword_count_gf2(g)
+
+
+# ---------------------------------------------------------------------------
+# code-space route against brute force
+
+CODE_SPACE_PS = (1e-3, 0.05, 0.45, 0.5)
+
+
+def _agrees_with_brute_force(g):
+    report = lg.code_space_log_partition(g)
+    want = lg.brute_force_log_partition(g).log_z
+    assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
+    return report
+
+
+def _zero_some_fields(g, every=3):
+    w = g.weights
+    if w.kind == "ldpc":
+        fields = tuple(0.0 if i % every == 0 else h for i, h in enumerate(w.variable_fields))
+        return dataclasses.replace(g, weights=lg.LdpcWeights(fields))
+    fields = tuple(0.0 if a % every == 0 else h for a, h in enumerate(w.check_fields))
+    return dataclasses.replace(g, weights=lg.LdgmWeights(fields))
+
+
+@pytest.mark.parametrize("p", CODE_SPACE_PS)
+def test_code_space_matches_brute_force(p):
+    for seed in range(3):
+        for g in (
+            sp.ldpc_instance(3, 4, 8, p, seed),
+            sp.ldpc_instance(3, 6, 12, p, seed),
+            sp.ldpc_instance(3, 4, 20, p, seed),
+            sp.ldgm_instance(2, 4, 12, p, seed),
+        ):
+            report = _agrees_with_brute_force(g)
+            if g.weights.kind == "ldpc":
+                assert report.k == lg.codeword_count_gf2(g)
+
+
+@pytest.mark.parametrize("p", CODE_SPACE_PS)
+def test_code_space_with_zero_fields(p):
+    for seed in range(3):
+        _agrees_with_brute_force(_zero_some_fields(sp.ldpc_instance(3, 4, 12, p, seed)))
+        g = _zero_some_fields(sp.ldgm_instance(3, 6, 6, p, seed), every=2)
+        assert _agrees_with_brute_force(g).k == 0  # only one live check is left
+    # every field zero: the codewords count alone, and only the empty check set
+    g = lg.apply_channel(lg.sample_regular_bipartite(3, 4, 12, seed=0), 0.5, 0)
+    assert lg.code_space_log_partition(g).log_z == pytest.approx(
+        lg.codeword_count_gf2(g) * LN2, rel=1e-15
+    )
+
+
+@pytest.mark.parametrize("p", CODE_SPACE_PS)
+def test_code_space_full_rank_ldpc_has_one_codeword(p):
+    # H has rank n: only x = 0 satisfies it, so ln Z = sum_i h_i
+    edges = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 4), (2, 4)]
+    g = lg.apply_channel(
+        lg.build_factor_graph(4, 5, edges, lg.LdpcWeights((0.0,) * 4)), p, 3
+    )
+    report = _agrees_with_brute_force(g)
+    assert report.k == 0
+    assert report.log_z == pytest.approx(math.fsum(g.weights.variable_fields), rel=1e-15)
+
+
+@pytest.mark.parametrize("p", CODE_SPACE_PS)
+def test_code_space_ldgm_dual_dimensions(p):
+    for seed in range(3):
+        # (3,6) at n = 9: the six checks' masks are independent
+        g = sp.ldgm_instance(3, 6, 9, p, seed)
+        assert _agrees_with_brute_force(g).k == 0
+        # (3,6) at n = 6 is K_{6,3}: three checks on one mask, dual dimension 2
+        g = sp.ldgm_instance(3, 6, 6, p, seed)
+        assert _agrees_with_brute_force(g).k == (2 if p < 0.5 else 0)
+    # two copies of K_{6,3} side by side: dimension 4 across 12 variables
+    g = sp.disjoint_union([sp.ldgm_instance(3, 6, 6, p, s) for s in (1, 2)], seed=5)
+    assert _agrees_with_brute_force(g).k == (4 if p < 0.5 else 0)
+
+
+@pytest.mark.parametrize("p", CODE_SPACE_PS)
+def test_code_space_beyond_one_word(p):
+    # n = 72 > 64; ln Z of a disjoint union is the sum over its parts
+    parts = [sp.ldpc_instance(3, 4, 12, p, s, chan_seed=s) for s in range(6)]
+    g = sp.disjoint_union(parts, seed=1)
+    report = lg.code_space_log_partition(g)
+    want = math.fsum(lg.brute_force_log_partition(q).log_z for q in parts)
+    assert g.n == 72 and report.k == sum(lg.codeword_count_gf2(q) for q in parts)
+    assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    parts = [sp.ldgm_instance(3, 6, 6, p, s, chan_seed=s) for s in range(6)]
+    parts += [sp.ldgm_instance(3, 6, 9, p, s, chan_seed=s) for s in range(4)]
+    g = sp.disjoint_union(parts, seed=2)
+    report = lg.code_space_log_partition(g)
+    want = math.fsum(lg.brute_force_log_partition(q).log_z for q in parts)
+    assert g.n == 72 and report.k == (12 if p < 0.5 else 0)
+    assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_code_space_symmetric_channel_at_n96():
+    # p = 1/2: every field is 0, so ln Z = k ln 2 + n * 0 for ldpc, and only
+    # the empty check set survives for ldgm, giving n ln 2
+    g = lg.apply_channel(lg.sample_regular_bipartite(3, 4, 96, seed=0), 0.5, 0)
+    report = lg.code_space_log_partition(g)
+    assert report.k == lg.codeword_count_gf2(g) >= 24
+    assert report.log_z == pytest.approx(report.k * LN2, rel=1e-12)
+    g = lg.apply_channel(lg.sample_ldgm({3: 1.0}, {6: 1.0}, 96, seed=0), 0.5, 0)
+    report = lg.code_space_log_partition(g)
+    assert report.k == 0 and report.log_z == pytest.approx(96 * LN2, rel=1e-15)
+
+
+def test_code_space_cancellation_raises():
+    # two checks on one variable with fields +h and -h: Z = 2, but at h = 40
+    # tanh h rounds to 1 and the signed sum 1 - 1 cancels to 0
+    g = lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((40.0, -40.0)))
+    assert lg.brute_force_log_partition(g).log_z == pytest.approx(LN2, rel=1e-15)
+    with pytest.raises(LogDomainError):
+        lg.code_space_log_partition(g)
+
+
+def test_code_space_refuses_over_cap_and_general_weights():
+    n = 27
+    g = lg.build_factor_graph(n, 0, [], lg.LdpcWeights((0.0,) * n))
+    with pytest.raises(TooLargeError, match="k = 27"):
+        lg.code_space_log_partition(g)
+    with pytest.raises(WrongWeightKindError):
+        lg.code_space_log_partition(sp.general_instance(3, 4, 4, 0.2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from loopgas.errors import (
 )
 
 import support as sp
+from loopgas.loops import loop_activities
 
 
 def _four_cycle_ldgm(h0=0.4, h1=-0.7):
@@ -94,6 +95,26 @@ def test_enumeration_matches_subset_filter(builder, args):
     oracle_p = sp.oracle_polymers(g)
     lib_p = {frozenset(q.edge_ids) for q in lg.enumerate_polymers(g)}
     assert lib_p == oracle_p
+
+
+@pytest.mark.parametrize(
+    "builder,args",
+    [
+        (sp.ldpc_instance, (3, 6, 6, 0.42, 7)),
+        (sp.ldgm_instance, (2, 4, 8, 0.4, 2)),
+        (sp.general_instance, (3, 6, 6, 0.2, 3)),
+    ],
+)
+def test_loop_activity_degree_profiles_match_edge_ids(builder, args):
+    g = builder(*args)
+    entries = loop_activities(g, lg.solve_fixed_point(g).messages)
+    assert entries
+    for loop, _activity, var_profile, check_profile in entries:
+        text = tuple(
+            "|".join(f"{d}:{c}" for d, c in profile)
+            for profile in (var_profile, check_profile)
+        )
+        assert text == sp.oracle_induced_type(g, loop.edge_ids), loop.edge_ids
 
 
 def test_enumeration_filters():
