@@ -209,6 +209,18 @@ def _ln_abs_tanh(h: float) -> float:
     return math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a))
 
 
+def _capped_null_space(rows: list[int], width: int) -> list[int]:
+    """null_space_gf2, refused before elimination when the rank bound
+    rank <= len(rows) already puts the dimension above EXACT_MAX_BITS."""
+    bound = width - len(rows)
+    if bound > EXACT_MAX_BITS:
+        raise TooLargeError(
+            f"code-space dimension k = {bound} or more exceeds the exhaustive cap "
+            f"{EXACT_MAX_BITS} ({width} columns, {len(rows)} rows)"
+        )
+    return null_space_gf2(rows, width)
+
+
 def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
     """(basis, weights w, sign mask neg, offset) with
     ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c).
@@ -221,7 +233,7 @@ def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
     """
     w = graph.weights
     if isinstance(w, LdpcWeights):
-        basis = null_space_gf2(_check_masks(graph), graph.n)
+        basis = _capped_null_space(_check_masks(graph), graph.n)  # k >= n - m
         weights = np.array([-2.0 * h for h in w.variable_fields])
         return basis, weights, 0, math.fsum(w.variable_fields)
     if not isinstance(w, LdgmWeights):
@@ -232,7 +244,7 @@ def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
     for pos, a in enumerate(live):
         for i in graph.check_neighbors(a):
             rows[i] |= 1 << pos
-    basis = null_space_gf2(rows, len(live))
+    basis = _capped_null_space(rows, len(live))  # k >= live checks - n
     fields = [w.check_fields[a] for a in live]
     weights = np.array([_ln_abs_tanh(h) for h in fields])
     neg = sum(1 << pos for pos, h in enumerate(fields) if h < 0.0)
@@ -315,8 +327,15 @@ def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
     """ln Z of an ldpc or ldgm graph as a sum over its code space.
 
     Raises TooLargeError when the space has dimension k > EXACT_MAX_BITS,
-    before any term is summed, WrongWeightKindError for general weights and
+    before any term is summed, and before the GF(2) elimination when the
+    rank bound (k >= n - m for ldpc, k >= live checks - n for ldgm) already
+    exceeds the cap; WrongWeightKindError for general weights; and
     LogDomainError when the signed ldgm sum cancels to a non-positive value.
+
+    The ldgm sum is signed, so it loses precision as |tanh h_a| -> 1: on
+    two checks sharing one variable with fields +-h(p) the error against
+    brute force is 4.6e-12 at p = 1e-6 and 4.7e-10 at p = 1e-9, and fields
+    of +-40 round both tanh to 1 and raise LogDomainError.
     """
     basis, w, neg, offset = _code_space(graph)
     k = len(basis)

@@ -12,6 +12,14 @@ any weight.  This module evaluates f, k_theta, the restriction f0 of f
 to the even sub-lattice, and Lambda(theta) by seeded multi-start search
 with coordinate refinement.
 
+The search samples one pool of admissible starts, which does not depend
+on theta; a profile over a theta grid samples it once.  Every start is
+screened in numpy (f once per pool, k_theta as one matrix-vector product
+per theta).  The screen only ranks: the starts within a rounding margin
+of the REFINE_TOP-th best are rescored with the exact fsum objective,
+so the starts handed to refinement, and hence the results, are the same
+as scoring every start exactly.
+
 Coordinates: xs = (x_2..x_l) are variable-type fractions, ys = (y_2..y_r)
 check-type fractions rescaled by r/l, so the admissible region is
 
@@ -27,6 +35,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleDomainError
 from .graphs import binary_entropy
@@ -211,6 +221,7 @@ def maximize_f0(
     """
     if l % 2 == 0 or l < 3:
         raise ValueError(f"need l odd and >= 3, got {l}")
+    _check_starts(starts)
     if lam <= 0.0 or l * lam >= 1.0:
         raise InfeasibleDomainError(
             f"size fraction {lam} leaves no admissible restricted types for l = {l}"
@@ -286,30 +297,14 @@ def _coordinate_ascent(objective, feasible, start, tol, step0=0.05):
     return value, point
 
 
-def mckay_rate_function(
-    spec: RateFunctionSpec,
-    starts: int = 10_000,
-    seed: int = 0,
-    extra_starts: tuple[tuple[float, ...], ...] = (),
-    tol: float = 1e-6,
-) -> RateFunctionResult:
-    """Maximize f + k_theta over the admissible type region.
+def _check_starts(starts: int) -> None:
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
 
-    The degree-matching equality eliminates y_r; the remaining free
-    coordinates are searched by seeded random multi-start (log-uniform
-    scales, sparsified faces) plus coordinate refinement.  `extra_starts`
-    accepts free-coordinate vectors (xs then ys without y_r) from earlier
-    runs; re-offering a maximizer found at a smaller theta makes profiles
-    over increasing theta provably nondecreasing, since k_theta is
-    pointwise nondecreasing in theta.
-    """
-    l, r, theta, lam = spec.l, spec.r, spec.theta, spec.lam
-    if lam >= 1.0 / l + 1.0 / r:
-        raise InfeasibleDomainError(
-            f"size fraction {lam} >= 1/{l} + 1/{r}; no admissible types exist"
-        )
+
+def _region(l: int, r: int, lam: float):
+    """(y_last, feasible) on free coordinates: xs then ys without y_r."""
     dim_x = l - 1
-    dim_y = r - 2  # y_r eliminated
 
     def y_last(xs: list[float], ys_head: list[float]) -> float:
         wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
@@ -330,18 +325,24 @@ def mckay_rate_function(
             return False
         return sx / l + sy / r >= lam - 1e-12
 
-    def objective(point: list[float]) -> float:
-        xs = point[:dim_x]
-        ys_head = point[dim_x:]
-        ys = ys_head + [y_last(xs, ys_head)]
-        return f_xy(l, r, xs, ys) + k_theta(
-            l, r, theta, xs, ys, spec.alpha1, spec.alpha2
-        )
+    return y_last, feasible
 
+
+def _sample_pool(l: int, r: int, lam: float, starts: int, seed: int) -> np.ndarray:
+    """Up to `starts` admissible free-coordinate rows from random.Random(seed).
+
+    Log-uniform scales and randomly sparsified faces; rows are kept in
+    draw order.  Nothing here depends on theta, so one pool serves a whole
+    profile.
+    """
+    _y_last, feasible = _region(l, r, lam)
+    dim_x = l - 1
+    dim_y = r - 2  # y_r eliminated
     rng = random.Random(seed)
-    pool: list[tuple[float, list[float]]] = []
+    pool = np.empty((starts, dim_x + dim_y))
+    count = 0
     attempts = 0
-    while len(pool) < starts and attempts < 100 * starts:
+    while count < starts and attempts < 100 * starts:
         attempts += 1
         raw_x = [rng.expovariate(1.0) for _ in range(dim_x)]
         if rng.random() < 0.5:
@@ -360,18 +361,126 @@ def mckay_rate_function(
                 ys_head = [v / weight * budget for v in raw_y]
         point = xs + ys_head
         if feasible(point):
-            pool.append((objective(point), point))
+            pool[count] = point
+            count += 1
+    return pool[:count]
+
+
+def _xlogx_rows(v: np.ndarray) -> np.ndarray:
+    """v ln v elementwise, 0 at v <= 0 (continuity at 0, like _xlogx)."""
+    pos = v > 0.0
+    return np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
+
+
+def _growth_screen(l: int, r: int, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f_xy, y_r) for every pool row, in numpy sums instead of fsum."""
+    dim_x = l - 1
+    xs, ys_head = pool[:, :dim_x], pool[:, dim_x:]
+    s = np.arange(2, l + 1)
+    t = np.arange(2, r)
+    wx = xs @ (s / l)
+    yr = np.maximum(wx - ys_head @ (t / r), 0.0)
+    sx = xs.sum(axis=1)
+    sy = ys_head.sum(axis=1) + yr
+    comb_x = np.log([math.comb(l, int(v)) for v in s])
+    comb_y = np.log([math.comb(r, int(v)) for v in t])  # C(r, r) = 1 drops y_r
+    val = _xlogx_rows(1.0 - wx) + _xlogx_rows(wx)
+    val += (xs @ comb_x) / l
+    val += (ys_head @ comb_y) / r
+    val -= (
+        _xlogx_rows(1.0 - sy) + _xlogx_rows(ys_head).sum(axis=1) + _xlogx_rows(yr)
+    ) / r
+    val -= (_xlogx_rows(1.0 - sx) + _xlogx_rows(xs).sum(axis=1)) / l
+    return val, yr
+
+
+def _decay_screen(
+    spec: RateFunctionSpec, pool: np.ndarray, yr: np.ndarray
+) -> np.ndarray:
+    """k_theta for every pool row: one coefficient vector, one product.
+
+    A coefficient is -inf where k_theta's log diverges (theta = 0 on a
+    plain-theta term); a zero coordinate there contributes 0 and a
+    positive one makes the row -inf, as in the scalar k_theta.
+    """
+    l, r, theta = spec.l, spec.r, spec.theta
+    coef = [
+        math.log1p(0.5 * spec.alpha2 * (1 + 4 * s + s * s) * theta * theta) / l
+        if s % 2 == 0
+        else _ln(spec.alpha2 * (1 + s) * theta) / l
+        for s in range(2, l + 1)
+    ]
+    coef += [_ln(spec.alpha1 * theta ** (r - t)) / r for t in range(2, r)]
+    coef = np.array(coef)
+    finite = np.isfinite(coef)
+    val = pool[:, finite] @ coef[finite] + yr * (math.log1p(spec.alpha1 * theta**r) / r)
+    val[(pool[:, ~finite] > 0.0).any(axis=1)] = -math.inf
+    return val
+
+
+# The screen differs from the fsum objective only in summation order and
+# in one rounding per log.  The objective is a sum of fewer than l + r + 8
+# terms, each a coordinate below 1 times a log of magnitude at most about
+# 745 (the log of the smallest double), so the gap is below
+# (l + r + 8) * 745 * 2^-52, about 1e-11 for r <= 50; measured, it is at
+# most 1.8e-15 on pools from (3,4) to (9,40) at theta in {0, 1e-4, 1e-2,
+# 0.3}.  With every screen value within half the margin of the exact one,
+# each row of the exact top REFINE_TOP (ties included) scores at least the
+# REFINE_TOP-th best screen value minus the margin, so none is lost.
+_SCREEN_MARGIN = 1e-9
+
+
+def _top_starts(objective, pool: np.ndarray, screen: np.ndarray):
+    """The REFINE_TOP best pool rows as (value, point), exactly as a stable
+    sort of all rows by descending objective would order them.
+
+    Rows within _SCREEN_MARGIN of the REFINE_TOP-th best screen value are
+    rescored with the scalar objective and ordered by (-value, pool index).
+    """
+    if len(pool) > REFINE_TOP:
+        cut = np.partition(screen, len(pool) - REFINE_TOP)[len(pool) - REFINE_TOP]
+        rows = np.flatnonzero(screen >= cut - _SCREEN_MARGIN)
+    else:
+        rows = np.arange(len(pool))
+    scored = []
+    for i in rows.tolist():
+        point = pool[i].tolist()
+        scored.append((objective(point), i, point))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(value, point) for value, _i, point in scored[:REFINE_TOP]]
+
+
+def _maximize(
+    spec: RateFunctionSpec,
+    pool: np.ndarray,
+    growth: tuple[np.ndarray, np.ndarray],
+    extra_starts: tuple[tuple[float, ...], ...],
+    tol: float,
+) -> RateFunctionResult:
+    l, r, theta = spec.l, spec.r, spec.theta
+    dim_x = l - 1
+    y_last, feasible = _region(l, r, spec.lam)
+
+    def objective(point: list[float]) -> float:
+        xs = point[:dim_x]
+        ys_head = point[dim_x:]
+        ys = ys_head + [y_last(xs, ys_head)]
+        return f_xy(l, r, xs, ys) + k_theta(
+            l, r, theta, xs, ys, spec.alpha1, spec.alpha2
+        )
+
+    f_screen, yr = growth
+    top = _top_starts(objective, pool, f_screen + _decay_screen(spec, pool, yr))
     carried: list[tuple[float, list[float]]] = []
     for start in extra_starts:
         point = [max(0.0, float(v)) for v in start]
-        if len(point) == dim_x + dim_y and feasible(point):
+        if len(point) == pool.shape[1] and feasible(point):
             carried.append((objective(point), point))
-    if not pool and not carried:
+    if not top and not carried:
         raise InfeasibleDomainError(
-            f"no admissible types sampled for l = {l}, r = {r}, lam = {lam}"
+            f"no admissible types sampled for l = {l}, r = {r}, lam = {spec.lam}"
         )
-    pool.sort(key=lambda item: -item[0])
-    keep = pool[:REFINE_TOP] + carried
+    keep = top + carried
     value, point = max(keep, key=lambda item: item[0])
     point = list(point)
     for _cand_value, cand in keep:
@@ -384,6 +493,41 @@ def mckay_rate_function(
     return RateFunctionResult(
         value=value, xs=tuple(xs), ys=tuple(ys), theta=theta
     )
+
+
+def _screened_pool(
+    spec: RateFunctionSpec, starts: int, seed: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The seeded start pool and its growth screen; neither depends on theta."""
+    _check_starts(starts)
+    l, r, lam = spec.l, spec.r, spec.lam
+    if lam >= 1.0 / l + 1.0 / r:
+        raise InfeasibleDomainError(
+            f"size fraction {lam} >= 1/{l} + 1/{r}; no admissible types exist"
+        )
+    pool = _sample_pool(l, r, lam, starts, seed)
+    return pool, _growth_screen(l, r, pool)
+
+
+def mckay_rate_function(
+    spec: RateFunctionSpec,
+    starts: int = 10_000,
+    seed: int = 0,
+    extra_starts: tuple[tuple[float, ...], ...] = (),
+    tol: float = 1e-6,
+) -> RateFunctionResult:
+    """Maximize f + k_theta over the admissible type region.
+
+    The degree-matching equality eliminates y_r; the remaining free
+    coordinates are searched by seeded random multi-start (log-uniform
+    scales, sparsified faces) plus coordinate refinement of the best
+    REFINE_TOP starts.  `extra_starts` accepts free-coordinate vectors (xs
+    then ys without y_r) from earlier runs; re-offering a maximizer found
+    at a smaller theta makes profiles over increasing theta provably
+    nondecreasing, since k_theta is pointwise nondecreasing in theta.
+    """
+    pool, growth = _screened_pool(spec, starts, seed)
+    return _maximize(spec, pool, growth, extra_starts, tol)
 
 
 def rate_function_profile(
@@ -399,6 +543,12 @@ def rate_function_profile(
 ) -> list[RateFunctionResult]:
     """Lambda(theta) over a grid, re-offering each maximizer downstream.
 
+    The start pool does not depend on theta, so it is sampled once and
+    its growth rates f are screened once in numpy; each theta adds one
+    matrix-vector product for k_theta and rescores only the rows near its
+    REFINE_TOP best with the exact objective.  The result equals a chain
+    of mckay_rate_function calls at the same seed, value for value.
+
     With thetas in increasing order the returned values are nondecreasing:
     k_theta is pointwise nondecreasing in theta, every maximizer is handed
     to the next run as a start, and refinement never returns less than its
@@ -406,11 +556,12 @@ def rate_function_profile(
     """
     carried: list[tuple[float, ...]] = []
     out: list[RateFunctionResult] = []
+    pool = growth = None
     for theta in thetas:
         spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam, alpha1=alpha1, alpha2=alpha2)
-        res = mckay_rate_function(
-            spec, starts=starts, seed=seed, extra_starts=tuple(carried), tol=tol
-        )
+        if pool is None:
+            pool, growth = _screened_pool(spec, starts, seed)
+        res = _maximize(spec, pool, growth, tuple(carried), tol)
         carried.append(tuple(res.xs) + tuple(res.ys[:-1]))
         out.append(res)
     return out

@@ -31,8 +31,16 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
-from loopgas.errors import BudgetExceededError
+from loopgas.errors import BudgetExceededError, InfeasibleDomainError
 from loopgas.loops import LoopSumResult
+from loopgas.ratefunc import (
+    REFINE_TOP,
+    RateFunctionResult,
+    RateFunctionSpec,
+    _coordinate_ascent,
+    f_xy,
+    k_theta,
+)
 
 # ---------------------------------------------------------------------------
 # instance builders
@@ -615,3 +623,118 @@ def entropy_oracle_ldpc(graph: FactorGraph, p: float) -> float:
             h_xy -= _xlogx(prob)
     h_y = -math.fsum(_xlogx(q) for q in p_y)
     return (h_xy - h_y) / n
+
+
+# ---------------------------------------------------------------------------
+# rate-function search, one exact objective call per sampled start
+
+
+def oracle_mckay_rate_function(
+    spec: RateFunctionSpec,
+    starts: int = 10_000,
+    seed: int = 0,
+    extra_starts: tuple[tuple[float, ...], ...] = (),
+    tol: float = 1e-6,
+) -> RateFunctionResult:
+    """Lambda(theta) with every pool point scored by the fsum objective.
+
+    The same draws, acceptance, stable sort and refinement as the library
+    search, without its numpy screen: the top REFINE_TOP come from sorting
+    all exact values.
+    """
+    l, r, theta, lam = spec.l, spec.r, spec.theta, spec.lam
+    if lam >= 1.0 / l + 1.0 / r:
+        raise InfeasibleDomainError(f"size fraction {lam} admits no types")
+    dim_x = l - 1
+    dim_y = r - 2
+
+    def y_last(xs, ys_head):
+        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
+        wy = math.fsum((t / r) * y for t, y in zip(range(2, r), ys_head))
+        return wx - wy
+
+    def feasible(point):
+        if any(v < 0.0 for v in point):
+            return False
+        xs = point[:dim_x]
+        ys_head = point[dim_x:]
+        yr = y_last(xs, ys_head)
+        if yr < 0.0:
+            return False
+        sx = math.fsum(xs)
+        sy = math.fsum(ys_head) + yr
+        if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12:
+            return False
+        return sx / l + sy / r >= lam - 1e-12
+
+    def objective(point):
+        xs = point[:dim_x]
+        ys_head = point[dim_x:]
+        ys = ys_head + [y_last(xs, ys_head)]
+        return f_xy(l, r, xs, ys) + k_theta(l, r, theta, xs, ys, spec.alpha1, spec.alpha2)
+
+    rng = random.Random(seed)
+    pool = []
+    attempts = 0
+    while len(pool) < starts and attempts < 100 * starts:
+        attempts += 1
+        raw_x = [rng.expovariate(1.0) for _ in range(dim_x)]
+        if rng.random() < 0.5:
+            keep = rng.randrange(1, 1 << dim_x)
+            raw_x = [v if (keep >> j) & 1 else 0.0 for j, v in enumerate(raw_x)]
+        total = sum(raw_x) or 1.0
+        scale = math.exp(rng.uniform(math.log(1e-4), math.log(0.999)))
+        xs = [v / total * scale for v in raw_x]
+        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
+        ys_head = [0.0] * dim_y
+        if dim_y and rng.random() < 0.5 and wx > 0.0:
+            raw_y = [rng.expovariate(1.0) for _ in range(dim_y)]
+            weight = math.fsum((t / r) * v for t, v in zip(range(2, r), raw_y))
+            budget = rng.random() * wx
+            if weight > 0.0:
+                ys_head = [v / weight * budget for v in raw_y]
+        point = xs + ys_head
+        if feasible(point):
+            pool.append((objective(point), point))
+    carried = []
+    for start in extra_starts:
+        point = [max(0.0, float(v)) for v in start]
+        if len(point) == dim_x + dim_y and feasible(point):
+            carried.append((objective(point), point))
+    if not pool and not carried:
+        raise InfeasibleDomainError("no admissible types sampled")
+    pool.sort(key=lambda item: -item[0])
+    keep = pool[:REFINE_TOP] + carried
+    value, point = max(keep, key=lambda item: item[0])
+    point = list(point)
+    for _cand_value, cand in keep:
+        ref_value, ref = _coordinate_ascent(objective, feasible, cand, tol)
+        if ref_value > value:
+            value, point = ref_value, ref
+    xs = point[:dim_x]
+    ys_head = point[dim_x:]
+    ys = ys_head + [y_last(xs, ys_head)]
+    return RateFunctionResult(value=value, xs=tuple(xs), ys=tuple(ys), theta=theta)
+
+
+def oracle_rate_function_profile(
+    l: int,
+    r: int,
+    thetas,
+    lam: float,
+    starts: int = 10_000,
+    seed: int = 0,
+    tol: float = 1e-6,
+) -> list[RateFunctionResult]:
+    """Profile as a theta-by-theta chain of oracle searches, each sampling
+    its own pool and carrying every earlier maximizer."""
+    carried = []
+    out = []
+    for theta in thetas:
+        spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam)
+        res = oracle_mckay_rate_function(
+            spec, starts=starts, seed=seed, extra_starts=tuple(carried), tol=tol
+        )
+        carried.append(tuple(res.xs) + tuple(res.ys[:-1]))
+        out.append(res)
+    return out

@@ -32,7 +32,7 @@ from loopgas import (
     verify_loop_identity,
 )
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
-from loopgas.exact import codeword_count_gf2
+from loopgas.exact import codeword_count_gf2, null_space_gf2
 
 LN2 = math.log(2.0)
 
@@ -476,6 +476,34 @@ def test_trend_ldgm_row(tmp_path):
     assert len(rows) == 1
     assert float(rows[0]["fraction_verified"]) == 1.0
     assert float(rows[0]["mean_gap"]) > 0.0
+
+
+def test_exact_refuses_a_large_code_before_elimination(tmp_path, monkeypatch, capsys):
+    # ldpc (3,4) at n = 3000 has k >= n - m = 750: exit 3 before any elimination
+    calls = []
+
+    def counting_null_space(*args):
+        calls.append(1)
+        return null_space_gf2(*args)
+
+    monkeypatch.setattr("loopgas.exact.null_space_gf2", counting_null_space)
+    path = _ldpc_file(tmp_path, n=3000, seed=2)
+    capsys.readouterr()
+    assert main(["exact", "--graph", path, "--p", "0.05"]) == 3
+    assert "k = 750 or more" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_rate_function_rejects_nonpositive_starts(capsys):
+    for starts in ("0", "-3"):
+        rc = main([
+            "rate-function", "--l", "3", "--r", "6", "--thetas", "1e-3",
+            "--lambda", "1e-3", "--starts", starts,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"starts must be at least 1, got {starts}" in err
+        assert "no admissible types" not in err
 
 
 def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypatch):

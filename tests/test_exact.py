@@ -283,6 +283,28 @@ def test_code_space_refuses_over_cap_and_general_weights():
         lg.code_space_log_partition(sp.general_instance(3, 4, 4, 0.2, 0))
 
 
+def test_code_space_rank_bound_refuses_before_elimination(monkeypatch):
+    # ldgm: 28 live checks on one variable leave k >= 28 - 1 = 27 > 26
+    calls = []
+
+    def counting_null_space(*args):
+        calls.append(1)
+        return null_space_gf2(*args)
+
+    monkeypatch.setattr("loopgas.exact.null_space_gf2", counting_null_space)
+    m = 28
+    g = lg.build_factor_graph(1, m, [(0, a) for a in range(m)], lg.LdgmWeights((0.3,) * m))
+    with pytest.raises(TooLargeError, match="k = 27 or more"):
+        lg.code_space_log_partition(g)
+    assert calls == []
+    # zero fields drop checks from the live set, and with it the bound
+    g = lg.build_factor_graph(
+        1, m, [(0, a) for a in range(m)], lg.LdgmWeights((0.3,) * 12 + (0.0,) * 16)
+    )
+    assert lg.code_space_log_partition(g).k == 11
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # channel averages
 

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+import support as sp
 
 from loopgas import (
     RateFunctionSpec,
@@ -19,6 +20,7 @@ from loopgas import (
     solve_lambda0,
     z_star,
 )
+from loopgas import ratefunc
 from loopgas.errors import InfeasibleDomainError, NoSignChangeError
 from loopgas.graphs import binary_entropy
 
@@ -267,6 +269,66 @@ def test_profile_nondecreasing_with_frozen_values():
         RateFunctionSpec(l=3, r=6, theta=1e-2, lam=1e-3), starts=1500, seed=0
     )
     assert profile[-1].value >= solo.value - 1e-12
+
+
+def _embedded_start(l, r):
+    # free coordinates (xs, then ys without y_r) of half the even-lattice maximizer
+    xs, ys = restricted_point(l, r, [0.5 * z for z in z_star(l)])
+    return tuple(xs) + tuple(ys[:-1])
+
+
+@pytest.mark.parametrize("l, r", [(3, 6), (3, 4), (5, 8)])
+def test_rate_function_equals_exact_scoring_oracle(l, r):
+    # The numpy screen plus exact rescoring must hand refinement the same
+    # starts as scoring every pool point exactly, so the results are equal
+    # bit for bit; starts = 5 leaves the pool below REFINE_TOP.  The coarse
+    # tol only shortens the climbs at theta = 0.3 (about 40 s at 1e-6 on
+    # (5,8)); the starts are chosen before refinement.
+    assert 5 < ratefunc.REFINE_TOP
+    carry = (_embedded_start(l, r), (0.1,))  # the second has the wrong length
+    for theta in (0.0, 1e-4, 1e-2, 0.3):
+        spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=1e-3)
+        for starts in (5, 1500):
+            for extra in ((), carry):
+                kwargs = dict(starts=starts, seed=4, extra_starts=extra, tol=1e-3)
+                got = mckay_rate_function(spec, **kwargs)
+                want = sp.oracle_mckay_rate_function(spec, **kwargs)
+                assert got == want, (theta, starts, extra)
+
+
+@pytest.mark.parametrize(
+    "l, r, seed, tol", [(3, 6, 0, 1e-6), (3, 4, 1, 1e-6), (5, 8, 2, 1e-3)]
+)
+def test_profile_equals_oracle_chain(l, r, seed, tol):
+    thetas = (0.0, 1e-4, 1e-3, 1e-2, 0.3)
+    kwargs = dict(starts=1200, seed=seed, tol=tol)
+    got = rate_function_profile(l, r, thetas, 1e-3, **kwargs)
+    assert got == sp.oracle_rate_function_profile(l, r, thetas, 1e-3, **kwargs)
+
+
+def test_profile_samples_the_pool_once(monkeypatch):
+    seeded = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            seeded.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ratefunc.random, "Random", CountingRandom)
+    profile = rate_function_profile(3, 6, (1e-4, 1e-3, 1e-2), 1e-3, starts=300, seed=5)
+    assert len(profile) == 3
+    assert seeded == [(5,)]
+
+
+def test_starts_must_be_positive():
+    spec = RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)
+    for starts in (0, -3):
+        with pytest.raises(ValueError, match="starts"):
+            mckay_rate_function(spec, starts=starts)
+        with pytest.raises(ValueError, match="starts"):
+            rate_function_profile(3, 6, (1e-3,), 1e-3, starts=starts)
+        with pytest.raises(ValueError, match="starts"):
+            maximize_f0(3, 1e-3, starts=starts)
 
 
 def test_growth_beaten_by_entropy_cap_on_even_sublattice():
