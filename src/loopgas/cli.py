@@ -21,11 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
 import statistics
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -103,7 +105,11 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, payload: dict, fieldnames: list[str], rows: list[dict]) -> None:
+def _emit(
+    args, payload: dict, fieldnames: Sequence[str] = (), rows: Sequence[dict] = ()
+) -> None:
+    """Write rows as CSV under --format csv, else payload plus schema_version
+    as JSON; commands without --format always write JSON."""
     if getattr(args, "format", "json") == "csv":
         _write_text(args.out, _csv_text(fieldnames, rows))
     else:
@@ -185,7 +191,7 @@ def cmd_gen(args) -> int:
             raise ValueError("general-regular needs --l, --r and --beta")
         graph = sample_regular_bipartite(args.l, args.r, args.n, args.seed)
         graph = attach_random_general_weights(graph, args.beta, args.seed + 1)
-    _write_text(args.out, _json_text(graph_to_json_dict(graph)))
+    _emit(args, graph_to_json_dict(graph))
     return EXIT_OK
 
 
@@ -213,9 +219,8 @@ def cmd_bp(args) -> int:
         "residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
-        "schema_version": SCHEMA_VERSION,
     }
-    _write_text(args.out, _json_text(payload))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -230,9 +235,8 @@ def cmd_bethe(args) -> int:
         "edge_terms": list(breakdown.edge_terms),
         "bp_residual": result.residual,
         "converged": result.converged,
-        "schema_version": SCHEMA_VERSION,
     }
-    _write_text(args.out, _json_text(payload))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -333,11 +337,7 @@ def cmd_series(args) -> int:
         "polymer_count": series.polymer_count,
         "bp_residual": result.residual,
     }
-    if getattr(args, "format", "csv") == "json":
-        payload["schema_version"] = SCHEMA_VERSION
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(args.out, _csv_text(["m", "term", "partial_sum", "q"], rows))
+    _emit(args, payload, ["m", "term", "partial_sum", "q"], rows)
     return EXIT_OK
 
 
@@ -369,13 +369,7 @@ def cmd_rate_function(args) -> int:
         "alpha1": args.alpha1,
         "alpha2": args.alpha2,
     }
-    if getattr(args, "format", "csv") == "json":
-        payload["schema_version"] = SCHEMA_VERSION
-        _write_text(args.out, _json_text(payload))
-    else:
-        _write_text(
-            args.out, _csv_text(["theta", "value"] + x_names + y_names, rows)
-        )
+    _emit(args, payload, ["theta", "value"] + x_names + y_names, rows)
     return EXIT_OK
 
 
@@ -383,16 +377,16 @@ def cmd_rate_function(args) -> int:
 # trend / entropy (instance-parallel)
 
 
-def _trend_instance(job: tuple) -> tuple[float, float, bool]:
-    (ensemble, l, r, n, p, epsilon, seed, index, bp_tol, damping, max_iter) = job
-    topo_seed, channel_seed = _instance_seeds(seed, n, index)
-    graph = _sample_ensemble(ensemble, l, r, n, topo_seed)
-    graph = apply_channel(graph, p, channel_seed)
+def _trend_instance(args, job: tuple[int, int]) -> tuple[float, float, bool]:
+    n, index = job
+    topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
+    graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
+    graph = apply_channel(graph, args.p, channel_seed)
     # exact first: an over-cap code space is refused before any BP work
     f_exact = code_space_log_partition(graph).log_z / graph.n
-    result = solve_fixed_point(graph, damping=damping, tol=bp_tol, max_iter=max_iter)
+    result = _run_bp(graph, args)
     f_bethe = bethe_free_energy(graph, result.messages).f_bethe
-    channel = ChannelParams(p=p, epsilon=epsilon)
+    channel = ChannelParams(p=args.p, epsilon=args.epsilon)
     if graph.weights.kind == "ldpc":
         verified = verify_high_noise(result.messages, channel)
     else:
@@ -400,34 +394,20 @@ def _trend_instance(job: tuple) -> tuple[float, float, bool]:
     return abs(f_exact - f_bethe), result.residual, verified
 
 
-def _map_jobs(worker, jobs: list[tuple], threads: int) -> list:
-    if threads <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs))
+def _map_instances(worker, args, n: int) -> list:
+    """worker(args, (n, index)) for every instance index, in index order,
+    on args.threads processes."""
+    jobs = [(n, index) for index in range(args.instances)]
+    if args.threads <= 1 or len(jobs) <= 1:
+        return [worker(args, job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        return list(pool.map(functools.partial(worker, args), jobs))
 
 
 def cmd_trend(args) -> int:
-    n_list = _parse_int_list(args.n_list)
     rows = []
-    for n in n_list:
-        jobs = [
-            (
-                args.ensemble,
-                args.l,
-                args.r,
-                n,
-                args.p,
-                args.epsilon,
-                args.seed,
-                index,
-                args.bp_tol,
-                args.damping,
-                args.max_iter,
-            )
-            for index in range(args.instances)
-        ]
-        results = _map_jobs(_trend_instance, jobs, args.threads)
+    for n in _parse_int_list(args.n_list):
+        results = _map_instances(_trend_instance, args, n)
         gaps = [gap for gap, _res, _ok in results]
         rows.append(
             {
@@ -441,42 +421,26 @@ def cmd_trend(args) -> int:
             }
         )
     fieldnames = ["n", "mean_gap", "std_gap", "mean_bp_residual", "fraction_verified"]
-    if getattr(args, "format", "csv") == "json":
-        _write_text(
-            args.out, _json_text({"rows": rows, "schema_version": SCHEMA_VERSION})
-        )
-    else:
-        _write_text(args.out, _csv_text(fieldnames, rows))
+    _emit(args, {"rows": rows}, fieldnames, rows)
     return EXIT_OK
 
 
-def _entropy_instance(job: tuple) -> dict:
-    (
-        ensemble,
-        l,
-        r,
-        n,
-        p,
-        seed,
-        index,
-        bp_tol,
-        damping,
-        max_iter,
-        exhaustive_limit,
-        mc_samples,
-    ) = job
-    topo_seed, channel_seed = _instance_seeds(seed, n, index)
-    graph = _sample_ensemble(ensemble, l, r, n, topo_seed)
+def _entropy_instance(args, job: tuple[int, int]) -> dict:
+    n, index = job
+    p = args.p
+    topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
+    graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
 
     def f_exact(g: FactorGraph) -> float:
         return code_space_log_partition(g).log_z / g.n
 
     def f_bethe(g: FactorGraph) -> float:
-        result = solve_fixed_point(g, damping=damping, tol=bp_tol, max_iter=max_iter)
-        return bethe_free_energy(g, result.messages).f_bethe
+        return bethe_free_energy(g, _run_bp(g, args).messages).f_bethe
 
     kwargs = dict(
-        exhaustive_limit=exhaustive_limit, mc_samples=mc_samples, seed=channel_seed
+        exhaustive_limit=args.exhaustive_limit,
+        mc_samples=args.mc_samples,
+        seed=channel_seed,
     )
     avg_exact = channel_average(graph, p, f_exact, **kwargs)
     avg_bethe = channel_average(graph, p, f_bethe, **kwargs)
@@ -498,24 +462,7 @@ def _entropy_instance(job: tuple) -> dict:
 
 
 def cmd_entropy(args) -> int:
-    jobs = [
-        (
-            args.ensemble,
-            args.l,
-            args.r,
-            args.n,
-            args.p,
-            args.seed,
-            index,
-            args.bp_tol,
-            args.damping,
-            args.max_iter,
-            args.exhaustive_limit,
-            args.mc_samples,
-        )
-        for index in range(args.instances)
-    ]
-    per_instance = _map_jobs(_entropy_instance, jobs, args.threads)
+    per_instance = _map_instances(_entropy_instance, args, args.n)
     gaps = [row["gap"] for row in per_instance]
     payload = {
         "per_instance": per_instance,
@@ -523,9 +470,8 @@ def cmd_entropy(args) -> int:
         "mean_h_bethe": statistics.fmean(row["h_bethe"] for row in per_instance),
         "mean_abs_gap": statistics.fmean(abs(g) for g in gaps),
         "max_abs_gap": max(abs(g) for g in gaps),
-        "schema_version": SCHEMA_VERSION,
     }
-    _write_text(args.out, _json_text(payload))
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -533,12 +479,14 @@ def cmd_entropy(args) -> int:
 # parser
 
 
-def _add_output_flags(sub, default_format: str = "json") -> None:
+def _add_output_flags(sub, default_format: str | None = "json") -> None:
+    """--out, and --format unless default_format is None (JSON only)."""
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument(
-        "--format", choices=["json", "csv"], default=default_format,
-        help=f"output format (default: {default_format})",
-    )
+    if default_format is not None:
+        sub.add_argument(
+            "--format", choices=["json", "csv"], default=default_format,
+            help=f"output format (default: {default_format})",
+        )
 
 
 def _add_graph_flags(sub) -> None:
@@ -587,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--beta", type=float, default=None,
         help="inverse temperature for general-regular weights",
     )
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_output_flags(sub, default_format=None)
     sub.set_defaults(func=cmd_gen)
 
     sub = subs.add_parser(
@@ -600,13 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("bp", help="run message passing, dump messages")
     _add_graph_flags(sub)
     _add_bp_flags(sub)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_output_flags(sub, default_format=None)
     sub.set_defaults(func=cmd_bp)
 
     sub = subs.add_parser("bethe", help="Bethe free energy breakdown")
     _add_graph_flags(sub)
     _add_bp_flags(sub)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_output_flags(sub, default_format=None)
     sub.set_defaults(func=cmd_bethe)
 
     sub = subs.add_parser(
@@ -700,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exhaustive-limit", type=int, default=20)
     sub.add_argument("--mc-samples", type=int, default=2_000)
     _add_bp_flags(sub)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    _add_output_flags(sub, default_format=None)
     sub.set_defaults(func=cmd_entropy)
 
     return parser

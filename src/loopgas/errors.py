@@ -13,6 +13,10 @@ class IndexOutOfRangeError(LoopGasError):
     """An edge references a variable or check index outside [0, n) / [0, m)."""
 
 
+class MalformedGraphError(LoopGasError):
+    """A graph JSON document lacks a required key or has a value of the wrong shape."""
+
+
 class InconsistentWeightsError(LoopGasError):
     """Weight data does not match the graph (wrong field count, coupling
     subset not contained in the check neighborhood, non-positive beta)."""

@@ -33,6 +33,7 @@ from .errors import (
     InconsistentWeightsError,
     IndexOutOfRangeError,
     InfeasibleDegreeSequenceError,
+    MalformedGraphError,
     NoSignChangeError,
     RejectionBudgetError,
     WrongWeightKindError,
@@ -303,8 +304,8 @@ def build_factor_graph(
         DuplicateEdgeError: the same pair appears twice.
         InconsistentWeightsError: weight payload does not fit the graph.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"n and m must be >= 0, got n={n}, m={m}")
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     edge_list = [(int(i), int(a)) for i, a in edges]
     for i, a in edge_list:
         if not (0 <= i < n):
@@ -744,29 +745,42 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
 
 
 def graph_from_json_dict(data: Mapping) -> FactorGraph:
-    w = data["weights"]
-    kind = w["kind"]
-    if kind == "ldpc":
-        weights: WeightSpec = LdpcWeights(variable_fields=tuple(w["fields"]))
-    elif kind == "ldgm":
-        weights = LdgmWeights(check_fields=tuple(w["fields"]))
-    elif kind == "general":
-        weights = GeneralWeights(
-            beta=w["beta"],
-            couplings=tuple(
-                tuple((tuple(subset), j) for subset, j in terms)
-                for terms in w["couplings"]
-            ),
+    """Inverse of graph_to_json_dict.
+
+    Raises MalformedGraphError for a missing key or a value of the wrong
+    shape, and build_factor_graph's errors for data that does not fit.
+    """
+    if not isinstance(data, Mapping):
+        raise MalformedGraphError(
+            f"graph JSON must be an object, not {type(data).__name__}"
         )
-    else:
-        raise InconsistentWeightsError(f"unknown weight kind {kind!r}")
-    return build_factor_graph(
-        int(data["n"]),
-        int(data["m"]),
-        [(int(i), int(a)) for i, a in data["edges"]],
-        weights,
-        meta=dict(data.get("meta", {})),
-    )
+    try:
+        w = data["weights"]
+        kind = w["kind"]
+        if kind == "ldpc":
+            weights: WeightSpec = LdpcWeights(tuple(map(float, w["fields"])))
+        elif kind == "ldgm":
+            weights = LdgmWeights(tuple(map(float, w["fields"])))
+        elif kind == "general":
+            weights = GeneralWeights(
+                beta=float(w["beta"]),
+                couplings=tuple(
+                    tuple((tuple(subset), float(j)) for subset, j in terms)
+                    for terms in w["couplings"]
+                ),
+            )
+        else:
+            raise InconsistentWeightsError(f"unknown weight kind {kind!r}")
+        n, m = int(data["n"]), int(data["m"])
+        edges = [(int(i), int(a)) for i, a in data["edges"]]
+        meta = dict(data.get("meta", {}))
+    except KeyError as exc:
+        raise MalformedGraphError(f"graph JSON lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MalformedGraphError(
+            f"graph JSON has a value of the wrong shape: {exc}"
+        ) from exc
+    return build_factor_graph(n, m, edges, weights, meta=meta)
 
 
 def save_graph(graph: FactorGraph, path: str) -> None:

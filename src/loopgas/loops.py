@@ -12,9 +12,9 @@ Polymers are connected generalized loops; every generalized loop is a disjoint
 union of polymers and its activity factorizes over them.
 
 One depth-first walk visits every generalized loop, carrying its activity
-when asked.  Enumeration (with or without activities), the loop sum, its
-small/large split and the one-pass identity check are leaf functions over
-that walk.
+when asked.  Enumeration (with or without activities) and the loop sum with
+its small/large split are leaf functions over that walk; the identity check
+adds brute-force ln Z, BP and the Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     HypothesisNotMetError,
     LogDomainError,
     SingularDenominatorError,
-    TooLargeError,
 )
 from .exact import brute_force_log_partition
 from .graphs import (
@@ -44,16 +43,17 @@ from .graphs import (
     LdpcWeights,
 )
 
-FULL_EXPANSION_MAX_EDGES = 20
 _DENOMINATOR_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class LoopSubgraph:
-    """An edge subset together with its touched-node bookkeeping.
+class Polymer:
+    """A generalized loop: its edge ids and touched-node bookkeeping.
 
     node_mask packs variable i as bit i and check a as bit n + a; size is the
-    number of touched nodes.
+    number of touched nodes.  enumerate_polymers returns connected loops,
+    the polymers proper; the other enumerations return every loop, each a
+    disjoint union of polymers, in the same record.
     """
 
     edge_ids: tuple[int, ...]
@@ -62,29 +62,15 @@ class LoopSubgraph:
 
 
 @dataclass(frozen=True)
-class Polymer:
-    """A connected generalized loop; spanning_edges certify connectivity."""
-
-    edge_ids: tuple[int, ...]
-    node_mask: int
-    size: int
-    spanning_edges: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LoopSumResult:
+    """The loop sum and its small/large split; see loop_sum_direct."""
+
     total: float
     loop_count: int
     polymer_count: int
-
-
-@dataclass(frozen=True)
-class SplitResult:
     z_small: float
     r_large: float
-    total: float
-    small_term_count: int
-    large_term_count: int
+    q: float
 
 
 @dataclass(frozen=True)
@@ -101,13 +87,6 @@ class IdentityReport:
     r_large: float
     loop_count: int
     polymer_count: int
-    max_dangling_activity: float
-
-
-@dataclass(frozen=True)
-class FullExpansionReport:
-    residual: float
-    subset_count: int
     max_dangling_activity: float
 
 
@@ -253,14 +232,13 @@ def _walk(
     leaf,
     budget: int,
     evaluator: ActivityEvaluator | None = None,
-    max_edges: int | None = None,
     max_nodes: int | None = None,
 ) -> None:
     """Visit every generalized loop once, calling leaf(activity, blocks).
 
     Checks are processed in index order; each picks one locally admissible
     edge subset.  A branch dies as soon as a variable whose checks are all
-    decided has induced degree one, or the edge or node caps are exceeded;
+    decided has induced degree one, or the touched nodes exceed max_nodes;
     every visited state counts against the budget.  With an evaluator the
     activity is built up on the way down: each check contributes a factor
     depending only on its own included-edge subset, each variable a factor
@@ -269,11 +247,10 @@ def _walk(
     edge_ids) in check order; the list is reused across calls and must not be
     retained.
     """
-    e_cap = graph.edge_count if max_edges is None else max_edges
     n_cap = graph.n + graph.m if max_nodes is None else max_nodes
-    # the edge and node tallies only matter when a cap can bind; the uncapped
-    # walks behind the loop sums skip them to keep each visit cheap
-    capped = e_cap < graph.edge_count or n_cap < graph.n + graph.m
+    # the node tally only matters when the cap can bind; the uncapped walks
+    # behind the loop sums skip it to keep each visit cheap
+    capped = n_cap < graph.n + graph.m
     options = _check_block_options(graph)
     # variables whose last incident check is a, to finalize after level a
     finalize: list[list[int]] = [[] for _ in range(graph.m)]
@@ -314,7 +291,7 @@ def _walk(
     visits = 0
     m = graph.m
 
-    def dfs(a: int, prod: float, n_edges: int, node_mask: int) -> None:
+    def dfs(a: int, prod: float, node_mask: int) -> None:
         nonlocal visits
         visits += 1
         if visits > budget:
@@ -325,12 +302,11 @@ def _walk(
             if blocks:
                 leaf(prod, blocks)
             return
-        ne, grown = n_edges, node_mask
+        grown = node_mask
         for factor, bits, block in rows[a]:
             if capped:
-                ne = n_edges + len(bits)
                 grown = node_mask | block[0]
-                if ne > e_cap or grown.bit_count() > n_cap:
+                if grown.bit_count() > n_cap:
                     continue
             for i, bit in bits:
                 var_inc[i] ^= bit
@@ -346,15 +322,15 @@ def _walk(
             if not dead:
                 if bits:
                     blocks.append(block)
-                    dfs(a + 1, p2, ne, grown)
+                    dfs(a + 1, p2, grown)
                     blocks.pop()
                 else:
-                    dfs(a + 1, p2, ne, grown)
+                    dfs(a + 1, p2, grown)
             for i, bit in bits:
                 var_inc[i] ^= bit
 
     try:
-        dfs(0, 1.0, 0, 0)
+        dfs(0, 1.0, 0)
     finally:
         # dfs refers to itself; without the cycle, leaf and what it holds are
         # freed on return instead of at the next cyclic garbage collection
@@ -391,13 +367,13 @@ def _components(
     return comps
 
 
-def _loop_subgraph(blocks: list[tuple[int, tuple[int, ...]]]) -> LoopSubgraph:
+def _loop_record(blocks: list[tuple[int, tuple[int, ...]]]) -> Polymer:
     mask = 0
     edge_ids: list[int] = []
     for bmask, eids in blocks:
         mask |= bmask
         edge_ids.extend(eids)
-    return LoopSubgraph(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
+    return Polymer(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
 
 
 def max_node_load(node_count: int, masks, weights) -> float:
@@ -421,20 +397,20 @@ def max_node_load(node_count: int, masks, weights) -> float:
 
 def enumerate_generalized_loops(
     graph: FactorGraph,
-    max_edges: int | None = None,
     max_nodes: int | None = None,
     budget: int = 10_000_000,
-) -> list[LoopSubgraph]:
+) -> list[Polymer]:
     """All nonempty edge subsets with every touched node of induced degree >= 2.
 
-    Sorted by (edge count, edge ids); the caps and the budget are the walk's.
+    Sorted by (edge count, edge ids); the node cap and the budget are the
+    walk's.
     """
-    out: list[LoopSubgraph] = []
+    out: list[Polymer] = []
 
     def leaf(_prod: float, blocks) -> None:
-        out.append(_loop_subgraph(blocks))
+        out.append(_loop_record(blocks))
 
-    _walk(graph, leaf, budget, max_edges=max_edges, max_nodes=max_nodes)
+    _walk(graph, leaf, budget, max_nodes=max_nodes)
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
 
@@ -473,7 +449,7 @@ def loop_activities(
     graph: FactorGraph,
     messages: MessageSet,
     budget: int = 10_000_000,
-) -> list[tuple[LoopSubgraph, float, tuple, tuple]]:
+) -> list[tuple[Polymer, float, tuple, tuple]]:
     """Every generalized loop with its activity and degree profiles, in
     enumerate_generalized_loops order.
 
@@ -481,7 +457,7 @@ def loop_activities(
     activity is the product the walk carries down to the loop, the profiles
     come from its check blocks (see _degree_profiles).
     """
-    out: list[tuple[LoopSubgraph, float, tuple, tuple]] = []
+    out: list[tuple[Polymer, float, tuple, tuple]] = []
     n = graph.n
     # profiles repeat (142 distinct ones over the README demo's 151,338 loops):
     # keep one copy of each
@@ -489,7 +465,7 @@ def loop_activities(
 
     def leaf(prod: float, blocks) -> None:
         profiles = _degree_profiles(blocks, n)
-        out.append((_loop_subgraph(blocks), prod, *shared.setdefault(profiles, profiles)))
+        out.append((_loop_record(blocks), prod, *shared.setdefault(profiles, profiles)))
 
     _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
     out.sort(key=lambda entry: (len(entry[0].edge_ids), entry[0].edge_ids))
@@ -505,31 +481,8 @@ def enumerate_polymers(
     out: list[Polymer] = []
 
     def leaf(_prod: float, blocks) -> None:
-        comps = _components(blocks)
-        if len(comps) != 1:
-            return
-        mask, members = comps[0]
-        # the first block's star, then per merged block one edge into the
-        # tree so far and the edges to its new variables
-        tree: list[int] = []
-        reached = 0
-        for bmask, eids in members:
-            linked = not reached
-            for e in eids:
-                if (reached >> graph.edges[e][0]) & 1:
-                    if linked:
-                        continue
-                    linked = True
-                tree.append(e)
-            reached |= bmask
-        out.append(
-            Polymer(
-                edge_ids=tuple(e for _m, eids in blocks for e in eids),
-                node_mask=mask,
-                size=mask.bit_count(),
-                spanning_edges=tuple(tree),
-            )
-        )
+        if len(_components(blocks)) == 1:
+            out.append(_loop_record(blocks))
 
     _walk(graph, leaf, budget, max_nodes=max_size)
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
@@ -540,67 +493,48 @@ def loop_sum_direct(
     graph: FactorGraph,
     messages: MessageSet,
     budget: int = 10_000_000,
+    split_lambda: float = 0.5,
 ) -> LoopSumResult:
     """1 + sum of activities over all generalized loops, in one walk.
 
-    Leaf terms are collected and fsummed, so the result matches summing
-    per-loop activities without ever materializing the loops.  Connected
-    leaves are counted to report how many of the loops are single polymers.
+    Leaf terms are collected and fsummed, so the total matches summing
+    per-loop activities without ever materializing the loops.  The same
+    walk splits the sum by polymer size: a loop term is small when each
+    polymer of its disjoint decomposition has size < split_lambda * n;
+    z_small is 1 plus the small terms, r_large the rest.  The connected
+    leaves are the polymers; q is convergence_criterion_q's single-node
+    statistic over them, each node's sum taken in walk order.
     """
-    terms: list[float] = []
-    polymers = 0
-
-    def leaf(prod: float, blocks) -> None:
-        nonlocal polymers
-        terms.append(prod)
-        if len(_components(blocks)) == 1:
-            polymers += 1
-
-    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
-    return LoopSumResult(
-        total=1.0 + math.fsum(terms),
-        loop_count=len(terms),
-        polymer_count=polymers,
-    )
-
-
-def split_small_large(
-    graph: FactorGraph,
-    messages: MessageSet,
-    lam: float,
-    budget: int = 10_000_000,
-) -> SplitResult:
-    """Partition the loop sum by polymer size.
-
-    Every generalized loop decomposes into disjoint polymers; a loop term is
-    small when each of those polymers has size < lam * n.  z_small collects
-    1 plus the small terms, r_large everything else, so z_small + r_large
-    equals the loop-sum total.
-    """
-    threshold = lam * graph.n
+    threshold = split_lambda * graph.n
     small_terms: list[float] = []
     large_terms: list[float] = []
+    polymer_masks: list[int] = []
+    q_weights: list[float] = []
 
     def leaf(prod: float, blocks) -> None:
-        if any(mask.bit_count() >= threshold for mask, _b in _components(blocks)):
+        comps = _components(blocks)
+        if len(comps) == 1:
+            mask = comps[0][0]
+            polymer_masks.append(mask)
+            q_weights.append(abs(prod) * math.exp(mask.bit_count()))
+        if any(mask.bit_count() >= threshold for mask, _b in comps):
             large_terms.append(prod)
         else:
             small_terms.append(prod)
 
     _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
-    z_small = 1.0 + math.fsum(small_terms)
-    r_large = math.fsum(large_terms)
-    return SplitResult(
-        z_small=z_small,
-        r_large=r_large,
-        total=z_small + r_large,
-        small_term_count=len(small_terms),
-        large_term_count=len(large_terms),
+    return LoopSumResult(
+        total=1.0 + math.fsum(small_terms + large_terms),
+        loop_count=len(small_terms) + len(large_terms),
+        polymer_count=len(polymer_masks),
+        z_small=1.0 + math.fsum(small_terms),
+        r_large=math.fsum(large_terms),
+        q=max_node_load(graph.n + graph.m, polymer_masks, q_weights),
     )
 
 
 # ---------------------------------------------------------------------------
-# end-to-end identity checks
+# end-to-end identity check
 
 
 def verify_loop_identity(
@@ -614,115 +548,33 @@ def verify_loop_identity(
     """Check ln Z = n f_bethe + ln(1 + sum of loop activities) on one instance.
 
     Takes ln Z by brute force, runs BP to a fixed point for f_bethe, then
-    walks the generalized loops once.  That one walk gives the loop sum and
-    its count, the polymers among the loops (the connected ones) with the
-    single-node statistic q over them, and the loop sum split at polymer
-    size split_lambda * n, each term summed the way loop_sum_direct,
-    split_small_large and convergence_criterion_q sum it.
-    max_dangling_activity is the largest single-edge activity, which
-    vanishes at an exact fixed point.
+    takes the loop sum, its counts, q and its split at polymer size
+    split_lambda * n from one loop_sum_direct walk.  max_dangling_activity
+    is the largest single-edge activity, which vanishes at an exact fixed
+    point.
     """
     ln_z = brute_force_log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
     f = bethe_free_energy(graph, bp.messages).f_bethe
+    loops = loop_sum_direct(graph, bp.messages, budget, split_lambda)
+    if loops.total <= 0.0:
+        raise LogDomainError(f"loop-sum total {loops.total} is not positive")
+    ln_loop = math.log(loops.total)
     ev = ActivityEvaluator(graph, bp.messages)
-    threshold = split_lambda * graph.n
-    terms: list[float] = []
-    small_terms: list[float] = []
-    large_terms: list[float] = []
-    polymer_masks: list[int] = []
-    q_weights: list[float] = []
-
-    def leaf(prod: float, blocks) -> None:
-        terms.append(prod)
-        comps = _components(blocks)
-        if len(comps) == 1:
-            mask = comps[0][0]
-            polymer_masks.append(mask)
-            q_weights.append(abs(prod) * math.exp(mask.bit_count()))
-        if any(mask.bit_count() >= threshold for mask, _b in comps):
-            large_terms.append(prod)
-        else:
-            small_terms.append(prod)
-
-    _walk(graph, leaf, budget, ev)
-    total = 1.0 + math.fsum(terms)
-    if total <= 0.0:
-        raise LogDomainError(f"loop-sum total {total} is not positive")
-    ln_loop = math.log(total)
     return IdentityReport(
         ln_z_exact=ln_z,
         f_bethe=f,
         ln_loop_sum=ln_loop,
         residual=abs(ln_z - graph.n * f - ln_loop),
         bp_residual=bp.residual,
-        q=max_node_load(graph.n + graph.m, polymer_masks, q_weights),
-        z_small=1.0 + math.fsum(small_terms),
-        r_large=math.fsum(large_terms),
-        loop_count=len(terms),
-        polymer_count=len(polymer_masks),
+        q=loops.q,
+        z_small=loops.z_small,
+        r_large=loops.r_large,
+        loop_count=loops.loop_count,
+        polymer_count=loops.polymer_count,
         max_dangling_activity=max(
             (abs(ev.value((e,))) for e in range(graph.edge_count)), default=0.0
         ),
-    )
-
-
-
-def tree_exactness_report(
-    graph: FactorGraph,
-    damping: float = 0.0,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> tuple[float, int]:
-    """(|f_bethe - ln Z / n|, loop count) for a tree-shaped instance."""
-    bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
-    f = bethe_free_energy(graph, bp.messages).f_bethe
-    ln_z = brute_force_log_partition(graph).log_z
-    loops = enumerate_generalized_loops(graph)
-    return abs(f - ln_z / graph.n), len(loops)
-
-
-def verify_full_expansion(
-    graph: FactorGraph,
-    messages: MessageSet,
-) -> FullExpansionReport:
-    """Check Z / exp(n f_bethe) = sum over all edge subsets of K(subset).
-
-    Valid for completely arbitrary messages, which is the point: the subset
-    expansion is an identity, not a fixed-point property.  Also reports the
-    largest activity among subsets with a dangling (degree-one) node; at a BP
-    fixed point that maximum collapses to zero.
-    """
-    E = graph.edge_count
-    if E > FULL_EXPANSION_MAX_EDGES:
-        raise TooLargeError(
-            f"full expansion needs 2^{E} subsets; limit is 2^{FULL_EXPANSION_MAX_EDGES}"
-        )
-    f = bethe_free_energy(graph, messages).f_bethe
-    ln_z = brute_force_log_partition(graph).log_z
-    target = math.exp(ln_z - graph.n * f)
-    ev = ActivityEvaluator(graph, messages)
-    terms: list[float] = [1.0]
-    max_dangling = 0.0
-    for bits in range(1, 1 << E):
-        edge_ids = tuple(e for e in range(E) if (bits >> e) & 1)
-        val = ev.value(edge_ids)
-        terms.append(val)
-        var_deg: dict[int, int] = {}
-        check_deg: dict[int, int] = {}
-        for e in edge_ids:
-            i, a = graph.edges[e]
-            var_deg[i] = var_deg.get(i, 0) + 1
-            check_deg[a] = check_deg.get(a, 0) + 1
-        if any(d == 1 for d in var_deg.values()) or any(
-            d == 1 for d in check_deg.values()
-        ):
-            max_dangling = max(max_dangling, abs(val))
-    total = math.fsum(terms)
-    return FullExpansionReport(
-        residual=abs(total - target),
-        subset_count=1 << E,
-        max_dangling_activity=max_dangling,
     )
 
 
@@ -850,22 +702,3 @@ def expander_activity_bound(
             f"polymer size {polymer.size} is not below lambda*n = {expander.lam * graph.n}"
         )
     return theta ** (expander.c / 2.0 * polymer.size)
-
-
-def activity_bound(
-    graph: FactorGraph,
-    polymer: Polymer,
-    kind: str,
-    **params: object,
-) -> float:
-    """Dispatch to one of the named activity bounds."""
-    table = {
-        "high_temperature": high_temperature_activity_bound,
-        "ldgm": ldgm_activity_bound,
-        "ldgm_trivial": ldgm_trivial_activity_bound,
-        "ldpc_type": ldpc_type_activity_bound,
-        "expander": expander_activity_bound,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown bound kind {kind!r}; choose from {sorted(table)}")
-    return table[kind](graph, polymer, **params)  # type: ignore[operator]

@@ -11,6 +11,7 @@ import heapq
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from loopgas import (
     Polymer,
     apply_channel,
     attach_random_general_weights,
+    bethe_free_energy,
+    brute_force_log_partition,
     build_factor_graph,
     enumerate_generalized_loops,
     enumerate_polymers,
@@ -31,7 +34,7 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
-from loopgas.errors import BudgetExceededError, InfeasibleDomainError
+from loopgas.errors import BudgetExceededError, InfeasibleDomainError, TooLargeError
 from loopgas.loops import LoopSumResult
 from loopgas.ratefunc import (
     REFINE_TOP,
@@ -203,67 +206,87 @@ def oracle_polymers(graph: FactorGraph) -> set[frozenset[int]]:
     }
 
 
-def oracle_split(
-    graph: FactorGraph, messages: MessageSet, lam: float, evaluator
-) -> tuple[float, float]:
-    """(z_small, r_large) by composing the loop oracle with components."""
-    threshold = lam * graph.n
-    small: list[float] = []
-    large: list[float] = []
-    for s in oracle_loops(graph):
-        term = evaluator.value(tuple(sorted(s)))
-        if any(len(c) >= threshold for c in _edge_components(graph, s)):
-            large.append(term)
-        else:
-            small.append(term)
-    return 1.0 + math.fsum(small), math.fsum(large)
-
-
 # ---------------------------------------------------------------------------
 # loop-sum oracles: polymer composition, per-loop evaluation, polymer series,
-# factorization
+# factorization, the full subset expansion
 
 
-def loop_sum(graph: FactorGraph, messages: MessageSet) -> LoopSumResult:
+def _node_load(node_sets: list, weights: list[float]) -> float:
+    """max over nodes of the summed weights of the node sets through it."""
+    load: dict[int, float] = {}
+    for nodes, w in zip(node_sets, weights):
+        for v in nodes:
+            load[v] = load.get(v, 0.0) + w
+    return max(load.values(), default=0.0)
+
+
+def _loop_sum_result(
+    small: list[float], large: list[float], polymer_count: int, q: float
+) -> LoopSumResult:
+    return LoopSumResult(
+        total=1.0 + math.fsum(small + large),
+        loop_count=len(small) + len(large),
+        polymer_count=polymer_count,
+        z_small=1.0 + math.fsum(small),
+        r_large=math.fsum(large),
+        q=q,
+    )
+
+
+def loop_sum(
+    graph: FactorGraph, messages: MessageSet, split_lambda: float = 0.5
+) -> LoopSumResult:
     """1 + sum of activities over all generalized loops, by composing polymers.
 
     The activity of a disjoint union is the product of the activities, so
-    each set of pairwise node-disjoint polymers is one generalized loop.
+    each set of pairwise node-disjoint polymers is one generalized loop; its
+    term is large when one of those polymers has size >= split_lambda * n.
+    q sums |K| e^size per node over the polymers.
     """
     polymers = enumerate_polymers(graph)
     ev = ActivityEvaluator(graph, messages)
     acts = [ev.value(p.edge_ids) for p in polymers]
     masks = [p.node_mask for p in polymers]
-    terms: list[float] = []
+    big = [p.size >= split_lambda * graph.n for p in polymers]
+    small: list[float] = []
+    large: list[float] = []
 
-    def extend(start: int, mask: int, prod: float) -> None:
+    def extend(start: int, mask: int, prod: float, is_large: bool) -> None:
         for j in range(start, len(polymers)):
             if masks[j] & mask:
                 continue
             term = prod * acts[j]
-            terms.append(term)
-            extend(j + 1, mask | masks[j], term)
+            (large if is_large or big[j] else small).append(term)
+            extend(j + 1, mask | masks[j], term, is_large or big[j])
 
-    extend(0, 0, 1.0)
-    return LoopSumResult(
-        total=1.0 + math.fsum(terms),
-        loop_count=len(terms),
-        polymer_count=len(polymers),
-    )
+    extend(0, 0, 1.0, False)
+    nodes = [[b for b in range(graph.n + graph.m) if mask >> b & 1] for mask in masks]
+    weights = [abs(k) * math.exp(p.size) for k, p in zip(acts, polymers)]
+    return _loop_sum_result(small, large, len(polymers), _node_load(nodes, weights))
 
 
-def loop_sum_bruteforce(graph: FactorGraph, messages: MessageSet) -> LoopSumResult:
-    """Same total as loop_sum, evaluating every enumerated loop on its own."""
-    loops = enumerate_generalized_loops(graph)
+def loop_sum_bruteforce(
+    graph: FactorGraph, messages: MessageSet, split_lambda: float = 0.5
+) -> LoopSumResult:
+    """Same as loop_sum, evaluating every loop of the 2^|E| subset filter
+    on its own and splitting it into components by union-find."""
     ev = ActivityEvaluator(graph, messages)
-    terms = [ev.value(g.edge_ids) for g in loops]
-    polymer_count = sum(
-        1 for g in loops if len(_edge_components(graph, frozenset(g.edge_ids))) == 1
-    )
-    return LoopSumResult(
-        total=1.0 + math.fsum(terms),
-        loop_count=len(loops),
-        polymer_count=polymer_count,
+    small: list[float] = []
+    large: list[float] = []
+    polymer_nodes: list[set[int]] = []
+    weights: list[float] = []
+    for s in oracle_loops(graph):
+        term = ev.value(tuple(sorted(s)))
+        comps = _edge_components(graph, s)
+        if len(comps) == 1:
+            polymer_nodes.append(comps[0])
+            weights.append(abs(term) * math.exp(len(comps[0])))
+        if any(len(c) >= split_lambda * graph.n for c in comps):
+            large.append(term)
+        else:
+            small.append(term)
+    return _loop_sum_result(
+        small, large, len(polymer_nodes), _node_load(polymer_nodes, weights)
     )
 
 
@@ -343,6 +366,60 @@ def max_factorization_error(
             worst = max(worst, abs(ev.value(merged) - prod))
             checked += 1
     return worst
+
+
+FULL_EXPANSION_MAX_EDGES = 20
+
+
+@dataclass(frozen=True)
+class FullExpansionReport:
+    residual: float
+    subset_count: int
+    max_dangling_activity: float
+
+
+def verify_full_expansion(
+    graph: FactorGraph,
+    messages: MessageSet,
+) -> FullExpansionReport:
+    """Check Z / exp(n f_bethe) = sum over all edge subsets of K(subset).
+
+    Valid for completely arbitrary messages, which is the point: the subset
+    expansion is an identity, not a fixed-point property.  Also reports the
+    largest activity among subsets with a dangling (degree-one) node; at a BP
+    fixed point that maximum collapses to zero.
+    """
+    E = graph.edge_count
+    if E > FULL_EXPANSION_MAX_EDGES:
+        raise TooLargeError(
+            f"full expansion needs 2^{E} subsets; limit is 2^{FULL_EXPANSION_MAX_EDGES}"
+        )
+    f = bethe_free_energy(graph, messages).f_bethe
+    ln_z = brute_force_log_partition(graph).log_z
+    target = math.exp(ln_z - graph.n * f)
+    ev = ActivityEvaluator(graph, messages)
+    terms: list[float] = [1.0]
+    max_dangling = 0.0
+    for bits in range(1, 1 << E):
+        edge_ids = tuple(e for e in range(E) if (bits >> e) & 1)
+        val = ev.value(edge_ids)
+        terms.append(val)
+        var_deg: dict[int, int] = {}
+        check_deg: dict[int, int] = {}
+        for e in edge_ids:
+            i, a = graph.edges[e]
+            var_deg[i] = var_deg.get(i, 0) + 1
+            check_deg[a] = check_deg.get(a, 0) + 1
+        if any(d == 1 for d in var_deg.values()) or any(
+            d == 1 for d in check_deg.values()
+        ):
+            max_dangling = max(max_dangling, abs(val))
+    total = math.fsum(terms)
+    return FullExpansionReport(
+        residual=abs(total - target),
+        subset_count=1 << E,
+        max_dangling_activity=max_dangling,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from loopgas import (
     sample_regular_bipartite,
     solve_fixed_point,
     solve_lambda0,
-    verify_full_expansion,
     verify_high_noise,
     verify_high_temperature_bounds,
     z_star,
@@ -146,7 +145,7 @@ def test_criterion_02_full_expansion_arbitrary_messages(record_criterion):
     for k, graph in enumerate(instances):
         assert graph.edge_count <= 14
         messages = sp.random_messages(graph, seed=100 + k, scale=0.6)
-        report = verify_full_expansion(graph, messages)
+        report = sp.verify_full_expansion(graph, messages)
         assert report.subset_count == 2**graph.edge_count
         worst = max(worst, report.residual)
     ok = len(instances) == 20 and worst <= 1e-9

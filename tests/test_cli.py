@@ -627,6 +627,38 @@ def test_argparse_and_io_exit_codes(tmp_path):
     assert main(["exact", "--graph", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]]}', "lacks the key 'weights'"),
+        ("[1, 2, 3]", "must be an object, not list"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1]], "weights": {"kind": "ldpc", '
+         '"fields": [0.1, 0.2]}}', "wrong shape"),
+        ('{"n": 2, "m": 1, "edges": [], "weights": ["ldpc"]}', "wrong shape"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "ldpc", '
+         '"fields": ["a", "b"]}}', "wrong shape"),
+    ],
+    ids=["no-weights", "top-level-array", "short-edge", "weights-array", "text-field"],
+)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["exact", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["bethe", "verify-identity", "exact"])
+def test_graph_without_variables_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(
+        '{"n": 0, "m": 0, "edges": [], "weights": {"kind": "ldpc", "fields": []}}'
+    )
+    assert main([command, "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n >= 1" in err
+
+
 def test_default_output_is_stdout(tmp_path, capsys):
     path = _sparse_file(tmp_path)
     assert main(["exact", "--graph", path]) == 0

@@ -21,9 +21,7 @@ import support as sp
 
 def _mask_polymer(mask: int) -> lg.Polymer:
     """Synthetic polymer whose only meaningful payload is its node mask."""
-    return lg.Polymer(
-        edge_ids=(), node_mask=mask, size=bin(mask).count("1"), spanning_edges=()
-    )
+    return lg.Polymer(edge_ids=(), node_mask=mask, size=bin(mask).count("1"))
 
 
 def _overlap_polymers(m: int, edges: frozenset[tuple[int, int]]) -> list[lg.Polymer]:

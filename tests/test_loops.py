@@ -119,8 +119,11 @@ def test_loop_activity_degree_profiles_match_edge_ids(builder, args):
 
 def test_enumeration_filters():
     g = _disjoint_cycle_pair()
-    assert len(lg.enumerate_generalized_loops(g, max_edges=4)) == 2
-    assert len(lg.enumerate_generalized_loops(g, max_nodes=4)) == 2
+    # the node cap drops the 8-node union of the two 4-cycles and nothing else
+    loops = lg.enumerate_generalized_loops(g, max_nodes=4)
+    capped = {frozenset(l.edge_ids) for l in loops}
+    assert capped == {s for s in sp.oracle_loops(g) if len(s) <= 4}
+    assert len(capped) == 2
     assert len(lg.enumerate_polymers(g, max_size=3)) == 0
     assert len(lg.enumerate_polymers(g, max_size=4)) == 2
 
@@ -141,27 +144,10 @@ def test_polymer_size_and_span_certificates():
             1 for b in range(g.n, g.n + g.m) if poly.node_mask >> b & 1
         )
         assert poly.size == n_vars + n_checks
-        # spanning certificate: size-1 edges drawn from the polymer that
-        # connect all of its nodes
-        span = poly.spanning_edges
-        assert len(span) == poly.size - 1
-        assert set(span) <= set(poly.edge_ids)
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in span:
-            i, a = g.edges[e]
-            u, v = i, g.n + a
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            parent[find(u)] = find(v)
-        roots = {find(x) for x in parent}
-        assert len(roots) == 1 and len(parent) == poly.size
+        # union-find over the polymer's edges: one component, and its nodes
+        # are exactly the node mask
+        (nodes,) = sp._edge_components(g, frozenset(poly.edge_ids))
+        assert sum(1 << v for v in nodes) == poly.node_mask
         # bipartite edge-count inequality
         assert g.r_max * n_checks >= 2 * n_vars
 
@@ -268,7 +254,7 @@ def test_singular_denominator_detection():
 
 
 # ---------------------------------------------------------------------------
-# the three loop-sum routes
+# the loop sum against its oracles
 
 
 def test_four_cycle_zero_field_loop_sum_is_two():
@@ -279,6 +265,8 @@ def test_four_cycle_zero_field_loop_sum_is_two():
     res = lg.loop_sum_direct(g, zero)
     assert res.total == pytest.approx(2.0, abs=1e-15)
     assert res.loop_count == 1 and res.polymer_count == 1
+    # the one loop touches 4 nodes and carries activity 1
+    assert res.q == pytest.approx(math.exp(4), rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -293,13 +281,18 @@ def test_four_cycle_zero_field_loop_sum_is_two():
 def test_loop_sum_routes_agree_on_arbitrary_messages(builder, args, seed):
     g = builder(*args)
     msgs = sp.random_messages(g, seed=seed)
-    direct = lg.loop_sum_direct(g, msgs)
-    composed = sp.loop_sum(g, msgs)
-    brute = sp.loop_sum_bruteforce(g, msgs)
-    assert direct.total == pytest.approx(composed.total, abs=1e-12)
-    assert direct.total == pytest.approx(brute.total, abs=1e-12)
-    assert direct.loop_count == composed.loop_count == brute.loop_count
-    assert direct.polymer_count == composed.polymer_count == brute.polymer_count
+    for lam in (0.5, 0.9):
+        direct = lg.loop_sum_direct(g, msgs, split_lambda=lam)
+        composed = sp.loop_sum(g, msgs, lam)
+        brute = sp.loop_sum_bruteforce(g, msgs, lam)
+        for oracle in (composed, brute):
+            for field in ("total", "z_small", "r_large"):
+                assert getattr(direct, field) == pytest.approx(
+                    getattr(oracle, field), abs=1e-12
+                ), field
+            assert direct.q == pytest.approx(oracle.q, rel=1e-12)
+        assert direct.loop_count == composed.loop_count == brute.loop_count
+        assert direct.polymer_count == composed.polymer_count == brute.polymer_count
 
 
 def test_loop_sum_budget():
@@ -353,7 +346,7 @@ def test_identity_random_battery():
 
 
 def test_walk_frees_its_leaf_on_return():
-    # verify-identity's leaf appends to lists with one entry per loop; a
+    # loop_sum_direct's leaf appends to lists with one entry per loop; a
     # reference cycle through the walk would keep them alive until the next
     # cyclic collection
     g = sp.ldpc_instance(3, 4, 4, 0.45, 2)
@@ -387,18 +380,21 @@ def test_walk_frees_its_leaf_on_return():
 )
 def test_one_pass_identity_matches_separate_routes(graph):
     bp = lg.solve_fixed_point(graph)
-    direct = lg.loop_sum_direct(graph, bp.messages)
     q = lg.convergence_criterion_q(
         graph, bp.messages, polymers=lg.enumerate_polymers(graph)
     ).q
     for lam in (0.3, 0.5, 0.9, 1.5):
         report = lg.verify_loop_identity(graph, split_lambda=lam)
-        split = lg.split_small_large(graph, bp.messages, lam)
+        direct = lg.loop_sum_direct(graph, bp.messages, split_lambda=lam)
+        brute = sp.loop_sum_bruteforce(graph, bp.messages, lam)
         assert report.ln_loop_sum == math.log(direct.total)
-        assert report.loop_count == direct.loop_count
-        assert report.polymer_count == direct.polymer_count
-        assert report.z_small == split.z_small
-        assert report.r_large == split.r_large
+        assert report.loop_count == direct.loop_count == brute.loop_count
+        assert report.polymer_count == direct.polymer_count == brute.polymer_count
+        assert report.z_small == direct.z_small
+        assert report.r_large == direct.r_large
+        assert report.q == direct.q
+        assert report.z_small == pytest.approx(brute.z_small, abs=1e-12)
+        assert report.r_large == pytest.approx(brute.r_large, abs=1e-12)
         assert report.q == pytest.approx(q, rel=1e-12, abs=0.0)
         assert report.bp_residual == bp.residual
 
@@ -406,7 +402,7 @@ def test_one_pass_identity_matches_separate_routes(graph):
 def test_full_expansion_on_arbitrary_messages():
     for g, seed in [(_four_cycle_ldgm(), 0), (_complete_2_by_3(), 1)]:
         msgs = sp.random_messages(g, seed=seed)
-        report = lg.verify_full_expansion(g, msgs)
+        report = sp.verify_full_expansion(g, msgs)
         assert report.residual <= 1e-9
         assert report.subset_count == 1 << g.edge_count
 
@@ -415,7 +411,7 @@ def test_full_expansion_dangling_terms_die_at_fixed_point():
     g = sp.ldpc_instance(3, 4, 4, 0.3, 4)
     res = lg.solve_fixed_point(g)
     assert res.converged
-    report = lg.verify_full_expansion(g, res.messages)
+    report = sp.verify_full_expansion(g, res.messages)
     assert report.residual <= 1e-9
     assert report.max_dangling_activity <= 1e3 * max(res.residual, 1e-15)
 
@@ -423,7 +419,7 @@ def test_full_expansion_dangling_terms_die_at_fixed_point():
 def test_full_expansion_size_cap():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)  # 24 edges
     with pytest.raises(TooLargeError):
-        lg.verify_full_expansion(g, sp.random_messages(g, seed=0))
+        sp.verify_full_expansion(g, sp.random_messages(g, seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -434,25 +430,27 @@ def test_split_resummation_and_trivial_cutoffs():
     g = sp.ldpc_instance(3, 4, 4, 0.3, 1)
     msgs = sp.random_messages(g, seed=2)
     total = lg.loop_sum_direct(g, msgs).total
-    wide = lg.split_small_large(g, msgs, lam=10.0)
-    assert wide.r_large == 0.0 and wide.large_term_count == 0
-    assert wide.z_small == pytest.approx(total, abs=1e-12)
-    narrow = lg.split_small_large(g, msgs, lam=0.1)
-    assert narrow.z_small == 1.0 and narrow.small_term_count == 0
-    mid = lg.split_small_large(g, msgs, lam=1.5)
-    assert mid.total == pytest.approx(total, abs=1e-12)
+    # every loop is small: its polymers all have fewer than 10 n nodes
+    wide = lg.loop_sum_direct(g, msgs, split_lambda=10.0)
+    assert wide.r_large == 0.0 and wide.z_small == total
+    # every loop is large: each has a polymer of at least 0.1 n nodes
+    narrow = lg.loop_sum_direct(g, msgs, split_lambda=0.1)
+    assert narrow.z_small == 1.0
+    assert narrow.r_large == pytest.approx(total - 1.0, abs=1e-12)
+    mid = lg.loop_sum_direct(g, msgs, split_lambda=1.5)
+    assert mid.total == total
     assert mid.z_small + mid.r_large == pytest.approx(total, abs=1e-12)
+    assert mid.z_small != 1.0 and mid.r_large != 0.0
 
 
 def test_split_matches_component_oracle():
     g = sp.ldpc_instance(2, 4, 6, 0.3, 0)
     msgs = sp.random_messages(g, seed=3)
-    ev = lg.ActivityEvaluator(g, msgs)
     for lam in (0.3, 0.6, 0.9, 1.4):
-        z_small, r_large = sp.oracle_split(g, msgs, lam, ev)
-        res = lg.split_small_large(g, msgs, lam)
-        assert res.z_small == pytest.approx(z_small, abs=1e-12)
-        assert res.r_large == pytest.approx(r_large, abs=1e-12)
+        oracle = sp.loop_sum_bruteforce(g, msgs, lam)
+        res = lg.loop_sum_direct(g, msgs, split_lambda=lam)
+        assert res.z_small == pytest.approx(oracle.z_small, abs=1e-12)
+        assert res.r_large == pytest.approx(oracle.r_large, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -601,27 +599,14 @@ def test_expander_bound_hypothesis():
         lg.expander_activity_bound(g, small, 0.12, params, cert)
 
 
-def test_activity_bound_dispatcher():
-    g = sp.ldgm_instance(3, 6, 9, 0.45, 1)
-    poly = lg.enumerate_polymers(g, max_size=8)[0]
-    zero = lg.MessageSet(
-        kind="ldgm",
-        var_to_check=np.zeros(g.edge_count),
-        check_to_var=np.zeros(g.edge_count),
-    )
-    direct = lg.ldgm_trivial_activity_bound(g, poly, 0.45, zero)
-    routed = lg.activity_bound(g, poly, "ldgm_trivial", p=0.45, messages=zero)
-    assert direct == routed
-    with pytest.raises(ValueError):
-        lg.activity_bound(g, poly, "nonsense")
-
-
 # ---------------------------------------------------------------------------
 # tree exactness report
 
 
 def test_tree_exactness_report():
+    # on a tree there are no loops, so f_bethe is ln Z / n exactly
     g = sp.random_tree(9, 2, "ldgm")
-    gap, count = lg.tree_exactness_report(g)
-    assert count == 0
-    assert abs(gap) <= 1e-10
+    assert lg.enumerate_generalized_loops(g) == []
+    report = lg.verify_loop_identity(g)
+    assert report.loop_count == 0 and report.ln_loop_sum == 0.0
+    assert abs(report.f_bethe - report.ln_z_exact / g.n) <= 1e-10
