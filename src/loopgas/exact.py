@@ -1,20 +1,19 @@
 """Exact references: log partition functions, GF(2) code spaces, and the
 conditional-entropy formulas they plug into.
 
-Two exact routes compute ln Z:
+Both exact routes to ln Z are one sum over a GF(2) linear space, taken by
+_span_log_sum:
 
-- brute force sums over all 2^n spin configurations, for every weight
-  family;
-- the code-space route sums over a GF(2) linear space of dimension k.  For
-  ldpc weights Z is a sum over the 2^k codewords, k = n - rank H.  For ldgm
-  weights the high-temperature expansion gives
+- brute force, for every weight family while n <= EXACT_MAX_BITS, sums over
+  the parity image of the 2^n spin configurations (the codewords for ldpc);
+- the code-space route, for ldpc and ldgm weights at any n while the
+  dimension k stays at most EXACT_MAX_BITS.  For ldpc it is the brute-force
+  sum itself; for ldgm the high-temperature expansion gives
   Z = 2^n prod_a cosh h_a * sum_S prod_{a in S} tanh h_a over the check
   sets S whose variable masks XOR to zero (the dual code).
 
-Both refuse a sum of more than 2^EXACT_MAX_BITS terms before any work.
-Brute force is the oracle: for the code-space route, and for the
-approximate machinery in the sibling modules.  The code-space route gives
-exact values far beyond n = 26 while k stays small.
+Both refuse before any work.  Brute force is the oracle for the
+approximate machinery in the sibling modules.
 """
 
 from __future__ import annotations
@@ -27,25 +26,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import LogDomainError, TooLargeError, WrongWeightKindError
-from .graphs import FactorGraph, GeneralWeights, LdgmWeights, LdpcWeights
+from .graphs import ChannelParams, FactorGraph, LdgmWeights, LdpcWeights, channel_slots
 
-EXACT_MAX_BITS = 26  # both exact routes sum at most 2^26 terms
-_BLOCK_BITS = 18
-_SPAN_BITS = 9  # code-space blocks are 2^9 x 2^9 codewords
+EXACT_MAX_BITS = 26  # brute force takes n <= 26, the code-space route k <= 26
+_SPAN_BITS = 9  # span sums run in blocks of 2^9 x 2^9 points
 
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """log Z together with the peak log-weight seen (overflow diagnostics)."""
+    """log Z and the largest log weight of one configuration (overflow checks)."""
 
     log_z: float
     n: int
     max_log_weight: float
-
-
-def _parity(x: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of the bits of x & mask, as uint8 in {0, 1}."""
-    return (np.bitwise_count(x & np.uint64(mask)) & np.uint8(1)).astype(np.uint8)
 
 
 def _check_masks(graph: FactorGraph) -> list[int]:
@@ -58,79 +51,53 @@ def _check_masks(graph: FactorGraph) -> list[int]:
     return masks
 
 
-def _block_log_weights(
-    graph: FactorGraph, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log weights of configurations lo..hi-1 and their validity mask.
-
-    Configurations are bit patterns x over variables with spin
-    s_i = (-1)^{x_i}; invalid rows (violated ldpc parity) are flagged False
-    and their log weight is meaningless.
-    """
-    x = np.arange(lo, hi, dtype=np.uint64)
+def _live_terms(graph: FactorGraph) -> list[tuple[tuple[int, ...], float]]:
+    """(variables, coefficient) of the weight terms with coef_t != 0, where
+    log w(s) = sum_t coef_t prod_{i in t} s_i: the ldgm checks with their
+    fields, or the general coupling subsets with beta J."""
     w = graph.weights
-    valid = np.ones(hi - lo, dtype=bool)
-    if isinstance(w, LdpcWeights):
-        logw = np.full(hi - lo, math.fsum(w.variable_fields))
-        for a, mask in enumerate(_check_masks(graph)):
-            valid &= _parity(x, mask) == 0
-        for i, h in enumerate(w.variable_fields):
-            if h != 0.0:
-                logw -= (2.0 * h) * ((x >> np.uint64(i)) & np.uint64(1)).astype(
-                    np.float64
-                )
-    elif isinstance(w, LdgmWeights):
-        logw = np.zeros(hi - lo)
-        for a, mask in enumerate(_check_masks(graph)):
-            h = w.check_fields[a]
-            if h != 0.0:
-                logw += h * (1.0 - 2.0 * _parity(x, mask).astype(np.float64))
+    if isinstance(w, LdgmWeights):
+        terms = [(graph.check_neighbors(a), h) for a, h in enumerate(w.check_fields)]
     else:
-        assert isinstance(w, GeneralWeights)
-        logw = np.zeros(hi - lo)
-        for terms in w.couplings:
-            for subset, j in terms:
-                if j == 0.0:
-                    continue
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                logw += (w.beta * j) * (
-                    1.0 - 2.0 * _parity(x, mask).astype(np.float64)
-                )
-    return logw, valid
+        terms = [(subset, w.beta * j) for check in w.couplings for subset, j in check]
+    return [(support, coef) for support, coef in terms if coef != 0.0]
+
+
+def _term_rows(n: int, terms: list[tuple[tuple[int, ...], float]]) -> list[int]:
+    """Row i: the terms (by position) whose variables include i."""
+    rows = [0] * n
+    for pos, (support, _coef) in enumerate(terms):
+        for i in support:
+            rows[i] |= 1 << pos
+    return rows
 
 
 def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
-    """ln Z by exhaustive enumeration of all 2^n spin configurations.
+    """ln Z over all 2^n spin configurations, summed over their parity image.
 
-    Uses a two-pass max-shifted log-sum-exp with block partial sums combined
-    by exact summation in a fixed block order, so the result is deterministic
-    and insensitive to block size.
+    With s_i = (-1)^{x_i}, a weight term prod_{i in t} s_i is (-1)^{y_t} for
+    the parity y_t of x on t, so log w(x) = sum_t coef_t (1 - 2 y_t)
+    depends on x only through y = xM, M the variable-by-term incidence.
+    ldpc: the terms are the variable fields and only codewords have weight,
+    so y runs over the codewords.  ldgm and general: y runs over the row
+    space of M, and each y stands for 2^(n - rank M) configurations.
 
     Raises TooLargeError for n > EXACT_MAX_BITS.
     """
     n = graph.n
     if n > EXACT_MAX_BITS:
         raise TooLargeError(f"n = {n} exceeds the exhaustive cap {EXACT_MAX_BITS}")
-    total = 1 << n
-    block = 1 << _BLOCK_BITS
-
-    peak = -math.inf
-    for lo in range(0, total, block):
-        logw, valid = _block_log_weights(graph, lo, min(lo + block, total))
-        if valid.any():
-            peak = max(peak, float(logw[valid].max()))
-    if peak == -math.inf:
-        raise WrongWeightKindError("no configuration has positive weight")
-
-    partials = []
-    for lo in range(0, total, block):
-        logw, valid = _block_log_weights(graph, lo, min(lo + block, total))
-        partials.append(float(np.exp(logw[valid] - peak).sum()))
-    return PartitionReport(
-        log_z=peak + math.log(math.fsum(partials)), n=n, max_log_weight=peak
-    )
+    if isinstance(graph.weights, LdpcWeights):
+        basis, w, _neg, offset = _code_space(graph)
+        free = 0  # one configuration per codeword
+    else:
+        terms = _live_terms(graph)
+        basis = list(_reduced_rows(_term_rows(n, terms)).values())
+        w = np.array([-2.0 * coef for _support, coef in terms])
+        offset = math.fsum(coef for _support, coef in terms)
+        free = n - len(basis)
+    ln_sum, top = _span_log_sum(basis, w, 0, offset)
+    return PartitionReport(log_z=ln_sum + free * math.log(2.0), n=n, max_log_weight=top)
 
 
 def _reduced_rows(rows: list[int]) -> dict[int, int]:
@@ -238,14 +205,9 @@ def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
         return basis, weights, 0, math.fsum(w.variable_fields)
     if not isinstance(w, LdgmWeights):
         raise WrongWeightKindError("the code-space route needs ldpc or ldgm weights")
-    live = [a for a, h in enumerate(w.check_fields) if h != 0.0]
-    # row i: the live checks (by position in live) that variable i feeds
-    rows = [0] * graph.n
-    for pos, a in enumerate(live):
-        for i in graph.check_neighbors(a):
-            rows[i] |= 1 << pos
-    basis = _capped_null_space(rows, len(live))  # k >= live checks - n
-    fields = [w.check_fields[a] for a in live]
+    live = _live_terms(graph)
+    basis = _capped_null_space(_term_rows(graph.n, live), len(live))  # k >= live - n
+    fields = [h for _support, h in live]
     weights = np.array([_ln_abs_tanh(h) for h in fields])
     neg = sum(1 << pos for pos, h in enumerate(fields) if h < 0.0)
     offset = graph.n * math.log(2.0) + math.fsum(_ln_cosh(h) for h in w.check_fields)
@@ -278,11 +240,14 @@ def _span_rows(
     return rows, signs
 
 
-def _span_log_sum(basis: list[int], w: np.ndarray, neg: int, offset: float) -> float:
-    """offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c).
+def _span_log_sum(
+    basis: list[int], w: np.ndarray, neg: int, offset: float
+) -> tuple[float, float]:
+    """(offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c),
+    offset + max_c w . c).
 
     The low basis vectors index the rows and the middle ones the columns of
-    blocks of at most 2^_SPAN_BITS x 2^_SPAN_BITS codewords; the high ones
+    blocks of at most 2^_SPAN_BITS x 2^_SPAN_BITS points; the high ones
     run in an outer loop.  With c = r xor s,
     w . c = w . r + w . s - 2 w . (r and s), so a block is one matrix
     product.  Each block is scaled by its own peak, and the scaled block
@@ -320,7 +285,7 @@ def _span_log_sum(basis: list[int], w: np.ndarray, neg: int, offset: float) -> f
     total = math.fsum(s * math.exp(p - peak) for p, s in zip(peaks, partials))
     if not total > 0.0:
         raise LogDomainError(f"signed code-space sum {total} is not positive")
-    return offset + peak + math.log(total)
+    return offset + peak + math.log(total), offset + peak
 
 
 def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
@@ -343,7 +308,8 @@ def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
         raise TooLargeError(
             f"code-space dimension k = {k} exceeds the exhaustive cap {EXACT_MAX_BITS}"
         )
-    return CodeSpaceReport(log_z=_span_log_sum(basis, w, neg, offset), k=k)
+    log_z, _top = _span_log_sum(basis, w, neg, offset)
+    return CodeSpaceReport(log_z=log_z, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +360,14 @@ def channel_average(
     enumerated exactly when k <= exhaustive_limit, otherwise a seeded Monte
     Carlo estimate with its standard error is returned.  At p = 1/2 the
     fields vanish and a single evaluation suffices.
+
+    Raises ValueError for p outside (0, 1/2] or mc_samples < 1, and
+    WrongWeightKindError for general weights, before value_fn is called.
     """
-    kind = graph.weights.kind
-    if kind == "ldpc":
-        count = graph.n
-    elif kind == "ldgm":
-        count = graph.m
-    else:
-        raise WrongWeightKindError("channel averaging needs ldpc or ldgm weights")
-    h = 0.5 * math.log((1.0 - p) / p)
-
-    def with_fields(fields: tuple[float, ...]) -> FactorGraph:
-        import dataclasses
-
-        if kind == "ldpc":
-            return dataclasses.replace(
-                graph, weights=LdpcWeights(variable_fields=fields)
-            )
-        return dataclasses.replace(graph, weights=LdgmWeights(check_fields=fields))
+    h = ChannelParams(p=p).h
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+    count, with_fields = channel_slots(graph)
 
     if h == 0.0:
         val = value_fn(with_fields((0.0,) * count))

@@ -23,7 +23,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -590,31 +590,38 @@ def attach_random_general_weights(
     return build_factor_graph(graph.n, graph.m, graph.edges, weights, meta=meta)
 
 
+def channel_slots(graph: FactorGraph) -> tuple[int, Callable[[tuple], FactorGraph]]:
+    """Where a channel puts its fields: (count, with_fields).
+
+    An ldpc graph takes n variable fields and an ldgm graph m check fields;
+    with_fields(fields) is the graph with its weights replaced by them.
+    General-weight graphs are rejected (their couplings are not
+    channel-generated).
+    """
+    kind = graph.weights.kind
+    if kind == "ldpc":
+        count, weights_of = graph.n, LdpcWeights
+    elif kind == "ldgm":
+        count, weights_of = graph.m, LdgmWeights
+    else:
+        raise WrongWeightKindError("channel fields need ldpc or ldgm weights")
+    return count, lambda fields: dataclasses.replace(graph, weights=weights_of(fields))
+
+
 def apply_channel(graph: FactorGraph, p: float, seed: int) -> FactorGraph:
     """Draw channel sign flips and install fields of magnitude h(p).
 
     For ldpc graphs the n variable fields are set to +-h, for ldgm graphs
-    the m check fields; each sign is -h with probability p, independently.
-    General-weight graphs are rejected (their couplings are not
-    channel-generated).
+    the m check fields (see channel_slots); each sign is -h with
+    probability p, independently.
     """
-    channel = ChannelParams(p=p)
-    h = channel.h
+    h = ChannelParams(p=p).h
     rng = random.Random(seed)
-    kind = graph.weights.kind
-    if kind == "ldpc":
-        fields = tuple(-h if rng.random() < p else h for _ in range(graph.n))
-        weights: WeightSpec = LdpcWeights(variable_fields=fields)
-    elif kind == "ldgm":
-        fields = tuple(-h if rng.random() < p else h for _ in range(graph.m))
-        weights = LdgmWeights(check_fields=fields)
-    else:
-        raise WrongWeightKindError(
-            "apply_channel supports ldpc and ldgm weights only"
-        )
+    count, with_fields = channel_slots(graph)
+    noisy = with_fields(tuple(-h if rng.random() < p else h for _ in range(count)))
     meta = dict(graph.meta)
     meta["channel"] = {"p": p, "seed": seed}
-    return dataclasses.replace(graph, weights=weights, meta=meta)
+    return dataclasses.replace(noisy, meta=meta)
 
 
 # ---------------------------------------------------------------------------

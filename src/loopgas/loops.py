@@ -397,20 +397,18 @@ def max_node_load(node_count: int, masks, weights) -> float:
 
 def enumerate_generalized_loops(
     graph: FactorGraph,
-    max_nodes: int | None = None,
     budget: int = 10_000_000,
 ) -> list[Polymer]:
     """All nonempty edge subsets with every touched node of induced degree >= 2.
 
-    Sorted by (edge count, edge ids); the node cap and the budget are the
-    walk's.
+    Sorted by (edge count, edge ids); the budget is the walk's.
     """
     out: list[Polymer] = []
 
     def leaf(_prod: float, blocks) -> None:
         out.append(_loop_record(blocks))
 
-    _walk(graph, leaf, budget, max_nodes=max_nodes)
+    _walk(graph, leaf, budget)
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
 

@@ -569,6 +569,30 @@ def test_trend_past_the_brute_force_cap(tmp_path, record_criterion):
     )
 
 
+def test_entropy_refuses_bad_p_and_samples_before_any_sum(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_code_space(*args):
+        calls.append(1)
+        return code_space_log_partition(*args)
+
+    monkeypatch.setattr("loopgas.cli.code_space_log_partition", counting_code_space)
+    common = [
+        "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+        "--n", "8", "--instances", "2", "--seed", "0", "--threads", "1",
+        "--out", str(tmp_path / "entropy.json"),
+    ]
+    for p in ("0", "1", "0.7"):
+        capsys.readouterr()
+        assert main(common + ["--p", p]) == 2
+        assert f"error: p must lie in (0, 1/2], got {float(p)}" in capsys.readouterr().err
+    rc = main(common + ["--p", "0.45", "--exhaustive-limit", "0", "--mc-samples", "0"])
+    assert rc == 2
+    assert "error: mc_samples must be at least 1, got 0" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "entropy.json").exists()
+
+
 def test_entropy_symmetric_channel_matches_code_dimension(tmp_path):
     out = str(tmp_path / "entropy.json")
     rc = main([

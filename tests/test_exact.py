@@ -64,6 +64,32 @@ def test_brute_force_rejects_too_many_variables():
         (sp.ldgm_instance, (2, 4, 8, 0.45, 3)),
         (sp.general_instance, (3, 4, 8, 0.25, 4)),
         (sp.general_instance, (2, 4, 6, 0.15, 5)),
+        # ldgm where variable 3 feeds no check: the term map has rank 3 < n
+        (
+            lg.build_factor_graph,
+            (4, 2, [(0, 0), (1, 0), (1, 1), (2, 1)], lg.LdgmWeights((0.3, -0.7))),
+        ),
+        # general weights with a zero coupling in each check
+        (
+            lg.build_factor_graph,
+            (
+                3,
+                2,
+                [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1)],
+                lg.GeneralWeights(
+                    0.8,
+                    (
+                        (((0, 1), 0.5), ((0, 1, 2), 0.0), ((2,), -0.3)),
+                        (((1, 2), 0.0), ((1,), 0.4)),
+                    ),
+                ),
+            ),
+        ),
+        # ldgm without checks: every configuration has weight 1, Z = 2^n
+        (lg.build_factor_graph, (5, 0, [], lg.LdgmWeights(()))),
+        # fields +-40 on two checks of one variable: Z = 2, where the signed
+        # code-space sum cancels (test_code_space_cancellation_raises)
+        (lg.build_factor_graph, (1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((40.0, -40.0)))),
     ],
 )
 def test_brute_force_matches_pure_python_oracle(builder, args):
@@ -166,8 +192,13 @@ CODE_SPACE_PS = (1e-3, 0.05, 0.45, 0.5)
 
 
 def _agrees_with_brute_force(g):
+    # for ldpc both library routes are one codeword sum: check against the
+    # codeword listing instead
     report = lg.code_space_log_partition(g)
-    want = lg.brute_force_log_partition(g).log_z
+    if g.weights.kind == "ldpc":
+        want = sp.oracle_ldpc_log_z(g)
+    else:
+        want = lg.brute_force_log_partition(g).log_z
     assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
     return report
 
@@ -240,7 +271,7 @@ def test_code_space_beyond_one_word(p):
     parts = [sp.ldpc_instance(3, 4, 12, p, s, chan_seed=s) for s in range(6)]
     g = sp.disjoint_union(parts, seed=1)
     report = lg.code_space_log_partition(g)
-    want = math.fsum(lg.brute_force_log_partition(q).log_z for q in parts)
+    want = math.fsum(sp.oracle_ldpc_log_z(q) for q in parts)
     assert g.n == 72 and report.k == sum(lg.codeword_count_gf2(q) for q in parts)
     assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -311,6 +342,23 @@ def test_code_space_rank_bound_refuses_before_elimination(monkeypatch):
 
 def _free_energy(g):
     return lg.brute_force_log_partition(g).log_z / g.n
+
+
+def test_channel_average_refuses_bad_p_and_samples_before_any_work():
+    g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
+    calls = []
+
+    def counting(graph):
+        calls.append(1)
+        return _free_energy(graph)
+
+    for p in (0.0, 1.0, 0.7):
+        with pytest.raises(ValueError, match=r"p must lie in \(0, 1/2\]"):
+            lg.channel_average(g, p, counting)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"mc_samples must be at least 1, got {samples}"):
+            lg.channel_average(g, 0.3, counting, exhaustive_limit=0, mc_samples=samples)
+    assert calls == []
 
 
 def test_channel_average_degenerate_at_half():

@@ -118,14 +118,17 @@ def test_loop_activity_degree_profiles_match_edge_ids(builder, args):
 
 
 def test_enumeration_filters():
-    g = _disjoint_cycle_pair()
-    # the node cap drops the 8-node union of the two 4-cycles and nothing else
-    loops = lg.enumerate_generalized_loops(g, max_nodes=4)
-    capped = {frozenset(l.edge_ids) for l in loops}
-    assert capped == {s for s in sp.oracle_loops(g) if len(s) <= 4}
-    assert len(capped) == 2
-    assert len(lg.enumerate_polymers(g, max_size=3)) == 0
-    assert len(lg.enumerate_polymers(g, max_size=4)) == 2
+    # the size cap keeps exactly the connected loops touching at most k nodes
+    for graph in (_disjoint_cycle_pair(), sp.ldpc_instance(3, 4, 4, 0.3, 1)):
+        sizes = {
+            s: sum(map(len, sp._edge_components(graph, s)))
+            for s in sp.oracle_polymers(graph)
+        }
+        for k in range(graph.n + graph.m + 1):
+            capped = lg.enumerate_polymers(graph, max_size=k)
+            assert {frozenset(p.edge_ids) for p in capped} == {
+                s for s, size in sizes.items() if size <= k
+            }, k
 
 
 def test_enumeration_respects_budget():
