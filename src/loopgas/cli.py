@@ -396,7 +396,9 @@ def _trend_instance(args, job: tuple[int, int]) -> tuple[float, float, bool]:
 
 def _map_instances(worker, args, n: int) -> list:
     """worker(args, (n, index)) for every instance index, in index order,
-    on args.threads processes."""
+    on args.threads processes; refuses fewer than one instance up front."""
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     jobs = [(n, index) for index in range(args.instances)]
     if args.threads <= 1 or len(jobs) <= 1:
         return [worker(args, job) for job in jobs]

@@ -290,7 +290,8 @@ def _q_from_weights(
     weights: list[float],
     size_cutoff: int | None,
 ) -> QReport:
-    q = max_node_load(graph.n + graph.m, (p.node_mask for p in polymers), weights)
+    words = _node_words([p.node_mask for p in polymers]).T
+    q = max_node_load(graph.n + graph.m, words, np.array(weights, dtype=np.float64))
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 

@@ -11,10 +11,18 @@ node has induced degree at least two.
 Polymers are connected generalized loops; every generalized loop is a disjoint
 union of polymers and its activity factorizes over them.
 
-One depth-first walk visits every generalized loop, carrying its activity
-when asked.  Enumeration (with or without activities) and the loop sum with
-its small/large split are leaf functions over that walk; the identity check
-adds brute-force ln Z, BP and the Bethe free energy to the loop sum.
+One walk visits every generalized loop, carrying its activity when asked.
+It goes one check at a time over a numpy frontier of partial choices, and
+keeps the (state, option) pairs state-major.  Its leaves therefore come out
+in depth-first order: the lexicographic order of the per-check options, with
+the empty option first.  That order is part of the output, because q adds
+each node's weights in it.  The frontier is expanded, and the leaves handed
+on, in chunks of _CHUNK, which bounds the temporaries.  The visit budget is
+checked at every chunk boundary, so an over-budget walk is refused after at
+most one chunk more than the budget.  Enumeration (with or without
+activities) and the loop sum with its small/large split read the leaf
+arrays chunk by chunk.  The identity check adds brute-force ln Z, BP and the
+Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -205,190 +213,292 @@ class ActivityEvaluator:
 # ---------------------------------------------------------------------------
 # the loop walk
 
+# Frontier expansions (state, option pairs) processed at once, and leaves
+# handed to a consumer at once.  Bounds the walk's temporaries; the visit
+# budget is checked after each chunk.
+_CHUNK = 1 << 14
 
-def _check_block_options(graph: FactorGraph) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """Per check: the locally admissible edge subsets (size != 1).
 
-    Every option is (node_mask, edge_ids), the mask holding the check and
-    its chosen variables (0 for the empty option), ordered empty-first then
-    by (size, ids), so the depth-first walk below is deterministic.
+def _check_options(graph: FactorGraph, a: int) -> np.ndarray:
+    """Check a's locally admissible edge subsets (size != 1).
+
+    A bool (options, degree) matrix over check_edges[a], one row per subset:
+    the empty subset first, then by (size, edge positions).  The walk
+    branches in this order, which fixes its leaf order.
     """
-    options = []
-    for a in range(graph.m):
-        eids = graph.check_edges[a]
-        opts: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        for k in range(2, len(eids) + 1):
-            for combo in itertools.combinations(eids, k):
-                mask = 1 << (graph.n + a)
-                for e in combo:
-                    mask |= 1 << graph.edges[e][0]
-                opts.append((mask, combo))
-        options.append(opts)
-    return options
+    d = len(graph.check_edges[a])
+    combos = [c for k in range(2, d + 1) for c in itertools.combinations(range(d), k)]
+    out = np.zeros((1 + len(combos), d), dtype=bool)
+    for row, combo in enumerate(combos, start=1):
+        out[row, list(combo)] = True
+    return out
+
+
+class _Leaves:
+    """The leaves of one walk: every choice of one option per check that
+    survived it, in depth-first order.
+
+    levels[a] = (parent, option): for each state after check a, its parent's
+    index among the states after check a - 1 (the single root before check
+    0) and its option index at check a.  prod holds each leaf's activity;
+    visits counts every state, the root included.
+
+    Arrays over loops keep the loops on their last axis, so that reductions
+    over checks or mask words run across whole rows.
+    """
+
+    def __init__(
+        self,
+        graph: FactorGraph,
+        options: list[np.ndarray],
+        levels: list[tuple[np.ndarray, np.ndarray]],
+        prod: np.ndarray,
+        visits: int,
+    ) -> None:
+        self.graph = graph
+        self.options = options
+        self.levels = levels
+        self.prod = prod
+        self.visits = visits
+        # (words, options) node masks per check: variable i is bit i and
+        # check a bit n + a, bit b in word b // 64
+        words = max(1, (graph.n + graph.m + 63) // 64)
+        self.option_words = []
+        for a, opts in enumerate(options):
+            table = np.zeros((words, len(opts)), dtype=np.uint64)
+            nodes = [graph.n + a] + [graph.edges[e][0] for e in graph.check_edges[a]]
+            for node, member in zip(nodes, [opts.any(axis=1), *opts.T]):
+                table[node >> 6, member] |= np.uint64(1 << (node & 63))
+            self.option_words.append(table)
+
+    def loops(self):
+        """(choices, activities) of the nonempty leaves, chunk by chunk in
+        walk order; choices[a, j] is loop j's option index at check a,
+        rebuilt by backtracking through the levels."""
+        m = len(self.levels)
+        for start in range(0, len(self.prod), _CHUNK):
+            stop = min(start + _CHUNK, len(self.prod))
+            idx = np.arange(start, stop)
+            choices = np.empty((m, stop - start), dtype=np.intp)
+            for a in range(m - 1, -1, -1):
+                parent, option = self.levels[a]
+                choices[a] = option[idx]
+                idx = parent[idx]
+            rows = np.flatnonzero(choices.any(axis=0))
+            if len(rows):
+                yield choices[:, rows], self.prod[start:stop][rows]
+
+    def blocks(self, choices: np.ndarray) -> np.ndarray:
+        """(words, checks, loops) node masks of each loop's check blocks; a
+        check outside the loop has an all-zero block."""
+        return np.stack(
+            [table[:, choices[a]] for a, table in enumerate(self.option_words)], axis=1
+        )
+
+    def records(self, choices: np.ndarray, blocks: np.ndarray) -> list[Polymer]:
+        """Polymer records of the given loops, edge ids in check order."""
+        included = np.concatenate(
+            [opts[choices[a]] for a, opts in enumerate(self.options)], axis=1
+        )
+        order = np.array([e for eids in self.graph.check_edges for e in eids], dtype=np.intp)
+        edge_ids = order[included.nonzero()[1]].tolist()
+        ends = np.cumsum(included.sum(axis=1)).tolist()
+        union = np.bitwise_or.reduce(blocks, axis=1)
+        sizes = np.bitwise_count(union).sum(axis=0).tolist()
+        masks = union[0].tolist()
+        for w in range(1, len(union)):
+            masks = [low | high << (64 * w) for low, high in zip(masks, union[w].tolist())]
+        edge_tuples = [tuple(edge_ids[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+        return list(map(Polymer, edge_tuples, masks, sizes))
+
+    def profiles(self, choices: np.ndarray, blocks: np.ndarray, shared: dict) -> list[tuple]:
+        """(variable, check) degree profiles of the given loops.
+
+        A profile lists (degree, node count) by increasing degree; a check's
+        degree is its block's edge count, a variable's the number of blocks
+        holding it.  shared maps each profile pair seen so far to one copy.
+        """
+        graph = self.graph
+        var_deg = np.stack(
+            [(blocks[i >> 6] >> (i & 63) & 1).sum(axis=0) for i in range(graph.n)]
+        )
+        check_deg = np.stack(
+            [opts.sum(axis=1)[choices[a]] for a, opts in enumerate(self.options)]
+        )
+        var_degrees = range(1, graph.l_max + 1)
+        check_degrees = range(2, graph.r_max + 1)
+        hist = np.stack(
+            [(var_deg == d).sum(axis=0) for d in var_degrees]
+            + [(check_deg == d).sum(axis=0) for d in check_degrees],
+            axis=1,
+        )
+        out = []
+        for key in map(tuple, hist.tolist()):
+            if key not in shared:
+                counts = key[: len(var_degrees)], key[len(var_degrees) :]
+                shared[key] = tuple(
+                    tuple((d, c) for d, c in zip(degrees, part) if c)
+                    for degrees, part in zip((var_degrees, check_degrees), counts)
+                )
+            out.append(shared[key])
+        return out
 
 
 def _walk(
     graph: FactorGraph,
-    leaf,
     budget: int,
     evaluator: ActivityEvaluator | None = None,
     max_nodes: int | None = None,
-) -> None:
-    """Visit every generalized loop once, calling leaf(activity, blocks).
+) -> _Leaves:
+    """Visit every generalized loop once, one check level at a time.
 
-    Checks are processed in index order; each picks one locally admissible
-    edge subset.  A branch dies as soon as a variable whose checks are all
-    decided has induced degree one, or the touched nodes exceed max_nodes;
-    every visited state counts against the budget.  With an evaluator the
-    activity is built up on the way down: each check contributes a factor
-    depending only on its own included-edge subset, each variable a factor
-    looked up by its included edges once its last check is decided.  Without
-    one it stays 1.  blocks holds the nonempty check blocks as (node_mask,
-    edge_ids) in check order; the list is reused across calls and must not be
-    retained.
+    Checks are processed in index order; each state of the frontier is
+    crossed with every locally admissible edge subset of the next check, and
+    the surviving (state, option) pairs are kept state-major, so the leaves
+    come out in depth-first order (empty option first, see _check_options).
+    A state dies as soon as a variable whose checks are all decided has
+    induced degree one, or the touched nodes exceed max_nodes.  The frontier
+    holds each state's activity and the included-edge bits of the variables
+    still open; with an evaluator the activity is built up on the way down:
+    prod * check factor, then times each closing variable's factor looked up
+    by its included edges, in the fixed closing order.  Without one it stays
+    1.  Each level keeps only (parent, option) per state, from which
+    _Leaves rebuilds the leaves.
+
+    The frontier is expanded in chunks of at most _CHUNK pairs, and every
+    surviving state counts against the budget: BudgetExceededError is raised
+    at the first chunk boundary where the visits exceed it, so exactly when
+    the walk would visit more than budget states.
     """
-    n_cap = graph.n + graph.m if max_nodes is None else max_nodes
-    # the node tally only matters when the cap can bind; the uncapped walks
-    # behind the loop sums skip it to keep each visit cheap
-    capped = n_cap < graph.n + graph.m
-    options = _check_block_options(graph)
-    # variables whose last incident check is a, to finalize after level a
-    finalize: list[list[int]] = [[] for _ in range(graph.m)]
-    for i, eids in enumerate(graph.var_edges):
-        if eids:
-            finalize[max(graph.edges[e][1] for e in eids)].append(i)
-    var_bit: dict[int, tuple[int, int]] = {}
-    for i, eids in enumerate(graph.var_edges):
-        for k, e in enumerate(eids):
-            var_bit[e] = (i, 1 << k)
-    # factor tables: per variable by included-edge bits, per check option
-    var_table: list[list[float]] = []
+    n, m = graph.n, graph.m
+    n_cap = n + m if max_nodes is None else max_nodes
+    # the node tally only matters when the cap can bind
+    capped = n_cap < n + m
+    options = [_check_options(graph, a) for a in range(m)]
+    last_check = [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
+    local_bit = {e: 1 << k for eids in graph.var_edges for k, e in enumerate(eids)}
+    bits_dtype = np.min_scalar_type((1 << graph.l_max) - 1)
+    single = np.bitwise_count(np.arange(1 << graph.l_max)) == 1
+    # per variable, its factor by included-edge bits (1 for none)
+    var_table = []
     for i, eids in enumerate(graph.var_edges):
         row = [1.0] * (1 << len(eids))
         if evaluator is not None:
-            for bits in range(1, len(row)):
-                subset = {e for k, e in enumerate(eids) if (bits >> k) & 1}
-                row[bits] = evaluator.var_factor(i, subset)
-        var_table.append(row)
-    # per check: (factor, [(var, bit), ...], block)
-    rows: list[list[tuple[float, list[tuple[int, int]], tuple[int, tuple[int, ...]]]]] = []
+            for mk in range(1, len(row)):
+                row[mk] = evaluator.var_factor(i, {e for k, e in enumerate(eids) if mk >> k & 1})
+        var_table.append(np.array(row))
+
+    open_vars: list[int] = []  # frontier column -> variable
+    bits = np.zeros((1, 0), dtype=bits_dtype)
+    prod = np.ones(1)
+    nodes = np.zeros(1, dtype=np.min_scalar_type(n + m))
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
+    visits = 1
+    if visits > budget:
+        raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
     for a, opts in enumerate(options):
-        rows.append(
-            [
-                (
-                    evaluator.check_factor(a, set(eids))
-                    if evaluator is not None and eids
-                    else 1.0,
-                    [var_bit[e] for e in eids],
-                    (mask, eids),
-                )
-                for mask, eids in opts
-            ]
-        )
-
-    var_inc = [0] * graph.n
-    blocks: list[tuple[int, tuple[int, ...]]] = []
-    visits = 0
-    m = graph.m
-
-    def dfs(a: int, prod: float, node_mask: int) -> None:
-        nonlocal visits
-        visits += 1
-        if visits > budget:
-            raise BudgetExceededError(
-                f"loop walk exceeded budget of {budget} visits"
-            )
-        if a == m:
-            if blocks:
-                leaf(prod, blocks)
-            return
-        grown = node_mask
-        for factor, bits, block in rows[a]:
+        eids = graph.check_edges[a]
+        check_vars = [graph.edges[e][0] for e in eids]
+        cols = open_vars + [i for i in check_vars if i not in open_vars]
+        col = {i: c for c, i in enumerate(cols)}
+        bits = np.pad(bits, ((0, 0), (0, len(cols) - bits.shape[1])))
+        var_cols = [col[i] for i in check_vars]
+        flips = (opts * np.array([local_bit[e] for e in eids], dtype=np.intp)).astype(bits_dtype)
+        factor = np.ones(len(opts))
+        if evaluator is not None:
+            for o in range(1, len(opts)):
+                factor[o] = evaluator.check_factor(a, {e for e, x in zip(eids, opts[o]) if x})
+        # closing variables in index order, the order their factors multiply in
+        closing = [(col[i], var_table[i]) for i in sorted(cols) if last_check[i] == a]
+        staying = np.array([c for c, i in enumerate(cols) if last_check[i] != a], dtype=np.intp)
+        states = len(prod)
+        per_chunk = max(1, _CHUNK // len(opts))
+        parts = []
+        for start in range(0, max(states, 1), per_chunk):
+            parent = np.repeat(np.arange(start, min(start + per_chunk, states)), len(opts))
+            option = np.tile(np.arange(len(opts)), len(parent) // len(opts))
+            child = bits[parent]
+            alive = np.ones(len(parent), dtype=bool)
+            grown = nodes[parent]
             if capped:
-                grown = node_mask | block[0]
-                if grown.bit_count() > n_cap:
-                    continue
-            for i, bit in bits:
-                var_inc[i] ^= bit
-            p2 = prod * factor
-            dead = False
-            for i in finalize[a]:
-                mk = var_inc[i]
-                if mk:
-                    if mk.bit_count() == 1:
-                        dead = True
-                        break
-                    p2 *= var_table[i][mk]
-            if not dead:
-                if bits:
-                    blocks.append(block)
-                    dfs(a + 1, p2, grown)
-                    blocks.pop()
-                else:
-                    dfs(a + 1, p2, grown)
-            for i, bit in bits:
-                var_inc[i] ^= bit
-
-    try:
-        dfs(0, 1.0, 0)
-    finally:
-        # dfs refers to itself; without the cycle, leaf and what it holds are
-        # freed on return instead of at the next cyclic garbage collection
-        del dfs
+                grown = grown + (option > 0)
+                for k, c in enumerate(var_cols):
+                    grown += opts[option, k] & (child[:, c] == 0)
+                alive = grown <= n_cap
+            for k, c in enumerate(var_cols):
+                child[:, c] ^= flips[option, k]
+            p = prod[parent] * factor[option]
+            for c, table in closing:
+                mk = child[:, c]
+                alive &= ~single[mk]
+                p = p * table[mk]
+            keep = np.flatnonzero(alive)
+            visits += len(keep)
+            if visits > budget:
+                raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
+            parts.append((parent[keep], option[keep], child[np.ix_(keep, staying)], p[keep], grown[keep]))
+        parent, option, bits, prod, nodes = (np.concatenate(x) for x in zip(*parts))
+        levels.append(
+            (
+                parent.astype(np.min_scalar_type(max(states - 1, 0))),
+                option.astype(np.min_scalar_type(len(opts) - 1)),
+            )
+        )
+        open_vars = [cols[c] for c in staying.tolist()]
+    return _Leaves(graph, options, levels, prod, visits)
 
 
-def _components(
-    blocks: list[tuple[int, tuple[int, ...]]],
-) -> list[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
-    """Connected components of check blocks joined through shared variables.
+def _peel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component count and largest component size of each loop.
 
-    Each component is (node mask, its blocks in merge order): every block
-    after the first shares a variable with the ones before it.
+    blocks is (words, checks, loops) as from _Leaves.blocks; two blocks
+    connect when they share a variable.  Each pass peels one component off
+    every loop that has blocks left: seeded with its first block left, the
+    component absorbs the blocks left that meet it until none joins.
     """
-    comps = []
-    rest = blocks
-    while rest:
-        pool = rest[0][0]
-        members = [rest[0]]
-        rest = rest[1:]
-        grew = True
-        while grew:
-            grew = False
-            nxt = []
-            for b in rest:
-                if b[0] & pool:
-                    pool |= b[0]
-                    members.append(b)
-                    grew = True
-                else:
-                    nxt.append(b)
-            rest = nxt
-        comps.append((pool, members))
-    return comps
+    left = blocks.any(axis=0)
+    count = np.zeros(blocks.shape[2], dtype=np.intp)
+    largest = np.zeros(blocks.shape[2], dtype=np.intp)
+    rows = np.flatnonzero(left.any(axis=0))
+    while len(rows):
+        b = blocks[:, :, rows]
+        b_left = left[:, rows]
+        pool = b[:, b_left.argmax(axis=0), np.arange(len(rows))]
+        while True:
+            joined = b_left & (b & pool[:, None, :]).any(axis=0)
+            grown = np.bitwise_or.reduce(b * joined, axis=1)
+            if np.array_equal(grown, pool):
+                break
+            pool = grown
+        count[rows] += 1
+        size = np.bitwise_count(pool).sum(axis=0, dtype=np.intp)
+        largest[rows] = np.maximum(largest[rows], size)
+        left[:, rows] = b_left & ~joined
+        rows = rows[left[:, rows].any(axis=0)]
+    return count, largest
 
 
-def _loop_record(blocks: list[tuple[int, tuple[int, ...]]]) -> Polymer:
-    mask = 0
-    edge_ids: list[int] = []
-    for bmask, eids in blocks:
-        mask |= bmask
-        edge_ids.extend(eids)
-    return Polymer(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
+def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) -> None:
+    """load[b] += each weight whose mask holds node b, one at a time in order.
+
+    words is (W, masks) uint64, node b in word b // 64.
+    """
+    for b in range(len(load)):
+        through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
+        if len(through):
+            load[b] = np.add.accumulate(np.concatenate(([load[b]], through)))[-1]
 
 
-def max_node_load(node_count: int, masks, weights) -> float:
+def max_node_load(node_count: int, words: np.ndarray, weights: np.ndarray) -> float:
     """max over nodes of the summed weights of the node masks through it.
 
-    Each node's sum runs in the order of the masks, so a fixed order gives a
+    words is (W, masks) uint64, node b in word b // 64.  Each node's sum
+    runs in the order of the masks, so a fixed order gives a
     reproducible value.
     """
-    per_node = [0.0] * node_count
-    for mask, w in zip(masks, weights):
-        while mask:
-            low = mask & -mask
-            per_node[low.bit_length() - 1] += w
-            mask ^= low
-    return max(per_node, default=0.0)
+    load = np.zeros(node_count)
+    _add_node_loads(load, words, weights)
+    return max(load.tolist(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,44 +513,12 @@ def enumerate_generalized_loops(
 
     Sorted by (edge count, edge ids); the budget is the walk's.
     """
+    leaves = _walk(graph, budget)
     out: list[Polymer] = []
-
-    def leaf(_prod: float, blocks) -> None:
-        out.append(_loop_record(blocks))
-
-    _walk(graph, leaf, budget)
+    for choices, _prod in leaves.loops():
+        out += leaves.records(choices, leaves.blocks(choices))
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
-
-
-def _degree_profiles(
-    blocks: list[tuple[int, tuple[int, ...]]], n: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """(variable, check) degree profiles of a loop from its check blocks.
-
-    A profile lists (degree, node count) by increasing degree.  A check's
-    degree is its block's edge count; a variable's is the number of blocks
-    whose node mask holds it, tallied with bit-sliced counters:
-    at_least[d] holds the variables in more than d blocks.
-    """
-    var_bits = (1 << n) - 1
-    at_least: list[int] = []
-    check_counts: dict[int, int] = {}
-    for bmask, eids in blocks:
-        check_counts[len(eids)] = check_counts.get(len(eids), 0) + 1
-        carry = bmask & var_bits
-        for d, have in enumerate(at_least):
-            at_least[d] = have | carry
-            carry &= have
-        if carry:
-            at_least.append(carry)
-    at_least.append(0)
-    var_profile = tuple(
-        (d + 1, count)
-        for d in range(len(at_least) - 1)
-        if (count := (at_least[d] & ~at_least[d + 1]).bit_count())
-    )
-    return var_profile, tuple(sorted(check_counts.items()))
 
 
 def loop_activities(
@@ -453,19 +531,21 @@ def loop_activities(
 
     Each entry is (loop, activity, variable profile, check profile); the
     activity is the product the walk carries down to the loop, the profiles
-    come from its check blocks (see _degree_profiles).
+    come from its check blocks (see _Leaves.profiles).
     """
+    leaves = _walk(graph, budget, ActivityEvaluator(graph, messages))
     out: list[tuple[Polymer, float, tuple, tuple]] = []
-    n = graph.n
     # profiles repeat (142 distinct ones over the README demo's 151,338 loops):
     # keep one copy of each
     shared: dict[tuple, tuple] = {}
-
-    def leaf(prod: float, blocks) -> None:
-        profiles = _degree_profiles(blocks, n)
-        out.append((_loop_record(blocks), prod, *shared.setdefault(profiles, profiles)))
-
-    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    for choices, prod in leaves.loops():
+        blocks = leaves.blocks(choices)
+        records = leaves.records(choices, blocks)
+        profiles = leaves.profiles(choices, blocks, shared)
+        out += [
+            (loop, activity, *profile)
+            for loop, activity, profile in zip(records, prod.tolist(), profiles)
+        ]
     out.sort(key=lambda entry: (len(entry[0].edge_ids), entry[0].edge_ids))
     return out
 
@@ -476,13 +556,12 @@ def enumerate_polymers(
     budget: int = 10_000_000,
 ) -> list[Polymer]:
     """Connected generalized loops with at most max_size touched nodes."""
+    leaves = _walk(graph, budget, max_nodes=max_size)
     out: list[Polymer] = []
-
-    def leaf(_prod: float, blocks) -> None:
-        if len(_components(blocks)) == 1:
-            out.append(_loop_record(blocks))
-
-    _walk(graph, leaf, budget, max_nodes=max_size)
+    for choices, _prod in leaves.loops():
+        blocks = leaves.blocks(choices)
+        connected = _peel(blocks)[0] == 1
+        out += leaves.records(choices[:, connected], blocks[:, :, connected])
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
 
@@ -495,39 +574,42 @@ def loop_sum_direct(
 ) -> LoopSumResult:
     """1 + sum of activities over all generalized loops, in one walk.
 
-    Leaf terms are collected and fsummed, so the total matches summing
-    per-loop activities without ever materializing the loops.  The same
-    walk splits the sum by polymer size: a loop term is small when each
-    polymer of its disjoint decomposition has size < split_lambda * n;
-    z_small is 1 plus the small terms, r_large the rest.  The connected
-    leaves are the polymers; q is convergence_criterion_q's single-node
-    statistic over them, each node's sum taken in walk order.
+    The loop terms are fsummed, so the total is the exactly rounded sum of
+    the per-loop activities.  The same walk splits the sum by polymer size:
+    a loop term is small when each polymer of its disjoint decomposition
+    has size < split_lambda * n; z_small is 1 plus the small terms, r_large
+    the rest.  The connected loops are the polymers; q is
+    convergence_criterion_q's single-node statistic over them, each node's
+    sum taken in the walk's depth-first leaf order.
     """
+    leaves = _walk(graph, budget, ActivityEvaluator(graph, messages))
     threshold = split_lambda * graph.n
-    small_terms: list[float] = []
-    large_terms: list[float] = []
-    polymer_masks: list[int] = []
-    q_weights: list[float] = []
-
-    def leaf(prod: float, blocks) -> None:
-        comps = _components(blocks)
-        if len(comps) == 1:
-            mask = comps[0][0]
-            polymer_masks.append(mask)
-            q_weights.append(abs(prod) * math.exp(mask.bit_count()))
-        if any(mask.bit_count() >= threshold for mask, _b in comps):
-            large_terms.append(prod)
-        else:
-            small_terms.append(prod)
-
-    _walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    # math.exp, not np.exp, which may differ in the last bit
+    exp_size = np.array([math.exp(s) for s in range(graph.n + graph.m + 1)])
+    small: list[float] = []
+    large: list[float] = []
+    load = np.zeros(graph.n + graph.m)
+    polymer_count = 0
+    for choices, prod in leaves.loops():
+        blocks = leaves.blocks(choices)
+        count, largest = _peel(blocks)
+        is_large = largest >= threshold
+        large += prod[is_large].tolist()
+        small += prod[~is_large].tolist()
+        connected = count == 1
+        polymer_count += int(connected.sum())
+        _add_node_loads(
+            load,
+            np.bitwise_or.reduce(blocks[:, :, connected], axis=1),
+            np.abs(prod[connected]) * exp_size[largest[connected]],
+        )
     return LoopSumResult(
-        total=1.0 + math.fsum(small_terms + large_terms),
-        loop_count=len(small_terms) + len(large_terms),
-        polymer_count=len(polymer_masks),
-        z_small=1.0 + math.fsum(small_terms),
-        r_large=math.fsum(large_terms),
-        q=max_node_load(graph.n + graph.m, polymer_masks, q_weights),
+        total=1.0 + math.fsum(small + large),
+        loop_count=len(small) + len(large),
+        polymer_count=polymer_count,
+        z_small=1.0 + math.fsum(small),
+        r_large=math.fsum(large),
+        q=max(load.tolist(), default=0.0),
     )
 
 

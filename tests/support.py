@@ -290,6 +290,271 @@ def loop_sum_bruteforce(
     )
 
 
+# ---------------------------------------------------------------------------
+# the recursive loop walk: oracle for the level-order walk in loops._walk and
+# the leaf consumers over it
+
+
+def _check_block_options(graph: FactorGraph) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Per check: the locally admissible edge subsets (size != 1).
+
+    Every option is (node_mask, edge_ids), the mask holding the check and
+    its chosen variables (0 for the empty option), ordered empty-first then
+    by (size, ids), so the depth-first walk below is deterministic.
+    """
+    options = []
+    for a in range(graph.m):
+        eids = graph.check_edges[a]
+        opts: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for k in range(2, len(eids) + 1):
+            for combo in itertools.combinations(eids, k):
+                mask = 1 << (graph.n + a)
+                for e in combo:
+                    mask |= 1 << graph.edges[e][0]
+                opts.append((mask, combo))
+        options.append(opts)
+    return options
+
+
+def recursive_walk(
+    graph: FactorGraph,
+    leaf,
+    budget: int,
+    evaluator: ActivityEvaluator | None = None,
+    max_nodes: int | None = None,
+) -> int:
+    """Visit every generalized loop once, calling leaf(activity, blocks);
+    returns the number of visited states.
+
+    Checks are processed in index order; each picks one locally admissible
+    edge subset.  A branch dies as soon as a variable whose checks are all
+    decided has induced degree one, or the touched nodes exceed max_nodes;
+    every visited state counts against the budget.  With an evaluator the
+    activity is built up on the way down: each check contributes a factor
+    depending only on its own included-edge subset, each variable a factor
+    looked up by its included edges once its last check is decided.  Without
+    one it stays 1.  blocks holds the nonempty check blocks as (node_mask,
+    edge_ids) in check order; the list is reused across calls and must not be
+    retained.
+    """
+    n_cap = graph.n + graph.m if max_nodes is None else max_nodes
+    capped = n_cap < graph.n + graph.m
+    options = _check_block_options(graph)
+    # variables whose last incident check is a, to finalize after level a
+    finalize: list[list[int]] = [[] for _ in range(graph.m)]
+    for i, eids in enumerate(graph.var_edges):
+        if eids:
+            finalize[max(graph.edges[e][1] for e in eids)].append(i)
+    var_bit: dict[int, tuple[int, int]] = {}
+    for i, eids in enumerate(graph.var_edges):
+        for k, e in enumerate(eids):
+            var_bit[e] = (i, 1 << k)
+    # factor tables: per variable by included-edge bits, per check option
+    var_table: list[list[float]] = []
+    for i, eids in enumerate(graph.var_edges):
+        row = [1.0] * (1 << len(eids))
+        if evaluator is not None:
+            for bits in range(1, len(row)):
+                subset = {e for k, e in enumerate(eids) if (bits >> k) & 1}
+                row[bits] = evaluator.var_factor(i, subset)
+        var_table.append(row)
+    # per check: (factor, [(var, bit), ...], block)
+    rows: list[list[tuple[float, list[tuple[int, int]], tuple[int, tuple[int, ...]]]]] = []
+    for a, opts in enumerate(options):
+        rows.append(
+            [
+                (
+                    evaluator.check_factor(a, set(eids))
+                    if evaluator is not None and eids
+                    else 1.0,
+                    [var_bit[e] for e in eids],
+                    (mask, eids),
+                )
+                for mask, eids in opts
+            ]
+        )
+
+    var_inc = [0] * graph.n
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    visits = 0
+    m = graph.m
+
+    def dfs(a: int, prod: float, node_mask: int) -> None:
+        nonlocal visits
+        visits += 1
+        if visits > budget:
+            raise BudgetExceededError(
+                f"loop walk exceeded budget of {budget} visits"
+            )
+        if a == m:
+            if blocks:
+                leaf(prod, blocks)
+            return
+        grown = node_mask
+        for factor, bits, block in rows[a]:
+            if capped:
+                grown = node_mask | block[0]
+                if grown.bit_count() > n_cap:
+                    continue
+            for i, bit in bits:
+                var_inc[i] ^= bit
+            p2 = prod * factor
+            dead = False
+            for i in finalize[a]:
+                mk = var_inc[i]
+                if mk:
+                    if mk.bit_count() == 1:
+                        dead = True
+                        break
+                    p2 *= var_table[i][mk]
+            if not dead:
+                if bits:
+                    blocks.append(block)
+                    dfs(a + 1, p2, grown)
+                    blocks.pop()
+                else:
+                    dfs(a + 1, p2, grown)
+            for i, bit in bits:
+                var_inc[i] ^= bit
+
+    try:
+        dfs(0, 1.0, 0)
+    finally:
+        del dfs
+    return visits
+
+
+def _components(
+    blocks: list[tuple[int, tuple[int, ...]]],
+) -> list[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
+    """Connected components of check blocks joined through shared variables,
+    each as (node mask, its blocks in merge order)."""
+    comps = []
+    rest = blocks
+    while rest:
+        pool = rest[0][0]
+        members = [rest[0]]
+        rest = rest[1:]
+        grew = True
+        while grew:
+            grew = False
+            nxt = []
+            for b in rest:
+                if b[0] & pool:
+                    pool |= b[0]
+                    members.append(b)
+                    grew = True
+                else:
+                    nxt.append(b)
+            rest = nxt
+        comps.append((pool, members))
+    return comps
+
+
+def _loop_record(blocks: list[tuple[int, tuple[int, ...]]]) -> Polymer:
+    mask = 0
+    edge_ids: list[int] = []
+    for bmask, eids in blocks:
+        mask |= bmask
+        edge_ids.extend(eids)
+    return Polymer(edge_ids=tuple(edge_ids), node_mask=mask, size=mask.bit_count())
+
+
+def _degree_profiles(
+    blocks: list[tuple[int, tuple[int, ...]]], n: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """(variable, check) degree profiles of a loop from its check blocks,
+    tallied with bit-sliced counters: at_least[d] holds the variables in
+    more than d blocks."""
+    var_bits = (1 << n) - 1
+    at_least: list[int] = []
+    check_counts: dict[int, int] = {}
+    for bmask, eids in blocks:
+        check_counts[len(eids)] = check_counts.get(len(eids), 0) + 1
+        carry = bmask & var_bits
+        for d, have in enumerate(at_least):
+            at_least[d] = have | carry
+            carry &= have
+        if carry:
+            at_least.append(carry)
+    at_least.append(0)
+    var_profile = tuple(
+        (d + 1, count)
+        for d in range(len(at_least) - 1)
+        if (count := (at_least[d] & ~at_least[d + 1]).bit_count())
+    )
+    return var_profile, tuple(sorted(check_counts.items()))
+
+
+def _by_edges(loop: Polymer):
+    return len(loop.edge_ids), loop.edge_ids
+
+
+def recursive_loops(graph: FactorGraph, budget: int = 10_000_000) -> list[Polymer]:
+    """enumerate_generalized_loops over the recursive walk."""
+    out: list[Polymer] = []
+    recursive_walk(graph, lambda _prod, blocks: out.append(_loop_record(blocks)), budget)
+    return sorted(out, key=_by_edges)
+
+
+def recursive_polymers(
+    graph: FactorGraph, max_size: int | None = None, budget: int = 10_000_000
+) -> list[Polymer]:
+    """enumerate_polymers over the recursive walk."""
+    out: list[Polymer] = []
+
+    def leaf(_prod: float, blocks) -> None:
+        if len(_components(blocks)) == 1:
+            out.append(_loop_record(blocks))
+
+    recursive_walk(graph, leaf, budget, max_nodes=max_size)
+    return sorted(out, key=_by_edges)
+
+
+def recursive_loop_activities(
+    graph: FactorGraph, messages: MessageSet, budget: int = 10_000_000
+) -> list[tuple[Polymer, float, tuple, tuple]]:
+    """loop_activities over the recursive walk."""
+    out: list[tuple[Polymer, float, tuple, tuple]] = []
+
+    def leaf(prod: float, blocks) -> None:
+        out.append((_loop_record(blocks), prod, *_degree_profiles(blocks, graph.n)))
+
+    recursive_walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    return sorted(out, key=lambda entry: _by_edges(entry[0]))
+
+
+def recursive_loop_sum(
+    graph: FactorGraph,
+    messages: MessageSet,
+    budget: int = 10_000_000,
+    split_lambda: float = 0.5,
+) -> LoopSumResult:
+    """loop_sum_direct over the recursive walk: leaf terms fsummed, q summed
+    per node in walk order."""
+    threshold = split_lambda * graph.n
+    small: list[float] = []
+    large: list[float] = []
+    polymer_nodes: list[list[int]] = []
+    weights: list[float] = []
+
+    def leaf(prod: float, blocks) -> None:
+        comps = _components(blocks)
+        if len(comps) == 1:
+            mask = comps[0][0]
+            polymer_nodes.append([b for b in range(mask.bit_length()) if mask >> b & 1])
+            weights.append(abs(prod) * math.exp(mask.bit_count()))
+        if any(mask.bit_count() >= threshold for mask, _b in comps):
+            large.append(prod)
+        else:
+            small.append(prod)
+
+    recursive_walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    return _loop_sum_result(
+        small, large, len(polymer_nodes), _node_load(polymer_nodes, weights)
+    )
+
+
 def oracle_polymer_series(
     graph: FactorGraph,
     messages: MessageSet,

@@ -506,6 +506,22 @@ def test_rate_function_rejects_nonpositive_starts(capsys):
         assert "no admissible types" not in err
 
 
+@pytest.mark.parametrize("command", ["trend", "entropy"])
+def test_trend_and_entropy_refuse_fewer_than_one_instance(command, tmp_path, capsys):
+    sizes = ["--n-list", "8"] if command == "trend" else ["--n", "8"]
+    out = tmp_path / f"{command}.json"
+    for instances in ("0", "-2"):
+        rc = main([
+            command, "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", *sizes,
+            "--p", "0.45", "--instances", instances, "--seed", "0", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: --instances must be at least 1, got {instances}" in err
+        assert "fmean" not in err
+        assert not out.exists()
+
+
 def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypatch):
     # (3,6) at n = 60 has k >= 30 > 26: exit 3 without a single BP solve
     calls = []

@@ -348,27 +348,142 @@ def test_identity_random_battery():
     assert checked >= 18
 
 
-def test_walk_frees_its_leaf_on_return():
-    # loop_sum_direct's leaf appends to lists with one entry per loop; a
-    # reference cycle through the walk would keep them alive until the next
-    # cyclic collection
+def test_walk_holds_no_leaf_arrays_after_return(monkeypatch):
+    # the leaf arrays grow with the loop count; once a consumer returns,
+    # nothing may keep them alive until the next cyclic collection
     g = sp.ldpc_instance(3, 4, 4, 0.45, 2)
+    messages = lg.solve_fixed_point(g).messages
+    refs = []
+    walk = lg.loops._walk
 
-    class Sink(list):
-        pass
+    def tracked(*args, **kwargs):
+        leaves = walk(*args, **kwargs)
+        arrays = [leaves.prod, *(x for level in leaves.levels for x in level)]
+        refs.extend(weakref.ref(x) for x in [leaves, *arrays])
+        return leaves
 
-    sink = Sink()
-    ref = weakref.ref(sink)
+    monkeypatch.setattr(lg.loops, "_walk", tracked)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        lg.loops._walk(g, lambda prod, blocks, sink=sink: sink.append(prod), 10**6)
-        assert sink
-        del sink
-        assert ref() is None
+        assert lg.loop_sum_direct(g, messages).loop_count
+        assert lg.enumerate_polymers(g, max_size=8)
+        assert lg.enumerate_generalized_loops(g)
+        assert loop_activities(g, messages)
+        assert len(refs) > 4 * 2
+        assert all(ref() is None for ref in refs)
     finally:
         if enabled:
             gc.enable()
+
+
+def _long_cycle_with_chord(length: int = 36) -> lg.FactorGraph:
+    # a cycle code (check a joins variables a and a + 1 mod length) plus one
+    # chord check: n + m = 2 * length + 1 > 64 needs multiword node masks
+    edges = [(a, a) for a in range(length)] + [((a + 1) % length, a) for a in range(length)]
+    edges += [(0, length), (length // 2, length)]
+    rng = random.Random(5)
+    fields = tuple(rng.uniform(-1.0, 1.0) for _ in range(length))
+    return lg.build_factor_graph(length, length + 1, edges, lg.LdpcWeights(fields))
+
+
+def _with_edgeless_variable() -> lg.FactorGraph:
+    # a (3,4) parity-check code plus a variable outside every check
+    g = sp.ldpc_instance(3, 4, 4, 0.4, 1, chan_seed=1)
+    fields = g.weights.variable_fields + (0.3,)
+    return lg.build_factor_graph(g.n + 1, g.m, g.edges, lg.LdpcWeights(fields))
+
+
+# the perfbench identity battery's families and sizes with the seeds to run
+# them at; (3,6) at n = 6 is K_{6,3} whatever the seed, so one seed covers its
+# walk (and its 14,016 loops make the oracle slow)
+_BATTERY = [
+    ("ldpc", 3, 6, 6, 0.45, (0,)),
+    ("ldpc", 3, 4, 4, 0.45, (0, 1, 2)),
+    ("ldgm", 3, 6, 6, 0.40, (0,)),
+    ("ldgm", 2, 4, 12, 0.45, (0, 1, 2)),
+    ("general", 3, 6, 6, 0.2, (0,)),
+    ("general", 2, 4, 12, 0.3, (0, 1, 2)),
+    ("general", 3, 4, 4, 0.3, (0, 1, 2)),
+]
+_BUILDERS = {
+    "ldpc": lambda l, r, n, x, s: sp.ldpc_instance(l, r, n, x, s, chan_seed=s),
+    "ldgm": lambda l, r, n, x, s: sp.ldgm_instance(l, r, n, x, s, chan_seed=s),
+    "general": sp.general_instance,
+}
+_WALK_CASES = {
+    f"{family}-{l}-{r}-n{n}-s{seed}": (
+        lambda family=family, spec=(l, r, n, x, seed): _BUILDERS[family](*spec)
+    )
+    for family, l, r, n, x, seeds in _BATTERY
+    for seed in seeds
+}
+_WALK_CASES["cycle-36-chord"] = _long_cycle_with_chord
+_WALK_CASES["edgeless-variable"] = _with_edgeless_variable
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_level_walk_matches_recursive_walk(case):
+    g = _WALK_CASES[case]()
+    messages = lg.solve_fixed_point(g).messages
+    for lam in (0.3, 0.5, 1.0):
+        assert lg.loop_sum_direct(g, messages, split_lambda=lam) == sp.recursive_loop_sum(
+            g, messages, split_lambda=lam
+        ), lam
+    for k in (0, 4, 6, 9, None):
+        assert lg.enumerate_polymers(g, max_size=k) == sp.recursive_polymers(g, k), k
+    assert lg.enumerate_generalized_loops(g) == sp.recursive_loops(g)
+    # at a fixed point some variable factors are exactly 1; arbitrary messages
+    # make every factor count, so the multiplication order shows in the bits
+    arbitrary = sp.random_messages(g, seed=7)
+    assert lg.loop_sum_direct(g, arbitrary) == sp.recursive_loop_sum(g, arbitrary)
+    assert loop_activities(g, arbitrary) == sp.recursive_loop_activities(g, arbitrary)
+
+
+def test_level_walk_chunking_does_not_change_results(monkeypatch):
+    # tiny chunks split every level and the leaves several times over, so
+    # the q carry, the fsums and the records cross chunk boundaries
+    g = sp.ldgm_instance(2, 4, 12, 0.45, 0, chan_seed=0)
+    messages = lg.solve_fixed_point(g).messages
+    want = (
+        lg.loop_sum_direct(g, messages),
+        lg.enumerate_polymers(g, max_size=9),
+        loop_activities(g, messages),
+    )
+    for chunk in (7, 100):
+        monkeypatch.setattr(lg.loops, "_CHUNK", chunk)
+        got = (
+            lg.loop_sum_direct(g, messages),
+            lg.enumerate_polymers(g, max_size=9),
+            loop_activities(g, messages),
+        )
+        assert got == want, chunk
+    assert want[0] == sp.recursive_loop_sum(g, messages)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        sp.ldpc_instance(3, 6, 6, 0.45, 0, chan_seed=0),
+        sp.ldgm_instance(2, 4, 12, 0.45, 1, chan_seed=1),
+        _long_cycle_with_chord(),
+    ],
+    ids=["ldpc-3-6-n6", "ldgm-2-4-n12", "cycle-36-chord"],
+)
+def test_walk_budget_is_the_visit_count(graph):
+    messages = lg.solve_fixed_point(graph).messages
+    ev = lg.ActivityEvaluator(graph, messages)
+    visits = sp.recursive_walk(graph, lambda *_: None, 10**9, ev)
+    assert lg.loops._walk(graph, 10**9, ev).visits == visits
+    lg.loop_sum_direct(graph, messages, budget=visits)
+    with pytest.raises(BudgetExceededError):
+        lg.loop_sum_direct(graph, messages, budget=visits - 1)
+    for k in (4, 8):
+        capped = sp.recursive_walk(graph, lambda *_: None, 10**9, max_nodes=k)
+        assert lg.loops._walk(graph, 10**9, max_nodes=k).visits == capped
+        lg.enumerate_polymers(graph, max_size=k, budget=capped)
+        with pytest.raises(BudgetExceededError):
+            lg.enumerate_polymers(graph, max_size=k, budget=capped - 1)
 
 
 @pytest.mark.parametrize(
