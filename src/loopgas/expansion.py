@@ -23,7 +23,7 @@ from .errors import (
     OrderTooLargeError,
 )
 from .graphs import FactorGraph
-from .loops import ActivityEvaluator, Polymer, enumerate_polymers, max_node_load
+from .loops import ActivityEvaluator, Polymer, enumerate_polymers, max_node_load, node_words
 
 URSELL_MAX_ORDER = 7
 SERIES_BLOCK = 1 << 12  # multisets per block of polymer_series; bounds its memory
@@ -158,10 +158,10 @@ def polymer_series(
         )
     ev = ActivityEvaluator(graph, messages)
     acts = [z * ev.value(p.edge_ids) for p in polymers]
-    node_words = _node_words([p.node_mask for p in polymers])
+    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
     act_array = np.array(acts, dtype=np.float64)
     terms = [
-        _series_term(order, node_words, act_array) for order in range(1, m_max + 1)
+        _series_term(order, words, act_array) for order in range(1, m_max + 1)
     ]
     partial = list(itertools.accumulate(terms))
     q_weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
@@ -175,15 +175,7 @@ def polymer_series(
     )
 
 
-def _node_words(masks: list[int]) -> np.ndarray:
-    """Node masks as a (P, words) uint64 array, bit b of a mask in word b // 64."""
-    words = max(1, (max((m.bit_length() for m in masks), default=0) + 63) // 64)
-    low = (1 << 64) - 1
-    rows = [[(m >> (64 * w)) & low for w in range(words)] for m in masks]
-    return np.array(rows, dtype=np.uint64).reshape(len(masks), words)
-
-
-def _series_term(order: int, node_words: np.ndarray, acts: np.ndarray) -> float:
+def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
     """Order-`order` term: the exact sum of one piece per multiset.
 
     A piece is float(U) * acts[j] over the multiset's indices in
@@ -200,10 +192,10 @@ def _series_term(order: int, node_words: np.ndarray, acts: np.ndarray) -> float:
 
     def pieces():
         for rows in _multiset_blocks(len(acts), order):
-            slot_words = [node_words[rows[:, k]] for k in range(order)]
+            slot_words = [words[:, rows[:, k]] for k in range(order)]
             code = np.zeros(len(rows), dtype=np.int64)
             for bit, (a, b) in enumerate(slot_pairs):
-                overlap = (slot_words[a] & slot_words[b]).any(axis=1)
+                overlap = (slot_words[a] & slot_words[b]).any(axis=0)
                 code |= overlap.astype(np.int64) << bit
             u = ursell_of_code[code]
             new_codes = np.unique(code[u == _UNKNOWN]).tolist()
@@ -290,8 +282,7 @@ def _q_from_weights(
     weights: list[float],
     size_cutoff: int | None,
 ) -> QReport:
-    words = _node_words([p.node_mask for p in polymers]).T
-    q = max_node_load(graph.n + graph.m, words, np.array(weights, dtype=np.float64))
+    q = max_node_load(graph.n + graph.m, [p.node_mask for p in polymers], weights)
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 

@@ -260,16 +260,14 @@ class _Leaves:
         self.levels = levels
         self.prod = prod
         self.visits = visits
-        # (words, options) node masks per check: variable i is bit i and
-        # check a bit n + a, bit b in word b // 64
-        words = max(1, (graph.n + graph.m + 63) // 64)
+        # node masks of each check's options, as node_words
         self.option_words = []
         for a, opts in enumerate(options):
-            table = np.zeros((words, len(opts)), dtype=np.uint64)
-            nodes = [graph.n + a] + [graph.edges[e][0] for e in graph.check_edges[a]]
-            for node, member in zip(nodes, [opts.any(axis=1), *opts.T]):
-                table[node >> 6, member] |= np.uint64(1 << (node & 63))
-            self.option_words.append(table)
+            masks = [0] + [1 << (graph.n + a)] * (len(opts) - 1)
+            for e, member in zip(graph.check_edges[a], opts.T):
+                for o in np.flatnonzero(member).tolist():
+                    masks[o] |= 1 << graph.edges[e][0]
+            self.option_words.append(node_words(masks, graph.n + graph.m))
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
@@ -478,10 +476,23 @@ def _peel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return count, largest
 
 
+def node_words(masks: list[int], node_count: int) -> np.ndarray:
+    """Node masks over node_count nodes as a (words, masks) uint64 array.
+
+    Bit b of a mask goes to bit b % 64 of word b // 64; there are always
+    enough words for every node, at least one.
+    """
+    out = np.zeros((max(1, (node_count + 63) // 64), len(masks)), dtype=np.uint64)
+    low = (1 << 64) - 1
+    for w in range(len(out)):
+        out[w] = [(mask >> (64 * w)) & low for mask in masks]
+    return out
+
+
 def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) -> None:
     """load[b] += each weight whose mask holds node b, one at a time in order.
 
-    words is (W, masks) uint64, node b in word b // 64.
+    words is node_words over len(load) nodes.
     """
     for b in range(len(load)):
         through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
@@ -489,15 +500,14 @@ def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) ->
             load[b] = np.add.accumulate(np.concatenate(([load[b]], through)))[-1]
 
 
-def max_node_load(node_count: int, words: np.ndarray, weights: np.ndarray) -> float:
+def max_node_load(node_count: int, masks: list[int], weights: list[float]) -> float:
     """max over nodes of the summed weights of the node masks through it.
 
-    words is (W, masks) uint64, node b in word b // 64.  Each node's sum
-    runs in the order of the masks, so a fixed order gives a
+    Each node's sum runs in the order of the masks, so a fixed order gives a
     reproducible value.
     """
     load = np.zeros(node_count)
-    _add_node_loads(load, words, weights)
+    _add_node_loads(load, node_words(masks, node_count), np.array(weights, dtype=np.float64))
     return max(load.tolist(), default=0.0)
 
 

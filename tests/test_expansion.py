@@ -249,6 +249,12 @@ SERIES_CASES = {
         lambda: sp.ldpc_instance(3, 6, 48, 0.45, 1),
         {"m_max": 2, "size_cutoff": 6},
     ),
+    # n + m > 64 with no polymers at all: q is 0.0, not an index error
+    "ldpc-3-6-n48-c3-m2": (
+        lambda: sp.ldpc_instance(3, 6, 48, 0.45, 1),
+        {"m_max": 2, "size_cutoff": 3},
+    ),
+    "tree-n60-m2": (lambda: sp.random_tree(60, 1, "ldgm"), {"m_max": 2}),
 }
 
 
@@ -262,11 +268,19 @@ def test_series_terms_match_the_multiset_loop(case, monkeypatch):
     sr = lg.polymer_series(g, msgs, **kwargs)
     expected = sp.oracle_polymer_series(g, msgs, **kwargs)
     assert [t.hex() for t in sr.terms] == [t.hex() for t in expected]
+    polys = lg.enumerate_polymers(g, max_size=kwargs.get("size_cutoff"))
+    ev = lg.ActivityEvaluator(g, msgs)
+    weights = [
+        abs(kwargs.get("z", 1.0) * ev.value(p.edge_ids)) * math.exp(p.size) for p in polys
+    ]
+    nodes = [[b for b in range(g.n + g.m) if p.node_mask >> b & 1] for p in polys]
+    assert sr.q == sp._node_load(nodes, weights)
+    if sr.polymer_count == 0:
+        assert sr.q == 0.0
     if case.startswith("tree"):
         assert sr.polymer_count == 0 and all(t == 0.0 for t in sr.terms)
-    if case.startswith("ldpc-3-6-n48"):
+    if case == "ldpc-3-6-n48-c6-m2":
         low = (1 << 64) - 1
-        polys = lg.enumerate_polymers(g, max_size=kwargs["size_cutoff"])
         assert any(
             a.node_mask & b.node_mask and not a.node_mask & b.node_mask & low
             for a, b in itertools.combinations(polys, 2)
