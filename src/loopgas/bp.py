@@ -13,6 +13,21 @@ constraint and (cosh h_a, tanh h_a) for a generator field; their local sums
 close in products of tanh messages.  General checks are tabulated once, psi_a
 over all 2^d local configurations, and every local sum is a contraction of
 that table with one weight pair per edge (check_marginal).
+
+A sweep runs on numpy arrays.  The nodes of each side are grouped by degree
+once per topology; a degree-d bucket keeps the edge ids of its nodes as d
+columns, so each update rule runs column by column over every node of that
+degree at once: prefix and suffix products (parity checks), prefix and
+suffix tanh-domain sums (variables), and the folds of check_marginal over
+stacked tables (general checks), in the operation order of the scalar rules,
+so every message is the same float the per-edge rule gives.  The arrays
+carry a leading row axis: solve_fixed_points sweeps the graphs of one
+topology, say the channel patterns of one code, as the rows of one batch.
+A row freezes at the first iteration where its own residual is <= tol and
+leaves the batch, so each row ends exactly where its solo solve ends;
+solve_fixed_point is the batch of one.  A sweep that divides by zero or
+yields a non-finite message, which saturated messages at +-1 can do, raises
+SingularDenominatorError.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLargeError
+from .errors import DegreeTooLargeError, SingularDenominatorError
 from .graphs import ChannelParams, FactorGraph, GeneralWeights, LdgmWeights, LdpcWeights
 
 CHECK_TABLE_MAX_DEGREE = 20
@@ -50,35 +65,6 @@ class BPResult:
     residual: float
     iterations: int
     converged: bool
-
-
-def _combine(x: float, y: float) -> float:
-    # tanh(atanh x + atanh y) without leaving the tanh domain
-    return (x + y) / (1.0 + x * y)
-
-
-def _exclusive_combine(values: list[float], base: float) -> list[float]:
-    # out[k] = combine of base with all values except values[k]
-    d = len(values)
-    prefix = [base] * (d + 1)
-    for k in range(d):
-        prefix[k + 1] = _combine(prefix[k], values[k])
-    suffix = [0.0] * (d + 1)
-    for k in range(d - 1, -1, -1):
-        suffix[k] = _combine(suffix[k + 1], values[k])
-    return [_combine(prefix[k], suffix[k + 1]) for k in range(d)]
-
-
-def _exclusive_products(values: list[float]) -> list[float]:
-    # out[k] = product of all values except values[k], no division
-    d = len(values)
-    prefix = [1.0] * (d + 1)
-    for k in range(d):
-        prefix[k + 1] = prefix[k] * values[k]
-    suffix = [1.0] * (d + 1)
-    for k in range(d - 1, -1, -1):
-        suffix[k] = suffix[k + 1] * values[k]
-    return [prefix[k] * suffix[k + 1] for k in range(d)]
 
 
 def parity_form(graph: FactorGraph) -> list[tuple[float, float]]:
@@ -156,74 +142,288 @@ def check_forms(graph: FactorGraph) -> list:
     return parity_form(graph)
 
 
-def _check_update(graph: FactorGraph, t: list[float], forms: list) -> np.ndarray:
-    out = np.zeros(graph.edge_count)
-    if isinstance(graph.weights, GeneralWeights):
-        for a, psi in enumerate(forms):
-            eids = graph.check_edges[a]
-            pairs = [(1.0 + t[e], 1.0 - t[e]) for e in eids]
-            for k, e in enumerate(eids):
-                plus, minus = check_marginal(psi, pairs, k)
-                out[e] = (plus - minus) / (plus + minus)
-    else:
-        for a, (_c, tau) in enumerate(forms):
-            eids = graph.check_edges[a]
-            excl = _exclusive_products([t[e] for e in eids])
-            for k, e in enumerate(eids):
-                out[e] = tau * excl[k]
+# ---------------------------------------------------------------------------
+# the sweep: degree buckets over a batch of graphs of one topology
+
+
+def _buckets(incidence: tuple[tuple[int, ...], ...]) -> list[tuple[list, tuple]]:
+    """(nodes, columns) per degree d present, in increasing d: the nodes of
+    that degree in increasing order, and d index arrays, columns[k] holding
+    the k-th edge of each node in check_edges / var_edges order."""
+    by_degree: dict[int, list[int]] = {}
+    for node, eids in enumerate(incidence):
+        if eids:
+            by_degree.setdefault(len(eids), []).append(node)
+    return [
+        (nodes, tuple(np.array([incidence[v] for v in nodes], dtype=np.intp).T.copy()))
+        for _d, nodes in sorted(by_degree.items())
+    ]
+
+
+def _combine(x, y):
+    # tanh(atanh x + atanh y) without leaving the tanh domain, elementwise
+    return (x + y) / (1.0 + x * y)
+
+
+def _exclusive_combine(y: list, base) -> list:
+    """out[k] = base combined with every y[j], j != k, folded prefix then
+    suffix.  The full prefix (the belief of the node) and the full suffix
+    are not returned, but they are formed all the same: a zero denominator
+    there means certain messages contradict each other."""
+    d = len(y)
+    prefix = [base]
+    for k in range(d):
+        prefix.append(_combine(prefix[k], y[k]))
+    suffix = [0.0] * (d + 1)
+    for k in range(d - 1, -1, -1):
+        suffix[k] = _combine(suffix[k + 1], y[k])
+    return [_combine(prefix[k], suffix[k + 1]) for k in range(d)]
+
+
+def _exclusive_products(x: list) -> list:
+    """out[k] = product of every x[j], j != k, without division.  The full
+    prefix and suffix products are not needed and not formed."""
+    d = len(x)
+    prefix = [1.0]
+    for k in range(d - 1):
+        prefix.append(prefix[k] * x[k])
+    suffix = [1.0] * (d + 1)
+    for k in range(d - 1, 0, -1):
+        suffix[k] = suffix[k + 1] * x[k]
+    return [prefix[k] * suffix[k + 1] for k in range(d)]
+
+
+def _table_ratios(tables: np.ndarray, x: list) -> list:
+    """Per slot k: (plus - minus) / (plus + minus) for the check_marginal
+    pair of tables (rows, ..., 2^d) under weights (1 + x_j, 1 - x_j).
+
+    The folds of the axes above k are shared between consecutive k; each
+    fold is the p * wp + q * wm of check_marginal, in the same order.
+    """
+    d = len(x)
+    pairs = [((1.0 + xk)[..., None], (1.0 - xk)[..., None]) for xk in x]
+    out = [None] * d
+    top = tables
+    for k in range(d - 1, -1, -1):
+        if k < d - 1:
+            wp, wm = pairs[k + 1]
+            half = top.shape[-1] >> 1
+            top = top[..., :half] * wp + top[..., half:] * wm
+        t = top
+        for j in range(k):
+            wp, wm = pairs[j]
+            t = t[..., 0::2] * wp + t[..., 1::2] * wm
+        plus, minus = t[..., 0], t[..., 1]
+        out[k] = (plus - minus) / (plus + minus)
     return out
 
 
-def _sweep(graph: FactorGraph, messages: MessageSet, forms: list) -> MessageSet:
-    w = graph.weights
-    new_that = _check_update(graph, messages.var_to_check.tolist(), forms)
-    new_t = np.zeros(graph.edge_count)
-    that_old = messages.check_to_var.tolist()
-    fields = w.variable_fields if isinstance(w, LdpcWeights) else None
-    for i in range(graph.n):
-        eids = graph.var_edges[i]
-        if not eids:
-            continue
-        base = math.tanh(fields[i]) if fields is not None else 0.0
-        excl = _exclusive_combine([that_old[e] for e in eids], base)
-        for k, e in enumerate(eids):
-            new_t[e] = excl[k]
-    return MessageSet(kind=w.kind, var_to_check=new_t, check_to_var=new_that)
+class _Batch:
+    """Graphs of one topology and weight kind, swept together.
+
+    Every message array has one row per graph.  The degree buckets are
+    built once; the per-graph check forms (tanh h_a for ldgm, check_tables
+    for general weights) and the ldpc variable fields tanh h_i are stacked
+    once per bucket, one row per graph.
+    """
+
+    def __init__(self, graphs: list[FactorGraph]) -> None:
+        first = graphs[0]
+        self.kind = first.weights.kind
+        for g in graphs[1:]:
+            if g.weights.kind != self.kind:
+                raise ValueError(
+                    f"a batch needs one weight kind: {g.weights.kind} after {self.kind}"
+                )
+            if (g.n, g.m) != (first.n, first.m) or (
+                g.edges is not first.edges and g.edges != first.edges
+            ):
+                raise ValueError("a batch needs one topology: the edge lists differ")
+        self.edge_count = first.edge_count
+        self.check_buckets = _buckets(first.check_edges)
+        self.var_buckets = _buckets(first.var_edges)
+        self.size = len(graphs)
+        self.var_fields = None
+        self.var_rows: list = [None] * len(self.var_buckets)
+        self.check_rows: list = [None] * len(self.check_buckets)
+        if self.kind == "ldpc":
+            self.var_fields = np.array(
+                [[math.tanh(h) for h in g.weights.variable_fields] for g in graphs]
+            )
+            self.var_rows = [self.var_fields[:, nodes] for nodes, _ in self.var_buckets]
+            self.edge_vars = np.array([i for i, _a in first.edges], dtype=np.intp)
+        elif self.kind == "ldgm":
+            taus = np.array(
+                [[math.tanh(h) for h in g.weights.check_fields] for g in graphs]
+            )
+            self.check_rows = [taus[:, nodes] for nodes, _ in self.check_buckets]
+        else:
+            tables = [check_tables(g) for g in graphs]
+            self.check_rows = [
+                np.array([[t[a] for a in nodes] for t in tables])
+                for nodes, _ in self.check_buckets
+            ]
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the rows where live is False."""
+        self.check_rows = [r if r is None else r[live] for r in self.check_rows]
+        self.var_rows = [r if r is None else r[live] for r in self.var_rows]
+        if self.var_fields is not None:
+            self.var_fields = self.var_fields[live]
+        self.size = int(np.count_nonzero(live))
+
+    def initial(self) -> tuple[np.ndarray, np.ndarray]:
+        """The default start of every row (see initial_messages)."""
+        if self.var_fields is None:
+            zeros = np.zeros((self.size, self.edge_count))
+            return zeros, zeros.copy()
+        v = self.var_fields[:, self.edge_vars]
+        c = np.empty_like(v)
+        self.check_update(v, c)
+        return v, c
+
+    def check_update(self, v: np.ndarray, out: np.ndarray) -> None:
+        for (_nodes, columns), rows in zip(self.check_buckets, self.check_rows):
+            x = [v[:, col] for col in columns]
+            if self.kind == "general":
+                values = _table_ratios(rows, x)
+            else:
+                values = _exclusive_products(x)
+                if rows is not None:
+                    values = [rows * value for value in values]
+            for col, value in zip(columns, values):
+                out[:, col] = value
+
+    def var_update(self, c: np.ndarray, out: np.ndarray) -> None:
+        for (_nodes, columns), base in zip(self.var_buckets, self.var_rows):
+            y = [c[:, col] for col in columns]
+            values = _exclusive_combine(y, 0.0 if base is None else base)
+            for col, value in zip(columns, values):
+                out[:, col] = value
+
+    def sweep(self, v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One synchronous sweep of every row: (new v, new c).
+
+        Raises SingularDenominatorError when a rule divides by zero or a
+        message comes out non-finite (saturated, contradictory messages).
+        """
+        new_v = np.empty_like(v)
+        new_c = np.empty_like(c)
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
+            try:
+                self.check_update(v, new_c)
+                self.var_update(c, new_v)
+            except FloatingPointError as exc:
+                raise SingularDenominatorError(
+                    f"a BP update met a zero denominator ({exc}): messages "
+                    "saturated at +-1 contradict each other"
+                ) from exc
+        if not (np.isfinite(new_v).all() and np.isfinite(new_c).all()):
+            raise SingularDenominatorError("a BP sweep produced a non-finite message")
+        return new_v, new_c
+
+
+def _row_distance(v1, c1, v0, c0) -> np.ndarray:
+    """Per row: the sup-norm distance between two message sets."""
+    return np.maximum(
+        np.abs(v1 - v0).max(axis=-1, initial=0.0),
+        np.abs(c1 - c0).max(axis=-1, initial=0.0),
+    )
+
+
+def _one_row(messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.asarray(messages.var_to_check, dtype=float)[None, :],
+        np.asarray(messages.check_to_var, dtype=float)[None, :],
+    )
 
 
 def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
     """One synchronous sweep: both directions recomputed from the old iterate."""
-    return _sweep(graph, messages, check_forms(graph))
+    v, c = _Batch([graph]).sweep(*_one_row(messages))
+    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
 
 
 def initial_messages(graph: FactorGraph) -> MessageSet:
     """Default starting point: zeros, except ldpc which seeds the channel
     fields on variable messages and their first-order products on check
     messages."""
-    w = graph.weights
-    if not isinstance(w, LdpcWeights):
-        zeros = np.zeros(graph.edge_count)
-        return MessageSet(kind=w.kind, var_to_check=zeros, check_to_var=zeros.copy())
-    t = [math.tanh(w.variable_fields[i]) for i, _a in graph.edges]
-    return MessageSet(
-        kind=w.kind,
-        var_to_check=np.array(t, dtype=float),
-        check_to_var=_check_update(graph, t, parity_form(graph)),
-    )
-
-
-def _distance(x: MessageSet, y: MessageSet) -> float:
-    return float(
-        max(
-            np.abs(x.var_to_check - y.var_to_check).max(initial=0.0),
-            np.abs(x.check_to_var - y.check_to_var).max(initial=0.0),
-        )
-    )
+    v, c = _Batch([graph]).initial()
+    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
 
 
 def residual_of(graph: FactorGraph, messages: MessageSet) -> float:
     """Sup-norm distance between messages and one undamped sweep of them."""
-    return _distance(bp_sweep(graph, messages), messages)
+    v, c = _one_row(messages)
+    return float(_row_distance(*_Batch([graph]).sweep(v, c), v, c)[0])
+
+
+def solve_fixed_points(
+    graphs: list[FactorGraph],
+    damping: float = 0.0,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    inits: list[MessageSet] | None = None,
+) -> list[BPResult]:
+    """solve_fixed_point for every graph, as one batch; results in order.
+
+    The graphs must share one topology (n, m and edge list) and one weight
+    kind, else ValueError before any sweep.  Each row freezes at the first
+    iteration where its own residual is <= tol, so every result equals the
+    solo solve_fixed_point of its graph, bit for bit.
+    """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not graphs:
+        return []
+    batch = _Batch(list(graphs))
+    if inits is None:
+        v, c = batch.initial()
+    else:
+        v = np.array([m.var_to_check for m in inits], dtype=float)
+        c = np.array([m.check_to_var for m in inits], dtype=float)
+        if v.shape != (batch.size, batch.edge_count) or c.shape != v.shape:
+            raise ValueError(
+                f"need one start of {batch.edge_count} messages per graph, got "
+                f"{v.shape} and {c.shape} for {batch.size} graphs"
+            )
+    live = np.arange(batch.size)  # the graph of each live row
+    residual = np.full(batch.size, math.inf)
+    iterations = np.zeros(batch.size, dtype=int)
+    final_v, final_c = np.empty_like(v), np.empty_like(c)
+    for it in range(1, max_iter + 1):
+        new_v, new_c = batch.sweep(v, c)
+        if damping > 0.0:
+            new_v = (1.0 - damping) * new_v + damping * v
+            new_c = (1.0 - damping) * new_c + damping * c
+        res = _row_distance(new_v, new_c, v, c)
+        v, c = new_v, new_c
+        residual[live] = res
+        iterations[live] = it
+        done = res <= tol
+        if done.any():
+            final_v[live[done]] = v[done]
+            final_c[live[done]] = c[done]
+            going = ~done
+            live, v, c = live[going], v[going], c[going]
+            batch.keep(going)
+            if not live.size:
+                break
+    final_v[live] = v
+    final_c[live] = c
+    return [
+        BPResult(
+            messages=MessageSet(kind=batch.kind, var_to_check=mv, check_to_var=mc),
+            residual=float(r),
+            iterations=int(k),
+            converged=bool(r <= tol),
+        )
+        for mv, mc, r, k in zip(final_v, final_c, residual, iterations)
+    ]
 
 
 def solve_fixed_point(
@@ -236,35 +436,15 @@ def solve_fixed_point(
     """Iterate damped synchronous sweeps until the sup-norm residual <= tol.
 
     damping d in [0, 1) mixes the old iterate back in (t <- (1-d)*sweep + d*t,
-    in the tanh domain).  Non-convergence is reported, not raised.
+    in the tanh domain).  Non-convergence is reported, not raised.  Raises
+    ValueError for damping outside [0, 1), tol < 0 or NaN, or max_iter < 1,
+    and SingularDenominatorError when a sweep divides by zero or yields a
+    non-finite message.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    msgs = init.copy() if init is not None else initial_messages(graph)
-    forms = check_forms(graph)
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        swept = _sweep(graph, msgs, forms)
-        if damping > 0.0:
-            swept = MessageSet(
-                kind=swept.kind,
-                var_to_check=(1.0 - damping) * swept.var_to_check
-                + damping * msgs.var_to_check,
-                check_to_var=(1.0 - damping) * swept.check_to_var
-                + damping * msgs.check_to_var,
-            )
-        residual = _distance(swept, msgs)
-        msgs = swept
-        if residual <= tol:
-            break
-    return BPResult(
-        messages=msgs,
-        residual=residual,
-        iterations=iterations,
-        converged=residual <= tol,
-    )
-
+    inits = None if init is None else [init]
+    return solve_fixed_points(
+        [graph], damping=damping, tol=tol, max_iter=max_iter, inits=inits
+    )[0]
 
 # ---------------------------------------------------------------------------
 # fixed-point verification predicates

@@ -35,6 +35,7 @@ import numpy as np
 from .bethe import bethe_free_energy
 from .bp import (
     solve_fixed_point,
+    solve_fixed_points,
     verify_high_noise,
     verify_ldgm_message_bounds,
 )
@@ -144,13 +145,12 @@ def _load_graph_arg(args) -> FactorGraph:
     return graph
 
 
+def _bp_options(args) -> dict:
+    return dict(damping=args.damping, tol=args.bp_tol, max_iter=args.max_iter)
+
+
 def _run_bp(graph: FactorGraph, args):
-    return solve_fixed_point(
-        graph,
-        damping=args.damping,
-        tol=args.bp_tol,
-        max_iter=args.max_iter,
-    )
+    return solve_fixed_point(graph, **_bp_options(args))
 
 
 def _sample_ensemble(ensemble: str, l: int, r: int, n: int, seed: int) -> FactorGraph:
@@ -287,9 +287,7 @@ def cmd_verify_identity(args) -> int:
     graph = _load_graph_arg(args)
     report = verify_loop_identity(
         graph,
-        damping=args.damping,
-        tol=args.bp_tol,
-        max_iter=args.max_iter,
+        **_bp_options(args),
         budget=args.budget,
         split_lambda=args.split_lambda,
     )
@@ -433,11 +431,15 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
     topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
 
-    def f_exact(g: FactorGraph) -> float:
-        return code_space_log_partition(g).log_z / g.n
+    def f_exact(graphs: list[FactorGraph]) -> list[float]:
+        return [code_space_log_partition(g).log_z / g.n for g in graphs]
 
-    def f_bethe(g: FactorGraph) -> float:
-        return bethe_free_energy(g, _run_bp(g, args).messages).f_bethe
+    def f_bethe(graphs: list[FactorGraph]) -> list[float]:
+        results = solve_fixed_points(graphs, **_bp_options(args))
+        return [
+            bethe_free_energy(g, res.messages).f_bethe
+            for g, res in zip(graphs, results)
+        ]
 
     kwargs = dict(
         exhaustive_limit=args.exhaustive_limit,

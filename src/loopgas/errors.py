@@ -73,7 +73,8 @@ class BoundaryTooCloseError(LoopGasError):
 
 
 class SingularDenominatorError(LoopGasError):
-    """An activity denominator is numerically zero (degenerate message set)."""
+    """A denominator is numerically zero: an activity at a degenerate message
+    set, or a BP update at messages saturated at +-1."""
 
 
 class OrderTooLargeError(LoopGasError):

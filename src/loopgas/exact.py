@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .graphs import ChannelParams, FactorGraph, LdgmWeights, LdpcWeights, channe
 
 EXACT_MAX_BITS = 26  # brute force takes n <= 26, the code-space route k <= 26
 _SPAN_BITS = 9  # span sums run in blocks of 2^9 x 2^9 points
+CHANNEL_CHUNK = 1024  # channel_average hands value_fn this many patterns at most
 
 
 @dataclass(frozen=True)
@@ -348,12 +350,12 @@ class ChannelAverage:
 def channel_average(
     graph: FactorGraph,
     p: float,
-    value_fn: Callable[[FactorGraph], float],
+    value_fn: Callable[[list[FactorGraph]], Sequence[float]],
     exhaustive_limit: int = 20,
     mc_samples: int = 2_000,
     seed: int = 0,
 ) -> ChannelAverage:
-    """Average value_fn over channel realizations of the field signs.
+    """Average a per-instance value over channel realizations of the field signs.
 
     The graph supplies the topology; fields are redrawn as +-h(p) on the
     n variables (ldpc) or m checks (ldgm).  All 2^k sign patterns are
@@ -361,27 +363,45 @@ def channel_average(
     Carlo estimate with its standard error is returned.  At p = 1/2 the
     fields vanish and a single evaluation suffices.
 
+    value_fn takes a list of graphs, all of this topology, and returns their
+    values in order.  It sees the patterns in chunks of at most
+    CHANNEL_CHUNK, in pattern order, so 2^20 patterns are never built at
+    once.
+
     Raises ValueError for p outside (0, 1/2] or mc_samples < 1, and
-    WrongWeightKindError for general weights, before value_fn is called.
+    WrongWeightKindError for general weights, before value_fn is called;
+    ValueError when value_fn returns the wrong number of values.
     """
     h = ChannelParams(p=p).h
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     count, with_fields = channel_slots(graph)
 
+    def values(fields: list[tuple[float, ...]]) -> list[float]:
+        graphs = [with_fields(f) for f in fields]
+        out = list(value_fn(graphs))
+        if len(out) != len(graphs):
+            raise ValueError(
+                f"value_fn returned {len(out)} values for {len(graphs)} graphs"
+            )
+        return out
+
     if h == 0.0:
-        val = value_fn(with_fields((0.0,) * count))
+        (val,) = values([(0.0,) * count])
         return ChannelAverage(mean=val, stderr=0.0, method="degenerate", patterns=1)
 
     if count <= exhaustive_limit:
         contribs = []
-        for pattern in range(1 << count):
-            flips = pattern.bit_count()
-            weight = (p**flips) * ((1.0 - p) ** (count - flips))
-            fields = tuple(
-                -h if (pattern >> k) & 1 else h for k in range(count)
-            )
-            contribs.append(weight * value_fn(with_fields(fields)))
+        for start in range(0, 1 << count, CHANNEL_CHUNK):
+            patterns = range(start, min(start + CHANNEL_CHUNK, 1 << count))
+            fields = [
+                tuple(-h if (pattern >> k) & 1 else h for k in range(count))
+                for pattern in patterns
+            ]
+            for pattern, val in zip(patterns, values(fields)):
+                flips = pattern.bit_count()
+                weight = (p**flips) * ((1.0 - p) ** (count - flips))
+                contribs.append(weight * val)
         return ChannelAverage(
             mean=math.fsum(contribs),
             stderr=0.0,
@@ -391,9 +411,12 @@ def channel_average(
 
     rng = random.Random(seed)
     vals = []
-    for _ in range(mc_samples):
-        fields = tuple(-h if rng.random() < p else h for _ in range(count))
-        vals.append(value_fn(with_fields(fields)))
+    for start in range(0, mc_samples, CHANNEL_CHUNK):
+        fields = [
+            tuple(-h if rng.random() < p else h for _ in range(count))
+            for _ in range(min(CHANNEL_CHUNK, mc_samples - start))
+        ]
+        vals.extend(values(fields))
     arr = np.asarray(vals)
     return ChannelAverage(
         mean=float(arr.mean()),

@@ -17,6 +17,9 @@ import numpy as np
 
 from loopgas import (
     ActivityEvaluator,
+    BPResult,
+    ChannelAverage,
+    ChannelParams,
     FactorGraph,
     GeneralWeights,
     LdgmWeights,
@@ -34,7 +37,9 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
+from loopgas.bp import check_forms, check_marginal, parity_form
 from loopgas.errors import BudgetExceededError, InfeasibleDomainError, TooLargeError
+from loopgas.graphs import channel_slots
 from loopgas.loops import LoopSumResult
 from loopgas.ratefunc import (
     REFINE_TOP,
@@ -145,6 +150,142 @@ def oracle_check_sum(graph: FactorGraph, a: int, weight) -> float:
             term *= weight(k, s)
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# scalar BP: the per-edge sweep the numpy degree buckets replaced
+
+
+def _combine(x: float, y: float) -> float:
+    # tanh(atanh x + atanh y) without leaving the tanh domain
+    return (x + y) / (1.0 + x * y)
+
+
+def _exclusive_combine(values: list[float], base: float) -> list[float]:
+    # out[k] = combine of base with all values except values[k]
+    d = len(values)
+    prefix = [base] * (d + 1)
+    for k in range(d):
+        prefix[k + 1] = _combine(prefix[k], values[k])
+    suffix = [0.0] * (d + 1)
+    for k in range(d - 1, -1, -1):
+        suffix[k] = _combine(suffix[k + 1], values[k])
+    return [_combine(prefix[k], suffix[k + 1]) for k in range(d)]
+
+
+def _exclusive_products(values: list[float]) -> list[float]:
+    # out[k] = product of all values except values[k], no division
+    d = len(values)
+    prefix = [1.0] * (d + 1)
+    for k in range(d):
+        prefix[k + 1] = prefix[k] * values[k]
+    suffix = [1.0] * (d + 1)
+    for k in range(d - 1, -1, -1):
+        suffix[k] = suffix[k + 1] * values[k]
+    return [prefix[k] * suffix[k + 1] for k in range(d)]
+
+
+def _check_update(graph: FactorGraph, t: list[float], forms: list) -> np.ndarray:
+    out = np.zeros(graph.edge_count)
+    if isinstance(graph.weights, GeneralWeights):
+        for a, psi in enumerate(forms):
+            eids = graph.check_edges[a]
+            pairs = [(1.0 + t[e], 1.0 - t[e]) for e in eids]
+            for k, e in enumerate(eids):
+                plus, minus = check_marginal(psi, pairs, k)
+                out[e] = (plus - minus) / (plus + minus)
+    else:
+        for a, (_c, tau) in enumerate(forms):
+            eids = graph.check_edges[a]
+            excl = _exclusive_products([t[e] for e in eids])
+            for k, e in enumerate(eids):
+                out[e] = tau * excl[k]
+    return out
+
+
+def _sweep(graph: FactorGraph, messages: MessageSet, forms: list) -> MessageSet:
+    w = graph.weights
+    new_that = _check_update(graph, messages.var_to_check.tolist(), forms)
+    new_t = np.zeros(graph.edge_count)
+    that_old = messages.check_to_var.tolist()
+    fields = w.variable_fields if isinstance(w, LdpcWeights) else None
+    for i in range(graph.n):
+        eids = graph.var_edges[i]
+        if not eids:
+            continue
+        base = math.tanh(fields[i]) if fields is not None else 0.0
+        excl = _exclusive_combine([that_old[e] for e in eids], base)
+        for k, e in enumerate(eids):
+            new_t[e] = excl[k]
+    return MessageSet(kind=w.kind, var_to_check=new_t, check_to_var=new_that)
+
+
+def scalar_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
+    """One synchronous sweep, edge by edge in pure Python."""
+    return _sweep(graph, messages, check_forms(graph))
+
+
+def scalar_residual(graph: FactorGraph, messages: MessageSet) -> float:
+    """Sup-norm distance between messages and one undamped sweep of them."""
+    return _distance(scalar_sweep(graph, messages), messages)
+
+
+def scalar_initial_messages(graph: FactorGraph) -> MessageSet:
+    """Zeros, except ldpc: tanh h_i on variable messages, their products on
+    check messages."""
+    w = graph.weights
+    if not isinstance(w, LdpcWeights):
+        zeros = np.zeros(graph.edge_count)
+        return MessageSet(kind=w.kind, var_to_check=zeros, check_to_var=zeros.copy())
+    t = [math.tanh(w.variable_fields[i]) for i, _a in graph.edges]
+    return MessageSet(
+        kind=w.kind,
+        var_to_check=np.array(t, dtype=float),
+        check_to_var=_check_update(graph, t, parity_form(graph)),
+    )
+
+
+def _distance(x: MessageSet, y: MessageSet) -> float:
+    return float(
+        max(
+            np.abs(x.var_to_check - y.var_to_check).max(initial=0.0),
+            np.abs(x.check_to_var - y.check_to_var).max(initial=0.0),
+        )
+    )
+
+
+def scalar_solve(
+    graph: FactorGraph,
+    init: MessageSet | None = None,
+    damping: float = 0.0,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+) -> BPResult:
+    """Damped synchronous sweeps until the sup-norm residual <= tol."""
+    msgs = init.copy() if init is not None else scalar_initial_messages(graph)
+    forms = check_forms(graph)
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        swept = _sweep(graph, msgs, forms)
+        if damping > 0.0:
+            swept = MessageSet(
+                kind=swept.kind,
+                var_to_check=(1.0 - damping) * swept.var_to_check
+                + damping * msgs.var_to_check,
+                check_to_var=(1.0 - damping) * swept.check_to_var
+                + damping * msgs.check_to_var,
+            )
+        residual = _distance(swept, msgs)
+        msgs = swept
+        if residual <= tol:
+            break
+    return BPResult(
+        messages=msgs,
+        residual=residual,
+        iterations=iterations,
+        converged=residual <= tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -897,6 +1038,49 @@ def oracle_ldpc_log_z(graph: FactorGraph) -> float:
     ]
     peak = max(logs)
     return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
+
+
+# ---------------------------------------------------------------------------
+# per-graph channel average
+
+
+def oracle_channel_average(
+    graph: FactorGraph,
+    p: float,
+    value,
+    exhaustive_limit: int = 20,
+    mc_samples: int = 2_000,
+    seed: int = 0,
+) -> ChannelAverage:
+    """channel_average with value called on one graph at a time, in pattern
+    order and without chunks."""
+    h = ChannelParams(p=p).h
+    count, with_fields = channel_slots(graph)
+    if h == 0.0:
+        val = value(with_fields((0.0,) * count))
+        return ChannelAverage(mean=val, stderr=0.0, method="degenerate", patterns=1)
+    if count <= exhaustive_limit:
+        contribs = []
+        for pattern in range(1 << count):
+            flips = pattern.bit_count()
+            weight = (p**flips) * ((1.0 - p) ** (count - flips))
+            fields = tuple(-h if (pattern >> k) & 1 else h for k in range(count))
+            contribs.append(weight * value(with_fields(fields)))
+        return ChannelAverage(
+            mean=math.fsum(contribs), stderr=0.0, method="exhaustive", patterns=1 << count
+        )
+    rng = random.Random(seed)
+    vals = []
+    for _ in range(mc_samples):
+        fields = tuple(-h if rng.random() < p else h for _ in range(count))
+        vals.append(value(with_fields(fields)))
+    arr = np.asarray(vals)
+    return ChannelAverage(
+        mean=float(arr.mean()),
+        stderr=float(arr.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
+        method="montecarlo",
+        patterns=mc_samples,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import loopgas as lg
 import loopgas.bp as bp
-from loopgas.errors import DegreeTooLargeError
+from loopgas.errors import DegreeTooLargeError, SingularDenominatorError
 
 import support as sp
 
@@ -198,6 +198,153 @@ def test_degree_cap_on_general_checks_only():
         lg.bethe_free_energy(wide, zero)
     with pytest.raises(DegreeTooLargeError):
         lg.ActivityEvaluator(wide, zero).check_factor(0, {0, 1})
+
+
+# ---------------------------------------------------------------------------
+# bit for bit against the scalar sweep
+
+
+def _one_topology(family: str, count: int) -> list:
+    """count graphs of one topology, each with its own weights."""
+    if family == "ldgm-mixed":
+        base = lg.sample_ldgm({2: 0.5, 3: 0.5}, {4: 0.5, 6: 0.5}, 24, 3)
+        assert {len(e) for e in base.var_edges} == {2, 3}
+        assert {len(e) for e in base.check_edges} == {4, 6}
+        return [lg.apply_channel(base, 0.2, seed=s) for s in range(count)]
+    kind, l, r = family.split("-")
+    n = 8 if r == "4" and kind == "general" else 12
+    base = lg.sample_regular_bipartite(int(l), int(r), n, seed=1)
+    if kind == "general":
+        return [
+            lg.attach_random_general_weights(base, 0.3, seed=s) for s in range(count)
+        ]
+    return [lg.apply_channel(base, 0.3, seed=s) for s in range(count)]
+
+
+FAMILIES = ["ldpc-3-4", "ldpc-3-6", "ldgm-mixed", "general-3-4", "general-3-6"]
+OPTIONS = {
+    "default": {},
+    "damped": {"damping": 0.3},
+    "cut-off": {"max_iter": 4},
+}
+
+
+def _assert_same_result(got, want):
+    assert np.array_equal(got.messages.var_to_check, want.messages.var_to_check)
+    assert np.array_equal(got.messages.check_to_var, want.messages.check_to_var)
+    assert got.iterations == want.iterations
+    assert got.residual == want.residual
+    assert got.converged == want.converged
+
+
+@pytest.mark.parametrize("option", [*OPTIONS, "init"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solves_equal_the_scalar_sweep_bit_for_bit(family, option):
+    graphs = _one_topology(family, 3)
+    options = dict(OPTIONS.get(option, {}))
+    inits = [None] * len(graphs)
+    if option == "init":
+        inits = [
+            sp.random_messages(g, seed=11 + s, scale=0.4) for s, g in enumerate(graphs)
+        ]
+    wants = [sp.scalar_solve(g, init=x, **options) for g, x in zip(graphs, inits)]
+    for g, x, want in zip(graphs, inits, wants):
+        _assert_same_result(lg.solve_fixed_point(g, init=x, **options), want)
+    batch_inits = None if option != "init" else inits
+    got = lg.solve_fixed_points(graphs, inits=batch_inits, **options)
+    assert len(got) == len(graphs)
+    for res, want in zip(got, wants):
+        _assert_same_result(res, want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_and_start_equal_the_scalar_sweep_bit_for_bit(family):
+    g = _one_topology(family, 1)[0]
+    msgs = sp.random_messages(g, seed=5)
+    swept, want = bp.bp_sweep(g, msgs), sp.scalar_sweep(g, msgs)
+    assert np.array_equal(swept.var_to_check, want.var_to_check)
+    assert np.array_equal(swept.check_to_var, want.check_to_var)
+    start, want = lg.initial_messages(g), sp.scalar_initial_messages(g)
+    assert np.array_equal(start.var_to_check, want.var_to_check)
+    assert np.array_equal(start.check_to_var, want.check_to_var)
+    assert lg.residual_of(g, msgs) == sp.scalar_residual(g, msgs)
+
+
+def test_batch_rows_freeze_at_their_own_iteration():
+    base = lg.sample_regular_bipartite(3, 4, 8, seed=2)
+    graphs = [lg.apply_channel(base, 0.4, seed=s) for s in range(24)]
+    got = lg.solve_fixed_points(graphs)
+    assert len({res.iterations for res in got}) > 1
+    for g, res in zip(graphs, got):
+        _assert_same_result(res, sp.scalar_solve(g))
+    # on a tree the residual reaches 0.0 exactly, so tol = 0 still freezes
+    tree = sp.random_tree(9, 0)
+    trees = [lg.apply_channel(tree, 0.3, seed=s) for s in range(4)]
+    for g, res in zip(trees, lg.solve_fixed_points(trees, tol=0.0, max_iter=50)):
+        assert res.converged and res.residual == 0.0
+        _assert_same_result(res, sp.scalar_solve(g, tol=0.0, max_iter=50))
+    assert lg.solve_fixed_points([]) == []
+
+
+def test_batch_refuses_mixed_topologies_and_kinds():
+    g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
+    other = sp.ldpc_instance(3, 4, 8, 0.3, 1)
+    assert other.edges != g.edges
+    with pytest.raises(ValueError, match="one topology"):
+        lg.solve_fixed_points([g, other])
+    general = lg.attach_random_general_weights(g, 0.2, seed=0)
+    with pytest.raises(ValueError, match="one weight kind"):
+        lg.solve_fixed_points([g, general])
+    with pytest.raises(ValueError, match="one start"):
+        lg.solve_fixed_points([g, g], inits=[lg.initial_messages(g)])
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def _saturated_pair():
+    # tanh(+-40) rounds to +-1: the two variables are certain and contradict
+    return lg.build_factor_graph(2, 1, ((0, 0), (1, 0)), lg.LdpcWeights((40.0, -40.0)))
+
+
+def test_saturated_messages_raise_a_typed_error():
+    g = _saturated_pair()
+    with pytest.raises(SingularDenominatorError):
+        lg.solve_fixed_point(g)
+    with pytest.raises(SingularDenominatorError):
+        lg.solve_fixed_points([g, g])
+    with pytest.raises(ZeroDivisionError):
+        sp.scalar_solve(g)  # the scalar rule failed untyped on the same division
+    bad = lg.MessageSet(
+        kind="ldpc",
+        var_to_check=np.array([np.nan, 0.1]),
+        check_to_var=np.zeros(2),
+    )
+    with pytest.raises(SingularDenominatorError):
+        bp.bp_sweep(g, bad)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"tol": -1.0}, "tol must be a number >= 0"),
+        ({"tol": math.nan}, "tol must be a number >= 0"),
+        ({"max_iter": 0}, "max_iter must be at least 1"),
+        ({"damping": 1.0}, "damping must lie in"),
+    ],
+)
+def test_bad_parameters_are_refused_before_any_sweep(options, message, monkeypatch):
+    g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(bp._Batch, "sweep", no_sweep)
+    with pytest.raises(ValueError, match=message):
+        lg.solve_fixed_point(g, **options)
+    with pytest.raises(ValueError, match=message):
+        lg.solve_fixed_points([g], **options)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from loopgas import (
     load_graph,
     save_graph,
     solve_fixed_point,
+    solve_fixed_points,
     verify_loop_identity,
 )
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
@@ -200,6 +201,41 @@ def test_bethe_breakdown_payload(tmp_path):
         - math.fsum(payload["edge_terms"])
     ) / graph.n
     assert abs(recombined - payload["f_bethe"]) <= 1e-13
+
+
+def test_bethe_exits_2_on_saturated_messages(tmp_path, capsys):
+    # fields of +-40 round tanh to +-1: the two variables contradict with certainty
+    graph = loopgas.build_factor_graph(
+        2, 1, ((0, 0), (1, 0)), loopgas.LdpcWeights((40.0, -40.0))
+    )
+    path = str(tmp_path / "saturated.json")
+    save_graph(graph, path)
+    for command in ("bp", "bethe"):
+        assert main([command, "--graph", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--bp-tol", "-1"], "tol must be a number >= 0, got -1.0"),
+        (["--bp-tol", "nan"], "tol must be a number >= 0, got nan"),
+        (["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    ],
+)
+def test_bethe_refuses_bad_bp_parameters(tmp_path, capsys, monkeypatch, flags, message):
+    path = _sparse_file(tmp_path)
+    monkeypatch.setattr("loopgas.bp._Batch.sweep", _no_sweep)
+    out = tmp_path / "bethe.json"
+    assert main(["bethe", "--graph", path, "--p", "0.4", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a BP sweep ran")
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +562,15 @@ def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypat
     # (3,6) at n = 60 has k >= 30 > 26: exit 3 without a single BP solve
     calls = []
 
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return solve_fixed_point(*args, **kwargs)
+    def counting(solve):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr("loopgas.cli.solve_fixed_point", counting_solve)
+        return counted
+
+    monkeypatch.setattr("loopgas.cli.solve_fixed_point", counting(solve_fixed_point))
+    monkeypatch.setattr("loopgas.cli.solve_fixed_points", counting(solve_fixed_points))
     rc = main([
         "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "6",
         "--n-list", "60", "--p", "0.45", "--instances", "2", "--seed", "0",

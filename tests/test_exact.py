@@ -344,13 +344,17 @@ def _free_energy(g):
     return lg.brute_force_log_partition(g).log_z / g.n
 
 
+def _free_energies(graphs):
+    return [_free_energy(g) for g in graphs]
+
+
 def test_channel_average_refuses_bad_p_and_samples_before_any_work():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
     calls = []
 
-    def counting(graph):
+    def counting(graphs):
         calls.append(1)
-        return _free_energy(graph)
+        return _free_energies(graphs)
 
     for p in (0.0, 1.0, 0.7):
         with pytest.raises(ValueError, match=r"p must lie in \(0, 1/2\]"):
@@ -363,7 +367,7 @@ def test_channel_average_refuses_bad_p_and_samples_before_any_work():
 
 def test_channel_average_degenerate_at_half():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
-    avg = lg.channel_average(g, 0.5, _free_energy)
+    avg = lg.channel_average(g, 0.5, _free_energies)
     assert avg.method == "degenerate" and avg.patterns == 1
     assert avg.stderr == 0.0
     k = lg.codeword_count_gf2(g)
@@ -373,7 +377,7 @@ def test_channel_average_degenerate_at_half():
 def test_channel_average_exhaustive_matches_hand_sum():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=1)
     p = 0.25
-    avg = lg.channel_average(g, p, _free_energy)
+    avg = lg.channel_average(g, p, _free_energies)
     assert avg.method == "exhaustive" and avg.patterns == 1 << g.n
     h = lg.ChannelParams(p=p).h
     total = []
@@ -392,16 +396,16 @@ def test_channel_average_montecarlo_brackets_exhaustive():
     # parity-check weights: distinct sign patterns give distinct ln Z
     g = lg.sample_regular_bipartite(3, 6, 12, seed=2)
     p = 0.3
-    exact = lg.channel_average(g, p, _free_energy, exhaustive_limit=20)
+    exact = lg.channel_average(g, p, _free_energies, exhaustive_limit=20)
     assert exact.method == "exhaustive"
     mc = lg.channel_average(
-        g, p, _free_energy, exhaustive_limit=2, mc_samples=400, seed=11
+        g, p, _free_energies, exhaustive_limit=2, mc_samples=400, seed=11
     )
     assert mc.method == "montecarlo" and mc.patterns == 400
     assert mc.stderr > 0.0
     assert abs(mc.mean - exact.mean) < 5.0 * mc.stderr
     again = lg.channel_average(
-        g, p, _free_energy, exhaustive_limit=2, mc_samples=400, seed=11
+        g, p, _free_energies, exhaustive_limit=2, mc_samples=400, seed=11
     )
     assert mc.mean == again.mean
 
@@ -411,10 +415,58 @@ def test_channel_average_constant_for_full_rank_ldgm():
     # shift and the free energy is exactly pattern-independent
     g = lg.sample_ldgm({3: 1.0}, {6: 1.0}, 12, seed=2)
     mc = lg.channel_average(
-        g, 0.3, _free_energy, exhaustive_limit=2, mc_samples=50, seed=4
+        g, 0.3, _free_energies, exhaustive_limit=2, mc_samples=50, seed=4
     )
     assert mc.method == "montecarlo"
     assert mc.stderr <= 1e-14
+
+
+def _code_free_energy(g):
+    return lg.code_space_log_partition(g).log_z / g.n
+
+
+def _recording(value, sizes):
+    def batch(graphs):
+        sizes.append(len(graphs))
+        return [value(g) for g in graphs]
+
+    return batch
+
+
+@pytest.mark.parametrize(
+    "family, n, p, options, chunks",
+    [
+        # 2^12 = 4,096 exhaustive patterns: four full chunks
+        ("ldpc", 12, 0.3, {}, [1024] * 4),
+        ("ldgm", 12, 0.2, {}, [64]),
+        # 2,500 samples: two full chunks and a partial one
+        ("ldpc", 24, 0.4, {"mc_samples": 2_500, "seed": 3}, [1024, 1024, 452]),
+        ("ldpc", 8, 0.5, {}, [1]),
+    ],
+)
+def test_channel_average_batches_equal_the_per_graph_oracle(
+    family, n, p, options, chunks
+):
+    if family == "ldpc":
+        g = lg.sample_regular_bipartite(3, 4, n, seed=4)
+    else:
+        g = lg.sample_ldgm({2: 1.0}, {4: 1.0}, n, seed=4)
+    sizes = []
+    avg = lg.channel_average(g, p, _recording(_code_free_energy, sizes), **options)
+    assert avg == sp.oracle_channel_average(g, p, _code_free_energy, **options)
+    assert sizes == chunks
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_channel_average_refuses_a_wrong_value_count(extra):
+    g = lg.sample_regular_bipartite(3, 4, 8, seed=0)
+
+    def miscounting(graphs):
+        return [0.0] * (len(graphs) + extra)
+
+    for options in ({}, {"exhaustive_limit": 2, "mc_samples": 10}):
+        with pytest.raises(ValueError, match="value_fn returned"):
+            lg.channel_average(g, 0.3, miscounting, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +485,7 @@ def test_channel_shift_values():
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.5])
 def test_ldgm_entropy_formula_matches_joint_enumeration(p):
     g = lg.sample_ldgm({2: 1.0}, {4: 1.0}, 6, seed=1)
-    avg = lg.channel_average(g, p, _free_energy)
+    avg = lg.channel_average(g, p, _free_energies)
     formula = lg.conditional_entropy_ldgm(avg.mean, p, g.m / g.n)
     assert formula == pytest.approx(sp.entropy_oracle_ldgm(g, p), abs=1e-10)
 
@@ -441,7 +493,7 @@ def test_ldgm_entropy_formula_matches_joint_enumeration(p):
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.5])
 def test_ldpc_entropy_formula_matches_joint_enumeration(p):
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
-    avg = lg.channel_average(g, p, _free_energy)
+    avg = lg.channel_average(g, p, _free_energies)
     formula = lg.conditional_entropy_ldpc(avg.mean, p)
     assert formula == pytest.approx(sp.entropy_oracle_ldpc(g, p), abs=1e-10)
 
@@ -449,7 +501,7 @@ def test_ldpc_entropy_formula_matches_joint_enumeration(p):
 def test_ldpc_entropy_at_half_is_code_dimension():
     for seed in range(4):
         g = lg.sample_regular_bipartite(3, 4, 8, seed=seed)
-        avg = lg.channel_average(g, 0.5, _free_energy)
+        avg = lg.channel_average(g, 0.5, _free_energies)
         formula = lg.conditional_entropy_ldpc(avg.mean, 0.5)
         k = lg.codeword_count_gf2(g)
         assert formula == pytest.approx(k * LN2 / g.n, abs=1e-12)
