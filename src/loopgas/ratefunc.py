@@ -13,12 +13,21 @@ to the even sub-lattice, and Lambda(theta) by seeded multi-start search
 with coordinate refinement.
 
 The search samples one pool of admissible starts, which does not depend
-on theta; a profile over a theta grid samples it once.  Every start is
-screened in numpy (f once per pool, k_theta as one matrix-vector product
-per theta).  The screen only ranks: the starts within a rounding margin
-of the REFINE_TOP-th best are rescored with the exact fsum objective,
-so the starts handed to refinement, and hence the results, are the same
-as scoring every start exactly.
+on theta; a profile over a theta grid samples it once.  The draws come one
+by one from random.Random(seed); whether a draw is admissible is decided
+in numpy for a batch of draws at a time, and by the scalar fsum test for
+the rows within a rounding margin of a constraint, so the pool is the one
+a draw-by-draw scalar test would keep.  Every start is screened in numpy
+(f once per pool, k_theta as one matrix-vector product per theta).  The
+screen only ranks: the starts within a rounding margin of the
+REFINE_TOP-th best are rescored exactly, so the starts handed to
+refinement, and hence the results, are the same as scoring every start
+exactly.
+
+Exact scoring is one fused closure per theta: score(point) is None off
+the admissible region and f + k_theta on it, equal bit for bit to f_xy
+plus k_theta (same fsum terms, same float operation order, coefficients
+computed once).  Coordinate refinement calls it once per trial point.
 
 Coordinates: xs = (x_2..x_l) are variable-type fractions, ys = (y_2..y_r)
 check-type fractions rescaled by r/l, so the admissible region is
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -59,6 +69,11 @@ def _ln(v: float) -> float:
     return math.log(v) if v > 0.0 else float("-inf")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class RateFunctionSpec:
     """Ensemble degrees, noise level, bound constants, and size fraction."""
@@ -77,6 +92,8 @@ class RateFunctionSpec:
             )
         if not 0.0 <= self.theta < 0.5:
             raise ValueError(f"theta must lie in [0, 0.5), got {self.theta}")
+        for name in ("lam", "alpha1", "alpha2"):
+            _check_finite(name, getattr(self, name))
         if self.lam <= 0.0:
             raise ValueError(f"size fraction must be positive, got {self.lam}")
         if self.alpha1 <= 1.0 or self.alpha2 <= 1.0:
@@ -222,6 +239,7 @@ def maximize_f0(
     if l % 2 == 0 or l < 3:
         raise ValueError(f"need l odd and >= 3, got {l}")
     _check_starts(starts)
+    _check_finite("lam", lam)
     if lam <= 0.0 or l * lam >= 1.0:
         raise InfeasibleDomainError(
             f"size fraction {lam} leaves no admissible restricted types for l = {l}"
@@ -255,8 +273,12 @@ def maximize_f0(
         )
     best_pool.sort(key=lambda item: -item[0])
     value, point = best_pool[0][0], best_pool[0][1]
+
+    def score(point: list[float]) -> float | None:
+        return objective(point) if feasible(point) else None
+
     for cand_value, cand in best_pool[:REFINE_TOP]:
-        ref_value, ref = _coordinate_ascent(objective, feasible, cand, tol)
+        ref_value, ref = _coordinate_ascent(score, cand, tol)
         if ref_value > value:
             value, point = ref_value, ref
     return value, tuple(point)
@@ -266,9 +288,10 @@ def maximize_f0(
 # full maximization
 
 
-def _coordinate_ascent(objective, feasible, start, tol, step0=0.05):
+def _coordinate_ascent(score, start, tol, step0=0.05):
+    """Climb from a feasible start; score(point) is None off the region."""
     point = list(start)
-    value = objective(point)
+    value = score(point)
     step = step0
     while step >= tol:
         moved = False
@@ -283,10 +306,8 @@ def _coordinate_ascent(objective, feasible, start, tol, step0=0.05):
                         continue
                     cand = list(point)
                     cand[j] = trial
-                    if not feasible(cand):
-                        continue
-                    cand_value = objective(cand)
-                    if cand_value > value:
+                    cand_value = score(cand)
+                    if cand_value is not None and cand_value > value:
                         value, point = cand_value, cand
                         improved = moved = True
             if not improved:
@@ -303,66 +324,179 @@ def _check_starts(starts: int) -> None:
 
 
 def _region(l: int, r: int, lam: float):
-    """(y_last, feasible) on free coordinates: xs then ys without y_r."""
+    """admit(point) on free coordinates (xs, then ys without y_r).
+
+    None off the admissible region; on it, (wx, y_r, sx) with the fsums
+    wx = sum (s/l) x_s and sx = sum x_s, and y_r = wx - sum (t/r) y_t
+    from the degree-matching equality.
+    """
     dim_x = l - 1
+    wx_coef = [s / l for s in range(2, l + 1)]
+    wy_coef = [t / r for t in range(2, r)]
+    floor = lam - 1e-12
 
-    def y_last(xs: list[float], ys_head: list[float]) -> float:
-        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
-        wy = math.fsum((t / r) * y for t, y in zip(range(2, r), ys_head))
-        return wx - wy
-
-    def feasible(point: list[float]) -> bool:
-        if any(v < 0.0 for v in point):
-            return False
+    def admit(point: list[float]) -> tuple[float, float, float] | None:
+        if min(point) < 0.0:
+            return None
         xs = point[:dim_x]
         ys_head = point[dim_x:]
-        yr = y_last(xs, ys_head)
+        wx = math.fsum(map(mul, wx_coef, xs))
+        yr = wx - math.fsum(map(mul, wy_coef, ys_head))
         if yr < 0.0:
-            return False
+            return None
         sx = math.fsum(xs)
         sy = math.fsum(ys_head) + yr
-        if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12:
-            return False
-        return sx / l + sy / r >= lam - 1e-12
+        if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12 or not sx / l + sy / r >= floor:
+            return None
+        return wx, yr, sx
 
-    return y_last, feasible
+    return admit
+
+
+def _decay_coefficients(spec: RateFunctionSpec):
+    """k_theta = sum (x_s/l) kx_s + sum_{t<r} (y_t/r) ky_t + (y_r/r) k_last.
+
+    A coefficient is -inf where its log diverges (theta = 0 on a
+    plain-theta term).
+    """
+    l, r, theta = spec.l, spec.r, spec.theta
+    kx = [
+        math.log1p(0.5 * spec.alpha2 * (1 + 4 * s + s * s) * theta * theta)
+        if s % 2 == 0
+        else _ln(spec.alpha2 * (1 + s) * theta)
+        for s in range(2, l + 1)
+    ]
+    ky = [_ln(spec.alpha1 * theta ** (r - t)) for t in range(2, r)]
+    return kx, ky, math.log1p(spec.alpha1 * theta**r)
+
+
+def _scorer(spec: RateFunctionSpec, admit):
+    """score(point) = f_xy + k_theta on free coordinates, None where
+    admit(point) is None.
+
+    One pass over precomputed coefficients.  Every fsum holds the same
+    terms and every float operation comes in the same order as in f_xy and
+    k_theta, so a score equals their sum bit for bit.
+    """
+    l, r = spec.l, spec.r
+    dim_x = l - 1
+    comb_x = [math.log(math.comb(l, s)) for s in range(2, l + 1)]
+    comb_y = [math.log(math.comb(r, t)) for t in range(2, r + 1)]
+    kx, ky, k_last = _decay_coefficients(spec)
+
+    def score(point: list[float]) -> float | None:
+        region = admit(point)
+        if region is None:
+            return None
+        wx, yr, sx = region
+        xs = point[:dim_x]
+        ys = point[dim_x:]
+        ys.append(yr)
+        sy = math.fsum(ys)
+        val = _xlogx(1.0 - wx) + _xlogx(wx)
+        val += math.fsum(map(mul, xs, comb_x)) / l
+        val += math.fsum(map(mul, ys, comb_y)) / r
+        val -= (_xlogx(1.0 - sy) + math.fsum(map(_xlogx, ys))) / r
+        val -= (_xlogx(1.0 - sx) + math.fsum(map(_xlogx, xs))) / l
+        decay = 0.0
+        if yr:
+            decay += (yr / r) * k_last
+        for y, c in zip(ys, ky):  # ky stops before y_r
+            if y:
+                decay += (y / r) * c
+        for x, c in zip(xs, kx):
+            if x:
+                decay += (x / l) * c
+        return val + decay
+
+    return score
+
+
+# The pool's numpy admissibility test differs from admit's fsums only in
+# rounding.  A numpy sum of n nonnegative terms is within n * 2^-52 of the
+# fsum relative to the sum itself, so a comparison can only come out the
+# other way where the compared value is about that close to its threshold.
+# There every sum involved is below 2: wx < 1 is the sampler's own fsum,
+# the check sum sum (t/r) y_t is at most wx, and the coordinate sums are
+# near 1 or near lam.  So y_r, sx, sy and sx/l + sy/r are off by less than
+# 4 (l + r) * 2^-52 there, under 1e-12 for l + r <= 1000; measured, at
+# most 4.5e-16 over 20,000 draws each from (3,4) to (9,40).  Rows within
+# _ADMIT_MARGIN of any threshold are decided by admit itself.
+_ADMIT_MARGIN = 1e-11
+_SAMPLE_BATCH = 1024
+
+
+def _admissible_rows(
+    admit, l: int, r: int, lam: float, rows: np.ndarray, wx: np.ndarray
+) -> np.ndarray:
+    """Mask of the rows admit accepts, with wx the rows' exact fsums."""
+    xs, ys_head = rows[:, : l - 1], rows[:, l - 1 :]
+    yr = wx - ys_head @ (np.arange(2, r) / r)
+    sx = xs.sum(axis=1)
+    sy = ys_head.sum(axis=1) + yr
+    size = sx / l + sy / r
+    edge, floor = 1.0 - 1e-12, lam - 1e-12
+    ok = (rows.min(axis=1) >= 0.0) & (yr >= 0.0) & (sx < edge) & (sy < edge)
+    ok &= size >= floor
+    near = np.abs(yr) <= _ADMIT_MARGIN
+    for value, threshold in ((sx, edge), (sy, edge), (size, floor)):
+        near |= np.abs(value - threshold) <= _ADMIT_MARGIN
+    for i in np.flatnonzero(near).tolist():
+        ok[i] = admit(rows[i].tolist()) is not None
+    return ok
 
 
 def _sample_pool(l: int, r: int, lam: float, starts: int, seed: int) -> np.ndarray:
-    """Up to `starts` admissible free-coordinate rows from random.Random(seed).
+    """The first `starts` admissible rows among the first 100 * starts
+    draws of random.Random(seed), in draw order.
 
-    Log-uniform scales and randomly sparsified faces; rows are kept in
-    draw order.  Nothing here depends on theta, so one pool serves a whole
-    profile.
+    Log-uniform scales and randomly sparsified faces.  Draws are made one
+    by one in Python, which fixes their bits; admissibility is decided in
+    numpy for batches of at most _SAMPLE_BATCH draws, and by admit for
+    rows within _ADMIT_MARGIN of a threshold.  Nothing here depends on
+    theta, so one pool serves a whole profile.
     """
-    _y_last, feasible = _region(l, r, lam)
+    admit = _region(l, r, lam)
     dim_x = l - 1
     dim_y = r - 2  # y_r eliminated
+    wx_coef = [s / l for s in range(2, l + 1)]
+    wy_coef = [t / r for t in range(2, r)]
+    no_ys = [0.0] * dim_y
+    log_lo, log_hi = math.log(1e-4), math.log(0.999)
     rng = random.Random(seed)
+    expo, unit = rng.expovariate, rng.random
     pool = np.empty((starts, dim_x + dim_y))
     count = 0
     attempts = 0
     while count < starts and attempts < 100 * starts:
-        attempts += 1
-        raw_x = [rng.expovariate(1.0) for _ in range(dim_x)]
-        if rng.random() < 0.5:
-            keep = rng.randrange(1, 1 << dim_x)
-            raw_x = [v if (keep >> j) & 1 else 0.0 for j, v in enumerate(raw_x)]
-        total = sum(raw_x) or 1.0
-        scale = math.exp(rng.uniform(math.log(1e-4), math.log(0.999)))
-        xs = [v / total * scale for v in raw_x]
-        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
-        ys_head = [0.0] * dim_y
-        if dim_y and rng.random() < 0.5 and wx > 0.0:
-            raw_y = [rng.expovariate(1.0) for _ in range(dim_y)]
-            weight = math.fsum((t / r) * v for t, v in zip(range(2, r), raw_y))
-            budget = rng.random() * wx
-            if weight > 0.0:
-                ys_head = [v / weight * budget for v in raw_y]
-        point = xs + ys_head
-        if feasible(point):
-            pool[count] = point
-            count += 1
+        batch = min(_SAMPLE_BATCH, 100 * starts - attempts, 2 * (starts - count))
+        attempts += batch
+        flat: list[float] = []
+        wxs: list[float] = []
+        for _ in range(batch):
+            raw_x = [expo(1.0) for _ in range(dim_x)]
+            if unit() < 0.5:
+                keep = rng.randrange(1, 1 << dim_x)
+                raw_x = [v if (keep >> j) & 1 else 0.0 for j, v in enumerate(raw_x)]
+            total = sum(raw_x) or 1.0
+            scale = math.exp(rng.uniform(log_lo, log_hi))
+            xs = [v / total * scale for v in raw_x]
+            wx = math.fsum(map(mul, wx_coef, xs))
+            ys_head = no_ys
+            if dim_y and unit() < 0.5 and wx > 0.0:
+                raw_y = [expo(1.0) for _ in range(dim_y)]
+                weight = math.fsum(map(mul, wy_coef, raw_y))
+                budget = unit() * wx
+                if weight > 0.0:
+                    ys_head = [v / weight * budget for v in raw_y]
+            flat += xs
+            flat += ys_head
+            wxs.append(wx)
+        rows = np.array(flat).reshape(batch, dim_x + dim_y)
+        ok = _admissible_rows(admit, l, r, lam, rows, np.array(wxs))
+        take = np.flatnonzero(ok)[: starts - count]
+        pool[count : count + len(take)] = rows[take]
+        count += len(take)
     return pool[:count]
 
 
@@ -399,21 +533,14 @@ def _decay_screen(
 ) -> np.ndarray:
     """k_theta for every pool row: one coefficient vector, one product.
 
-    A coefficient is -inf where k_theta's log diverges (theta = 0 on a
-    plain-theta term); a zero coordinate there contributes 0 and a
-    positive one makes the row -inf, as in the scalar k_theta.
+    A zero coordinate on a -inf coefficient contributes 0 and a positive
+    one makes the row -inf, as in the scalar k_theta.
     """
-    l, r, theta = spec.l, spec.r, spec.theta
-    coef = [
-        math.log1p(0.5 * spec.alpha2 * (1 + 4 * s + s * s) * theta * theta) / l
-        if s % 2 == 0
-        else _ln(spec.alpha2 * (1 + s) * theta) / l
-        for s in range(2, l + 1)
-    ]
-    coef += [_ln(spec.alpha1 * theta ** (r - t)) / r for t in range(2, r)]
+    kx, ky, k_last = _decay_coefficients(spec)
+    coef = [c / spec.l for c in kx] + [c / spec.r for c in ky]
     coef = np.array(coef)
     finite = np.isfinite(coef)
-    val = pool[:, finite] @ coef[finite] + yr * (math.log1p(spec.alpha1 * theta**r) / r)
+    val = pool[:, finite] @ coef[finite] + yr * (k_last / spec.r)
     val[(pool[:, ~finite] > 0.0).any(axis=1)] = -math.inf
     return val
 
@@ -430,12 +557,12 @@ def _decay_screen(
 _SCREEN_MARGIN = 1e-9
 
 
-def _top_starts(objective, pool: np.ndarray, screen: np.ndarray):
+def _top_starts(score, pool: np.ndarray, screen: np.ndarray):
     """The REFINE_TOP best pool rows as (value, point), exactly as a stable
-    sort of all rows by descending objective would order them.
+    sort of all rows by descending score would order them.
 
     Rows within _SCREEN_MARGIN of the REFINE_TOP-th best screen value are
-    rescored with the scalar objective and ordered by (-value, pool index).
+    rescored with the exact score and ordered by (-value, pool index).
     """
     if len(pool) > REFINE_TOP:
         cut = np.partition(screen, len(pool) - REFINE_TOP)[len(pool) - REFINE_TOP]
@@ -445,7 +572,7 @@ def _top_starts(objective, pool: np.ndarray, screen: np.ndarray):
     scored = []
     for i in rows.tolist():
         point = pool[i].tolist()
-        scored.append((objective(point), i, point))
+        scored.append((score(point), i, point))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [(value, point) for value, _i, point in scored[:REFINE_TOP]]
 
@@ -459,23 +586,16 @@ def _maximize(
 ) -> RateFunctionResult:
     l, r, theta = spec.l, spec.r, spec.theta
     dim_x = l - 1
-    y_last, feasible = _region(l, r, spec.lam)
-
-    def objective(point: list[float]) -> float:
-        xs = point[:dim_x]
-        ys_head = point[dim_x:]
-        ys = ys_head + [y_last(xs, ys_head)]
-        return f_xy(l, r, xs, ys) + k_theta(
-            l, r, theta, xs, ys, spec.alpha1, spec.alpha2
-        )
-
+    admit = _region(l, r, spec.lam)
+    score = _scorer(spec, admit)
     f_screen, yr = growth
-    top = _top_starts(objective, pool, f_screen + _decay_screen(spec, pool, yr))
+    top = _top_starts(score, pool, f_screen + _decay_screen(spec, pool, yr))
     carried: list[tuple[float, list[float]]] = []
     for start in extra_starts:
         point = [max(0.0, float(v)) for v in start]
-        if len(point) == pool.shape[1] and feasible(point):
-            carried.append((objective(point), point))
+        value = score(point) if len(point) == pool.shape[1] else None
+        if value is not None:
+            carried.append((value, point))
     if not top and not carried:
         raise InfeasibleDomainError(
             f"no admissible types sampled for l = {l}, r = {r}, lam = {spec.lam}"
@@ -484,14 +604,12 @@ def _maximize(
     value, point = max(keep, key=lambda item: item[0])
     point = list(point)
     for _cand_value, cand in keep:
-        ref_value, ref = _coordinate_ascent(objective, feasible, cand, tol)
+        ref_value, ref = _coordinate_ascent(score, cand, tol)
         if ref_value > value:
             value, point = ref_value, ref
-    xs = point[:dim_x]
-    ys_head = point[dim_x:]
-    ys = ys_head + [y_last(xs, ys_head)]
+    ys = point[dim_x:] + [admit(point)[1]]
     return RateFunctionResult(
-        value=value, xs=tuple(xs), ys=tuple(ys), theta=theta
+        value=value, xs=tuple(point[:dim_x]), ys=tuple(ys), theta=theta
     )
 
 
@@ -546,14 +664,17 @@ def rate_function_profile(
     The start pool does not depend on theta, so it is sampled once and
     its growth rates f are screened once in numpy; each theta adds one
     matrix-vector product for k_theta and rescores only the rows near its
-    REFINE_TOP best with the exact objective.  The result equals a chain
+    REFINE_TOP best with the exact score.  The result equals a chain
     of mckay_rate_function calls at the same seed, value for value.
 
     With thetas in increasing order the returned values are nondecreasing:
     k_theta is pointwise nondecreasing in theta, every maximizer is handed
     to the next run as a start, and refinement never returns less than its
-    start value.
+    start value.  An empty grid raises ValueError.
     """
+    thetas = tuple(thetas)
+    if not thetas:
+        raise ValueError("thetas must hold at least one noise level")
     carried: list[tuple[float, ...]] = []
     out: list[RateFunctionResult] = []
     pool = growth = None

@@ -45,7 +45,6 @@ from loopgas.ratefunc import (
     REFINE_TOP,
     RateFunctionResult,
     RateFunctionSpec,
-    _coordinate_ascent,
     f_xy,
     k_theta,
 )
@@ -1155,50 +1154,75 @@ def entropy_oracle_ldpc(graph: FactorGraph, p: float) -> float:
 # rate-function search, one exact objective call per sampled start
 
 
-def oracle_mckay_rate_function(
-    spec: RateFunctionSpec,
-    starts: int = 10_000,
-    seed: int = 0,
-    extra_starts: tuple[tuple[float, ...], ...] = (),
-    tol: float = 1e-6,
-) -> RateFunctionResult:
-    """Lambda(theta) with every pool point scored by the fsum objective.
+def _oracle_ascent(objective, feasible, start, tol, step0=0.05):
+    """Coordinate ascent with separate feasibility and objective calls."""
+    point = list(start)
+    value = objective(point)
+    step = step0
+    while step >= tol:
+        moved = False
+        for _round in range(200):
+            improved = False
+            for j in range(len(point)):
+                for delta in (step, -step):
+                    trial = point[j] + delta
+                    if trial < 0.0:
+                        trial = 0.0
+                    if trial == point[j]:
+                        continue
+                    cand = list(point)
+                    cand[j] = trial
+                    if not feasible(cand):
+                        continue
+                    cand_value = objective(cand)
+                    if cand_value > value:
+                        value, point = cand_value, cand
+                        improved = moved = True
+            if not improved:
+                break
+        step *= 0.5
+        if not moved and step < tol:
+            break
+    return value, point
 
-    The same draws, acceptance, stable sort and refinement as the library
-    search, without its numpy screen: the top REFINE_TOP come from sorting
-    all exact values.
-    """
-    l, r, theta, lam = spec.l, spec.r, spec.theta, spec.lam
-    if lam >= 1.0 / l + 1.0 / r:
-        raise InfeasibleDomainError(f"size fraction {lam} admits no types")
+
+def _oracle_y_last(l, r, xs, ys_head):
+    wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
+    wy = math.fsum((t / r) * y for t, y in zip(range(2, r), ys_head))
+    return wx - wy
+
+
+def oracle_feasible(l: int, r: int, lam: float, point) -> bool:
+    """Admissibility of free coordinates (xs, then ys without y_r), in fsums."""
+    if any(v < 0.0 for v in point):
+        return False
+    xs = point[: l - 1]
+    ys_head = point[l - 1 :]
+    yr = _oracle_y_last(l, r, xs, ys_head)
+    if yr < 0.0:
+        return False
+    sx = math.fsum(xs)
+    sy = math.fsum(ys_head) + yr
+    if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12:
+        return False
+    return sx / l + sy / r >= lam - 1e-12
+
+
+def oracle_objective(spec: RateFunctionSpec, point) -> float:
+    """f_xy + k_theta at free coordinates, y_r from the degree matching."""
+    l, r = spec.l, spec.r
+    xs = list(point[: l - 1])
+    ys_head = list(point[l - 1 :])
+    ys = ys_head + [_oracle_y_last(l, r, xs, ys_head)]
+    return f_xy(l, r, xs, ys) + k_theta(l, r, spec.theta, xs, ys, spec.alpha1, spec.alpha2)
+
+
+def oracle_sample_pool(l: int, r: int, lam: float, starts: int, seed: int) -> list[list[float]]:
+    """The admissible starts of random.Random(seed), one draw and one
+    feasibility test at a time, stopping at `starts` rows or 100 * starts
+    draws."""
     dim_x = l - 1
     dim_y = r - 2
-
-    def y_last(xs, ys_head):
-        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
-        wy = math.fsum((t / r) * y for t, y in zip(range(2, r), ys_head))
-        return wx - wy
-
-    def feasible(point):
-        if any(v < 0.0 for v in point):
-            return False
-        xs = point[:dim_x]
-        ys_head = point[dim_x:]
-        yr = y_last(xs, ys_head)
-        if yr < 0.0:
-            return False
-        sx = math.fsum(xs)
-        sy = math.fsum(ys_head) + yr
-        if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12:
-            return False
-        return sx / l + sy / r >= lam - 1e-12
-
-    def objective(point):
-        xs = point[:dim_x]
-        ys_head = point[dim_x:]
-        ys = ys_head + [y_last(xs, ys_head)]
-        return f_xy(l, r, xs, ys) + k_theta(l, r, theta, xs, ys, spec.alpha1, spec.alpha2)
-
     rng = random.Random(seed)
     pool = []
     attempts = 0
@@ -1220,12 +1244,40 @@ def oracle_mckay_rate_function(
             if weight > 0.0:
                 ys_head = [v / weight * budget for v in raw_y]
         point = xs + ys_head
-        if feasible(point):
-            pool.append((objective(point), point))
+        if oracle_feasible(l, r, lam, point):
+            pool.append(point)
+    return pool
+
+
+def oracle_mckay_rate_function(
+    spec: RateFunctionSpec,
+    starts: int = 10_000,
+    seed: int = 0,
+    extra_starts: tuple[tuple[float, ...], ...] = (),
+    tol: float = 1e-6,
+) -> RateFunctionResult:
+    """Lambda(theta) with every pool point scored by the fsum objective.
+
+    The same draws, acceptance, stable sort and refinement as the library
+    search, without its numpy screen: the top REFINE_TOP come from sorting
+    all exact values.
+    """
+    l, r, theta, lam = spec.l, spec.r, spec.theta, spec.lam
+    if lam >= 1.0 / l + 1.0 / r:
+        raise InfeasibleDomainError(f"size fraction {lam} admits no types")
+    dim_x = l - 1
+
+    def feasible(point):
+        return oracle_feasible(l, r, lam, point)
+
+    def objective(point):
+        return oracle_objective(spec, point)
+
+    pool = [(objective(point), point) for point in oracle_sample_pool(l, r, lam, starts, seed)]
     carried = []
     for start in extra_starts:
         point = [max(0.0, float(v)) for v in start]
-        if len(point) == dim_x + dim_y and feasible(point):
+        if len(point) == dim_x + r - 2 and feasible(point):
             carried.append((objective(point), point))
     if not pool and not carried:
         raise InfeasibleDomainError("no admissible types sampled")
@@ -1234,12 +1286,12 @@ def oracle_mckay_rate_function(
     value, point = max(keep, key=lambda item: item[0])
     point = list(point)
     for _cand_value, cand in keep:
-        ref_value, ref = _coordinate_ascent(objective, feasible, cand, tol)
+        ref_value, ref = _oracle_ascent(objective, feasible, cand, tol)
         if ref_value > value:
             value, point = ref_value, ref
     xs = point[:dim_x]
     ys_head = point[dim_x:]
-    ys = ys_head + [y_last(xs, ys_head)]
+    ys = ys_head + [_oracle_y_last(l, r, xs, ys_head)]
     return RateFunctionResult(value=value, xs=tuple(xs), ys=tuple(ys), theta=theta)
 
 

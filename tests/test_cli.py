@@ -32,6 +32,7 @@ from loopgas import (
     solve_fixed_points,
     verify_loop_identity,
 )
+from loopgas import ratefunc
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
 from loopgas.exact import codeword_count_gf2, null_space_gf2
 
@@ -540,6 +541,34 @@ def test_rate_function_rejects_nonpositive_starts(capsys):
         err = capsys.readouterr().err
         assert f"starts must be at least 1, got {starts}" in err
         assert "no admissible types" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "nan"], "lam must be a finite number, got nan"),
+        (["--alpha1", "nan"], "alpha1 must be a finite number, got nan"),
+        (["--alpha2", "inf"], "alpha2 must be a finite number, got inf"),
+        (["--thetas", ""], "thetas must hold at least one noise level"),
+        (["--l", "4", "--thetas", ""], "thetas must hold at least one noise level"),
+    ],
+)
+def test_rate_function_refuses_bad_parameters_before_sampling(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the start pool was sampled")
+
+    monkeypatch.setattr(ratefunc, "_sample_pool", no_sampling)
+    out = tmp_path / "rate.json"
+    rc = main([
+        "rate-function", "--l", "3", "--r", "6", "--thetas", "1e-3", "--lambda", "1e-3",
+        *flags, "--format", "json", "--out", str(out),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["trend", "entropy"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 import support as sp
 
@@ -318,6 +319,175 @@ def test_profile_samples_the_pool_once(monkeypatch):
     profile = rate_function_profile(3, 6, (1e-4, 1e-3, 1e-2), 1e-3, starts=300, seed=5)
     assert len(profile) == 3
     assert seeded == [(5,)]
+
+
+# ---------------------------------------------------------------------------
+# fused score and batched start sampler against the scalar oracle
+
+
+_THETAS = (0.0, 1e-4, 0.3)
+_FILL_SIZES = tuple(0.01 + 0.003 * k for k in range(10))
+
+
+def _flip_pair(make, lam, l, r, inside, outside):
+    """make(v) at the two adjacent floats v between `inside` (admissible)
+    and `outside` (not) where the oracle's admissibility flips."""
+
+    def ok(v):
+        return sp.oracle_feasible(l, r, lam, make(v))
+
+    assert ok(inside) and not ok(outside)
+    while math.nextafter(inside, outside) != outside:
+        mid = inside + (outside - inside) / 2
+        if mid in (inside, outside):
+            mid = math.nextafter(inside, outside)
+        if ok(mid):
+            inside = mid
+        else:
+            outside = mid
+    return make(inside), make(outside)
+
+
+def _threshold_points(l, r, lam, size):
+    """Points one ulp on either side of y_r = 0, sx and sy at 1 - 1e-12,
+    and the size floor lam - 1e-12.  Filler coordinates of about `size`
+    make the sums long enough for numpy and fsum to round them apart."""
+    dim_x, dim_y = l - 1, r - 2
+
+    def fill(count):
+        return [size / (k + 2.3) for k in range(count)]
+
+    def point(xs, ys_head):
+        return xs + fill(dim_x - len(xs)) + ys_head + fill(dim_y - len(ys_head))
+
+    def wx_of(xs):
+        xs = point(xs, [])[:dim_x]
+        return math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
+
+    # y_r = 0: the last free check coordinate eats the variable weight
+    wx = wx_of([0.3, 0.1])
+    pairs = [_flip_pair(
+        lambda v: point([0.3, 0.1], fill(dim_y - 1) + [v]), lam, l, r,
+        0.0, 2.0 * wx * r / (r - 1),
+    )]
+    # sx at 1 - 1e-12
+    pairs.append(_flip_pair(lambda v: point([v, 0.1], []), lam, l, r, 0.5, 0.95))
+    # sy at 1 - 1e-12, with y_r still well above 0
+    wx = wx_of([0.3, 0.6])
+    pairs.append(_flip_pair(
+        lambda v: point([0.3, 0.6], [v]), lam, l, r, 0.0, 1.001 * (1.0 - wx) / (1.0 - 2.0 / r),
+    ))
+    # the size floor, along a ray through the origin
+    base = point([1.0, 0.1], [])
+    pairs.append(_flip_pair(lambda v: [v * c for c in base], lam, l, r, 0.5, 1e-9))
+    return [p for pair in pairs for p in pair]
+
+
+def _random_points(l, r, rng, count):
+    """Free-coordinate points around the admissible region: sparse faces,
+    y_r and the sums on both sides of their bounds, and now and then a
+    negative coordinate."""
+    out = []
+    for _ in range(count):
+        xs = [rng.expovariate(1.0) if rng.random() < 0.7 else 0.0 for _ in range(l - 1)]
+        total = sum(xs) or 1.0
+        scale = rng.choice((1e-4, 1e-2, 0.3, 0.9, 1.2)) * rng.random()
+        xs = [v / total * scale for v in xs]
+        wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
+        ys = [rng.expovariate(1.0) if rng.random() < 0.4 else 0.0 for _ in range(r - 2)]
+        weight = math.fsum((t / r) * v for t, v in zip(range(2, r), ys)) or 1.0
+        budget = rng.uniform(0.0, 1.2) * wx
+        point = xs + [v / weight * budget for v in ys]
+        if rng.random() < 0.05:
+            point[rng.randrange(len(point))] = -1e-3
+        out.append(point)
+    return out
+
+
+@pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
+def test_score_equals_oracle_objective_bit_for_bit(l, r):
+    # score is f_xy + k_theta to the last bit, and None exactly off the
+    # region; at theta = 0 odd-variable and partial-check coefficients
+    # are -inf, so positive coordinates there score -inf.
+    lam = 1e-3
+    points = [p for size in _FILL_SIZES for p in _threshold_points(l, r, lam, size)]
+    points += _random_points(l, r, random.Random(l * r), 400)
+    admit = ratefunc._region(l, r, lam)
+    for theta in _THETAS:
+        spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam)
+        score = ratefunc._scorer(spec, admit)
+        admitted = 0
+        for point in points:
+            before = list(point)
+            got = score(point)
+            assert point == before
+            if not sp.oracle_feasible(l, r, lam, point):
+                assert got is None, point
+                continue
+            admitted += 1
+            assert got.hex() == sp.oracle_objective(spec, point).hex(), (theta, point)
+        assert 100 < admitted < len(points)
+
+
+@pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
+def test_threshold_points_straddle_each_constraint(l, r):
+    # each pair is admissible on one side only, and admit and the numpy
+    # batch test agree with the oracle on both sides
+    lam = 1e-3
+    points = [p for size in _FILL_SIZES for p in _threshold_points(l, r, lam, size)]
+    straddle = [True, False] * (4 * len(_FILL_SIZES))
+    assert [sp.oracle_feasible(l, r, lam, p) for p in points] == straddle
+    admit = ratefunc._region(l, r, lam)
+    assert [admit(p) is not None for p in points] == straddle
+    points += _random_points(l, r, random.Random(7), 300)
+    rows = np.array(points)
+    wx = np.array([math.fsum((s / l) * x for s, x in zip(range(2, l + 1), p)) for p in points])
+    mask = ratefunc._admissible_rows(admit, l, r, lam, rows, wx)
+    assert mask.tolist() == [sp.oracle_feasible(l, r, lam, p) for p in points]
+
+
+@pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
+def test_pool_equals_oracle_sampler(l, r):
+    # the batched sampler keeps the first `starts` admissible draws, as the
+    # one-draw-at-a-time oracle does; near the top size fraction 1/l + 1/r
+    # few draws are admissible and the 100 * starts draw cap binds
+    top = 0.9 * (1.0 / l + 1.0 / r)
+    cases = [(1e-3, starts, seed) for starts in (1, 5, 1500) for seed in (0, 1)]
+    cases += [(top, starts, seed) for starts in (1, 5) for seed in (0, 1, 2)]
+    if r <= 6:
+        cases.append((top, 1500, 0))
+    for lam, starts, seed in cases:
+        pool = ratefunc._sample_pool(l, r, lam, starts, seed)
+        want = sp.oracle_sample_pool(l, r, lam, starts, seed)
+        assert pool.shape == (len(want), l + r - 3)
+        assert pool.tolist() == want, (lam, starts, seed)
+        if lam == top and starts == 1500:
+            assert 0 < len(want) < starts
+
+
+@pytest.mark.parametrize("name", ["lam", "alpha1", "alpha2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_parameters(name, bad):
+    kwargs = dict(l=3, r=6, theta=1e-3, lam=1e-3)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        RateFunctionSpec(**kwargs)
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        rate_function_profile(3, 6, (1e-3,), **{"lam": 1e-3, name: bad, "starts": 10})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_maximize_f0_refuses_non_finite_lam(bad):
+    with pytest.raises(ValueError, match="lam must be a finite number"):
+        maximize_f0(3, bad, starts=10)
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_profile_refuses_an_empty_theta_grid(l):
+    with pytest.raises(ValueError, match="at least one noise level"):
+        rate_function_profile(l, 6, (), 1e-3, starts=10)
+    with pytest.raises(ValueError, match="at least one noise level"):
+        rate_function_profile(l, 6, iter(()), 1e-3, starts=10)
 
 
 def test_starts_must_be_positive():
