@@ -1,8 +1,23 @@
-"""Bethe free energy evaluated on a message set.
+"""Bethe free energy evaluated on message sets.
 
 The free energy is assembled from check, variable and edge contributions;
 on a tree at a BP fixed point it reproduces (1/n) ln Z exactly, and in
 general it is the reference point the loop corrections attach to.
+
+The assembly runs on graphs of one topology at once, one row per graph,
+say the channel patterns of one code, like solve_fixed_points, and over the
+same degree buckets and stacked check forms (bp._Batch; a general graph's
+check tables are tabulated once and shared with BP).  Each term is formed
+column by column in the operation order of the per-node formula:
+
+- checks: 1 + tau * prod t, the product taken in math.prod order; general
+  checks fold their stacked tables as check_sum does;
+- variables: e^{+-h} prod (1 +- t_hat);
+- edges: 1 + t * t_hat.
+
+Every logarithm is math.log of a Python float and every row sum math.fsum,
+so each term and each f_bethe is the float a node-by-node loop gives.
+bethe_free_energy is the batch of one.
 """
 
 from __future__ import annotations
@@ -13,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
-from .bp import MessageSet, check_forms, check_sum
-from .graphs import FactorGraph, GeneralWeights, LdpcWeights
+from .bp import MessageSet, _Batch, table_sums
+from .graphs import FactorGraph
+
+LN2 = math.log(2.0)
+_PROBE_ENTRIES = 1 << 18  # messages per stationarity_check assembly, at most
 
 
 @dataclass(frozen=True)
@@ -27,23 +45,6 @@ class BetheBreakdown:
     edge_terms: tuple[float, ...]
 
 
-def _safe_log(x: float, what: str) -> float:
-    if x <= 0.0:
-        raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
-    return math.log(x)
-
-
-def _var_term(graph: FactorGraph, that: np.ndarray, i: int, h_i: float) -> float:
-    plus = math.exp(h_i)
-    minus = math.exp(-h_i)
-    for e in graph.var_edges[i]:
-        plus *= 1.0 + float(that[e])
-        minus *= 1.0 - float(that[e])
-    return _safe_log(plus + minus, f"variable {i}") - graph.var_degree(i) * math.log(
-        2.0
-    )
-
-
 def bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdown:
     """Assemble f = (1/n) [sum_a F_a + sum_i F_i - sum_(ia) F_ia].
 
@@ -51,48 +52,121 @@ def bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdow
     point of the message space whose log arguments stay positive
     (LogDomainError otherwise).
     """
-    return _free_energy(graph, messages, check_forms(graph))
+    return bethe_free_energies([graph], [messages])[0]
 
 
-def _free_energy(
-    graph: FactorGraph, messages: MessageSet, forms: list
-) -> BetheBreakdown:
-    t = messages.var_to_check
-    that = messages.check_to_var
-    tv = t.tolist()
-    w = graph.weights
+def bethe_free_energies(
+    graphs: list[FactorGraph], messages: list[MessageSet]
+) -> list[BetheBreakdown]:
+    """bethe_free_energy of every (graph, messages) pair, as one batch.
 
-    check_terms = []
-    if isinstance(w, GeneralWeights):
-        for a, psi in enumerate(forms):
-            eids = graph.check_edges[a]
-            pairs = [((1.0 + tv[e]) / 2.0, (1.0 - tv[e]) / 2.0) for e in eids]
-            check_terms.append(_safe_log(check_sum(psi, pairs), f"check {a}"))
+    ValueError when the graphs mix topologies or weight kinds, or when the
+    message sets do not match them in number or length.  LogDomainError
+    names the first failing check, else variable, else edge of the first
+    failing graph.
+    """
+    if len(messages) != len(graphs):
+        raise ValueError(f"need one message set per graph, got {len(messages)}")
+    if not graphs:
+        return []
+    batch = _Batch(list(graphs))
+    t = np.array([m.var_to_check for m in messages], dtype=float)
+    that = np.array([m.check_to_var for m in messages], dtype=float)
+    if t.shape != (len(graphs), batch.edge_count) or that.shape != t.shape:
+        raise ValueError(
+            f"need {batch.edge_count} messages per direction, got {t.shape[1:]} "
+            f"and {that.shape[1:]}"
+        )
+    return _assemble(batch, graphs, t, that)
+
+
+def _assemble(batch, graphs: list[FactorGraph], t: np.ndarray, that: np.ndarray):
+    """BetheBreakdown per row of (t, that).  graphs holds one graph per row,
+    or a single graph (the rows of batch) that every row shares."""
+    rows = len(t)
+    kind = batch.kind
+    m, n = batch.m, batch.n
+
+    # one log argument per check, variable and edge, in that order
+    args = np.empty((rows, m + n + batch.edge_count))
+    for (nodes, columns), forms in zip(batch.check_buckets, batch.check_rows):
+        x = [t[:, col] for col in columns]
+        if kind == "general":
+            args[:, nodes] = table_sums(forms, x)
+            continue
+        prod = x[0] if x else np.ones((rows, len(nodes)))
+        for xk in x[1:]:
+            prod = prod * xk
+        args[:, nodes] = 1.0 + (prod if forms is None else forms * prod)
+
+    if kind == "ldpc":
+        fields = [g.weights.variable_fields for g in graphs]
+        plus_base = np.array([[math.exp(h) for h in f] for f in fields])
+        minus_base = np.array([[math.exp(-h) for h in f] for f in fields])
     else:
-        for a, (c, tau) in enumerate(forms):
-            prod = math.prod(tv[e] for e in graph.check_edges[a])
-            check_terms.append(_safe_log(1.0 + tau * prod, f"check {a}") + math.log(c))
-    fields = w.variable_fields if isinstance(w, LdpcWeights) else (0.0,) * graph.n
-    var_terms = tuple(_var_term(graph, that, i, fields[i]) for i in range(graph.n))
+        plus_base = minus_base = np.ones((1, n))
+    one_plus, one_minus = 1.0 + that, 1.0 - that
+    # each term is log(arg) + shift: ln c_a for a check, -d ln 2 for a
+    # variable of degree d, -ln 2 for an edge (x - y is x + (-y) bit for
+    # bit, and adding 0.0 leaves a logarithm as it is)
+    shift = np.empty((1, m + n + batch.edge_count))
+    for nodes, columns in batch.var_buckets:
+        plus, minus = plus_base[:, nodes], minus_base[:, nodes]
+        for col in columns:
+            plus = plus * one_plus[:, col]
+            minus = minus * one_minus[:, col]
+        args[:, m + np.asarray(nodes, dtype=np.intp)] = plus + minus
+        shift[0, m + np.asarray(nodes, dtype=np.intp)] = -(len(columns) * LN2)
+    args[:, m + n :] = 1.0 + t * that
+    shift[0, m + n :] = -LN2
+    _refuse_non_positive(args, m, n)
 
-    edge_terms = tuple(
-        _safe_log(1.0 + float(t[e]) * float(that[e]), f"edge {e}") - math.log(2.0)
-        for e in range(graph.edge_count)
-    )
+    if kind == "ldgm":
+        fields = [g.weights.check_fields for g in graphs]
+        log_c = np.array([[math.log(math.cosh(h)) for h in f] for f in fields])
+        shift = np.repeat(shift, len(log_c), axis=0)
+        shift[:, :m] = log_c.reshape(len(log_c), m)
+    else:
+        shift[0, :m] = math.log(0.5) if kind == "ldpc" else 0.0
+    flat = args.ravel().tolist()
+    logs = np.fromiter(map(math.log, flat), dtype=float, count=len(flat))
+    terms = (logs.reshape(args.shape) + shift).tolist()
 
     # check terms carry c_a, so a parity check is already in the halved
     # normalisation the general terms get from their (1 +- t)/2 weights;
     # for the variable and edge terms that normalisation cancels between the
     # two sums except for the explicit log-2 bookkeeping carried along.
-    f = (
-        math.fsum(check_terms) + math.fsum(var_terms) - math.fsum(edge_terms)
-    ) / graph.n
-    return BetheBreakdown(
-        f_bethe=f,
-        check_terms=tuple(check_terms),
-        var_terms=var_terms,
-        edge_terms=edge_terms,
-    )
+    out = []
+    for row in terms:
+        c_row, v_row, e_row = row[:m], row[m : m + n], row[m + n :]
+        f = (math.fsum(c_row) + math.fsum(v_row) - math.fsum(e_row)) / n
+        out.append(
+            BetheBreakdown(
+                f_bethe=f,
+                check_terms=tuple(c_row),
+                var_terms=tuple(v_row),
+                edge_terms=tuple(e_row),
+            )
+        )
+    return out
+
+
+def _refuse_non_positive(args: np.ndarray, m: int, n: int) -> None:
+    """LogDomainError for the first row with a log argument <= 0, naming its
+    first such check, else variable, else edge (the column order of args)."""
+    bad = args <= 0.0
+    if not bad.any():
+        return
+    row = np.flatnonzero(bad.any(axis=1))[0]
+    col = int(np.flatnonzero(bad[row])[0])
+    if col < m:
+        what = f"check {col}"
+    elif col < m + n:
+        what = f"variable {col - m}"
+    else:
+        what = f"edge {col - m - n}"
+    x = float(args[row, col])
+    raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
 
 
 def stationarity_check(
@@ -102,9 +176,12 @@ def stationarity_check(
 ) -> float:
     """Max |d f / d (atanh message)| over all directed edges, by central
     finite differences.  At an interior BP fixed point this is O(fd_step^2).
+
+    The 4E perturbed message sets (each direction of each edge, stepped up
+    and down) are assembled as the rows of batches.
     """
-    t = messages.var_to_check
-    that = messages.check_to_var
+    t = np.asarray(messages.var_to_check, dtype=float)
+    that = np.asarray(messages.check_to_var, dtype=float)
     biggest = max(
         float(np.abs(t).max(initial=0.0)), float(np.abs(that).max(initial=0.0))
     )
@@ -113,29 +190,29 @@ def stationarity_check(
             f"messages reach {biggest}, too close to the boundary for step {fd_step}"
         )
 
-    forms = check_forms(graph)
+    # probe r sets message (side, edge) of row r; rows come in (up, down) pairs
+    sides, edges, values = [], [], []
+    for side, base in enumerate((t, that)):
+        for e, x in enumerate(base.tolist()):
+            theta = math.atanh(x)
+            sides += [side, side]
+            edges += [e, e]
+            values += [math.tanh(theta + fd_step), math.tanh(theta - fd_step)]
+    sides, edges, values = np.array(sides), np.array(edges), np.array(values)
 
-    def value(tv: np.ndarray, hv: np.ndarray) -> float:
-        return _free_energy(
-            graph,
-            MessageSet(kind=messages.kind, var_to_check=tv, check_to_var=hv),
-            forms,
-        ).f_bethe
+    batch = _Batch([graph])
+    step = max(1, _PROBE_ENTRIES // max(1, graph.edge_count))
+    f = []
+    for start in range(0, len(values), step):
+        part = slice(start, start + step)
+        size = len(values[part])
+        probe = [np.repeat(base[None, :], size, axis=0) for base in (t, that)]
+        for side in (0, 1):
+            mine = np.flatnonzero(sides[part] == side)
+            probe[side][mine, edges[part][mine]] = values[part][mine]
+        f += [b.f_bethe for b in _assemble(batch, [graph], *probe)]
 
     worst = 0.0
-    for arr_idx in (0, 1):
-        base = t if arr_idx == 0 else that
-        for e in range(graph.edge_count):
-            theta = math.atanh(float(base[e]))
-            up = base.copy()
-            dn = base.copy()
-            up[e] = math.tanh(theta + fd_step)
-            dn[e] = math.tanh(theta - fd_step)
-            if arr_idx == 0:
-                fp = value(up, that)
-                fm = value(dn, that)
-            else:
-                fp = value(t, up)
-                fm = value(t, dn)
-            worst = max(worst, abs(fp - fm) / (2.0 * fd_step))
+    for fp, fm in zip(f[0::2], f[1::2]):
+        worst = max(worst, abs(fp - fm) / (2.0 * fd_step))
     return worst

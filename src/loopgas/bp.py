@@ -12,7 +12,9 @@ psi_a(s) = c_a (1 + tau_a prod s), with (c, tau) = (1/2, 1) for a parity
 constraint and (cosh h_a, tanh h_a) for a generator field; their local sums
 close in products of tanh messages.  General checks are tabulated once, psi_a
 over all 2^d local configurations, and every local sum is a contraction of
-that table with one weight pair per edge (check_marginal).
+that table with one weight pair per edge (check_marginal); a table whose
+largest log weight beta * sum |J| would overflow a float is refused
+(WeightOverflowError) before any entry is formed.
 
 A sweep runs on numpy arrays.  The nodes of each side are grouped by degree
 once per topology; a degree-d bucket keeps the edge ids of its nodes as d
@@ -27,20 +29,29 @@ A row freezes at the first iteration where its own residual is <= tol and
 leaves the batch, so each row ends exactly where its solo solve ends;
 solve_fixed_point is the batch of one.  A sweep that divides by zero or
 yields a non-finite message, which saturated messages at +-1 can do, raises
-SingularDenominatorError.
+SingularDenominatorError.  The Bethe assembly runs over the same batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLargeError, SingularDenominatorError
-from .graphs import ChannelParams, FactorGraph, GeneralWeights, LdgmWeights, LdpcWeights
+from .errors import DegreeTooLargeError, SingularDenominatorError, WeightOverflowError
+from .graphs import (
+    ChannelParams,
+    FactorGraph,
+    GeneralWeights,
+    LdgmWeights,
+    LdpcWeights,
+    one_topology,
+)
 
 CHECK_TABLE_MAX_DEGREE = 20
+_MAX_LOG_WEIGHT = math.log(sys.float_info.max)  # math.exp is finite up to here
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,16 @@ def check_tables(graph: FactorGraph) -> list[list[float]]:
             raise DegreeTooLargeError(
                 f"check {a} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
             )
+        # rounding is monotone, so this sum of |beta J| in term order bounds
+        # every log_psi below, which adds the same terms with signs
+        bound = 0.0
+        for _subset, j in w.couplings[a]:
+            bound += abs(w.beta * j)
+        if bound > _MAX_LOG_WEIGHT:
+            raise WeightOverflowError(
+                f"check {a}: beta * sum |J| = {bound} exceeds {_MAX_LOG_WEIGHT}, "
+                "the largest log weight a float holds"
+            )
     tables = []
     for a in range(graph.m):
         hood = graph.check_neighbors(a)
@@ -135,10 +156,18 @@ def check_sum(psi: list[float], w: list[tuple[float, float]]) -> float:
     return plus * w[0][0] + minus * w[0][1]
 
 
+def _tables(graph: FactorGraph) -> list[list[float]]:
+    """check_tables(graph), tabulated once per graph and kept in graph.cache,
+    so BP, the Bethe assembly and the loop activities of one graph share it."""
+    if "check_tables" not in graph.cache:
+        graph.cache["check_tables"] = check_tables(graph)
+    return graph.cache["check_tables"]
+
+
 def check_forms(graph: FactorGraph) -> list:
     """check_tables for general weights, parity_form for ldpc and ldgm."""
     if isinstance(graph.weights, GeneralWeights):
-        return check_tables(graph)
+        return _tables(graph)
     return parity_form(graph)
 
 
@@ -149,11 +178,12 @@ def check_forms(graph: FactorGraph) -> list:
 def _buckets(incidence: tuple[tuple[int, ...], ...]) -> list[tuple[list, tuple]]:
     """(nodes, columns) per degree d present, in increasing d: the nodes of
     that degree in increasing order, and d index arrays, columns[k] holding
-    the k-th edge of each node in check_edges / var_edges order."""
+    the k-th edge of each node in check_edges / var_edges order.  Isolated
+    nodes form a bucket with no columns: no message touches them, but the
+    Bethe free energy has a term for each."""
     by_degree: dict[int, list[int]] = {}
     for node, eids in enumerate(incidence):
-        if eids:
-            by_degree.setdefault(len(eids), []).append(node)
+        by_degree.setdefault(len(eids), []).append(node)
     return [
         (nodes, tuple(np.array([incidence[v] for v in nodes], dtype=np.intp).T.copy()))
         for _d, nodes in sorted(by_degree.items())
@@ -218,30 +248,42 @@ def _table_ratios(tables: np.ndarray, x: list) -> list:
     return out
 
 
+def table_sums(tables: np.ndarray, x: list) -> np.ndarray:
+    """check_sum of every stacked table (rows, ..., 2^d) under the weight
+    pairs ((1 + x_k) / 2, (1 - x_k) / 2): the folds of check_marginal for
+    k = 0, in the same order, then the last pair."""
+    if not x:
+        return tables[..., 0]
+    t = tables
+    for j in range(len(x) - 1, 0, -1):
+        wp = ((1.0 + x[j]) / 2.0)[..., None]
+        wm = ((1.0 - x[j]) / 2.0)[..., None]
+        half = t.shape[-1] >> 1
+        t = t[..., :half] * wp + t[..., half:] * wm
+    return t[..., 0] * ((1.0 + x[0]) / 2.0) + t[..., 1] * ((1.0 - x[0]) / 2.0)
+
+
 class _Batch:
     """Graphs of one topology and weight kind, swept together.
 
     Every message array has one row per graph.  The degree buckets are
-    built once; the per-graph check forms (tanh h_a for ldgm, check_tables
+    built once per graph object, kept in the first graph's cache; the
+    per-graph check forms (tanh h_a for ldgm, check_tables
     for general weights) and the ldpc variable fields tanh h_i are stacked
     once per bucket, one row per graph.
     """
 
     def __init__(self, graphs: list[FactorGraph]) -> None:
         first = graphs[0]
-        self.kind = first.weights.kind
-        for g in graphs[1:]:
-            if g.weights.kind != self.kind:
-                raise ValueError(
-                    f"a batch needs one weight kind: {g.weights.kind} after {self.kind}"
-                )
-            if (g.n, g.m) != (first.n, first.m) or (
-                g.edges is not first.edges and g.edges != first.edges
-            ):
-                raise ValueError("a batch needs one topology: the edge lists differ")
+        self.kind = one_topology(graphs)
+        self.n, self.m = first.n, first.m
         self.edge_count = first.edge_count
-        self.check_buckets = _buckets(first.check_edges)
-        self.var_buckets = _buckets(first.var_edges)
+        if "buckets" not in first.cache:
+            first.cache["buckets"] = (
+                _buckets(first.check_edges),
+                _buckets(first.var_edges),
+            )
+        self.check_buckets, self.var_buckets = first.cache["buckets"]
         self.size = len(graphs)
         self.var_fields = None
         self.var_rows: list = [None] * len(self.var_buckets)
@@ -258,7 +300,7 @@ class _Batch:
             )
             self.check_rows = [taus[:, nodes] for nodes, _ in self.check_buckets]
         else:
-            tables = [check_tables(g) for g in graphs]
+            tables = [_tables(g) for g in graphs]
             self.check_rows = [
                 np.array([[t[a] for a in nodes] for t in tables])
                 for nodes, _ in self.check_buckets

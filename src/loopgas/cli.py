@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bethe import bethe_free_energy
+from .bethe import bethe_free_energies, bethe_free_energy
 from .bp import (
     solve_fixed_point,
     solve_fixed_points,
@@ -51,6 +51,7 @@ from .exact import (
     brute_force_log_partition,
     channel_average,
     code_space_log_partition,
+    code_space_log_partitions,
     conditional_entropy_ldgm,
     conditional_entropy_ldpc,
 )
@@ -432,14 +433,13 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
 
     def f_exact(graphs: list[FactorGraph]) -> list[float]:
-        return [code_space_log_partition(g).log_z / g.n for g in graphs]
+        reports = code_space_log_partitions(graphs)
+        return [report.log_z / g.n for g, report in zip(graphs, reports)]
 
     def f_bethe(graphs: list[FactorGraph]) -> list[float]:
         results = solve_fixed_points(graphs, **_bp_options(args))
-        return [
-            bethe_free_energy(g, res.messages).f_bethe
-            for g, res in zip(graphs, results)
-        ]
+        breakdowns = bethe_free_energies(graphs, [res.messages for res in results])
+        return [breakdown.f_bethe for breakdown in breakdowns]
 
     kwargs = dict(
         exhaustive_limit=args.exhaustive_limit,

@@ -55,6 +55,10 @@ class DegreeTooLargeError(LoopGasError):
     """A check degree exceeds the cap for exhaustive local-configuration tables."""
 
 
+class WeightOverflowError(LoopGasError):
+    """A local weight exp(beta * sum |J|) is too large for a float."""
+
+
 class NoSignChangeError(LoopGasError):
     """A bracketing root solve found no sign change on its interval."""
 

@@ -2,7 +2,7 @@
 conditional-entropy formulas they plug into.
 
 Both exact routes to ln Z are one sum over a GF(2) linear space, taken by
-_span_log_sum:
+_span_log_sums:
 
 - brute force, for every weight family while n <= EXACT_MAX_BITS, sums over
   the parity image of the 2^n spin configurations (the codewords for ldpc);
@@ -14,6 +14,13 @@ _span_log_sum:
 
 Both refuse before any work.  Brute force is the oracle for the
 approximate machinery in the sibling modules.
+
+The code-space route runs on graphs of one topology at once, say the
+channel patterns of one code (code_space_log_partitions): the GF(2)
+elimination and the span rows are built once, and every graph's weight
+vector is scored against them as one item of stacked matrix products, the
+same BLAS call per item that a lone graph makes, so each ln Z is the float
+the graph gets on its own.  code_space_log_partition is the batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +34,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import LogDomainError, TooLargeError, WrongWeightKindError
-from .graphs import ChannelParams, FactorGraph, LdgmWeights, LdpcWeights, channel_slots
+from .graphs import (
+    ChannelParams,
+    FactorGraph,
+    LdgmWeights,
+    LdpcWeights,
+    channel_slots,
+    one_topology,
+)
 
 EXACT_MAX_BITS = 26  # brute force takes n <= 26, the code-space route k <= 26
 _SPAN_BITS = 9  # span sums run in blocks of 2^9 x 2^9 points
@@ -90,15 +104,16 @@ def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
     if n > EXACT_MAX_BITS:
         raise TooLargeError(f"n = {n} exceeds the exhaustive cap {EXACT_MAX_BITS}")
     if isinstance(graph.weights, LdpcWeights):
-        basis, w, _neg, offset = _code_space(graph)
+        ((_members, basis, w, _negs, (offset,)),) = _code_spaces([graph])
         free = 0  # one configuration per codeword
     else:
         terms = _live_terms(graph)
         basis = list(_reduced_rows(_term_rows(n, terms)).values())
-        w = np.array([-2.0 * coef for _support, coef in terms])
+        w = np.array([[-2.0 * coef for _support, coef in terms]])
         offset = math.fsum(coef for _support, coef in terms)
         free = n - len(basis)
-    ln_sum, top = _span_log_sum(basis, w, 0, offset)
+    ((peak, total),) = _span_log_sums(basis, w, [0])
+    ln_sum, top = _log_sum(offset, peak, total)
     return PartitionReport(log_z=ln_sum + free * math.log(2.0), n=n, max_log_weight=top)
 
 
@@ -180,40 +195,83 @@ def _ln_abs_tanh(h: float) -> float:
 
 def _capped_null_space(rows: list[int], width: int) -> list[int]:
     """null_space_gf2, refused before elimination when the rank bound
-    rank <= len(rows) already puts the dimension above EXACT_MAX_BITS."""
+    rank <= len(rows) already puts the dimension above EXACT_MAX_BITS,
+    and after it when the dimension itself exceeds the cap."""
     bound = width - len(rows)
     if bound > EXACT_MAX_BITS:
         raise TooLargeError(
             f"code-space dimension k = {bound} or more exceeds the exhaustive cap "
             f"{EXACT_MAX_BITS} ({width} columns, {len(rows)} rows)"
         )
-    return null_space_gf2(rows, width)
+    basis = null_space_gf2(rows, width)
+    if len(basis) > EXACT_MAX_BITS:
+        raise TooLargeError(
+            f"code-space dimension k = {len(basis)} exceeds the exhaustive cap "
+            f"{EXACT_MAX_BITS}"
+        )
+    return basis
 
 
-def _code_space(graph: FactorGraph) -> tuple[list[int], np.ndarray, int, float]:
-    """(basis, weights w, sign mask neg, offset) with
-    ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c).
+def _code_spaces(
+    graphs: Sequence[FactorGraph],
+) -> list[tuple[list[int], list[int], np.ndarray, list[int], list[float]]]:
+    """Groups (members, basis, weights w, sign masks neg, offsets) with
+    ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c)
+    for each member graph, one row of w per member.
 
-    ldpc: c runs over the codewords, w_i = -2 h_i, offset sum_i h_i.
-    ldgm: c runs over the dual code restricted to the checks with h_a != 0
-    (a zero field has tanh h_a = 0 and kills every set holding a);
+    ldpc: one group; c runs over the codewords, w_i = -2 h_i, offset
+    sum_i h_i.  ldgm: one group per set of checks with h_a != 0 (a zero
+    field has tanh h_a = 0 and kills every set holding a), in order of first
+    member; c runs over the dual code restricted to those checks,
     w_a = ln|tanh h_a|, neg marks h_a < 0, and the offset is
-    n ln 2 + sum_a ln cosh h_a.
+    n ln 2 + sum_a ln cosh h_a.  Every basis is eliminated, and refused over
+    the cap, before any group is returned.
     """
-    w = graph.weights
-    if isinstance(w, LdpcWeights):
-        basis = _capped_null_space(_check_masks(graph), graph.n)  # k >= n - m
-        weights = np.array([-2.0 * h for h in w.variable_fields])
-        return basis, weights, 0, math.fsum(w.variable_fields)
-    if not isinstance(w, LdgmWeights):
+    kind = one_topology(graphs)
+    first = graphs[0]
+    if kind == "ldpc":
+        basis = _capped_null_space(_check_masks(first), first.n)  # k >= n - m
+        fields = [g.weights.variable_fields for g in graphs]
+        return [
+            (
+                list(range(len(graphs))),
+                basis,
+                -2.0 * np.array(fields, dtype=float),
+                [0] * len(graphs),
+                [math.fsum(f) for f in fields],
+            )
+        ]
+    if kind != "ldgm":
         raise WrongWeightKindError("the code-space route needs ldpc or ldgm weights")
-    live = _live_terms(graph)
-    basis = _capped_null_space(_term_rows(graph.n, live), len(live))  # k >= live - n
-    fields = [h for _support, h in live]
-    weights = np.array([_ln_abs_tanh(h) for h in fields])
-    neg = sum(1 << pos for pos, h in enumerate(fields) if h < 0.0)
-    offset = graph.n * math.log(2.0) + math.fsum(_ln_cosh(h) for h in w.check_fields)
-    return basis, weights, neg, offset
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, g in enumerate(graphs):
+        live = tuple(a for a, h in enumerate(g.weights.check_fields) if h != 0.0)
+        groups.setdefault(live, []).append(pos)
+    supports = [first.check_neighbors(a) for a in range(first.m)]
+    bases = [  # k >= live - n
+        _capped_null_space(
+            _term_rows(first.n, [(supports[a], 1.0) for a in live]), len(live)
+        )
+        for live in groups
+    ]
+    values = {h for g in graphs for h in g.weights.check_fields}
+    ln_cosh = {h: _ln_cosh(h) for h in values}
+    ln_abs_tanh = {h: _ln_abs_tanh(h) for h in values if h != 0.0}
+    n_ln2 = first.n * math.log(2.0)
+    out = []
+    for (live, members), basis in zip(groups.items(), bases):
+        all_fields = [graphs[pos].weights.check_fields for pos in members]
+        fields = [[f[a] for a in live] for f in all_fields]
+        out.append(
+            (
+                members,
+                basis,
+                np.array([[ln_abs_tanh[h] for h in f] for f in fields], dtype=float),
+                [sum(1 << k for k, h in enumerate(f) if h < 0.0) for f in fields],
+                [n_ln2 + math.fsum(ln_cosh[h] for h in f) for f in all_fields],
+            )
+        )
+    return out
 
 
 def _bits(vec: int, width: int) -> np.ndarray:
@@ -226,65 +284,102 @@ def _sign(vec: int, neg: int) -> float:
     return -1.0 if (vec & neg).bit_count() & 1 else 1.0
 
 
-def _span_rows(
-    vectors: list[int], width: int, neg: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every XOR combination of vectors as a 0/1 float row, with its sign.
-
-    Row r combines the vectors whose bit is set in r; its sign is
-    (-1)^{|row & neg|}, which is linear over GF(2) like the row itself.
-    """
+def _span_rows(vectors: list[int], width: int) -> np.ndarray:
+    """Every XOR combination of vectors as a 0/1 float row; row r combines
+    the vectors whose bit is set in r."""
     rows = np.zeros((1, width))
-    signs = np.ones(1)
     for vec in vectors:
         rows = np.concatenate([rows, np.abs(rows - _bits(vec, width))])
-        signs = np.concatenate([signs, _sign(vec, neg) * signs])
-    return rows, signs
+    return rows
 
 
-def _span_log_sum(
-    basis: list[int], w: np.ndarray, neg: int, offset: float
-) -> tuple[float, float]:
-    """(offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c),
-    offset + max_c w . c).
+def _span_signs(vectors: list[int], negs: list[int]) -> np.ndarray:
+    """Per sign mask neg (one row each), the sign (-1)^{|row & neg|} of every
+    row of _span_rows(vectors); it is linear over GF(2) like the row."""
+    signs = np.ones((len(negs), 1))
+    for vec in vectors:
+        flips = np.array([_sign(vec, neg) for neg in negs])[:, None]
+        signs = np.concatenate([signs, flips * signs], axis=1)
+    return signs
+
+
+def _span_log_sums(
+    basis: list[int], w: np.ndarray, negs: list[int]
+) -> list[tuple[float, float]]:
+    """Per row w of the weights and its sign mask neg: (peak, total) with
+    ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c) = peak + ln total
+    and peak = max_c w . c.
 
     The low basis vectors index the rows and the middle ones the columns of
     blocks of at most 2^_SPAN_BITS x 2^_SPAN_BITS points; the high ones
     run in an outer loop.  With c = r xor s,
     w . c = w . r + w . s - 2 w . (r and s), so a block is one matrix
-    product.  Each block is scaled by its own peak, and the scaled block
-    sums are combined by math.fsum in block order.  Raises LogDomainError
-    when the signed sum is not positive.
+    product per weight row: the rows share the span rows and run as the
+    items of stacked products, each one the BLAS call a lone row makes, in
+    slices of at most 2^(2 _SPAN_BITS) points.  Each block is scaled by its
+    own peak, and the scaled block sums are combined by math.fsum in block
+    order.  total is not positive when a signed sum cancels.
     """
-    width = len(w)
+    width = w.shape[1]
     low = min(len(basis), _SPAN_BITS)
     mid = min(len(basis) - low, _SPAN_BITS)
-    rows, row_signs = _span_rows(basis[:low], width, neg)
-    cols, col_signs = _span_rows(basis[low : low + mid], width, neg)
-    row_w = rows @ w
+    rows = _span_rows(basis[:low], width)
+    cols = _span_rows(basis[low : low + mid], width)
     high = basis[low + mid :]
-    peaks, partials = [], []
+    tops = []
     for t in range(1 << len(high)):
         top = 0
         for j, vec in enumerate(high):
             if t >> j & 1:
                 top ^= vec
-        block_cols = np.abs(cols - _bits(top, width)) if top else cols
-        log_w = (
-            row_w[:, None]
-            + (block_cols @ w)[None, :]
-            - 2.0 * (rows @ (block_cols * w).T)
-        )
-        peak = float(log_w.max())
-        scaled = np.exp(log_w - peak)
-        if neg:
-            partial = _sign(top, neg) * float(row_signs @ scaled @ col_signs)
-        else:
-            partial = float(scaled.sum())
-        peaks.append(peak)
-        partials.append(partial)
-    peak = max(peaks)
-    total = math.fsum(s * math.exp(p - peak) for p, s in zip(peaks, partials))
+        tops.append(top)
+    step = max(1, (1 << 2 * _SPAN_BITS) // (len(rows) * len(cols)))
+    out: list[tuple[float, float]] = [(0.0, 0.0)] * len(w)
+    unsigned = [pos for pos, neg in enumerate(negs) if not neg]
+    signed = [pos for pos, neg in enumerate(negs) if neg]
+    for members, is_signed in ((unsigned, False), (signed, True)):
+        for start in range(0, len(members), step):
+            part = members[start : start + step]
+            part_negs = [negs[pos] for pos in part]
+            wb = w[part]
+            size = len(part)
+            row_w = np.matmul(rows, wb[:, :, None])
+            if is_signed:
+                row_signs = _span_signs(basis[:low], part_negs)[:, None, :]
+                col_signs = _span_signs(basis[low : low + mid], part_negs)[:, :, None]
+            peaks, partials = [], []
+            for top in tops:
+                block_cols = np.abs(cols - _bits(top, width)) if top else cols
+                log_w = (
+                    row_w
+                    + np.matmul(block_cols, wb[:, :, None]).transpose(0, 2, 1)
+                    - 2.0
+                    * np.matmul(rows, (block_cols * wb[:, None, :]).transpose(0, 2, 1))
+                )
+                peak = log_w.reshape(size, -1).max(axis=1)
+                scaled = np.exp(log_w - peak[:, None, None])
+                if is_signed:
+                    top_signs = np.array([_sign(top, neg) for neg in part_negs])
+                    partial = top_signs * np.matmul(
+                        np.matmul(row_signs, scaled), col_signs
+                    ).reshape(size)
+                else:
+                    partial = scaled.reshape(size, -1).sum(axis=1)
+                peaks.append(peak.tolist())
+                partials.append(partial.tolist())
+            for k, pos in enumerate(part):
+                block_peaks = [p[k] for p in peaks]
+                peak = max(block_peaks)
+                total = math.fsum(
+                    s[k] * math.exp(p - peak) for p, s in zip(block_peaks, partials)
+                )
+                out[pos] = (peak, total)
+    return out
+
+
+def _log_sum(offset: float, peak: float, total: float) -> tuple[float, float]:
+    """(offset + ln of the span sum, offset + its largest log term), or
+    LogDomainError when the signed sum is not positive."""
     if not total > 0.0:
         raise LogDomainError(f"signed code-space sum {total} is not positive")
     return offset + peak + math.log(total), offset + peak
@@ -304,14 +399,31 @@ def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
     brute force is 4.6e-12 at p = 1e-6 and 4.7e-10 at p = 1e-9, and fields
     of +-40 round both tanh to 1 and raise LogDomainError.
     """
-    basis, w, neg, offset = _code_space(graph)
-    k = len(basis)
-    if k > EXACT_MAX_BITS:
-        raise TooLargeError(
-            f"code-space dimension k = {k} exceeds the exhaustive cap {EXACT_MAX_BITS}"
-        )
-    log_z, _top = _span_log_sum(basis, w, neg, offset)
-    return CodeSpaceReport(log_z=log_z, k=k)
+    return code_space_log_partitions([graph])[0]
+
+
+def code_space_log_partitions(graphs: Sequence[FactorGraph]) -> list[CodeSpaceReport]:
+    """code_space_log_partition of every graph, in order, as one batch.
+
+    The graphs must share one topology and weight kind (ValueError
+    otherwise), as the channel patterns of one code do.  The GF(2)
+    elimination and the span rows are built once (once per set of
+    nonzero-field checks for ldgm) and every graph's weights are scored
+    against them; each log_z is the float the graph gets on its own.  Every
+    space is checked against the cap before any term is summed; then the
+    first graph whose signed sum cancels raises LogDomainError.
+    """
+    if not graphs:
+        return []
+    sums: list = [None] * len(graphs)  # (offset, peak, total, k) per graph
+    for members, basis, w, negs, offsets in _code_spaces(graphs):
+        span_sums = _span_log_sums(basis, w, negs)
+        for pos, offset, (peak, total) in zip(members, offsets, span_sums):
+            sums[pos] = (offset, peak, total, len(basis))
+    return [
+        CodeSpaceReport(log_z=_log_sum(offset, peak, total)[0], k=k)
+        for offset, peak, total, k in sums
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,11 @@ class FactorGraph:
     var_edges: tuple[tuple[int, ...], ...]
     check_edges: tuple[tuple[int, ...], ...]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
+    # values derived from the fields above, computed once per graph by the
+    # module that needs them (bp keeps its degree buckets and the general
+    # check tables here); a graph built by dataclasses.replace starts with
+    # an empty cache
+    cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -588,6 +593,25 @@ def attach_random_general_weights(
     meta = dict(graph.meta)
     meta["weights"] = {"kind": "general", "beta": beta, "seed": seed}
     return build_factor_graph(graph.n, graph.m, graph.edges, weights, meta=meta)
+
+
+def one_topology(graphs: Sequence[FactorGraph]) -> str:
+    """The weight kind of graphs that share one topology (n, m and edge list).
+
+    Raises ValueError when they mix weight kinds or topologies.
+    """
+    first = graphs[0]
+    kind = first.weights.kind
+    for g in graphs[1:]:
+        if g.weights.kind != kind:
+            raise ValueError(
+                f"a batch needs one weight kind: {g.weights.kind} after {kind}"
+            )
+        if (g.n, g.m) != (first.n, first.m) or (
+            g.edges is not first.edges and g.edges != first.edges
+        ):
+            raise ValueError("a batch needs one topology: the edge lists differ")
+    return kind
 
 
 def channel_slots(graph: FactorGraph) -> tuple[int, Callable[[tuple], FactorGraph]]:

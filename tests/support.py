@@ -18,6 +18,7 @@ import numpy as np
 from loopgas import (
     ActivityEvaluator,
     BPResult,
+    BetheBreakdown,
     ChannelAverage,
     ChannelParams,
     FactorGraph,
@@ -37,8 +38,14 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
-from loopgas.bp import check_forms, check_marginal, parity_form
-from loopgas.errors import BudgetExceededError, InfeasibleDomainError, TooLargeError
+from loopgas.bp import check_forms, check_marginal, check_sum, parity_form
+from loopgas.errors import (
+    BudgetExceededError,
+    InfeasibleDomainError,
+    LogDomainError,
+    TooLargeError,
+)
+from loopgas.exact import null_space_gf2
 from loopgas.graphs import channel_slots
 from loopgas.loops import LoopSumResult
 from loopgas.ratefunc import (
@@ -285,6 +292,87 @@ def scalar_solve(
         iterations=iterations,
         converged=residual <= tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar Bethe assembly: the node-by-node loop the bucketed assembly replaced
+
+
+def _safe_log(x: float, what: str) -> float:
+    if x <= 0.0:
+        raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
+    return math.log(x)
+
+
+def scalar_bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdown:
+    """f = (1/n) [sum_a F_a + sum_i F_i - sum_(ia) F_ia], node by node."""
+    t = messages.var_to_check
+    that = messages.check_to_var
+    tv = t.tolist()
+    w = graph.weights
+    forms = check_forms(graph)
+
+    check_terms = []
+    if isinstance(w, GeneralWeights):
+        for a, psi in enumerate(forms):
+            eids = graph.check_edges[a]
+            pairs = [((1.0 + tv[e]) / 2.0, (1.0 - tv[e]) / 2.0) for e in eids]
+            check_terms.append(_safe_log(check_sum(psi, pairs), f"check {a}"))
+    else:
+        for a, (c, tau) in enumerate(forms):
+            prod = math.prod(tv[e] for e in graph.check_edges[a])
+            check_terms.append(_safe_log(1.0 + tau * prod, f"check {a}") + math.log(c))
+    fields = w.variable_fields if isinstance(w, LdpcWeights) else (0.0,) * graph.n
+    var_terms = []
+    for i in range(graph.n):
+        plus = math.exp(fields[i])
+        minus = math.exp(-fields[i])
+        for e in graph.var_edges[i]:
+            plus *= 1.0 + float(that[e])
+            minus *= 1.0 - float(that[e])
+        var_terms.append(
+            _safe_log(plus + minus, f"variable {i}") - graph.var_degree(i) * math.log(2.0)
+        )
+    edge_terms = [
+        _safe_log(1.0 + float(t[e]) * float(that[e]), f"edge {e}") - math.log(2.0)
+        for e in range(graph.edge_count)
+    ]
+    f = (
+        math.fsum(check_terms) + math.fsum(var_terms) - math.fsum(edge_terms)
+    ) / graph.n
+    return BetheBreakdown(
+        f_bethe=f,
+        check_terms=tuple(check_terms),
+        var_terms=tuple(var_terms),
+        edge_terms=tuple(edge_terms),
+    )
+
+
+def scalar_stationarity(
+    graph: FactorGraph, messages: MessageSet, fd_step: float = 1e-5
+) -> float:
+    """Max central difference of f over atanh of each message, one full
+    scalar assembly per perturbed message set."""
+    t = messages.var_to_check
+    that = messages.check_to_var
+    worst = 0.0
+    for arr_idx in (0, 1):
+        base = t if arr_idx == 0 else that
+        for e in range(graph.edge_count):
+            theta = math.atanh(float(base[e]))
+            up = base.copy()
+            dn = base.copy()
+            up[e] = math.tanh(theta + fd_step)
+            dn[e] = math.tanh(theta - fd_step)
+            pair = [(up, that), (dn, that)] if arr_idx == 0 else [(t, up), (t, dn)]
+            fp, fm = (
+                scalar_bethe_free_energy(
+                    graph, MessageSet(kind=messages.kind, var_to_check=v, check_to_var=c)
+                ).f_bethe
+                for v, c in pair
+            )
+            worst = max(worst, abs(fp - fm) / (2.0 * fd_step))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1125,102 @@ def oracle_ldpc_log_z(graph: FactorGraph) -> float:
     ]
     peak = max(logs)
     return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
+
+
+# ---------------------------------------------------------------------------
+# per-pattern code space: one elimination and one span sum per graph, the
+# route the batched code_space_log_partitions replaced
+
+
+def _oracle_bits(vec: int, width: int) -> np.ndarray:
+    raw = np.frombuffer(vec.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:width].astype(np.float64)
+
+
+def _oracle_sign(vec: int, neg: int) -> float:
+    return -1.0 if (vec & neg).bit_count() & 1 else 1.0
+
+
+def _oracle_span_rows(vectors: list[int], width: int, neg: int):
+    rows = np.zeros((1, width))
+    signs = np.ones(1)
+    for vec in vectors:
+        rows = np.concatenate([rows, np.abs(rows - _oracle_bits(vec, width))])
+        signs = np.concatenate([signs, _oracle_sign(vec, neg) * signs])
+    return rows, signs
+
+
+def oracle_span_log_sum(
+    basis: list[int], w: np.ndarray, neg: int, offset: float, span_bits: int = 9
+) -> float:
+    """offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c) for one
+    weight vector, in blocks of 2^span_bits x 2^span_bits points."""
+    width = len(w)
+    low = min(len(basis), span_bits)
+    mid = min(len(basis) - low, span_bits)
+    rows, row_signs = _oracle_span_rows(basis[:low], width, neg)
+    cols, col_signs = _oracle_span_rows(basis[low : low + mid], width, neg)
+    row_w = rows @ w
+    high = basis[low + mid :]
+    peaks, partials = [], []
+    for t in range(1 << len(high)):
+        top = 0
+        for j, vec in enumerate(high):
+            if t >> j & 1:
+                top ^= vec
+        block_cols = np.abs(cols - _oracle_bits(top, width)) if top else cols
+        log_w = (
+            row_w[:, None]
+            + (block_cols @ w)[None, :]
+            - 2.0 * (rows @ (block_cols * w).T)
+        )
+        peak = float(log_w.max())
+        scaled = np.exp(log_w - peak)
+        if neg:
+            partial = _oracle_sign(top, neg) * float(row_signs @ scaled @ col_signs)
+        else:
+            partial = float(scaled.sum())
+        peaks.append(peak)
+        partials.append(partial)
+    peak = max(peaks)
+    total = math.fsum(s * math.exp(p - peak) for p, s in zip(peaks, partials))
+    if not total > 0.0:
+        raise LogDomainError(f"signed code-space sum {total} is not positive")
+    return offset + peak + math.log(total)
+
+
+def _oracle_ln_cosh(h: float) -> float:
+    a = abs(h)
+    return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
+
+
+def _oracle_ln_abs_tanh(h: float) -> float:
+    a = abs(h)
+    return math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a))
+
+
+def oracle_code_space_log_partition(graph: FactorGraph) -> tuple[float, int]:
+    """(ln Z, k) of one ldpc or ldgm graph over its own code space."""
+    w = graph.weights
+    if isinstance(w, LdpcWeights):
+        masks = [
+            sum(1 << i for i in graph.check_neighbors(a)) for a in range(graph.m)
+        ]
+        basis = null_space_gf2(masks, graph.n)
+        weights = np.array([-2.0 * h for h in w.variable_fields])
+        return oracle_span_log_sum(basis, weights, 0, math.fsum(w.variable_fields)), len(
+            basis
+        )
+    live = [(a, h) for a, h in enumerate(w.check_fields) if h != 0.0]
+    rows = [0] * graph.n
+    for pos, (a, _h) in enumerate(live):
+        for i in graph.check_neighbors(a):
+            rows[i] |= 1 << pos
+    basis = null_space_gf2(rows, len(live))
+    weights = np.array([_oracle_ln_abs_tanh(h) for _a, h in live])
+    neg = sum(1 << pos for pos, (_a, h) in enumerate(live) if h < 0.0)
+    offset = graph.n * math.log(2.0) + math.fsum(_oracle_ln_cosh(h) for h in w.check_fields)
+    return oracle_span_log_sum(basis, weights, neg, offset), len(basis)
 
 
 # ---------------------------------------------------------------------------

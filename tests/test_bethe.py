@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import loopgas as lg
-from loopgas.errors import BoundaryTooCloseError
+from loopgas.errors import BoundaryTooCloseError, LogDomainError
 
 import support as sp
 
@@ -142,3 +142,157 @@ def test_soft_coupling_ramp_approaches_parity_count():
     assert all(gap > 0.0 for gap in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.15
+
+
+# ---------------------------------------------------------------------------
+# the bucketed assembly against the node-by-node oracle
+
+
+def _same_topology(kind: str) -> list:
+    """Three graphs of one topology with different weights."""
+    if kind == "ldpc":
+        return [sp.ldpc_instance(3, 6, 12, 0.3, 0, chan_seed=s) for s in range(3)]
+    if kind == "ldgm":
+        return [sp.ldgm_instance(3, 6, 12, 0.35, 1, chan_seed=s) for s in range(3)]
+    base = sp.general_instance(3, 4, 8, 0.15, 2)
+    return [lg.attach_random_general_weights(base, beta=0.15, seed=s) for s in range(3)]
+
+
+def _message_sets(g) -> dict:
+    fixed = lg.solve_fixed_point(g).messages
+    perturbed = fixed.copy()
+    perturbed.var_to_check[0] += 0.05
+    perturbed.check_to_var[-1] -= 0.07
+    damped = lg.solve_fixed_point(g, init=sp.random_messages(g, seed=5), damping=0.4)
+    unconverged = lg.solve_fixed_point(g, init=sp.random_messages(g, seed=6), max_iter=2)
+    assert not unconverged.converged
+    return {
+        "fixed point": fixed,
+        "damped": damped.messages,
+        "unconverged": unconverged.messages,
+        "perturbed": perturbed,
+        "random": sp.random_messages(g, seed=3, scale=0.9),
+        "near-saturated": _near_saturated(g, seed=4),
+    }
+
+
+def _near_saturated(g, seed):
+    # |t| in [0.9, 0.999]: check products stay O(1), so their rounding shows
+    rng = np.random.default_rng(seed)
+    size = (2, g.edge_count)
+    t = rng.uniform(0.9, 0.999, size=size) * rng.choice([-1.0, 1.0], size=size)
+    return lg.MessageSet(kind=g.weights.kind, var_to_check=t[0], check_to_var=t[1])
+
+
+def _hexes(bd) -> tuple:
+    return (
+        bd.f_bethe.hex(),
+        [x.hex() for x in bd.check_terms],
+        [x.hex() for x in bd.var_terms],
+        [x.hex() for x in bd.edge_terms],
+    )
+
+
+def _outcome(assemble):
+    try:
+        return "ok", _hexes(assemble())
+    except LogDomainError as exc:
+        return "LogDomainError", str(exc)
+
+
+@pytest.mark.parametrize("kind", ["ldpc", "ldgm", "general"])
+def test_assembly_terms_equal_the_scalar_oracle_bit_for_bit(kind):
+    graphs = _same_topology(kind)
+    rows = []
+    for g in graphs:
+        for label, msgs in _message_sets(g).items():
+            want = _hexes(sp.scalar_bethe_free_energy(g, msgs))
+            assert _hexes(lg.bethe_free_energy(g, msgs)) == want, label
+            rows.append((g, msgs, want))
+    # one batch mixing every graph and message set, rows in shuffled order
+    order = [7, 0, 14, 3, 11, 17, 1, 9, 4, 16, 13, 2, 8, 5, 12, 6, 15, 10]
+    batch = lg.bethe_free_energies(
+        [rows[k][0] for k in order], [rows[k][1] for k in order]
+    )
+    assert [_hexes(bd) for bd in batch] == [rows[k][2] for k in order]
+
+
+def _bad_messages(g) -> dict:
+    """Message sets whose log arguments reach <= 0 at one node."""
+    fixed = lg.solve_fixed_point(g).messages
+    out = {}
+    var_bad = fixed.copy()
+    e0, e1 = g.var_edges[1][:2]
+    var_bad.check_to_var[e0], var_bad.check_to_var[e1] = 1.0, -1.0
+    out["variable"] = var_bad
+    edge_bad = fixed.copy()
+    edge_bad.var_to_check[5], edge_bad.check_to_var[5] = 1.0, -1.0
+    out["edge"] = edge_bad
+    # a check argument crosses zero for messages outside [-1, 1]; one of the
+    # two signs drives check 2 negative whatever its weights
+    for big in (50.0, -50.0):
+        check_bad = fixed.copy()
+        check_bad.var_to_check[list(g.check_edges[2])] = 1.0
+        check_bad.var_to_check[g.check_edges[2][0]] = big
+        out[f"check {big}"] = check_bad
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ldpc", "ldgm", "general"])
+def test_assembly_log_domain_errors_name_the_oracle_node(kind):
+    graphs = _same_topology(kind)
+    g = graphs[0]
+    bad = _bad_messages(g)
+    named = set()
+    for label, msgs in bad.items():
+        want = _outcome(lambda: sp.scalar_bethe_free_energy(g, msgs))
+        assert _outcome(lambda: lg.bethe_free_energy(g, msgs)) == want, label
+        if want[0] == "LogDomainError":
+            named.add(want[1].split()[0])
+    assert named == {"check", "variable", "edge"}
+
+    # inside a batch the first failing row raises, as a loop over rows would
+    good = [_message_sets(h)["fixed point"] for h in graphs]
+    for msgs in bad.values():
+        rows = [good[0], good[1], msgs, bad["edge"]]
+        gs = [graphs[0], graphs[1], g, g]
+        want = None
+        for h, m in zip(gs, rows):
+            want = _outcome(lambda: sp.scalar_bethe_free_energy(h, m))
+            if want[0] != "ok":
+                break
+        got = _outcome(lambda: lg.bethe_free_energies(gs, rows)[-1])
+        assert got == want
+
+
+def test_stationarity_equals_the_scalar_oracle():
+    graphs = [
+        sp.ldpc_instance(3, 6, 12, 0.3, 0),
+        sp.ldgm_instance(3, 6, 12, 0.35, 1),
+        sp.general_instance(3, 4, 8, 0.15, 2),
+        sp.random_tree(9, 3, "ldpc"),
+    ]
+    for g in graphs:
+        msgs = lg.solve_fixed_point(g).messages
+        assert lg.stationarity_check(g, msgs) == sp.scalar_stationarity(g, msgs)
+    pert = lg.solve_fixed_point(graphs[0]).messages.copy()
+    pert.var_to_check[0] += 0.05
+    assert lg.stationarity_check(graphs[0], pert) == sp.scalar_stationarity(
+        graphs[0], pert
+    )
+
+
+def test_assembly_refuses_mismatched_batches():
+    g = sp.ldpc_instance(3, 6, 12, 0.3, 0)
+    other = sp.ldpc_instance(3, 6, 12, 0.3, 1)
+    msgs = lg.solve_fixed_point(g).messages
+    with pytest.raises(ValueError, match="one message set per graph"):
+        lg.bethe_free_energies([g, g], [msgs])
+    with pytest.raises(ValueError, match="one topology"):
+        lg.bethe_free_energies([g, other], [msgs, msgs])
+    short = lg.MessageSet(
+        kind="ldpc", var_to_check=msgs.var_to_check[:-1], check_to_var=msgs.check_to_var[:-1]
+    )
+    with pytest.raises(ValueError, match="messages per direction"):
+        lg.bethe_free_energies([g], [short])
+    assert lg.bethe_free_energies([], []) == []

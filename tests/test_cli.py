@@ -26,6 +26,7 @@ from loopgas import (
     bethe_free_energy,
     brute_force_log_partition,
     code_space_log_partition,
+    code_space_log_partitions,
     load_graph,
     save_graph,
     solve_fixed_point,
@@ -215,6 +216,44 @@ def test_bethe_exits_2_on_saturated_messages(tmp_path, capsys):
         assert main([command, "--graph", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_bethe_refuses_an_overflowing_general_weight(tmp_path, capsys, monkeypatch):
+    path = _gen(
+        tmp_path, "hot.json",
+        "--ensemble", "general-regular", "--l", "3", "--r", "4", "--n", "8",
+        "--beta", "1000", "--seed", "1",
+    )
+    monkeypatch.setattr("loopgas.bp._Batch.sweep", _no_sweep)
+    out = tmp_path / "bethe.json"
+    assert main(["bethe", "--graph", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check 0: beta * sum |J| = ")
+    assert f"exceeds {math.log(sys.float_info.max)}" in err
+    assert not out.exists()
+
+
+def test_bethe_tabulates_each_general_check_once(tmp_path, monkeypatch):
+    path = _gen(
+        tmp_path, "general.json",
+        "--ensemble", "general-regular", "--l", "3", "--r", "4", "--n", "8",
+        "--beta", "0.3", "--seed", "1",
+    )
+    calls = []
+    tables = loopgas.bp.check_tables
+
+    def counting_tables(graph):
+        calls.append(graph)
+        return tables(graph)
+
+    monkeypatch.setattr("loopgas.bp.check_tables", counting_tables)
+    out = tmp_path / "bethe.json"
+    assert main(["bethe", "--graph", path, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    graph = load_graph(path)
+    assert json.loads(out.read_text())["check_terms"] == list(
+        sp.scalar_bethe_free_energy(graph, solve_fixed_point(graph).messages).check_terms
+    )
 
 
 @pytest.mark.parametrize(
@@ -501,6 +540,34 @@ def test_trend_deterministic_across_threads(tmp_path):
         assert float(row["mean_gap"]) > 0.0
 
 
+ENTROPY_THREAD_CASES = {
+    "ldpc exhaustive": ["--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "8"],
+    "ldpc montecarlo": [
+        "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "8",
+        "--exhaustive-limit", "4", "--mc-samples", "40",
+    ],
+    "ldgm exhaustive": ["--ensemble", "ldgm", "--l", "2", "--r", "4", "--n", "12"],
+    "ldgm montecarlo": [
+        "--ensemble", "ldgm", "--l", "2", "--r", "4", "--n", "12",
+        "--exhaustive-limit", "4", "--mc-samples", "40",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(ENTROPY_THREAD_CASES))
+def test_entropy_deterministic_across_threads(tmp_path, case):
+    args = ["entropy", *ENTROPY_THREAD_CASES[case], "--p", "0.3", "--instances", "3",
+            "--seed", "2"]
+    one = tmp_path / "e1.json"
+    two = tmp_path / "e2.json"
+    assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+    assert main(args + ["--threads", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    method = "montecarlo" if "montecarlo" in case else "exhaustive"
+    rows = json.loads(one.read_text())["per_instance"]
+    assert [row["method"] for row in rows] == [method] * 3
+
+
 def test_trend_ldgm_row(tmp_path):
     out = str(tmp_path / "trend.csv")
     rc = main([
@@ -661,7 +728,12 @@ def test_entropy_refuses_bad_p_and_samples_before_any_sum(tmp_path, monkeypatch,
         calls.append(1)
         return code_space_log_partition(*args)
 
+    def counting_code_spaces(*args):
+        calls.append(1)
+        return code_space_log_partitions(*args)
+
     monkeypatch.setattr("loopgas.cli.code_space_log_partition", counting_code_space)
+    monkeypatch.setattr("loopgas.cli.code_space_log_partitions", counting_code_spaces)
     common = [
         "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
         "--n", "8", "--instances", "2", "--seed", "0", "--threads", "1",

@@ -11,6 +11,7 @@ import pytest
 import loopgas as lg
 from loopgas.errors import LogDomainError, TooLargeError, WrongWeightKindError
 from loopgas.exact import null_space_gf2
+from loopgas.graphs import channel_slots
 
 import support as sp
 
@@ -334,6 +335,114 @@ def test_code_space_rank_bound_refuses_before_elimination(monkeypatch):
     )
     assert lg.code_space_log_partition(g).k == 11
     assert calls == [1]
+
+
+def _channel_patterns(g, count=None, seed=0):
+    """g under channel sign patterns of its own field magnitude |h|: all of
+    them, or count drawn at random."""
+    slots, with_fields = channel_slots(g)
+    fields = g.weights.variable_fields if g.weights.kind == "ldpc" else g.weights.check_fields
+    h = abs(fields[0])
+    if count is None:
+        patterns = range(1 << slots)
+    else:
+        rng = random.Random(seed)
+        patterns = [rng.getrandbits(slots) for _ in range(count)]
+    return [
+        with_fields(tuple(-h if pattern >> k & 1 else h for k in range(slots)))
+        for pattern in patterns
+    ]
+
+
+def _oracle_outcome(g):
+    try:
+        log_z, k = sp.oracle_code_space_log_partition(g)
+    except LogDomainError as exc:
+        return "LogDomainError", str(exc)
+    return "ok", (log_z.hex(), k)
+
+
+CODE_SPACE_BATCHES = {
+    # name: (graphs, compare with an independent ln Z)
+    "ldpc (3,4) n=8, all patterns": (
+        lambda: _channel_patterns(sp.ldpc_instance(3, 4, 8, 0.45, 0)), True
+    ),
+    "ldpc (3,6) n=12": (
+        lambda: _channel_patterns(sp.ldpc_instance(3, 6, 12, 0.3, 1), 64), True
+    ),
+    "ldgm (2,4) n=12, all patterns": (
+        lambda: _channel_patterns(sp.ldgm_instance(2, 4, 12, 0.2, 2)), True
+    ),
+    "ldgm (4,2) n=10, two span axes": (
+        lambda: _channel_patterns(sp.ldgm_instance(4, 2, 10, 0.4, 0), 24), True
+    ),
+    "ldgm with zero fields, several live sets": (
+        lambda: [
+            _zero_some_fields(g, every=2 + pos % 3) if pos % 2 else g
+            for pos, g in enumerate(
+                _channel_patterns(sp.ldgm_instance(2, 4, 12, 0.3, 3), 16, seed=4)
+            )
+        ],
+        True,
+    ),
+    "ldpc (2,4) n=40, blocks past 2^18": (
+        lambda: _channel_patterns(sp.ldpc_instance(2, 4, 40, 0.45, 0), 3), False
+    ),
+    "ldgm (4,2) n=20, signed blocks past 2^18": (
+        lambda: _channel_patterns(sp.ldgm_instance(4, 2, 20, 0.45, 1), 2), False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_SPACE_BATCHES))
+def test_code_space_batches_equal_the_per_pattern_oracle(name):
+    build, independent = CODE_SPACE_BATCHES[name]
+    graphs = build()
+    reports = lg.code_space_log_partitions(graphs)
+    assert len(reports) == len(graphs)
+    for g, report in zip(graphs, reports):
+        assert ("ok", (report.log_z.hex(), report.k)) == _oracle_outcome(g)
+        assert lg.code_space_log_partition(g) == report
+        if independent:
+            assert g.n <= 12
+            if g.weights.kind == "ldpc":
+                want = sp.oracle_ldpc_log_z(g)
+            else:
+                want = lg.brute_force_log_partition(g).log_z
+            assert report.log_z == pytest.approx(want, rel=0.0, abs=1e-12)
+    if name.startswith("ldpc (2,4) n=40") or name.startswith("ldgm (4,2) n=20"):
+        assert reports[0].k > 18  # the outer block loop runs
+
+
+def test_code_space_batch_raises_for_the_first_cancelling_sum():
+    # +-40 rounds tanh to 1: the pair (40, -40) cancels to 0, (40, 40) and
+    # (-40, -40) do not
+    graphs = [
+        lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights(fields))
+        for fields in ((40.0, 40.0), (-40.0, -40.0), (40.0, -40.0), (0.3, -0.2))
+    ]
+    want = _oracle_outcome(graphs[2])
+    assert want[0] == "LogDomainError"
+    with pytest.raises(LogDomainError) as exc:
+        lg.code_space_log_partitions(graphs)
+    assert str(exc.value) == want[1]
+    ok = lg.code_space_log_partitions([graphs[k] for k in (0, 1, 3)])
+    assert [(r.log_z.hex(), r.k) for r in ok] == [
+        _oracle_outcome(graphs[k])[1] for k in (0, 1, 3)
+    ]
+
+
+def test_code_space_batch_refuses_mixed_batches():
+    g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
+    with pytest.raises(ValueError, match="one topology"):
+        lg.code_space_log_partitions([g, sp.ldpc_instance(3, 4, 8, 0.3, 1)])
+    with pytest.raises(ValueError, match="one weight kind"):
+        ldgm = dataclasses.replace(g, weights=lg.LdgmWeights((0.1,) * g.m))
+        lg.code_space_log_partitions([g, ldgm])
+    general = sp.general_instance(3, 4, 8, 0.2, 0)
+    with pytest.raises(WrongWeightKindError):
+        lg.code_space_log_partitions([general, general])
+    assert lg.code_space_log_partitions([]) == []
 
 
 # ---------------------------------------------------------------------------
