@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
-from .bp import MessageSet, _Batch, table_sums
+from .bp import MessageSet, _Batch, check_weight_range, table_sums
 from .graphs import FactorGraph
 
 LN2 = math.log(2.0)
@@ -69,6 +69,8 @@ def bethe_free_energies(
         raise ValueError(f"need one message set per graph, got {len(messages)}")
     if not graphs:
         return []
+    for graph in graphs:
+        check_weight_range(graph)
     batch = _Batch(list(graphs))
     t = np.array([m.var_to_check for m in messages], dtype=float)
     that = np.array([m.check_to_var for m in messages], dtype=float)

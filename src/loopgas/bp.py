@@ -88,6 +88,41 @@ def parity_form(graph: FactorGraph) -> list[tuple[float, float]]:
     return [(math.cosh(h), math.tanh(h)) for h in w.check_fields]
 
 
+def check_weight_range(graph: FactorGraph) -> None:
+    """Refuse weights whose exponentials would overflow a float.
+
+    The check tables, the Bethe terms and the loop activities exponentiate
+    the log weights: a general check's reach beta * sum |J| (rounding is
+    monotone, so this sum in term order bounds every log_psi of
+    check_tables, which adds the same terms with signs), an ldgm check takes
+    cosh h_a and an ldpc variable exp(+-h_i).  WeightOverflowError names the
+    first check (general, ldgm) or variable (ldpc) whose bound exceeds
+    _MAX_LOG_WEIGHT.
+    """
+    w = graph.weights
+    if isinstance(w, GeneralWeights):
+        for a in range(graph.m):
+            bound = 0.0
+            for _subset, j in w.couplings[a]:
+                bound += abs(w.beta * j)
+            if bound > _MAX_LOG_WEIGHT:
+                raise WeightOverflowError(
+                    f"check {a}: beta * sum |J| = {bound} exceeds {_MAX_LOG_WEIGHT}, "
+                    "the largest log weight a float holds"
+                )
+        return
+    if isinstance(w, LdgmWeights):
+        node, fields = "check", w.check_fields
+    else:
+        node, fields = "variable", w.variable_fields
+    for k, h in enumerate(fields):
+        if abs(h) > _MAX_LOG_WEIGHT:
+            raise WeightOverflowError(
+                f"{node} {k}: field |h| = {abs(h)} exceeds {_MAX_LOG_WEIGHT}, "
+                "the largest log weight a float holds"
+            )
+
+
 def check_tables(graph: FactorGraph) -> list[list[float]]:
     """Per check of a general-weight graph: psi_a over its 2^d local
     configurations.  Bit k of a configuration is set when the k-th neighbour
@@ -100,16 +135,7 @@ def check_tables(graph: FactorGraph) -> list[list[float]]:
             raise DegreeTooLargeError(
                 f"check {a} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
             )
-        # rounding is monotone, so this sum of |beta J| in term order bounds
-        # every log_psi below, which adds the same terms with signs
-        bound = 0.0
-        for _subset, j in w.couplings[a]:
-            bound += abs(w.beta * j)
-        if bound > _MAX_LOG_WEIGHT:
-            raise WeightOverflowError(
-                f"check {a}: beta * sum |J| = {bound} exceeds {_MAX_LOG_WEIGHT}, "
-                "the largest log weight a float holds"
-            )
+    check_weight_range(graph)
     tables = []
     for a in range(graph.m):
         hood = graph.check_neighbors(a)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .bethe import bethe_free_energies, bethe_free_energy
 from .bp import (
+    check_weight_range,
     solve_fixed_point,
     solve_fixed_points,
     verify_high_noise,
@@ -227,6 +228,7 @@ def cmd_bp(args) -> int:
 
 def cmd_bethe(args) -> int:
     graph = _load_graph_arg(args)
+    check_weight_range(graph)
     result = _run_bp(graph, args)
     breakdown = bethe_free_energy(graph, result.messages)
     payload = {
@@ -311,6 +313,7 @@ def cmd_verify_identity(args) -> int:
 
 def cmd_series(args) -> int:
     graph = _load_graph_arg(args)
+    check_weight_range(graph)
     result = _run_bp(graph, args)
     series = polymer_series(
         graph,

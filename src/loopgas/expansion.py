@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bp import MessageSet
+from .bp import MessageSet, check_weight_range
 from .errors import (
     BudgetExceededError,
     InvalidDegreeSequenceError,
@@ -146,6 +146,7 @@ def polymer_series(
         raise OrderTooLargeError(
             f"order {m_max} exceeds the supported maximum {URSELL_MAX_ORDER}"
         )
+    check_weight_range(graph)
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     tuples = sum(

@@ -12,17 +12,21 @@ Polymers are connected generalized loops; every generalized loop is a disjoint
 union of polymers and its activity factorizes over them.
 
 One walk visits every generalized loop, carrying its activity when asked.
-It goes one check at a time over a numpy frontier of partial choices, and
-keeps the (state, option) pairs state-major.  Its leaves therefore come out
-in depth-first order: the lexicographic order of the per-check options, with
-the empty option first.  That order is part of the output, because q adds
-each node's weights in it.  The frontier is expanded, and the leaves handed
-on, in chunks of _CHUNK, which bounds the temporaries.  The visit budget is
-checked at every chunk boundary, so an over-budget walk is refused after at
-most one chunk more than the budget.  Enumeration (with or without
-activities) and the loop sum with its small/large split read the leaf
-arrays chunk by chunk.  The identity check adds brute-force ln Z, BP and the
-Bethe free energy to the loop sum.
+It goes one check at a time over a numpy frontier of partial choices.  At
+each check it crosses a state only with the options that keep every
+variable closing there off induced degree one, decided once per pattern of
+those variables' degrees, so no pair that one of them would end is ever
+built; what it keeps, and in what order, is the same as crossing every
+state with every option and filtering.  The (state, option) pairs run state-major, so the
+leaves come out in depth-first order: the lexicographic order of the
+per-check options, with the empty option first.  That order is part of the
+output, because q adds each node's weights in it.  The frontier is expanded,
+and the leaves handed on, in chunks of _CHUNK, which bounds the
+temporaries.  The visit budget is checked at every chunk boundary, so an
+over-budget walk is refused after at most one chunk more than the budget.
+Enumeration (with or without activities) and the loop sum with its
+small/large split read the leaf arrays chunk by chunk.  The identity check
+adds brute-force ln Z, BP and the Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import MessageSet, check_forms, check_sum, solve_fixed_point
+from .bp import MessageSet, check_forms, check_sum, check_weight_range, solve_fixed_point
 from .bethe import bethe_free_energy
 from .errors import (
     BudgetExceededError,
@@ -110,6 +114,7 @@ class ActivityEvaluator:
     """
 
     def __init__(self, graph: FactorGraph, messages: MessageSet) -> None:
+        check_weight_range(graph)
         self.graph = graph
         self.t = [float(x) for x in messages.var_to_check]
         self.that = [float(x) for x in messages.check_to_var]
@@ -342,6 +347,39 @@ class _Leaves:
         return out
 
 
+def _admitted_options(
+    opts: np.ndarray, bits: np.ndarray, closing: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per frontier state, the options of one check that keep every
+    variable closing there off induced degree one.
+
+    closing lists each closing variable's (frontier column of bits, position
+    in the check).  A state's signature is the degree class, 0, 1 or >= 2,
+    that its included-edge bits give each closing variable; the options are
+    decided once per distinct signature.  Signatures are told apart by their
+    base-3 code while that fits an int64, else by their class rows.  Returns
+    (admitted, first, count): the admitted option indices of every distinct
+    signature in option order, run after run, and per state its signature's
+    run start and length.
+    """
+    cls = np.minimum(np.bitwise_count(bits[:, [c for c, _k in closing]]), 2)
+    if 3 ** len(closing) <= np.iinfo(np.int64).max:
+        code = cls.astype(np.int64) @ 3 ** np.arange(len(closing), dtype=np.int64)
+        _, rep, sig = np.unique(code, return_index=True, return_inverse=True)
+    else:
+        _, rep, sig = np.unique(cls, axis=0, return_index=True, return_inverse=True)
+        # numpy 2.0.0 gives this inverse a trailing axis
+        sig = sig.reshape(-1)
+    ok = np.ones((len(rep), len(opts)), dtype=bool)
+    for j, (_c, k) in enumerate(closing):
+        deg = cls[rep, j][:, None]
+        # off degree one: >= 2 already, or the option takes the edge exactly
+        # when the class is 1
+        ok &= (deg == 2) | ((deg == 1) == opts[:, k])
+    count = ok.sum(axis=1)
+    return np.nonzero(ok)[1], (np.cumsum(count) - count)[sig], count[sig]
+
+
 def _walk(
     graph: FactorGraph,
     budget: int,
@@ -350,23 +388,29 @@ def _walk(
 ) -> _Leaves:
     """Visit every generalized loop once, one check level at a time.
 
-    Checks are processed in index order; each state of the frontier is
-    crossed with every locally admissible edge subset of the next check, and
-    the surviving (state, option) pairs are kept state-major, so the leaves
-    come out in depth-first order (empty option first, see _check_options).
-    A state dies as soon as a variable whose checks are all decided has
-    induced degree one, or the touched nodes exceed max_nodes.  The frontier
+    Checks are processed in index order.  A state dies as soon as a
+    variable whose checks are all decided has induced degree one, or the
+    touched nodes exceed max_nodes.  The first rule is applied before the
+    state is crossed with the next check: _admitted_options picks, per
+    distinct degree pattern of the variables closing at the check, the
+    locally admissible edge subsets (see _check_options) that keep them all
+    off degree one, and each state is paired only with those, in option
+    order.  The pairs are kept state-major, so the leaves come out in
+    depth-first order (empty option first), exactly as if every state were
+    crossed with every option and the dead pairs dropped.  The frontier
     holds each state's activity and the included-edge bits of the variables
     still open; with an evaluator the activity is built up on the way down:
     prod * check factor, then times each closing variable's factor looked up
     by its included edges, in the fixed closing order.  Without one it stays
-    1.  Each level keeps only (parent, option) per state, from which
+    1.  The node tally, the factors and the lookups run only on admitted
+    pairs.  Each level keeps only (parent, option) per state, from which
     _Leaves rebuilds the leaves.
 
-    The frontier is expanded in chunks of at most _CHUNK pairs, and every
-    surviving state counts against the budget: BudgetExceededError is raised
-    at the first chunk boundary where the visits exceed it, so exactly when
-    the walk would visit more than budget states.
+    The admitted pairs are expanded in chunks of at most _CHUNK, a state's
+    run of options split across chunks where it must, and every surviving
+    state counts against the budget: BudgetExceededError is raised at the
+    first chunk boundary where the visits exceed it, so exactly when the
+    walk would visit more than budget states.
     """
     n, m = graph.n, graph.m
     n_cap = n + m if max_nodes is None else max_nodes
@@ -376,7 +420,6 @@ def _walk(
     last_check = [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
     local_bit = {e: 1 << k for eids in graph.var_edges for k, e in enumerate(eids)}
     bits_dtype = np.min_scalar_type((1 << graph.l_max) - 1)
-    single = np.bitwise_count(np.arange(1 << graph.l_max)) == 1
     # per variable, its factor by included-edge bits (1 for none)
     var_table = []
     for i, eids in enumerate(graph.var_edges):
@@ -410,31 +453,40 @@ def _walk(
         closing = [(col[i], var_table[i]) for i in sorted(cols) if last_check[i] == a]
         staying = np.array([c for c, i in enumerate(cols) if last_check[i] != a], dtype=np.intp)
         states = len(prod)
-        per_chunk = max(1, _CHUNK // len(opts))
-        parts = []
-        for start in range(0, max(states, 1), per_chunk):
-            parent = np.repeat(np.arange(start, min(start + per_chunk, states)), len(opts))
-            option = np.tile(np.arange(len(opts)), len(parent) // len(opts))
+        admitted, first, count = _admitted_options(
+            opts, bits, [(c, var_cols.index(c)) for c, _table in closing]
+        )
+        # the level's pairs run state-major, each state's admitted options in
+        # order: pair j, in state s's run, takes option admitted[first[s] + j]
+        ends = np.cumsum(count)
+        first -= ends - count
+        pairs = int(ends[-1]) if states else 0
+        # an empty part keeps the level defined when no pair survives
+        parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[:0, staying], prod[:0], nodes[:0])]
+        for start in range(0, pairs, _CHUNK):
+            stop = min(start + _CHUNK, pairs)
+            # the runs of states lo..hi hold pairs start..stop - 1
+            lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+            skip = start - int(ends[lo] - count[lo])
+            parent = np.repeat(np.arange(lo, hi + 1), count[lo : hi + 1])[skip : skip + stop - start]
+            option = admitted[first[parent] + np.arange(start, stop)]
             child = bits[parent]
-            alive = np.ones(len(parent), dtype=bool)
             grown = nodes[parent]
             if capped:
                 grown = grown + (option > 0)
                 for k, c in enumerate(var_cols):
                     grown += opts[option, k] & (child[:, c] == 0)
-                alive = grown <= n_cap
+                keep = np.flatnonzero(grown <= n_cap)
+                parent, option, child, grown = parent[keep], option[keep], child[keep], grown[keep]
             for k, c in enumerate(var_cols):
                 child[:, c] ^= flips[option, k]
             p = prod[parent] * factor[option]
             for c, table in closing:
-                mk = child[:, c]
-                alive &= ~single[mk]
-                p = p * table[mk]
-            keep = np.flatnonzero(alive)
-            visits += len(keep)
+                p = p * table[child[:, c]]
+            visits += len(parent)
             if visits > budget:
                 raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-            parts.append((parent[keep], option[keep], child[np.ix_(keep, staying)], p[keep], grown[keep]))
+            parts.append((parent, option, child[:, staying], p, grown))
         parent, option, bits, prod, nodes = (np.concatenate(x) for x in zip(*parts))
         levels.append(
             (
@@ -643,6 +695,7 @@ def verify_loop_identity(
     is the largest single-edge activity, which vanishes at an exact fixed
     point.
     """
+    check_weight_range(graph)
     ln_z = brute_force_log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
     f = bethe_free_energy(graph, bp.messages).f_bethe

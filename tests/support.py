@@ -32,7 +32,6 @@ from loopgas import (
     bethe_free_energy,
     brute_force_log_partition,
     build_factor_graph,
-    enumerate_generalized_loops,
     enumerate_polymers,
     sample_ldgm,
     sample_regular_bipartite,
@@ -47,7 +46,7 @@ from loopgas.errors import (
 )
 from loopgas.exact import null_space_gf2
 from loopgas.graphs import channel_slots
-from loopgas.loops import LoopSumResult
+from loopgas.loops import LoopSumResult, enumerate_generalized_loops
 from loopgas.ratefunc import (
     REFINE_TOP,
     RateFunctionResult,

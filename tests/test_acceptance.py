@@ -26,7 +26,6 @@ from loopgas import (
     check_expander_exhaustive,
     convergence_criterion_q,
     count_rooted_polymers,
-    enumerate_generalized_loops,
     enumerate_polymers,
     expander_activity_bound,
     f0_restricted,
@@ -49,6 +48,7 @@ from loopgas import (
 )
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
 from loopgas.exact import codeword_count_gf2
+from loopgas.loops import enumerate_generalized_loops
 from loopgas.graphs import binary_entropy
 from loopgas.ratefunc import RateFunctionSpec
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import loopgas as lg
 import loopgas.bp as bp
-from loopgas.errors import DegreeTooLargeError, SingularDenominatorError
+from loopgas.errors import DegreeTooLargeError, SingularDenominatorError, WeightOverflowError
 
 import support as sp
 
@@ -198,6 +199,56 @@ def test_degree_cap_on_general_checks_only():
         lg.bethe_free_energy(wide, zero)
     with pytest.raises(DegreeTooLargeError):
         lg.ActivityEvaluator(wide, zero).check_factor(0, {0, 1})
+
+
+@pytest.mark.parametrize(
+    "graph, node",
+    [
+        (
+            lg.build_factor_graph(
+                2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)], lg.LdgmWeights((0.3, -800.0))
+            ),
+            "check 1",
+        ),
+        (lg.build_factor_graph(2, 1, [(0, 0), (1, 0)], lg.LdpcWeights((800.0, 0.3))), "variable 0"),
+    ],
+    ids=["ldgm", "ldpc"],
+)
+def test_fields_beyond_the_float_range_are_refused(graph, node, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the weights were checked")
+
+    zero = lg.MessageSet(
+        kind=graph.weights.kind,
+        var_to_check=np.zeros(graph.edge_count),
+        check_to_var=np.zeros(graph.edge_count),
+    )
+    # BP runs on tanh h, which rounds to +-1 without overflowing
+    messages = lg.solve_fixed_point(graph).messages
+    monkeypatch.setattr("loopgas.loops.brute_force_log_partition", no_work)
+    monkeypatch.setattr("loopgas.expansion.enumerate_polymers", no_work)
+    calls = [
+        lambda: lg.bethe_free_energy(graph, messages),
+        lambda: lg.bethe_free_energies([graph, graph], [zero, zero]),
+        lambda: lg.verify_loop_identity(graph),
+        lambda: lg.polymer_series(graph, zero),
+        lambda: lg.ActivityEvaluator(graph, zero),
+        lambda: lg.loop_sum_direct(graph, zero),
+    ]
+    for call in calls:
+        with pytest.raises(WeightOverflowError, match=rf"^{node}: field \|h\| = 800\.0 exceeds "):
+            call()
+
+
+def test_weight_range_ends_at_the_largest_finite_exponential():
+    top = math.log(sys.float_info.max)
+    for h in (top, -top):
+        g = lg.build_factor_graph(1, 1, [(0, 0)], lg.LdpcWeights((h,)))
+        bp.check_weight_range(g)
+        assert math.isfinite(math.exp(abs(h)))
+        past = lg.build_factor_graph(1, 1, [(0, 0)], lg.LdpcWeights((math.nextafter(h, 2 * h),)))
+        with pytest.raises(WeightOverflowError):
+            bp.check_weight_range(past)
 
 
 # ---------------------------------------------------------------------------

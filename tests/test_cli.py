@@ -233,6 +233,45 @@ def test_bethe_refuses_an_overflowing_general_weight(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+_HOT_FIELD_GRAPHS = {
+    # |h| = 800: cosh h and exp h overflow a float, tanh h rounds to 1
+    "ldgm": (
+        lambda: loopgas.build_factor_graph(
+            2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)], loopgas.LdgmWeights((800.0, 0.3))
+        ),
+        "check 0",
+    ),
+    "ldpc": (
+        lambda: loopgas.build_factor_graph(
+            2, 1, [(0, 0), (1, 0)], loopgas.LdpcWeights((800.0, 0.3))
+        ),
+        "variable 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOT_FIELD_GRAPHS))
+def test_fields_beyond_the_float_range_are_refused_before_any_work(
+    kind, tmp_path, capsys, monkeypatch
+):
+    build, node = _HOT_FIELD_GRAPHS[kind]
+    path = str(tmp_path / "hot.json")
+    save_graph(build(), path)
+    out = tmp_path / "out.json"
+    # the exact sum and BP stay in range on this file
+    assert main(["exact", "--graph", path]) == 0
+    assert main(["bp", "--graph", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("loopgas.bp._Batch.sweep", _no_sweep)
+    monkeypatch.setattr("loopgas.loops.brute_force_log_partition", _no_sweep)
+    for command in ("bethe", "verify-identity", "series"):
+        assert main([command, "--graph", path, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {node}: field |h| = 800.0 exceeds "), err
+        assert f"exceeds {math.log(sys.float_info.max)}" in err
+        assert not out.exists()
+
+
 def test_bethe_tabulates_each_general_check_once(tmp_path, monkeypatch):
     path = _gen(
         tmp_path, "general.json",

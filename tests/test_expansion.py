@@ -15,6 +15,7 @@ from loopgas.errors import (
     InvalidDegreeSequenceError,
     OrderTooLargeError,
 )
+from loopgas.ratefunc import omega_constant
 
 import support as sp
 
@@ -516,6 +517,6 @@ def test_cayley_matches_prufer_histogram():
 
 
 def test_omega_constant():
-    assert lg.omega_constant(6) == 134
-    assert lg.omega_constant(2) == 14
-    assert lg.omega_constant(4) == 58
+    assert omega_constant(6) == 134
+    assert omega_constant(2) == 14
+    assert omega_constant(4) == 58

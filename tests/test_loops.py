@@ -19,7 +19,7 @@ from loopgas.errors import (
 )
 
 import support as sp
-from loopgas.loops import loop_activities
+from loopgas.loops import enumerate_generalized_loops, loop_activities
 
 
 def _four_cycle_ldgm(h0=0.4, h1=-0.7):
@@ -52,7 +52,7 @@ def _disjoint_cycle_pair():
 
 
 def test_four_cycle_has_one_loop():
-    loops = lg.enumerate_generalized_loops(_four_cycle_ldgm())
+    loops = enumerate_generalized_loops(_four_cycle_ldgm())
     assert len(loops) == 1
     assert loops[0].edge_ids == (0, 1, 2, 3)
     assert loops[0].size == 4
@@ -60,7 +60,7 @@ def test_four_cycle_has_one_loop():
 
 def test_complete_2_by_3_loops():
     # checks have degree 2, so a loop picks >= 2 whole checks: C(3,2)+C(3,3)
-    loops = lg.enumerate_generalized_loops(_complete_2_by_3())
+    loops = enumerate_generalized_loops(_complete_2_by_3())
     assert len(loops) == 4
     polys = lg.enumerate_polymers(_complete_2_by_3())
     assert len(polys) == 4  # the shared variables connect everything
@@ -68,7 +68,7 @@ def test_complete_2_by_3_loops():
 
 def test_disjoint_pair_loops_and_polymers():
     g = _disjoint_cycle_pair()
-    loops = lg.enumerate_generalized_loops(g)
+    loops = enumerate_generalized_loops(g)
     assert len(loops) == 3  # each cycle alone plus their union
     polys = lg.enumerate_polymers(g)
     assert len(polys) == 2
@@ -90,7 +90,7 @@ def test_enumeration_matches_subset_filter(builder, args):
     g = builder(*args)
     assert g.edge_count <= 16
     oracle = sp.oracle_loops(g)
-    lib = {frozenset(l.edge_ids) for l in lg.enumerate_generalized_loops(g)}
+    lib = {frozenset(l.edge_ids) for l in enumerate_generalized_loops(g)}
     assert lib == oracle
     oracle_p = sp.oracle_polymers(g)
     lib_p = {frozenset(q.edge_ids) for q in lg.enumerate_polymers(g)}
@@ -134,7 +134,7 @@ def test_enumeration_filters():
 def test_enumeration_respects_budget():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
     with pytest.raises(BudgetExceededError):
-        lg.enumerate_generalized_loops(g, budget=5)
+        enumerate_generalized_loops(g, budget=5)
     with pytest.raises(BudgetExceededError):
         lg.enumerate_polymers(g, budget=5)
 
@@ -368,7 +368,7 @@ def test_walk_holds_no_leaf_arrays_after_return(monkeypatch):
     try:
         assert lg.loop_sum_direct(g, messages).loop_count
         assert lg.enumerate_polymers(g, max_size=8)
-        assert lg.enumerate_generalized_loops(g)
+        assert enumerate_generalized_loops(g)
         assert loop_activities(g, messages)
         assert len(refs) > 4 * 2
         assert all(ref() is None for ref in refs)
@@ -385,6 +385,18 @@ def _long_cycle_with_chord(length: int = 36) -> lg.FactorGraph:
     rng = random.Random(5)
     fields = tuple(rng.uniform(-1.0, 1.0) for _ in range(length))
     return lg.build_factor_graph(length, length + 1, edges, lg.LdpcWeights(fields))
+
+
+def _wide_closing_check() -> lg.FactorGraph:
+    # three small checks, then one check over all eight variables: every
+    # variable closes there, at induced degree 0, 1 or >= 2, so the walk's
+    # degree signatures are eight classes wide
+    small = ([0, 1, 2], [3, 4, 5, 0], [5, 6, 7, 3])
+    edges = [(i, a) for a, hood in enumerate(small) for i in hood]
+    edges += [(i, len(small)) for i in range(8)]
+    rng = random.Random(11)
+    fields = tuple(rng.uniform(-1.0, 1.0) for _ in range(8))
+    return lg.build_factor_graph(8, len(small) + 1, edges, lg.LdpcWeights(fields))
 
 
 def _with_edgeless_variable() -> lg.FactorGraph:
@@ -420,6 +432,7 @@ _WALK_CASES = {
 }
 _WALK_CASES["cycle-36-chord"] = _long_cycle_with_chord
 _WALK_CASES["edgeless-variable"] = _with_edgeless_variable
+_WALK_CASES["wide-closing-check"] = _wide_closing_check
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES))
@@ -432,7 +445,7 @@ def test_level_walk_matches_recursive_walk(case):
         ), lam
     for k in (0, 4, 6, 9, None):
         assert lg.enumerate_polymers(g, max_size=k) == sp.recursive_polymers(g, k), k
-    assert lg.enumerate_generalized_loops(g) == sp.recursive_loops(g)
+    assert enumerate_generalized_loops(g) == sp.recursive_loops(g)
     # at a fixed point some variable factors are exactly 1; arbitrary messages
     # make every factor count, so the multiplication order shows in the bits
     arbitrary = sp.random_messages(g, seed=7)
@@ -459,6 +472,61 @@ def test_level_walk_chunking_does_not_change_results(monkeypatch):
         )
         assert got == want, chunk
     assert want[0] == sp.recursive_loop_sum(g, messages)
+    monkeypatch.undo()
+
+    # the walk itself, bit for bit: on K_{6,3} all six variables close at the
+    # last check, which prunes hardest.  No variable closes at check 0, so
+    # the root admits every option there: one state's run of options
+    # outnumbers a chunk of 1 or 7, and chunks end inside runs throughout.
+    for g in (
+        g,
+        sp.ldpc_instance(3, 6, 6, 0.45, 0, chan_seed=0),
+        sp.ldpc_instance(3, 4, 8, 0.42, 3, chan_seed=3),
+    ):
+        assert len(lg.loops._check_options(g, 0)) > 7
+        ev = lg.ActivityEvaluator(g, sp.random_messages(g, seed=7))
+        want = {cap: _walk_output(lg.loops._walk(g, 10**9, ev, cap)) for cap in (None, 8)}
+        for chunk in (1, 7, 100):
+            monkeypatch.setattr(lg.loops, "_CHUNK", chunk)
+            for cap in (None, 8):
+                if chunk == 1 and cap is None and g.n == 8:
+                    continue  # 224,444 one-pair chunks outlast the rest of this test
+                # a budget of exactly the visits is enough, one less is not
+                visits = want[cap][-1]
+                got = _walk_output(lg.loops._walk(g, visits, ev, cap))
+                assert got == want[cap], (g.n, chunk, cap)
+                if chunk < 100 and cap is None:
+                    with pytest.raises(BudgetExceededError):
+                        lg.loops._walk(g, visits - 1, ev, cap)
+        monkeypatch.undo()
+
+
+def _walk_output(leaves) -> tuple:
+    """A walk's levels, leaf activities and visit count, bit for bit."""
+    levels = [(p.dtype.str, p.tobytes(), o.dtype.str, o.tobytes()) for p, o in leaves.levels]
+    return levels, leaves.prod.dtype.str, leaves.prod.tobytes(), leaves.visits
+
+
+@pytest.mark.parametrize("width", [3, 9, 41])
+def test_admitted_options_keep_closing_variables_off_degree_one(width):
+    # 41 closing variables overflow a base-3 int64 signature, so their degree
+    # classes are compared row by row instead
+    rng = np.random.default_rng(width)
+    opts = rng.random((64, width)) < 0.5
+    opts[0] = False
+    # included-edge bits of degree 0, 1 and 2, mostly 2 so that some options
+    # pass; repeated rows give repeated signatures
+    bits = rng.choice(np.array([0, 4, 5], dtype=np.uint8), size=(20, width + 1), p=[0.04, 0.04, 0.92])
+    bits = bits[rng.integers(0, len(bits), size=60)]
+    closing = [(c + 1, c) for c in range(width)]
+    admitted, first, count = lg.loops._admitted_options(opts, bits, closing)
+    degrees = np.bitwise_count(bits[:, 1:])
+    passed = 0
+    for state, deg in enumerate(degrees.tolist()):
+        want = [o for o, row in enumerate(opts.tolist()) if 1 not in (d + x for d, x in zip(deg, row))]
+        assert admitted[first[state] : first[state] + count[state]].tolist() == want, state
+        passed += len(want) > 1
+    assert passed
 
 
 @pytest.mark.parametrize(
@@ -467,8 +535,9 @@ def test_level_walk_chunking_does_not_change_results(monkeypatch):
         sp.ldpc_instance(3, 6, 6, 0.45, 0, chan_seed=0),
         sp.ldgm_instance(2, 4, 12, 0.45, 1, chan_seed=1),
         _long_cycle_with_chord(),
+        _wide_closing_check(),
     ],
-    ids=["ldpc-3-6-n6", "ldgm-2-4-n12", "cycle-36-chord"],
+    ids=["ldpc-3-6-n6", "ldgm-2-4-n12", "cycle-36-chord", "wide-closing-check"],
 )
 def test_walk_budget_is_the_visit_count(graph):
     messages = lg.solve_fixed_point(graph).messages
@@ -724,7 +793,7 @@ def test_expander_bound_hypothesis():
 def test_tree_exactness_report():
     # on a tree there are no loops, so f_bethe is ln Z / n exactly
     g = sp.random_tree(9, 2, "ldgm")
-    assert lg.enumerate_generalized_loops(g) == []
+    assert enumerate_generalized_loops(g) == []
     report = lg.verify_loop_identity(g)
     assert report.loop_count == 0 and report.ln_loop_sum == 0.0
     assert abs(report.f_bethe - report.ln_z_exact / g.n) <= 1e-10

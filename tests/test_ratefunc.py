@@ -12,18 +12,16 @@ import support as sp
 from loopgas import (
     RateFunctionSpec,
     f0_restricted,
-    f_xy,
-    k_theta,
     maximize_f0,
     mckay_rate_function,
     rate_function_profile,
-    restricted_point,
     solve_lambda0,
     z_star,
 )
 from loopgas import ratefunc
 from loopgas.errors import InfeasibleDomainError, NoSignChangeError
 from loopgas.graphs import binary_entropy
+from loopgas.ratefunc import f_xy, k_theta, restricted_point
 
 
 def _weighted_sum(l, zs):
