@@ -4,10 +4,11 @@ The free energy is assembled from check, variable and edge contributions;
 on a tree at a BP fixed point it reproduces (1/n) ln Z exactly, and in
 general it is the reference point the loop corrections attach to.
 
-The assembly runs on graphs of one topology at once, one row per graph,
+The assembly runs on one graph under a (rows, slots) matrix of field rows,
 say the channel patterns of one code, like solve_fixed_points, and over the
 same degree buckets and stacked check forms (bp._Batch; a general graph's
-check tables are tabulated once and shared with BP).  Each term is formed
+check tables are tabulated once and shared with BP).  Without field rows
+every message row shares the graph's own weights.  Each term is formed
 column by column in the operation order of the per-node formula:
 
 - checks: 1 + tau * prod t, the product taken in math.prod order; general
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
-from .bp import MessageSet, _Batch, check_weight_range, table_sums
+from .bp import MessageSet, _Batch, check_weight_range, elementwise, table_sums
 from .graphs import FactorGraph
 
 LN2 = math.log(2.0)
@@ -52,39 +53,39 @@ def bethe_free_energy(graph: FactorGraph, messages: MessageSet) -> BetheBreakdow
     point of the message space whose log arguments stay positive
     (LogDomainError otherwise).
     """
-    return bethe_free_energies([graph], [messages])[0]
+    return bethe_free_energies(graph, None, [messages])[0]
 
 
 def bethe_free_energies(
-    graphs: list[FactorGraph], messages: list[MessageSet]
+    graph: FactorGraph, fields, messages: list[MessageSet]
 ) -> list[BetheBreakdown]:
-    """bethe_free_energy of every (graph, messages) pair, as one batch.
+    """bethe_free_energy of graph under each row of fields (see
+    channel_fields) with the message set of that row, as one batch; with
+    fields None every message set is a row under the graph's own weights.
 
-    ValueError when the graphs mix topologies or weight kinds, or when the
-    message sets do not match them in number or length.  LogDomainError
-    names the first failing check, else variable, else edge of the first
-    failing graph.
+    ValueError when the message sets do not match the rows in number or
+    length.  LogDomainError names the first failing check, else variable,
+    else edge of the first failing row.
     """
-    if len(messages) != len(graphs):
-        raise ValueError(f"need one message set per graph, got {len(messages)}")
-    if not graphs:
+    check_weight_range(graph, fields)
+    batch = _Batch(graph, fields)
+    if fields is not None and len(messages) != batch.size:
+        raise ValueError(f"need one message set per field row, got {len(messages)}")
+    if not messages:
         return []
-    for graph in graphs:
-        check_weight_range(graph)
-    batch = _Batch(list(graphs))
     t = np.array([m.var_to_check for m in messages], dtype=float)
     that = np.array([m.check_to_var for m in messages], dtype=float)
-    if t.shape != (len(graphs), batch.edge_count) or that.shape != t.shape:
+    if t.shape != (len(messages), batch.edge_count) or that.shape != t.shape:
         raise ValueError(
             f"need {batch.edge_count} messages per direction, got {t.shape[1:]} "
             f"and {that.shape[1:]}"
         )
-    return _assemble(batch, graphs, t, that)
+    return _assemble(batch, t, that)
 
 
-def _assemble(batch, graphs: list[FactorGraph], t: np.ndarray, that: np.ndarray):
-    """BetheBreakdown per row of (t, that).  graphs holds one graph per row,
-    or a single graph (the rows of batch) that every row shares."""
+def _assemble(batch, t: np.ndarray, that: np.ndarray):
+    """BetheBreakdown per row of (t, that), under the field rows of batch:
+    one per row, or a single row that every row shares."""
     rows = len(t)
     kind = batch.kind
     m, n = batch.m, batch.n
@@ -102,9 +103,8 @@ def _assemble(batch, graphs: list[FactorGraph], t: np.ndarray, that: np.ndarray)
         args[:, nodes] = 1.0 + (prod if forms is None else forms * prod)
 
     if kind == "ldpc":
-        fields = [g.weights.variable_fields for g in graphs]
-        plus_base = np.array([[math.exp(h) for h in f] for f in fields])
-        minus_base = np.array([[math.exp(-h) for h in f] for f in fields])
+        plus_base = elementwise(math.exp, batch.fields)
+        minus_base = elementwise(math.exp, -batch.fields)
     else:
         plus_base = minus_base = np.ones((1, n))
     one_plus, one_minus = 1.0 + that, 1.0 - that
@@ -124,15 +124,12 @@ def _assemble(batch, graphs: list[FactorGraph], t: np.ndarray, that: np.ndarray)
     _refuse_non_positive(args, m, n)
 
     if kind == "ldgm":
-        fields = [g.weights.check_fields for g in graphs]
-        log_c = np.array([[math.log(math.cosh(h)) for h in f] for f in fields])
+        log_c = elementwise(math.log, elementwise(math.cosh, batch.fields))
         shift = np.repeat(shift, len(log_c), axis=0)
-        shift[:, :m] = log_c.reshape(len(log_c), m)
+        shift[:, :m] = log_c
     else:
         shift[0, :m] = math.log(0.5) if kind == "ldpc" else 0.0
-    flat = args.ravel().tolist()
-    logs = np.fromiter(map(math.log, flat), dtype=float, count=len(flat))
-    terms = (logs.reshape(args.shape) + shift).tolist()
+    terms = (elementwise(math.log, args) + shift).tolist()
 
     # check terms carry c_a, so a parity check is already in the halved
     # normalisation the general terms get from their (1 +- t)/2 weights;
@@ -202,7 +199,7 @@ def stationarity_check(
             values += [math.tanh(theta + fd_step), math.tanh(theta - fd_step)]
     sides, edges, values = np.array(sides), np.array(edges), np.array(values)
 
-    batch = _Batch([graph])
+    batch = _Batch(graph)
     step = max(1, _PROBE_ENTRIES // max(1, graph.edge_count))
     f = []
     for start in range(0, len(values), step):
@@ -212,7 +209,7 @@ def stationarity_check(
         for side in (0, 1):
             mine = np.flatnonzero(sides[part] == side)
             probe[side][mine, edges[part][mine]] = values[part][mine]
-        f += [b.f_bethe for b in _assemble(batch, [graph], *probe)]
+        f += [b.f_bethe for b in _assemble(batch, *probe)]
 
     worst = 0.0
     for fp, fm in zip(f[0::2], f[1::2]):

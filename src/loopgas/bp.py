@@ -23,11 +23,12 @@ degree at once: prefix and suffix products (parity checks), prefix and
 suffix tanh-domain sums (variables), and the folds of check_marginal over
 stacked tables (general checks), in the operation order of the scalar rules,
 so every message is the same float the per-edge rule gives.  The arrays
-carry a leading row axis: solve_fixed_points sweeps the graphs of one
-topology, say the channel patterns of one code, as the rows of one batch.
-A row freezes at the first iteration where its own residual is <= tol and
-leaves the batch, so each row ends exactly where its solo solve ends;
-solve_fixed_point is the batch of one.  A sweep that divides by zero or
+carry a leading row axis: solve_fixed_points sweeps one graph under a
+(rows, slots) matrix of field rows (see channel_fields), say the channel
+patterns of one code.  A row freezes at the first iteration where its own
+residual is <= tol and leaves the batch, so each row ends exactly where
+the solo solve of the graph under that row ends; solve_fixed_point is the
+batch of one.  A sweep that divides by zero or
 yields a non-finite message, which saturated messages at +-1 can do, raises
 SingularDenominatorError.  The Bethe assembly runs over the same batch.
 """
@@ -47,7 +48,7 @@ from .graphs import (
     GeneralWeights,
     LdgmWeights,
     LdpcWeights,
-    one_topology,
+    channel_fields,
 )
 
 CHECK_TABLE_MAX_DEGREE = 20
@@ -88,19 +89,20 @@ def parity_form(graph: FactorGraph) -> list[tuple[float, float]]:
     return [(math.cosh(h), math.tanh(h)) for h in w.check_fields]
 
 
-def check_weight_range(graph: FactorGraph) -> None:
+def check_weight_range(graph: FactorGraph, fields=None) -> None:
     """Refuse weights whose exponentials would overflow a float.
 
     The check tables, the Bethe terms and the loop activities exponentiate
     the log weights: a general check's reach beta * sum |J| (rounding is
     monotone, so this sum in term order bounds every log_psi of
     check_tables, which adds the same terms with signs), an ldgm check takes
-    cosh h_a and an ldpc variable exp(+-h_i).  WeightOverflowError names the
-    first check (general, ldgm) or variable (ldpc) whose bound exceeds
-    _MAX_LOG_WEIGHT.
+    cosh h_a and an ldpc variable exp(+-h_i), each h its own or a row of
+    fields (see channel_fields).  WeightOverflowError names the first check
+    (general, ldgm) or variable (ldpc) whose bound exceeds _MAX_LOG_WEIGHT.
     """
     w = graph.weights
-    if isinstance(w, GeneralWeights):
+    rows = channel_fields(graph, fields)
+    if rows is None:
         for a in range(graph.m):
             bound = 0.0
             for _subset, j in w.couplings[a]:
@@ -111,16 +113,14 @@ def check_weight_range(graph: FactorGraph) -> None:
                     "the largest log weight a float holds"
                 )
         return
-    if isinstance(w, LdgmWeights):
-        node, fields = "check", w.check_fields
-    else:
-        node, fields = "variable", w.variable_fields
-    for k, h in enumerate(fields):
-        if abs(h) > _MAX_LOG_WEIGHT:
-            raise WeightOverflowError(
-                f"{node} {k}: field |h| = {abs(h)} exceeds {_MAX_LOG_WEIGHT}, "
-                "the largest log weight a float holds"
-            )
+    node = "check" if isinstance(w, LdgmWeights) else "variable"
+    over = np.abs(rows) > _MAX_LOG_WEIGHT
+    if over.any():
+        row, k = np.argwhere(over)[0]
+        raise WeightOverflowError(
+            f"{node} {k}: field |h| = {abs(float(rows[row, k]))} exceeds "
+            f"{_MAX_LOG_WEIGHT}, the largest log weight a float holds"
+        )
 
 
 def check_tables(graph: FactorGraph) -> list[list[float]]:
@@ -198,7 +198,7 @@ def check_forms(graph: FactorGraph) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the sweep: degree buckets over a batch of graphs of one topology
+# the sweep: degree buckets over the field rows of one graph
 
 
 def _buckets(incidence: tuple[tuple[int, ...], ...]) -> list[tuple[list, tuple]]:
@@ -289,51 +289,53 @@ def table_sums(tables: np.ndarray, x: list) -> np.ndarray:
     return t[..., 0] * ((1.0 + x[0]) / 2.0) + t[..., 1] * ((1.0 - x[0]) / 2.0)
 
 
-class _Batch:
-    """Graphs of one topology and weight kind, swept together.
+def elementwise(fn, values: np.ndarray) -> np.ndarray:
+    """fn (a math.* function) of every entry, as Python floats, in order."""
+    flat = values.ravel().tolist()
+    return np.fromiter(map(fn, flat), dtype=float, count=len(flat)).reshape(values.shape)
 
-    Every message array has one row per graph.  The degree buckets are
-    built once per graph object, kept in the first graph's cache; the
-    per-graph check forms (tanh h_a for ldgm, check_tables
-    for general weights) and the ldpc variable fields tanh h_i are stacked
-    once per bucket, one row per graph.
+
+class _Batch:
+    """One graph under rows of fields (see channel_fields), swept together.
+
+    Every message array has one row per field row.  The degree buckets are
+    built once per graph object, kept in its cache; the check forms (tanh
+    h_a for ldgm, check_tables for general weights) and the ldpc variable
+    fields tanh h_i are stacked once per bucket, one row per field row.
     """
 
-    def __init__(self, graphs: list[FactorGraph]) -> None:
-        first = graphs[0]
-        self.kind = one_topology(graphs)
-        self.n, self.m = first.n, first.m
-        self.edge_count = first.edge_count
-        if "buckets" not in first.cache:
-            first.cache["buckets"] = (
-                _buckets(first.check_edges),
-                _buckets(first.var_edges),
+    def __init__(self, graph: FactorGraph, fields=None) -> None:
+        self.fields = channel_fields(graph, fields)
+        self.kind = graph.weights.kind
+        self.n, self.m = graph.n, graph.m
+        self.edge_count = graph.edge_count
+        if "buckets" not in graph.cache:
+            graph.cache["buckets"] = (
+                _buckets(graph.check_edges),
+                _buckets(graph.var_edges),
             )
-        self.check_buckets, self.var_buckets = first.cache["buckets"]
-        self.size = len(graphs)
+        self.check_buckets, self.var_buckets = graph.cache["buckets"]
+        self.size = 1 if self.fields is None else len(self.fields)
         self.var_fields = None
         self.var_rows: list = [None] * len(self.var_buckets)
         self.check_rows: list = [None] * len(self.check_buckets)
         if self.kind == "ldpc":
-            self.var_fields = np.array(
-                [[math.tanh(h) for h in g.weights.variable_fields] for g in graphs]
-            )
+            self.var_fields = elementwise(math.tanh, self.fields)
             self.var_rows = [self.var_fields[:, nodes] for nodes, _ in self.var_buckets]
-            self.edge_vars = np.array([i for i, _a in first.edges], dtype=np.intp)
+            self.edge_vars = np.array([i for i, _a in graph.edges], dtype=np.intp)
         elif self.kind == "ldgm":
-            taus = np.array(
-                [[math.tanh(h) for h in g.weights.check_fields] for g in graphs]
-            )
+            taus = elementwise(math.tanh, self.fields)
             self.check_rows = [taus[:, nodes] for nodes, _ in self.check_buckets]
         else:
-            tables = [_tables(g) for g in graphs]
+            tables = _tables(graph)
             self.check_rows = [
-                np.array([[t[a] for a in nodes] for t in tables])
-                for nodes, _ in self.check_buckets
+                np.array([[tables[a] for a in nodes]]) for nodes, _ in self.check_buckets
             ]
 
     def keep(self, live: np.ndarray) -> None:
         """Drop the rows where live is False."""
+        if self.fields is not None:
+            self.fields = self.fields[live]
         self.check_rows = [r if r is None else r[live] for r in self.check_rows]
         self.var_rows = [r if r is None else r[live] for r in self.var_rows]
         if self.var_fields is not None:
@@ -408,7 +410,7 @@ def _one_row(messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
 
 def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
     """One synchronous sweep: both directions recomputed from the old iterate."""
-    v, c = _Batch([graph]).sweep(*_one_row(messages))
+    v, c = _Batch(graph).sweep(*_one_row(messages))
     return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
 
 
@@ -416,29 +418,31 @@ def initial_messages(graph: FactorGraph) -> MessageSet:
     """Default starting point: zeros, except ldpc which seeds the channel
     fields on variable messages and their first-order products on check
     messages."""
-    v, c = _Batch([graph]).initial()
+    v, c = _Batch(graph).initial()
     return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
 
 
 def residual_of(graph: FactorGraph, messages: MessageSet) -> float:
     """Sup-norm distance between messages and one undamped sweep of them."""
     v, c = _one_row(messages)
-    return float(_row_distance(*_Batch([graph]).sweep(v, c), v, c)[0])
+    return float(_row_distance(*_Batch(graph).sweep(v, c), v, c)[0])
 
 
 def solve_fixed_points(
-    graphs: list[FactorGraph],
+    graph: FactorGraph,
+    fields=None,
     damping: float = 0.0,
     tol: float = 1e-12,
     max_iter: int = 10_000,
     inits: list[MessageSet] | None = None,
 ) -> list[BPResult]:
-    """solve_fixed_point for every graph, as one batch; results in order.
+    """solve_fixed_point of graph under every row of fields (see
+    channel_fields), as one batch; results in row order.
 
-    The graphs must share one topology (n, m and edge list) and one weight
-    kind, else ValueError before any sweep.  Each row freezes at the first
-    iteration where its own residual is <= tol, so every result equals the
-    solo solve_fixed_point of its graph, bit for bit.
+    Bad field rows, and inits other than one start per row, are refused
+    before any sweep.  Each row freezes at the first iteration where its
+    own residual is <= tol, so every result equals the solo
+    solve_fixed_point of the graph under that row, bit for bit.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
@@ -446,9 +450,7 @@ def solve_fixed_points(
         raise ValueError(f"tol must be a number >= 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not graphs:
-        return []
-    batch = _Batch(list(graphs))
+    batch = _Batch(graph, fields)
     if inits is None:
         v, c = batch.initial()
     else:
@@ -456,10 +458,12 @@ def solve_fixed_points(
         c = np.array([m.check_to_var for m in inits], dtype=float)
         if v.shape != (batch.size, batch.edge_count) or c.shape != v.shape:
             raise ValueError(
-                f"need one start of {batch.edge_count} messages per graph, got "
-                f"{v.shape} and {c.shape} for {batch.size} graphs"
+                f"need one start of {batch.edge_count} messages per row, got "
+                f"{v.shape} and {c.shape} for {batch.size} rows"
             )
-    live = np.arange(batch.size)  # the graph of each live row
+    if not batch.size:
+        return []
+    live = np.arange(batch.size)  # the field row of each live row
     residual = np.full(batch.size, math.inf)
     iterations = np.zeros(batch.size, dtype=int)
     final_v, final_c = np.empty_like(v), np.empty_like(c)
@@ -511,7 +515,7 @@ def solve_fixed_point(
     """
     inits = None if init is None else [init]
     return solve_fixed_points(
-        [graph], damping=damping, tol=tol, max_iter=max_iter, inits=inits
+        graph, damping=damping, tol=tol, max_iter=max_iter, inits=inits
     )[0]
 
 # ---------------------------------------------------------------------------

@@ -379,16 +379,15 @@ def cmd_rate_function(args) -> int:
 # trend / entropy (instance-parallel)
 
 
-def _trend_instance(args, job: tuple[int, int]) -> tuple[float, float, bool]:
+def _trend_instance(channel, args, job: tuple[int, int]) -> tuple[float, float, bool]:
     n, index = job
     topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
-    graph = apply_channel(graph, args.p, channel_seed)
+    graph = apply_channel(graph, channel.p, channel_seed)
     # exact first: an over-cap code space is refused before any BP work
     f_exact = code_space_log_partition(graph).log_z / graph.n
     result = _run_bp(graph, args)
     f_bethe = bethe_free_energy(graph, result.messages).f_bethe
-    channel = ChannelParams(p=args.p, epsilon=args.epsilon)
     if graph.weights.kind == "ldpc":
         verified = verify_high_noise(result.messages, channel)
     else:
@@ -409,9 +408,15 @@ def _map_instances(worker, args, n: int) -> list:
 
 
 def cmd_trend(args) -> int:
+    # the channel and the sizes are checked once, before any instance
+    channel = ChannelParams(p=args.p, epsilon=args.epsilon)
+    worker = functools.partial(_trend_instance, channel)
+    sizes = _parse_int_list(args.n_list)
+    if not sizes:
+        raise ValueError(f"--n-list names no size, got {args.n_list!r}")
     rows = []
-    for n in _parse_int_list(args.n_list):
-        results = _map_instances(_trend_instance, args, n)
+    for n in sizes:
+        results = _map_instances(worker, args, n)
         gaps = [gap for gap, _res, _ok in results]
         rows.append(
             {
@@ -435,13 +440,13 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
     topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
 
-    def f_exact(graphs: list[FactorGraph]) -> list[float]:
-        reports = code_space_log_partitions(graphs)
-        return [report.log_z / g.n for g, report in zip(graphs, reports)]
+    def f_exact(fields: np.ndarray) -> list[float]:
+        reports = code_space_log_partitions(graph, fields)
+        return [report.log_z / graph.n for report in reports]
 
-    def f_bethe(graphs: list[FactorGraph]) -> list[float]:
-        results = solve_fixed_points(graphs, **_bp_options(args))
-        breakdowns = bethe_free_energies(graphs, [res.messages for res in results])
+    def f_bethe(fields: np.ndarray) -> list[float]:
+        results = solve_fixed_points(graph, fields, **_bp_options(args))
+        breakdowns = bethe_free_energies(graph, fields, [res.messages for res in results])
         return [breakdown.f_bethe for breakdown in breakdowns]
 
     kwargs = dict(

@@ -15,12 +15,12 @@ _span_log_sums:
 Both refuse before any work.  Brute force is the oracle for the
 approximate machinery in the sibling modules.
 
-The code-space route runs on graphs of one topology at once, say the
+The code-space route runs on one graph under rows of fields, say the
 channel patterns of one code (code_space_log_partitions): the GF(2)
-elimination and the span rows are built once, and every graph's weight
-vector is scored against them as one item of stacked matrix products, the
-same BLAS call per item that a lone graph makes, so each ln Z is the float
-the graph gets on its own.  code_space_log_partition is the batch of one.
+elimination and the span rows are built once per call, and every row's
+weight vector is scored against them as one item of stacked matrix
+products, the same BLAS call per item that a lone graph makes, so each
+ln Z is the float the graph under that row gets on its own.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .graphs import (
     FactorGraph,
     LdgmWeights,
     LdpcWeights,
+    channel_fields,
     channel_slots,
-    one_topology,
 )
 
 EXACT_MAX_BITS = 26  # brute force takes n <= 26, the code-space route k <= 26
@@ -104,7 +104,7 @@ def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
     if n > EXACT_MAX_BITS:
         raise TooLargeError(f"n = {n} exceeds the exhaustive cap {EXACT_MAX_BITS}")
     if isinstance(graph.weights, LdpcWeights):
-        ((_members, basis, w, _negs, (offset,)),) = _code_spaces([graph])
+        ((_members, basis, w, _negs, (offset,)),) = _code_spaces(graph)
         free = 0  # one configuration per codeword
     else:
         terms = _live_terms(graph)
@@ -213,11 +213,12 @@ def _capped_null_space(rows: list[int], width: int) -> list[int]:
 
 
 def _code_spaces(
-    graphs: Sequence[FactorGraph],
+    graph: FactorGraph, fields=None
 ) -> list[tuple[list[int], list[int], np.ndarray, list[int], list[float]]]:
     """Groups (members, basis, weights w, sign masks neg, offsets) with
     ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c)
-    for each member graph, one row of w per member.
+    for graph under each member row of fields (see channel_fields), one row
+    of w per member.
 
     ldpc: one group; c runs over the codewords, w_i = -2 h_i, offset
     sum_i h_i.  ldgm: one group per set of checks with h_a != 0 (a zero
@@ -227,48 +228,39 @@ def _code_spaces(
     n ln 2 + sum_a ln cosh h_a.  Every basis is eliminated, and refused over
     the cap, before any group is returned.
     """
-    kind = one_topology(graphs)
-    first = graphs[0]
-    if kind == "ldpc":
-        basis = _capped_null_space(_check_masks(first), first.n)  # k >= n - m
-        fields = [g.weights.variable_fields for g in graphs]
-        return [
-            (
-                list(range(len(graphs))),
-                basis,
-                -2.0 * np.array(fields, dtype=float),
-                [0] * len(graphs),
-                [math.fsum(f) for f in fields],
-            )
-        ]
-    if kind != "ldgm":
+    rows = channel_fields(graph, fields)
+    if rows is None:
         raise WrongWeightKindError("the code-space route needs ldpc or ldgm weights")
+    table = rows.tolist()
+    if graph.weights.kind == "ldpc":
+        basis = _capped_null_space(_check_masks(graph), graph.n)  # k >= n - m
+        offsets = [math.fsum(f) for f in table]
+        return [(list(range(len(table))), basis, -2.0 * rows, [0] * len(table), offsets)]
     groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, g in enumerate(graphs):
-        live = tuple(a for a, h in enumerate(g.weights.check_fields) if h != 0.0)
+    for pos, row in enumerate(table):
+        live = tuple(a for a, h in enumerate(row) if h != 0.0)
         groups.setdefault(live, []).append(pos)
-    supports = [first.check_neighbors(a) for a in range(first.m)]
+    supports = [graph.check_neighbors(a) for a in range(graph.m)]
     bases = [  # k >= live - n
         _capped_null_space(
-            _term_rows(first.n, [(supports[a], 1.0) for a in live]), len(live)
+            _term_rows(graph.n, [(supports[a], 1.0) for a in live]), len(live)
         )
         for live in groups
     ]
-    values = {h for g in graphs for h in g.weights.check_fields}
+    values = set(rows.ravel().tolist())
     ln_cosh = {h: _ln_cosh(h) for h in values}
     ln_abs_tanh = {h: _ln_abs_tanh(h) for h in values if h != 0.0}
-    n_ln2 = first.n * math.log(2.0)
+    n_ln2 = graph.n * math.log(2.0)
     out = []
     for (live, members), basis in zip(groups.items(), bases):
-        all_fields = [graphs[pos].weights.check_fields for pos in members]
-        fields = [[f[a] for a in live] for f in all_fields]
+        fields = [[table[pos][a] for a in live] for pos in members]
         out.append(
             (
                 members,
                 basis,
                 np.array([[ln_abs_tanh[h] for h in f] for f in fields], dtype=float),
                 [sum(1 << k for k, h in enumerate(f) if h < 0.0) for f in fields],
-                [n_ln2 + math.fsum(ln_cosh[h] for h in f) for f in all_fields],
+                [n_ln2 + math.fsum(ln_cosh[h] for h in table[pos]) for pos in members],
             )
         )
     return out
@@ -399,30 +391,28 @@ def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
     brute force is 4.6e-12 at p = 1e-6 and 4.7e-10 at p = 1e-9, and fields
     of +-40 round both tanh to 1 and raise LogDomainError.
     """
-    return code_space_log_partitions([graph])[0]
+    return code_space_log_partitions(graph)[0]
 
 
-def code_space_log_partitions(graphs: Sequence[FactorGraph]) -> list[CodeSpaceReport]:
-    """code_space_log_partition of every graph, in order, as one batch.
+def code_space_log_partitions(graph: FactorGraph, fields=None) -> list[CodeSpaceReport]:
+    """code_space_log_partition of graph under every row of fields (see
+    channel_fields), in row order, as one batch.
 
-    The graphs must share one topology and weight kind (ValueError
-    otherwise), as the channel patterns of one code do.  The GF(2)
-    elimination and the span rows are built once (once per set of
-    nonzero-field checks for ldgm) and every graph's weights are scored
-    against them; each log_z is the float the graph gets on its own.  Every
-    space is checked against the cap before any term is summed; then the
-    first graph whose signed sum cancels raises LogDomainError.
+    The GF(2) elimination and the span rows are built once (once per set of
+    nonzero-field checks for ldgm) and every row's weights are scored
+    against them; each log_z is the float the graph under that row gets on
+    its own.  Every space is checked against the cap before any term is
+    summed; then the first row whose signed sum cancels raises
+    LogDomainError.
     """
-    if not graphs:
-        return []
-    sums: list = [None] * len(graphs)  # (offset, peak, total, k) per graph
-    for members, basis, w, negs, offsets in _code_spaces(graphs):
+    sums = {}  # row: (offset, peak, total, k)
+    for members, basis, w, negs, offsets in _code_spaces(graph, fields):
         span_sums = _span_log_sums(basis, w, negs)
         for pos, offset, (peak, total) in zip(members, offsets, span_sums):
             sums[pos] = (offset, peak, total, len(basis))
     return [
         CodeSpaceReport(log_z=_log_sum(offset, peak, total)[0], k=k)
-        for offset, peak, total, k in sums
+        for _pos, (offset, peak, total, k) in sorted(sums.items())
     ]
 
 
@@ -462,7 +452,7 @@ class ChannelAverage:
 def channel_average(
     graph: FactorGraph,
     p: float,
-    value_fn: Callable[[list[FactorGraph]], Sequence[float]],
+    value_fn: Callable[[np.ndarray], Sequence[float]],
     exhaustive_limit: int = 20,
     mc_samples: int = 2_000,
     seed: int = 0,
@@ -475,10 +465,10 @@ def channel_average(
     Carlo estimate with its standard error is returned.  At p = 1/2 the
     fields vanish and a single evaluation suffices.
 
-    value_fn takes a list of graphs, all of this topology, and returns their
-    values in order.  It sees the patterns in chunks of at most
-    CHANNEL_CHUNK, in pattern order, so 2^20 patterns are never built at
-    once.
+    value_fn takes a float64 array of field rows, shape (rows, slots), one
+    row per pattern, and returns their values in order; no graph is built
+    per pattern.  It sees the patterns in chunks of at most CHANNEL_CHUNK
+    rows, in pattern order, so 2^20 patterns are never held at once.
 
     Raises ValueError for p outside (0, 1/2] or mc_samples < 1, and
     WrongWeightKindError for general weights, before value_fn is called;
@@ -487,30 +477,25 @@ def channel_average(
     h = ChannelParams(p=p).h
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    count, with_fields = channel_slots(graph)
+    count = channel_slots(graph)
 
-    def values(fields: list[tuple[float, ...]]) -> list[float]:
-        graphs = [with_fields(f) for f in fields]
-        out = list(value_fn(graphs))
-        if len(out) != len(graphs):
-            raise ValueError(
-                f"value_fn returned {len(out)} values for {len(graphs)} graphs"
-            )
+    def values(fields: np.ndarray) -> list[float]:
+        out = list(value_fn(fields))
+        if len(out) != len(fields):
+            raise ValueError(f"value_fn returned {len(out)} values for {len(fields)} rows")
         return out
 
     if h == 0.0:
-        (val,) = values([(0.0,) * count])
+        (val,) = values(np.zeros((1, count)))
         return ChannelAverage(mean=val, stderr=0.0, method="degenerate", patterns=1)
 
     if count <= exhaustive_limit:
+        slots = np.arange(count)
         contribs = []
         for start in range(0, 1 << count, CHANNEL_CHUNK):
-            patterns = range(start, min(start + CHANNEL_CHUNK, 1 << count))
-            fields = [
-                tuple(-h if (pattern >> k) & 1 else h for k in range(count))
-                for pattern in patterns
-            ]
-            for pattern, val in zip(patterns, values(fields)):
+            patterns = np.arange(start, min(start + CHANNEL_CHUNK, 1 << count))
+            fields = np.where((patterns[:, None] >> slots) & 1, -h, h)
+            for pattern, val in zip(patterns.tolist(), values(fields)):
                 flips = pattern.bit_count()
                 weight = (p**flips) * ((1.0 - p) ** (count - flips))
                 contribs.append(weight * val)
@@ -524,11 +509,9 @@ def channel_average(
     rng = random.Random(seed)
     vals = []
     for start in range(0, mc_samples, CHANNEL_CHUNK):
-        fields = [
-            tuple(-h if rng.random() < p else h for _ in range(count))
-            for _ in range(min(CHANNEL_CHUNK, mc_samples - start))
-        ]
-        vals.extend(values(fields))
+        rows = min(CHANNEL_CHUNK, mc_samples - start)
+        draws = np.array([rng.random() for _ in range(rows * count)])
+        vals.extend(values(np.where(draws.reshape(rows, count) < p, -h, h)))
     arr = np.asarray(vals)
     return ChannelAverage(
         mean=float(arr.mean()),

@@ -23,7 +23,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -595,41 +597,32 @@ def attach_random_general_weights(
     return build_factor_graph(graph.n, graph.m, graph.edges, weights, meta=meta)
 
 
-def one_topology(graphs: Sequence[FactorGraph]) -> str:
-    """The weight kind of graphs that share one topology (n, m and edge list).
-
-    Raises ValueError when they mix weight kinds or topologies.
-    """
-    first = graphs[0]
-    kind = first.weights.kind
-    for g in graphs[1:]:
-        if g.weights.kind != kind:
-            raise ValueError(
-                f"a batch needs one weight kind: {g.weights.kind} after {kind}"
-            )
-        if (g.n, g.m) != (first.n, first.m) or (
-            g.edges is not first.edges and g.edges != first.edges
-        ):
-            raise ValueError("a batch needs one topology: the edge lists differ")
-    return kind
-
-
-def channel_slots(graph: FactorGraph) -> tuple[int, Callable[[tuple], FactorGraph]]:
-    """Where a channel puts its fields: (count, with_fields).
-
-    An ldpc graph takes n variable fields and an ldgm graph m check fields;
-    with_fields(fields) is the graph with its weights replaced by them.
-    General-weight graphs are rejected (their couplings are not
-    channel-generated).
-    """
+def channel_slots(graph: FactorGraph) -> int:
+    """How many fields a channel draws: the n variable fields of an ldpc
+    graph or the m check fields of an ldgm graph.  General-weight graphs
+    are rejected (their couplings are not channel-generated)."""
     kind = graph.weights.kind
-    if kind == "ldpc":
-        count, weights_of = graph.n, LdpcWeights
-    elif kind == "ldgm":
-        count, weights_of = graph.m, LdgmWeights
-    else:
+    if kind == "general":
         raise WrongWeightKindError("channel fields need ldpc or ldgm weights")
-    return count, lambda fields: dataclasses.replace(graph, weights=weights_of(fields))
+    return graph.n if kind == "ldpc" else graph.m
+
+
+def channel_fields(graph: FactorGraph, fields=None) -> np.ndarray | None:
+    """The field rows of a batch on graph's topology, float64 of shape
+    (rows, channel_slots(graph)): fields, or else the graph's own fields as
+    one row (None for general weights).  Refuses field rows on general
+    weights (WrongWeightKindError) or of another shape (ValueError)."""
+    w = graph.weights
+    if fields is None:
+        if isinstance(w, GeneralWeights):
+            return None
+        own = w.variable_fields if isinstance(w, LdpcWeights) else w.check_fields
+        return np.array([own], dtype=float)
+    slots = channel_slots(graph)
+    rows = np.asarray(fields, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != slots:
+        raise ValueError(f"need field rows of {slots} {w.kind} fields, got {rows.shape}")
+    return rows
 
 
 def apply_channel(graph: FactorGraph, p: float, seed: int) -> FactorGraph:
@@ -641,11 +634,11 @@ def apply_channel(graph: FactorGraph, p: float, seed: int) -> FactorGraph:
     """
     h = ChannelParams(p=p).h
     rng = random.Random(seed)
-    count, with_fields = channel_slots(graph)
-    noisy = with_fields(tuple(-h if rng.random() < p else h for _ in range(count)))
+    fields = tuple(-h if rng.random() < p else h for _ in range(channel_slots(graph)))
+    weights_of = LdpcWeights if graph.weights.kind == "ldpc" else LdgmWeights
     meta = dict(graph.meta)
     meta["channel"] = {"p": p, "seed": seed}
-    return dataclasses.replace(noisy, meta=meta)
+    return dataclasses.replace(graph, weights=weights_of(fields), meta=meta)
 
 
 # ---------------------------------------------------------------------------

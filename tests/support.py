@@ -7,6 +7,7 @@ code paths with the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -45,7 +46,6 @@ from loopgas.errors import (
     TooLargeError,
 )
 from loopgas.exact import null_space_gf2
-from loopgas.graphs import channel_slots
 from loopgas.loops import LoopSumResult, enumerate_generalized_loops
 from loopgas.ratefunc import (
     REFINE_TOP,
@@ -69,6 +69,24 @@ def ldgm_instance(l: int, r: int, n: int, p: float, seed: int, chan_seed: int = 
     """Regular generator-matrix instance with channel fields applied."""
     g = sample_ldgm({l: 1.0}, {r: 1.0}, n, seed=seed)
     return apply_channel(g, p, seed=chan_seed)
+
+
+def own_fields(graph: FactorGraph) -> tuple[float, ...]:
+    """The channel fields of an ldpc (variable) or ldgm (check) graph."""
+    w = graph.weights
+    return w.variable_fields if isinstance(w, LdpcWeights) else w.check_fields
+
+
+def field_rows(graphs: list[FactorGraph]) -> np.ndarray:
+    """The channel fields of graphs of one topology, one float64 row each."""
+    return np.array([own_fields(g) for g in graphs], dtype=float)
+
+
+def pattern_graph(graph: FactorGraph, row) -> FactorGraph:
+    """graph with its channel fields replaced by one field row, built the
+    way apply_channel builds a channel pattern."""
+    weights = LdpcWeights if isinstance(graph.weights, LdpcWeights) else LdgmWeights
+    return dataclasses.replace(graph, weights=weights(tuple(float(h) for h in row)))
 
 
 def general_instance(l: int, r: int, n: int, beta: float, seed: int) -> FactorGraph:
@@ -1235,11 +1253,11 @@ def oracle_channel_average(
     seed: int = 0,
 ) -> ChannelAverage:
     """channel_average with value called on one graph at a time, in pattern
-    order and without chunks."""
+    order and without chunks; each pattern's graph is built here."""
     h = ChannelParams(p=p).h
-    count, with_fields = channel_slots(graph)
+    count = len(own_fields(graph))
     if h == 0.0:
-        val = value(with_fields((0.0,) * count))
+        val = value(pattern_graph(graph, (0.0,) * count))
         return ChannelAverage(mean=val, stderr=0.0, method="degenerate", patterns=1)
     if count <= exhaustive_limit:
         contribs = []
@@ -1247,7 +1265,7 @@ def oracle_channel_average(
             flips = pattern.bit_count()
             weight = (p**flips) * ((1.0 - p) ** (count - flips))
             fields = tuple(-h if (pattern >> k) & 1 else h for k in range(count))
-            contribs.append(weight * value(with_fields(fields)))
+            contribs.append(weight * value(pattern_graph(graph, fields)))
         return ChannelAverage(
             mean=math.fsum(contribs), stderr=0.0, method="exhaustive", patterns=1 << count
         )
@@ -1255,7 +1273,7 @@ def oracle_channel_average(
     vals = []
     for _ in range(mc_samples):
         fields = tuple(-h if rng.random() < p else h for _ in range(count))
-        vals.append(value(with_fields(fields)))
+        vals.append(value(pattern_graph(graph, fields)))
     arr = np.asarray(vals)
     return ChannelAverage(
         mean=float(arr.mean()),

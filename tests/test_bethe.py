@@ -210,12 +210,22 @@ def test_assembly_terms_equal_the_scalar_oracle_bit_for_bit(kind):
             want = _hexes(sp.scalar_bethe_free_energy(g, msgs))
             assert _hexes(lg.bethe_free_energy(g, msgs)) == want, label
             rows.append((g, msgs, want))
-    # one batch mixing every graph and message set, rows in shuffled order
     order = [7, 0, 14, 3, 11, 17, 1, 9, 4, 16, 13, 2, 8, 5, 12, 6, 15, 10]
-    batch = lg.bethe_free_energies(
-        [rows[k][0] for k in order], [rows[k][1] for k in order]
-    )
-    assert [_hexes(bd) for bd in batch] == [rows[k][2] for k in order]
+    picked = [rows[k] for k in order]
+    # without field rows, every message set is a row under the graph's own
+    # weights: the one batch general weights get
+    for g in graphs:
+        mine = [(msgs, want) for h, msgs, want in picked if h is g]
+        batch = lg.bethe_free_energies(g, None, [msgs for msgs, _want in mine])
+        assert [_hexes(bd) for bd in batch] == [want for _msgs, want in mine]
+    if kind == "general":
+        return
+    # one batch of field rows mixing every pattern and message set, shuffled
+    fields = sp.field_rows([h for h, _msgs, _want in picked])
+    batch = lg.bethe_free_energies(graphs[0], fields, [msgs for _h, msgs, _want in picked])
+    assert [_hexes(bd) for bd in batch] == [want for _h, _msgs, want in picked]
+    for row, (_h, msgs, want) in zip(fields, picked):
+        assert _hexes(lg.bethe_free_energy(sp.pattern_graph(graphs[0], row), msgs)) == want
 
 
 def _bad_messages(g) -> dict:
@@ -256,13 +266,15 @@ def test_assembly_log_domain_errors_name_the_oracle_node(kind):
     good = [_message_sets(h)["fixed point"] for h in graphs]
     for msgs in bad.values():
         rows = [good[0], good[1], msgs, bad["edge"]]
-        gs = [graphs[0], graphs[1], g, g]
+        # general weights get no field rows: every row is g under its own
+        gs = [g] * 4 if kind == "general" else [graphs[0], graphs[1], g, g]
+        fields = None if kind == "general" else sp.field_rows(gs)
         want = None
         for h, m in zip(gs, rows):
             want = _outcome(lambda: sp.scalar_bethe_free_energy(h, m))
             if want[0] != "ok":
                 break
-        got = _outcome(lambda: lg.bethe_free_energies(gs, rows)[-1])
+        got = _outcome(lambda: lg.bethe_free_energies(g, fields, rows)[-1])
         assert got == want
 
 
@@ -285,15 +297,14 @@ def test_stationarity_equals_the_scalar_oracle():
 
 def test_assembly_refuses_mismatched_batches():
     g = sp.ldpc_instance(3, 6, 12, 0.3, 0)
-    other = sp.ldpc_instance(3, 6, 12, 0.3, 1)
     msgs = lg.solve_fixed_point(g).messages
-    with pytest.raises(ValueError, match="one message set per graph"):
-        lg.bethe_free_energies([g, g], [msgs])
-    with pytest.raises(ValueError, match="one topology"):
-        lg.bethe_free_energies([g, other], [msgs, msgs])
+    with pytest.raises(ValueError, match="one message set per field row"):
+        lg.bethe_free_energies(g, sp.field_rows([g, g]), [msgs])
     short = lg.MessageSet(
         kind="ldpc", var_to_check=msgs.var_to_check[:-1], check_to_var=msgs.check_to_var[:-1]
     )
-    with pytest.raises(ValueError, match="messages per direction"):
-        lg.bethe_free_energies([g], [short])
-    assert lg.bethe_free_energies([], []) == []
+    for fields in (None, sp.field_rows([g])):
+        with pytest.raises(ValueError, match="messages per direction"):
+            lg.bethe_free_energies(g, fields, [short])
+    assert lg.bethe_free_energies(g, None, []) == []
+    assert lg.bethe_free_energies(g, np.empty((0, g.n)), []) == []

@@ -10,7 +10,12 @@ import pytest
 
 import loopgas as lg
 import loopgas.bp as bp
-from loopgas.errors import DegreeTooLargeError, SingularDenominatorError, WeightOverflowError
+from loopgas.errors import (
+    DegreeTooLargeError,
+    SingularDenominatorError,
+    WeightOverflowError,
+    WrongWeightKindError,
+)
 
 import support as sp
 
@@ -229,7 +234,8 @@ def test_fields_beyond_the_float_range_are_refused(graph, node, monkeypatch):
     monkeypatch.setattr("loopgas.expansion.enumerate_polymers", no_work)
     calls = [
         lambda: lg.bethe_free_energy(graph, messages),
-        lambda: lg.bethe_free_energies([graph, graph], [zero, zero]),
+        lambda: lg.bethe_free_energies(graph, None, [zero, zero]),
+        lambda: lg.bethe_free_energies(graph, sp.field_rows([graph, graph]), [zero, zero]),
         lambda: lg.verify_loop_identity(graph),
         lambda: lg.polymer_series(graph, zero),
         lambda: lg.ActivityEvaluator(graph, zero),
@@ -255,21 +261,25 @@ def test_weight_range_ends_at_the_largest_finite_exponential():
 # bit for bit against the scalar sweep
 
 
-def _one_topology(family: str, count: int) -> list:
-    """count graphs of one topology, each with its own weights."""
+def _patterns(family: str, count: int):
+    """(graph, field rows, the graph of each row): count channel patterns of
+    one topology.  General weights get no rows, only count graphs with
+    their own couplings, each its own batch."""
     if family == "ldgm-mixed":
         base = lg.sample_ldgm({2: 0.5, 3: 0.5}, {4: 0.5, 6: 0.5}, 24, 3)
         assert {len(e) for e in base.var_edges} == {2, 3}
         assert {len(e) for e in base.check_edges} == {4, 6}
-        return [lg.apply_channel(base, 0.2, seed=s) for s in range(count)]
-    kind, l, r = family.split("-")
-    n = 8 if r == "4" and kind == "general" else 12
-    base = lg.sample_regular_bipartite(int(l), int(r), n, seed=1)
-    if kind == "general":
-        return [
-            lg.attach_random_general_weights(base, 0.3, seed=s) for s in range(count)
-        ]
-    return [lg.apply_channel(base, 0.3, seed=s) for s in range(count)]
+        p = 0.2
+    else:
+        kind, l, r = family.split("-")
+        n = 8 if r == "4" and kind == "general" else 12
+        base = lg.sample_regular_bipartite(int(l), int(r), n, seed=1)
+        if kind == "general":
+            graphs = [lg.attach_random_general_weights(base, 0.3, seed=s) for s in range(count)]
+            return base, None, graphs
+        p = 0.3
+    rows = sp.field_rows([lg.apply_channel(base, p, seed=s) for s in range(count)])
+    return base, rows, [sp.pattern_graph(base, row) for row in rows]
 
 
 FAMILIES = ["ldpc-3-4", "ldpc-3-6", "ldgm-mixed", "general-3-4", "general-3-6"]
@@ -291,7 +301,7 @@ def _assert_same_result(got, want):
 @pytest.mark.parametrize("option", [*OPTIONS, "init"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_solves_equal_the_scalar_sweep_bit_for_bit(family, option):
-    graphs = _one_topology(family, 3)
+    graph, rows, graphs = _patterns(family, 3)
     options = dict(OPTIONS.get(option, {}))
     inits = [None] * len(graphs)
     if option == "init":
@@ -301,8 +311,13 @@ def test_solves_equal_the_scalar_sweep_bit_for_bit(family, option):
     wants = [sp.scalar_solve(g, init=x, **options) for g, x in zip(graphs, inits)]
     for g, x, want in zip(graphs, inits, wants):
         _assert_same_result(lg.solve_fixed_point(g, init=x, **options), want)
+    if rows is None:  # general weights: each graph is a batch of one row
+        for g, x, want in zip(graphs, inits, wants):
+            (res,) = lg.solve_fixed_points(g, inits=None if x is None else [x], **options)
+            _assert_same_result(res, want)
+        return
     batch_inits = None if option != "init" else inits
-    got = lg.solve_fixed_points(graphs, inits=batch_inits, **options)
+    got = lg.solve_fixed_points(graph, rows, inits=batch_inits, **options)
     assert len(got) == len(graphs)
     for res, want in zip(got, wants):
         _assert_same_result(res, want)
@@ -310,7 +325,7 @@ def test_solves_equal_the_scalar_sweep_bit_for_bit(family, option):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sweep_and_start_equal_the_scalar_sweep_bit_for_bit(family):
-    g = _one_topology(family, 1)[0]
+    g = _patterns(family, 1)[2][0]
     msgs = sp.random_messages(g, seed=5)
     swept, want = bp.bp_sweep(g, msgs), sp.scalar_sweep(g, msgs)
     assert np.array_equal(swept.var_to_check, want.var_to_check)
@@ -323,31 +338,57 @@ def test_sweep_and_start_equal_the_scalar_sweep_bit_for_bit(family):
 
 def test_batch_rows_freeze_at_their_own_iteration():
     base = lg.sample_regular_bipartite(3, 4, 8, seed=2)
-    graphs = [lg.apply_channel(base, 0.4, seed=s) for s in range(24)]
-    got = lg.solve_fixed_points(graphs)
+    rows = sp.field_rows([lg.apply_channel(base, 0.4, seed=s) for s in range(24)])
+    got = lg.solve_fixed_points(base, rows)
     assert len({res.iterations for res in got}) > 1
-    for g, res in zip(graphs, got):
-        _assert_same_result(res, sp.scalar_solve(g))
+    for row, res in zip(rows, got):
+        _assert_same_result(res, sp.scalar_solve(sp.pattern_graph(base, row)))
     # on a tree the residual reaches 0.0 exactly, so tol = 0 still freezes
     tree = sp.random_tree(9, 0)
-    trees = [lg.apply_channel(tree, 0.3, seed=s) for s in range(4)]
-    for g, res in zip(trees, lg.solve_fixed_points(trees, tol=0.0, max_iter=50)):
+    rows = sp.field_rows([lg.apply_channel(tree, 0.3, seed=s) for s in range(4)])
+    for row, res in zip(rows, lg.solve_fixed_points(tree, rows, tol=0.0, max_iter=50)):
         assert res.converged and res.residual == 0.0
-        _assert_same_result(res, sp.scalar_solve(g, tol=0.0, max_iter=50))
-    assert lg.solve_fixed_points([]) == []
+        want = sp.scalar_solve(sp.pattern_graph(tree, row), tol=0.0, max_iter=50)
+        _assert_same_result(res, want)
+    assert lg.solve_fixed_points(base, np.empty((0, base.n))) == []
 
 
-def test_batch_refuses_mixed_topologies_and_kinds():
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the field rows were checked")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, rows: lg.solve_fixed_points(g, rows),
+        lambda g, rows: lg.bethe_free_energies(g, rows, [lg.initial_messages(g)] * 2),
+        lambda g, rows: lg.code_space_log_partitions(g, rows),
+    ],
+    ids=["solve", "bethe", "code-space"],
+)
+def test_bad_field_rows_are_refused_before_any_sweep_or_elimination(call, monkeypatch):
+    monkeypatch.setattr(bp._Batch, "sweep", _no_work)
+    monkeypatch.setattr("loopgas.bethe._assemble", _no_work)
+    monkeypatch.setattr("loopgas.exact._capped_null_space", _no_work)
+    ldpc = sp.ldpc_instance(3, 4, 8, 0.3, 0)  # 8 variable fields, 6 checks
+    ldgm = sp.ldgm_instance(2, 4, 12, 0.3, 0)  # 6 check fields, 12 variables
+    for g, slots, other in ((ldpc, 8, 6), (ldgm, 6, 12)):
+        kind = g.weights.kind
+        for shape in ((2, other), (2, slots + 1), (slots,), (1, 2, slots)):
+            with pytest.raises(ValueError, match=f"need field rows of {slots} {kind} fields"):
+                call(g, np.zeros(shape))
+    general = lg.attach_random_general_weights(ldpc, 0.2, seed=0)
+    with pytest.raises(WrongWeightKindError, match="channel fields need ldpc or ldgm"):
+        call(general, np.zeros((2, 8)))
+
+
+def test_batch_refuses_a_start_count_other_than_the_row_count():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
-    other = sp.ldpc_instance(3, 4, 8, 0.3, 1)
-    assert other.edges != g.edges
-    with pytest.raises(ValueError, match="one topology"):
-        lg.solve_fixed_points([g, other])
-    general = lg.attach_random_general_weights(g, 0.2, seed=0)
-    with pytest.raises(ValueError, match="one weight kind"):
-        lg.solve_fixed_points([g, general])
+    start = lg.initial_messages(g)
     with pytest.raises(ValueError, match="one start"):
-        lg.solve_fixed_points([g, g], inits=[lg.initial_messages(g)])
+        lg.solve_fixed_points(g, sp.field_rows([g, g]), inits=[start])
+    with pytest.raises(ValueError, match="one start"):
+        lg.solve_fixed_points(g, inits=[start, start])
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +405,7 @@ def test_saturated_messages_raise_a_typed_error():
     with pytest.raises(SingularDenominatorError):
         lg.solve_fixed_point(g)
     with pytest.raises(SingularDenominatorError):
-        lg.solve_fixed_points([g, g])
+        lg.solve_fixed_points(g, sp.field_rows([g, g]))
     with pytest.raises(ZeroDivisionError):
         sp.scalar_solve(g)  # the scalar rule failed untyped on the same division
     bad = lg.MessageSet(
@@ -395,7 +436,7 @@ def test_bad_parameters_are_refused_before_any_sweep(options, message, monkeypat
     with pytest.raises(ValueError, match=message):
         lg.solve_fixed_point(g, **options)
     with pytest.raises(ValueError, match=message):
-        lg.solve_fixed_points([g], **options)
+        lg.solve_fixed_points(g, **options)
 
 
 # ---------------------------------------------------------------------------

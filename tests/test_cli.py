@@ -22,6 +22,7 @@ import support as sp
 import loopgas
 from loopgas import (
     ActivityEvaluator,
+    FactorGraph,
     apply_channel,
     bethe_free_energy,
     brute_force_log_partition,
@@ -719,6 +720,70 @@ def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypat
     ])
     assert rc == 3
     assert calls == []
+
+
+def test_trend_refuses_a_bad_epsilon_before_any_instance(tmp_path, monkeypatch, capsys):
+    # n = 400 is far past the code-space cap, which an instance would hit
+    # (exit 3) before it read --epsilon
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr("loopgas.cli.code_space_log_partition", no_work)
+    monkeypatch.setattr("loopgas.cli.solve_fixed_point", no_work)
+    out = tmp_path / "trend.csv"
+    rc = main([
+        "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+        "--n-list", "400", "--p", "0.45", "--epsilon", "-1", "--threads", "1",
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert "error: epsilon must be >= 0, got -1.0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [",", "", " , "])
+def test_trend_refuses_an_empty_size_list(sizes, tmp_path, capsys):
+    out = tmp_path / "trend.csv"
+    rc = main([
+        "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+        "--n-list", sizes, "--p", "0.45", "--threads", "1", "--out", str(out),
+    ])
+    assert rc == 2
+    assert f"error: --n-list names no size, got {sizes!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_entropy_builds_no_graph_per_pattern(tmp_path, monkeypatch):
+    built = []
+    init = FactorGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FactorGraph, "__init__", counting)
+    counts = {}
+    # 3 and 1,500 Monte Carlo patterns, and all 256 patterns of n = 8
+    for patterns, flags in (
+        (3, ["--exhaustive-limit", "0", "--mc-samples", "3"]),
+        (1500, ["--exhaustive-limit", "0", "--mc-samples", "1500"]),
+        (256, []),
+    ):
+        built.clear()
+        out = tmp_path / f"entropy_{patterns}.json"
+        rc = main([
+            "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+            "--n", "8", "--p", "0.45", "--instances", "1", "--seed", "0",
+            "--threads", "1", "--out", str(out), *flags,
+        ])
+        assert rc == 0
+        assert json.loads(out.read_text())["per_instance"][0]["patterns"] == patterns
+        counts[patterns] = len(built)
+    assert counts[3] == counts[1500] == counts[256] <= 2, counts
 
 
 def test_trend_past_the_brute_force_cap(tmp_path, record_criterion):

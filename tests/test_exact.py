@@ -6,12 +6,12 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 import loopgas as lg
 from loopgas.errors import LogDomainError, TooLargeError, WrongWeightKindError
 from loopgas.exact import null_space_gf2
-from loopgas.graphs import channel_slots
 
 import support as sp
 
@@ -338,20 +338,27 @@ def test_code_space_rank_bound_refuses_before_elimination(monkeypatch):
 
 
 def _channel_patterns(g, count=None, seed=0):
-    """g under channel sign patterns of its own field magnitude |h|: all of
-    them, or count drawn at random."""
-    slots, with_fields = channel_slots(g)
-    fields = g.weights.variable_fields if g.weights.kind == "ldpc" else g.weights.check_fields
-    h = abs(fields[0])
+    """(g, field rows): channel sign patterns of g's own field magnitude
+    |h|, all of them or count drawn at random."""
+    slots = len(sp.own_fields(g))
+    h = abs(sp.own_fields(g)[0])
     if count is None:
         patterns = range(1 << slots)
     else:
         rng = random.Random(seed)
         patterns = [rng.getrandbits(slots) for _ in range(count)]
-    return [
-        with_fields(tuple(-h if pattern >> k & 1 else h for k in range(slots)))
-        for pattern in patterns
+    rows = [[-h if pattern >> k & 1 else h for k in range(slots)] for pattern in patterns]
+    return g, np.array(rows, dtype=float)
+
+
+def _zero_some_rows(g, rows):
+    """Every other row with some fields zeroed, a different set per row."""
+    graphs = [sp.pattern_graph(g, row) for row in rows]
+    graphs = [
+        _zero_some_fields(h, every=2 + pos % 3) if pos % 2 else h
+        for pos, h in enumerate(graphs)
     ]
+    return g, sp.field_rows(graphs)
 
 
 def _oracle_outcome(g):
@@ -363,7 +370,7 @@ def _oracle_outcome(g):
 
 
 CODE_SPACE_BATCHES = {
-    # name: (graphs, compare with an independent ln Z)
+    # name: ((graph, field rows), compare with an independent ln Z)
     "ldpc (3,4) n=8, all patterns": (
         lambda: _channel_patterns(sp.ldpc_instance(3, 4, 8, 0.45, 0)), True
     ),
@@ -377,12 +384,9 @@ CODE_SPACE_BATCHES = {
         lambda: _channel_patterns(sp.ldgm_instance(4, 2, 10, 0.4, 0), 24), True
     ),
     "ldgm with zero fields, several live sets": (
-        lambda: [
-            _zero_some_fields(g, every=2 + pos % 3) if pos % 2 else g
-            for pos, g in enumerate(
-                _channel_patterns(sp.ldgm_instance(2, 4, 12, 0.3, 3), 16, seed=4)
-            )
-        ],
+        lambda: _zero_some_rows(
+            *_channel_patterns(sp.ldgm_instance(2, 4, 12, 0.3, 3), 16, seed=4)
+        ),
         True,
     ),
     "ldpc (2,4) n=40, blocks past 2^18": (
@@ -397,10 +401,11 @@ CODE_SPACE_BATCHES = {
 @pytest.mark.parametrize("name", list(CODE_SPACE_BATCHES))
 def test_code_space_batches_equal_the_per_pattern_oracle(name):
     build, independent = CODE_SPACE_BATCHES[name]
-    graphs = build()
-    reports = lg.code_space_log_partitions(graphs)
-    assert len(reports) == len(graphs)
-    for g, report in zip(graphs, reports):
+    graph, rows = build()
+    reports = lg.code_space_log_partitions(graph, rows)
+    assert len(reports) == len(rows)
+    for row, report in zip(rows, reports):
+        g = sp.pattern_graph(graph, row)
         assert ("ok", (report.log_z.hex(), report.k)) == _oracle_outcome(g)
         assert lg.code_space_log_partition(g) == report
         if independent:
@@ -417,32 +422,27 @@ def test_code_space_batches_equal_the_per_pattern_oracle(name):
 def test_code_space_batch_raises_for_the_first_cancelling_sum():
     # +-40 rounds tanh to 1: the pair (40, -40) cancels to 0, (40, 40) and
     # (-40, -40) do not
-    graphs = [
-        lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights(fields))
-        for fields in ((40.0, 40.0), (-40.0, -40.0), (40.0, -40.0), (0.3, -0.2))
-    ]
+    g = lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((0.3, -0.2)))
+    rows = np.array([(40.0, 40.0), (-40.0, -40.0), (40.0, -40.0), (0.3, -0.2)])
+    graphs = [sp.pattern_graph(g, row) for row in rows]
     want = _oracle_outcome(graphs[2])
     assert want[0] == "LogDomainError"
     with pytest.raises(LogDomainError) as exc:
-        lg.code_space_log_partitions(graphs)
+        lg.code_space_log_partitions(g, rows)
     assert str(exc.value) == want[1]
-    ok = lg.code_space_log_partitions([graphs[k] for k in (0, 1, 3)])
+    ok = lg.code_space_log_partitions(g, rows[[0, 1, 3]])
     assert [(r.log_z.hex(), r.k) for r in ok] == [
         _oracle_outcome(graphs[k])[1] for k in (0, 1, 3)
     ]
 
 
-def test_code_space_batch_refuses_mixed_batches():
+def test_code_space_batch_of_the_own_weights_and_of_no_rows():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
-    with pytest.raises(ValueError, match="one topology"):
-        lg.code_space_log_partitions([g, sp.ldpc_instance(3, 4, 8, 0.3, 1)])
-    with pytest.raises(ValueError, match="one weight kind"):
-        ldgm = dataclasses.replace(g, weights=lg.LdgmWeights((0.1,) * g.m))
-        lg.code_space_log_partitions([g, ldgm])
+    assert lg.code_space_log_partitions(g) == [lg.code_space_log_partition(g)]
+    assert lg.code_space_log_partitions(g, np.empty((0, g.n))) == []
     general = sp.general_instance(3, 4, 8, 0.2, 0)
-    with pytest.raises(WrongWeightKindError):
-        lg.code_space_log_partitions([general, general])
-    assert lg.code_space_log_partitions([]) == []
+    with pytest.raises(WrongWeightKindError, match="code-space route needs ldpc or ldgm"):
+        lg.code_space_log_partitions(general)
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +453,19 @@ def _free_energy(g):
     return lg.brute_force_log_partition(g).log_z / g.n
 
 
-def _free_energies(graphs):
-    return [_free_energy(g) for g in graphs]
+def _free_energies(g):
+    """value_fn for channel averages over g: the brute-force free energy of
+    each field row's pattern graph."""
+    return lambda fields: [_free_energy(sp.pattern_graph(g, row)) for row in fields]
 
 
 def test_channel_average_refuses_bad_p_and_samples_before_any_work():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
     calls = []
 
-    def counting(graphs):
+    def counting(fields):
         calls.append(1)
-        return _free_energies(graphs)
+        return _free_energies(g)(fields)
 
     for p in (0.0, 1.0, 0.7):
         with pytest.raises(ValueError, match=r"p must lie in \(0, 1/2\]"):
@@ -476,7 +478,7 @@ def test_channel_average_refuses_bad_p_and_samples_before_any_work():
 
 def test_channel_average_degenerate_at_half():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
-    avg = lg.channel_average(g, 0.5, _free_energies)
+    avg = lg.channel_average(g, 0.5, _free_energies(g))
     assert avg.method == "degenerate" and avg.patterns == 1
     assert avg.stderr == 0.0
     k = lg.codeword_count_gf2(g)
@@ -486,7 +488,7 @@ def test_channel_average_degenerate_at_half():
 def test_channel_average_exhaustive_matches_hand_sum():
     g = lg.sample_regular_bipartite(3, 6, 6, seed=1)
     p = 0.25
-    avg = lg.channel_average(g, p, _free_energies)
+    avg = lg.channel_average(g, p, _free_energies(g))
     assert avg.method == "exhaustive" and avg.patterns == 1 << g.n
     h = lg.ChannelParams(p=p).h
     total = []
@@ -505,16 +507,16 @@ def test_channel_average_montecarlo_brackets_exhaustive():
     # parity-check weights: distinct sign patterns give distinct ln Z
     g = lg.sample_regular_bipartite(3, 6, 12, seed=2)
     p = 0.3
-    exact = lg.channel_average(g, p, _free_energies, exhaustive_limit=20)
+    exact = lg.channel_average(g, p, _free_energies(g), exhaustive_limit=20)
     assert exact.method == "exhaustive"
     mc = lg.channel_average(
-        g, p, _free_energies, exhaustive_limit=2, mc_samples=400, seed=11
+        g, p, _free_energies(g), exhaustive_limit=2, mc_samples=400, seed=11
     )
     assert mc.method == "montecarlo" and mc.patterns == 400
     assert mc.stderr > 0.0
     assert abs(mc.mean - exact.mean) < 5.0 * mc.stderr
     again = lg.channel_average(
-        g, p, _free_energies, exhaustive_limit=2, mc_samples=400, seed=11
+        g, p, _free_energies(g), exhaustive_limit=2, mc_samples=400, seed=11
     )
     assert mc.mean == again.mean
 
@@ -524,7 +526,7 @@ def test_channel_average_constant_for_full_rank_ldgm():
     # shift and the free energy is exactly pattern-independent
     g = lg.sample_ldgm({3: 1.0}, {6: 1.0}, 12, seed=2)
     mc = lg.channel_average(
-        g, 0.3, _free_energies, exhaustive_limit=2, mc_samples=50, seed=4
+        g, 0.3, _free_energies(g), exhaustive_limit=2, mc_samples=50, seed=4
     )
     assert mc.method == "montecarlo"
     assert mc.stderr <= 1e-14
@@ -534,10 +536,13 @@ def _code_free_energy(g):
     return lg.code_space_log_partition(g).log_z / g.n
 
 
-def _recording(value, sizes):
-    def batch(graphs):
-        sizes.append(len(graphs))
-        return [value(g) for g in graphs]
+def _recording(graph, value, sizes):
+    def batch(fields):
+        # a float64 (rows, slots) array, no graph per pattern
+        assert fields.dtype == np.float64
+        assert fields.shape[1:] == (len(sp.own_fields(graph)),)
+        sizes.append(len(fields))
+        return [value(sp.pattern_graph(graph, row)) for row in fields]
 
     return batch
 
@@ -561,7 +566,7 @@ def test_channel_average_batches_equal_the_per_graph_oracle(
     else:
         g = lg.sample_ldgm({2: 1.0}, {4: 1.0}, n, seed=4)
     sizes = []
-    avg = lg.channel_average(g, p, _recording(_code_free_energy, sizes), **options)
+    avg = lg.channel_average(g, p, _recording(g, _code_free_energy, sizes), **options)
     assert avg == sp.oracle_channel_average(g, p, _code_free_energy, **options)
     assert sizes == chunks
 
@@ -570,8 +575,8 @@ def test_channel_average_batches_equal_the_per_graph_oracle(
 def test_channel_average_refuses_a_wrong_value_count(extra):
     g = lg.sample_regular_bipartite(3, 4, 8, seed=0)
 
-    def miscounting(graphs):
-        return [0.0] * (len(graphs) + extra)
+    def miscounting(fields):
+        return [0.0] * (len(fields) + extra)
 
     for options in ({}, {"exhaustive_limit": 2, "mc_samples": 10}):
         with pytest.raises(ValueError, match="value_fn returned"):
@@ -594,7 +599,7 @@ def test_channel_shift_values():
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.5])
 def test_ldgm_entropy_formula_matches_joint_enumeration(p):
     g = lg.sample_ldgm({2: 1.0}, {4: 1.0}, 6, seed=1)
-    avg = lg.channel_average(g, p, _free_energies)
+    avg = lg.channel_average(g, p, _free_energies(g))
     formula = lg.conditional_entropy_ldgm(avg.mean, p, g.m / g.n)
     assert formula == pytest.approx(sp.entropy_oracle_ldgm(g, p), abs=1e-10)
 
@@ -602,7 +607,7 @@ def test_ldgm_entropy_formula_matches_joint_enumeration(p):
 @pytest.mark.parametrize("p", [0.2, 0.35, 0.5])
 def test_ldpc_entropy_formula_matches_joint_enumeration(p):
     g = lg.sample_regular_bipartite(3, 6, 6, seed=0)
-    avg = lg.channel_average(g, p, _free_energies)
+    avg = lg.channel_average(g, p, _free_energies(g))
     formula = lg.conditional_entropy_ldpc(avg.mean, p)
     assert formula == pytest.approx(sp.entropy_oracle_ldpc(g, p), abs=1e-10)
 
@@ -610,7 +615,7 @@ def test_ldpc_entropy_formula_matches_joint_enumeration(p):
 def test_ldpc_entropy_at_half_is_code_dimension():
     for seed in range(4):
         g = lg.sample_regular_bipartite(3, 4, 8, seed=seed)
-        avg = lg.channel_average(g, 0.5, _free_energies)
+        avg = lg.channel_average(g, 0.5, _free_energies(g))
         formula = lg.conditional_entropy_ldpc(avg.mean, 0.5)
         k = lg.codeword_count_gf2(g)
         assert formula == pytest.approx(k * LN2 / g.n, abs=1e-12)
