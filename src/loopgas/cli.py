@@ -132,12 +132,15 @@ def _parse_dist(text: str) -> dict[int, float]:
     return out
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(piece) for piece in text.split(",") if piece.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(piece) for piece in text.split(",") if piece.strip()]
+def _parse_list(flag: str, kind, text: str) -> list:
+    """The nonblank comma-separated pieces of `flag`'s value, each read by kind."""
+    out = []
+    for piece in filter(str.strip, text.split(",")):
+        try:
+            out.append(kind(piece))
+        except ValueError:
+            raise ValueError(f"{flag}: cannot read {piece!r} as {kind.__name__}") from None
+    return out
 
 
 def _load_graph_arg(args) -> FactorGraph:
@@ -344,7 +347,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_rate_function(args) -> int:
-    thetas = _parse_float_list(args.thetas)
+    thetas = _parse_list("--thetas", float, args.thetas)
     profile = rate_function_profile(
         args.l,
         args.r,
@@ -395,28 +398,30 @@ def _trend_instance(channel, args, job: tuple[int, int]) -> tuple[float, float, 
     return abs(f_exact - f_bethe), result.residual, verified
 
 
-def _map_instances(worker, args, n: int) -> list:
-    """worker(args, (n, index)) for every instance index, in index order,
-    on args.threads processes; refuses fewer than one instance up front."""
+def _map_instances(worker, args, sizes: list[int]) -> list[list]:
+    """worker(args, (n, index)) for every size n and instance index, on one
+    pool of args.threads processes; one list per size, in index order.
+    Refuses fewer than one instance up front."""
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
-    jobs = [(n, index) for index in range(args.instances)]
+    jobs = [(n, index) for n in sizes for index in range(args.instances)]
     if args.threads <= 1 or len(jobs) <= 1:
-        return [worker(args, job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=args.threads) as pool:
-        return list(pool.map(functools.partial(worker, args), jobs))
+        results = [worker(args, job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(functools.partial(worker, args), jobs))
+    return [results[k : k + args.instances] for k in range(0, len(jobs), args.instances)]
 
 
 def cmd_trend(args) -> int:
     # the channel and the sizes are checked once, before any instance
     channel = ChannelParams(p=args.p, epsilon=args.epsilon)
     worker = functools.partial(_trend_instance, channel)
-    sizes = _parse_int_list(args.n_list)
+    sizes = _parse_list("--n-list", int, args.n_list)
     if not sizes:
         raise ValueError(f"--n-list names no size, got {args.n_list!r}")
     rows = []
-    for n in sizes:
-        results = _map_instances(worker, args, n)
+    for n, results in zip(sizes, _map_instances(worker, args, sizes)):
         gaps = [gap for gap, _res, _ok in results]
         rows.append(
             {
@@ -474,7 +479,7 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
 
 
 def cmd_entropy(args) -> int:
-    per_instance = _map_instances(_entropy_instance, args, args.n)
+    (per_instance,) = _map_instances(_entropy_instance, args, [args.n])
     gaps = [row["gap"] for row in per_instance]
     payload = {
         "per_instance": per_instance,
@@ -518,138 +523,82 @@ def _add_bp_flags(sub) -> None:
     sub.add_argument("--max-iter", type=int, default=10_000)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loopgas",
-        description="Loop-sum and polymer-expansion toolkit for binary factor graphs",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("gen", help="sample a factor graph, write JSON")
-    sub.add_argument(
-        "--ensemble",
-        required=True,
-        choices=["ldpc-regular", "ldgm", "general-regular"],
-    )
+def _gen_flags(sub) -> None:
+    sub.add_argument("--ensemble", required=True,
+                     choices=["ldpc-regular", "ldgm", "general-regular"])
     sub.add_argument("--l", type=int, default=None, help="variable degree")
     sub.add_argument("--r", type=int, default=None, help="check degree")
     sub.add_argument("--n", type=int, required=True, help="number of variables")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--lambda", dest="lambda_dist", default=None,
-        help='ldgm variable-degree distribution, e.g. "3:1.0"',
-    )
-    sub.add_argument(
-        "--p-dist", dest="p_dist", default=None,
-        help='ldgm check-degree distribution, e.g. "6:1.0"',
-    )
-    sub.add_argument(
-        "--beta", type=float, default=None,
-        help="inverse temperature for general-regular weights",
-    )
+    sub.add_argument("--lambda", dest="lambda_dist", default=None,
+                     help='ldgm variable-degree distribution, e.g. "3:1.0"')
+    sub.add_argument("--p-dist", dest="p_dist", default=None,
+                     help='ldgm check-degree distribution, e.g. "6:1.0"')
+    sub.add_argument("--beta", type=float, default=None,
+                     help="inverse temperature for general-regular weights")
     _add_output_flags(sub, default_format=None)
-    sub.set_defaults(func=cmd_gen)
 
-    sub = subs.add_parser(
-        "exact", help="exact log partition function (brute force or code space)"
-    )
+
+def _exact_flags(sub) -> None:
     _add_graph_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_exact)
 
-    sub = subs.add_parser("bp", help="run message passing, dump messages")
+
+def _fixed_point_flags(sub, default_format: str | None = None) -> None:
     _add_graph_flags(sub)
     _add_bp_flags(sub)
-    _add_output_flags(sub, default_format=None)
-    sub.set_defaults(func=cmd_bp)
+    _add_output_flags(sub, default_format)
 
-    sub = subs.add_parser("bethe", help="Bethe free energy breakdown")
-    _add_graph_flags(sub)
-    _add_bp_flags(sub)
-    _add_output_flags(sub, default_format=None)
-    sub.set_defaults(func=cmd_bethe)
 
-    sub = subs.add_parser(
-        "verify-identity", help="check the loop-sum identity on one instance"
-    )
-    _add_graph_flags(sub)
-    _add_bp_flags(sub)
-    _add_output_flags(sub)
+def _verify_flags(sub) -> None:
+    _fixed_point_flags(sub, "json")
     sub.add_argument("--budget", type=int, default=10_000_000)
-    sub.add_argument(
-        "--tolerance", type=float, default=1e-8,
-        help="exit 4 when the identity residual exceeds this",
-    )
-    sub.add_argument(
-        "--split-lambda", dest="split_lambda", type=float, default=0.5,
-        help="size fraction separating small from large terms",
-    )
-    sub.add_argument(
-        "--dump-loops", default=None,
-        help="also write a per-loop CSV (edges, type, activity, bound) here",
-    )
-    sub.set_defaults(func=cmd_verify_identity)
+    sub.add_argument("--tolerance", type=float, default=1e-8,
+                     help="exit 4 when the identity residual exceeds this")
+    sub.add_argument("--split-lambda", dest="split_lambda", type=float, default=0.5,
+                     help="size fraction separating small from large terms")
+    sub.add_argument("--dump-loops", default=None,
+                     help="also write a per-loop CSV (edges, type, activity, bound) here")
 
-    sub = subs.add_parser("series", help="truncated polymer series")
-    _add_graph_flags(sub)
-    _add_bp_flags(sub)
-    _add_output_flags(sub, default_format="csv")
+
+def _series_flags(sub) -> None:
+    _fixed_point_flags(sub, "csv")
     sub.add_argument("--m-max", type=int, default=4)
     sub.add_argument("--size-cutoff", type=int, default=None)
     sub.add_argument("--budget", type=int, default=10_000_000)
-    sub.add_argument(
-        "--z", type=float, default=1.0, help="activity scaling diagnostic"
-    )
-    sub.set_defaults(func=cmd_series)
+    sub.add_argument("--z", type=float, default=1.0, help="activity scaling diagnostic")
 
-    sub = subs.add_parser(
-        "rate-function", help="maximized growth-vs-decay rate over a theta grid"
-    )
+
+def _rate_function_flags(sub) -> None:
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
-    sub.add_argument(
-        "--thetas", required=True, help='comma list, e.g. "1e-4,1e-3,1e-2"'
-    )
-    sub.add_argument(
-        "--lambda", dest="lam", type=float, required=True,
-        help="polymer size fraction of n",
-    )
+    sub.add_argument("--thetas", required=True, help='comma list, e.g. "1e-4,1e-3,1e-2"')
+    sub.add_argument("--lambda", dest="lam", type=float, required=True,
+                     help="polymer size fraction of n")
     sub.add_argument("--alpha1", type=float, default=1.1)
     sub.add_argument("--alpha2", type=float, default=1.1)
     sub.add_argument("--starts", type=int, default=10_000)
     sub.add_argument("--seed", type=int, default=0)
     _add_output_flags(sub, default_format="csv")
-    sub.set_defaults(func=cmd_rate_function)
 
-    sub = subs.add_parser(
-        "trend", help="ensemble mean |f - f_bethe| across sizes (CSV)"
-    )
-    sub.add_argument(
-        "--ensemble", required=True, choices=["ldpc-regular", "ldgm"]
-    )
+
+def _trend_flags(sub) -> None:
+    sub.add_argument("--ensemble", required=True, choices=["ldpc-regular", "ldgm"])
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--n-list", required=True, help='comma list, e.g. "8,12,16"')
     sub.add_argument("--p", type=float, required=True)
-    sub.add_argument(
-        "--epsilon",
-        type=float,
-        default=0.1,
-        help="slack in the message-norm threshold (1+epsilon)*tanh(h)",
-    )
+    sub.add_argument("--epsilon", type=float, default=0.1,
+                     help="slack in the message-norm threshold (1+epsilon)*tanh(h)")
     sub.add_argument("--instances", type=int, default=20)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_bp_flags(sub)
     _add_output_flags(sub, default_format="csv")
-    sub.set_defaults(func=cmd_trend)
 
-    sub = subs.add_parser(
-        "entropy", help="exact vs Bethe conditional entropy per instance"
-    )
-    sub.add_argument(
-        "--ensemble", required=True, choices=["ldpc-regular", "ldgm"]
-    )
+
+def _entropy_flags(sub) -> None:
+    sub.add_argument("--ensemble", required=True, choices=["ldpc-regular", "ldgm"])
     sub.add_argument("--l", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
@@ -661,15 +610,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mc-samples", type=int, default=2_000)
     _add_bp_flags(sub)
     _add_output_flags(sub, default_format=None)
-    sub.set_defaults(func=cmd_entropy)
 
+
+# (name, help, flag adder, handler) of every subcommand, in help order
+COMMANDS = (
+    ("gen", "sample a factor graph, write JSON", _gen_flags, cmd_gen),
+    ("exact", "exact log partition function (brute force or code space)",
+     _exact_flags, cmd_exact),
+    ("bp", "run message passing, dump messages", _fixed_point_flags, cmd_bp),
+    ("bethe", "Bethe free energy breakdown", _fixed_point_flags, cmd_bethe),
+    ("verify-identity", "check the loop-sum identity on one instance",
+     _verify_flags, cmd_verify_identity),
+    ("series", "truncated polymer series", _series_flags, cmd_series),
+    ("rate-function", "maximized growth-vs-decay rate over a theta grid",
+     _rate_function_flags, cmd_rate_function),
+    ("trend", "ensemble mean |f - f_bethe| across sizes (CSV)", _trend_flags, cmd_trend),
+    ("entropy", "exact vs Bethe conditional entropy per instance",
+     _entropy_flags, cmd_entropy),
+)
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises ArgumentError where a parser would print an error and exit."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with `command` alone.  A
+    one-command parser prints the full one's help but raises ArgumentError
+    on an error, which main reports through the full parser, whose
+    messages list every subcommand."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="loopgas",
+        description="Loop-sum and polymer-expansion toolkit for binary factor graphs",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_flags, handler in COMMANDS:
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            add_flags(sub)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = build_parser(command).parse_args(argv)
+        except argparse.ArgumentError:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

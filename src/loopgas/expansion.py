@@ -158,7 +158,7 @@ def polymer_series(
             " lower m_max or restrict size_cutoff"
         )
     ev = ActivityEvaluator(graph, messages)
-    acts = [z * ev.value(p.edge_ids) for p in polymers]
+    acts = (z * ev.values([p.edge_ids for p in polymers])).tolist()
     words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
     act_array = np.array(acts, dtype=np.float64)
     terms = [
@@ -262,7 +262,8 @@ def convergence_criterion_q(
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     ev = ActivityEvaluator(graph, messages)
-    weights = [abs(ev.value(p.edge_ids)) * math.exp(p.size) for p in polymers]
+    acts = ev.values([p.edge_ids for p in polymers]).tolist()
+    weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
     return _q_from_weights(graph, polymers, weights, size_cutoff)
 
 

@@ -195,23 +195,32 @@ class ActivityEvaluator:
             )
         return num / den
 
-    def touched(self, edge_ids: tuple[int, ...]) -> tuple[list[int], list[int]]:
-        seen_v: set[int] = set()
-        seen_c: set[int] = set()
-        for e in edge_ids:
-            i, a = self.graph.edges[e]
-            seen_v.add(i)
-            seen_c.add(a)
-        return sorted(seen_v), sorted(seen_c)
-
     def value(self, edge_ids: tuple[int, ...]) -> float:
-        g_edges = set(edge_ids)
-        tv, tc = self.touched(edge_ids)
-        out = 1.0
-        for i in tv:
-            out *= self.var_factor(i, g_edges)
-        for a in tc:
-            out *= self.check_factor(a, g_edges)
+        return float(self.values([edge_ids])[0])
+
+    def values(self, edge_id_tuples) -> np.ndarray:
+        """The activity of every edge subset, as one float64 array.  Each
+        touched node's factor is computed once per distinct set of its edges;
+        a subset's factors multiply in order, variables ascending, then checks."""
+        edges, n = self.graph.edges, self.graph.n
+        table: dict[tuple[int, ...], float] = {}
+        out = np.empty(len(edge_id_tuples))
+        for k, edge_ids in enumerate(edge_id_tuples):
+            at: dict[int, list[int]] = {}  # variable i or check n + a -> its edges
+            for e in edge_ids:
+                i, a = edges[e]
+                at.setdefault(i, []).append(e)
+                at.setdefault(n + a, []).append(e)
+            prod = 1.0
+            for node in sorted(at):
+                key = (node, *at[node])
+                if key not in table:
+                    g = set(at[node])
+                    table[key] = (
+                        self.var_factor(node, g) if node < n else self.check_factor(node - n, g)
+                    )
+                prod *= table[key]
+            out[k] = prod
         return out
 
 
@@ -716,7 +725,7 @@ def verify_loop_identity(
         loop_count=loops.loop_count,
         polymer_count=loops.polymer_count,
         max_dangling_activity=max(
-            (abs(ev.value((e,))) for e in range(graph.edge_count)), default=0.0
+            map(abs, ev.values([(e,) for e in range(graph.edge_count)]).tolist()), default=0.0
         ),
     )
 

@@ -13,11 +13,12 @@ to the even sub-lattice, and Lambda(theta) by seeded multi-start search
 with coordinate refinement.
 
 The search samples one pool of admissible starts, which does not depend
-on theta; a profile over a theta grid samples it once.  The draws come one
-by one from random.Random(seed); whether a draw is admissible is decided
-in numpy for a batch of draws at a time, and by the scalar fsum test for
-the rows within a rounding margin of a constraint, so the pool is the one
-a draw-by-draw scalar test would keep.  Every start is screened in numpy
+on theta; a profile over a theta grid samples it once.  The uniforms come
+from random.Random(seed) in the order a draw-by-draw sampler takes them,
+the rows are built in numpy with that sampler's float operations, and
+admissibility is decided in numpy and, within a rounding margin of a
+constraint, by the scalar fsum test, so the pool is that sampler's, bit
+for bit.  Every start is screened in numpy
 (f once per pool, k_theta as one matrix-vector product per theta).  The
 screen only ranks: the starts within a rounding margin of the
 REFINE_TOP-th best are rescored exactly, so the starts handed to
@@ -27,7 +28,8 @@ exactly.
 Exact scoring is one fused closure per theta: score(point) is None off
 the admissible region and f + k_theta on it, equal bit for bit to f_xy
 plus k_theta (same fsum terms, same float operation order, coefficients
-computed once).  Coordinate refinement calls it once per trial point.
+computed once).  Coordinate refinement calls it once per distinct trial
+point of a climb.
 
 Coordinates: xs = (x_2..x_l) are variable-type fractions, ys = (y_2..y_r)
 check-type fractions rescaled by r/l, so the admissible region is
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -289,9 +292,11 @@ def maximize_f0(
 
 
 def _coordinate_ascent(score, start, tol, step0=0.05):
-    """Climb from a feasible start; score(point) is None off the region."""
+    """Climb from a feasible start; score(point) is None off the region.
+    The value only grows, so a point scored once is never scored again."""
     point = list(start)
     value = score(point)
+    seen = {tuple(point)}
     step = step0
     while step >= tol:
         moved = False
@@ -306,6 +311,9 @@ def _coordinate_ascent(score, start, tol, step0=0.05):
                         continue
                     cand = list(point)
                     cand[j] = trial
+                    if (key := tuple(cand)) in seen:
+                        continue
+                    seen.add(key)
                     cand_value = score(cand)
                     if cand_value is not None and cand_value > value:
                         value, point = cand_value, cand
@@ -446,54 +454,76 @@ def _admissible_rows(
     return ok
 
 
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """fn(entry) for each entry of a 1-d array, or each row of a 2-d one."""
+    return np.array(list(map(fn, values.tolist())))
+
+
 def _sample_pool(l: int, r: int, lam: float, starts: int, seed: int) -> np.ndarray:
     """The first `starts` admissible rows among the first 100 * starts
     draws of random.Random(seed), in draw order.
 
-    Log-uniform scales and randomly sparsified faces.  Draws are made one
-    by one in Python, which fixes their bits; admissibility is decided in
-    numpy for batches of at most _SAMPLE_BATCH draws, and by admit for
-    rows within _ADMIT_MARGIN of a threshold.  Nothing here depends on
-    theta, so one pool serves a whole profile.
+    Log-uniform scales and randomly sparsified faces, in batches of at most
+    _SAMPLE_BATCH draws.  A batch first calls random() and getrandbits() as
+    expovariate, randrange and uniform would, keeping the uniforms; a draw
+    takes ys only if a kept uniform is positive, which is wx > 0 since no
+    coordinate underflows.  It then builds its rows in numpy with the same
+    float operations, leaving logs, exps, sums and fsums to Python calls,
+    and decides admissibility in numpy, or by admit within _ADMIT_MARGIN.
     """
     admit = _region(l, r, lam)
     dim_x = l - 1
     dim_y = r - 2  # y_r eliminated
-    wx_coef = [s / l for s in range(2, l + 1)]
-    wy_coef = [t / r for t in range(2, r)]
-    no_ys = [0.0] * dim_y
+    full = (1 << dim_x) - 1  # randrange(1, 1 << dim_x) retries getrandbits >= full
+    shifts = np.arange(dim_x, dtype=np.int64 if dim_x < 63 else object)
+    wx_coef = np.arange(2, l + 1) / l
+    wy_coef = np.arange(2, r) / r
     log_lo, log_hi = math.log(1e-4), math.log(0.999)
     rng = random.Random(seed)
-    expo, unit = rng.expovariate, rng.random
+    unit, bits = rng.random, rng.getrandbits
+    draws = iter(unit, None)  # endless random() calls, for islice
     pool = np.empty((starts, dim_x + dim_y))
     count = 0
     attempts = 0
     while count < starts and attempts < 100 * starts:
         batch = min(_SAMPLE_BATCH, 100 * starts - attempts, 2 * (starts - count))
         attempts += batch
-        flat: list[float] = []
-        wxs: list[float] = []
-        for _ in range(batch):
-            raw_x = [expo(1.0) for _ in range(dim_x)]
+        # per draw: dim_x uniforms, kept-coordinate bits, a scale uniform;
+        # per draw k in y_rows: dim_y uniforms and a budget uniform
+        ux, keeps, scales, uy, budgets, y_rows = [], [], [], [], [], []
+        for k in range(batch):
+            zero = False
+            for _ in range(dim_x):
+                ux.append(u := unit())
+                zero |= not u
+            keep = full
             if unit() < 0.5:
-                keep = rng.randrange(1, 1 << dim_x)
-                raw_x = [v if (keep >> j) & 1 else 0.0 for j, v in enumerate(raw_x)]
-            total = sum(raw_x) or 1.0
-            scale = math.exp(rng.uniform(log_lo, log_hi))
-            xs = [v / total * scale for v in raw_x]
-            wx = math.fsum(map(mul, wx_coef, xs))
-            ys_head = no_ys
-            if dim_y and unit() < 0.5 and wx > 0.0:
-                raw_y = [expo(1.0) for _ in range(dim_y)]
-                weight = math.fsum(map(mul, wy_coef, raw_y))
-                budget = unit() * wx
-                if weight > 0.0:
-                    ys_head = [v / weight * budget for v in raw_y]
-            flat += xs
-            flat += ys_head
-            wxs.append(wx)
-        rows = np.array(flat).reshape(batch, dim_x + dim_y)
-        ok = _admissible_rows(admit, l, r, lam, rows, np.array(wxs))
+                keep = bits(dim_x)
+                while keep >= full:
+                    keep = bits(dim_x)
+                keep += 1
+            keeps.append(keep)
+            scales.append(unit())
+            if dim_y and unit() < 0.5:
+                if not zero or any(ux[j - dim_x] for j in range(dim_x) if keep >> j & 1):
+                    uy += islice(draws, dim_y)
+                    budgets.append(unit())
+                    y_rows.append(k)
+        raw_x = -_each(math.log, 1.0 - np.array(ux)).reshape(batch, dim_x)
+        raw_x[(np.array(keeps, dtype=shifts.dtype)[:, None] >> shifts) & 1 == 0] = 0.0
+        total = _each(sum, raw_x)
+        total[total == 0.0] = 1.0  # sum(raw_x) or 1.0
+        scale = _each(math.exp, log_lo + (log_hi - log_lo) * np.array(scales))
+        rows = np.zeros((batch, dim_x + dim_y))
+        rows[:, :dim_x] = raw_x / total[:, None] * scale[:, None]
+        wx = _each(math.fsum, rows[:, :dim_x] * wx_coef)
+        if y_rows:
+            raw_y = -_each(math.log, 1.0 - np.array(uy)).reshape(len(y_rows), dim_y)
+            weight = _each(math.fsum, raw_y * wy_coef)
+            budget = np.array(budgets) * wx[y_rows]
+            y_rows, some = np.array(y_rows), weight > 0.0
+            rows[y_rows[some], dim_x:] = raw_y[some] / weight[some, None] * budget[some, None]
+        ok = _admissible_rows(admit, l, r, lam, rows, wx)
         take = np.flatnonzero(ok)[: starts - count]
         pool[count : count + len(take)] = rows[take]
         count += len(take)

@@ -396,6 +396,21 @@ def scalar_stationarity(
 # subset-filter oracles for generalized loops and polymers
 
 
+def oracle_activity(ev: ActivityEvaluator, edge_ids: tuple[int, ...]) -> float:
+    """K(edge subset) one node at a time: 1.0 times each touched variable's
+    factor in increasing order, then each touched check's.  The reference
+    for ActivityEvaluator.values."""
+    g_edges = set(edge_ids)
+    tv = sorted({ev.graph.edges[e][0] for e in edge_ids})
+    tc = sorted({ev.graph.edges[e][1] for e in edge_ids})
+    out = 1.0
+    for i in tv:
+        out *= ev.var_factor(i, g_edges)
+    for a in tc:
+        out *= ev.check_factor(a, g_edges)
+    return out
+
+
 def oracle_loops(graph: FactorGraph) -> set[frozenset[int]]:
     """All dangling-free nonempty edge subsets, by filtering 2^|E|."""
     e = graph.edge_count
@@ -490,7 +505,7 @@ def loop_sum(
     """
     polymers = enumerate_polymers(graph)
     ev = ActivityEvaluator(graph, messages)
-    acts = [ev.value(p.edge_ids) for p in polymers]
+    acts = [oracle_activity(ev, p.edge_ids) for p in polymers]
     masks = [p.node_mask for p in polymers]
     big = [p.size >= split_lambda * graph.n for p in polymers]
     small: list[float] = []
@@ -521,7 +536,7 @@ def loop_sum_bruteforce(
     polymer_nodes: list[set[int]] = []
     weights: list[float] = []
     for s in oracle_loops(graph):
-        term = ev.value(tuple(sorted(s)))
+        term = oracle_activity(ev, tuple(sorted(s)))
         comps = _edge_components(graph, s)
         if len(comps) == 1:
             polymer_nodes.append(comps[0])
@@ -820,7 +835,7 @@ def oracle_polymer_series(
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     ev = ActivityEvaluator(graph, messages)
-    acts = [z * ev.value(p.edge_ids) for p in polymers]
+    acts = [z * oracle_activity(ev, p.edge_ids) for p in polymers]
     terms = []
     tuples_seen = 0
     for order in range(1, m_max + 1):
@@ -859,7 +874,7 @@ def max_factorization_error(
     scan_cap = 400 * cap  # disjoint combos can be rare
     ev = ActivityEvaluator(graph, messages)
     polymers = enumerate_polymers(graph, max_size=size_cap)
-    acts = [ev.value(p.edge_ids) for p in polymers]
+    acts = [oracle_activity(ev, p.edge_ids) for p in polymers]
     worst = 0.0
     for k in (2, 3):
         for combo in itertools.combinations(range(len(polymers)), k):
@@ -873,7 +888,7 @@ def max_factorization_error(
             prod = 1.0
             for j in combo:
                 prod *= acts[j]
-            worst = max(worst, abs(ev.value(merged) - prod))
+            worst = max(worst, abs(oracle_activity(ev, merged) - prod))
             checked += 1
     return worst
 
@@ -912,7 +927,7 @@ def verify_full_expansion(
     max_dangling = 0.0
     for bits in range(1, 1 << E):
         edge_ids = tuple(e for e in range(E) if (bits >> e) & 1)
-        val = ev.value(edge_ids)
+        val = oracle_activity(ev, edge_ids)
         terms.append(val)
         var_deg: dict[int, int] = {}
         check_deg: dict[int, int] = {}

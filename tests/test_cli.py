@@ -5,9 +5,12 @@ subprocesses at the end of the file."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -35,7 +38,7 @@ from loopgas import (
     verify_loop_identity,
 )
 from loopgas import ratefunc
-from loopgas.cli import _instance_seeds, _sample_ensemble, main
+from loopgas.cli import COMMANDS, _instance_seeds, _sample_ensemble, build_parser, main
 from loopgas.exact import codeword_count_gf2, null_space_gf2
 
 LN2 = math.log(2.0)
@@ -755,6 +758,114 @@ def test_trend_refuses_an_empty_size_list(sizes, tmp_path, capsys):
     assert rc == 2
     assert f"error: --n-list names no size, got {sizes!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n-list", "8,x",
+          "--p", "0.45", "--threads", "1"], "error: --n-list: cannot read 'x' as int"),
+        (["trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n-list", "8, 1.5",
+          "--p", "0.45", "--threads", "1"], "error: --n-list: cannot read ' 1.5' as int"),
+        (["rate-function", "--l", "3", "--r", "6", "--thetas", "1e-3,x", "--lambda", "1e-3"],
+         "error: --thetas: cannot read 'x' as float"),
+    ],
+)
+def test_comma_list_errors_name_the_flag_and_the_piece(argv, message, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were read")
+
+    monkeypatch.setattr("loopgas.cli.code_space_log_partition", no_work)
+    monkeypatch.setattr("loopgas.cli.rate_function_profile", no_work)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_trend_maps_every_size_through_one_pool(monkeypatch, tmp_path):
+    # one executor for all (n, index) jobs; the rows regroup by size, as the
+    # in-process run orders them
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    args = [
+        "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
+        "--n-list", "4,8,4", "--p", "0.45", "--instances", "2", "--seed", "3",
+        "--format", "json",
+    ]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert main(args + ["--threads", "1", "--out", str(one)]) == 0
+    assert pools == []
+    monkeypatch.setattr("loopgas.cli.ProcessPoolExecutor", InlinePool)
+    assert main(args + ["--threads", "2", "--out", str(two)]) == 0
+    assert pools == [2]
+    assert one.read_bytes() == two.read_bytes()
+    rows = json.loads(one.read_text())["rows"]
+    for k, size in enumerate(["4", "8", "4"]):  # each row is its size run alone
+        alone = tmp_path / f"alone{k}.json"
+        flags = args[:args.index("--n-list") + 1] + [size] + args[args.index("--p"):]
+        assert main(flags + ["--threads", "1", "--out", str(alone)]) == 0
+        assert json.loads(alone.read_text())["rows"] == [rows[k]]
+
+
+def _parse_outcome(run) -> tuple:
+    """(exit code, stdout, stderr) of run(), which may exit through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run()
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+_TOP_LEVEL_ARGV = [[], ["-h"], ["--help"], ["nosuch"], ["--bogus"], ["nosuch", "--help"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, *rest] for name, *_ in COMMANDS
+     for rest in (["--help"], ["--bogus"], [], ["--seed", "x"], ["-h", "--bogus"])]
+    + _TOP_LEVEL_ARGV,
+)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, monkeypatch):
+    # main builds only the named command's parser; help and every error must
+    # read as from the parser with all nine (a bad flag's message quotes the
+    # top-level usage, which lists every subcommand)
+    built = []
+    monkeypatch.setattr(
+        "loopgas.cli.build_parser",
+        lambda command=None: built.append(command) or build_parser(command),
+    )
+    want = _parse_outcome(lambda: build_parser().parse_args(argv))
+    assert want[0] in (0, 2)
+    assert _parse_outcome(lambda: main(argv)) == want
+    if argv and argv[0] in {name for name, *_ in COMMANDS}:
+        assert built[0] == argv[0]
+    else:
+        assert built == [None]
+
+
+def test_a_valid_command_line_builds_one_subparser(monkeypatch, tmp_path):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser",
+        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw),
+    )
+    _ldpc_file(tmp_path)
+    assert added == ["gen"]
 
 
 def test_entropy_builds_no_graph_per_pattern(tmp_path, monkeypatch):

@@ -254,6 +254,8 @@ def test_singular_denominator_detection():
     msgs = lg.MessageSet(kind="ldpc", var_to_check=np.zeros(4), check_to_var=c2v)
     with pytest.raises(SingularDenominatorError):
         lg.ActivityEvaluator(g, msgs).value((0, 1, 2, 3))
+    with pytest.raises(SingularDenominatorError, match="variable 0"):
+        lg.ActivityEvaluator(g, msgs).values([(1, 3), (0, 1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +435,26 @@ _WALK_CASES = {
 _WALK_CASES["cycle-36-chord"] = _long_cycle_with_chord
 _WALK_CASES["edgeless-variable"] = _with_edgeless_variable
 _WALK_CASES["wide-closing-check"] = _wide_closing_check
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["demo-3-4-n8"])
+def test_batched_activities_equal_the_scalar_oracle(case):
+    # values shares node factors across subsets; every entry must still carry
+    # the bits of the one-subset-at-a-time product, on fixed-point and on
+    # arbitrary messages, for capped polymer lists, single edges and ()
+    if case == "demo-3-4-n8":
+        g, cutoff = sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1), 8
+    else:
+        g, cutoff = _WALK_CASES[case](), 6
+    subsets = [p.edge_ids for p in lg.enumerate_polymers(g, max_size=cutoff)]
+    subsets += [(e,) for e in range(g.edge_count)] + [()]
+    for messages in (lg.solve_fixed_point(g).messages, sp.random_messages(g, seed=3)):
+        ev = lg.ActivityEvaluator(g, messages)
+        got = ev.values(subsets)
+        assert got.dtype == np.float64 and got.shape == (len(subsets),)
+        want = [sp.oracle_activity(ev, edge_ids) for edge_ids in subsets]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert ev.value(subsets[0]).hex() == want[0].hex()
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES))

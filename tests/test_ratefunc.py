@@ -463,6 +463,84 @@ def test_pool_equals_oracle_sampler(l, r):
             assert 0 < len(want) < starts
 
 
+@pytest.mark.parametrize("l, r, theta", [(3, 6, 1e-3), (3, 4, 0.0), (5, 8, 0.3)])
+def test_coordinate_ascent_scores_each_point_once(l, r, theta):
+    # a climb revisits points (a step up and back down); none is rescored,
+    # and the climb ends where the oracle's, which rescores them, ends
+    spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=1e-3)
+    score = ratefunc._scorer(spec, ratefunc._region(l, r, 1e-3))
+    scored, feasible = [], []
+
+    def counting(point):
+        scored.append(tuple(point))
+        return score(point)
+
+    def oracle_feasible(point):
+        feasible.append(tuple(point))
+        return sp.oracle_feasible(l, r, 1e-3, point)
+
+    skipped = 0
+    for start in ratefunc._sample_pool(l, r, 1e-3, 3, 2).tolist():
+        scored.clear()
+        feasible.clear()
+        got = ratefunc._coordinate_ascent(counting, start, 1e-4)
+        want = sp._oracle_ascent(
+            lambda p: sp.oracle_objective(spec, p), oracle_feasible, start, 1e-4
+        )
+        assert got == want
+        assert len(scored) == len(set(scored)) == len(set(feasible) | {tuple(start)})
+        skipped += len(feasible) + 1 - len(scored)
+    assert skipped > 0
+
+
+def _scripted_random(uniforms: list[float], words: list[int], used: list):
+    """random.Random whose first random() and getrandbits() results are the
+    scripted ones; both methods are overridden, so randrange keeps drawing
+    through getrandbits as in random.Random itself."""
+
+    class Scripted(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.uniforms, self.words = list(uniforms), list(words)
+            used.append(self)
+
+        def random(self):
+            value = super().random()
+            return self.uniforms.pop(0) if self.uniforms else value
+
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            return self.words.pop(0) if self.words else value
+
+    return Scripted
+
+
+@pytest.mark.parametrize("l, r", [(3, 4), (5, 8)])
+def test_pool_equals_oracle_sampler_on_rare_draws(monkeypatch, l, r):
+    # three scripted draws open the stream, in the oracle's call order:
+    # a zero uniform on a kept x coordinate (a -0.0 coordinate in the row),
+    # a draw whose only kept uniform is zero after one randrange rejection
+    # (wx = 0, so it takes no ys although its y coin says yes), and a draw
+    # whose y uniforms are all zero (weight 0, so its ys stay zero)
+    dim_x, dim_y = l - 1, r - 2
+    uniforms = [0.0] + [0.7] * (dim_x - 1) + [0.9, 0.99, 0.9]
+    uniforms += [0.0] + [0.6] * (dim_x - 1) + [0.1, 0.5, 0.2]
+    uniforms += [0.5] * dim_x + [0.9, 0.5, 0.1] + [0.0] * dim_y + [0.3]
+    words = [(1 << dim_x) - 1, 0]  # rejected, then keep = 1: coordinate 0 alone
+    used: list = []
+    monkeypatch.setattr(random, "Random", _scripted_random(uniforms, words, used))
+    for starts in (2, 300):
+        used.clear()
+        pool = ratefunc._sample_pool(l, r, 1e-3, starts, 4)
+        want = sp.oracle_sample_pool(l, r, 1e-3, starts, 4)
+        assert [rng.uniforms + rng.words for rng in used] == [[], []]
+        assert [[v.hex() for v in row] for row in pool.tolist()] == [
+            [v.hex() for v in row] for row in want
+        ]
+        assert [math.copysign(1.0, v) for v in want[0][:dim_x]] == [-1.0] + [1.0] * (dim_x - 1)
+        assert want[1][dim_x:] == [0.0] * dim_y  # the weight-0 draw
+
+
 @pytest.mark.parametrize("name", ["lam", "alpha1", "alpha2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spec_refuses_non_finite_parameters(name, bad):
