@@ -12,7 +12,8 @@ every message row shares the graph's own weights.  Each term is formed
 column by column in the operation order of the per-node formula:
 
 - checks: 1 + tau * prod t, the product taken in math.prod order; general
-  checks fold their stacked tables as check_sum does;
+  checks fold their stacked tables with bp.table_fold, one weight pair
+  ((1 + t) / 2, (1 - t) / 2) per edge;
 - variables: e^{+-h} prod (1 +- t_hat);
 - edges: 1 + t * t_hat.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
-from .bp import MessageSet, _Batch, check_weight_range, elementwise, table_sums
+from .bp import MessageSet, _Batch, check_weight_range, elementwise, table_fold
 from .graphs import FactorGraph
 
 LN2 = math.log(2.0)
@@ -95,7 +96,8 @@ def _assemble(batch, t: np.ndarray, that: np.ndarray):
     for (nodes, columns), forms in zip(batch.check_buckets, batch.check_rows):
         x = [t[:, col] for col in columns]
         if kind == "general":
-            args[:, nodes] = table_sums(forms, x)
+            pairs = [[((1.0 + xk) / 2.0, (1.0 - xk) / 2.0)] for xk in x]
+            args[:, nodes] = table_fold(forms, pairs)[..., 0]
             continue
         prod = x[0] if x else np.ones((rows, len(nodes)))
         for xk in x[1:]:

@@ -12,16 +12,18 @@ psi_a(s) = c_a (1 + tau_a prod s), with (c, tau) = (1/2, 1) for a parity
 constraint and (cosh h_a, tanh h_a) for a generator field; their local sums
 close in products of tanh messages.  General checks are tabulated once, psi_a
 over all 2^d local configurations, and every local sum is a contraction of
-that table with one weight pair per edge (check_marginal); a table whose
-largest log weight beta * sum |J| would overflow a float is refused
-(WeightOverflowError) before any entry is formed.
+that table with one weight pair per edge, folded one axis at a time; a table
+whose largest log weight beta * sum |J| would overflow a float is refused
+(WeightOverflowError) before any entry is formed.  One fold, table_fold,
+serves both the Bethe check terms (one weight pair per edge) and the loop
+activity tables (two pairs per edge, one table entry per choice of pairs).
 
 A sweep runs on numpy arrays.  The nodes of each side are grouped by degree
 once per topology; a degree-d bucket keeps the edge ids of its nodes as d
 columns, so each update rule runs column by column over every node of that
 degree at once: prefix and suffix products (parity checks), prefix and
-suffix tanh-domain sums (variables), and the folds of check_marginal over
-stacked tables (general checks), in the operation order of the scalar rules,
+suffix tanh-domain sums (variables), and the marginal folds over stacked
+tables (general checks), in the operation order of the scalar rules,
 so every message is the same float the per-edge rule gives.  The arrays
 carry a leading row axis: solve_fixed_points sweeps one graph under a
 (rows, slots) matrix of field rows (see channel_fields), say the channel
@@ -154,47 +156,15 @@ def check_tables(graph: FactorGraph) -> list[list[float]]:
     return tables
 
 
-def check_marginal(
-    psi: list[float], w: list[tuple[float, float]], k: int
-) -> tuple[float, float]:
-    """(sum over x_k = +1, sum over x_k = -1) of psi(x) prod_{j != k} w_j(x_j).
-
-    w holds one (spin +1, spin -1) weight pair per neighbour.  The table is
-    folded one axis at a time: the axes above k from the top, then the ones
-    below k from the bottom, so each edge costs O(2^d).
-    """
-    t = psi
-    for j in range(len(w) - 1, k, -1):
-        wp, wm = w[j]
-        half = len(t) >> 1
-        t = [p * wp + q * wm for p, q in zip(t[:half], t[half:])]
-    for j in range(k):
-        wp, wm = w[j]
-        t = [p * wp + q * wm for p, q in zip(t[0::2], t[1::2])]
-    return t[0], t[1]
-
-
-def check_sum(psi: list[float], w: list[tuple[float, float]]) -> float:
-    """sum over x of psi(x) prod_k w_k(x_k)."""
-    if not w:
-        return psi[0]
-    plus, minus = check_marginal(psi, w, 0)
-    return plus * w[0][0] + minus * w[0][1]
-
-
-def _tables(graph: FactorGraph) -> list[list[float]]:
-    """check_tables(graph), tabulated once per graph and kept in graph.cache,
-    so BP, the Bethe assembly and the loop activities of one graph share it."""
+def check_forms(graph: FactorGraph) -> list:
+    """parity_form for ldpc and ldgm; for general weights check_tables,
+    tabulated once per graph and kept in graph.cache, so BP, the Bethe
+    assembly and the loop activities of one graph share it."""
+    if not isinstance(graph.weights, GeneralWeights):
+        return parity_form(graph)
     if "check_tables" not in graph.cache:
         graph.cache["check_tables"] = check_tables(graph)
     return graph.cache["check_tables"]
-
-
-def check_forms(graph: FactorGraph) -> list:
-    """check_tables for general weights, parity_form for ldpc and ldgm."""
-    if isinstance(graph.weights, GeneralWeights):
-        return _tables(graph)
-    return parity_form(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +220,11 @@ def _exclusive_products(x: list) -> list:
 
 
 def _table_ratios(tables: np.ndarray, x: list) -> list:
-    """Per slot k: (plus - minus) / (plus + minus) for the check_marginal
-    pair of tables (rows, ..., 2^d) under weights (1 + x_j, 1 - x_j).
-
-    The folds of the axes above k are shared between consecutive k; each
-    fold is the p * wp + q * wm of check_marginal, in the same order.
-    """
+    """Per slot k: (plus - minus) / (plus + minus), (plus, minus) the sums of
+    psi(x) prod_{j != k} w_j(x_j) over x_k = +-1 for stacked tables (rows,
+    ..., 2^d) under weights (1 + x_j, 1 - x_j).  The axes above k fold from
+    the top, shared between consecutive k, then those below k from the
+    bottom, each as p * wp + q * wm."""
     d = len(x)
     pairs = [((1.0 + xk)[..., None], (1.0 - xk)[..., None]) for xk in x]
     out = [None] * d
@@ -274,19 +243,27 @@ def _table_ratios(tables: np.ndarray, x: list) -> list:
     return out
 
 
-def table_sums(tables: np.ndarray, x: list) -> np.ndarray:
-    """check_sum of every stacked table (rows, ..., 2^d) under the weight
-    pairs ((1 + x_k) / 2, (1 - x_k) / 2): the folds of check_marginal for
-    k = 0, in the same order, then the last pair."""
-    if not x:
-        return tables[..., 0]
-    t = tables
-    for j in range(len(x) - 1, 0, -1):
-        wp = ((1.0 + x[j]) / 2.0)[..., None]
-        wm = ((1.0 - x[j]) / 2.0)[..., None]
+def table_fold(tables: np.ndarray, pairs: list) -> np.ndarray:
+    """sum over x of psi(x) prod_k w_k(x_k) for stacked tables (..., 2^d),
+    under every choice of one weight pair per axis.
+
+    pairs[k] lists the (spin +1, spin -1) weight pairs of axis k, bit k of
+    the table index, each weight broadcasting against tables[..., 0].  The
+    axes fold from the top, each as p * wp + q * wm over the two halves.
+    The result's last axis holds one sum per choice, the top axis's choice
+    most significant: with two pairs per axis, entry mask takes pair 1 on
+    exactly the axes set in mask."""
+    t = tables[..., None, :]
+    for k in range(len(pairs) - 1, -1, -1):
         half = t.shape[-1] >> 1
-        t = t[..., :half] * wp + t[..., half:] * wm
-    return t[..., 0] * ((1.0 + x[0]) / 2.0) + t[..., 1] * ((1.0 - x[0]) / 2.0)
+        low, high = t[..., :half], t[..., half:]
+        t = np.stack(
+            [low * np.asarray(wp)[..., None, None] + high * np.asarray(wm)[..., None, None]
+             for wp, wm in pairs[k]],
+            axis=-2,
+        )
+        t = t.reshape(*t.shape[:-3], -1, half)
+    return t[..., 0]
 
 
 def elementwise(fn, values: np.ndarray) -> np.ndarray:
@@ -327,7 +304,7 @@ class _Batch:
             taus = elementwise(math.tanh, self.fields)
             self.check_rows = [taus[:, nodes] for nodes, _ in self.check_buckets]
         else:
-            tables = _tables(graph)
+            tables = check_forms(graph)
             self.check_rows = [
                 np.array([[tables[a] for a in nodes]]) for nodes, _ in self.check_buckets
             ]

@@ -4,9 +4,12 @@ The partition function factorizes as Z = exp(n f_bethe) * sum_g K(g), where g
 runs over all subsets of edges and K(g) is a product of one factor per touched
 check and variable.  The factors are built from an exact per-edge resolution
 of the identity, so the full-subset expansion holds for arbitrary messages.
-At a BP fixed point every subset containing a node of induced degree one drops
-out, and the sum collapses onto generalized loops: subsets whose every touched
-node has induced degree at least two.
+A node's factor depends only on which of its edges g includes, so each node
+has one table of 2^d factors (ActivityEvaluator); the walk and the
+activities of edge lists read those tables.  At a BP fixed point every
+subset containing a node of induced degree one drops out, and the sum
+collapses onto generalized loops: subsets whose every touched node has
+induced degree at least two.
 
 Polymers are connected generalized loops; every generalized loop is a disjoint
 union of polymers and its activity factorizes over them.
@@ -17,7 +20,7 @@ each check it crosses a state only with the options that keep every
 variable closing there off induced degree one, decided once per pattern of
 those variables' degrees, so no pair that one of them would end is ever
 built; what it keeps, and in what order, is the same as crossing every
-state with every option and filtering.  The (state, option) pairs run state-major, so the
+state with every option and filtering.  The pairs run state-major, so the
 leaves come out in depth-first order: the lexicographic order of the
 per-check options, with the empty option first.  That order is part of the
 output, because q adds each node's weights in it.  The frontier is expanded,
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import MessageSet, check_forms, check_sum, check_weight_range, solve_fixed_point
+from .bp import MessageSet, check_forms, check_weight_range, solve_fixed_point, table_fold
 from .bethe import bethe_free_energy
 from .errors import (
     BudgetExceededError,
@@ -106,121 +109,131 @@ class IdentityReport:
 # activities
 
 
-class ActivityEvaluator:
-    """Evaluates touched-node factors for one (graph, messages) pair.
+def _masked_products(start: list[float], factors: list[tuple]) -> np.ndarray:
+    """(rows, 2^d) products over the local masks of d edges: row r is start[r]
+    times, edge by edge, off[r] or on[r] of factors[k] = (off, on) as bit k
+    of the mask is clear or set."""
+    prod = np.array(start)[:, None]
+    for off, on in factors:
+        prod = np.concatenate([prod * np.array(off)[:, None], prod * np.array(on)[:, None]], 1)
+    return prod
 
-    Precomputes everything reusable across subsets so that sweeping many
-    polymers or subsets stays cheap.
+
+class ActivityEvaluator:
+    """The touched-node factors of one (graph, messages) pair: one float64
+    table per node, node ids as in Polymer.node_mask (check a is n + a).
+
+    Entry mask of a node's table is its factor when a subset includes the
+    node's edges whose bits are set, bit k for its k-th edge in var_edges /
+    check_edges order; entry 0, the untouched node, is 1.0.  A table is built
+    in d numpy passes the first time its node is read: variables and parity
+    checks as masked products in the per-node rule's order, general checks
+    as one table_fold of the check table with the pairs ((1 + t) / 2,
+    (1 - t) / 2) and ((1 - t_hat) / 2, (-1 - t_hat) / 2).  An entry whose
+    normalization is below _DENOMINATOR_FLOOR relative to its numerator is
+    flagged; reading it raises SingularDenominatorError naming the node.
     """
 
     def __init__(self, graph: FactorGraph, messages: MessageSet) -> None:
         check_weight_range(graph)
         self.graph = graph
-        self.t = [float(x) for x in messages.var_to_check]
-        self.that = [float(x) for x in messages.check_to_var]
+        self.t = np.asarray(messages.var_to_check, dtype=float).tolist()
+        self.that = np.asarray(messages.check_to_var, dtype=float).tolist()
         w = graph.weights
-        self.kind = w.kind
-        if isinstance(w, LdpcWeights):
-            self.exp_h = [math.exp(h) for h in w.variable_fields]
-            self.exp_mh = [math.exp(-h) for h in w.variable_fields]
-        else:
-            self.exp_h = [1.0] * graph.n
-            self.exp_mh = [1.0] * graph.n
+        self.fields = w.variable_fields if isinstance(w, LdpcWeights) else (0.0,) * graph.n
         self.forms = check_forms(graph)
+        # per node, (factors, flagged, normalization) over its local masks
+        self._tables: list[tuple | None] = [None] * (graph.n + graph.m)
+        # per edge, its variable and check as nodes, and its local bit at each
+        self.edge_nodes = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T + [[0], [graph.n]]
+        self.edge_bits = np.zeros((2, graph.edge_count), dtype=np.int64)
+        for side, incidence in enumerate((graph.var_edges, graph.check_edges)):
+            for eids in incidence:
+                self.edge_bits[side, list(eids)] = 1 << np.arange(len(eids))
 
-    def check_factor(self, a: int, g_edges: frozenset[int] | set[int]) -> float:
-        graph = self.graph
-        t = self.t
-        that = self.that
-        eids = graph.check_edges[a]
-        if self.kind == "general":
-            den_w = [((1.0 + t[e]) / 2.0, (1.0 - t[e]) / 2.0) for e in eids]
-            num_w = [
-                ((1.0 - that[e]) / 2.0, (-1.0 - that[e]) / 2.0) if e in g_edges else pair
-                for e, pair in zip(eids, den_w)
-            ]
-            psi = self.forms[a]
-            num = check_sum(psi, num_w)
-            den = check_sum(psi, den_w)
-        else:
-            d = 0
-            out_prod = 1.0  # product of t over edges not in g
-            in_that = 1.0  # product of t_hat over edges in g
-            in_t = 1.0  # product of t over edges in g
-            for e in eids:
-                if e in g_edges:
-                    d += 1
-                    in_that *= that[e]
-                    in_t *= t[e]
-                else:
-                    out_prod *= t[e]
-            sign = -1.0 if d % 2 else 1.0
-            _c, tau = self.forms[a]
-            num = sign * in_that + tau * out_prod
-            den = 1.0 + tau * out_prod * in_t
-        if abs(den) < _DENOMINATOR_FLOOR * max(1.0, abs(num)):
-            raise SingularDenominatorError(
-                f"check {a} normalization {den} is numerically singular"
+    def _terms(self, node: int) -> tuple[np.ndarray, np.ndarray | float]:
+        """(numerator, normalization) of node's factor over its local masks."""
+        t, that, n = self.t, self.that, self.graph.n
+        if node < n:
+            h = self.fields[node]
+            up, dn, sign = _masked_products(
+                [math.exp(h), math.exp(-h), 1.0],
+                [((1.0 + that[e], 1.0 - that[e], 1.0), (1.0 - t[e], 1.0 + t[e], -1.0))
+                 for e in self.graph.var_edges[node]],
             )
-        return num / den
+            return up + sign * dn, up[0] + dn[0]
+        eids, form = self.graph.check_edges[node - n], self.forms[node - n]
+        if isinstance(self.graph.weights, GeneralWeights):
+            pairs = [[(1.0 + t[e], 1.0 - t[e]), (1.0 - that[e], -1.0 - that[e])] for e in eids]
+            num = table_fold(np.array(form), [[(p / 2.0, q / 2.0) for p, q in w] for w in pairs])
+            return num, num[0]
+        out_t, in_that, in_t, sign = _masked_products(
+            [1.0] * 4, [((t[e], 1.0, 1.0, 1.0), (1.0, that[e], t[e], -1.0)) for e in eids]
+        )
+        tau = form[1]
+        return sign * in_that + tau * out_t, 1.0 + tau * out_t * in_t
 
-    def var_factor(self, i: int, g_edges: frozenset[int] | set[int]) -> float:
-        t = self.t
-        that = self.that
-        up = self.exp_h[i]
-        dn = self.exp_mh[i]
-        num_up = up
-        num_dn = dn
-        d = 0
-        for e in self.graph.var_edges[i]:
-            he = that[e]
-            up_f = 1.0 + he
-            dn_f = 1.0 - he
-            if e in g_edges:
-                d += 1
-                te = t[e]
-                num_up *= 1.0 - te
-                num_dn *= 1.0 + te
-            else:
-                num_up *= up_f
-                num_dn *= dn_f
-            up *= up_f
-            dn *= dn_f
-        den = up + dn
-        sign = -1.0 if d % 2 else 1.0
-        num = num_up + sign * num_dn
-        if abs(den) < _DENOMINATOR_FLOOR * max(1.0, abs(num)):
+    def _entries(self, node: int) -> tuple:
+        if self._tables[node] is None:
+            with np.errstate(all="ignore"):
+                num, den = self._terms(node)
+                den = np.broadcast_to(den, num.shape)
+                flagged = np.abs(den) < _DENOMINATOR_FLOOR * np.fmax(1.0, np.abs(num))
+                factors = num / den
+            factors[0], flagged[0] = 1.0, False
+            self._tables[node] = factors, flagged, den
+        return self._tables[node]
+
+    def _read(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """The table entry of each (node, mask) pair; SingularDenominatorError
+        for the first pair whose entry is flagged."""
+        distinct, which = np.unique(nodes, return_inverse=True)
+        tables = [self._entries(node) for node in distinct.tolist()]
+        at = np.cumsum([0] + [len(f) for f, _, _ in tables])[which] + masks
+        factors, flagged = (np.concatenate([table[k] for table in tables])[at] for k in (0, 1))
+        if flagged.any():
+            j = int(flagged.argmax())
+            node, n = int(nodes[j]), self.graph.n
+            name = f"variable {node}" if node < n else f"check {node - n}"
+            den = float(self._tables[node][2][masks[j]])
             raise SingularDenominatorError(
-                f"variable {i} normalization {den} is numerically singular"
+                f"{name} normalization {den} is numerically singular"
             )
-        return num / den
+        return factors
+
+    def table(self, node: int, masks=None) -> np.ndarray:
+        """node's factors at the given local masks, by default all 2^d of
+        them in mask order; SingularDenominatorError if one is flagged."""
+        if masks is None:
+            masks = np.arange(len(self._entries(node)[0]))
+        return self._read(np.full(len(masks), node), np.asarray(masks, dtype=np.intp))
 
     def value(self, edge_ids: tuple[int, ...]) -> float:
         return float(self.values([edge_ids])[0])
 
     def values(self, edge_id_tuples) -> np.ndarray:
-        """The activity of every edge subset, as one float64 array.  Each
-        touched node's factor is computed once per distinct set of its edges;
-        a subset's factors multiply in order, variables ascending, then checks."""
-        edges, n = self.graph.edges, self.graph.n
-        table: dict[tuple[int, ...], float] = {}
-        out = np.empty(len(edge_id_tuples))
-        for k, edge_ids in enumerate(edge_id_tuples):
-            at: dict[int, list[int]] = {}  # variable i or check n + a -> its edges
-            for e in edge_ids:
-                i, a = edges[e]
-                at.setdefault(i, []).append(e)
-                at.setdefault(n + a, []).append(e)
-            prod = 1.0
-            for node in sorted(at):
-                key = (node, *at[node])
-                if key not in table:
-                    g = set(at[node])
-                    table[key] = (
-                        self.var_factor(node, g) if node < n else self.check_factor(node - n, g)
-                    )
-                prod *= table[key]
-            out[k] = prod
+        """The activity of every edge subset, as one float64 array: 1.0
+        times each touched node's table entry, variables ascending, then
+        checks.  Only the entries the subsets use are read."""
+        sizes = np.array([len(s) for s in edge_id_tuples], dtype=np.intp)
+        out = np.ones(len(sizes))
+        edges = np.fromiter(itertools.chain.from_iterable(edge_id_tuples), np.intp)
+        if not len(edges):
+            return out
+        node_count = self.graph.n + self.graph.m
+        # one entry per (subset, touched node), sorted by subset, then node
+        key = np.repeat(np.arange(len(sizes)), sizes) * node_count + self.edge_nodes[:, edges]
+        order = np.argsort(key.ravel(), kind="stable")
+        key = key.ravel()[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        masks = np.bitwise_or.reduceat(self.edge_bits[:, edges].ravel()[order], starts)
+        subset, node = np.divmod(key[starts], node_count)
+        factors = self._read(node, masks)
+        count = np.bincount(subset, minlength=len(sizes))
+        first = np.cumsum(count) - count
+        for r in range(int(count.max())):
+            rows = np.flatnonzero(count > r)
+            out[rows] *= factors[first[rows] + r]
         return out
 
 
@@ -233,19 +246,22 @@ class ActivityEvaluator:
 _CHUNK = 1 << 14
 
 
-def _check_options(graph: FactorGraph, a: int) -> np.ndarray:
-    """Check a's locally admissible edge subsets (size != 1).
-
-    A bool (options, degree) matrix over check_edges[a], one row per subset:
-    the empty subset first, then by (size, edge positions).  The walk
-    branches in this order, which fixes its leaf order.
+def _check_options(graph: FactorGraph, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a's locally admissible edge subsets (size != 1), as a bool
+    (subsets, degree) matrix over check_edges[a] and each subset's local
+    mask (bit k for the k-th edge, its table index).  The empty subset comes
+    first, then by size, then in itertools.combinations order, which within
+    one size is the descending order of the rows.  The walk branches in
+    this order, which fixes its leaf order.
     """
     d = len(graph.check_edges[a])
-    combos = [c for k in range(2, d + 1) for c in itertools.combinations(range(d), k)]
-    out = np.zeros((1 + len(combos), d), dtype=bool)
-    for row, combo in enumerate(combos, start=1):
-        out[row, list(combo)] = True
-    return out
+    masks = np.arange(1 << d, dtype=np.int64)
+    masks = masks[np.bitwise_count(masks) != 1]
+    options = np.empty((len(masks), d), dtype=bool)
+    for k in range(d):
+        options[:, k] = masks >> k & 1
+    order = np.lexsort([~options[:, k] for k in range(d - 1, -1, -1)] + [np.bitwise_count(masks)])
+    return options[order], masks[order]
 
 
 class _Leaves:
@@ -277,11 +293,12 @@ class _Leaves:
         # node masks of each check's options, as node_words
         self.option_words = []
         for a, opts in enumerate(options):
-            masks = [0] + [1 << (graph.n + a)] * (len(opts) - 1)
-            for e, member in zip(graph.check_edges[a], opts.T):
-                for o in np.flatnonzero(member).tolist():
-                    masks[o] |= 1 << graph.edges[e][0]
-            self.option_words.append(node_words(masks, graph.n + graph.m))
+            words = np.zeros((max(1, (graph.n + graph.m + 63) // 64), len(opts)), dtype=np.uint64)
+            for b, member in [(graph.n + a, opts.any(axis=1))] + [
+                (graph.edges[e][0], opts[:, k]) for k, e in enumerate(graph.check_edges[a])
+            ]:
+                words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
+            self.option_words.append(words)
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
@@ -409,9 +426,10 @@ def _walk(
     crossed with every option and the dead pairs dropped.  The frontier
     holds each state's activity and the included-edge bits of the variables
     still open; with an evaluator the activity is built up on the way down:
-    prod * check factor, then times each closing variable's factor looked up
-    by its included edges, in the fixed closing order.  Without one it stays
-    1.  The node tally, the factors and the lookups run only on admitted
+    prod * the check's table entry at the option's mask, then times each
+    closing variable's entry at its included-edge bits, in the fixed closing
+    order.  Every variable table is read before the first check, and each
+    check's option entries at its level.  Without an evaluator it stays 1.  The node tally, the factors and the lookups run only on admitted
     pairs.  Each level keeps only (parent, option) per state, from which
     _Leaves rebuilds the leaves.
 
@@ -425,18 +443,14 @@ def _walk(
     n_cap = n + m if max_nodes is None else max_nodes
     # the node tally only matters when the cap can bind
     capped = n_cap < n + m
-    options = [_check_options(graph, a) for a in range(m)]
     last_check = [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
     local_bit = {e: 1 << k for eids in graph.var_edges for k, e in enumerate(eids)}
     bits_dtype = np.min_scalar_type((1 << graph.l_max) - 1)
-    # per variable, its factor by included-edge bits (1 for none)
-    var_table = []
-    for i, eids in enumerate(graph.var_edges):
-        row = [1.0] * (1 << len(eids))
-        if evaluator is not None:
-            for mk in range(1, len(row)):
-                row[mk] = evaluator.var_factor(i, {e for k, e in enumerate(eids) if mk >> k & 1})
-        var_table.append(np.array(row))
+    # per variable, its factor by included-edge bits
+    var_table = [
+        np.ones(1 << len(eids)) if evaluator is None else evaluator.table(i)
+        for i, eids in enumerate(graph.var_edges)
+    ]
 
     open_vars: list[int] = []  # frontier column -> variable
     bits = np.zeros((1, 0), dtype=bits_dtype)
@@ -446,18 +460,17 @@ def _walk(
     visits = 1
     if visits > budget:
         raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-    for a, opts in enumerate(options):
-        eids = graph.check_edges[a]
+    options = []
+    for a, eids in enumerate(graph.check_edges):
+        opts, masks = _check_options(graph, a)
+        options.append(opts)
         check_vars = [graph.edges[e][0] for e in eids]
         cols = open_vars + [i for i in check_vars if i not in open_vars]
         col = {i: c for c, i in enumerate(cols)}
         bits = np.pad(bits, ((0, 0), (0, len(cols) - bits.shape[1])))
         var_cols = [col[i] for i in check_vars]
-        flips = (opts * np.array([local_bit[e] for e in eids], dtype=np.intp)).astype(bits_dtype)
-        factor = np.ones(len(opts))
-        if evaluator is not None:
-            for o in range(1, len(opts)):
-                factor[o] = evaluator.check_factor(a, {e for e, x in zip(eids, opts[o]) if x})
+        flips = opts.astype(bits_dtype) * np.array([local_bit[e] for e in eids], dtype=bits_dtype)
+        factor = np.ones(len(opts)) if evaluator is None else evaluator.table(n + a, masks)
         # closing variables in index order, the order their factors multiply in
         closing = [(col[i], var_table[i]) for i in sorted(cols) if last_check[i] == a]
         staying = np.array([c for c, i in enumerate(cols) if last_check[i] != a], dtype=np.intp)
@@ -653,7 +666,12 @@ def loop_sum_direct(
     convergence_criterion_q's single-node statistic over them, each node's
     sum taken in the walk's depth-first leaf order.
     """
-    leaves = _walk(graph, budget, ActivityEvaluator(graph, messages))
+    return _loop_sum(ActivityEvaluator(graph, messages), budget, split_lambda)
+
+
+def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) -> LoopSumResult:
+    graph = evaluator.graph
+    leaves = _walk(graph, budget, evaluator)
     threshold = split_lambda * graph.n
     # math.exp, not np.exp, which may differ in the last bit
     exp_size = np.array([math.exp(s) for s in range(graph.n + graph.m + 1)])
@@ -702,17 +720,17 @@ def verify_loop_identity(
     takes the loop sum, its counts, q and its split at polymer size
     split_lambda * n from one loop_sum_direct walk.  max_dangling_activity
     is the largest single-edge activity, which vanishes at an exact fixed
-    point.
+    point; it reads the node tables the walk built.
     """
     check_weight_range(graph)
     ln_z = brute_force_log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
     f = bethe_free_energy(graph, bp.messages).f_bethe
-    loops = loop_sum_direct(graph, bp.messages, budget, split_lambda)
+    ev = ActivityEvaluator(graph, bp.messages)
+    loops = _loop_sum(ev, budget, split_lambda)
     if loops.total <= 0.0:
         raise LogDomainError(f"loop-sum total {loops.total} is not positive")
     ln_loop = math.log(loops.total)
-    ev = ActivityEvaluator(graph, bp.messages)
     return IdentityReport(
         ln_z_exact=ln_z,
         f_bethe=f,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from loopgas import (
-    ActivityEvaluator,
     BPResult,
     BetheBreakdown,
     ChannelAverage,
@@ -38,15 +37,16 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
-from loopgas.bp import check_forms, check_marginal, check_sum, parity_form
+from loopgas.bp import check_forms, check_weight_range, parity_form
 from loopgas.errors import (
     BudgetExceededError,
     InfeasibleDomainError,
     LogDomainError,
+    SingularDenominatorError,
     TooLargeError,
 )
 from loopgas.exact import null_space_gf2
-from loopgas.loops import LoopSumResult, enumerate_generalized_loops
+from loopgas.loops import _DENOMINATOR_FLOOR, LoopSumResult, enumerate_generalized_loops
 from loopgas.ratefunc import (
     REFINE_TOP,
     RateFunctionResult,
@@ -173,6 +173,34 @@ def oracle_check_sum(graph: FactorGraph, a: int, weight) -> float:
             term *= weight(k, s)
         total += term
     return total
+
+
+def check_marginal(
+    psi: list[float], w: list[tuple[float, float]], k: int
+) -> tuple[float, float]:
+    """(sum over x_k = +1, sum over x_k = -1) of psi(x) prod_{j != k} w_j(x_j).
+
+    w holds one (spin +1, spin -1) weight pair per neighbour.  The table is
+    folded one axis at a time: the axes above k from the top, then the ones
+    below k from the bottom, so each edge costs O(2^d).
+    """
+    t = psi
+    for j in range(len(w) - 1, k, -1):
+        wp, wm = w[j]
+        half = len(t) >> 1
+        t = [p * wp + q * wm for p, q in zip(t[:half], t[half:])]
+    for j in range(k):
+        wp, wm = w[j]
+        t = [p * wp + q * wm for p, q in zip(t[0::2], t[1::2])]
+    return t[0], t[1]
+
+
+def check_sum(psi: list[float], w: list[tuple[float, float]]) -> float:
+    """sum over x of psi(x) prod_k w_k(x_k)."""
+    if not w:
+        return psi[0]
+    plus, minus = check_marginal(psi, w, 0)
+    return plus * w[0][0] + minus * w[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +424,105 @@ def scalar_stationarity(
 # subset-filter oracles for generalized loops and polymers
 
 
-def oracle_activity(ev: ActivityEvaluator, edge_ids: tuple[int, ...]) -> float:
+class ScalarFactors:
+    """Touched-node factors one (node, edge subset) at a time, by the scalar
+    per-node rules: the reference for ActivityEvaluator.table."""
+
+    def __init__(self, graph: FactorGraph, messages: MessageSet) -> None:
+        check_weight_range(graph)
+        self.graph = graph
+        self.t = [float(x) for x in messages.var_to_check]
+        self.that = [float(x) for x in messages.check_to_var]
+        w = graph.weights
+        self.kind = w.kind
+        if isinstance(w, LdpcWeights):
+            self.exp_h = [math.exp(h) for h in w.variable_fields]
+            self.exp_mh = [math.exp(-h) for h in w.variable_fields]
+        else:
+            self.exp_h = [1.0] * graph.n
+            self.exp_mh = [1.0] * graph.n
+        self.forms = check_forms(graph)
+
+    def check_factor(self, a: int, g_edges: frozenset[int] | set[int]) -> float:
+        graph = self.graph
+        t = self.t
+        that = self.that
+        eids = graph.check_edges[a]
+        if self.kind == "general":
+            den_w = [((1.0 + t[e]) / 2.0, (1.0 - t[e]) / 2.0) for e in eids]
+            num_w = [
+                ((1.0 - that[e]) / 2.0, (-1.0 - that[e]) / 2.0) if e in g_edges else pair
+                for e, pair in zip(eids, den_w)
+            ]
+            psi = self.forms[a]
+            num = check_sum(psi, num_w)
+            den = check_sum(psi, den_w)
+        else:
+            d = 0
+            out_prod = 1.0  # product of t over edges not in g
+            in_that = 1.0  # product of t_hat over edges in g
+            in_t = 1.0  # product of t over edges in g
+            for e in eids:
+                if e in g_edges:
+                    d += 1
+                    in_that *= that[e]
+                    in_t *= t[e]
+                else:
+                    out_prod *= t[e]
+            sign = -1.0 if d % 2 else 1.0
+            _c, tau = self.forms[a]
+            num = sign * in_that + tau * out_prod
+            den = 1.0 + tau * out_prod * in_t
+        if abs(den) < _DENOMINATOR_FLOOR * max(1.0, abs(num)):
+            raise SingularDenominatorError(
+                f"check {a} normalization {den} is numerically singular"
+            )
+        return num / den
+
+    def var_factor(self, i: int, g_edges: frozenset[int] | set[int]) -> float:
+        t = self.t
+        that = self.that
+        up = self.exp_h[i]
+        dn = self.exp_mh[i]
+        num_up = up
+        num_dn = dn
+        d = 0
+        for e in self.graph.var_edges[i]:
+            he = that[e]
+            up_f = 1.0 + he
+            dn_f = 1.0 - he
+            if e in g_edges:
+                d += 1
+                te = t[e]
+                num_up *= 1.0 - te
+                num_dn *= 1.0 + te
+            else:
+                num_up *= up_f
+                num_dn *= dn_f
+            up *= up_f
+            dn *= dn_f
+        den = up + dn
+        sign = -1.0 if d % 2 else 1.0
+        num = num_up + sign * num_dn
+        if abs(den) < _DENOMINATOR_FLOOR * max(1.0, abs(num)):
+            raise SingularDenominatorError(
+                f"variable {i} normalization {den} is numerically singular"
+            )
+        return num / den
+
+
+def oracle_activity(factors: ScalarFactors, edge_ids: tuple[int, ...]) -> float:
     """K(edge subset) one node at a time: 1.0 times each touched variable's
     factor in increasing order, then each touched check's.  The reference
     for ActivityEvaluator.values."""
     g_edges = set(edge_ids)
-    tv = sorted({ev.graph.edges[e][0] for e in edge_ids})
-    tc = sorted({ev.graph.edges[e][1] for e in edge_ids})
+    tv = sorted({factors.graph.edges[e][0] for e in edge_ids})
+    tc = sorted({factors.graph.edges[e][1] for e in edge_ids})
     out = 1.0
     for i in tv:
-        out *= ev.var_factor(i, g_edges)
+        out *= factors.var_factor(i, g_edges)
     for a in tc:
-        out *= ev.check_factor(a, g_edges)
+        out *= factors.check_factor(a, g_edges)
     return out
 
 
@@ -504,7 +619,7 @@ def loop_sum(
     q sums |K| e^size per node over the polymers.
     """
     polymers = enumerate_polymers(graph)
-    ev = ActivityEvaluator(graph, messages)
+    ev = ScalarFactors(graph, messages)
     acts = [oracle_activity(ev, p.edge_ids) for p in polymers]
     masks = [p.node_mask for p in polymers]
     big = [p.size >= split_lambda * graph.n for p in polymers]
@@ -530,7 +645,7 @@ def loop_sum_bruteforce(
 ) -> LoopSumResult:
     """Same as loop_sum, evaluating every loop of the 2^|E| subset filter
     on its own and splitting it into components by union-find."""
-    ev = ActivityEvaluator(graph, messages)
+    ev = ScalarFactors(graph, messages)
     small: list[float] = []
     large: list[float] = []
     polymer_nodes: list[set[int]] = []
@@ -580,7 +695,7 @@ def recursive_walk(
     graph: FactorGraph,
     leaf,
     budget: int,
-    evaluator: ActivityEvaluator | None = None,
+    evaluator: ScalarFactors | None = None,
     max_nodes: int | None = None,
 ) -> int:
     """Visit every generalized loop once, calling leaf(activity, blocks);
@@ -780,7 +895,7 @@ def recursive_loop_activities(
     def leaf(prod: float, blocks) -> None:
         out.append((_loop_record(blocks), prod, *_degree_profiles(blocks, graph.n)))
 
-    recursive_walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    recursive_walk(graph, leaf, budget, ScalarFactors(graph, messages))
     return sorted(out, key=lambda entry: _by_edges(entry[0]))
 
 
@@ -809,7 +924,7 @@ def recursive_loop_sum(
         else:
             small.append(prod)
 
-    recursive_walk(graph, leaf, budget, ActivityEvaluator(graph, messages))
+    recursive_walk(graph, leaf, budget, ScalarFactors(graph, messages))
     return _loop_sum_result(
         small, large, len(polymer_nodes), _node_load(polymer_nodes, weights)
     )
@@ -834,7 +949,7 @@ def oracle_polymer_series(
     """
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
-    ev = ActivityEvaluator(graph, messages)
+    ev = ScalarFactors(graph, messages)
     acts = [z * oracle_activity(ev, p.edge_ids) for p in polymers]
     terms = []
     tuples_seen = 0
@@ -872,7 +987,7 @@ def max_factorization_error(
     checked = 0
     scanned = 0
     scan_cap = 400 * cap  # disjoint combos can be rare
-    ev = ActivityEvaluator(graph, messages)
+    ev = ScalarFactors(graph, messages)
     polymers = enumerate_polymers(graph, max_size=size_cap)
     acts = [oracle_activity(ev, p.edge_ids) for p in polymers]
     worst = 0.0
@@ -922,7 +1037,7 @@ def verify_full_expansion(
     f = bethe_free_energy(graph, messages).f_bethe
     ln_z = brute_force_log_partition(graph).log_z
     target = math.exp(ln_z - graph.n * f)
-    ev = ActivityEvaluator(graph, messages)
+    ev = ScalarFactors(graph, messages)
     terms: list[float] = [1.0]
     max_dangling = 0.0
     for bits in range(1, 1 << E):

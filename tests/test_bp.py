@@ -203,7 +203,7 @@ def test_degree_cap_on_general_checks_only():
     with pytest.raises(DegreeTooLargeError):
         lg.bethe_free_energy(wide, zero)
     with pytest.raises(DegreeTooLargeError):
-        lg.ActivityEvaluator(wide, zero).check_factor(0, {0, 1})
+        lg.ActivityEvaluator(wide, zero).table(wide.n)
 
 
 @pytest.mark.parametrize(

@@ -270,9 +270,9 @@ def test_series_terms_match_the_multiset_loop(case, monkeypatch):
     expected = sp.oracle_polymer_series(g, msgs, **kwargs)
     assert [t.hex() for t in sr.terms] == [t.hex() for t in expected]
     polys = lg.enumerate_polymers(g, max_size=kwargs.get("size_cutoff"))
-    ev = lg.ActivityEvaluator(g, msgs)
+    factors = sp.ScalarFactors(g, msgs)
     weights = [
-        abs(kwargs.get("z", 1.0) * sp.oracle_activity(ev, p.edge_ids)) * math.exp(p.size)
+        abs(kwargs.get("z", 1.0) * sp.oracle_activity(factors, p.edge_ids)) * math.exp(p.size)
         for p in polys
     ]
     nodes = [[b for b in range(g.n + g.m) if p.node_mask >> b & 1] for p in polys]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import random
+import warnings
 import weakref
 
 import numpy as np
@@ -170,13 +172,12 @@ def test_ldpc_zero_field_activities():
         check_to_var=np.zeros(flat.edge_count),
     )
     ev = lg.ActivityEvaluator(flat, zero)
-    full_check = set(flat.check_edges[0])
-    assert ev.check_factor(0, full_check) == pytest.approx(1.0, abs=1e-15)
-    partial = set(list(flat.check_edges[0])[:2])
-    assert ev.check_factor(0, partial) == pytest.approx(0.0, abs=1e-15)
-    eids = flat.var_edges[0]
-    assert ev.var_factor(0, set(eids[:2])) == pytest.approx(1.0, abs=1e-15)
-    assert ev.var_factor(0, set(eids[:1])) == pytest.approx(0.0, abs=1e-15)
+    check = ev.table(flat.n + 0)
+    # bit k of a table index is the node's k-th edge
+    assert check[(1 << flat.check_degree(0)) - 1] == pytest.approx(1.0, abs=1e-15)
+    assert check[0b11] == pytest.approx(0.0, abs=1e-15)
+    assert ev.table(0)[0b11] == pytest.approx(1.0, abs=1e-15)
+    assert ev.table(0)[0b1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ldgm_trivial_point_activities():
@@ -188,15 +189,14 @@ def test_ldgm_trivial_point_activities():
     )
     ev = lg.ActivityEvaluator(g, zero)
     for a in range(g.m):
-        eids = list(g.check_edges[a])
-        assert ev.check_factor(a, set(eids)) == pytest.approx(
+        check = ev.table(g.n + a)
+        assert check[(1 << g.check_degree(a)) - 1] == pytest.approx(
             math.tanh(g.weights.check_fields[a]), abs=1e-15
         )
-        assert ev.check_factor(a, set(eids[:3])) == pytest.approx(0.0, abs=1e-15)
+        assert check[0b111] == pytest.approx(0.0, abs=1e-15)
     i = 0
-    eids = g.var_edges[i]
-    assert ev.var_factor(i, set(eids[:2])) == pytest.approx(1.0, abs=1e-15)
-    assert ev.var_factor(i, set(eids[:3])) == pytest.approx(0.0, abs=1e-15)
+    assert ev.table(i)[0b11] == pytest.approx(1.0, abs=1e-15)
+    assert ev.table(i)[0b111] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_general_check_factor_matches_spin_enumeration():
@@ -222,7 +222,8 @@ def test_general_check_factor_matches_spin_enumeration():
                 den = sp.oracle_check_sum(
                     g, a, lambda j, s: (1.0 + s * t[eids[j]]) / 2.0
                 )
-                assert ev.check_factor(a, sub) == pytest.approx(
+                mask = sum(1 << k for k, e in enumerate(eids) if e in sub)
+                assert ev.table(g.n + a)[mask] == pytest.approx(
                     num / den, rel=1e-12, abs=1e-14
                 )
 
@@ -256,6 +257,30 @@ def test_singular_denominator_detection():
         lg.ActivityEvaluator(g, msgs).value((0, 1, 2, 3))
     with pytest.raises(SingularDenominatorError, match="variable 0"):
         lg.ActivityEvaluator(g, msgs).values([(1, 3), (0, 1, 2, 3)])
+    # values reads only the table entries its subsets use: (1, 3) misses
+    # variable 0, whose whole table is flagged
+    ev = lg.ActivityEvaluator(g, msgs)
+    got = ev.values([(1, 3)])
+    assert got.tolist() == [sp.oracle_activity(sp.ScalarFactors(g, msgs), (1, 3))]
+    with pytest.raises(SingularDenominatorError, match="variable 0"):
+        ev.table(0)
+    # the walk reads every variable table before its first check
+    with pytest.raises(SingularDenominatorError, match="variable 0"):
+        lg.loop_sum_direct(g, msgs)
+    # opposite saturated messages on check 0 give 1 + t0 t1 = 0 once both
+    # edges are in; both normalizations above and here are exactly 0, which
+    # raises before any division, so no RuntimeWarning
+    v2c = np.zeros(4)
+    v2c[0], v2c[1] = -1.0, 1.0
+    at_check = lg.MessageSet(kind="ldpc", var_to_check=v2c, check_to_var=np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for messages, node in ((msgs, "variable 0"), (at_check, "check 0")):
+            match = rf"^{node} normalization 0\.0 is numerically singular$"
+            with pytest.raises(SingularDenominatorError, match=match):
+                lg.loop_sum_direct(g, messages)
+            with pytest.raises(SingularDenominatorError, match=match):
+                lg.ActivityEvaluator(g, messages).value((0, 1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +477,35 @@ def test_batched_activities_equal_the_scalar_oracle(case):
         ev = lg.ActivityEvaluator(g, messages)
         got = ev.values(subsets)
         assert got.dtype == np.float64 and got.shape == (len(subsets),)
-        want = [sp.oracle_activity(ev, edge_ids) for edge_ids in subsets]
+        factors = sp.ScalarFactors(g, messages)
+        want = [sp.oracle_activity(factors, edge_ids) for edge_ids in subsets]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
         assert ev.value(subsets[0]).hex() == want[0].hex()
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["demo-3-4-n8"])
+def test_node_tables_equal_the_scalar_factors(case):
+    # every entry of every node's table carries the bits of the scalar rule
+    # on that node's edge subset; entry 0, the untouched node, is 1.0
+    if case == "demo-3-4-n8":
+        g = sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1)
+    else:
+        g = _WALK_CASES[case]()
+    for messages in (lg.solve_fixed_point(g).messages, sp.random_messages(g, seed=3)):
+        ev = lg.ActivityEvaluator(g, messages)
+        factors = sp.ScalarFactors(g, messages)
+        for node, eids in enumerate(g.var_edges + g.check_edges):
+            if node < g.n:
+                rule = functools.partial(factors.var_factor, node)
+            else:
+                rule = functools.partial(factors.check_factor, node - g.n)
+            table = ev.table(node)
+            assert table.dtype == np.float64 and table.shape == (1 << len(eids),)
+            want = [1.0] + [
+                rule({e for k, e in enumerate(eids) if mask >> k & 1})
+                for mask in range(1, 1 << len(eids))
+            ]
+            assert [v.hex() for v in table.tolist()] == [v.hex() for v in want], node
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES))
@@ -505,7 +556,7 @@ def test_level_walk_chunking_does_not_change_results(monkeypatch):
         sp.ldpc_instance(3, 6, 6, 0.45, 0, chan_seed=0),
         sp.ldpc_instance(3, 4, 8, 0.42, 3, chan_seed=3),
     ):
-        assert len(lg.loops._check_options(g, 0)) > 7
+        assert len(lg.loops._check_options(g, 0)[0]) > 7
         ev = lg.ActivityEvaluator(g, sp.random_messages(g, seed=7))
         want = {cap: _walk_output(lg.loops._walk(g, 10**9, ev, cap)) for cap in (None, 8)}
         for chunk in (1, 7, 100):
@@ -564,7 +615,7 @@ def test_admitted_options_keep_closing_variables_off_degree_one(width):
 def test_walk_budget_is_the_visit_count(graph):
     messages = lg.solve_fixed_point(graph).messages
     ev = lg.ActivityEvaluator(graph, messages)
-    visits = sp.recursive_walk(graph, lambda *_: None, 10**9, ev)
+    visits = sp.recursive_walk(graph, lambda *_: None, 10**9, sp.ScalarFactors(graph, messages))
     assert lg.loops._walk(graph, 10**9, ev).visits == visits
     lg.loop_sum_direct(graph, messages, budget=visits)
     with pytest.raises(BudgetExceededError):
