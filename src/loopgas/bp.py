@@ -53,7 +53,7 @@ from .graphs import (
     channel_fields,
 )
 
-CHECK_TABLE_MAX_DEGREE = 20
+CHECK_TABLE_MAX_DEGREE = 20  # the largest degree d of a node tabulated over 2^d entries
 _MAX_LOG_WEIGHT = math.log(sys.float_info.max)  # math.exp is finite up to here
 
 

@@ -48,13 +48,11 @@ from .errors import (
     TooLargeError,
 )
 from .exact import (
-    EXACT_MAX_BITS,
-    brute_force_log_partition,
     channel_average,
-    code_space_log_partition,
-    code_space_log_partitions,
     conditional_entropy_ldgm,
     conditional_entropy_ldpc,
+    log_partition,
+    log_partitions,
 )
 from .expansion import polymer_series
 from .graphs import (
@@ -99,22 +97,25 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV of the header line and one line per row, each a sequence of
+    values in header order."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _emit(
     args, payload: dict, fieldnames: Sequence[str] = (), rows: Sequence[dict] = ()
 ) -> None:
-    """Write rows as CSV under --format csv, else payload plus schema_version
-    as JSON; commands without --format always write JSON."""
+    """Write each row's values under fieldnames as CSV under --format csv,
+    else payload plus schema_version as JSON; commands without --format
+    always write JSON."""
     if getattr(args, "format", "json") == "csv":
-        _write_text(args.out, _csv_text(fieldnames, rows))
+        table = ([row[name] for name in fieldnames] for row in rows)
+        _write_text(args.out, _csv_text(fieldnames, table))
     else:
         payload = dict(payload)
         payload["schema_version"] = SCHEMA_VERSION
@@ -201,14 +202,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    graph = _load_graph_arg(args)
-    if graph.n <= EXACT_MAX_BITS or graph.weights.kind == "general":
-        report = brute_force_log_partition(graph)
-        row = {"log_z": report.log_z, "method": "bruteforce", "n": report.n}
-    else:
-        space = code_space_log_partition(graph)
-        row = {"k": space.k, "log_z": space.log_z, "method": "codespace", "n": graph.n}
-    _emit(args, row, list(row), [row])
+    row = dataclasses.asdict(log_partition(_load_graph_arg(args)))
+    _emit(args, row, sorted(row), [row])
     return EXIT_OK
 
 
@@ -274,15 +269,8 @@ def _dump_loops(args, graph: FactorGraph) -> None:
                 bound = ldpc_type_activity_bound(graph, loop, theta)
         except HypothesisNotMetError:
             pass  # the coupling or field is too strong for the bound; leave it empty
-        rows.append(
-            {
-                "edges": "|".join(map(str, loop.edge_ids)),
-                "var_type": texts[var_profile],
-                "check_type": texts[check_profile],
-                "activity": activity,
-                "bound": bound,
-            }
-        )
+        edges = "|".join(map(str, loop.edge_ids))
+        rows.append((edges, texts[var_profile], texts[check_profile], activity, bound))
     _write_text(
         args.dump_loops,
         _csv_text(["edges", "var_type", "check_type", "activity", "bound"], rows),
@@ -387,8 +375,8 @@ def _trend_instance(channel, args, job: tuple[int, int]) -> tuple[float, float, 
     topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
     graph = apply_channel(graph, channel.p, channel_seed)
-    # exact first: an over-cap code space is refused before any BP work
-    f_exact = code_space_log_partition(graph).log_z / graph.n
+    # exact first: an over-cap space is refused before any BP work
+    f_exact = log_partition(graph).log_z / graph.n
     result = _run_bp(graph, args)
     f_bethe = bethe_free_energy(graph, result.messages).f_bethe
     if graph.weights.kind == "ldpc":
@@ -446,7 +434,7 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
     graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
 
     def f_exact(fields: np.ndarray) -> list[float]:
-        reports = code_space_log_partitions(graph, fields)
+        reports = log_partitions(graph, fields)
         return [report.log_z / graph.n for report in reports]
 
     def f_bethe(fields: np.ndarray) -> list[float]:
@@ -615,7 +603,7 @@ def _entropy_flags(sub) -> None:
 # (name, help, flag adder, handler) of every subcommand, in help order
 COMMANDS = (
     ("gen", "sample a factor graph, write JSON", _gen_flags, cmd_gen),
-    ("exact", "exact log partition function (brute force or code space)",
+    ("exact", "exact log partition function over the smallest GF(2) space",
      _exact_flags, cmd_exact),
     ("bp", "run message passing, dump messages", _fixed_point_flags, cmd_bp),
     ("bethe", "Bethe free energy breakdown", _fixed_point_flags, cmd_bethe),

@@ -1,26 +1,36 @@
-"""Exact references: log partition functions, GF(2) code spaces, and the
-conditional-entropy formulas they plug into.
+"""Exact references: ln Z as one sum over a GF(2) linear space, GF(2)
+counting, and the conditional-entropy formulas the sums plug into.
 
-Both exact routes to ln Z are one sum over a GF(2) linear space, taken by
-_span_log_sums:
+log_partition is the one exact route, and the input alone picks the space
+it sums over (_span_log_sums):
 
-- brute force, for every weight family while n <= EXACT_MAX_BITS, sums over
-  the parity image of the 2^n spin configurations (the codewords for ldpc);
-- the code-space route, for ldpc and ldgm weights at any n while the
-  dimension k stays at most EXACT_MAX_BITS.  For ldpc it is the brute-force
-  sum itself; for ldgm the high-temperature expansion gives
-  Z = 2^n prod_a cosh h_a * sum_S prod_{a in S} tanh h_a over the check
-  sets S whose variable masks XOR to zero (the dual code).
+- ldpc: the codewords.  With s_i = (-1)^{x_i}, a codeword x has
+  log w = sum_i h_i (1 - 2 x_i), and every other x has weight 0.
+- ldgm and general: log w(s) = sum_t c_t prod_{i in t} s_i over the live
+  weight terms t (c_t != 0: the check fields, or beta J per coupling
+  subset).  Let M be their variable-by-term incidence over GF(2).
+  "row-space": the term parities y = xM run over the row space of M, and
+  log w = sum_t c_t (1 - 2 y_t) depends on x through y alone, each y
+  standing for 2^(n - rank M) configurations; a positive sum.
+  "dual-code": exp(c s) = cosh c (1 + s tanh c) gives
+  Z = 2^n prod_t cosh c_t * sum_S prod_{t in S} tanh c_t over the term sets
+  S that hold every variable an even number of times, the null space of M;
+  a signed sum, which loses precision as |tanh c_t| -> 1.
+  One elimination of M gives both; the smaller dimension is summed, the
+  row space on a tie.
 
-Both refuse before any work.  Brute force is the oracle for the
-approximate machinery in the sibling modules.
+One cap, EXACT_MAX_BITS, bounds the dimension k of the chosen space, and
+every refusal comes before any term is summed: for ldpc before the
+elimination, when the rank bound k >= n - m already exceeds it; for ldgm
+and general as soon as the elimination's pivots put the row space over it
+while live - n already puts the dual over it.
 
-The code-space route runs on one graph under rows of fields, say the
-channel patterns of one code (code_space_log_partitions): the GF(2)
-elimination and the span rows are built once per call, and every row's
-weight vector is scored against them as one item of stacked matrix
-products, the same BLAS call per item that a lone graph makes, so each
-ln Z is the float the graph under that row gets on its own.
+log_partitions runs one graph under rows of fields, say the channel
+patterns of one code: the elimination and the span rows are built once per
+set of live terms, and every row's weight vector is scored against them as
+one item of stacked matrix products, the same BLAS call per item that a
+lone graph makes, so each ln Z is the float the graph under that row gets
+on its own.
 """
 
 from __future__ import annotations
@@ -37,24 +47,25 @@ from .errors import LogDomainError, TooLargeError, WrongWeightKindError
 from .graphs import (
     ChannelParams,
     FactorGraph,
-    LdgmWeights,
-    LdpcWeights,
+    GeneralWeights,
     channel_fields,
     channel_slots,
 )
 
-EXACT_MAX_BITS = 26  # brute force takes n <= 26, the code-space route k <= 26
+EXACT_MAX_BITS = 26  # the largest dimension k of a summed GF(2) space
 _SPAN_BITS = 9  # span sums run in blocks of 2^9 x 2^9 points
 CHANNEL_CHUNK = 1024  # channel_average hands value_fn this many patterns at most
 
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """log Z and the largest log weight of one configuration (overflow checks)."""
+    """ln Z of a graph on n variables, the route that summed it
+    ("codewords", "row-space" or "dual-code") and that space's dimension k."""
 
     log_z: float
     n: int
-    max_log_weight: float
+    method: str
+    k: int
 
 
 def _check_masks(graph: FactorGraph) -> list[int]:
@@ -67,61 +78,21 @@ def _check_masks(graph: FactorGraph) -> list[int]:
     return masks
 
 
-def _live_terms(graph: FactorGraph) -> list[tuple[tuple[int, ...], float]]:
-    """(variables, coefficient) of the weight terms with coef_t != 0, where
-    log w(s) = sum_t coef_t prod_{i in t} s_i: the ldgm checks with their
-    fields, or the general coupling subsets with beta J."""
-    w = graph.weights
-    if isinstance(w, LdgmWeights):
-        terms = [(graph.check_neighbors(a), h) for a, h in enumerate(w.check_fields)]
-    else:
-        terms = [(subset, w.beta * j) for check in w.couplings for subset, j in check]
-    return [(support, coef) for support, coef in terms if coef != 0.0]
-
-
-def _term_rows(n: int, terms: list[tuple[tuple[int, ...], float]]) -> list[int]:
+def _term_rows(n: int, supports: list[tuple[int, ...]]) -> list[int]:
     """Row i: the terms (by position) whose variables include i."""
     rows = [0] * n
-    for pos, (support, _coef) in enumerate(terms):
+    for pos, support in enumerate(supports):
         for i in support:
             rows[i] |= 1 << pos
     return rows
 
 
-def brute_force_log_partition(graph: FactorGraph) -> PartitionReport:
-    """ln Z over all 2^n spin configurations, summed over their parity image.
-
-    With s_i = (-1)^{x_i}, a weight term prod_{i in t} s_i is (-1)^{y_t} for
-    the parity y_t of x on t, so log w(x) = sum_t coef_t (1 - 2 y_t)
-    depends on x only through y = xM, M the variable-by-term incidence.
-    ldpc: the terms are the variable fields and only codewords have weight,
-    so y runs over the codewords.  ldgm and general: y runs over the row
-    space of M, and each y stands for 2^(n - rank M) configurations.
-
-    Raises TooLargeError for n > EXACT_MAX_BITS.
-    """
-    n = graph.n
-    if n > EXACT_MAX_BITS:
-        raise TooLargeError(f"n = {n} exceeds the exhaustive cap {EXACT_MAX_BITS}")
-    if isinstance(graph.weights, LdpcWeights):
-        ((_members, basis, w, _negs, (offset,)),) = _code_spaces(graph)
-        free = 0  # one configuration per codeword
-    else:
-        terms = _live_terms(graph)
-        basis = list(_reduced_rows(_term_rows(n, terms)).values())
-        w = np.array([[-2.0 * coef for _support, coef in terms]])
-        offset = math.fsum(coef for _support, coef in terms)
-        free = n - len(basis)
-    ((peak, total),) = _span_log_sums(basis, w, [0])
-    ln_sum, top = _log_sum(offset, peak, total)
-    return PartitionReport(log_z=ln_sum + free * math.log(2.0), n=n, max_log_weight=top)
-
-
-def _reduced_rows(rows: list[int]) -> dict[int, int]:
+def _reduced_rows(rows: list[int], max_rank: int | None = None) -> dict[int, int]:
     """Reduced row echelon form over GF(2) of bitmask rows.
 
     Maps each pivot bit (the lowest set bit of its row) to its row; every
-    pivot bit is clear in all the other rows.
+    pivot bit is clear in all the other rows.  With max_rank, stops at the
+    first pivot past it, so more than max_rank pivots mean rank > max_rank.
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -134,21 +105,14 @@ def _reduced_rows(rows: list[int]) -> dict[int, int]:
                 if prow >> bit & 1:
                     pivots[b] = prow ^ row
             pivots[bit] = row
+            if max_rank is not None and len(pivots) > max_rank:
+                break
     return pivots
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of bitmask rows."""
-    return len(_reduced_rows(rows))
-
-
-def null_space_gf2(rows: list[int], width: int) -> list[int]:
-    """Basis of {x < 2^width : x & row has even parity for every row}.
-
-    One basis vector per free column f, in increasing f: bit f plus the
-    pivot bits of the reduced rows that contain f.
-    """
-    pivots = _reduced_rows(rows)
+def _null_basis(pivots: dict[int, int], width: int) -> list[int]:
+    """One basis vector of the null space per free column f, in increasing
+    f: bit f plus the pivot bits of the reduced rows that contain f."""
     basis = []
     for f in range(width):
         if f not in pivots:
@@ -158,6 +122,16 @@ def null_space_gf2(rows: list[int], width: int) -> list[int]:
                     vec |= 1 << bit
             basis.append(vec)
     return basis
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows."""
+    return len(_reduced_rows(rows))
+
+
+def null_space_gf2(rows: list[int], width: int) -> list[int]:
+    """Basis of {x < 2^width : x & row has even parity for every row}."""
+    return _null_basis(_reduced_rows(rows), width)
 
 
 def codeword_count_gf2(graph: FactorGraph) -> int:
@@ -172,15 +146,7 @@ def codeword_count_gf2(graph: FactorGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# code-space log partition function
-
-
-@dataclass(frozen=True)
-class CodeSpaceReport:
-    """ln Z from the code-space route and the dimension k it summed over."""
-
-    log_z: float
-    k: int
+# the GF(2) space of a graph
 
 
 def _ln_cosh(h: float) -> float:
@@ -193,76 +159,93 @@ def _ln_abs_tanh(h: float) -> float:
     return math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a))
 
 
-def _capped_null_space(rows: list[int], width: int) -> list[int]:
-    """null_space_gf2, refused before elimination when the rank bound
-    rank <= len(rows) already puts the dimension above EXACT_MAX_BITS,
-    and after it when the dimension itself exceeds the cap."""
-    bound = width - len(rows)
-    if bound > EXACT_MAX_BITS:
+def _term_space(n: int, supports: list[tuple[int, ...]]) -> tuple[str, list[int]]:
+    """(method, basis) of the smaller of the row space and the null space
+    of the terms' incidence, the row space on a tie; TooLargeError when
+    both exceed EXACT_MAX_BITS, with the elimination stopped past the cap
+    pivots when live - n already puts the dual over it."""
+    live = len(supports)
+    dual_over = live - n > EXACT_MAX_BITS
+    pivots = _reduced_rows(_term_rows(n, supports), EXACT_MAX_BITS if dual_over else None)
+    rank = len(pivots)
+    if min(rank, live - rank) > EXACT_MAX_BITS:
+        more = " or more" if dual_over else ""
         raise TooLargeError(
-            f"code-space dimension k = {bound} or more exceeds the exhaustive cap "
-            f"{EXACT_MAX_BITS} ({width} columns, {len(rows)} rows)"
+            f"row-space dimension k = {rank}{more} and dual-code dimension "
+            f"k = {live - n if dual_over else live - rank}{more} both exceed the "
+            f"exhaustive cap {EXACT_MAX_BITS} ({n} variables, {live} live terms)"
         )
-    basis = null_space_gf2(rows, width)
-    if len(basis) > EXACT_MAX_BITS:
-        raise TooLargeError(
-            f"code-space dimension k = {len(basis)} exceeds the exhaustive cap "
-            f"{EXACT_MAX_BITS}"
-        )
-    return basis
+    if rank <= live - rank:
+        return "row-space", list(pivots.values())
+    return "dual-code", _null_basis(pivots, live)
 
 
-def _code_spaces(
+def _spaces(
     graph: FactorGraph, fields=None
-) -> list[tuple[list[int], list[int], np.ndarray, list[int], list[float]]]:
-    """Groups (members, basis, weights w, sign masks neg, offsets) with
-    ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|} exp(w . c)
-    for graph under each member row of fields (see channel_fields), one row
-    of w per member.
+) -> list[tuple[list[int], str, list[int], np.ndarray, list[int], list[float], int]]:
+    """Groups (members, method, basis, weights w, sign masks neg, offsets,
+    free) with ln Z = offset + ln sum_{c in span(basis)} (-1)^{|c & neg|}
+    exp(w . c) + free ln 2 for graph under each member row of fields (see
+    channel_fields; general weights have their own terms as one row), one
+    row of w per member.
 
     ldpc: one group; c runs over the codewords, w_i = -2 h_i, offset
-    sum_i h_i.  ldgm: one group per set of checks with h_a != 0 (a zero
-    field has tanh h_a = 0 and kills every set holding a), in order of first
-    member; c runs over the dual code restricted to those checks,
-    w_a = ln|tanh h_a|, neg marks h_a < 0, and the offset is
-    n ln 2 + sum_a ln cosh h_a.  Every basis is eliminated, and refused over
-    the cap, before any group is returned.
+    sum_i h_i.  ldgm and general: one group per set of live terms (a zero
+    coefficient adds nothing to log w and kills every dual set holding its
+    term), in order of first member, over the space _term_space picks.  The
+    row space has w_t = -2 c_t, offset sum_t c_t and free = n - rank; the
+    dual code w_t = ln|tanh c_t|, neg marking c_t < 0, and offset
+    n ln 2 + sum_t ln cosh c_t.  Every basis is eliminated, and refused
+    over the cap, before any group is returned.
     """
-    rows = channel_fields(graph, fields)
-    if rows is None:
-        raise WrongWeightKindError("the code-space route needs ldpc or ldgm weights")
-    table = rows.tolist()
-    if graph.weights.kind == "ldpc":
-        basis = _capped_null_space(_check_masks(graph), graph.n)  # k >= n - m
-        offsets = [math.fsum(f) for f in table]
-        return [(list(range(len(table))), basis, -2.0 * rows, [0] * len(table), offsets)]
+    n, w = graph.n, graph.weights
+    rows = channel_fields(graph, fields)  # refuses bad field rows first
+    if w.kind == "ldpc":
+        bound = n - graph.m  # k >= n - rank >= n - m
+        if bound > EXACT_MAX_BITS:
+            raise TooLargeError(
+                f"codeword dimension k = {bound} or more exceeds the exhaustive cap "
+                f"{EXACT_MAX_BITS} ({n} variables, {graph.m} checks)"
+            )
+        basis = null_space_gf2(_check_masks(graph), n)
+        if len(basis) > EXACT_MAX_BITS:
+            raise TooLargeError(
+                f"codeword dimension k = {len(basis)} exceeds the exhaustive cap "
+                f"{EXACT_MAX_BITS}"
+            )
+        members = list(range(len(rows)))
+        offsets = [math.fsum(f) for f in rows.tolist()]
+        return [(members, "codewords", basis, -2.0 * rows, [0] * len(rows), offsets, 0)]
+    if isinstance(w, GeneralWeights):
+        supports = [subset for check in w.couplings for subset, _j in check]
+        table = [[w.beta * j for check in w.couplings for _subset, j in check]]
+    else:
+        supports = [graph.check_neighbors(a) for a in range(graph.m)]
+        table = rows.tolist()
     groups: dict[tuple[int, ...], list[int]] = {}
     for pos, row in enumerate(table):
-        live = tuple(a for a, h in enumerate(row) if h != 0.0)
+        live = tuple(t for t, c in enumerate(row) if c != 0.0)
         groups.setdefault(live, []).append(pos)
-    supports = [graph.check_neighbors(a) for a in range(graph.m)]
-    bases = [  # k >= live - n
-        _capped_null_space(
-            _term_rows(graph.n, [(supports[a], 1.0) for a in live]), len(live)
-        )
-        for live in groups
-    ]
-    values = set(rows.ravel().tolist())
-    ln_cosh = {h: _ln_cosh(h) for h in values}
-    ln_abs_tanh = {h: _ln_abs_tanh(h) for h in values if h != 0.0}
-    n_ln2 = graph.n * math.log(2.0)
+    routes = [_term_space(n, [supports[t] for t in live]) for live in groups]
+    values = {c for row in table for c in row}
+    ln_cosh = {c: _ln_cosh(c) for c in values}
+    ln_abs_tanh = {c: _ln_abs_tanh(c) for c in values if c != 0.0}
     out = []
-    for (live, members), basis in zip(groups.items(), bases):
-        fields = [[table[pos][a] for a in live] for pos in members]
-        out.append(
-            (
-                members,
-                basis,
-                np.array([[ln_abs_tanh[h] for h in f] for f in fields], dtype=float),
-                [sum(1 << k for k, h in enumerate(f) if h < 0.0) for f in fields],
-                [n_ln2 + math.fsum(ln_cosh[h] for h in table[pos]) for pos in members],
-            )
-        )
+    for (live, members), (method, basis) in zip(groups.items(), routes):
+        coefs = [[table[pos][t] for t in live] for pos in members]
+        if method == "row-space":
+            w_rows = [[-2.0 * c for c in row] for row in coefs]
+            negs = [0] * len(members)
+            offsets = [math.fsum(row) for row in coefs]
+            free = n - len(basis)
+        else:
+            w_rows = [[ln_abs_tanh[c] for c in row] for row in coefs]
+            negs = [sum(1 << k for k, c in enumerate(row) if c < 0.0) for row in coefs]
+            offsets = [
+                n * math.log(2.0) + math.fsum(ln_cosh[c] for c in table[pos]) for pos in members
+            ]
+            free = 0
+        out.append((members, method, basis, np.array(w_rows, dtype=float), negs, offsets, free))
     return out
 
 
@@ -369,50 +352,47 @@ def _span_log_sums(
     return out
 
 
-def _log_sum(offset: float, peak: float, total: float) -> tuple[float, float]:
-    """(offset + ln of the span sum, offset + its largest log term), or
-    LogDomainError when the signed sum is not positive."""
+def _log_sum(offset: float, peak: float, total: float) -> float:
+    """offset + ln of the span sum, or LogDomainError when the signed sum is
+    not positive."""
     if not total > 0.0:
-        raise LogDomainError(f"signed code-space sum {total} is not positive")
-    return offset + peak + math.log(total), offset + peak
+        raise LogDomainError(f"signed dual-code sum {total} is not positive")
+    return offset + peak + math.log(total)
 
 
-def code_space_log_partition(graph: FactorGraph) -> CodeSpaceReport:
-    """ln Z of an ldpc or ldgm graph as a sum over its code space.
+def log_partition(graph: FactorGraph) -> PartitionReport:
+    """ln Z of graph over its smallest GF(2) space (see the module notes).
 
-    Raises TooLargeError when the space has dimension k > EXACT_MAX_BITS,
-    before any term is summed, and before the GF(2) elimination when the
-    rank bound (k >= n - m for ldpc, k >= live checks - n for ldgm) already
-    exceeds the cap; WrongWeightKindError for general weights; and
-    LogDomainError when the signed ldgm sum cancels to a non-positive value.
-
-    The ldgm sum is signed, so it loses precision as |tanh h_a| -> 1: on
-    two checks sharing one variable with fields +-h(p) the error against
-    brute force is 4.6e-12 at p = 1e-6 and 4.7e-10 at p = 1e-9, and fields
-    of +-40 round both tanh to 1 and raise LogDomainError.
+    Raises TooLargeError when that space has dimension k > EXACT_MAX_BITS,
+    before any term is summed; LogDomainError when a signed dual-code sum
+    cancels to a non-positive value.
     """
-    return code_space_log_partitions(graph)[0]
+    return log_partitions(graph)[0]
 
 
-def code_space_log_partitions(graph: FactorGraph, fields=None) -> list[CodeSpaceReport]:
-    """code_space_log_partition of graph under every row of fields (see
+def log_partitions(graph: FactorGraph, fields=None) -> list[PartitionReport]:
+    """log_partition of graph under every row of fields (see
     channel_fields), in row order, as one batch.
 
-    The GF(2) elimination and the span rows are built once (once per set of
-    nonzero-field checks for ldgm) and every row's weights are scored
-    against them; each log_z is the float the graph under that row gets on
-    its own.  Every space is checked against the cap before any term is
-    summed; then the first row whose signed sum cancels raises
-    LogDomainError.
+    The elimination and the span rows are built once per set of live terms
+    (once for ldpc) and every row's weights are scored against them; each
+    log_z is the float the graph under that row gets on its own.  Every
+    space is checked against the cap before any term is summed; then the
+    first row whose signed sum cancels raises LogDomainError.
     """
-    sums = {}  # row: (offset, peak, total, k)
-    for members, basis, w, negs, offsets in _code_spaces(graph, fields):
+    sums = {}  # row: (offset, peak, total, free, method, k)
+    for members, method, basis, w, negs, offsets, free in _spaces(graph, fields):
         span_sums = _span_log_sums(basis, w, negs)
         for pos, offset, (peak, total) in zip(members, offsets, span_sums):
-            sums[pos] = (offset, peak, total, len(basis))
+            sums[pos] = (offset, peak, total, free, method, len(basis))
     return [
-        CodeSpaceReport(log_z=_log_sum(offset, peak, total)[0], k=k)
-        for _pos, (offset, peak, total, k) in sorted(sums.items())
+        PartitionReport(
+            log_z=_log_sum(offset, peak, total) + free * math.log(2.0),
+            n=graph.n,
+            method=method,
+            k=k,
+        )
+        for _pos, (offset, peak, total, free, method, k) in sorted(sums.items())
     ]
 
 

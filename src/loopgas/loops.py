@@ -29,7 +29,7 @@ temporaries.  The visit budget is checked at every chunk boundary, so an
 over-budget walk is refused after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk.  The identity check
-adds brute-force ln Z, BP and the Bethe free energy to the loop sum.
+adds the exact ln Z, BP and the Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -40,15 +40,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import MessageSet, check_forms, check_weight_range, solve_fixed_point, table_fold
+from .bp import (
+    CHECK_TABLE_MAX_DEGREE,
+    MessageSet,
+    check_forms,
+    check_weight_range,
+    solve_fixed_point,
+    table_fold,
+)
 from .bethe import bethe_free_energy
 from .errors import (
     BudgetExceededError,
+    DegreeTooLargeError,
     HypothesisNotMetError,
     LogDomainError,
     SingularDenominatorError,
 )
-from .exact import brute_force_log_partition
+from .exact import log_partition
 from .graphs import (
     ExpanderCheckResult,
     ExpanderParams,
@@ -109,6 +117,22 @@ class IdentityReport:
 # activities
 
 
+def _node_name(graph: FactorGraph, node: int) -> str:
+    return f"variable {node}" if node < graph.n else f"check {node - graph.n}"
+
+
+def _table_degree(graph: FactorGraph, node: int) -> int:
+    """node's degree (check a is node n + a); DegreeTooLargeError past
+    CHECK_TABLE_MAX_DEGREE, before any of its 2^d entries is allocated."""
+    n = graph.n
+    d = len(graph.var_edges[node] if node < n else graph.check_edges[node - n])
+    if d > CHECK_TABLE_MAX_DEGREE:
+        raise DegreeTooLargeError(
+            f"{_node_name(graph, node)} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
+        )
+    return d
+
+
 def _masked_products(start: list[float], factors: list[tuple]) -> np.ndarray:
     """(rows, 2^d) products over the local masks of d edges: row r is start[r]
     times, edge by edge, off[r] or on[r] of factors[k] = (off, on) as bit k
@@ -131,7 +155,9 @@ class ActivityEvaluator:
     as one table_fold of the check table with the pairs ((1 + t) / 2,
     (1 - t) / 2) and ((1 - t_hat) / 2, (-1 - t_hat) / 2).  An entry whose
     normalization is below _DENOMINATOR_FLOOR relative to its numerator is
-    flagged; reading it raises SingularDenominatorError naming the node.
+    flagged; reading it raises SingularDenominatorError naming the node.  A
+    node of degree above CHECK_TABLE_MAX_DEGREE raises DegreeTooLargeError
+    when first read, before its table is allocated.
     """
 
     def __init__(self, graph: FactorGraph, messages: MessageSet) -> None:
@@ -175,6 +201,7 @@ class ActivityEvaluator:
 
     def _entries(self, node: int) -> tuple:
         if self._tables[node] is None:
+            _table_degree(self.graph, node)
             with np.errstate(all="ignore"):
                 num, den = self._terms(node)
                 den = np.broadcast_to(den, num.shape)
@@ -193,11 +220,10 @@ class ActivityEvaluator:
         factors, flagged = (np.concatenate([table[k] for table in tables])[at] for k in (0, 1))
         if flagged.any():
             j = int(flagged.argmax())
-            node, n = int(nodes[j]), self.graph.n
-            name = f"variable {node}" if node < n else f"check {node - n}"
+            node = int(nodes[j])
             den = float(self._tables[node][2][masks[j]])
             raise SingularDenominatorError(
-                f"{name} normalization {den} is numerically singular"
+                f"{_node_name(self.graph, node)} normalization {den} is numerically singular"
             )
         return factors
 
@@ -252,9 +278,10 @@ def _check_options(graph: FactorGraph, a: int) -> tuple[np.ndarray, np.ndarray]:
     mask (bit k for the k-th edge, its table index).  The empty subset comes
     first, then by size, then in itertools.combinations order, which within
     one size is the descending order of the rows.  The walk branches in
-    this order, which fixes its leaf order.
+    this order, which fixes its leaf order.  DegreeTooLargeError past
+    CHECK_TABLE_MAX_DEGREE.
     """
-    d = len(graph.check_edges[a])
+    d = _table_degree(graph, graph.n + a)
     masks = np.arange(1 << d, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) != 1]
     options = np.empty((len(masks), d), dtype=bool)
@@ -382,20 +409,16 @@ def _admitted_options(
     closing lists each closing variable's (frontier column of bits, position
     in the check).  A state's signature is the degree class, 0, 1 or >= 2,
     that its included-edge bits give each closing variable; the options are
-    decided once per distinct signature.  Signatures are told apart by their
-    base-3 code while that fits an int64, else by their class rows.  Returns
+    decided once per distinct signature, told apart by their base-3 code,
+    which fits an int64: a closing variable is one of the check's at most
+    CHECK_TABLE_MAX_DEGREE edges, and 3^20 < 2^63.  Returns
     (admitted, first, count): the admitted option indices of every distinct
     signature in option order, run after run, and per state its signature's
     run start and length.
     """
     cls = np.minimum(np.bitwise_count(bits[:, [c for c, _k in closing]]), 2)
-    if 3 ** len(closing) <= np.iinfo(np.int64).max:
-        code = cls.astype(np.int64) @ 3 ** np.arange(len(closing), dtype=np.int64)
-        _, rep, sig = np.unique(code, return_index=True, return_inverse=True)
-    else:
-        _, rep, sig = np.unique(cls, axis=0, return_index=True, return_inverse=True)
-        # numpy 2.0.0 gives this inverse a trailing axis
-        sig = sig.reshape(-1)
+    code = cls.astype(np.int64) @ 3 ** np.arange(len(closing), dtype=np.int64)
+    _, rep, sig = np.unique(code, return_index=True, return_inverse=True)
     ok = np.ones((len(rep), len(opts)), dtype=bool)
     for j, (_c, k) in enumerate(closing):
         deg = cls[rep, j][:, None]
@@ -716,14 +739,14 @@ def verify_loop_identity(
 ) -> IdentityReport:
     """Check ln Z = n f_bethe + ln(1 + sum of loop activities) on one instance.
 
-    Takes ln Z by brute force, runs BP to a fixed point for f_bethe, then
+    Takes ln Z from log_partition, runs BP to a fixed point for f_bethe, then
     takes the loop sum, its counts, q and its split at polymer size
     split_lambda * n from one loop_sum_direct walk.  max_dangling_activity
     is the largest single-edge activity, which vanishes at an exact fixed
     point; it reads the node tables the walk built.
     """
     check_weight_range(graph)
-    ln_z = brute_force_log_partition(graph).log_z
+    ln_z = log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)
     f = bethe_free_energy(graph, bp.messages).f_bethe
     ev = ActivityEvaluator(graph, bp.messages)

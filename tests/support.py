@@ -30,9 +30,9 @@ from loopgas import (
     apply_channel,
     attach_random_general_weights,
     bethe_free_energy,
-    brute_force_log_partition,
     build_factor_graph,
     enumerate_polymers,
+    log_partition,
     sample_ldgm,
     sample_regular_bipartite,
     ursell,
@@ -45,7 +45,7 @@ from loopgas.errors import (
     SingularDenominatorError,
     TooLargeError,
 )
-from loopgas.exact import null_space_gf2
+from loopgas.exact import _reduced_rows, null_space_gf2
 from loopgas.loops import _DENOMINATOR_FLOOR, LoopSumResult, enumerate_generalized_loops
 from loopgas.ratefunc import (
     REFINE_TOP,
@@ -1035,7 +1035,7 @@ def verify_full_expansion(
             f"full expansion needs 2^{E} subsets; limit is 2^{FULL_EXPANSION_MAX_EDGES}"
         )
     f = bethe_free_energy(graph, messages).f_bethe
-    ln_z = brute_force_log_partition(graph).log_z
+    ln_z = log_partition(graph).log_z
     target = math.exp(ln_z - graph.n * f)
     ev = ScalarFactors(graph, messages)
     terms: list[float] = [1.0]
@@ -1146,26 +1146,39 @@ def oracle_mayer(m: int, edges: frozenset[tuple[int, int]]) -> int:
 
 
 def disjoint_union(graphs: list[FactorGraph], seed: int) -> FactorGraph:
-    """Side-by-side copies of ldpc or ldgm graphs with the variables
+    """Side-by-side copies of graphs of one weight kind with the variables
     relabelled by a seeded permutation; ln Z of the union is the sum of the
-    parts' ln Z."""
+    parts' ln Z.  General parts keep their couplings as beta J under one
+    beta of 1."""
     kind = graphs[0].weights.kind
     n = sum(g.n for g in graphs)
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    edges, var_fields, check_fields = [], [0.0] * n, []
+    edges, var_fields, check_fields, couplings = [], [0.0] * n, [], []
     n0 = m0 = 0
     for g in graphs:
-        assert g.weights.kind == kind
+        w = g.weights
+        assert w.kind == kind
         edges += [(perm[n0 + i], m0 + a) for i, a in g.edges]
         if kind == "ldpc":
-            for i, h in enumerate(g.weights.variable_fields):
+            for i, h in enumerate(w.variable_fields):
                 var_fields[perm[n0 + i]] = h
+        elif kind == "ldgm":
+            check_fields += w.check_fields
         else:
-            check_fields += g.weights.check_fields
+            couplings += [
+                tuple((tuple(sorted(perm[n0 + i] for i in subset)), w.beta * j)
+                      for subset, j in check)
+                for check in w.couplings
+            ]
         n0 += g.n
         m0 += g.m
-    weights = LdpcWeights(tuple(var_fields)) if kind == "ldpc" else LdgmWeights(tuple(check_fields))
+    if kind == "ldpc":
+        weights = LdpcWeights(tuple(var_fields))
+    elif kind == "ldgm":
+        weights = LdgmWeights(tuple(check_fields))
+    else:
+        weights = GeneralWeights(1.0, tuple(couplings))
     return build_factor_graph(n, m0, edges, weights)
 
 
@@ -1275,8 +1288,8 @@ def oracle_ldpc_log_z(graph: FactorGraph) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-pattern code space: one elimination and one span sum per graph, the
-# route the batched code_space_log_partitions replaced
+# per-pattern GF(2) space: one elimination and one span sum per graph, the
+# route the batched log_partitions replaces
 
 
 def _oracle_bits(vec: int, width: int) -> np.ndarray:
@@ -1332,7 +1345,7 @@ def oracle_span_log_sum(
     peak = max(peaks)
     total = math.fsum(s * math.exp(p - peak) for p, s in zip(peaks, partials))
     if not total > 0.0:
-        raise LogDomainError(f"signed code-space sum {total} is not positive")
+        raise LogDomainError(f"signed dual-code sum {total} is not positive")
     return offset + peak + math.log(total)
 
 
@@ -1346,8 +1359,11 @@ def _oracle_ln_abs_tanh(h: float) -> float:
     return math.log(-math.expm1(-2.0 * a)) - math.log1p(math.exp(-2.0 * a))
 
 
-def oracle_code_space_log_partition(graph: FactorGraph) -> tuple[float, int]:
-    """(ln Z, k) of one ldpc or ldgm graph over its own code space."""
+def oracle_log_partition(graph: FactorGraph) -> tuple[str, str, int]:
+    """(ln Z as float.hex, method, k) of one graph by one elimination and one
+    span sum, over the route log_partition documents: the codewords for
+    ldpc; for ldgm and general the smaller of the row space and the dual
+    code of the live terms' incidence, the row space on a tie."""
     w = graph.weights
     if isinstance(w, LdpcWeights):
         masks = [
@@ -1355,19 +1371,29 @@ def oracle_code_space_log_partition(graph: FactorGraph) -> tuple[float, int]:
         ]
         basis = null_space_gf2(masks, graph.n)
         weights = np.array([-2.0 * h for h in w.variable_fields])
-        return oracle_span_log_sum(basis, weights, 0, math.fsum(w.variable_fields)), len(
-            basis
-        )
-    live = [(a, h) for a, h in enumerate(w.check_fields) if h != 0.0]
+        log_z = oracle_span_log_sum(basis, weights, 0, math.fsum(w.variable_fields))
+        return log_z.hex(), "codewords", len(basis)
+    if isinstance(w, LdgmWeights):
+        terms = [(graph.check_neighbors(a), h) for a, h in enumerate(w.check_fields)]
+    else:
+        terms = [(subset, w.beta * j) for check in w.couplings for subset, j in check]
+    live = [(support, c) for support, c in terms if c != 0.0]
     rows = [0] * graph.n
-    for pos, (a, _h) in enumerate(live):
-        for i in graph.check_neighbors(a):
+    for pos, (support, _c) in enumerate(live):
+        for i in support:
             rows[i] |= 1 << pos
+    pivots = _reduced_rows(rows)
+    if len(pivots) <= len(live) - len(pivots):
+        basis = list(pivots.values())
+        weights = np.array([-2.0 * c for _support, c in live])
+        log_z = oracle_span_log_sum(basis, weights, 0, math.fsum(c for _s, c in live))
+        log_z += (graph.n - len(basis)) * math.log(2.0)
+        return log_z.hex(), "row-space", len(basis)
     basis = null_space_gf2(rows, len(live))
-    weights = np.array([_oracle_ln_abs_tanh(h) for _a, h in live])
-    neg = sum(1 << pos for pos, (_a, h) in enumerate(live) if h < 0.0)
-    offset = graph.n * math.log(2.0) + math.fsum(_oracle_ln_cosh(h) for h in w.check_fields)
-    return oracle_span_log_sum(basis, weights, neg, offset), len(basis)
+    weights = np.array([_oracle_ln_abs_tanh(c) for _support, c in live])
+    neg = sum(1 << pos for pos, (_support, c) in enumerate(live) if c < 0.0)
+    offset = graph.n * math.log(2.0) + math.fsum(_oracle_ln_cosh(c) for _s, c in terms)
+    return oracle_span_log_sum(basis, weights, neg, offset).hex(), "dual-code", len(basis)
 
 
 # ---------------------------------------------------------------------------

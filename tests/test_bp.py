@@ -206,6 +206,33 @@ def test_degree_cap_on_general_checks_only():
         lg.ActivityEvaluator(wide, zero).table(wide.n)
 
 
+def test_degree_cap_on_node_tables(monkeypatch):
+    # BP runs on the degree-21 parity check, but its 2^21-entry node table is
+    # refused before anything is allocated, as is a degree-21 variable's
+    terms = lg.ActivityEvaluator._terms
+
+    def small_terms(self, node):
+        g = self.graph
+        hood = g.var_edges[node] if node < g.n else g.check_edges[node - g.n]
+        assert len(hood) <= 20, "a table was built past the degree cap"
+        return terms(self, node)
+
+    n = 21
+    base = lg.build_factor_graph(n, 1, [(i, 0) for i in range(n)], lg.LdpcWeights((0.1,) * n))
+    messages = lg.solve_fixed_point(base).messages
+    ev = lg.ActivityEvaluator(base, messages)
+    assert ev.table(0).tolist() == [1.0, ev.table(0)[1]]  # a degree-1 variable
+    monkeypatch.setattr(lg.ActivityEvaluator, "_terms", small_terms)
+    with pytest.raises(DegreeTooLargeError, match="check 0 has degree 21 > 20"):
+        ev.values([(0, 1)])
+    with pytest.raises(DegreeTooLargeError, match="check 0 has degree 21 > 20"):
+        lg.loop_sum_direct(base, messages)
+    star = lg.build_factor_graph(1, n, [(0, a) for a in range(n)], lg.LdgmWeights((0.1,) * n))
+    messages = lg.solve_fixed_point(star).messages
+    with pytest.raises(DegreeTooLargeError, match="variable 0 has degree 21 > 20"):
+        lg.ActivityEvaluator(star, messages).table(0)
+
+
 @pytest.mark.parametrize(
     "graph, node",
     [
@@ -230,7 +257,7 @@ def test_fields_beyond_the_float_range_are_refused(graph, node, monkeypatch):
     )
     # BP runs on tanh h, which rounds to +-1 without overflowing
     messages = lg.solve_fixed_point(graph).messages
-    monkeypatch.setattr("loopgas.loops.brute_force_log_partition", no_work)
+    monkeypatch.setattr("loopgas.loops.log_partition", no_work)
     monkeypatch.setattr("loopgas.expansion.enumerate_polymers", no_work)
     calls = [
         lambda: lg.bethe_free_energy(graph, messages),
@@ -362,14 +389,14 @@ def _no_work(*args, **kwargs):
     [
         lambda g, rows: lg.solve_fixed_points(g, rows),
         lambda g, rows: lg.bethe_free_energies(g, rows, [lg.initial_messages(g)] * 2),
-        lambda g, rows: lg.code_space_log_partitions(g, rows),
+        lambda g, rows: lg.log_partitions(g, rows),
     ],
     ids=["solve", "bethe", "code-space"],
 )
 def test_bad_field_rows_are_refused_before_any_sweep_or_elimination(call, monkeypatch):
     monkeypatch.setattr(bp._Batch, "sweep", _no_work)
     monkeypatch.setattr("loopgas.bethe._assemble", _no_work)
-    monkeypatch.setattr("loopgas.exact._capped_null_space", _no_work)
+    monkeypatch.setattr("loopgas.exact._reduced_rows", _no_work)
     ldpc = sp.ldpc_instance(3, 4, 8, 0.3, 0)  # 8 variable fields, 6 checks
     ldgm = sp.ldgm_instance(2, 4, 12, 0.3, 0)  # 6 check fields, 12 variables
     for g, slots, other in ((ldpc, 8, 6), (ldgm, 6, 12)):

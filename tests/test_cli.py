@@ -28,10 +28,9 @@ from loopgas import (
     FactorGraph,
     apply_channel,
     bethe_free_energy,
-    brute_force_log_partition,
-    code_space_log_partition,
-    code_space_log_partitions,
     load_graph,
+    log_partition,
+    log_partitions,
     save_graph,
     solve_fixed_point,
     solve_fixed_points,
@@ -127,14 +126,16 @@ def test_exact_matches_library_and_formats(tmp_path):
     assert main(["exact", "--graph", path, "--p", "0.4", "--out", out]) == 0
     payload = json.loads(open(out).read())
     graph = apply_channel(load_graph(path), 0.4, 0)
-    want = brute_force_log_partition(graph).log_z
+    report = log_partition(graph)
+    want = report.log_z
     assert abs(payload["log_z"] - want) <= 1e-12
-    assert payload["method"] == "bruteforce"
+    assert payload["method"] == "codewords"
     assert payload["n"] == 6
+    assert payload["k"] == codeword_count_gf2(graph)
     assert payload["schema_version"] == "1"
-    # at n <= 26 the payload is the brute-force one, key for key and byte for byte
+    # the payload is the report, key for key and byte for byte
     assert open(out).read() == json.dumps(
-        {"log_z": want, "method": "bruteforce", "n": 6, "schema_version": "1"},
+        {"k": report.k, "log_z": want, "method": "codewords", "n": 6, "schema_version": "1"},
         indent=2, sort_keys=True,
     ) + "\n"
 
@@ -145,7 +146,7 @@ def test_exact_matches_library_and_formats(tmp_path):
     rows = list(csv.DictReader(open(out_csv)))
     assert len(rows) == 1
     assert abs(float(rows[0]["log_z"]) - want) <= 1e-12
-    assert open(out_csv).readline() == "log_z,method,n\n"
+    assert open(out_csv).readline() == "k,log_z,method,n\n"
 
 
 def test_exact_past_the_brute_force_cap(tmp_path):
@@ -154,18 +155,28 @@ def test_exact_past_the_brute_force_cap(tmp_path):
     assert main(["exact", "--graph", ldpc, "--p", "0.45", "--out", out]) == 0
     payload = json.loads(open(out).read())
     graph = apply_channel(load_graph(ldpc), 0.45, 0)
-    assert payload["method"] == "codespace"
+    assert payload["method"] == "codewords"
     assert payload["n"] == 40
     assert payload["k"] == codeword_count_gf2(graph)
-    assert payload["log_z"] == code_space_log_partition(graph).log_z
+    assert payload["log_z"] == log_partition(graph).log_z
     # the symmetric channel leaves the codeword count: ln Z = k ln 2
     assert main(["exact", "--graph", ldpc, "--p", "0.5", "--out", out]) == 0
     payload = json.loads(open(out).read())
     assert abs(payload["log_z"] - payload["k"] * LN2) <= 1e-12 * payload["log_z"]
 
+    # general (3,4) at n = 48: 72 couplings of rank 48 leave a dual code of 24
     general = _gen(
-        tmp_path, "general_40.json", "--ensemble", "general-regular",
-        "--l", "3", "--r", "4", "--n", "40", "--beta", "0.2",
+        tmp_path, "general_48.json", "--ensemble", "general-regular",
+        "--l", "3", "--r", "4", "--n", "48", "--beta", "0.2",
+    )
+    assert main(["exact", "--graph", general, "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    assert (payload["method"], payload["n"], payload["k"]) == ("dual-code", 48, 24)
+    assert payload["log_z"] == log_partition(load_graph(general)).log_z
+    # at n = 1000 both routes are past the cap
+    general = _gen(
+        tmp_path, "general_1000.json", "--ensemble", "general-regular",
+        "--l", "3", "--r", "4", "--n", "1000", "--beta", "0.2",
     )
     assert main(["exact", "--graph", general, "--out", out]) == 3
 
@@ -267,7 +278,7 @@ def test_fields_beyond_the_float_range_are_refused_before_any_work(
     assert main(["bp", "--graph", path]) == 0
     capsys.readouterr()
     monkeypatch.setattr("loopgas.bp._Batch.sweep", _no_sweep)
-    monkeypatch.setattr("loopgas.loops.brute_force_log_partition", _no_sweep)
+    monkeypatch.setattr("loopgas.loops.log_partition", _no_sweep)
     for command in ("bethe", "verify-identity", "series"):
         assert main([command, "--graph", path, "--out", str(out)]) == 2, command
         err = capsys.readouterr().err
@@ -734,7 +745,7 @@ def test_trend_refuses_a_bad_epsilon_before_any_instance(tmp_path, monkeypatch, 
         calls.append(1)
         raise AssertionError("an instance ran")
 
-    monkeypatch.setattr("loopgas.cli.code_space_log_partition", no_work)
+    monkeypatch.setattr("loopgas.cli.log_partition", no_work)
     monkeypatch.setattr("loopgas.cli.solve_fixed_point", no_work)
     out = tmp_path / "trend.csv"
     rc = main([
@@ -775,7 +786,7 @@ def test_comma_list_errors_name_the_flag_and_the_piece(argv, message, monkeypatc
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the flags were read")
 
-    monkeypatch.setattr("loopgas.cli.code_space_log_partition", no_work)
+    monkeypatch.setattr("loopgas.cli.log_partition", no_work)
     monkeypatch.setattr("loopgas.cli.rate_function_profile", no_work)
     assert main(argv) == 2
     assert message in capsys.readouterr().err
@@ -939,16 +950,16 @@ def test_trend_past_the_brute_force_cap(tmp_path, record_criterion):
 def test_entropy_refuses_bad_p_and_samples_before_any_sum(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def counting_code_space(*args):
+    def counting_exact(*args):
         calls.append(1)
-        return code_space_log_partition(*args)
+        return log_partition(*args)
 
-    def counting_code_spaces(*args):
+    def counting_exacts(*args):
         calls.append(1)
-        return code_space_log_partitions(*args)
+        return log_partitions(*args)
 
-    monkeypatch.setattr("loopgas.cli.code_space_log_partition", counting_code_space)
-    monkeypatch.setattr("loopgas.cli.code_space_log_partitions", counting_code_spaces)
+    monkeypatch.setattr("loopgas.cli.log_partition", counting_exact)
+    monkeypatch.setattr("loopgas.cli.log_partitions", counting_exacts)
     common = [
         "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
         "--n", "8", "--instances", "2", "--seed", "0", "--threads", "1",

@@ -1,4 +1,4 @@
-"""Brute-force partition functions, GF(2) counting, entropy formulas."""
+"""Exact partition functions, GF(2) counting, entropy formulas."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 import loopgas as lg
 from loopgas.errors import LogDomainError, TooLargeError, WrongWeightKindError
-from loopgas.exact import null_space_gf2
+from loopgas.exact import EXACT_MAX_BITS, _reduced_rows, null_space_gf2
 
 import support as sp
 
@@ -24,19 +24,19 @@ LN2 = math.log(2.0)
 
 def test_free_spin_is_ln_two():
     g = lg.build_factor_graph(1, 0, [], lg.LdpcWeights((0.0,)))
-    assert lg.brute_force_log_partition(g).log_z == pytest.approx(LN2, abs=1e-14)
+    assert lg.log_partition(g).log_z == pytest.approx(LN2, abs=1e-14)
 
 
 def test_single_parity_check_is_ln_two():
     g = lg.build_factor_graph(2, 1, [(0, 0), (1, 0)], lg.LdpcWeights((0.0, 0.0)))
-    assert lg.brute_force_log_partition(g).log_z == pytest.approx(LN2, abs=1e-14)
+    assert lg.log_partition(g).log_z == pytest.approx(LN2, abs=1e-14)
 
 
 def test_field_spin_is_log_two_cosh():
     h = 0.7
     g = lg.build_factor_graph(1, 0, [], lg.LdpcWeights((h,)))
     expected = math.log(2.0 * math.cosh(h))
-    assert lg.brute_force_log_partition(g).log_z == pytest.approx(expected, abs=1e-14)
+    assert lg.log_partition(g).log_z == pytest.approx(expected, abs=1e-14)
 
 
 def test_isolated_variable_adds_ln_two():
@@ -44,16 +44,17 @@ def test_isolated_variable_adds_ln_two():
     grown = lg.build_factor_graph(
         3, 1, [(0, 0), (1, 0)], lg.LdpcWeights((0.3, -0.2, 0.0))
     )
-    lz0 = lg.brute_force_log_partition(base).log_z
-    lz1 = lg.brute_force_log_partition(grown).log_z
+    lz0 = lg.log_partition(base).log_z
+    lz1 = lg.log_partition(grown).log_z
     assert lz1 - lz0 == pytest.approx(LN2, abs=1e-13)
 
 
 def test_brute_force_rejects_too_many_variables():
+    # ldpc without checks: every one of the 2^27 configurations is a codeword
     n = 27
     g = lg.build_factor_graph(n, 0, [], lg.LdpcWeights((0.0,) * n))
-    with pytest.raises(TooLargeError):
-        lg.brute_force_log_partition(g)
+    with pytest.raises(TooLargeError, match="k = 27 or more"):
+        lg.log_partition(g)
 
 
 @pytest.mark.parametrize(
@@ -88,24 +89,17 @@ def test_brute_force_rejects_too_many_variables():
         ),
         # ldgm without checks: every configuration has weight 1, Z = 2^n
         (lg.build_factor_graph, (5, 0, [], lg.LdgmWeights(()))),
-        # fields +-40 on two checks of one variable: Z = 2, where the signed
-        # code-space sum cancels (test_code_space_cancellation_raises)
+        # fields +-40 on two checks of one variable: Z = 2, which the row
+        # space sums exactly; the signed dual sum would cancel to 0
         (lg.build_factor_graph, (1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((40.0, -40.0)))),
     ],
 )
 def test_brute_force_matches_pure_python_oracle(builder, args):
     g = builder(*args)
-    report = lg.brute_force_log_partition(g)
+    report = lg.log_partition(g)
     assert report.log_z == pytest.approx(sp.oracle_log_z(g), abs=1e-11)
     assert report.n == g.n
-
-
-def test_partition_report_peak_weight():
-    g = sp.ldpc_instance(3, 6, 6, 0.1, 0)
-    report = lg.brute_force_log_partition(g)
-    # ln Z cannot exceed peak weight plus ln(number of configurations)
-    assert report.log_z <= report.max_log_weight + g.n * LN2 + 1e-12
-    assert report.log_z >= report.max_log_weight - 1e-12
+    assert (report.method, report.k) == sp.oracle_log_partition(g)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def test_oracle_codewords_agree_with_brute_force():
         g = sp.ldpc_instance(3, 4, 12, 0.3, seed)
         assert len(sp.oracle_codewords(g)) == 1 << lg.codeword_count_gf2(g)
         assert sp.oracle_ldpc_log_z(g) == pytest.approx(
-            lg.brute_force_log_partition(g).log_z, rel=1e-12
+            lg.log_partition(g).log_z, rel=1e-12
         )
 
 
@@ -187,19 +181,18 @@ def test_codeword_count_requires_parity_weights():
 
 
 # ---------------------------------------------------------------------------
-# code-space route against brute force
+# the route rule against the oracles
 
 CODE_SPACE_PS = (1e-3, 0.05, 0.45, 0.5)
 
 
 def _agrees_with_brute_force(g):
-    # for ldpc both library routes are one codeword sum: check against the
-    # codeword listing instead
-    report = lg.code_space_log_partition(g)
+    # against the codeword listing for ldpc, the configuration sweep else
+    report = lg.log_partition(g)
     if g.weights.kind == "ldpc":
         want = sp.oracle_ldpc_log_z(g)
     else:
-        want = lg.brute_force_log_partition(g).log_z
+        want = sp.oracle_log_z(g)
     assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
     return report
 
@@ -227,6 +220,50 @@ def test_code_space_matches_brute_force(p):
                 assert report.k == lg.codeword_count_gf2(g)
 
 
+ROUTE_CASES = [
+    (family, spec, x, seed)
+    for seed in range(3)
+    for family, spec, xs in (
+        ("ldpc", (3, 4, 8), (0.45, 1e-3, 1e-6)),
+        ("ldpc", (3, 6, 12), (0.4, 1e-6)),
+        ("ldgm", (3, 6, 6), (0.45, 1e-3, 1e-6)),
+        ("ldgm", (2, 4, 12), (0.4, 1e-6)),
+        ("ldgm", (4, 2, 10), (0.45, 1e-3)),
+        ("general", (3, 4, 8), (0.1, 0.3, 1.0, 2.0)),
+        ("general", (3, 6, 12), (0.3, 2.0)),
+        ("general", (2, 4, 12), (0.1, 1.0, 2.0)),
+    )
+    for x in xs
+] + [("ldpc", (3, 4, 20), 1e-6, 0), ("ldgm", (2, 4, 20), 0.45, 0), ("general", (3, 4, 16), 2.0, 1)]
+_BUILDERS = {"ldpc": sp.ldpc_instance, "ldgm": sp.ldgm_instance, "general": sp.general_instance}
+
+
+@pytest.mark.parametrize("family, spec, x, seed", ROUTE_CASES)
+def test_every_route_matches_the_configuration_sweep(family, spec, x, seed):
+    # x is the channel p (ldpc, ldgm) or beta (general)
+    g = _BUILDERS[family](*spec, x, seed)
+    report = lg.log_partition(g)
+    assert report.log_z == pytest.approx(sp.oracle_log_z(g), rel=1e-12, abs=0.0)
+    assert (report.log_z.hex(), report.method, report.k) == sp.oracle_log_partition(g)
+
+
+def test_route_rule_takes_the_smaller_space_and_the_row_space_on_a_tie():
+    def ldgm(n, supports, fields):
+        edges = [(i, a) for a, support in enumerate(supports) for i in support]
+        return lg.build_factor_graph(n, len(supports), edges, lg.LdgmWeights(fields))
+
+    # one variable, two checks: rank 1 against a dual of 1, a tie
+    assert lg.log_partition(ldgm(1, [(0,), (0,)], (0.3, 0.2))).method == "row-space"
+    # three checks on variables 0, 0, 1: rank 2 against a dual of 1
+    report = lg.log_partition(ldgm(2, [(0,), (0,), (1,)], (0.3, 0.2, 0.1)))
+    assert (report.method, report.k) == ("dual-code", 1)
+    # zero fields drop out: with the third check dead, rank 1 ties a dual of 1
+    report = lg.log_partition(ldgm(2, [(0,), (0,), (1,)], (0.3, 0.2, 0.0)))
+    assert (report.method, report.k) == ("row-space", 1)
+    ldpc = sp.ldpc_instance(3, 4, 8, 0.3, 0)
+    assert lg.log_partition(ldpc).method == "codewords"
+
+
 @pytest.mark.parametrize("p", CODE_SPACE_PS)
 def test_code_space_with_zero_fields(p):
     for seed in range(3):
@@ -235,7 +272,7 @@ def test_code_space_with_zero_fields(p):
         assert _agrees_with_brute_force(g).k == 0  # only one live check is left
     # every field zero: the codewords count alone, and only the empty check set
     g = lg.apply_channel(lg.sample_regular_bipartite(3, 4, 12, seed=0), 0.5, 0)
-    assert lg.code_space_log_partition(g).log_z == pytest.approx(
+    assert lg.log_partition(g).log_z == pytest.approx(
         lg.codeword_count_gf2(g) * LN2, rel=1e-15
     )
 
@@ -254,16 +291,20 @@ def test_code_space_full_rank_ldpc_has_one_codeword(p):
 
 @pytest.mark.parametrize("p", CODE_SPACE_PS)
 def test_code_space_ldgm_dual_dimensions(p):
+    live = p < 0.5  # at p = 1/2 every field is 0 and no term is live
     for seed in range(3):
-        # (3,6) at n = 9: the six checks' masks are independent
+        # (3,6) at n = 9: the six checks' masks are independent, dual 0
         g = sp.ldgm_instance(3, 6, 9, p, seed)
-        assert _agrees_with_brute_force(g).k == 0
-        # (3,6) at n = 6 is K_{6,3}: three checks on one mask, dual dimension 2
+        report = _agrees_with_brute_force(g)
+        assert (report.method, report.k) == (("dual-code", 0) if live else ("row-space", 0))
+        # (3,6) at n = 6 is K_{6,3}: three checks on one mask, rank 1 and dual 2
         g = sp.ldgm_instance(3, 6, 6, p, seed)
-        assert _agrees_with_brute_force(g).k == (2 if p < 0.5 else 0)
-    # two copies of K_{6,3} side by side: dimension 4 across 12 variables
+        report = _agrees_with_brute_force(g)
+        assert (report.method, report.k) == ("row-space", 1 if live else 0)
+    # two copies of K_{6,3} side by side: rank 2 and dual 4 across 12 variables
     g = sp.disjoint_union([sp.ldgm_instance(3, 6, 6, p, s) for s in (1, 2)], seed=5)
-    assert _agrees_with_brute_force(g).k == (4 if p < 0.5 else 0)
+    report = _agrees_with_brute_force(g)
+    assert (report.method, report.k) == ("row-space", 2 if live else 0)
 
 
 @pytest.mark.parametrize("p", CODE_SPACE_PS)
@@ -271,70 +312,111 @@ def test_code_space_beyond_one_word(p):
     # n = 72 > 64; ln Z of a disjoint union is the sum over its parts
     parts = [sp.ldpc_instance(3, 4, 12, p, s, chan_seed=s) for s in range(6)]
     g = sp.disjoint_union(parts, seed=1)
-    report = lg.code_space_log_partition(g)
+    report = lg.log_partition(g)
     want = math.fsum(sp.oracle_ldpc_log_z(q) for q in parts)
     assert g.n == 72 and report.k == sum(lg.codeword_count_gf2(q) for q in parts)
     assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    # 42 live checks of rank 30: the dual code, of dimension 12
     parts = [sp.ldgm_instance(3, 6, 6, p, s, chan_seed=s) for s in range(6)]
     parts += [sp.ldgm_instance(3, 6, 9, p, s, chan_seed=s) for s in range(4)]
     g = sp.disjoint_union(parts, seed=2)
-    report = lg.code_space_log_partition(g)
-    want = math.fsum(lg.brute_force_log_partition(q).log_z for q in parts)
-    assert g.n == 72 and report.k == (12 if p < 0.5 else 0)
+    report = lg.log_partition(g)
+    want = math.fsum(sp.oracle_log_z(q) for q in parts)
+    assert g.n == 72
+    assert (report.method, report.k) == (("dual-code", 12) if p < 0.5 else ("row-space", 0))
+    assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_general_union_past_26_variables_equals_the_sum_of_its_parts():
+    parts = [sp.general_instance(3, 4, 8, beta, s) for s, beta in enumerate((0.1, 0.3, 1.0, 2.0))]
+    g = sp.disjoint_union(parts, seed=3)
+    report = lg.log_partition(g)
+    assert g.n == 32 and report.k <= EXACT_MAX_BITS
+    want = math.fsum(sp.oracle_log_z(q) for q in parts)
     assert report.log_z == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_code_space_symmetric_channel_at_n96():
-    # p = 1/2: every field is 0, so ln Z = k ln 2 + n * 0 for ldpc, and only
-    # the empty check set survives for ldgm, giving n ln 2
+    # p = 1/2: every field is 0, so ln Z = k ln 2 + n * 0 for ldpc, and no
+    # ldgm term is live, giving n ln 2
     g = lg.apply_channel(lg.sample_regular_bipartite(3, 4, 96, seed=0), 0.5, 0)
-    report = lg.code_space_log_partition(g)
+    report = lg.log_partition(g)
     assert report.k == lg.codeword_count_gf2(g) >= 24
     assert report.log_z == pytest.approx(report.k * LN2, rel=1e-12)
     g = lg.apply_channel(lg.sample_ldgm({3: 1.0}, {6: 1.0}, 96, seed=0), 0.5, 0)
-    report = lg.code_space_log_partition(g)
+    report = lg.log_partition(g)
     assert report.k == 0 and report.log_z == pytest.approx(96 * LN2, rel=1e-15)
 
 
+def _pair(h):
+    """Two checks on one variable with fields +h and -h: Z = 2."""
+    return lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((h, -h)))
+
+
+@pytest.mark.parametrize("h", [40.0, lg.ChannelParams(p=1e-6).h, lg.ChannelParams(p=1e-9).h])
+def test_opposite_field_pairs_give_ln_two(h):
+    # rank 1 ties a dual of 1, so the positive row-space sum is taken
+    report = lg.log_partition(_pair(h))
+    assert report.method == "row-space"
+    assert report.log_z == pytest.approx(LN2, rel=0.0, abs=1e-14)
+
+
 def test_code_space_cancellation_raises():
-    # two checks on one variable with fields +h and -h: Z = 2, but at h = 40
-    # tanh h rounds to 1 and the signed sum 1 - 1 cancels to 0
-    g = lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((40.0, -40.0)))
-    assert lg.brute_force_log_partition(g).log_z == pytest.approx(LN2, rel=1e-15)
-    with pytest.raises(LogDomainError):
-        lg.code_space_log_partition(g)
+    # checks on variables 0, 0 and 1 with fields +40, -40 and 0.3: the dual
+    # (dimension 1) beats the row space (2), and at h = 40 tanh h rounds to
+    # 1, so the signed sum 1 - 1 cancels to 0 and is refused, never NaN
+    g = lg.build_factor_graph(
+        2, 3, [(0, 0), (0, 1), (1, 2)], lg.LdgmWeights((40.0, -40.0, 0.3))
+    )
+    assert sp.oracle_log_z(g) == pytest.approx(math.log(4.0 * math.cosh(0.3)), rel=1e-15)
+    with pytest.raises(LogDomainError, match="signed dual-code sum 0.0 is not positive"):
+        lg.log_partition(g)
 
 
 def test_code_space_refuses_over_cap_and_general_weights():
     n = 27
     g = lg.build_factor_graph(n, 0, [], lg.LdpcWeights((0.0,) * n))
     with pytest.raises(TooLargeError, match="k = 27"):
-        lg.code_space_log_partition(g)
-    with pytest.raises(WrongWeightKindError):
-        lg.code_space_log_partition(sp.general_instance(3, 4, 4, 0.2, 0))
+        lg.log_partition(g)
+    # general weights take the dual code, of dimension 24, at n = 48 ...
+    g = lg.attach_random_general_weights(lg.sample_regular_bipartite(3, 4, 48, 0), 0.2, 1)
+    report = lg.log_partition(g)
+    assert (report.n, report.method, report.k) == (48, "dual-code", 24)
+    # ... and are refused past the cap on both routes
+    g = lg.attach_random_general_weights(lg.sample_regular_bipartite(3, 4, 120, 0), 0.2, 1)
+    with pytest.raises(TooLargeError, match="row-space dimension k = 27 or more"):
+        lg.log_partition(g)
 
 
 def test_code_space_rank_bound_refuses_before_elimination(monkeypatch):
-    # ldgm: 28 live checks on one variable leave k >= 28 - 1 = 27 > 26
-    calls = []
+    pivot_counts = []
 
-    def counting_null_space(*args):
-        calls.append(1)
-        return null_space_gf2(*args)
+    def counting_reduced_rows(*args):
+        pivots = _reduced_rows(*args)
+        pivot_counts.append(len(pivots))
+        return pivots
 
-    monkeypatch.setattr("loopgas.exact.null_space_gf2", counting_null_space)
+    monkeypatch.setattr("loopgas.exact._reduced_rows", counting_reduced_rows)
+    # ldpc: 27 variables and no check leave k >= 27 - 0 > 26
+    g = lg.build_factor_graph(27, 0, [], lg.LdpcWeights((0.3,) * 27))
+    with pytest.raises(TooLargeError, match="k = 27 or more"):
+        lg.log_partition(g)
+    assert pivot_counts == []
+    # general (3,4) at n = 1000: 1500 live couplings leave a dual of at
+    # least 500, and the row space passes the cap at pivot 27
+    g = lg.attach_random_general_weights(lg.sample_regular_bipartite(3, 4, 1000, 0), 0.2, 1)
+    with pytest.raises(TooLargeError, match="k = 27 or more and dual-code dimension k = 500 or"):
+        lg.log_partition(g)
+    assert pivot_counts == [EXACT_MAX_BITS + 1]
+    # ldgm: 28 live checks on one variable are a dual of 27 but a row space
+    # of 1, so they are summed: Z = 2 cosh(28 * 0.3)
     m = 28
     g = lg.build_factor_graph(1, m, [(0, a) for a in range(m)], lg.LdgmWeights((0.3,) * m))
-    with pytest.raises(TooLargeError, match="k = 27 or more"):
-        lg.code_space_log_partition(g)
-    assert calls == []
-    # zero fields drop checks from the live set, and with it the bound
-    g = lg.build_factor_graph(
-        1, m, [(0, a) for a in range(m)], lg.LdgmWeights((0.3,) * 12 + (0.0,) * 16)
-    )
-    assert lg.code_space_log_partition(g).k == 11
-    assert calls == [1]
+    report = lg.log_partition(g)
+    assert (report.method, report.k) == ("row-space", 1)
+    assert report.log_z == pytest.approx(math.log(2.0 * math.cosh(8.4)), rel=1e-15)
+    assert pivot_counts[-1] == 1
 
 
 def _channel_patterns(g, count=None, seed=0):
@@ -363,10 +445,9 @@ def _zero_some_rows(g, rows):
 
 def _oracle_outcome(g):
     try:
-        log_z, k = sp.oracle_code_space_log_partition(g)
+        return "ok", sp.oracle_log_partition(g)
     except LogDomainError as exc:
         return "LogDomainError", str(exc)
-    return "ok", (log_z.hex(), k)
 
 
 CODE_SPACE_BATCHES = {
@@ -392,8 +473,11 @@ CODE_SPACE_BATCHES = {
     "ldpc (2,4) n=40, blocks past 2^18": (
         lambda: _channel_patterns(sp.ldpc_instance(2, 4, 40, 0.45, 0), 3), False
     ),
-    "ldgm (4,2) n=20, signed blocks past 2^18": (
+    "ldgm (4,2) n=20, row-space blocks past 2^18": (
         lambda: _channel_patterns(sp.ldgm_instance(4, 2, 20, 0.45, 1), 2), False
+    ),
+    "ldgm (3,2) n=40, signed blocks past 2^18": (
+        lambda: _channel_patterns(sp.ldgm_instance(3, 2, 40, 0.45, 1), 2), False
     ),
 }
 
@@ -402,47 +486,56 @@ CODE_SPACE_BATCHES = {
 def test_code_space_batches_equal_the_per_pattern_oracle(name):
     build, independent = CODE_SPACE_BATCHES[name]
     graph, rows = build()
-    reports = lg.code_space_log_partitions(graph, rows)
+    reports = lg.log_partitions(graph, rows)
     assert len(reports) == len(rows)
     for row, report in zip(rows, reports):
         g = sp.pattern_graph(graph, row)
-        assert ("ok", (report.log_z.hex(), report.k)) == _oracle_outcome(g)
-        assert lg.code_space_log_partition(g) == report
+        assert ("ok", (report.log_z.hex(), report.method, report.k)) == _oracle_outcome(g)
+        assert lg.log_partition(g) == report
         if independent:
             assert g.n <= 12
             if g.weights.kind == "ldpc":
                 want = sp.oracle_ldpc_log_z(g)
             else:
-                want = lg.brute_force_log_partition(g).log_z
+                want = sp.oracle_log_z(g)
             assert report.log_z == pytest.approx(want, rel=0.0, abs=1e-12)
-    if name.startswith("ldpc (2,4) n=40") or name.startswith("ldgm (4,2) n=20"):
+    if "past 2^18" in name:
         assert reports[0].k > 18  # the outer block loop runs
+        assert ("signed" in name) == (reports[0].method == "dual-code")
 
 
 def test_code_space_batch_raises_for_the_first_cancelling_sum():
-    # +-40 rounds tanh to 1: the pair (40, -40) cancels to 0, (40, 40) and
-    # (-40, -40) do not
-    g = lg.build_factor_graph(1, 2, [(0, 0), (0, 1)], lg.LdgmWeights((0.3, -0.2)))
-    rows = np.array([(40.0, 40.0), (-40.0, -40.0), (40.0, -40.0), (0.3, -0.2)])
+    # checks on variables 0, 0 and 1, a dual of 1 against a row space of 2:
+    # +-40 rounds tanh to 1, so the pair (40, -40) cancels to 0, and (40, 40)
+    # and (-40, -40) do not
+    g = lg.build_factor_graph(
+        2, 3, [(0, 0), (0, 1), (1, 2)], lg.LdgmWeights((0.3, -0.2, 0.1))
+    )
+    rows = np.array(
+        [(40.0, 40.0, 0.1), (-40.0, -40.0, 0.1), (40.0, -40.0, 0.1), (0.3, -0.2, 0.1)]
+    )
     graphs = [sp.pattern_graph(g, row) for row in rows]
     want = _oracle_outcome(graphs[2])
     assert want[0] == "LogDomainError"
     with pytest.raises(LogDomainError) as exc:
-        lg.code_space_log_partitions(g, rows)
+        lg.log_partitions(g, rows)
     assert str(exc.value) == want[1]
-    ok = lg.code_space_log_partitions(g, rows[[0, 1, 3]])
-    assert [(r.log_z.hex(), r.k) for r in ok] == [
+    ok = lg.log_partitions(g, rows[[0, 1, 3]])
+    assert [(r.log_z.hex(), r.method, r.k) for r in ok] == [
         _oracle_outcome(graphs[k])[1] for k in (0, 1, 3)
     ]
+    assert {r.method for r in ok} == {"dual-code"}
 
 
 def test_code_space_batch_of_the_own_weights_and_of_no_rows():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
-    assert lg.code_space_log_partitions(g) == [lg.code_space_log_partition(g)]
-    assert lg.code_space_log_partitions(g, np.empty((0, g.n))) == []
+    assert lg.log_partitions(g) == [lg.log_partition(g)]
+    assert lg.log_partitions(g, np.empty((0, g.n))) == []
+    # general weights: their own couplings are the one row, field rows are refused
     general = sp.general_instance(3, 4, 8, 0.2, 0)
-    with pytest.raises(WrongWeightKindError, match="code-space route needs ldpc or ldgm"):
-        lg.code_space_log_partitions(general)
+    assert lg.log_partitions(general) == [lg.log_partition(general)]
+    with pytest.raises(WrongWeightKindError, match="channel fields need ldpc or ldgm"):
+        lg.log_partitions(general, np.zeros((1, general.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +543,7 @@ def test_code_space_batch_of_the_own_weights_and_of_no_rows():
 
 
 def _free_energy(g):
-    return lg.brute_force_log_partition(g).log_z / g.n
+    return lg.log_partition(g).log_z / g.n
 
 
 def _free_energies(g):
@@ -533,7 +626,7 @@ def test_channel_average_constant_for_full_rank_ldgm():
 
 
 def _code_free_energy(g):
-    return lg.code_space_log_partition(g).log_z / g.n
+    return lg.log_partition(g).log_z / g.n
 
 
 def _recording(graph, value, sizes):
