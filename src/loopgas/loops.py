@@ -28,8 +28,12 @@ and the leaves handed on, in chunks of _CHUNK, which bounds the
 temporaries.  The visit budget is checked at every chunk boundary, so an
 over-budget walk is refused after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
-small/large split read the leaf arrays chunk by chunk.  The identity check
-adds the exact ln Z, BP and the Bethe free energy to the loop sum.
+small/large split read the leaf arrays chunk by chunk.  A loop splits into
+polymers along its checks: two of its check blocks meet when they share a
+variable, which a meet table tells from the bits of the shared variables
+in the two checks' option masks, and a transitive closure over the checks
+gives each loop's polymers, for all loops of a chunk at once.  The identity
+check adds the exact ln Z, BP and the Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -275,14 +279,15 @@ _CHUNK = 1 << 14
 def _check_options(graph: FactorGraph, a: int) -> tuple[np.ndarray, np.ndarray]:
     """Check a's locally admissible edge subsets (size != 1), as a bool
     (subsets, degree) matrix over check_edges[a] and each subset's local
-    mask (bit k for the k-th edge, its table index).  The empty subset comes
+    mask (bit k for the k-th edge, its table index) in the narrowest
+    unsigned type that holds d bits.  The empty subset comes
     first, then by size, then in itertools.combinations order, which within
     one size is the descending order of the rows.  The walk branches in
     this order, which fixes its leaf order.  DegreeTooLargeError past
     CHECK_TABLE_MAX_DEGREE.
     """
     d = _table_degree(graph, graph.n + a)
-    masks = np.arange(1 << d, dtype=np.int64)
+    masks = np.arange(1 << d, dtype=np.min_scalar_type((1 << d) - 1))
     masks = masks[np.bitwise_count(masks) != 1]
     options = np.empty((len(masks), d), dtype=bool)
     for k in range(d):
@@ -298,7 +303,19 @@ class _Leaves:
     levels[a] = (parent, option): for each state after check a, its parent's
     index among the states after check a - 1 (the single root before check
     0) and its option index at check a.  prod holds each leaf's activity;
-    visits counts every state, the root included.
+    visits counts every state, the root included.  option_words[a] holds
+    the node masks of check a's options, as node_words.
+
+    A loop's check blocks meet when they share a variable, and its polymers
+    are the classes of checks joined by meets.  masks[a] holds the local
+    mask of each of check a's options (bit k for its k-th edge, as in
+    _check_options).  The meet table, built once per walk, lists as
+    ((a, b), [(k_a, k_b), ...]) every pair of checks a < b that share
+    variables in the graph, with the bits of each shared variable in the
+    two checks' masks: options o of a and p of b meet exactly when, for
+    some shared variable, bit k_a of masks[a][o] and bit k_b of masks[b][p]
+    are both set.  Its size is linear in the edges, however many options
+    the checks have.
 
     Arrays over loops keep the loops on their last axis, so that reductions
     over checks or mask words run across whole rows.
@@ -308,24 +325,32 @@ class _Leaves:
         self,
         graph: FactorGraph,
         options: list[np.ndarray],
+        masks: list[np.ndarray],
         levels: list[tuple[np.ndarray, np.ndarray]],
         prod: np.ndarray,
         visits: int,
     ) -> None:
         self.graph = graph
         self.options = options
+        self.masks = masks
         self.levels = levels
         self.prod = prod
         self.visits = visits
-        # node masks of each check's options, as node_words
+        self.mask_words = max(1, (graph.n + graph.m + 63) // 64)
         self.option_words = []
         for a, opts in enumerate(options):
-            words = np.zeros((max(1, (graph.n + graph.m + 63) // 64), len(opts)), dtype=np.uint64)
+            words = np.zeros((self.mask_words, len(opts)), dtype=np.uint64)
             for b, member in [(graph.n + a, opts.any(axis=1))] + [
                 (graph.edges[e][0], opts[:, k]) for k, e in enumerate(graph.check_edges[a])
             ]:
                 words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
             self.option_words.append(words)
+        place = [{graph.edges[e][0]: k for k, e in enumerate(eids)} for eids in graph.check_edges]
+        shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, eids in enumerate(graph.var_edges):
+            for a, b in itertools.combinations(sorted(graph.edges[e][1] for e in eids), 2):
+                shared.setdefault((a, b), []).append((place[a][i], place[b][i]))
+        self.meet_table = sorted(shared.items())
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
@@ -344,14 +369,74 @@ class _Leaves:
             if len(rows):
                 yield choices[:, rows], self.prod[start:stop][rows]
 
-    def blocks(self, choices: np.ndarray) -> np.ndarray:
-        """(words, checks, loops) node masks of each loop's check blocks; a
-        check outside the loop has an all-zero block."""
-        return np.stack(
-            [table[:, choices[a]] for a, table in enumerate(self.option_words)], axis=1
-        )
+    def union(self, choices: np.ndarray) -> np.ndarray:
+        """(words, loops) node masks of the given loops."""
+        out = np.zeros((self.mask_words, choices.shape[1]), dtype=np.uint64)
+        for table, chosen in zip(self.option_words, choices):
+            out |= table[:, chosen]
+        return out
 
-    def records(self, choices: np.ndarray, blocks: np.ndarray) -> list[Polymer]:
+    def split(
+        self, choices: np.ndarray, union: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Polymer count of each given loop and, given the loops' node masks
+        from union, the size of its largest polymer (None without).
+
+        reach[a] is the set of checks in the polymer that holds check a, bit
+        b % 64 of word b // 64 for check b, and empty when a is outside the
+        loop; a word is the narrowest unsigned type that holds m bits, 64
+        bits past 64 checks.  Each check in the loop reaches itself and the
+        checks its block meets, by the meet table, and Warshall closes that
+        over the checks.  Its m passes over reach are why the loops go
+        through in slices of at most 512 * _CHUNK bytes of reach.  A
+        connected loop's polymer is the whole loop, so per-polymer node
+        masks are built only for the others.
+        """
+        m = len(self.masks)
+        words = max(1, (m + 63) // 64)
+        word = np.min_scalar_type((1 << m) - 1).type if m <= 64 else np.uint64
+        at, bit = np.arange(m) >> 6, (np.arange(m) & 63).astype(word)
+        count = np.empty(choices.shape[1], dtype=np.intp)
+        largest = None if union is None else np.bitwise_count(union).sum(axis=0, dtype=np.intp)
+        step = max(1, 512 * _CHUNK // (m * words * np.dtype(word).itemsize))
+        for start in range(0, choices.shape[1], step):
+            chosen = choices[:, start : start + step]
+            local = [masks[c] for masks, c in zip(self.masks, chosen)]
+            reach = np.zeros((m, words, chosen.shape[1]), dtype=word)
+            for a in range(m):
+                reach[a, at[a]] = (chosen[a] != 0) * (word(1) << bit[a])
+            for (a, b), common in self.meet_table:
+                meet = 0
+                for k_a, k_b in common:
+                    meet = meet | ((local[a] >> k_a) & (local[b] >> k_b))
+                meet = (meet & 1).astype(word)
+                reach[a, at[b]] |= meet << bit[b]
+                reach[b, at[a]] |= meet << bit[a]
+            for k in range(m):
+                reach |= reach[k] * (reach[:, at[k], None] >> bit[k] & word(1))
+            # a check is counted when it is in the loop and no earlier row
+            # holds it, so each polymer is counted at its lowest check
+            held = np.bitwise_or.accumulate(reach[:-1], axis=0)[np.arange(m - 1), at[1:]]
+            parts = (chosen != 0).sum(axis=0) - (held >> bit[1:, None] & word(1)).sum(
+                axis=0, dtype=np.intp
+            )
+            count[start : start + step] = parts
+            cut = np.flatnonzero(parts > 1)
+            if largest is None or not len(cut):
+                continue
+            rows = start + cut
+            # (words, checks, loops) node masks of these loops' check blocks
+            blocks = np.stack(
+                [table[:, choices[a, rows]] for a, table in enumerate(self.option_words)], axis=1
+            )
+            largest[rows] = 0
+            for group in reach[:, :, cut]:
+                inside = (group[at] >> bit[:, None] & word(1)).astype(bool)
+                size = np.bitwise_count(np.bitwise_or.reduce(blocks * inside, axis=1)).sum(axis=0)
+                largest[rows] = np.maximum(largest[rows], size)
+        return count, largest
+
+    def records(self, choices: np.ndarray) -> list[Polymer]:
         """Polymer records of the given loops, edge ids in check order."""
         included = np.concatenate(
             [opts[choices[a]] for a, opts in enumerate(self.options)], axis=1
@@ -359,7 +444,7 @@ class _Leaves:
         order = np.array([e for eids in self.graph.check_edges for e in eids], dtype=np.intp)
         edge_ids = order[included.nonzero()[1]].tolist()
         ends = np.cumsum(included.sum(axis=1)).tolist()
-        union = np.bitwise_or.reduce(blocks, axis=1)
+        union = self.union(choices)
         sizes = np.bitwise_count(union).sum(axis=0).tolist()
         masks = union[0].tolist()
         for w in range(1, len(union)):
@@ -367,7 +452,7 @@ class _Leaves:
         edge_tuples = [tuple(edge_ids[s:e]) for s, e in zip([0] + ends[:-1], ends)]
         return list(map(Polymer, edge_tuples, masks, sizes))
 
-    def profiles(self, choices: np.ndarray, blocks: np.ndarray, shared: dict) -> list[tuple]:
+    def profiles(self, choices: np.ndarray, shared: dict) -> list[tuple]:
         """(variable, check) degree profiles of the given loops.
 
         A profile lists (degree, node count) by increasing degree; a check's
@@ -375,9 +460,9 @@ class _Leaves:
         holding it.  shared maps each profile pair seen so far to one copy.
         """
         graph = self.graph
-        var_deg = np.stack(
-            [(blocks[i >> 6] >> (i & 63) & 1).sum(axis=0) for i in range(graph.n)]
-        )
+        var_deg = np.zeros((graph.n, choices.shape[1]), dtype=np.intp)
+        for a, opts in enumerate(self.options):
+            var_deg[[graph.edges[e][0] for e in graph.check_edges[a]]] += opts[choices[a]].T
         check_deg = np.stack(
             [opts.sum(axis=1)[choices[a]] for a, opts in enumerate(self.options)]
         )
@@ -452,9 +537,10 @@ def _walk(
     prod * the check's table entry at the option's mask, then times each
     closing variable's entry at its included-edge bits, in the fixed closing
     order.  Every variable table is read before the first check, and each
-    check's option entries at its level.  Without an evaluator it stays 1.  The node tally, the factors and the lookups run only on admitted
-    pairs.  Each level keeps only (parent, option) per state, from which
-    _Leaves rebuilds the leaves.
+    check's option entries at its level.  Without an evaluator it stays 1.
+    The node tally, the factors and the lookups run only on admitted pairs.
+    Each level keeps only (parent, option) per state, from which _Leaves
+    rebuilds the leaves.
 
     The admitted pairs are expanded in chunks of at most _CHUNK, a state's
     run of options split across chunks where it must, and every surviving
@@ -483,10 +569,11 @@ def _walk(
     visits = 1
     if visits > budget:
         raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-    options = []
+    options, local_masks = [], []
     for a, eids in enumerate(graph.check_edges):
         opts, masks = _check_options(graph, a)
         options.append(opts)
+        local_masks.append(masks)
         check_vars = [graph.edges[e][0] for e in eids]
         cols = open_vars + [i for i in check_vars if i not in open_vars]
         col = {i: c for c, i in enumerate(cols)}
@@ -540,37 +627,7 @@ def _walk(
             )
         )
         open_vars = [cols[c] for c in staying.tolist()]
-    return _Leaves(graph, options, levels, prod, visits)
-
-
-def _peel(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Component count and largest component size of each loop.
-
-    blocks is (words, checks, loops) as from _Leaves.blocks; two blocks
-    connect when they share a variable.  Each pass peels one component off
-    every loop that has blocks left: seeded with its first block left, the
-    component absorbs the blocks left that meet it until none joins.
-    """
-    left = blocks.any(axis=0)
-    count = np.zeros(blocks.shape[2], dtype=np.intp)
-    largest = np.zeros(blocks.shape[2], dtype=np.intp)
-    rows = np.flatnonzero(left.any(axis=0))
-    while len(rows):
-        b = blocks[:, :, rows]
-        b_left = left[:, rows]
-        pool = b[:, b_left.argmax(axis=0), np.arange(len(rows))]
-        while True:
-            joined = b_left & (b & pool[:, None, :]).any(axis=0)
-            grown = np.bitwise_or.reduce(b * joined, axis=1)
-            if np.array_equal(grown, pool):
-                break
-            pool = grown
-        count[rows] += 1
-        size = np.bitwise_count(pool).sum(axis=0, dtype=np.intp)
-        largest[rows] = np.maximum(largest[rows], size)
-        left[:, rows] = b_left & ~joined
-        rows = rows[left[:, rows].any(axis=0)]
-    return count, largest
+    return _Leaves(graph, options, local_masks, levels, prod, visits)
 
 
 def node_words(masks: list[int], node_count: int) -> np.ndarray:
@@ -623,7 +680,7 @@ def enumerate_generalized_loops(
     leaves = _walk(graph, budget)
     out: list[Polymer] = []
     for choices, _prod in leaves.loops():
-        out += leaves.records(choices, leaves.blocks(choices))
+        out += leaves.records(choices)
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
 
@@ -646,9 +703,8 @@ def loop_activities(
     # keep one copy of each
     shared: dict[tuple, tuple] = {}
     for choices, prod in leaves.loops():
-        blocks = leaves.blocks(choices)
-        records = leaves.records(choices, blocks)
-        profiles = leaves.profiles(choices, blocks, shared)
+        records = leaves.records(choices)
+        profiles = leaves.profiles(choices, shared)
         out += [
             (loop, activity, *profile)
             for loop, activity, profile in zip(records, prod.tolist(), profiles)
@@ -666,9 +722,8 @@ def enumerate_polymers(
     leaves = _walk(graph, budget, max_nodes=max_size)
     out: list[Polymer] = []
     for choices, _prod in leaves.loops():
-        blocks = leaves.blocks(choices)
-        connected = _peel(blocks)[0] == 1
-        out += leaves.records(choices[:, connected], blocks[:, :, connected])
+        connected = leaves.split(choices)[0] == 1
+        out += leaves.records(choices[:, connected])
     out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
 
@@ -703,8 +758,8 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     load = np.zeros(graph.n + graph.m)
     polymer_count = 0
     for choices, prod in leaves.loops():
-        blocks = leaves.blocks(choices)
-        count, largest = _peel(blocks)
+        union = leaves.union(choices)
+        count, largest = leaves.split(choices, union)
         is_large = largest >= threshold
         large += prod[is_large].tolist()
         small += prod[~is_large].tolist()
@@ -712,15 +767,17 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
         polymer_count += int(connected.sum())
         _add_node_loads(
             load,
-            np.bitwise_or.reduce(blocks[:, :, connected], axis=1),
+            union[:, connected],
             np.abs(prod[connected]) * exp_size[largest[connected]],
         )
+    z_small, r_large = 1.0 + math.fsum(small), math.fsum(large)
     return LoopSumResult(
-        total=1.0 + math.fsum(small + large),
+        # with either list empty the other's fsum is already the whole sum
+        total=1.0 + math.fsum(small + large) if small and large else z_small + r_large,
         loop_count=len(small) + len(large),
         polymer_count=polymer_count,
-        z_small=1.0 + math.fsum(small),
-        r_large=math.fsum(large),
+        z_small=z_small,
+        r_large=r_large,
         q=max(load.tolist(), default=0.0),
     )
 

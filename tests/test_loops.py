@@ -433,6 +433,13 @@ def _with_edgeless_variable() -> lg.FactorGraph:
     return lg.build_factor_graph(g.n + 1, g.m, g.edges, lg.LdpcWeights(fields))
 
 
+def _three_chorded_cycles() -> lg.FactorGraph:
+    # three 22-check cycle codes with a chord each, side by side: 66 checks
+    # take two words of check bits, n + m = 129 three words of node bits,
+    # and a loop holds up to three polymers, the last one across the words
+    return sp.disjoint_union([_long_cycle_with_chord(21) for _ in range(3)], seed=4)
+
+
 # the perfbench identity battery's families and sizes with the seeds to run
 # them at; (3,6) at n = 6 is K_{6,3} whatever the seed, so one seed covers its
 # walk (and its 14,016 loops make the oracle slow)
@@ -458,6 +465,7 @@ _WALK_CASES = {
     for seed in seeds
 }
 _WALK_CASES["cycle-36-chord"] = _long_cycle_with_chord
+_WALK_CASES["three-chorded-cycles"] = _three_chorded_cycles
 _WALK_CASES["edgeless-variable"] = _with_edgeless_variable
 _WALK_CASES["wide-closing-check"] = _wide_closing_check
 
@@ -509,21 +517,43 @@ def test_node_tables_equal_the_scalar_factors(case):
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES))
-def test_level_walk_matches_recursive_walk(case):
+def test_level_walk_matches_recursive_walk(case, monkeypatch):
     g = _WALK_CASES[case]()
     messages = lg.solve_fixed_point(g).messages
-    for lam in (0.3, 0.5, 1.0):
-        assert lg.loop_sum_direct(g, messages, split_lambda=lam) == sp.recursive_loop_sum(
-            g, messages, split_lambda=lam
-        ), lam
-    for k in (0, 4, 6, 9, None):
-        assert lg.enumerate_polymers(g, max_size=k) == sp.recursive_polymers(g, k), k
+    sums = {lam: sp.recursive_loop_sum(g, messages, split_lambda=lam) for lam in (0.3, 0.5, 1.0)}
+    polymers = {k: sp.recursive_polymers(g, k) for k in (0, 4, 6, 9, None)}
+    # chunks of 7 cut every level and every batch of leaves, and past 64
+    # checks the polymer split takes a batch 3 loops at a time
+    for chunk in (lg.loops._CHUNK, 7):
+        monkeypatch.setattr(lg.loops, "_CHUNK", chunk)
+        for lam, want in sums.items():
+            assert lg.loop_sum_direct(g, messages, split_lambda=lam) == want, (chunk, lam)
+        for k, want in polymers.items():
+            assert lg.enumerate_polymers(g, max_size=k) == want, (chunk, k)
+    monkeypatch.undo()
     assert enumerate_generalized_loops(g) == sp.recursive_loops(g)
     # at a fixed point some variable factors are exactly 1; arbitrary messages
     # make every factor count, so the multiplication order shows in the bits
     arbitrary = sp.random_messages(g, seed=7)
     assert lg.loop_sum_direct(g, arbitrary) == sp.recursive_loop_sum(g, arbitrary)
     assert loop_activities(g, arbitrary) == sp.recursive_loop_activities(g, arbitrary)
+
+
+def test_readme_demo_loop_sum_is_pinned():
+    # the README demo's loop sum, too large for the recursive oracle: its
+    # counts, split and q, bit for bit, with the small terms, the large
+    # terms or neither list empty
+    g = sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1)
+    messages = lg.solve_fixed_point(g).messages
+    total, q = 2.1997115483783896, 1004889.7809668742
+    for lam, z_small, r_large in (
+        (0.5, 1.0, 1.1997115483783896),
+        (1.5, 1.3659054974382165, 0.8338060509401729),
+        (2.0, total, 0.0),
+    ):
+        assert lg.loop_sum_direct(g, messages, split_lambda=lam) == lg.LoopSumResult(
+            total, 151338, 149181, z_small, r_large, q
+        ), lam
 
 
 def test_level_walk_chunking_does_not_change_results(monkeypatch):
