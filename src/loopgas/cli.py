@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import statistics
 import sys
@@ -278,6 +279,8 @@ def _dump_loops(args, graph: FactorGraph) -> None:
 
 
 def cmd_verify_identity(args) -> int:
+    if math.isnan(args.tolerance):
+        raise ValueError(f"--tolerance must be a number, got {args.tolerance}")
     graph = _load_graph_arg(args)
     report = verify_loop_identity(
         graph,

@@ -23,7 +23,7 @@ from .errors import (
     OrderTooLargeError,
 )
 from .graphs import FactorGraph
-from .loops import ActivityEvaluator, Polymer, enumerate_polymers, max_node_load, node_words
+from .loops import ActivityEvaluator, Polymer, _add_node_loads, enumerate_polymers, node_words
 
 URSELL_MAX_ORDER = 7
 SERIES_BLOCK = 1 << 12  # multisets per block of polymer_series; bounds its memory
@@ -140,6 +140,8 @@ def polymer_series(
     probe its decay.  `budget` caps the number of multisets over all orders;
     a series that needs more is refused before any of them is evaluated.
     """
+    if not math.isfinite(z):
+        raise ValueError(f"z must be a finite number, got {z}")
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
     if m_max > URSELL_MAX_ORDER:
@@ -166,7 +168,7 @@ def polymer_series(
     ]
     partial = list(itertools.accumulate(terms))
     q_weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
-    q_report = _q_from_weights(graph, polymers, q_weights, size_cutoff)
+    q_report = _q_from_weights(graph, words, q_weights, size_cutoff)
     return SeriesResult(
         terms=tuple(terms),
         partial_sums=tuple(partial),
@@ -264,7 +266,8 @@ def convergence_criterion_q(
     ev = ActivityEvaluator(graph, messages)
     acts = ev.values([p.edge_ids for p in polymers]).tolist()
     weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
-    return _q_from_weights(graph, polymers, weights, size_cutoff)
+    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
+    return _q_from_weights(graph, words, weights, size_cutoff)
 
 
 def convergence_criterion_q_bound(
@@ -275,16 +278,21 @@ def convergence_criterion_q_bound(
 ) -> QReport:
     """Same statistic with a per-polymer activity bound in place of |K|."""
     weights = [float(bound_fn(p)) * math.exp(p.size) for p in polymers]
-    return _q_from_weights(graph, polymers, weights, size_cutoff)
+    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
+    return _q_from_weights(graph, words, weights, size_cutoff)
 
 
 def _q_from_weights(
     graph: FactorGraph,
-    polymers: list[Polymer],
+    words: np.ndarray,
     weights: list[float],
     size_cutoff: int | None,
 ) -> QReport:
-    q = max_node_load(graph.n + graph.m, [p.node_mask for p in polymers], weights)
+    """q of polymers given as node_words, one weight each; each node's sum
+    runs in polymer order, so a fixed order gives a reproducible value."""
+    load = np.zeros(graph.n + graph.m)
+    _add_node_loads(load, words, np.array(weights, dtype=np.float64))
+    q = max(load.tolist(), default=0.0)
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 

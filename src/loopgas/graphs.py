@@ -108,7 +108,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.p <= 0.5:
             raise ValueError(f"p must lie in (0, 1/2], got {self.p}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @property
@@ -358,21 +358,26 @@ def _validate_weights(
             raise InconsistentWeightsError(
                 f"ldpc needs {n} variable fields, got {len(weights.variable_fields)}"
             )
+        _check_finite_fields("variable", weights.variable_fields)
     elif isinstance(weights, LdgmWeights):
         if len(weights.check_fields) != m:
             raise InconsistentWeightsError(
                 f"ldgm needs {m} check fields, got {len(weights.check_fields)}"
             )
+        _check_finite_fields("check", weights.check_fields)
     elif isinstance(weights, GeneralWeights):
-        if weights.beta <= 0.0:
-            raise InconsistentWeightsError(f"beta must be > 0, got {weights.beta}")
+        _check_beta(weights.beta)
         if len(weights.couplings) != m:
             raise InconsistentWeightsError(
                 f"general needs {m} coupling lists, got {len(weights.couplings)}"
             )
         for a in range(m):
             hood = {edges[e][0] for e in check_edges[a]}
-            for subset, _ in weights.couplings[a]:
+            for subset, j in weights.couplings[a]:
+                if not math.isfinite(j):
+                    raise InconsistentWeightsError(
+                        f"check {a} has coupling J = {j} on {subset}, not a finite number"
+                    )
                 if not subset:
                     raise InconsistentWeightsError(
                         f"check {a} has an empty coupling subset"
@@ -384,6 +389,17 @@ def _validate_weights(
                     )
     else:
         raise InconsistentWeightsError(f"unknown weight payload {type(weights)!r}")
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < math.inf:
+        raise InconsistentWeightsError(f"beta must be a finite number > 0, got {beta}")
+
+
+def _check_finite_fields(node: str, fields: Sequence[float]) -> None:
+    for k, h in enumerate(fields):
+        if not math.isfinite(h):
+            raise InconsistentWeightsError(f"{node} {k} has field {h}, not a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +585,7 @@ def attach_random_general_weights(
     subsets, with signed couplings normalized so sum_I |J_I| = 1; the
     high-temperature parameter of the result is therefore exactly 2*beta.
     """
-    if beta <= 0.0:
-        raise InconsistentWeightsError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     rng = random.Random(seed)
     couplings: list[tuple[tuple[tuple[int, ...], float], ...]] = []
     for a in range(graph.m):

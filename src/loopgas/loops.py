@@ -29,11 +29,11 @@ temporaries.  The visit budget is checked at every chunk boundary, so an
 over-budget walk is refused after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk.  A loop splits into
-polymers along its checks: two of its check blocks meet when they share a
-variable, which a meet table tells from the bits of the shared variables
-in the two checks' option masks, and a transitive closure over the checks
-gives each loop's polymers, for all loops of a chunk at once.  The identity
-check adds the exact ln Z, BP and the Bethe free energy to the loop sum.
+polymers along its checks: two of its check blocks meet when their node
+masks share a bit, which only happens for checks that share a variable,
+and a transitive closure over the checks gives each loop's polymers, for
+all loops of a chunk at once.  The identity check adds the exact ln Z, BP
+and the Bethe free energy to the loop sum.
 """
 
 from __future__ import annotations
@@ -307,15 +307,10 @@ class _Leaves:
     the node masks of check a's options, as node_words.
 
     A loop's check blocks meet when they share a variable, and its polymers
-    are the classes of checks joined by meets.  masks[a] holds the local
-    mask of each of check a's options (bit k for its k-th edge, as in
-    _check_options).  The meet table, built once per walk, lists as
-    ((a, b), [(k_a, k_b), ...]) every pair of checks a < b that share
-    variables in the graph, with the bits of each shared variable in the
-    two checks' masks: options o of a and p of b meet exactly when, for
-    some shared variable, bit k_a of masks[a][o] and bit k_b of masks[b][p]
-    are both set.  Its size is linear in the edges, however many options
-    the checks have.
+    are the classes of checks joined by meets.  Check bits never coincide,
+    so two blocks meet exactly when their node words share a bit; meets
+    lists the pairs of checks a < b that share a variable in the graph, the
+    only pairs whose blocks can meet.
 
     Arrays over loops keep the loops on their last axis, so that reductions
     over checks or mask words run across whole rows.
@@ -325,14 +320,12 @@ class _Leaves:
         self,
         graph: FactorGraph,
         options: list[np.ndarray],
-        masks: list[np.ndarray],
         levels: list[tuple[np.ndarray, np.ndarray]],
         prod: np.ndarray,
         visits: int,
     ) -> None:
         self.graph = graph
         self.options = options
-        self.masks = masks
         self.levels = levels
         self.prod = prod
         self.visits = visits
@@ -345,12 +338,8 @@ class _Leaves:
             ]:
                 words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
             self.option_words.append(words)
-        place = [{graph.edges[e][0]: k for k, e in enumerate(eids)} for eids in graph.check_edges]
-        shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, eids in enumerate(graph.var_edges):
-            for a, b in itertools.combinations(sorted(graph.edges[e][1] for e in eids), 2):
-                shared.setdefault((a, b), []).append((place[a][i], place[b][i]))
-        self.meet_table = sorted(shared.items())
+        checks = [sorted(graph.edges[e][1] for e in eids) for eids in graph.var_edges]
+        self.meets = sorted({pair for c in checks for pair in itertools.combinations(c, 2)})
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
@@ -376,40 +365,42 @@ class _Leaves:
             out |= table[:, chosen]
         return out
 
-    def split(
-        self, choices: np.ndarray, union: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Polymer count of each given loop and, given the loops' node masks
-        from union, the size of its largest polymer (None without).
+    def split(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(count, largest, union) of the given loops: each loop's polymer
+        count, the size of its largest polymer and its (words, loops) node
+        masks.
 
-        reach[a] is the set of checks in the polymer that holds check a, bit
-        b % 64 of word b // 64 for check b, and empty when a is outside the
-        loop; a word is the narrowest unsigned type that holds m bits, 64
-        bits past 64 checks.  Each check in the loop reaches itself and the
-        checks its block meets, by the meet table, and Warshall closes that
-        over the checks.  Its m passes over reach are why the loops go
-        through in slices of at most 512 * _CHUNK bytes of reach.  A
-        connected loop's polymer is the whole loop, so per-polymer node
-        masks are built only for the others.
+        The loops go through in slices; each slice gathers its check blocks,
+        the node words of its chosen options, once.  reach[a] is the set of
+        checks in the polymer that holds check a, bit b % 64 of word b // 64
+        for check b, and empty when a is outside the loop; a word is the
+        narrowest unsigned type that holds m bits, 64 bits past 64 checks.
+        Each check in the loop reaches itself and the checks of meets whose
+        blocks share a bit, and Warshall closes that over the checks.  Its m
+        passes over reach are why a slice holds at most 512 * _CHUNK bytes
+        of reach.  A connected loop's polymer is the whole loop, so
+        per-polymer node masks are built only for the others.
         """
-        m = len(self.masks)
+        m = len(self.option_words)
         words = max(1, (m + 63) // 64)
         word = np.min_scalar_type((1 << m) - 1).type if m <= 64 else np.uint64
         at, bit = np.arange(m) >> 6, (np.arange(m) & 63).astype(word)
         count = np.empty(choices.shape[1], dtype=np.intp)
-        largest = None if union is None else np.bitwise_count(union).sum(axis=0, dtype=np.intp)
+        largest = np.empty(choices.shape[1], dtype=np.intp)
+        union = np.empty((self.mask_words, choices.shape[1]), dtype=np.uint64)
         step = max(1, 512 * _CHUNK // (m * words * np.dtype(word).itemsize))
         for start in range(0, choices.shape[1], step):
-            chosen = choices[:, start : start + step]
-            local = [masks[c] for masks, c in zip(self.masks, chosen)]
+            here = slice(start, start + step)
+            chosen = choices[:, here]
+            # (checks, words, loops) node masks of the slice's check blocks
+            blocks = np.stack([table[:, c] for table, c in zip(self.option_words, chosen)])
+            union[:, here] = np.bitwise_or.reduce(blocks, axis=0)
+            largest[here] = np.bitwise_count(union[:, here]).sum(axis=0)
             reach = np.zeros((m, words, chosen.shape[1]), dtype=word)
             for a in range(m):
                 reach[a, at[a]] = (chosen[a] != 0) * (word(1) << bit[a])
-            for (a, b), common in self.meet_table:
-                meet = 0
-                for k_a, k_b in common:
-                    meet = meet | ((local[a] >> k_a) & (local[b] >> k_b))
-                meet = (meet & 1).astype(word)
+            for a, b in self.meets:
+                meet = (blocks[a] & blocks[b]).any(axis=0).astype(word)
                 reach[a, at[b]] |= meet << bit[b]
                 reach[b, at[a]] |= meet << bit[a]
             for k in range(m):
@@ -420,21 +411,20 @@ class _Leaves:
             parts = (chosen != 0).sum(axis=0) - (held >> bit[1:, None] & word(1)).sum(
                 axis=0, dtype=np.intp
             )
-            count[start : start + step] = parts
+            count[here] = parts
             cut = np.flatnonzero(parts > 1)
-            if largest is None or not len(cut):
+            if not len(cut):
                 continue
             rows = start + cut
-            # (words, checks, loops) node masks of these loops' check blocks
-            blocks = np.stack(
-                [table[:, choices[a, rows]] for a, table in enumerate(self.option_words)], axis=1
-            )
             largest[rows] = 0
+            cut_blocks = blocks[:, :, cut]
             for group in reach[:, :, cut]:
                 inside = (group[at] >> bit[:, None] & word(1)).astype(bool)
-                size = np.bitwise_count(np.bitwise_or.reduce(blocks * inside, axis=1)).sum(axis=0)
+                size = np.bitwise_count(
+                    np.bitwise_or.reduce(cut_blocks * inside[:, None], axis=0)
+                ).sum(axis=0)
                 largest[rows] = np.maximum(largest[rows], size)
-        return count, largest
+        return count, largest, union
 
     def records(self, choices: np.ndarray) -> list[Polymer]:
         """Polymer records of the given loops, edge ids in check order."""
@@ -486,32 +476,44 @@ class _Leaves:
 
 
 def _admitted_options(
-    opts: np.ndarray, bits: np.ndarray, closing: list[tuple[int, int]]
+    masks: np.ndarray, bits: np.ndarray, closing: list[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per frontier state, the options of one check that keep every
     variable closing there off induced degree one.
 
+    masks holds the options' local masks (bit k for the check's k-th edge);
     closing lists each closing variable's (frontier column of bits, position
-    in the check).  A state's signature is the degree class, 0, 1 or >= 2,
-    that its included-edge bits give each closing variable; the options are
-    decided once per distinct signature, told apart by their base-3 code,
-    which fits an int64: a closing variable is one of the check's at most
-    CHECK_TABLE_MAX_DEGREE edges, and 3^20 < 2^63.  Returns
-    (admitted, first, count): the admitted option indices of every distinct
-    signature in option order, run after run, and per state its signature's
-    run start and length.
+    in the check).  A state fixes the bits of the closing variables its
+    included-edge bits leave at degree 0 or 1, and needs set exactly those
+    at degree 1; an option is admitted when its mask, restricted to the
+    fixed bits, equals the needed ones.  States are grouped by their (fixed,
+    needed) pair.  The options are sorted once per fixed set by their
+    restricted mask, stably, so each group's options are one run of that
+    order, found by searchsorted, still in option order.  Returns (admitted,
+    first, count): the admitted option indices of every group, run after
+    run, and per state its group's run start and length.
     """
-    cls = np.minimum(np.bitwise_count(bits[:, [c for c, _k in closing]]), 2)
-    code = cls.astype(np.int64) @ 3 ** np.arange(len(closing), dtype=np.int64)
-    _, rep, sig = np.unique(code, return_index=True, return_inverse=True)
-    ok = np.ones((len(rep), len(opts)), dtype=bool)
-    for j, (_c, k) in enumerate(closing):
-        deg = cls[rep, j][:, None]
-        # off degree one: >= 2 already, or the option takes the edge exactly
-        # when the class is 1
-        ok &= (deg == 2) | ((deg == 1) == opts[:, k])
-    count = ok.sum(axis=1)
-    return np.nonzero(ok)[1], (np.cumsum(count) - count)[sig], count[sig]
+    bit = np.array([1 << k for _c, k in closing], dtype=masks.dtype)
+    degree = np.bitwise_count(bits[:, [c for c, _k in closing]])
+    fixed = np.bitwise_or.reduce((degree < 2) * bit, axis=1)
+    needed = np.bitwise_or.reduce((degree == 1) * bit, axis=1)
+    # one key per pair, fixed in the high and needed in the low 32 bits (a
+    # mask has at most CHECK_TABLE_MAX_DEGREE bits), so the groups sort by
+    # fixed and then by needed
+    keys, group = np.unique(fixed.astype(np.int64) << 32 | needed, return_inverse=True)
+    fixed_sets, starts = np.unique(keys >> 32, return_index=True)
+    admitted, count = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for f, want in zip(fixed_sets.tolist(), np.split(keys & 0xFFFFFFFF, starts[1:])):
+        restricted = masks & f
+        order = np.argsort(restricted, kind="stable")
+        restricted = restricted[order]
+        lo, hi = np.searchsorted(restricted, [want, want + 1])
+        count.append(hi - lo)
+        # the runs of want, in order: the positions whose value want holds
+        inside = want.take(np.searchsorted(want, restricted), mode="clip") == restricted
+        admitted.append(order[inside])
+    count = np.concatenate(count)
+    return np.concatenate(admitted), (np.cumsum(count) - count)[group], count[group]
 
 
 def _walk(
@@ -528,10 +530,11 @@ def _walk(
     state is crossed with the next check: _admitted_options picks, per
     distinct degree pattern of the variables closing at the check, the
     locally admissible edge subsets (see _check_options) that keep them all
-    off degree one, and each state is paired only with those, in option
-    order.  The pairs are kept state-major, so the leaves come out in
-    depth-first order (empty option first), exactly as if every state were
-    crossed with every option and the dead pairs dropped.  The frontier
+    off degree one, by one test on their local masks, and each state is
+    paired only with those, in option order.  The pairs are kept
+    state-major, so the leaves come out in depth-first order (empty option
+    first), exactly as if every state were crossed with every option and
+    the dead pairs dropped.  The frontier
     holds each state's activity and the included-edge bits of the variables
     still open; with an evaluator the activity is built up on the way down:
     prod * the check's table entry at the option's mask, then times each
@@ -569,11 +572,10 @@ def _walk(
     visits = 1
     if visits > budget:
         raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-    options, local_masks = [], []
+    options = []
     for a, eids in enumerate(graph.check_edges):
         opts, masks = _check_options(graph, a)
         options.append(opts)
-        local_masks.append(masks)
         check_vars = [graph.edges[e][0] for e in eids]
         cols = open_vars + [i for i in check_vars if i not in open_vars]
         col = {i: c for c, i in enumerate(cols)}
@@ -586,7 +588,7 @@ def _walk(
         staying = np.array([c for c, i in enumerate(cols) if last_check[i] != a], dtype=np.intp)
         states = len(prod)
         admitted, first, count = _admitted_options(
-            opts, bits, [(c, var_cols.index(c)) for c, _table in closing]
+            masks, bits, [(c, var_cols.index(c)) for c, _table in closing]
         )
         # the level's pairs run state-major, each state's admitted options in
         # order: pair j, in state s's run, takes option admitted[first[s] + j]
@@ -627,7 +629,7 @@ def _walk(
             )
         )
         open_vars = [cols[c] for c in staying.tolist()]
-    return _Leaves(graph, options, local_masks, levels, prod, visits)
+    return _Leaves(graph, options, levels, prod, visits)
 
 
 def node_words(masks: list[int], node_count: int) -> np.ndarray:
@@ -652,17 +654,6 @@ def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) ->
         through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
         if len(through):
             load[b] = np.add.accumulate(np.concatenate(([load[b]], through)))[-1]
-
-
-def max_node_load(node_count: int, masks: list[int], weights: list[float]) -> float:
-    """max over nodes of the summed weights of the node masks through it.
-
-    Each node's sum runs in the order of the masks, so a fixed order gives a
-    reproducible value.
-    """
-    load = np.zeros(node_count)
-    _add_node_loads(load, node_words(masks, node_count), np.array(weights, dtype=np.float64))
-    return max(load.tolist(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +710,8 @@ def enumerate_polymers(
     budget: int = 10_000_000,
 ) -> list[Polymer]:
     """Connected generalized loops with at most max_size touched nodes."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     leaves = _walk(graph, budget, max_nodes=max_size)
     out: list[Polymer] = []
     for choices, _prod in leaves.loops():
@@ -744,7 +737,13 @@ def loop_sum_direct(
     convergence_criterion_q's single-node statistic over them, each node's
     sum taken in the walk's depth-first leaf order.
     """
+    _check_split_lambda(split_lambda)
     return _loop_sum(ActivityEvaluator(graph, messages), budget, split_lambda)
+
+
+def _check_split_lambda(split_lambda: float) -> None:
+    if not math.isfinite(split_lambda):
+        raise ValueError(f"split_lambda must be a finite number, got {split_lambda}")
 
 
 def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) -> LoopSumResult:
@@ -758,8 +757,7 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     load = np.zeros(graph.n + graph.m)
     polymer_count = 0
     for choices, prod in leaves.loops():
-        union = leaves.union(choices)
-        count, largest = leaves.split(choices, union)
+        count, largest, union = leaves.split(choices)
         is_large = largest >= threshold
         large += prod[is_large].tolist()
         small += prod[~is_large].tolist()
@@ -802,6 +800,7 @@ def verify_loop_identity(
     is the largest single-edge activity, which vanishes at an exact fixed
     point; it reads the node tables the walk built.
     """
+    _check_split_lambda(split_lambda)
     check_weight_range(graph)
     ln_z = log_partition(graph).log_z
     bp = solve_fixed_point(graph, damping=damping, tol=tol, max_iter=max_iter)

@@ -759,6 +759,43 @@ def test_trend_refuses_a_bad_epsilon_before_any_instance(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "--m-max", "2", "--size-cutoff", "6", "--z", "nan"],
+         "z must be a finite number, got nan"),
+        (["series", "--m-max", "2", "--size-cutoff", "6", "--z", "inf"],
+         "z must be a finite number, got inf"),
+        (["series", "--m-max", "2", "--size-cutoff", "-1"], "max_size must be >= 0, got -1"),
+        (["verify-identity", "--split-lambda", "nan"],
+         "split_lambda must be a finite number, got nan"),
+        (["verify-identity", "--tolerance", "nan"], "--tolerance must be a number, got nan"),
+        (["trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n-list", "8",
+          "--epsilon", "nan", "--threads", "1"], "epsilon must be >= 0, got nan"),
+        (["gen", "--ensemble", "general-regular", "--l", "3", "--r", "4", "--n", "8",
+          "--beta", "nan"], "beta must be a finite number > 0, got nan"),
+        (["gen", "--ensemble", "general-regular", "--l", "3", "--r", "4", "--n", "8",
+          "--beta", "inf"], "beta must be a finite number > 0, got inf"),
+    ],
+)
+def test_bad_numeric_flags_exit_2_before_any_loop_or_exact_sum(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # a NaN or infinite flag used to run to exit 0 with NaN in the payload,
+    # or to fail deep inside a sum with a message that named no flag
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr("loopgas.loops._walk", no_work)
+    monkeypatch.setattr("loopgas.cli.log_partition", no_work)
+    source = [] if argv[0] in ("trend", "gen") else ["--graph", _sparse_file(tmp_path)]
+    out = tmp_path / "out.json"
+    assert main([*argv, *source, "--p", "0.45", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", [",", "", " , "])
 def test_trend_refuses_an_empty_size_list(sizes, tmp_path, capsys):
     out = tmp_path / "trend.csv"
@@ -1044,8 +1081,18 @@ def test_argparse_and_io_exit_codes(tmp_path):
         ('{"n": 2, "m": 1, "edges": [], "weights": ["ldpc"]}', "wrong shape"),
         ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "ldpc", '
          '"fields": ["a", "b"]}}', "wrong shape"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "ldpc", '
+         '"fields": [0.1, NaN]}}', "variable 1 has field nan, not a finite number"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "ldgm", '
+         '"fields": [-Infinity]}}', "check 0 has field -inf, not a finite number"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "general", '
+         '"beta": NaN, "couplings": [[[[0, 1], 1.0]]]}}', "beta must be a finite number > 0"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "general", '
+         '"beta": 0.5, "couplings": [[[[0, 1], NaN]]]}}',
+         "check 0 has coupling J = nan on (0, 1), not a finite number"),
     ],
-    ids=["no-weights", "top-level-array", "short-edge", "weights-array", "text-field"],
+    ids=["no-weights", "top-level-array", "short-edge", "weights-array", "text-field",
+         "nan-ldpc-field", "infinite-ldgm-field", "nan-beta", "nan-coupling"],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

@@ -347,6 +347,28 @@ def test_series_over_budget_is_refused_before_any_work(monkeypatch):
     assert calls
 
 
+def test_bad_series_and_loop_sum_numbers_are_refused_before_the_walk(monkeypatch):
+    g = sp.ldpc_instance(3, 4, 4, 0.45, 2)
+    msgs = lg.solve_fixed_point(g).messages
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(lg.loops, "_walk", no_walk)
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"z must be a finite number, got {z}"):
+            lg.polymer_series(g, msgs, m_max=2, size_cutoff=4, z=z)
+    with pytest.raises(ValueError, match="max_size must be >= 0, got -1"):
+        lg.enumerate_polymers(g, max_size=-1)
+    with pytest.raises(ValueError, match="split_lambda must be a finite number, got nan"):
+        lg.loop_sum_direct(g, msgs, split_lambda=math.nan)
+    with pytest.raises(ValueError, match="split_lambda must be a finite number, got inf"):
+        lg.verify_loop_identity(g, split_lambda=math.inf)
+    monkeypatch.undo()
+    # a size cutoff of 0 stays valid: no polymer touches no node
+    assert lg.enumerate_polymers(g, max_size=0) == []
+
+
 # ---------------------------------------------------------------------------
 # convergence criterion
 

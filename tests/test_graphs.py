@@ -71,6 +71,27 @@ def test_build_rejects_wrong_field_counts():
         lg.build_factor_graph(2, 1, [(0, 0), (1, 0)], lg.LdgmWeights((0.0, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_rejects_non_finite_weights(bad):
+    edges = [(0, 0), (1, 0)]
+    for weights in (
+        lg.LdpcWeights((0.1, bad)),
+        lg.LdgmWeights((bad,)),
+        lg.GeneralWeights(beta=bad, couplings=((((0, 1), 1.0),),)),
+        lg.GeneralWeights(beta=0.5, couplings=((((0, 1), bad),),)),
+    ):
+        with pytest.raises(InconsistentWeightsError, match="finite number"):
+            lg.build_factor_graph(2, 1, edges, weights)
+    topology = lg.sample_regular_bipartite(3, 4, 8, seed=1)
+    with pytest.raises(InconsistentWeightsError, match="finite number"):
+        lg.attach_random_general_weights(topology, bad, seed=1)
+
+
+def test_channel_params_refuse_a_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
+        lg.ChannelParams(p=0.1, epsilon=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # regular sampler
 

@@ -6,6 +6,7 @@ import functools
 import gc
 import math
 import random
+import tracemalloc
 import warnings
 import weakref
 
@@ -426,6 +427,16 @@ def _wide_closing_check() -> lg.FactorGraph:
     return lg.build_factor_graph(8, len(small) + 1, edges, lg.LdpcWeights(fields))
 
 
+def _twin_checks(d: int = 6) -> lg.FactorGraph:
+    # two checks on the same d variables: every variable closes at the
+    # second check, at induced degree 0 or 1, under every pattern the first
+    # check's options leave
+    edges = [(i, a) for a in range(2) for i in range(d)]
+    rng = random.Random(13)
+    fields = tuple(rng.uniform(-1.0, 1.0) for _ in range(d))
+    return lg.build_factor_graph(d, 2, edges, lg.LdpcWeights(fields))
+
+
 def _with_edgeless_variable() -> lg.FactorGraph:
     # a (3,4) parity-check code plus a variable outside every check
     g = sp.ldpc_instance(3, 4, 4, 0.4, 1, chan_seed=1)
@@ -468,6 +479,7 @@ _WALK_CASES["cycle-36-chord"] = _long_cycle_with_chord
 _WALK_CASES["three-chorded-cycles"] = _three_chorded_cycles
 _WALK_CASES["edgeless-variable"] = _with_edgeless_variable
 _WALK_CASES["wide-closing-check"] = _wide_closing_check
+_WALK_CASES["twin-check-d6"] = _twin_checks
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["demo-3-4-n8"])
@@ -612,17 +624,18 @@ def _walk_output(leaves) -> tuple:
 
 @pytest.mark.parametrize("width", [3, 9, 20])
 def test_admitted_options_keep_closing_variables_off_degree_one(width):
-    # 20 closing variables, the most a check within CHECK_TABLE_MAX_DEGREE
-    # has, give base-3 signatures up to 3^20 - 1, still an int64
+    # up to 20 closing variables, the most a check within
+    # CHECK_TABLE_MAX_DEGREE has
     rng = np.random.default_rng(width)
     opts = rng.random((64, width)) < 0.5
     opts[0] = False
+    masks = np.bitwise_or.reduce(opts.astype(np.uint32) << np.arange(width, dtype=np.uint32), 1)
     # included-edge bits of degree 0, 1 and 2, mostly 2 so that some options
     # pass; repeated rows give repeated signatures
     bits = rng.choice(np.array([0, 4, 5], dtype=np.uint8), size=(20, width + 1), p=[0.04, 0.04, 0.92])
     bits = bits[rng.integers(0, len(bits), size=60)]
     closing = [(c + 1, c) for c in range(width)]
-    admitted, first, count = lg.loops._admitted_options(opts, bits, closing)
+    admitted, first, count = lg.loops._admitted_options(masks, bits, closing)
     degrees = np.bitwise_count(bits[:, 1:])
     passed = 0
     for state, deg in enumerate(degrees.tolist()):
@@ -630,6 +643,21 @@ def test_admitted_options_keep_closing_variables_off_degree_one(width):
         assert admitted[first[state] : first[state] + count[state]].tolist() == want, state
         passed += len(want) > 1
     assert passed
+
+
+def test_twin_degree_14_checks_walk_in_linear_memory():
+    # each of the first check's 2^14 - 14 options is a state at the second
+    # check with its own degree pattern, and admits exactly the option equal
+    # to its own; the walk must not tabulate patterns against options
+    g = _twin_checks(14)
+    tracemalloc.start()
+    try:
+        leaves = lg.loops._walk(g, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(leaves.prod) == (1 << 14) - 14
+    assert peak < 32 * 2**20, peak
 
 
 @pytest.mark.parametrize(
