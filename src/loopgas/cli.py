@@ -55,7 +55,7 @@ from .exact import (
     log_partition,
     log_partitions,
 )
-from .expansion import polymer_series
+from .expansion import check_series_options, polymer_series
 from .graphs import (
     SCHEMA_VERSION,
     ChannelParams,
@@ -306,6 +306,7 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_series(args) -> int:
+    check_series_options(args.m_max, args.size_cutoff, args.z)
     graph = _load_graph_arg(args)
     check_weight_range(graph)
     result = _run_bp(graph, args)
@@ -346,8 +347,6 @@ def cmd_rate_function(args) -> int:
         args.lam,
         alpha1=args.alpha1,
         alpha2=args.alpha2,
-        starts=args.starts,
-        seed=args.seed,
     )
     x_names = [f"x{s}" for s in range(2, args.l + 1)]
     y_names = [f"y{t}" for t in range(2, args.r + 1)]
@@ -568,8 +567,9 @@ def _rate_function_flags(sub) -> None:
                      help="polymer size fraction of n")
     sub.add_argument("--alpha1", type=float, default=1.1)
     sub.add_argument("--alpha2", type=float, default=1.1)
-    sub.add_argument("--starts", type=int, default=10_000)
-    sub.add_argument("--seed", type=int, default=0)
+    for flag in ("--starts", "--seed"):
+        sub.add_argument(flag, type=int, default=0,
+                         help="accepted for old command lines; has no effect")
     _add_output_flags(sub, default_format="csv")
 
 

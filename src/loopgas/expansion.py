@@ -121,6 +121,21 @@ def _multiset_ursell(masks: tuple[int, ...]) -> int:
     return connected_mayer_sum(m, edges)
 
 
+def check_series_options(m_max: int, size_cutoff: int | None, z: float) -> None:
+    """Refuse series options before any work: a non-finite z, an order
+    outside 1..URSELL_MAX_ORDER, a negative size cutoff."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be a finite number, got {z}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be positive, got {m_max}")
+    if m_max > URSELL_MAX_ORDER:
+        raise OrderTooLargeError(
+            f"order {m_max} exceeds the supported maximum {URSELL_MAX_ORDER}"
+        )
+    if size_cutoff is not None and size_cutoff < 0:
+        raise ValueError(f"max_size must be >= 0, got {size_cutoff}")
+
+
 def polymer_series(
     graph: FactorGraph,
     messages: MessageSet,
@@ -140,14 +155,7 @@ def polymer_series(
     probe its decay.  `budget` caps the number of multisets over all orders;
     a series that needs more is refused before any of them is evaluated.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be a finite number, got {z}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be positive, got {m_max}")
-    if m_max > URSELL_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"order {m_max} exceeds the supported maximum {URSELL_MAX_ORDER}"
-        )
+    check_series_options(m_max, size_cutoff, z)
     check_weight_range(graph)
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)

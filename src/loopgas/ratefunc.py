@@ -9,27 +9,8 @@ activity bound decays like exp(n l k_theta(x, y)).  The sign of
 
 decides whether subgraphs containing a large connected piece can carry
 any weight.  This module evaluates f, k_theta, the restriction f0 of f
-to the even sub-lattice, and Lambda(theta) by seeded multi-start search
-with coordinate refinement.
-
-The search samples one pool of admissible starts, which does not depend
-on theta; a profile over a theta grid samples it once.  The uniforms come
-from random.Random(seed) in the order a draw-by-draw sampler takes them,
-the rows are built in numpy with that sampler's float operations, and
-admissibility is decided in numpy and, within a rounding margin of a
-constraint, by the scalar fsum test, so the pool is that sampler's, bit
-for bit.  Every start is screened in numpy
-(f once per pool, k_theta as one matrix-vector product per theta).  The
-screen only ranks: the starts within a rounding margin of the
-REFINE_TOP-th best are rescored exactly, so the starts handed to
-refinement, and hence the results, are the same as scoring every start
-exactly.
-
-Exact scoring is one fused closure per theta: score(point) is None off
-the admissible region and f + k_theta on it, equal bit for bit to f_xy
-plus k_theta (same fsum terms, same float operation order, coefficients
-computed once).  Coordinate refinement calls it once per distinct trial
-point of a climb.
+to the even sub-lattice, and Lambda(theta) from its stationarity
+equations.
 
 Coordinates: xs = (x_2..x_l) are variable-type fractions, ys = (y_2..y_r)
 check-type fractions rescaled by r/l, so the admissible region is
@@ -39,29 +20,40 @@ check-type fractions rescaled by r/l, so the admissible region is
     sum x_s < 1,  sum y_t < 1,
 
 with all coordinates nonnegative.  The equality eliminates y_r.
+
+Stationarity.  Only the entropy terms of f are nonlinear; k_theta is
+linear, with per-coordinate coefficients b_s and a_t (e^-inf = 0 where
+the log diverges).  Every stationary point is a member of the family
+
+    x_s = (1 - sx) C(l, s) e^(b_s + eta + alpha_x s),
+    y_t = (1 - sy) C(r, t) e^(a_t + eta + alpha_y t),
+
+sx = sum x_s, sy = sum y_t, with wx = wy = w, alpha_x + alpha_y = logit(w)
+and a size multiplier eta >= 0 that is 0 unless sx/l + sy/r = lam.  At a
+fixed w the problem is concave in (x, y); its dual
+
+    psi = ln(1 + Zx)/l + ln(1 + Zy)/r - (alpha_x + alpha_y) w - eta lam,
+
+Zx = sum_s C(l, s) e^(b_s + eta + alpha_x s), is convex, the minimizing
+eta solves a quadratic, and Newton steps in (alpha_x, alpha_y) find its
+minimum.  V(w) = -h(w) + min psi is not concave: it is evaluated on a
+fixed grid of w, and every grid peak is refined by Newton steps on
+V'(w) = logit(w) - alpha_x - alpha_y.  All thetas of a profile are solved
+together in numpy.  The family points are then scored exactly (fsums,
+y_r from the degree matching), so a value is always the objective at an
+admissible point.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from itertools import islice
 from operator import mul
 
 import numpy as np
 
 from .errors import InfeasibleDomainError
 from .graphs import binary_entropy
-
-REFINE_TOP = 12
-
-
-def omega_constant(r: int) -> int:
-    """Edge-count margin below which the type-counting estimate applies."""
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    return 4 * r * r - 2 * r + 2
 
 
 def _xlogx(v: float) -> float:
@@ -217,118 +209,8 @@ def f0_restricted(l: int, zs) -> float:
     return val
 
 
-def restricted_point(l: int, r: int, zs) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Full (xs, ys) coordinates of a point z on the even sub-lattice."""
-    xs = [0.0] * (l - 1)
-    for s, zv in zip(range(1, (l + 1) // 2), zs):
-        xs[2 * s - 2] = zv
-    ys = [0.0] * (r - 1)
-    ys[-1] = math.fsum((2 * s / l) * z for s, z in zip(range(1, (l + 1) // 2), zs))
-    return tuple(xs), tuple(ys)
-
-
-def maximize_f0(
-    l: int,
-    lam: float,
-    starts: int = 4096,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> tuple[float, tuple[float, ...]]:
-    """Maximize the restricted profile over l*lam <= sum z_s < 1.
-
-    Random multi-start plus coordinate refinement; no analytic hints, so
-    the output doubles as an independent check of the closed-form point.
-    """
-    if l % 2 == 0 or l < 3:
-        raise ValueError(f"need l odd and >= 3, got {l}")
-    _check_starts(starts)
-    _check_finite("lam", lam)
-    if lam <= 0.0 or l * lam >= 1.0:
-        raise InfeasibleDomainError(
-            f"size fraction {lam} leaves no admissible restricted types for l = {l}"
-        )
-    dim = (l - 1) // 2
-    floor = l * lam
-
-    def feasible(point: list[float]) -> bool:
-        if any(v < 0.0 for v in point):
-            return False
-        total = math.fsum(point)
-        return floor <= total <= 1.0 - 1e-12
-
-    def objective(point: list[float]) -> float:
-        return f0_restricted(l, point)
-
-    rng = random.Random(seed)
-    best_pool: list[tuple[float, list[float]]] = []
-    attempts = 0
-    while len(best_pool) < starts and attempts < 50 * starts:
-        attempts += 1
-        raw = [rng.expovariate(1.0) for _ in range(dim)]
-        total = sum(raw) or 1.0
-        scale = math.exp(rng.uniform(math.log(max(floor, 1e-4)), math.log(0.999)))
-        point = [v / total * scale for v in raw]
-        if feasible(point):
-            best_pool.append((objective(point), point))
-    if not best_pool:
-        raise InfeasibleDomainError(
-            f"no admissible restricted types sampled for l = {l}, lam = {lam}"
-        )
-    best_pool.sort(key=lambda item: -item[0])
-    value, point = best_pool[0][0], best_pool[0][1]
-
-    def score(point: list[float]) -> float | None:
-        return objective(point) if feasible(point) else None
-
-    for cand_value, cand in best_pool[:REFINE_TOP]:
-        ref_value, ref = _coordinate_ascent(score, cand, tol)
-        if ref_value > value:
-            value, point = ref_value, ref
-    return value, tuple(point)
-
-
 # ---------------------------------------------------------------------------
-# full maximization
-
-
-def _coordinate_ascent(score, start, tol, step0=0.05):
-    """Climb from a feasible start; score(point) is None off the region.
-    The value only grows, so a point scored once is never scored again."""
-    point = list(start)
-    value = score(point)
-    seen = {tuple(point)}
-    step = step0
-    while step >= tol:
-        moved = False
-        for _round in range(200):
-            improved = False
-            for j in range(len(point)):
-                for delta in (step, -step):
-                    trial = point[j] + delta
-                    if trial < 0.0:
-                        trial = 0.0
-                    if trial == point[j]:
-                        continue
-                    cand = list(point)
-                    cand[j] = trial
-                    if (key := tuple(cand)) in seen:
-                        continue
-                    seen.add(key)
-                    cand_value = score(cand)
-                    if cand_value is not None and cand_value > value:
-                        value, point = cand_value, cand
-                        improved = moved = True
-            if not improved:
-                break
-        step *= 0.5
-        if not moved and step < tol:
-            break
-    return value, point
-
-
-def _check_starts(starts: int) -> None:
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts}")
+# exact scoring
 
 
 def _region(l: int, r: int, lam: float):
@@ -420,262 +302,254 @@ def _scorer(spec: RateFunctionSpec, admit):
     return score
 
 
-# The pool's numpy admissibility test differs from admit's fsums only in
-# rounding.  A numpy sum of n nonnegative terms is within n * 2^-52 of the
-# fsum relative to the sum itself, so a comparison can only come out the
-# other way where the compared value is about that close to its threshold.
-# There every sum involved is below 2: wx < 1 is the sampler's own fsum,
-# the check sum sum (t/r) y_t is at most wx, and the coordinate sums are
-# near 1 or near lam.  So y_r, sx, sy and sx/l + sy/r are off by less than
-# 4 (l + r) * 2^-52 there, under 1e-12 for l + r <= 1000; measured, at
-# most 4.5e-16 over 20,000 draws each from (3,4) to (9,40).  Rows within
-# _ADMIT_MARGIN of any threshold are decided by admit itself.
-_ADMIT_MARGIN = 1e-11
-_SAMPLE_BATCH = 1024
+# ---------------------------------------------------------------------------
+# Lambda(theta) from the stationarity family
+
+_GRID = 64  # w grid points per theta
+_GRID_REACH = 12.0  # logistic coordinates of the grid span [-12, 12]
+_MAX_STEP = 16.0  # largest Newton move of alpha_x or alpha_y
+_INNER_ITERS = 80
+_INNER_DECREMENT = 1e-24  # Newton decrement at which the dual counts as solved
+_OUTER_ITERS = 40
+# a family point with sx or sy above this is scaled down to it, inside
+# admit's sx, sy < 1 - 1e-12; scaling keeps wx = wy, and the size floor's
+# 1e-12 slack absorbs the cut, at most 1.5e-12 (1/l + 1/r)
+_OCCUPIED_CAP = 1.0 - 1.5e-12
 
 
-def _admissible_rows(
-    admit, l: int, r: int, lam: float, rows: np.ndarray, wx: np.ndarray
-) -> np.ndarray:
-    """Mask of the rows admit accepts, with wx the rows' exact fsums."""
-    xs, ys_head = rows[:, : l - 1], rows[:, l - 1 :]
-    yr = wx - ys_head @ (np.arange(2, r) / r)
-    sx = xs.sum(axis=1)
-    sy = ys_head.sum(axis=1) + yr
-    size = sx / l + sy / r
-    edge, floor = 1.0 - 1e-12, lam - 1e-12
-    ok = (rows.min(axis=1) >= 0.0) & (yr >= 0.0) & (sx < edge) & (sy < edge)
-    ok &= size >= floor
-    near = np.abs(yr) <= _ADMIT_MARGIN
-    for value, threshold in ((sx, edge), (sy, edge), (size, floor)):
-        near |= np.abs(value - threshold) <= _ADMIT_MARGIN
-    for i in np.flatnonzero(near).tolist():
-        ok[i] = admit(rows[i].tolist()) is not None
-    return ok
-
-
-def _each(fn, values: np.ndarray) -> np.ndarray:
-    """fn(entry) for each entry of a 1-d array, or each row of a 2-d one."""
-    return np.array(list(map(fn, values.tolist())))
-
-
-def _sample_pool(l: int, r: int, lam: float, starts: int, seed: int) -> np.ndarray:
-    """The first `starts` admissible rows among the first 100 * starts
-    draws of random.Random(seed), in draw order.
-
-    Log-uniform scales and randomly sparsified faces, in batches of at most
-    _SAMPLE_BATCH draws.  A batch first calls random() and getrandbits() as
-    expovariate, randrange and uniform would, keeping the uniforms; a draw
-    takes ys only if a kept uniform is positive, which is wx > 0 since no
-    coordinate underflows.  It then builds its rows in numpy with the same
-    float operations, leaving logs, exps, sums and fsums to Python calls,
-    and decides admissibility in numpy, or by admit within _ADMIT_MARGIN.
-    """
-    admit = _region(l, r, lam)
-    dim_x = l - 1
-    dim_y = r - 2  # y_r eliminated
-    full = (1 << dim_x) - 1  # randrange(1, 1 << dim_x) retries getrandbits >= full
-    shifts = np.arange(dim_x, dtype=np.int64 if dim_x < 63 else object)
-    wx_coef = np.arange(2, l + 1) / l
-    wy_coef = np.arange(2, r) / r
-    log_lo, log_hi = math.log(1e-4), math.log(0.999)
-    rng = random.Random(seed)
-    unit, bits = rng.random, rng.getrandbits
-    draws = iter(unit, None)  # endless random() calls, for islice
-    pool = np.empty((starts, dim_x + dim_y))
-    count = 0
-    attempts = 0
-    while count < starts and attempts < 100 * starts:
-        batch = min(_SAMPLE_BATCH, 100 * starts - attempts, 2 * (starts - count))
-        attempts += batch
-        # per draw: dim_x uniforms, kept-coordinate bits, a scale uniform;
-        # per draw k in y_rows: dim_y uniforms and a budget uniform
-        ux, keeps, scales, uy, budgets, y_rows = [], [], [], [], [], []
-        for k in range(batch):
-            zero = False
-            for _ in range(dim_x):
-                ux.append(u := unit())
-                zero |= not u
-            keep = full
-            if unit() < 0.5:
-                keep = bits(dim_x)
-                while keep >= full:
-                    keep = bits(dim_x)
-                keep += 1
-            keeps.append(keep)
-            scales.append(unit())
-            if dim_y and unit() < 0.5:
-                if not zero or any(ux[j - dim_x] for j in range(dim_x) if keep >> j & 1):
-                    uy += islice(draws, dim_y)
-                    budgets.append(unit())
-                    y_rows.append(k)
-        raw_x = -_each(math.log, 1.0 - np.array(ux)).reshape(batch, dim_x)
-        raw_x[(np.array(keeps, dtype=shifts.dtype)[:, None] >> shifts) & 1 == 0] = 0.0
-        total = _each(sum, raw_x)
-        total[total == 0.0] = 1.0  # sum(raw_x) or 1.0
-        scale = _each(math.exp, log_lo + (log_hi - log_lo) * np.array(scales))
-        rows = np.zeros((batch, dim_x + dim_y))
-        rows[:, :dim_x] = raw_x / total[:, None] * scale[:, None]
-        wx = _each(math.fsum, rows[:, :dim_x] * wx_coef)
-        if y_rows:
-            raw_y = -_each(math.log, 1.0 - np.array(uy)).reshape(len(y_rows), dim_y)
-            weight = _each(math.fsum, raw_y * wy_coef)
-            budget = np.array(budgets) * wx[y_rows]
-            y_rows, some = np.array(y_rows), weight > 0.0
-            rows[y_rows[some], dim_x:] = raw_y[some] / weight[some, None] * budget[some, None]
-        ok = _admissible_rows(admit, l, r, lam, rows, wx)
-        take = np.flatnonzero(ok)[: starts - count]
-        pool[count : count + len(take)] = rows[take]
-        count += len(take)
-    return pool[:count]
-
-
-def _xlogx_rows(v: np.ndarray) -> np.ndarray:
-    """v ln v elementwise, 0 at v <= 0 (continuity at 0, like _xlogx)."""
-    pos = v > 0.0
-    return np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-
-
-def _growth_screen(l: int, r: int, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f_xy, y_r) for every pool row, in numpy sums instead of fsum."""
-    dim_x = l - 1
-    xs, ys_head = pool[:, :dim_x], pool[:, dim_x:]
-    s = np.arange(2, l + 1)
-    t = np.arange(2, r)
-    wx = xs @ (s / l)
-    yr = np.maximum(wx - ys_head @ (t / r), 0.0)
-    sx = xs.sum(axis=1)
-    sy = ys_head.sum(axis=1) + yr
-    comb_x = np.log([math.comb(l, int(v)) for v in s])
-    comb_y = np.log([math.comb(r, int(v)) for v in t])  # C(r, r) = 1 drops y_r
-    val = _xlogx_rows(1.0 - wx) + _xlogx_rows(wx)
-    val += (xs @ comb_x) / l
-    val += (ys_head @ comb_y) / r
-    val -= (
-        _xlogx_rows(1.0 - sy) + _xlogx_rows(ys_head).sum(axis=1) + _xlogx_rows(yr)
-    ) / r
-    val -= (_xlogx_rows(1.0 - sx) + _xlogx_rows(xs).sum(axis=1)) / l
-    return val, yr
-
-
-def _decay_screen(
-    spec: RateFunctionSpec, pool: np.ndarray, yr: np.ndarray
-) -> np.ndarray:
-    """k_theta for every pool row: one coefficient vector, one product.
-
-    A zero coordinate on a -inf coefficient contributes 0 and a positive
-    one makes the row -inf, as in the scalar k_theta.
-    """
+def _family_logits(spec: RateFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """ln C(l, s) + b_s for s = 2..l and ln C(r, t) + a_t for t = 2..r;
+    -inf where the decay coefficient is."""
     kx, ky, k_last = _decay_coefficients(spec)
-    coef = [c / spec.l for c in kx] + [c / spec.r for c in ky]
-    coef = np.array(coef)
-    finite = np.isfinite(coef)
-    val = pool[:, finite] @ coef[finite] + yr * (k_last / spec.r)
-    val[(pool[:, ~finite] > 0.0).any(axis=1)] = -math.inf
-    return val
+    cx = [math.log(math.comb(spec.l, s)) + c for s, c in zip(range(2, spec.l + 1), kx)]
+    cy = [math.log(math.comb(spec.r, t)) + c for t, c in zip(range(2, spec.r), ky)]
+    return np.array(cx), np.array(cy + [k_last])
 
 
-# The screen differs from the fsum objective only in summation order and
-# in one rounding per log.  The objective is a sum of fewer than l + r + 8
-# terms, each a coordinate below 1 times a log of magnitude at most about
-# 745 (the log of the smallest double), so the gap is below
-# (l + r + 8) * 745 * 2^-52, about 1e-11 for r <= 50; measured, it is at
-# most 1.8e-15 on pools from (3,4) to (9,40) at theta in {0, 1e-4, 1e-2,
-# 0.3}.  With every screen value within half the margin of the exact one,
-# each row of the exact top REFINE_TOP (ties included) scores at least the
-# REFINE_TOP-th best screen value minus the margin, so none is lost.
-_SCREEN_MARGIN = 1e-9
+def _w_grid(l: int, r: int, lam: float, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """The ends w_lo, w_hi of the range of w = wx = wy that admits a size
+    sx/l + sy/r >= lam, with _GRID points strictly between them, crowded
+    toward both ends.
 
-
-def _top_starts(score, pool: np.ndarray, screen: np.ndarray):
-    """The REFINE_TOP best pool rows as (value, point), exactly as a stable
-    sort of all rows by descending score would order them.
-
-    Rows within _SCREEN_MARGIN of the REFINE_TOP-th best screen value are
-    rescored with the exact score and ordered by (-value, pool index).
+    With t0 the smallest check degree of positive weight, the size at w
+    is below min(w/2, 1/l) + min(w/t0, 1/r), so lam needs w above w_lo;
+    with s1 the largest variable degree of positive weight, wx stays
+    below s1/l.
     """
-    if len(pool) > REFINE_TOP:
-        cut = np.partition(screen, len(pool) - REFINE_TOP)[len(pool) - REFINE_TOP]
-        rows = np.flatnonzero(screen >= cut - _SCREEN_MARGIN)
-    else:
-        rows = np.arange(len(pool))
-    scored = []
-    for i in rows.tolist():
-        point = pool[i].tolist()
-        scored.append((score(point), i, point))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [(value, point) for value, _i, point in scored[:REFINE_TOP]]
-
-
-def _maximize(
-    spec: RateFunctionSpec,
-    pool: np.ndarray,
-    growth: tuple[np.ndarray, np.ndarray],
-    extra_starts: tuple[tuple[float, ...], ...],
-    tol: float,
-) -> RateFunctionResult:
-    l, r, theta = spec.l, spec.r, spec.theta
-    dim_x = l - 1
-    admit = _region(l, r, spec.lam)
-    score = _scorer(spec, admit)
-    f_screen, yr = growth
-    top = _top_starts(score, pool, f_screen + _decay_screen(spec, pool, yr))
-    carried: list[tuple[float, list[float]]] = []
-    for start in extra_starts:
-        point = [max(0.0, float(v)) for v in start]
-        value = score(point) if len(point) == pool.shape[1] else None
-        if value is not None:
-            carried.append((value, point))
-    if not top and not carried:
+    t0 = 2 + int(np.flatnonzero(np.isfinite(cy))[0])
+    s1 = 2 + int(np.flatnonzero(np.isfinite(cx))[-1])
+    w_lo = max(lam / (0.5 + 1.0 / t0), 2.0 * (lam - 1.0 / r), t0 * (lam - 1.0 / l))
+    w_hi = s1 / l
+    if w_lo >= w_hi:
         raise InfeasibleDomainError(
-            f"no admissible types sampled for l = {l}, r = {r}, lam = {spec.lam}"
+            f"no type of finite rate reaches size fraction {lam} for l = {l}, r = {r}"
         )
-    keep = top + carried
-    value, point = max(keep, key=lambda item: item[0])
-    point = list(point)
-    for _cand_value, cand in keep:
-        ref_value, ref = _coordinate_ascent(score, cand, tol)
-        if ref_value > value:
-            value, point = ref_value, ref
-    ys = point[dim_x:] + [admit(point)[1]]
-    return RateFunctionResult(
-        value=value, xs=tuple(point[:dim_x]), ys=tuple(ys), theta=theta
+    z = np.linspace(-_GRID_REACH, _GRID_REACH, _GRID)
+    inner = w_lo + (w_hi - w_lo) / (1.0 + np.exp(-z))
+    return np.concatenate([[w_lo], inner, [w_hi]])
+
+
+def _side(c: np.ndarray, k: np.ndarray, alpha: np.ndarray):
+    """ln Z with Z = sum_k e^(c_k + alpha k), and the weights normalized
+    by Z, for each row."""
+    z = c + alpha[:, None] * k
+    top = z.max(axis=1)
+    weights = np.exp(z - top[:, None])
+    total = weights.sum(axis=1)
+    return top + np.log(total), weights / total[:, None]
+
+
+def _size_multiplier(lx, ly, l: int, r: int, lam: float) -> np.ndarray:
+    """The eta >= 0 minimizing psi at given ln Zx, ln Zy (eta excluded).
+
+    The size sig(eta + lx)/l + sig(eta + ly)/r rises with eta; with
+    m = max(lx, ly), px = e^(lx - m), py = e^(ly - m) and u = e^(eta + m)
+    it equals lam where c px py u^2 + b u - lam = 0, c = 1/l + 1/r - lam,
+    b = px (1/l - lam) + py (1/r - lam).  eta is 0 where the size is above
+    lam there.
+    """
+    m = np.maximum(lx, ly)
+    px, py = np.exp(lx - m), np.exp(ly - m)
+    c = 1.0 / l + 1.0 / r - lam
+    b = px * (1.0 / l - lam) + py * (1.0 / r - lam)
+    d = np.sqrt(b * b + 4.0 * c * lam * px * py)
+    # ln of the positive root, in whichever form neither cancels nor overflows
+    with np.errstate(divide="ignore"):
+        ln_u = np.where(
+            b >= 0.0,
+            math.log(2.0 * lam) - np.log(b + d),
+            np.log(d - b) - math.log(2.0 * c) - (lx - m) - (ly - m),
+        )
+    return np.maximum(ln_u - m, 0.0)
+
+
+class _Dual:
+    """psi, its gradient and its Hessian in (alpha_x, alpha_y), eta
+    eliminated, at one (ax, ay) per row for the row's w; the family point
+    (xs, ys) there, and V(w) with its first two derivatives if (ax, ay)
+    minimizes psi.
+
+    The Hessian holds the covariances of (s, occupied) under the x law
+    over {empty} + types, and likewise for y, with the Schur complement
+    of the eta entry where eta > 0.
+    """
+
+    def __init__(self, cx, cy, l: int, r: int, lam: float, w, ax, ay):
+        kx, ky = np.arange(2.0, l + 1), np.arange(2.0, r + 1)
+        lx, qx = _side(cx, kx, ax)
+        ly, qy = _side(cy, ky, ay)
+        eta = _size_multiplier(lx, ly, l, r, lam)
+        ex, ey = np.logaddexp(0.0, eta + lx), np.logaddexp(0.0, eta + ly)
+        sx, sy = np.exp(eta + lx - ex), np.exp(eta + ly - ey)  # occupied fractions
+        ox, oy = np.exp(-ex), np.exp(-ey)  # empty fractions
+        mux, muy = qx @ kx, qy @ ky
+        mx, my = sx * mux, sy * muy
+        h11 = sx * (qx * (kx - mux[:, None]) ** 2).sum(axis=1) + sx * ox * mux * mux
+        h22 = sy * (qy * (ky - muy[:, None]) ** 2).sum(axis=1) + sy * oy * muy * muy
+        h11, h22, h12 = h11 / l, h22 / r, np.zeros_like(w)
+        tight = eta > 0.0
+        if tight.any():
+            he1, he2 = mx * ox / l, my * oy / r
+            hee = np.where(tight, sx * ox / l + sy * oy / r, 1.0)
+            # the Schur complement of the eta entry, plus 1e-6 of the eta = 0
+            # diagonal: where a side has one type of positive weight, eta
+            # and alpha move its law alike and the complement is singular
+            h11 = np.where(tight, (1.0 + 1e-6) * h11 - he1 * he1 / hee, h11)
+            h22 = np.where(tight, (1.0 + 1e-6) * h22 - he2 * he2 / hee, h22)
+            h12 = np.where(tight, -he1 * he2 / hee, h12)
+        self.ax, self.ay = ax, ay
+        terms = (ex / l, ey / r, (ax + ay) * w, eta * lam)
+        self.psi = terms[0] + terms[1] - terms[2] - terms[3]
+        # psi's rounding error: a change below it is noise
+        self.noise = 1e-14 * sum(np.abs(term) for term in terms)
+        shrink = np.minimum(1.0, _OCCUPIED_CAP / np.maximum(sx, sy))
+        self.xs, self.ys = (shrink * sx)[:, None] * qx, (shrink * sy)[:, None] * qy
+        # the Newton step (d1, d2) and its decrement; V' and V'', with
+        # d(alpha_x + alpha_y)/dw = (1, 1) H^-1 (1, 1)
+        g1, g2 = mx / l - w, my / r - w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = h11 * h22 - h12 * h12
+            self.d1 = (h12 * g2 - h22 * g1) / det
+            self.d2 = (h12 * g1 - h11 * g2) / det
+            self.decrement = -(g1 * self.d1 + g2 * self.d2)
+            self.curvature = 1.0 / (w * (1.0 - w)) - (h11 + h22 - 2.0 * h12) / det
+        self.value = w * np.log(w) + (1.0 - w) * np.log1p(-w) + self.psi
+        self.slope = np.log(w) - np.log1p(-w) - ax - ay
+
+
+def _dual_min(cx, cy, l: int, r: int, lam: float, w, ax, ay) -> _Dual:
+    """Minimize psi over (alpha_x, alpha_y) at each row's w by Newton
+    steps from (ax, ay).
+
+    A step moves neither coordinate by more than _MAX_STEP and is halved
+    until psi falls by a tenth of the decrease the step predicts, or by
+    its rounding error.  V is -inf on rows whose Newton decrement is still
+    above _INNER_DECREMENT after _INNER_ITERS steps.
+    """
+    at = _Dual(cx, cy, l, r, lam, w, ax, ay)
+    for _ in range(_INNER_ITERS):
+        moving = np.isfinite(at.decrement) & (at.decrement > _INNER_DECREMENT)
+        if not moving.any():
+            break
+        d1, d2 = np.where(moving, at.d1, 0.0), np.where(moving, at.d2, 0.0)
+        gain = np.where(moving, at.decrement, 0.0)
+        t = _MAX_STEP / np.maximum(np.maximum(np.abs(d1), np.abs(d2)), _MAX_STEP)
+        for _halving in range(60):
+            trial = _Dual(cx, cy, l, r, lam, w, at.ax + t * d1, at.ay + t * d2)
+            short = trial.psi > at.psi - 0.1 * t * gain + at.noise
+            if not short.any():
+                break
+            t = np.where(short, 0.5 * t, t)
+        at = trial
+    # one more full step: where psi is nearly flat along some direction, a
+    # small decrement still leaves alpha off by up to its square root, and
+    # Newton's quadratic convergence takes that to rounding
+    done = (at.decrement >= 0.0) & (at.decrement <= _INNER_DECREMENT)
+    d1, d2 = np.where(done, at.d1, 0.0), np.where(done, at.d2, 0.0)
+    at = _Dual(cx, cy, l, r, lam, w, at.ax + d1, at.ay + d2)
+    solved = (at.decrement >= 0.0) & (at.decrement <= _INNER_DECREMENT)
+    at.value = np.where(solved, at.value, -np.inf)
+    return at
+
+
+def _family_points(specs: list[RateFunctionSpec]) -> list[list[list[float]]]:
+    """Per spec, free coordinates of the best grid point of V and of the
+    Newton refinement of every grid peak, all specs solved as rows of one
+    array.
+
+    A peak is a grid point whose V is at least its neighbours'; a narrow
+    peak next to the size floor can beat a broad one elsewhere.  Each
+    refinement keeps a bracket of the peak's neighbours (w_lo or w_hi at
+    the ends), narrowed by the sign of V', and bisects where a Newton step
+    on V' would leave it or V is not concave there.
+    """
+    l, r, lam = specs[0].l, specs[0].r, specs[0].lam
+    logits = [_family_logits(spec) for spec in specs]
+    cx = np.array([c for c, _ in logits])
+    cy = np.array([c for _, c in logits])
+    grid = np.array([_w_grid(l, r, lam, c, d) for c, d in logits])
+    zero = np.zeros(len(specs) * _GRID)
+    on_grid = _dual_min(
+        np.repeat(cx, _GRID, axis=0), np.repeat(cy, _GRID, axis=0),
+        l, r, lam, grid[:, 1:-1].ravel(), zero, zero,
     )
+    value = on_grid.value.reshape(len(specs), _GRID)
+    edged = np.pad(value, ((0, 0), (1, 1)), constant_values=-np.inf)
+    peak = (value > -np.inf) & (value >= edged[:, :-2]) & (value >= edged[:, 2:])
+    row, at = np.nonzero(peak)
+    lo, w, hi = grid[row, at], grid[row, at + 1], grid[row, at + 2]
+    cx, cy = cx[row], cy[row]
+    ax, ay = on_grid.ax[row * _GRID + at], on_grid.ay[row * _GRID + at]
+    for _ in range(_OUTER_ITERS):
+        point = _dual_min(cx, cy, l, r, lam, w, ax, ay)
+        rising = point.slope > 0.0
+        lo, hi = np.where(rising, w, lo), np.where(rising, hi, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = w - point.slope / point.curvature
+        newton = (point.curvature < 0.0) & (lo < step) & (step < hi)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        if (np.abs(step - w) <= 4e-16 * w).all():
+            break
+        w, ax, ay = step, point.ax, point.ay
+    best = np.arange(len(specs)) * _GRID + value.argmax(axis=1)
+    out = [[on_grid.xs[k].tolist() + on_grid.ys[k, :-1].tolist()] for k in best]
+    for k, spec_row in enumerate(row.tolist()):
+        out[spec_row].append(point.xs[k].tolist() + point.ys[k, :-1].tolist())
+    return out
 
 
-def _screened_pool(
-    spec: RateFunctionSpec, starts: int, seed: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The seeded start pool and its growth screen; neither depends on theta."""
-    _check_starts(starts)
-    l, r, lam = spec.l, spec.r, spec.lam
+def _profile(specs: list[RateFunctionSpec]) -> list[RateFunctionResult]:
+    l, r, lam = specs[0].l, specs[0].r, specs[0].lam
     if lam >= 1.0 / l + 1.0 / r:
         raise InfeasibleDomainError(
             f"size fraction {lam} >= 1/{l} + 1/{r}; no admissible types exist"
         )
-    pool = _sample_pool(l, r, lam, starts, seed)
-    return pool, _growth_screen(l, r, pool)
+    admit = _region(l, r, lam)
+    out: list[RateFunctionResult] = []
+    carried: list[list[float]] = []
+    for spec, points in zip(specs, _family_points(specs)):
+        score = _scorer(spec, admit)
+        scored = [(v, p) for p in points + carried if (v := score(p)) is not None]
+        if not scored:
+            raise InfeasibleDomainError(
+                f"no admissible family point for l = {l}, r = {r}, lam = {lam}"
+            )
+        value, point = max(scored, key=lambda item: item[0])
+        carried = [point]
+        ys = point[l - 1 :] + [admit(point)[1]]
+        xs = tuple(point[: l - 1])
+        out.append(RateFunctionResult(value=value, xs=xs, ys=tuple(ys), theta=spec.theta))
+    return out
 
 
-def mckay_rate_function(
-    spec: RateFunctionSpec,
-    starts: int = 10_000,
-    seed: int = 0,
-    extra_starts: tuple[tuple[float, ...], ...] = (),
-    tol: float = 1e-6,
-) -> RateFunctionResult:
+def mckay_rate_function(spec: RateFunctionSpec) -> RateFunctionResult:
     """Maximize f + k_theta over the admissible type region.
 
-    The degree-matching equality eliminates y_r; the remaining free
-    coordinates are searched by seeded random multi-start (log-uniform
-    scales, sparsified faces) plus coordinate refinement of the best
-    REFINE_TOP starts.  `extra_starts` accepts free-coordinate vectors (xs
-    then ys without y_r) from earlier runs; re-offering a maximizer found
-    at a smaller theta makes profiles over increasing theta provably
-    nondecreasing, since k_theta is pointwise nondecreasing in theta.
+    The maximizer is the best stationary point of the family in the
+    module docstring, found by one deterministic solve and scored
+    exactly; the result is the objective at an admissible point.
     """
-    pool, growth = _screened_pool(spec, starts, seed)
-    return _maximize(spec, pool, growth, extra_starts, tol)
+    return _profile([spec])[0]
 
 
 def rate_function_profile(
@@ -685,34 +559,18 @@ def rate_function_profile(
     lam: float,
     alpha1: float = 1.1,
     alpha2: float = 1.1,
-    starts: int = 10_000,
-    seed: int = 0,
-    tol: float = 1e-6,
 ) -> list[RateFunctionResult]:
-    """Lambda(theta) over a grid, re-offering each maximizer downstream.
+    """Lambda(theta) over a grid, all thetas solved together.
 
-    The start pool does not depend on theta, so it is sampled once and
-    its growth rates f are screened once in numpy; each theta adds one
-    matrix-vector product for k_theta and rescores only the rows near its
-    REFINE_TOP best with the exact score.  The result equals a chain
-    of mckay_rate_function calls at the same seed, value for value.
-
-    With thetas in increasing order the returned values are nondecreasing:
-    k_theta is pointwise nondecreasing in theta, every maximizer is handed
-    to the next run as a start, and refinement never returns less than its
-    start value.  An empty grid raises ValueError.
+    Each theta also rescores the previous theta's maximizer and keeps the
+    larger value, so with thetas in increasing order the returned values
+    are nondecreasing: k_theta is pointwise nondecreasing in theta.  An
+    empty grid raises ValueError.
     """
-    thetas = tuple(thetas)
-    if not thetas:
+    specs = [
+        RateFunctionSpec(l=l, r=r, theta=theta, lam=lam, alpha1=alpha1, alpha2=alpha2)
+        for theta in thetas
+    ]
+    if not specs:
         raise ValueError("thetas must hold at least one noise level")
-    carried: list[tuple[float, ...]] = []
-    out: list[RateFunctionResult] = []
-    pool = growth = None
-    for theta in thetas:
-        spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam, alpha1=alpha1, alpha2=alpha2)
-        if pool is None:
-            pool, growth = _screened_pool(spec, starts, seed)
-        res = _maximize(spec, pool, growth, tuple(carried), tol)
-        carried.append(tuple(res.xs) + tuple(res.ys[:-1]))
-        out.append(res)
-    return out
+    return _profile(specs)

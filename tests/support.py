@@ -48,9 +48,9 @@ from loopgas.errors import (
 from loopgas.exact import _reduced_rows, null_space_gf2
 from loopgas.loops import _DENOMINATOR_FLOOR, LoopSumResult, enumerate_generalized_loops
 from loopgas.ratefunc import (
-    REFINE_TOP,
     RateFunctionResult,
     RateFunctionSpec,
+    f0_restricted,
     f_xy,
     k_theta,
 )
@@ -1510,6 +1510,25 @@ def entropy_oracle_ldpc(graph: FactorGraph, p: float) -> float:
 # ---------------------------------------------------------------------------
 # rate-function search, one exact objective call per sampled start
 
+ORACLE_TOP = 12  # best pool starts refined by the multi-start oracles
+
+
+def omega_constant(r: int) -> int:
+    """Edge-count margin below which the type-counting estimate applies."""
+    if r < 2:
+        raise ValueError(f"need r >= 2, got {r}")
+    return 4 * r * r - 2 * r + 2
+
+
+def restricted_point(l: int, r: int, zs) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Full (xs, ys) coordinates of a point z on the even sub-lattice."""
+    xs = [0.0] * (l - 1)
+    for s, zv in zip(range(1, (l + 1) // 2), zs):
+        xs[2 * s - 2] = zv
+    ys = [0.0] * (r - 1)
+    ys[-1] = math.fsum((2 * s / l) * z for s, z in zip(range(1, (l + 1) // 2), zs))
+    return tuple(xs), tuple(ys)
+
 
 def _oracle_ascent(objective, feasible, start, tol, step0=0.05):
     """Coordinate ascent with separate feasibility and objective calls."""
@@ -1613,11 +1632,9 @@ def oracle_mckay_rate_function(
     extra_starts: tuple[tuple[float, ...], ...] = (),
     tol: float = 1e-6,
 ) -> RateFunctionResult:
-    """Lambda(theta) with every pool point scored by the fsum objective.
-
-    The same draws, acceptance, stable sort and refinement as the library
-    search, without its numpy screen: the top REFINE_TOP come from sorting
-    all exact values.
+    """Lambda(theta) by seeded multi-start: every pool point scored by the
+    fsum objective, the ORACLE_TOP best and every extra start climbed by
+    coordinate ascent.  Its value is a lower bound on the maximum.
     """
     l, r, theta, lam = spec.l, spec.r, spec.theta, spec.lam
     if lam >= 1.0 / l + 1.0 / r:
@@ -1639,7 +1656,7 @@ def oracle_mckay_rate_function(
     if not pool and not carried:
         raise InfeasibleDomainError("no admissible types sampled")
     pool.sort(key=lambda item: -item[0])
-    keep = pool[:REFINE_TOP] + carried
+    keep = pool[:ORACLE_TOP] + carried
     value, point = max(keep, key=lambda item: item[0])
     point = list(point)
     for _cand_value, cand in keep:
@@ -1673,3 +1690,58 @@ def oracle_rate_function_profile(
         carried.append(tuple(res.xs) + tuple(res.ys[:-1]))
         out.append(res)
     return out
+
+
+def maximize_f0(
+    l: int,
+    lam: float,
+    starts: int = 4096,
+    seed: int = 0,
+    tol: float = 1e-6,
+) -> tuple[float, tuple[float, ...]]:
+    """Maximize the restricted profile f0 over l*lam <= sum z_s < 1.
+
+    Random multi-start plus coordinate ascent; no analytic hints, so the
+    output is an independent check of the closed-form point z_star.
+    """
+    if l % 2 == 0 or l < 3:
+        raise ValueError(f"need l odd and >= 3, got {l}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be a finite number, got {lam}")
+    if lam <= 0.0 or l * lam >= 1.0:
+        raise InfeasibleDomainError(
+            f"size fraction {lam} leaves no admissible restricted types for l = {l}"
+        )
+    dim = (l - 1) // 2
+    floor = l * lam
+
+    def feasible(point: list[float]) -> bool:
+        return all(v >= 0.0 for v in point) and floor <= math.fsum(point) <= 1.0 - 1e-12
+
+    def objective(point: list[float]) -> float:
+        return f0_restricted(l, point)
+
+    rng = random.Random(seed)
+    pool: list[tuple[float, list[float]]] = []
+    attempts = 0
+    while len(pool) < starts and attempts < 50 * starts:
+        attempts += 1
+        raw = [rng.expovariate(1.0) for _ in range(dim)]
+        total = sum(raw) or 1.0
+        scale = math.exp(rng.uniform(math.log(max(floor, 1e-4)), math.log(0.999)))
+        point = [v / total * scale for v in raw]
+        if feasible(point):
+            pool.append((objective(point), point))
+    if not pool:
+        raise InfeasibleDomainError(
+            f"no admissible restricted types sampled for l = {l}, lam = {lam}"
+        )
+    pool.sort(key=lambda item: -item[0])
+    value, point = pool[0]
+    for _value, start in pool[:ORACLE_TOP]:
+        ref_value, ref = _oracle_ascent(objective, feasible, start, tol)
+        if ref_value > value:
+            value, point = ref_value, ref
+    return value, tuple(point)

@@ -34,7 +34,6 @@ from loopgas import (
     ldpc_type_activity_bound,
     log_partition,
     loop_sum_direct,
-    maximize_f0,
     mckay_rate_function,
     polymer_series,
     rate_function_profile,
@@ -400,15 +399,11 @@ def test_criterion_07_counting_estimates(record_criterion):
 
 def test_criterion_08_rate_function(record_criterion):
     t0 = time.perf_counter()
-    _value, zs = maximize_f0(3, 1e-3, starts=4096, seed=0)
+    _value, zs = sp.maximize_f0(3, 1e-3, starts=4096, seed=0)
     z1_err = abs(zs[0] - 0.75)
     f0_err = abs(f0_restricted(3, z_star(3)))
-    lam_mid = mckay_rate_function(
-        RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3), starts=10_000, seed=0
-    ).value
-    profile = rate_function_profile(
-        3, 6, (1e-4, 1e-3, 1e-2), 1e-3, starts=10_000, seed=0
-    )
+    lam_mid = mckay_rate_function(RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)).value
+    profile = rate_function_profile(3, 6, (1e-4, 1e-3, 1e-2), 1e-3)
     values = [res.value for res in profile]
     elapsed = time.perf_counter() - t0
     nondecreasing = values[0] <= values[1] <= values[2]

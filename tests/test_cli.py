@@ -652,16 +652,19 @@ def test_exact_refuses_a_large_code_before_elimination(tmp_path, monkeypatch, ca
     assert calls == []
 
 
-def test_rate_function_rejects_nonpositive_starts(capsys):
-    for starts in ("0", "-3"):
+def test_rate_function_payload_ignores_seed_and_starts(tmp_path):
+    # the solve is deterministic; --seed and --starts still parse, for old
+    # command lines, and change nothing
+    payloads = []
+    for extra in (["--seed", "0"], ["--seed", "7", "--starts", "5"]):
+        out = tmp_path / f"rate{len(payloads)}.json"
         rc = main([
-            "rate-function", "--l", "3", "--r", "6", "--thetas", "1e-3",
-            "--lambda", "1e-3", "--starts", starts,
+            "rate-function", "--l", "3", "--r", "6", "--thetas", "1e-4,1e-3",
+            "--lambda", "1e-3", *extra, "--format", "json", "--out", str(out),
         ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"starts must be at least 1, got {starts}" in err
-        assert "no admissible types" not in err
+        assert rc == 0
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize(
@@ -677,10 +680,10 @@ def test_rate_function_rejects_nonpositive_starts(capsys):
 def test_rate_function_refuses_bad_parameters_before_sampling(
     tmp_path, capsys, monkeypatch, flags, message
 ):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("the start pool was sampled")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the stationarity family was solved")
 
-    monkeypatch.setattr(ratefunc, "_sample_pool", no_sampling)
+    monkeypatch.setattr(ratefunc, "_family_points", no_solve)
     out = tmp_path / "rate.json"
     rc = main([
         "rate-function", "--l", "3", "--r", "6", "--thetas", "1e-3", "--lambda", "1e-3",
@@ -788,6 +791,8 @@ def test_bad_numeric_flags_exit_2_before_any_loop_or_exact_sum(
 
     monkeypatch.setattr("loopgas.loops._walk", no_work)
     monkeypatch.setattr("loopgas.cli.log_partition", no_work)
+    if argv[0] == "series":
+        monkeypatch.setattr("loopgas.cli._run_bp", no_work)
     source = [] if argv[0] in ("trend", "gen") else ["--graph", _sparse_file(tmp_path)]
     out = tmp_path / "out.json"
     assert main([*argv, *source, "--p", "0.45", "--out", str(out)]) == 2

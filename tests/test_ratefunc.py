@@ -5,14 +5,12 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 import support as sp
 
 from loopgas import (
     RateFunctionSpec,
     f0_restricted,
-    maximize_f0,
     mckay_rate_function,
     rate_function_profile,
     solve_lambda0,
@@ -21,7 +19,7 @@ from loopgas import (
 from loopgas import ratefunc
 from loopgas.errors import InfeasibleDomainError, NoSignChangeError
 from loopgas.graphs import binary_entropy
-from loopgas.ratefunc import f_xy, k_theta, restricted_point
+from loopgas.ratefunc import f_xy, k_theta
 
 
 def _weighted_sum(l, zs):
@@ -93,7 +91,7 @@ def test_fxy_matches_restricted_profile():
         dim = (l - 1) // 2
         for _ in range(5):
             zs = [rng.uniform(0.0, 0.9 / dim) for _ in range(dim)]
-            xs, ys = restricted_point(l, r, zs)
+            xs, ys = sp.restricted_point(l, r, zs)
             lhs = l * f_xy(l, r, xs, ys)
             rhs = f0_restricted(l, zs) - (1 - l / r) * binary_entropy(_weighted_sum(l, zs))
             assert abs(lhs - rhs) <= 1e-12
@@ -102,7 +100,7 @@ def test_fxy_matches_restricted_profile():
 def test_fxy_value_at_embedded_maximizer():
     # At z* the restricted profile vanishes and the weighted sum is 1/2,
     # so f = -(1 - l/r) * ln(2) / l; for (3, 6) that is -ln(2)/6.
-    xs, ys = restricted_point(3, 6, z_star(3))
+    xs, ys = sp.restricted_point(3, 6, z_star(3))
     assert xs == (0.75, 0.0)
     assert ys == (0.0, 0.0, 0.0, 0.0, 0.5)
     assert abs(f_xy(3, 6, xs, ys) + math.log(2.0) / 6.0) <= 1e-14
@@ -167,10 +165,10 @@ def test_k_theta_zero_coordinates_contribute_nothing():
 
 
 def test_maximize_f0_recovers_closed_form_point():
-    value, zs = maximize_f0(3, 1e-3, starts=2048, seed=0)
+    value, zs = sp.maximize_f0(3, 1e-3, starts=2048, seed=0)
     assert abs(value) <= 1e-8
     assert abs(zs[0] - 0.75) <= 1e-4
-    value5, zs5 = maximize_f0(5, 1e-3, starts=2048, seed=0)
+    value5, zs5 = sp.maximize_f0(5, 1e-3, starts=2048, seed=0)
     assert abs(value5) <= 1e-8
     assert abs(zs5[0] - 0.625) <= 1e-3
     assert abs(zs5[1] - 0.3125) <= 1e-3
@@ -178,7 +176,7 @@ def test_maximize_f0_recovers_closed_form_point():
 
 def test_maximize_f0_active_size_floor():
     # With l*lam above the unconstrained maximizer the floor binds.
-    value, zs = maximize_f0(3, 0.3, starts=1024, seed=1)
+    value, zs = sp.maximize_f0(3, 0.3, starts=1024, seed=1)
     assert math.fsum(zs) >= 0.9 - 1e-9
     assert value < -1e-3
     assert abs(value - f0_restricted(3, list(zs))) <= 1e-12
@@ -186,9 +184,9 @@ def test_maximize_f0_active_size_floor():
 
 def test_maximize_f0_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        maximize_f0(4, 1e-3)
+        sp.maximize_f0(4, 1e-3)
     with pytest.raises(InfeasibleDomainError):
-        maximize_f0(3, 0.4)
+        sp.maximize_f0(3, 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +214,12 @@ def test_spec_validation():
 
 def test_rate_function_infeasible_size_fraction():
     with pytest.raises(InfeasibleDomainError):
-        mckay_rate_function(RateFunctionSpec(l=3, r=6, theta=0.1, lam=0.5), starts=100)
+        mckay_rate_function(RateFunctionSpec(l=3, r=6, theta=0.1, lam=0.5))
 
 
 def test_rate_function_negative_and_self_consistent():
     spec = RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)
-    res = mckay_rate_function(spec, starts=2000, seed=0)
+    res = mckay_rate_function(spec)
     assert res.theta == 1e-3
     assert res.value < 0.0
     assert abs(res.value - (-0.003224)) <= 5e-5
@@ -240,87 +238,134 @@ def test_rate_function_negative_and_self_consistent():
 
 def test_rate_function_deterministic():
     spec = RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)
-    a = mckay_rate_function(spec, starts=800, seed=3)
-    b = mckay_rate_function(spec, starts=800, seed=3)
-    assert a == b
+    assert mckay_rate_function(spec) == mckay_rate_function(spec)
 
 
 def test_rate_function_carried_starts_dominate():
-    # Handing a strong maximizer to a weak search floors the result.
-    spec = RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)
-    strong = mckay_rate_function(spec, starts=4000, seed=0)
-    carry = tuple(strong.xs) + tuple(strong.ys[:-1])
-    weak = mckay_rate_function(spec, starts=40, seed=11)
-    boosted = mckay_rate_function(spec, starts=40, seed=11, extra_starts=(carry,))
-    assert boosted.value >= strong.value - 1e-12
-    assert boosted.value >= weak.value - 1e-12
+    # each theta of a profile rescores the previous maximizer and keeps the
+    # larger value, so no value falls below the carried point's objective
+    thetas = (0.0, 1e-4, 1e-2, 0.3)
+    for l, r, lam in ((3, 6, 1e-3), (5, 8, 0.05), (3, 4, 0.1)):
+        profile = rate_function_profile(l, r, thetas, lam)
+        for prev, res in zip(profile, profile[1:]):
+            carried = f_xy(l, r, prev.xs, prev.ys) + k_theta(l, r, res.theta, prev.xs, prev.ys)
+            assert res.value >= carried
+            assert res.value >= prev.value
+
+
+# Lambda(theta) of the benchmark's two rate-function operations (theta in
+# 1e-4, 1e-3, 1e-2 at lam = 1e-3), to 12 digits
+_PINNED = {
+    6: (-0.003230421677, -0.003223492150, -0.003153692322),
+    4: (-0.002076738548, -0.002066043764, -0.001959250686),
+}
 
 
 def test_profile_nondecreasing_with_frozen_values():
-    profile = rate_function_profile(3, 6, (1e-4, 1e-3, 1e-2), 1e-3, starts=1500, seed=0)
-    values = [res.value for res in profile]
-    assert values[0] <= values[1] <= values[2]
-    assert all(v < 0.0 for v in values)
-    for got, frozen in zip(values, (-0.003231, -0.003224, -0.003159)):
-        assert abs(got - frozen) <= 5e-5
-    # the carry mechanism can only improve on an isolated run at the same seed
-    solo = mckay_rate_function(
-        RateFunctionSpec(l=3, r=6, theta=1e-2, lam=1e-3), starts=1500, seed=0
-    )
-    assert profile[-1].value >= solo.value - 1e-12
+    for r, pinned in _PINNED.items():
+        profile = rate_function_profile(3, r, (1e-4, 1e-3, 1e-2), 1e-3)
+        values = [res.value for res in profile]
+        assert values[0] <= values[1] <= values[2] < 0.0
+        for got, frozen in zip(values, pinned):
+            assert abs(got - frozen) <= 1e-10
+        solo = mckay_rate_function(RateFunctionSpec(l=3, r=r, theta=1e-2, lam=1e-3))
+        assert profile[-1].value >= solo.value
 
 
-def _embedded_start(l, r):
-    # free coordinates (xs, then ys without y_r) of half the even-lattice maximizer
-    xs, ys = restricted_point(l, r, [0.5 * z for z in z_star(l)])
-    return tuple(xs) + tuple(ys[:-1])
+_PAIRS = [(3, 4), (3, 6), (5, 8), (7, 8), (9, 40)]
+_GRID_THETAS = (0.0, 1e-4, 1e-2, 0.3, 0.45)
+_GRID_LAMS = (1e-3, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("l, r", _PAIRS)
+def test_value_at_least_the_multistart_oracle(l, r):
+    # the multi-start oracle only ever reaches a lower bound on the maximum;
+    # few starts and a coarse tol keep it fast and change nothing in that
+    for lam in _GRID_LAMS:
+        profile = rate_function_profile(l, r, _GRID_THETAS, lam)
+        values = [res.value for res in profile]
+        assert values == sorted(values)
+        for res in profile:
+            spec = RateFunctionSpec(l=l, r=r, theta=res.theta, lam=lam)
+            oracle = sp.oracle_mckay_rate_function(spec, starts=20, seed=0, tol=1e-2)
+            assert res.value >= oracle.value - 1e-12, (res.theta, lam)
+
+
+def _family_line(coeffs, counts, fractions, n):
+    """The slope of ln(v_k / (1 - sum v)) - ln C(n, k) - coeff_k over the
+    types k of positive weight, its value at the first of them, and the
+    largest misfit of a straight line."""
+    occupied = math.fsum(fractions)
+    points = [
+        (k, math.log(v / (1.0 - occupied)) - math.log(math.comb(n, k)) - c)
+        for k, v, c in zip(counts, fractions, coeffs)
+        if c > -math.inf
+    ]
+    (k0, v0), (k1, v1) = points[0], points[-1]
+    slope = (v1 - v0) / (k1 - k0)
+    misfit = max(abs(v - v0 - slope * (k - k0)) for k, v in points)
+    return slope, points[0], misfit
+
+
+@pytest.mark.parametrize("l, r", _PAIRS)
+def test_returned_points_solve_the_stationarity_family(l, r):
+    # x_s / (1 - sx) = C(l, s) e^(b_s + eta + alpha_x s), the y side likewise
+    # with the same eta, alpha_x + alpha_y = logit(wx), and eta > 0 only
+    # where the size sits on lam.  At theta = 0 only y_r has positive
+    # weight, which leaves alpha_y to the stationarity equation; with l = 3
+    # x_2 is alone as well, every w fixes the point, and the maximum sits
+    # on w's lower end, off the family's stationary points.
+    for theta in _GRID_THETAS[1:]:
+        for lam in _GRID_LAMS:
+            spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam)
+            res = mckay_rate_function(spec)
+            kx, ky, k_last = ratefunc._decay_coefficients(spec)
+            ax, (s0, u0), misfit_x = _family_line(kx, range(2, l + 1), res.xs, l)
+            ay, (t0, v0), misfit_y = _family_line(ky + [k_last], range(2, r + 1), res.ys, r)
+            assert misfit_x <= 1e-10 and misfit_y <= 1e-10
+            wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), res.xs))
+            logit = math.log(wx / (1.0 - wx))
+            assert abs(ax + ay - logit) <= 1e-10, (theta, lam)
+            eta = u0 - ax * s0
+            sx, sy = math.fsum(res.xs), math.fsum(res.ys)
+            # ln(1 - s) carries the rounding of 1 - s, large as s nears 1
+            tol = 1e-9 + 1e-14 / (1.0 - max(sx, sy))
+            assert abs(v0 - ay * t0 - eta) <= tol, (theta, lam)
+            size = sx / l + sy / r
+            assert eta >= -tol and size >= lam - 1e-12
+            if eta > tol:
+                assert abs(size - lam) <= 1e-12, (theta, lam)
 
 
 @pytest.mark.parametrize("l, r", [(3, 6), (3, 4), (5, 8)])
 def test_rate_function_equals_exact_scoring_oracle(l, r):
-    # The numpy screen plus exact rescoring must hand refinement the same
-    # starts as scoring every pool point exactly, so the results are equal
-    # bit for bit; starts = 5 leaves the pool below REFINE_TOP.  The coarse
-    # tol only shortens the climbs at theta = 0.3 (about 40 s at 1e-6 on
-    # (5,8)); the starts are chosen before refinement.
-    assert 5 < ratefunc.REFINE_TOP
-    carry = (_embedded_start(l, r), (0.1,))  # the second has the wrong length
+    # the returned value is the fsum objective at the returned point, bit
+    # for bit, and the point (xs, then ys without y_r) is admissible
     for theta in (0.0, 1e-4, 1e-2, 0.3):
         spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=1e-3)
-        for starts in (5, 1500):
-            for extra in ((), carry):
-                kwargs = dict(starts=starts, seed=4, extra_starts=extra, tol=1e-3)
-                got = mckay_rate_function(spec, **kwargs)
-                want = sp.oracle_mckay_rate_function(spec, **kwargs)
-                assert got == want, (theta, starts, extra)
+        res = mckay_rate_function(spec)
+        point = list(res.xs) + list(res.ys[:-1])
+        assert sp.oracle_feasible(l, r, 1e-3, point)
+        assert res.value.hex() == sp.oracle_objective(spec, point).hex(), theta
+        assert res.ys[-1] == sp._oracle_y_last(l, r, res.xs, res.ys[:-1])
 
 
 @pytest.mark.parametrize(
     "l, r, seed, tol", [(3, 6, 0, 1e-6), (3, 4, 1, 1e-6), (5, 8, 2, 1e-3)]
 )
 def test_profile_equals_oracle_chain(l, r, seed, tol):
+    # the solved profile is at least the oracle's chain of multi-starts,
+    # which carries every maximizer to the next theta, value for value
     thetas = (0.0, 1e-4, 1e-3, 1e-2, 0.3)
-    kwargs = dict(starts=1200, seed=seed, tol=tol)
-    got = rate_function_profile(l, r, thetas, 1e-3, **kwargs)
-    assert got == sp.oracle_rate_function_profile(l, r, thetas, 1e-3, **kwargs)
-
-
-def test_profile_samples_the_pool_once(monkeypatch):
-    seeded = []
-
-    class CountingRandom(random.Random):
-        def __init__(self, *args):
-            seeded.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(ratefunc.random, "Random", CountingRandom)
-    profile = rate_function_profile(3, 6, (1e-4, 1e-3, 1e-2), 1e-3, starts=300, seed=5)
-    assert len(profile) == 3
-    assert seeded == [(5,)]
+    got = rate_function_profile(l, r, thetas, 1e-3)
+    want = sp.oracle_rate_function_profile(l, r, thetas, 1e-3, starts=200, seed=seed, tol=tol)
+    for res, oracle in zip(got, want):
+        assert res.theta == oracle.theta
+        assert res.value >= oracle.value - 1e-12
 
 
 # ---------------------------------------------------------------------------
-# fused score and batched start sampler against the scalar oracle
+# fused score and admissibility against the scalar oracle
 
 
 _THETAS = (0.0, 1e-4, 0.3)
@@ -429,116 +474,17 @@ def test_score_equals_oracle_objective_bit_for_bit(l, r):
 
 @pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
 def test_threshold_points_straddle_each_constraint(l, r):
-    # each pair is admissible on one side only, and admit and the numpy
-    # batch test agree with the oracle on both sides
+    # each pair is admissible on one side only, and admit agrees with the
+    # oracle on both sides and on random points around the region
     lam = 1e-3
     points = [p for size in _FILL_SIZES for p in _threshold_points(l, r, lam, size)]
     straddle = [True, False] * (4 * len(_FILL_SIZES))
     assert [sp.oracle_feasible(l, r, lam, p) for p in points] == straddle
-    admit = ratefunc._region(l, r, lam)
-    assert [admit(p) is not None for p in points] == straddle
     points += _random_points(l, r, random.Random(7), 300)
-    rows = np.array(points)
-    wx = np.array([math.fsum((s / l) * x for s, x in zip(range(2, l + 1), p)) for p in points])
-    mask = ratefunc._admissible_rows(admit, l, r, lam, rows, wx)
-    assert mask.tolist() == [sp.oracle_feasible(l, r, lam, p) for p in points]
-
-
-@pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
-def test_pool_equals_oracle_sampler(l, r):
-    # the batched sampler keeps the first `starts` admissible draws, as the
-    # one-draw-at-a-time oracle does; near the top size fraction 1/l + 1/r
-    # few draws are admissible and the 100 * starts draw cap binds
-    top = 0.9 * (1.0 / l + 1.0 / r)
-    cases = [(1e-3, starts, seed) for starts in (1, 5, 1500) for seed in (0, 1)]
-    cases += [(top, starts, seed) for starts in (1, 5) for seed in (0, 1, 2)]
-    if r <= 6:
-        cases.append((top, 1500, 0))
-    for lam, starts, seed in cases:
-        pool = ratefunc._sample_pool(l, r, lam, starts, seed)
-        want = sp.oracle_sample_pool(l, r, lam, starts, seed)
-        assert pool.shape == (len(want), l + r - 3)
-        assert pool.tolist() == want, (lam, starts, seed)
-        if lam == top and starts == 1500:
-            assert 0 < len(want) < starts
-
-
-@pytest.mark.parametrize("l, r, theta", [(3, 6, 1e-3), (3, 4, 0.0), (5, 8, 0.3)])
-def test_coordinate_ascent_scores_each_point_once(l, r, theta):
-    # a climb revisits points (a step up and back down); none is rescored,
-    # and the climb ends where the oracle's, which rescores them, ends
-    spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=1e-3)
-    score = ratefunc._scorer(spec, ratefunc._region(l, r, 1e-3))
-    scored, feasible = [], []
-
-    def counting(point):
-        scored.append(tuple(point))
-        return score(point)
-
-    def oracle_feasible(point):
-        feasible.append(tuple(point))
-        return sp.oracle_feasible(l, r, 1e-3, point)
-
-    skipped = 0
-    for start in ratefunc._sample_pool(l, r, 1e-3, 3, 2).tolist():
-        scored.clear()
-        feasible.clear()
-        got = ratefunc._coordinate_ascent(counting, start, 1e-4)
-        want = sp._oracle_ascent(
-            lambda p: sp.oracle_objective(spec, p), oracle_feasible, start, 1e-4
-        )
-        assert got == want
-        assert len(scored) == len(set(scored)) == len(set(feasible) | {tuple(start)})
-        skipped += len(feasible) + 1 - len(scored)
-    assert skipped > 0
-
-
-def _scripted_random(uniforms: list[float], words: list[int], used: list):
-    """random.Random whose first random() and getrandbits() results are the
-    scripted ones; both methods are overridden, so randrange keeps drawing
-    through getrandbits as in random.Random itself."""
-
-    class Scripted(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.uniforms, self.words = list(uniforms), list(words)
-            used.append(self)
-
-        def random(self):
-            value = super().random()
-            return self.uniforms.pop(0) if self.uniforms else value
-
-        def getrandbits(self, k):
-            value = super().getrandbits(k)
-            return self.words.pop(0) if self.words else value
-
-    return Scripted
-
-
-@pytest.mark.parametrize("l, r", [(3, 4), (5, 8)])
-def test_pool_equals_oracle_sampler_on_rare_draws(monkeypatch, l, r):
-    # three scripted draws open the stream, in the oracle's call order:
-    # a zero uniform on a kept x coordinate (a -0.0 coordinate in the row),
-    # a draw whose only kept uniform is zero after one randrange rejection
-    # (wx = 0, so it takes no ys although its y coin says yes), and a draw
-    # whose y uniforms are all zero (weight 0, so its ys stay zero)
-    dim_x, dim_y = l - 1, r - 2
-    uniforms = [0.0] + [0.7] * (dim_x - 1) + [0.9, 0.99, 0.9]
-    uniforms += [0.0] + [0.6] * (dim_x - 1) + [0.1, 0.5, 0.2]
-    uniforms += [0.5] * dim_x + [0.9, 0.5, 0.1] + [0.0] * dim_y + [0.3]
-    words = [(1 << dim_x) - 1, 0]  # rejected, then keep = 1: coordinate 0 alone
-    used: list = []
-    monkeypatch.setattr(random, "Random", _scripted_random(uniforms, words, used))
-    for starts in (2, 300):
-        used.clear()
-        pool = ratefunc._sample_pool(l, r, 1e-3, starts, 4)
-        want = sp.oracle_sample_pool(l, r, 1e-3, starts, 4)
-        assert [rng.uniforms + rng.words for rng in used] == [[], []]
-        assert [[v.hex() for v in row] for row in pool.tolist()] == [
-            [v.hex() for v in row] for row in want
-        ]
-        assert [math.copysign(1.0, v) for v in want[0][:dim_x]] == [-1.0] + [1.0] * (dim_x - 1)
-        assert want[1][dim_x:] == [0.0] * dim_y  # the weight-0 draw
+    admit = ratefunc._region(l, r, lam)
+    assert [admit(p) is not None for p in points] == [
+        sp.oracle_feasible(l, r, lam, p) for p in points
+    ]
 
 
 @pytest.mark.parametrize("name", ["lam", "alpha1", "alpha2"])
@@ -549,32 +495,28 @@ def test_spec_refuses_non_finite_parameters(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         RateFunctionSpec(**kwargs)
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-        rate_function_profile(3, 6, (1e-3,), **{"lam": 1e-3, name: bad, "starts": 10})
+        rate_function_profile(3, 6, (1e-3,), **{"lam": 1e-3, name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_maximize_f0_refuses_non_finite_lam(bad):
     with pytest.raises(ValueError, match="lam must be a finite number"):
-        maximize_f0(3, bad, starts=10)
+        sp.maximize_f0(3, bad, starts=10)
 
 
 @pytest.mark.parametrize("l", [3, 4])
 def test_profile_refuses_an_empty_theta_grid(l):
     with pytest.raises(ValueError, match="at least one noise level"):
-        rate_function_profile(l, 6, (), 1e-3, starts=10)
+        rate_function_profile(l, 6, (), 1e-3)
     with pytest.raises(ValueError, match="at least one noise level"):
-        rate_function_profile(l, 6, iter(()), 1e-3, starts=10)
+        rate_function_profile(l, 6, iter(()), 1e-3)
 
 
 def test_starts_must_be_positive():
-    spec = RateFunctionSpec(l=3, r=6, theta=1e-3, lam=1e-3)
+    # the restricted-profile oracle is the one multi-start left
     for starts in (0, -3):
         with pytest.raises(ValueError, match="starts"):
-            mckay_rate_function(spec, starts=starts)
-        with pytest.raises(ValueError, match="starts"):
-            rate_function_profile(3, 6, (1e-3,), 1e-3, starts=starts)
-        with pytest.raises(ValueError, match="starts"):
-            maximize_f0(3, 1e-3, starts=starts)
+            sp.maximize_f0(3, 1e-3, starts=starts)
 
 
 def test_growth_beaten_by_entropy_cap_on_even_sublattice():
@@ -590,7 +532,7 @@ def test_growth_beaten_by_entropy_cap_on_even_sublattice():
             tot = sum(raw)
             scale = rng.uniform(l * lam, 0.999)
             zs = [v / tot * scale for v in raw]
-            xs, ys = restricted_point(l, r, zs)
+            xs, ys = sp.restricted_point(l, r, zs)
             assert l * f_xy(l, r, xs, ys) < cap
 
 
