@@ -385,12 +385,6 @@ def _one_row(messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
-    """One synchronous sweep: both directions recomputed from the old iterate."""
-    v, c = _Batch(graph).sweep(*_one_row(messages))
-    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
-
-
 def initial_messages(graph: FactorGraph) -> MessageSet:
     """Default starting point: zeros, except ldpc which seeds the channel
     fields on variable messages and their first-order products on check

@@ -23,7 +23,14 @@ from .errors import (
     OrderTooLargeError,
 )
 from .graphs import FactorGraph
-from .loops import ActivityEvaluator, Polymer, _add_node_loads, enumerate_polymers, node_words
+from .loops import (
+    ActivityEvaluator,
+    Polymer,
+    _add_node_loads,
+    _q_weights,
+    enumerate_polymers,
+    node_words,
+)
 
 URSELL_MAX_ORDER = 7
 SERIES_BLOCK = 1 << 12  # multisets per block of polymer_series; bounds its memory
@@ -175,8 +182,8 @@ def polymer_series(
         _series_term(order, words, act_array) for order in range(1, m_max + 1)
     ]
     partial = list(itertools.accumulate(terms))
-    q_weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
-    q_report = _q_from_weights(graph, words, q_weights, size_cutoff)
+    weights = _q_weights(acts, [p.size for p in polymers])
+    q_report = _q_from_weights(graph, words, weights, size_cutoff)
     return SeriesResult(
         terms=tuple(terms),
         partial_sums=tuple(partial),
@@ -273,7 +280,7 @@ def convergence_criterion_q(
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     ev = ActivityEvaluator(graph, messages)
     acts = ev.values([p.edge_ids for p in polymers]).tolist()
-    weights = [abs(k) * math.exp(p.size) for p, k in zip(polymers, acts)]
+    weights = _q_weights(acts, [p.size for p in polymers])
     words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
     return _q_from_weights(graph, words, weights, size_cutoff)
 
@@ -285,7 +292,7 @@ def convergence_criterion_q_bound(
     size_cutoff: int | None = None,
 ) -> QReport:
     """Same statistic with a per-polymer activity bound in place of |K|."""
-    weights = [float(bound_fn(p)) * math.exp(p.size) for p in polymers]
+    weights = _q_weights([float(bound_fn(p)) for p in polymers], [p.size for p in polymers])
     words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
     return _q_from_weights(graph, words, weights, size_cutoff)
 
@@ -293,13 +300,14 @@ def convergence_criterion_q_bound(
 def _q_from_weights(
     graph: FactorGraph,
     words: np.ndarray,
-    weights: list[float],
+    weights: np.ndarray,
     size_cutoff: int | None,
 ) -> QReport:
-    """q of polymers given as node_words, one weight each; each node's sum
-    runs in polymer order, so a fixed order gives a reproducible value."""
+    """q of polymers given as node_words, one _q_weights entry each; each
+    node's sum runs in polymer order, so a fixed order gives a reproducible
+    value."""
     load = np.zeros(graph.n + graph.m)
-    _add_node_loads(load, words, np.array(weights, dtype=np.float64))
+    _add_node_loads(load, words, weights)
     q = max(load.tolist(), default=0.0)
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
@@ -317,7 +325,8 @@ def count_rooted_polymers(
     """(number of polymers through node `root` with size <= t, e^(d t)).
 
     root is a global node id: variables 0..n-1 then checks n..n+m-1; d is the
-    largest degree in the graph.  The bound always dominates the count.
+    largest degree in the graph.  The bound always dominates the count; it
+    is inf where e^(d t) passes float range.
     """
     if not 0 <= root < graph.n + graph.m:
         raise ValueError(f"root {root} outside the node range")
@@ -330,7 +339,7 @@ def count_rooted_polymers(
         max((graph.var_degree(i) for i in range(graph.n)), default=0),
         max((graph.check_degree(a) for a in range(graph.m)), default=0),
     )
-    return count, math.exp(d * t)
+    return count, math.exp(d * t) if d * t <= 709 else math.inf
 
 
 def rooted_dary_tree_count(d: int, t: int) -> int:

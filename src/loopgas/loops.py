@@ -645,6 +645,27 @@ def node_words(masks: list[int], node_count: int) -> np.ndarray:
     return out
 
 
+# e^s for the sizes s = 0..709 where it is finite; math.exp, not np.exp,
+# which may differ in the last bit
+_EXP_SIZE = np.array([math.exp(s) for s in range(710)])
+
+
+def _q_weights(acts, sizes) -> np.ndarray:
+    """|K| e^size per polymer, the terms of q's node sums.
+
+    |K| times e^size up to size 709; past it e^(size + ln|K|), which is 0
+    for K = 0 and inf only past float range.
+    """
+    acts = np.abs(np.asarray(acts, dtype=np.float64))
+    sizes = np.asarray(sizes, dtype=np.intp)
+    big = sizes >= len(_EXP_SIZE)
+    out = acts * _EXP_SIZE[np.where(big, 0, sizes)]
+    if big.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[big] = np.exp(sizes[big] + np.log(acts[big]))
+    return out
+
+
 def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) -> None:
     """load[b] += each weight whose mask holds node b, one at a time in order.
 
@@ -660,29 +681,13 @@ def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) ->
 # enumeration and loop sums
 
 
-def enumerate_generalized_loops(
-    graph: FactorGraph,
-    budget: int = 10_000_000,
-) -> list[Polymer]:
-    """All nonempty edge subsets with every touched node of induced degree >= 2.
-
-    Sorted by (edge count, edge ids); the budget is the walk's.
-    """
-    leaves = _walk(graph, budget)
-    out: list[Polymer] = []
-    for choices, _prod in leaves.loops():
-        out += leaves.records(choices)
-    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
-    return out
-
-
 def loop_activities(
     graph: FactorGraph,
     messages: MessageSet,
     budget: int = 10_000_000,
 ) -> list[tuple[Polymer, float, tuple, tuple]]:
-    """Every generalized loop with its activity and degree profiles, in
-    enumerate_generalized_loops order.
+    """Every generalized loop with its activity and degree profiles, sorted
+    by (edge count, edge ids).
 
     Each entry is (loop, activity, variable profile, check profile); the
     activity is the product the walk carries down to the loop, the profiles
@@ -750,8 +755,6 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     graph = evaluator.graph
     leaves = _walk(graph, budget, evaluator)
     threshold = split_lambda * graph.n
-    # math.exp, not np.exp, which may differ in the last bit
-    exp_size = np.array([math.exp(s) for s in range(graph.n + graph.m + 1)])
     small: list[float] = []
     large: list[float] = []
     load = np.zeros(graph.n + graph.m)
@@ -764,9 +767,7 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
         connected = count == 1
         polymer_count += int(connected.sum())
         _add_node_loads(
-            load,
-            union[:, connected],
-            np.abs(prod[connected]) * exp_size[largest[connected]],
+            load, union[:, connected], _q_weights(prod[connected], largest[connected])
         )
     z_small, r_large = 1.0 + math.fsum(small), math.fsum(large)
     return LoopSumResult(

@@ -39,9 +39,9 @@ eta solves a quadratic, and Newton steps in (alpha_x, alpha_y) find its
 minimum.  V(w) = -h(w) + min psi is not concave: it is evaluated on a
 fixed grid of w, and every grid peak is refined by Newton steps on
 V'(w) = logit(w) - alpha_x - alpha_y.  All thetas of a profile are solved
-together in numpy.  The family points are then scored exactly (fsums,
-y_r from the degree matching), so a value is always the objective at an
-admissible point.
+together in numpy.  The admissible family points are then scored with
+f_xy + k_theta (y_r from the degree matching), so a value is always the
+objective at an admissible point.
 """
 
 from __future__ import annotations
@@ -155,22 +155,33 @@ def k_theta(
     such terms give -inf.
     """
     _check_coords(l, r, xs, ys)
+    kx, ky, k_last = _decay_coefficients(l, r, theta, alpha1, alpha2)
     val = 0.0
     if ys[-1]:
-        val += (ys[-1] / r) * math.log1p(alpha1 * theta**r)
-    for t, y in zip(range(2, r), ys[:-1]):
+        val += (ys[-1] / r) * k_last
+    for y, c in zip(ys[:-1], ky):
         if y:
-            val += (y / r) * _ln(alpha1 * theta ** (r - t))
-    for s, x in zip(range(2, l + 1), xs):
-        if not x:
-            continue
-        if s % 2 == 0:
-            val += (x / l) * math.log1p(
-                0.5 * alpha2 * (1 + 4 * s + s * s) * theta * theta
-            )
-        else:
-            val += (x / l) * _ln(alpha2 * (1 + s) * theta)
+            val += (y / r) * c
+    for x, c in zip(xs, kx):
+        if x:
+            val += (x / l) * c
     return val
+
+
+def _decay_coefficients(l: int, r: int, theta: float, alpha1: float, alpha2: float):
+    """k_theta = sum (x_s/l) kx_s + sum_{t<r} (y_t/r) ky_t + (y_r/r) k_last.
+
+    A coefficient is -inf where its log diverges (theta = 0 on a
+    plain-theta term).
+    """
+    kx = [
+        math.log1p(0.5 * alpha2 * (1 + 4 * s + s * s) * theta * theta)
+        if s % 2 == 0
+        else _ln(alpha2 * (1 + s) * theta)
+        for s in range(2, l + 1)
+    ]
+    ky = [_ln(alpha1 * theta ** (r - t)) for t in range(2, r)]
+    return kx, ky, math.log1p(alpha1 * theta**r)
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +221,21 @@ def f0_restricted(l: int, zs) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact scoring
+# Lambda(theta) from the stationarity family
 
 
 def _region(l: int, r: int, lam: float):
     """admit(point) on free coordinates (xs, then ys without y_r).
 
-    None off the admissible region; on it, (wx, y_r, sx) with the fsums
-    wx = sum (s/l) x_s and sx = sum x_s, and y_r = wx - sum (t/r) y_t
-    from the degree-matching equality.
+    None off the admissible region; on it, y_r = wx - sum (t/r) y_t from
+    the degree-matching equality, with the fsum wx = sum (s/l) x_s.
     """
     dim_x = l - 1
     wx_coef = [s / l for s in range(2, l + 1)]
     wy_coef = [t / r for t in range(2, r)]
     floor = lam - 1e-12
 
-    def admit(point: list[float]) -> tuple[float, float, float] | None:
+    def admit(point: list[float]) -> float | None:
         if min(point) < 0.0:
             return None
         xs = point[:dim_x]
@@ -238,72 +248,10 @@ def _region(l: int, r: int, lam: float):
         sy = math.fsum(ys_head) + yr
         if sx >= 1.0 - 1e-12 or sy >= 1.0 - 1e-12 or not sx / l + sy / r >= floor:
             return None
-        return wx, yr, sx
+        return yr
 
     return admit
 
-
-def _decay_coefficients(spec: RateFunctionSpec):
-    """k_theta = sum (x_s/l) kx_s + sum_{t<r} (y_t/r) ky_t + (y_r/r) k_last.
-
-    A coefficient is -inf where its log diverges (theta = 0 on a
-    plain-theta term).
-    """
-    l, r, theta = spec.l, spec.r, spec.theta
-    kx = [
-        math.log1p(0.5 * spec.alpha2 * (1 + 4 * s + s * s) * theta * theta)
-        if s % 2 == 0
-        else _ln(spec.alpha2 * (1 + s) * theta)
-        for s in range(2, l + 1)
-    ]
-    ky = [_ln(spec.alpha1 * theta ** (r - t)) for t in range(2, r)]
-    return kx, ky, math.log1p(spec.alpha1 * theta**r)
-
-
-def _scorer(spec: RateFunctionSpec, admit):
-    """score(point) = f_xy + k_theta on free coordinates, None where
-    admit(point) is None.
-
-    One pass over precomputed coefficients.  Every fsum holds the same
-    terms and every float operation comes in the same order as in f_xy and
-    k_theta, so a score equals their sum bit for bit.
-    """
-    l, r = spec.l, spec.r
-    dim_x = l - 1
-    comb_x = [math.log(math.comb(l, s)) for s in range(2, l + 1)]
-    comb_y = [math.log(math.comb(r, t)) for t in range(2, r + 1)]
-    kx, ky, k_last = _decay_coefficients(spec)
-
-    def score(point: list[float]) -> float | None:
-        region = admit(point)
-        if region is None:
-            return None
-        wx, yr, sx = region
-        xs = point[:dim_x]
-        ys = point[dim_x:]
-        ys.append(yr)
-        sy = math.fsum(ys)
-        val = _xlogx(1.0 - wx) + _xlogx(wx)
-        val += math.fsum(map(mul, xs, comb_x)) / l
-        val += math.fsum(map(mul, ys, comb_y)) / r
-        val -= (_xlogx(1.0 - sy) + math.fsum(map(_xlogx, ys))) / r
-        val -= (_xlogx(1.0 - sx) + math.fsum(map(_xlogx, xs))) / l
-        decay = 0.0
-        if yr:
-            decay += (yr / r) * k_last
-        for y, c in zip(ys, ky):  # ky stops before y_r
-            if y:
-                decay += (y / r) * c
-        for x, c in zip(xs, kx):
-            if x:
-                decay += (x / l) * c
-        return val + decay
-
-    return score
-
-
-# ---------------------------------------------------------------------------
-# Lambda(theta) from the stationarity family
 
 _GRID = 64  # w grid points per theta
 _GRID_REACH = 12.0  # logistic coordinates of the grid span [-12, 12]
@@ -320,7 +268,9 @@ _OCCUPIED_CAP = 1.0 - 1.5e-12
 def _family_logits(spec: RateFunctionSpec) -> tuple[np.ndarray, np.ndarray]:
     """ln C(l, s) + b_s for s = 2..l and ln C(r, t) + a_t for t = 2..r;
     -inf where the decay coefficient is."""
-    kx, ky, k_last = _decay_coefficients(spec)
+    kx, ky, k_last = _decay_coefficients(
+        spec.l, spec.r, spec.theta, spec.alpha1, spec.alpha2
+    )
     cx = [math.log(math.comb(spec.l, s)) + c for s, c in zip(range(2, spec.l + 1), kx)]
     cy = [math.log(math.comb(spec.r, t)) + c for t, c in zip(range(2, spec.r), ky)]
     return np.array(cx), np.array(cy + [k_last])
@@ -526,19 +476,24 @@ def _profile(specs: list[RateFunctionSpec]) -> list[RateFunctionResult]:
         )
     admit = _region(l, r, lam)
     out: list[RateFunctionResult] = []
-    carried: list[list[float]] = []
+    carried: list[tuple[tuple, tuple]] = []
     for spec, points in zip(specs, _family_points(specs)):
-        score = _scorer(spec, admit)
-        scored = [(v, p) for p in points + carried if (v := score(p)) is not None]
-        if not scored:
+        types = [
+            (tuple(p[: l - 1]), tuple(p[l - 1 :]) + (yr,))
+            for p in points
+            if (yr := admit(p)) is not None
+        ] + carried
+        if not types:
             raise InfeasibleDomainError(
                 f"no admissible family point for l = {l}, r = {r}, lam = {lam}"
             )
-        value, point = max(scored, key=lambda item: item[0])
-        carried = [point]
-        ys = point[l - 1 :] + [admit(point)[1]]
-        xs = tuple(point[: l - 1])
-        out.append(RateFunctionResult(value=value, xs=xs, ys=tuple(ys), theta=spec.theta))
+        scored = [
+            (f_xy(l, r, *t) + k_theta(l, r, spec.theta, *t, spec.alpha1, spec.alpha2), t)
+            for t in types
+        ]
+        value, (xs, ys) = max(scored, key=lambda item: item[0])
+        carried = [(xs, ys)]
+        out.append(RateFunctionResult(value=value, xs=xs, ys=ys, theta=spec.theta))
     return out
 
 
@@ -546,8 +501,8 @@ def mckay_rate_function(spec: RateFunctionSpec) -> RateFunctionResult:
     """Maximize f + k_theta over the admissible type region.
 
     The maximizer is the best stationary point of the family in the
-    module docstring, found by one deterministic solve and scored
-    exactly; the result is the objective at an admissible point.
+    module docstring, found by one deterministic solve and scored with
+    f_xy + k_theta; the result is the objective at an admissible point.
     """
     return _profile([spec])[0]
 

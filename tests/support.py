@@ -37,7 +37,7 @@ from loopgas import (
     sample_regular_bipartite,
     ursell,
 )
-from loopgas.bp import check_forms, check_weight_range, parity_form
+from loopgas.bp import _Batch, _one_row, check_forms, check_weight_range, parity_form
 from loopgas.errors import (
     BudgetExceededError,
     InfeasibleDomainError,
@@ -46,7 +46,7 @@ from loopgas.errors import (
     TooLargeError,
 )
 from loopgas.exact import _reduced_rows, null_space_gf2
-from loopgas.loops import _DENOMINATOR_FLOOR, LoopSumResult, enumerate_generalized_loops
+from loopgas.loops import _DENOMINATOR_FLOOR, LoopSumResult, _walk
 from loopgas.ratefunc import (
     RateFunctionResult,
     RateFunctionSpec,
@@ -69,6 +69,14 @@ def ldgm_instance(l: int, r: int, n: int, p: float, seed: int, chan_seed: int = 
     """Regular generator-matrix instance with channel fields applied."""
     g = sample_ldgm({l: 1.0}, {r: 1.0}, n, seed=seed)
     return apply_channel(g, p, seed=chan_seed)
+
+
+def chain(n: int, closed: bool) -> FactorGraph:
+    """n parity variables joined by degree-2 checks into a path (n - 1
+    checks) or, closed, a ring (n checks); fields zero."""
+    m = n if closed else n - 1
+    edges = [(i % n, a) for a in range(m) for i in (a, a + 1)]
+    return build_factor_graph(n, m, edges, LdpcWeights(variable_fields=(0.0,) * n))
 
 
 def own_fields(graph: FactorGraph) -> tuple[float, ...]:
@@ -269,6 +277,13 @@ def _sweep(graph: FactorGraph, messages: MessageSet, forms: list) -> MessageSet:
         for k, e in enumerate(eids):
             new_t[e] = excl[k]
     return MessageSet(kind=w.kind, var_to_check=new_t, check_to_var=new_that)
+
+
+def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
+    """One synchronous sweep of the batched kernel: both directions
+    recomputed from the old iterate."""
+    v, c = _Batch(graph).sweep(*_one_row(messages))
+    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
 
 
 def scalar_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
@@ -863,6 +878,21 @@ def _degree_profiles(
 
 def _by_edges(loop: Polymer):
     return len(loop.edge_ids), loop.edge_ids
+
+
+def enumerate_generalized_loops(
+    graph: FactorGraph, budget: int = 10_000_000
+) -> list[Polymer]:
+    """All nonempty edge subsets with every touched node of induced degree
+    >= 2, from the library's walk.
+
+    Sorted by (edge count, edge ids); the budget is the walk's.
+    """
+    leaves = _walk(graph, budget)
+    out: list[Polymer] = []
+    for choices, _prod in leaves.loops():
+        out += leaves.records(choices)
+    return sorted(out, key=_by_edges)
 
 
 def recursive_loops(graph: FactorGraph, budget: int = 10_000_000) -> list[Polymer]:

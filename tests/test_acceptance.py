@@ -47,7 +47,6 @@ from loopgas import (
 )
 from loopgas.cli import _instance_seeds, _sample_ensemble, main
 from loopgas.exact import codeword_count_gf2
-from loopgas.loops import enumerate_generalized_loops
 from loopgas.graphs import binary_entropy
 from loopgas.ratefunc import RateFunctionSpec
 
@@ -167,7 +166,7 @@ def test_criterion_03_tree_exactness(record_criterion):
     worst = 0.0
     loops_seen = 0
     for graph in trees:
-        loops_seen += len(enumerate_generalized_loops(graph))
+        loops_seen += len(sp.enumerate_generalized_loops(graph))
         result = solve_fixed_point(graph)
         assert result.converged
         f_bethe = bethe_free_energy(graph, result.messages).f_bethe

@@ -48,7 +48,7 @@ def test_initial_messages_zero_elsewhere():
 def test_ldpc_sweep_matches_hand_rules():
     g = sp.ldpc_instance(3, 6, 12, 0.25, 1)
     msgs = sp.random_messages(g, seed=5)
-    out = bp.bp_sweep(g, msgs)
+    out = sp.bp_sweep(g, msgs)
     for a in range(g.m):
         eids = g.check_edges[a]
         for e in eids:
@@ -70,7 +70,7 @@ def test_ldpc_sweep_matches_hand_rules():
 def test_ldgm_sweep_matches_hand_rules():
     g = sp.ldgm_instance(3, 6, 12, 0.3, 2)
     msgs = sp.random_messages(g, seed=6)
-    out = bp.bp_sweep(g, msgs)
+    out = sp.bp_sweep(g, msgs)
     for a in range(g.m):
         eids = g.check_edges[a]
         th = math.tanh(g.weights.check_fields[a])
@@ -93,7 +93,7 @@ def test_ldgm_sweep_matches_hand_rules():
 def test_general_sweep_matches_cavity_enumeration():
     g = sp.general_instance(3, 4, 4, beta=0.3, seed=3)
     msgs = sp.random_messages(g, seed=7)
-    out = bp.bp_sweep(g, msgs)
+    out = sp.bp_sweep(g, msgs)
     t = msgs.var_to_check
     for a in range(g.m):
         eids = g.check_edges[a]
@@ -354,7 +354,7 @@ def test_solves_equal_the_scalar_sweep_bit_for_bit(family, option):
 def test_sweep_and_start_equal_the_scalar_sweep_bit_for_bit(family):
     g = _patterns(family, 1)[2][0]
     msgs = sp.random_messages(g, seed=5)
-    swept, want = bp.bp_sweep(g, msgs), sp.scalar_sweep(g, msgs)
+    swept, want = sp.bp_sweep(g, msgs), sp.scalar_sweep(g, msgs)
     assert np.array_equal(swept.var_to_check, want.var_to_check)
     assert np.array_equal(swept.check_to_var, want.check_to_var)
     start, want = lg.initial_messages(g), sp.scalar_initial_messages(g)
@@ -441,7 +441,7 @@ def test_saturated_messages_raise_a_typed_error():
         check_to_var=np.zeros(2),
     )
     with pytest.raises(SingularDenominatorError):
-        bp.bp_sweep(g, bad)
+        sp.bp_sweep(g, bad)
 
 
 @pytest.mark.parametrize(

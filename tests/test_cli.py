@@ -556,6 +556,32 @@ def test_series_budget_exit(tmp_path):
     assert rc == 3
 
 
+def test_graphs_past_709_nodes_give_finite_payloads(tmp_path):
+    # e^(n + m) and the ring's e^800 are past float range; q = e^800 |K| is not
+    payloads = {}
+    for name, closed in (("path", False), ("ring", True)):
+        path = str(tmp_path / f"{name}.json")
+        save_graph(sp.chain(400, closed), path)
+        out = tmp_path / f"{name}.identity.json"
+        assert main([
+            "verify-identity", "--graph", path, "--p", "0.3",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        payloads[name] = json.loads(out.read_text())
+        out = tmp_path / f"{name}.series.json"
+        assert main([
+            "series", "--graph", path, "--p", "0.3", "--m-max", "1",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        series = json.loads(out.read_text())
+        assert series["q"] == payloads[name]["q"]
+    for payload in payloads.values():
+        assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
+    assert payloads["path"]["loop_count"] == 0 and payloads["path"]["q"] == 0.0
+    assert payloads["ring"]["loop_count"] == 1
+    assert math.log(payloads["ring"]["q"]) == pytest.approx(645.79, abs=0.01)
+
+
 def test_rate_function_profile_csv(tmp_path):
     out = str(tmp_path / "rate.csv")
     rc = main([
@@ -665,6 +691,17 @@ def test_rate_function_payload_ignores_seed_and_starts(tmp_path):
         assert rc == 0
         payloads.append(out.read_bytes())
     assert payloads[0] == payloads[1]
+
+
+def test_rate_function_unreachable_size_fraction_exits_2(tmp_path, capsys):
+    out = tmp_path / "rate.csv"
+    rc = main([
+        "rate-function", "--l", "11", "--r", "12", "--thetas", "0", "--lambda", "0.1725",
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert "no type of finite rate reaches size fraction 0.1725" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from loopgas.errors import (
 )
 
 import support as sp
+from loopgas.loops import _q_weights
 
 
 def _mask_polymer(mask: int) -> lg.Polymer:
@@ -421,6 +422,33 @@ def test_q_bound_variant_dominates_activity_q():
     assert bound.q >= act.q
 
 
+def test_q_weights_past_the_range_of_e_to_the_size():
+    # |K| e^size bit for bit while e^size is finite, e^(size + ln|K|)
+    # after; 0 for K = 0, inf only past float range, never NaN
+    acts = [0.0, -1e-300, 0.3, 1.0, math.inf]
+    for size in [*range(0, 709, 7), 709]:
+        got = _q_weights(acts, [size] * len(acts)).tolist()
+        assert got == [abs(k) * math.exp(size) for k in acts]
+    got = _q_weights(acts, [800] * len(acts)).tolist()
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(math.exp(800 - 300 * math.log(10)), rel=1e-12)
+    assert got[2:] == [math.inf] * 3
+
+
+def test_q_on_a_ring_past_709_nodes():
+    # the 400-cycle is one polymer of 800 nodes; its weight e^800 |K| is
+    # finite although e^800 is not
+    g = lg.apply_channel(sp.chain(400, closed=True), 0.3, seed=0)
+    messages = lg.solve_fixed_point(g).messages
+    (ring,) = lg.enumerate_polymers(g)
+    k = lg.ActivityEvaluator(g, messages).value(ring.edge_ids)
+    report = lg.convergence_criterion_q(g, messages)
+    assert report.q == pytest.approx(math.exp(800 + math.log(abs(k))), rel=1e-12)
+    assert math.log(report.q) == pytest.approx(645.79, abs=0.01)
+    bound = lg.convergence_criterion_q_bound(g, [ring], lambda poly: 1e-300)
+    assert bound.q == pytest.approx(math.exp(800 - 300 * math.log(10)), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # rooted polymer counting
 
@@ -463,6 +491,14 @@ def test_rooted_count_matches_subset_oracle():
             count, cap = lg.count_rooted_polymers(g, root, t)
             assert count == expected
             assert count <= cap
+
+
+def test_rooted_count_bound_is_inf_past_float_range():
+    # max degree 2: e^(2 t) is finite up to t = 354
+    g = sp.chain(400, closed=True)
+    assert lg.count_rooted_polymers(g, 0, 354) == (0, math.exp(708))
+    assert lg.count_rooted_polymers(g, 0, 355) == (0, math.inf)
+    assert lg.count_rooted_polymers(g, 0, 800) == (1, math.inf)
 
 
 def test_rooted_count_argument_validation():

@@ -22,7 +22,7 @@ from loopgas.errors import (
 )
 
 import support as sp
-from loopgas.loops import enumerate_generalized_loops, loop_activities
+from loopgas.loops import loop_activities
 
 
 def _four_cycle_ldgm(h0=0.4, h1=-0.7):
@@ -55,7 +55,7 @@ def _disjoint_cycle_pair():
 
 
 def test_four_cycle_has_one_loop():
-    loops = enumerate_generalized_loops(_four_cycle_ldgm())
+    loops = sp.enumerate_generalized_loops(_four_cycle_ldgm())
     assert len(loops) == 1
     assert loops[0].edge_ids == (0, 1, 2, 3)
     assert loops[0].size == 4
@@ -63,7 +63,7 @@ def test_four_cycle_has_one_loop():
 
 def test_complete_2_by_3_loops():
     # checks have degree 2, so a loop picks >= 2 whole checks: C(3,2)+C(3,3)
-    loops = enumerate_generalized_loops(_complete_2_by_3())
+    loops = sp.enumerate_generalized_loops(_complete_2_by_3())
     assert len(loops) == 4
     polys = lg.enumerate_polymers(_complete_2_by_3())
     assert len(polys) == 4  # the shared variables connect everything
@@ -71,7 +71,7 @@ def test_complete_2_by_3_loops():
 
 def test_disjoint_pair_loops_and_polymers():
     g = _disjoint_cycle_pair()
-    loops = enumerate_generalized_loops(g)
+    loops = sp.enumerate_generalized_loops(g)
     assert len(loops) == 3  # each cycle alone plus their union
     polys = lg.enumerate_polymers(g)
     assert len(polys) == 2
@@ -93,7 +93,7 @@ def test_enumeration_matches_subset_filter(builder, args):
     g = builder(*args)
     assert g.edge_count <= 16
     oracle = sp.oracle_loops(g)
-    lib = {frozenset(l.edge_ids) for l in enumerate_generalized_loops(g)}
+    lib = {frozenset(l.edge_ids) for l in sp.enumerate_generalized_loops(g)}
     assert lib == oracle
     oracle_p = sp.oracle_polymers(g)
     lib_p = {frozenset(q.edge_ids) for q in lg.enumerate_polymers(g)}
@@ -137,7 +137,7 @@ def test_enumeration_filters():
 def test_enumeration_respects_budget():
     g = sp.ldpc_instance(3, 4, 8, 0.3, 0)
     with pytest.raises(BudgetExceededError):
-        enumerate_generalized_loops(g, budget=5)
+        sp.enumerate_generalized_loops(g, budget=5)
     with pytest.raises(BudgetExceededError):
         lg.enumerate_polymers(g, budget=5)
 
@@ -396,7 +396,7 @@ def test_walk_holds_no_leaf_arrays_after_return(monkeypatch):
     try:
         assert lg.loop_sum_direct(g, messages).loop_count
         assert lg.enumerate_polymers(g, max_size=8)
-        assert enumerate_generalized_loops(g)
+        assert sp.enumerate_generalized_loops(g)
         assert loop_activities(g, messages)
         assert len(refs) > 4 * 2
         assert all(ref() is None for ref in refs)
@@ -543,7 +543,7 @@ def test_level_walk_matches_recursive_walk(case, monkeypatch):
         for k, want in polymers.items():
             assert lg.enumerate_polymers(g, max_size=k) == want, (chunk, k)
     monkeypatch.undo()
-    assert enumerate_generalized_loops(g) == sp.recursive_loops(g)
+    assert sp.enumerate_generalized_loops(g) == sp.recursive_loops(g)
     # at a fixed point some variable factors are exactly 1; arbitrary messages
     # make every factor count, so the multiplication order shows in the bits
     arbitrary = sp.random_messages(g, seed=7)
@@ -924,7 +924,7 @@ def test_expander_bound_hypothesis():
 def test_tree_exactness_report():
     # on a tree there are no loops, so f_bethe is ln Z / n exactly
     g = sp.random_tree(9, 2, "ldgm")
-    assert enumerate_generalized_loops(g) == []
+    assert sp.enumerate_generalized_loops(g) == []
     report = lg.verify_loop_identity(g)
     assert report.loop_count == 0 and report.ln_loop_sum == 0.0
     assert abs(report.f_bethe - report.ln_z_exact / g.n) <= 1e-10
