@@ -36,12 +36,14 @@ fixed w the problem is concave in (x, y); its dual
 
 Zx = sum_s C(l, s) e^(b_s + eta + alpha_x s), is convex, the minimizing
 eta solves a quadratic, and Newton steps in (alpha_x, alpha_y) find its
-minimum.  V(w) = -h(w) + min psi is not concave: it is evaluated on a
-fixed grid of w, and every grid peak is refined by Newton steps on
-V'(w) = logit(w) - alpha_x - alpha_y.  All thetas of a profile are solved
-together in numpy.  The admissible family points are then scored with
-f_xy + k_theta (y_r from the degree matching), so a value is always the
-objective at an admissible point.
+minimum, exact also where a side holds a single type of positive weight
+and across eta = 0 (see _Dual).  V(w) = -h(w) + min psi is not concave:
+it is evaluated on a fixed grid of w, and every grid peak is refined by
+Newton steps on V'(w) = logit(w) - alpha_x - alpha_y, each row stopping
+once its step moves w by at most 1e-13 w.  All thetas of a profile are
+solved together in numpy.  The admissible family points are then scored
+with f_xy + k_theta (y_r from the degree matching), so a value is always
+the objective at an admissible point.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ class RateFunctionSpec:
 
     def __post_init__(self) -> None:
         if self.l % 2 == 0 or not 3 <= self.l < self.r:
-            raise ValueError(
-                f"need l odd with 3 <= l < r, got l = {self.l}, r = {self.r}"
-            )
+            raise ValueError(f"need l odd with 3 <= l < r, got l = {self.l}, r = {self.r}")
         if not 0.0 <= self.theta < 0.5:
             raise ValueError(f"theta must lie in [0, 0.5), got {self.theta}")
         for name in ("lam", "alpha1", "alpha2"):
@@ -128,25 +128,15 @@ def f_xy(l: int, r: int, xs, ys) -> float:
     sy = math.fsum(ys)
     wx = math.fsum((s / l) * x for s, x in zip(range(2, l + 1), xs))
     val = _xlogx(1.0 - wx) + _xlogx(wx)
-    val += math.fsum(
-        x * math.log(math.comb(l, s)) for s, x in zip(range(2, l + 1), xs)
-    ) / l
-    val += math.fsum(
-        y * math.log(math.comb(r, t)) for t, y in zip(range(2, r + 1), ys)
-    ) / r
+    val += math.fsum(x * math.log(math.comb(l, s)) for s, x in zip(range(2, l + 1), xs)) / l
+    val += math.fsum(y * math.log(math.comb(r, t)) for t, y in zip(range(2, r + 1), ys)) / r
     val -= (_xlogx(1.0 - sy) + math.fsum(_xlogx(y) for y in ys)) / r
     val -= (_xlogx(1.0 - sx) + math.fsum(_xlogx(x) for x in xs)) / l
     return val
 
 
 def k_theta(
-    l: int,
-    r: int,
-    theta: float,
-    xs,
-    ys,
-    alpha1: float = 1.1,
-    alpha2: float = 1.1,
+    l: int, r: int, theta: float, xs, ys, alpha1: float = 1.1, alpha2: float = 1.1
 ) -> float:
     """Exponential decay rate of the uniform activity bound for type (xs, ys).
 
@@ -257,8 +247,9 @@ _GRID = 64  # w grid points per theta
 _GRID_REACH = 12.0  # logistic coordinates of the grid span [-12, 12]
 _MAX_STEP = 16.0  # largest Newton move of alpha_x or alpha_y
 _INNER_ITERS = 80
-_INNER_DECREMENT = 1e-24  # Newton decrement at which the dual counts as solved
+_INNER_DECREMENT = 1e-24  # decrement at which the dual counts as solved (see _Dual.floor)
 _OUTER_ITERS = 40
+_STOP = 1e-13  # a row whose Newton step on V' moves w by at most this, relative, ends
 # a family point with sx or sy above this is scaled down to it, inside
 # admit's sx, sy < 1 - 1e-12; scaling keeps wx = wy, and the size floor's
 # 1e-12 slack absorbs the cut, at most 1.5e-12 (1/l + 1/r)
@@ -334,71 +325,76 @@ def _size_multiplier(lx, ly, l: int, r: int, lam: float) -> np.ndarray:
 
 
 class _Dual:
-    """psi, its gradient and its Hessian in (alpha_x, alpha_y), eta
-    eliminated, at one (ax, ay) per row for the row's w; the family point
-    (xs, ys) there, and V(w) with its first two derivatives if (ax, ay)
-    minimizes psi.
+    """psi and its Newton step in (alpha_x, alpha_y), eta eliminated, at
+    one (ax, ay) per row for the row's w; the family point (xs, ys) there,
+    and V(w) with its first two derivatives if (ax, ay) minimizes psi.
 
-    The Hessian holds the covariances of (s, occupied) under the x law
-    over {empty} + types, and likewise for y, with the Schur complement
-    of the eta entry where eta > 0.
+    At fixed eta the Hessian holds the covariances of (s, occupied) under
+    the x law over {empty} + types, and likewise for y; where eta > 0 it is
+    their Schur complement of the eta entry, written without cancellation.
+    With a single type of positive weight on each side that is singular:
+    psi is linear along its null direction until eta = 0.  A step that
+    would take eta below 0 follows the eliminated step to eta = 0 and the
+    fixed-eta step for the rest, the minimizer of the two quadratic pieces.
     """
 
     def __init__(self, cx, cy, l: int, r: int, lam: float, w, ax, ay):
         kx, ky = np.arange(2.0, l + 1), np.arange(2.0, r + 1)
-        lx, qx = _side(cx, kx, ax)
-        ly, qy = _side(cy, ky, ay)
+        (lx, qx), (ly, qy) = _side(cx, kx, ax), _side(cy, ky, ay)
         eta = _size_multiplier(lx, ly, l, r, lam)
         ex, ey = np.logaddexp(0.0, eta + lx), np.logaddexp(0.0, eta + ly)
-        sx, sy = np.exp(eta + lx - ex), np.exp(eta + ly - ey)  # occupied fractions
-        ox, oy = np.exp(-ex), np.exp(-ey)  # empty fractions
-        mux, muy = qx @ kx, qy @ ky
-        mx, my = sx * mux, sy * muy
-        h11 = sx * (qx * (kx - mux[:, None]) ** 2).sum(axis=1) + sx * ox * mux * mux
-        h22 = sy * (qy * (ky - muy[:, None]) ** 2).sum(axis=1) + sy * oy * muy * muy
-        h11, h22, h12 = h11 / l, h22 / r, np.zeros_like(w)
-        tight = eta > 0.0
-        if tight.any():
-            he1, he2 = mx * ox / l, my * oy / r
-            hee = np.where(tight, sx * ox / l + sy * oy / r, 1.0)
-            # the Schur complement of the eta entry, plus 1e-6 of the eta = 0
-            # diagonal: where a side has one type of positive weight, eta
-            # and alpha move its law alike and the complement is singular
-            h11 = np.where(tight, (1.0 + 1e-6) * h11 - he1 * he1 / hee, h11)
-            h22 = np.where(tight, (1.0 + 1e-6) * h22 - he2 * he2 / hee, h22)
-            h12 = np.where(tight, -he1 * he2 / hee, h12)
+        sx = np.exp(-np.logaddexp(0.0, -eta - lx))  # occupied fractions, to an ulp
+        sy = np.exp(-np.logaddexp(0.0, -eta - ly))
         self.ax, self.ay = ax, ay
         terms = (ex / l, ey / r, (ax + ay) * w, eta * lam)
         self.psi = terms[0] + terms[1] - terms[2] - terms[3]
-        # psi's rounding error: a change below it is noise
-        self.noise = 1e-14 * sum(np.abs(term) for term in terms)
+        self.noise = 1e-14 * sum(np.abs(term) for term in terms)  # psi's rounding error
         shrink = np.minimum(1.0, _OCCUPIED_CAP / np.maximum(sx, sy))
         self.xs, self.ys = (shrink * sx)[:, None] * qx, (shrink * sy)[:, None] * qy
-        # the Newton step (d1, d2) and its decrement; V' and V'', with
-        # d(alpha_x + alpha_y)/dw = (1, 1) H^-1 (1, 1)
-        g1, g2 = mx / l - w, my / r - w
+        mux, muy = qx @ kx, qy @ ky
+        g1, g2 = sx * mux / l - w, sy * muy / r - w
+        # per side, the variance of s given occupied and d size / d eta
+        vx = sx * (qx * (kx - mux[:, None]) ** 2).sum(axis=1) / l
+        vy = sy * (qy * (ky - muy[:, None]) ** 2).sum(axis=1) / r
+        bx, by = sx * np.exp(-ex) / l, sy * np.exp(-ey) / r
         with np.errstate(divide="ignore", invalid="ignore"):
-            det = h11 * h22 - h12 * h12
-            self.d1 = (h12 * g2 - h22 * g1) / det
-            self.d2 = (h12 * g1 - h11 * g2) / det
+            f11, f22 = vx + bx * mux * mux, vy + by * muy * muy  # eta fixed
+            c = bx * by / (bx + by)
+            s11, s22, s12 = vx + c * mux * mux, vy + c * muy * muy, -c * mux * muy
+            det = vx * s22 + c * mux * mux * vy
+            # det times the eliminated Newton step, and -det times its move of eta
+            n1, n2 = s12 * g2 - s22 * g1, s12 * g1 - s11 * g2
+            dn = (bx * mux * n1 + by * muy * n2) / (bx + by)
+            cross = (eta > 0.0) & (eta * det < dn)
+            whole = (eta > 0.0) & ~cross & (det > 0.0)
+            edge = np.where(cross, eta / dn, 0.0)
+            self.d1 = np.where(whole, n1 / det, edge * n1 - (1.0 - edge * det) * g1 / f11)
+            self.d2 = np.where(whole, n2 / det, edge * n2 - (1.0 - edge * det) * g2 / f22)
             self.decrement = -(g1 * self.d1 + g2 * self.d2)
-            self.curvature = 1.0 / (w * (1.0 - w)) - (h11 + h22 - 2.0 * h12) / det
+            # H^-1 (1, 1), the move of (alpha_x, alpha_y) per unit of w, and V''
+            tilt = np.where(whole, [s22 - s12, s11 - s12] / det, [1.0 / f11, 1.0 / f22])
+        self.tilt = np.where(np.isfinite(tilt), tilt, 0.0)
+        self.curvature = 1.0 / (w * (1.0 - w)) - self.tilt[0] - self.tilt[1]
+        # solved at a decrement of 1e-24, or of a gradient error of 4 ulp of w
+        self.floor = np.maximum(_INNER_DECREMENT, (4e-16 * w) ** 2 * self.tilt.sum(axis=0))
+        self.solved = (self.decrement >= 0.0) & (self.decrement <= self.floor)
         self.value = w * np.log(w) + (1.0 - w) * np.log1p(-w) + self.psi
         self.slope = np.log(w) - np.log1p(-w) - ax - ay
 
 
 def _dual_min(cx, cy, l: int, r: int, lam: float, w, ax, ay) -> _Dual:
-    """Minimize psi over (alpha_x, alpha_y) at each row's w by Newton
-    steps from (ax, ay).
+    """Minimize psi over (alpha_x, alpha_y) at each row's w by the Newton
+    steps of _Dual from (ax, ay).
 
     A step moves neither coordinate by more than _MAX_STEP and is halved
     until psi falls by a tenth of the decrease the step predicts, or by
-    its rounding error.  V is -inf on rows whose Newton decrement is still
-    above _INNER_DECREMENT after _INNER_ITERS steps.
+    its rounding error; with the steps exact on both sides of eta = 0,
+    most need no halving.  V is -inf on rows whose decrement is still
+    above their floor after _INNER_ITERS steps.
     """
     at = _Dual(cx, cy, l, r, lam, w, ax, ay)
     for _ in range(_INNER_ITERS):
-        moving = np.isfinite(at.decrement) & (at.decrement > _INNER_DECREMENT)
+        moving = np.isfinite(at.decrement) & (at.decrement > at.floor)
         if not moving.any():
             break
         d1, d2 = np.where(moving, at.d1, 0.0), np.where(moving, at.d2, 0.0)
@@ -411,38 +407,34 @@ def _dual_min(cx, cy, l: int, r: int, lam: float, w, ax, ay) -> _Dual:
                 break
             t = np.where(short, 0.5 * t, t)
         at = trial
-    # one more full step: where psi is nearly flat along some direction, a
-    # small decrement still leaves alpha off by up to its square root, and
-    # Newton's quadratic convergence takes that to rounding
-    done = (at.decrement >= 0.0) & (at.decrement <= _INNER_DECREMENT)
-    d1, d2 = np.where(done, at.d1, 0.0), np.where(done, at.d2, 0.0)
+    # one more full step: where psi is nearly flat along some direction, a small
+    # decrement leaves alpha off by up to its square root; Newton ends that
+    d1, d2 = np.where(at.solved, at.d1, 0.0), np.where(at.solved, at.d2, 0.0)
     at = _Dual(cx, cy, l, r, lam, w, at.ax + d1, at.ay + d2)
-    solved = (at.decrement >= 0.0) & (at.decrement <= _INNER_DECREMENT)
-    at.value = np.where(solved, at.value, -np.inf)
+    at.value = np.where(at.solved, at.value, -np.inf)
     return at
 
 
 def _family_points(specs: list[RateFunctionSpec]) -> list[list[list[float]]]:
-    """Per spec, free coordinates of the best grid point of V and of the
-    Newton refinement of every grid peak, all specs solved as rows of one
-    array.
+    """Per spec, free coordinates of the best grid point of V and of every
+    grid peak refined, all specs solved as rows of one array.
 
     A peak is a grid point whose V is at least its neighbours'; a narrow
     peak next to the size floor can beat a broad one elsewhere.  Each
     refinement keeps a bracket of the peak's neighbours (w_lo or w_hi at
-    the ends), narrowed by the sign of V', and bisects where a Newton step
-    on V' would leave it or V is not concave there.
+    the ends), narrowed by the sign of V'.  Where V is concave it takes
+    the Newton step on V' in -ln(distance to the bracket end it heads for),
+    which never leaves the bracket and is Newton's to second order (V' at a
+    peak on the size floor goes like that log); elsewhere it bisects.  The
+    dual at the new w starts from alpha + H^-1 (1, 1) dw.  A step of at
+    most _STOP w (4e-16 w for a bisection) is a row's last: w stays there.
     """
     l, r, lam = specs[0].l, specs[0].r, specs[0].lam
-    logits = [_family_logits(spec) for spec in specs]
-    cx = np.array([c for c, _ in logits])
-    cy = np.array([c for _, c in logits])
-    grid = np.array([_w_grid(l, r, lam, c, d) for c, d in logits])
+    cx, cy = (np.array(side) for side in zip(*map(_family_logits, specs)))
+    grid = np.array([_w_grid(l, r, lam, c, d) for c, d in zip(cx, cy)])
     zero = np.zeros(len(specs) * _GRID)
-    on_grid = _dual_min(
-        np.repeat(cx, _GRID, axis=0), np.repeat(cy, _GRID, axis=0),
-        l, r, lam, grid[:, 1:-1].ravel(), zero, zero,
-    )
+    on_grid = _dual_min(np.repeat(cx, _GRID, axis=0), np.repeat(cy, _GRID, axis=0),
+                        l, r, lam, grid[:, 1:-1].ravel(), zero, zero)
     value = on_grid.value.reshape(len(specs), _GRID)
     edged = np.pad(value, ((0, 0), (1, 1)), constant_values=-np.inf)
     peak = (value > -np.inf) & (value >= edged[:, :-2]) & (value >= edged[:, 2:])
@@ -450,21 +442,29 @@ def _family_points(specs: list[RateFunctionSpec]) -> list[list[list[float]]]:
     lo, w, hi = grid[row, at], grid[row, at + 1], grid[row, at + 2]
     cx, cy = cx[row], cy[row]
     ax, ay = on_grid.ax[row * _GRID + at], on_grid.ay[row * _GRID + at]
+    (done, last), found = np.zeros((2, len(w)), dtype=bool), np.zeros((len(w), l + r - 3))
     for _ in range(_OUTER_ITERS):
         point = _dual_min(cx, cy, l, r, lam, w, ax, ay)
+        found[~done] = np.hstack([point.xs, point.ys[:, :-1]])[~done]
+        done |= last
+        if done.all():
+            break
         rising = point.slope > 0.0
         lo, hi = np.where(rising, w, lo), np.where(rising, hi, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = w - point.slope / point.curvature
-        newton = (point.curvature < 0.0) & (lo < step) & (step < hi)
-        step = np.where(newton, step, 0.5 * (lo + hi))
-        if (np.abs(step - w) <= 4e-16 * w).all():
-            break
-        w, ax, ay = step, point.ax, point.ay
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            move = -point.slope / point.curvature
+            room = np.maximum(np.where(move > 0.0, hi - w, w - lo), 1e-300)
+            move = np.copysign(room * -np.expm1(-np.abs(move) / room), move)
+        newton = (point.curvature < 0.0) & np.isfinite(move)
+        step = np.where(newton, w + move, 0.5 * (lo + hi))
+        last = np.abs(step - w) <= np.where(newton, _STOP, 4e-16) * w
+        step = np.where(done, w, step)
+        ax, ay = point.ax + point.tilt[0] * (step - w), point.ay + point.tilt[1] * (step - w)
+        w = step
     best = np.arange(len(specs)) * _GRID + value.argmax(axis=1)
     out = [[on_grid.xs[k].tolist() + on_grid.ys[k, :-1].tolist()] for k in best]
-    for k, spec_row in enumerate(row.tolist()):
-        out[spec_row].append(point.xs[k].tolist() + point.ys[k, :-1].tolist())
+    for spec_row, refined in zip(row.tolist(), found.tolist()):
+        out[spec_row].append(refined)
     return out
 
 

@@ -17,7 +17,7 @@ from loopgas import (
     z_star,
 )
 from loopgas import ratefunc
-from loopgas.errors import InfeasibleDomainError, NoSignChangeError
+from loopgas.errors import InfeasibleDomainError, LoopGasError, NoSignChangeError
 from loopgas.graphs import binary_entropy
 from loopgas.ratefunc import f_xy, k_theta
 
@@ -366,6 +366,119 @@ def test_profile_equals_oracle_chain(l, r, seed, tol):
     for res, oracle in zip(got, want):
         assert res.theta == oracle.theta
         assert res.value >= oracle.value - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# peak refinement: stopping, cost, and the edges of the parameter range
+
+# the README's rate-function call, and the benchmark's two
+_README_CALLS = [(3, 6, (1e-4, 1e-3, 1e-2), 1e-3), (3, 4, (1e-4, 1e-3, 1e-2), 1e-3)]
+
+
+def test_refinement_rows_stop_once_their_newton_step_is_tiny(monkeypatch):
+    # every _dual_min call after the grid's holds the refinement rows in a
+    # fixed order; once a row's Newton step on V' is within the stopping
+    # tolerance, the row takes that step and its w never moves again (it
+    # once bisected away from a converged peak when the step rounded onto
+    # the bracket end)
+    calls = []
+    solve = ratefunc._dual_min
+
+    def recording(cx, cy, l, r, lam, w, ax, ay):
+        point = solve(cx, cy, l, r, lam, w, ax, ay)
+        calls.append((w.copy(), point.slope / point.curvature, point.curvature))
+        return point
+
+    monkeypatch.setattr(ratefunc, "_dual_min", recording)
+    rate_function_profile(*_README_CALLS[0])
+    refinement = calls[1:]
+    rows = len(refinement[0][0])
+    assert rows >= 2
+    for k in range(rows):
+        tiny = [
+            i for i, (w, step, curvature) in enumerate(refinement)
+            if curvature[k] < 0.0 and abs(step[k]) <= ratefunc._STOP * w[k]
+        ]
+        assert tiny, k
+        i = tiny[0]
+        assert i + 1 < len(refinement), k
+        stop = refinement[i + 1][0][k]
+        assert abs(stop - refinement[i][0][k]) <= ratefunc._STOP * refinement[i][0][k]
+        assert all(later[k] == stop for later, _, _ in refinement[i + 1 :]), k
+
+
+@pytest.mark.parametrize("l, r, thetas, lam", _README_CALLS)
+def test_readme_calls_need_few_dual_evaluations(monkeypatch, l, r, thetas, lam):
+    # a deterministic cost bound: each evaluation of psi and its Newton step
+    # is one _Dual; the README-line profile solves its 3 x 64 grid rows and
+    # refines its peaks in at most 150 of them
+    count = [0]
+
+    class Counted(ratefunc._Dual):
+        def __init__(self, *args):
+            count[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(ratefunc, "_Dual", Counted)
+    rate_function_profile(l, r, thetas, lam)
+    assert 0 < count[0] <= 150
+
+
+def test_small_theta_small_lam_reaches_the_fine_grid_value(monkeypatch):
+    # the maximizer of (5, 40) at theta = 1e-6, lam = 1e-4 sits where
+    # alpha_x jumps between two grid points; the default grid's refinement
+    # reaches the value of a 1001-point grid reaching e^-25 of w's ends
+    spec = RateFunctionSpec(l=5, r=40, theta=1e-6, lam=1e-4, alpha1=2.0, alpha2=3.0)
+    value = mckay_rate_function(spec).value
+    monkeypatch.setattr(ratefunc, "_GRID", 1001)
+    monkeypatch.setattr(ratefunc, "_GRID_REACH", 25.0)
+    fine = mckay_rate_function(spec).value
+    assert value >= fine - 1e-13
+
+
+@pytest.mark.parametrize("r", [4, 6, 8])
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 0.3])
+def test_one_type_on_each_side_gives_the_closed_form(r, lam):
+    # at theta = 0 with l = 3 only x_2 and y_r have finite rate, so w fixes
+    # the point (x_2 = 3w/2, y_r = w) and the size multiplier and the tilts
+    # move each side's law alike; the maximum is the better of w's lower end
+    # and z_star at w = 1/2, where f = -(1 - 3/r) ln 2 / 3
+    w = lam / (0.5 + 1.0 / r)
+    end = f_xy(3, r, (1.5 * w, 0.0), (0.0,) * (r - 2) + (w,))
+    inner = -(1.0 - 3.0 / r) * math.log(2.0) / 3.0 if w <= 0.5 else -math.inf
+    res = mckay_rate_function(RateFunctionSpec(l=3, r=r, theta=0.0, lam=lam))
+    assert abs(res.value - max(end, inner)) <= 1e-14
+
+
+def _size_limit(l, r, theta):
+    """The supremum of the sizes sx/l + sy/r of types of finite rate: at
+    theta = 0 only even variable degrees (at most l - 1) and y_r have it."""
+    if theta > 0.0:
+        return 1.0 / l + 1.0 / r
+    return min((l - 1) / (2 * l), 1.0 / l) + min((l - 1) / (l * r), 1.0 / r)
+
+
+@pytest.mark.parametrize("l, r", [(3, 4), (3, 6), (5, 8), (9, 40)])
+@pytest.mark.parametrize("theta", [0.0, 1e-6, 0.45])
+@pytest.mark.parametrize("near_limit", [False, True])
+@pytest.mark.parametrize("alpha1, alpha2", [(1.1, 1.1), (10.0, 10.0), (1.1, 10.0)])
+def test_rate_function_edges_give_finite_values(l, r, theta, near_limit, alpha1, alpha2):
+    # a tiny size fraction, or one just below the largest size of finite
+    # rate (sx and sy near 1), at theta = 0, tiny and large, and bound
+    # constants up to 10: a finite value at an admissible point, or a typed
+    # error, never NaN (a RuntimeWarning fails the test)
+    lam = _size_limit(l, r, theta) * (1.0 - 1e-9) if near_limit else 1e-4
+    spec = RateFunctionSpec(l=l, r=r, theta=theta, lam=lam, alpha1=alpha1, alpha2=alpha2)
+    try:
+        res = mckay_rate_function(spec)
+    except LoopGasError:
+        return
+    assert math.isfinite(res.value)
+    assert all(math.isfinite(v) for v in res.xs + res.ys)
+    assert sp.oracle_feasible(l, r, lam, list(res.xs) + list(res.ys[:-1]))
+    assert res.value == f_xy(l, r, res.xs, res.ys) + k_theta(
+        l, r, theta, res.xs, res.ys, alpha1, alpha2
+    )
 
 
 # ---------------------------------------------------------------------------
