@@ -125,6 +125,22 @@ def check_weight_range(graph: FactorGraph, fields=None) -> None:
         )
 
 
+def node_name(graph: FactorGraph, node: int) -> str:
+    return f"variable {node}" if node < graph.n else f"check {node - graph.n}"
+
+
+def table_degree(graph: FactorGraph, node: int) -> int:
+    """node's degree (check a is node n + a); DegreeTooLargeError past
+    CHECK_TABLE_MAX_DEGREE, before any of its 2^d entries is allocated."""
+    n = graph.n
+    d = len(graph.var_edges[node] if node < n else graph.check_edges[node - n])
+    if d > CHECK_TABLE_MAX_DEGREE:
+        raise DegreeTooLargeError(
+            f"{node_name(graph, node)} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
+        )
+    return d
+
+
 def check_tables(graph: FactorGraph) -> list[list[float]]:
     """Per check of a general-weight graph: psi_a over its 2^d local
     configurations.  Bit k of a configuration is set when the k-th neighbour
@@ -132,11 +148,7 @@ def check_tables(graph: FactorGraph) -> list[list[float]]:
     w = graph.weights
     assert isinstance(w, GeneralWeights)
     for a in range(graph.m):
-        d = graph.check_degree(a)
-        if d > CHECK_TABLE_MAX_DEGREE:
-            raise DegreeTooLargeError(
-                f"check {a} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
-            )
+        table_degree(graph, graph.n + a)
     check_weight_range(graph)
     tables = []
     for a in range(graph.m):

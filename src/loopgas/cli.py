@@ -281,6 +281,9 @@ def _dump_loops(args, graph: FactorGraph) -> None:
 def cmd_verify_identity(args) -> int:
     if math.isnan(args.tolerance):
         raise ValueError(f"--tolerance must be a number, got {args.tolerance}")
+    for path in (args.out, args.dump_loops):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"directory of {path} does not exist")
     graph = _load_graph_arg(args)
     report = verify_loop_identity(
         graph,

@@ -68,16 +68,6 @@ class PartitionReport:
     k: int
 
 
-def _check_masks(graph: FactorGraph) -> list[int]:
-    masks = []
-    for a in range(graph.m):
-        mask = 0
-        for i in graph.check_neighbors(a):
-            mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
 def _term_rows(n: int, supports: list[tuple[int, ...]]) -> list[int]:
     """Row i: the terms (by position) whose variables include i."""
     rows = [0] * n
@@ -142,7 +132,8 @@ def codeword_count_gf2(graph: FactorGraph) -> int:
     """
     if graph.weights.kind != "ldpc":
         raise WrongWeightKindError("codeword counting needs ldpc weights")
-    return len(null_space_gf2(_check_masks(graph), graph.n))
+    checks = _term_rows(graph.m, [graph.var_neighbors(i) for i in range(graph.n)])
+    return len(null_space_gf2(checks, graph.n))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +198,8 @@ def _spaces(
                 f"codeword dimension k = {bound} or more exceeds the exhaustive cap "
                 f"{EXACT_MAX_BITS} ({n} variables, {graph.m} checks)"
             )
-        basis = null_space_gf2(_check_masks(graph), n)
+        checks = _term_rows(graph.m, [graph.var_neighbors(i) for i in range(n)])
+        basis = null_space_gf2(checks, n)
         if len(basis) > EXACT_MAX_BITS:
             raise TooLargeError(
                 f"codeword dimension k = {len(basis)} exceeds the exhaustive cap "
@@ -268,14 +260,11 @@ def _span_rows(vectors: list[int], width: int) -> np.ndarray:
     return rows
 
 
-def _span_signs(vectors: list[int], negs: list[int]) -> np.ndarray:
+def _span_signs(rows: np.ndarray, negs: list[int]) -> np.ndarray:
     """Per sign mask neg (one row each), the sign (-1)^{|row & neg|} of every
-    row of _span_rows(vectors); it is linear over GF(2) like the row."""
-    signs = np.ones((len(negs), 1))
-    for vec in vectors:
-        flips = np.array([_sign(vec, neg) for neg in negs])[:, None]
-        signs = np.concatenate([signs, flips * signs], axis=1)
-    return signs
+    0/1 row of rows; the shared-bit counts are exact in float64."""
+    neg_bits = np.array([_bits(neg, rows.shape[1]) for neg in negs])
+    return 1.0 - 2.0 * ((neg_bits @ rows.T) % 2.0)
 
 
 def _span_log_sums(
@@ -320,8 +309,8 @@ def _span_log_sums(
             size = len(part)
             row_w = np.matmul(rows, wb[:, :, None])
             if is_signed:
-                row_signs = _span_signs(basis[:low], part_negs)[:, None, :]
-                col_signs = _span_signs(basis[low : low + mid], part_negs)[:, :, None]
+                row_signs = _span_signs(rows, part_negs)[:, None, :]
+                col_signs = _span_signs(cols, part_negs)[:, :, None]
             peaks, partials = [], []
             for top in tops:
                 block_cols = np.abs(cols - _bits(top, width)) if top else cols

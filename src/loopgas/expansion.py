@@ -3,8 +3,9 @@
 ln(1 + sum of loop activities) = sum over ordered tuples of polymers of
 Ursell coefficients times activity products.  Grouping tuples into multisets
 gives the series summed here; its convergence is certified through the
-standard single-node criterion, and the combinatorial lemmas that control the
-number of polymers are exposed alongside for direct verification.
+standard single-node criterion q (loops.polymer_q), and the combinatorial
+lemmas that control the number of polymers are exposed alongside for
+direct verification.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .graphs import FactorGraph
 from .loops import (
     ActivityEvaluator,
     Polymer,
-    _add_node_loads,
-    _q_weights,
     enumerate_polymers,
     node_words,
+    polymer_q,
 )
 
 URSELL_MAX_ORDER = 7
@@ -175,19 +175,14 @@ def polymer_series(
             " lower m_max or restrict size_cutoff"
         )
     ev = ActivityEvaluator(graph, messages)
-    acts = (z * ev.values([p.edge_ids for p in polymers])).tolist()
+    acts = z * ev.values([p.edge_ids for p in polymers])
     words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
-    act_array = np.array(acts, dtype=np.float64)
-    terms = [
-        _series_term(order, words, act_array) for order in range(1, m_max + 1)
-    ]
+    terms = [_series_term(order, words, acts) for order in range(1, m_max + 1)]
     partial = list(itertools.accumulate(terms))
-    weights = _q_weights(acts, [p.size for p in polymers])
-    q_report = _q_from_weights(graph, words, weights, size_cutoff)
     return SeriesResult(
         terms=tuple(terms),
         partial_sums=tuple(partial),
-        q=q_report.q,
+        q=_q_report(graph, polymers, acts, size_cutoff, words).q,
         polymer_count=len(polymers),
         size_cutoff=size_cutoff,
     )
@@ -278,11 +273,8 @@ def convergence_criterion_q(
     """
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
-    ev = ActivityEvaluator(graph, messages)
-    acts = ev.values([p.edge_ids for p in polymers]).tolist()
-    weights = _q_weights(acts, [p.size for p in polymers])
-    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
-    return _q_from_weights(graph, words, weights, size_cutoff)
+    acts = ActivityEvaluator(graph, messages).values([p.edge_ids for p in polymers])
+    return _q_report(graph, polymers, acts, size_cutoff)
 
 
 def convergence_criterion_q_bound(
@@ -292,23 +284,15 @@ def convergence_criterion_q_bound(
     size_cutoff: int | None = None,
 ) -> QReport:
     """Same statistic with a per-polymer activity bound in place of |K|."""
-    weights = _q_weights([float(bound_fn(p)) for p in polymers], [p.size for p in polymers])
-    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
-    return _q_from_weights(graph, words, weights, size_cutoff)
+    return _q_report(graph, polymers, [float(bound_fn(p)) for p in polymers], size_cutoff)
 
 
-def _q_from_weights(
-    graph: FactorGraph,
-    words: np.ndarray,
-    weights: np.ndarray,
-    size_cutoff: int | None,
-) -> QReport:
-    """q of polymers given as node_words, one _q_weights entry each; each
-    node's sum runs in polymer order, so a fixed order gives a reproducible
-    value."""
-    load = np.zeros(graph.n + graph.m)
-    _add_node_loads(load, words, weights)
-    q = max(load.tolist(), default=0.0)
+def _q_report(graph: FactorGraph, polymers, acts, size_cutoff, words=None) -> QReport:
+    """polymer_q over polymers in list order with activities (or bounds)
+    acts; words, when given, is their node_words."""
+    if words is None:
+        words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
+    q = polymer_q(np.zeros(graph.n + graph.m), words, acts, [p.size for p in polymers])
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 

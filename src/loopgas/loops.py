@@ -34,6 +34,10 @@ masks share a bit, which only happens for checks that share a variable,
 and a transitive closure over the checks gives each loop's polymers, for
 all loops of a chunk at once.  The identity check adds the exact ln Z, BP
 and the Bethe free energy to the loop sum.
+
+One function, polymer_q, scores the convergence statistic q for the loop
+sum (in walk order) and for expansion's series and both criteria (in
+polymer-list order).
 """
 
 from __future__ import annotations
@@ -45,17 +49,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import (
-    CHECK_TABLE_MAX_DEGREE,
     MessageSet,
     check_forms,
     check_weight_range,
+    node_name,
     solve_fixed_point,
+    table_degree,
     table_fold,
 )
 from .bethe import bethe_free_energy
 from .errors import (
     BudgetExceededError,
-    DegreeTooLargeError,
     HypothesisNotMetError,
     LogDomainError,
     SingularDenominatorError,
@@ -119,22 +123,6 @@ class IdentityReport:
 
 # ---------------------------------------------------------------------------
 # activities
-
-
-def _node_name(graph: FactorGraph, node: int) -> str:
-    return f"variable {node}" if node < graph.n else f"check {node - graph.n}"
-
-
-def _table_degree(graph: FactorGraph, node: int) -> int:
-    """node's degree (check a is node n + a); DegreeTooLargeError past
-    CHECK_TABLE_MAX_DEGREE, before any of its 2^d entries is allocated."""
-    n = graph.n
-    d = len(graph.var_edges[node] if node < n else graph.check_edges[node - n])
-    if d > CHECK_TABLE_MAX_DEGREE:
-        raise DegreeTooLargeError(
-            f"{_node_name(graph, node)} has degree {d} > {CHECK_TABLE_MAX_DEGREE}"
-        )
-    return d
 
 
 def _masked_products(start: list[float], factors: list[tuple]) -> np.ndarray:
@@ -205,7 +193,7 @@ class ActivityEvaluator:
 
     def _entries(self, node: int) -> tuple:
         if self._tables[node] is None:
-            _table_degree(self.graph, node)
+            table_degree(self.graph, node)
             with np.errstate(all="ignore"):
                 num, den = self._terms(node)
                 den = np.broadcast_to(den, num.shape)
@@ -227,7 +215,7 @@ class ActivityEvaluator:
             node = int(nodes[j])
             den = float(self._tables[node][2][masks[j]])
             raise SingularDenominatorError(
-                f"{_node_name(self.graph, node)} normalization {den} is numerically singular"
+                f"{node_name(self.graph, node)} normalization {den} is numerically singular"
             )
         return factors
 
@@ -286,7 +274,7 @@ def _check_options(graph: FactorGraph, a: int) -> tuple[np.ndarray, np.ndarray]:
     this order, which fixes its leaf order.  DegreeTooLargeError past
     CHECK_TABLE_MAX_DEGREE.
     """
-    d = _table_degree(graph, graph.n + a)
+    d = table_degree(graph, graph.n + a)
     masks = np.arange(1 << d, dtype=np.min_scalar_type((1 << d) - 1))
     masks = masks[np.bitwise_count(masks) != 1]
     options = np.empty((len(masks), d), dtype=bool)
@@ -650,31 +638,28 @@ def node_words(masks: list[int], node_count: int) -> np.ndarray:
 _EXP_SIZE = np.array([math.exp(s) for s in range(710)])
 
 
-def _q_weights(acts, sizes) -> np.ndarray:
-    """|K| e^size per polymer, the terms of q's node sums.
+def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
+    """Add each polymer's weight to load at the nodes it touches and return
+    the largest load: q, the single-node statistic of the series criterion.
 
-    |K| times e^size up to size 709; past it e^(size + ln|K|), which is 0
-    for K = 0 and inf only past float range.
+    A polymer's weight is |K| e^size up to size 709; past it e^(size +
+    ln|K|), which is 0 for K = 0 and inf only past float range.  words is
+    node_words over len(load) nodes, one column per polymer; each node's
+    load grows one weight at a time in column order, so a fixed polymer
+    order gives a reproducible q.
     """
     acts = np.abs(np.asarray(acts, dtype=np.float64))
     sizes = np.asarray(sizes, dtype=np.intp)
     big = sizes >= len(_EXP_SIZE)
-    out = acts * _EXP_SIZE[np.where(big, 0, sizes)]
+    weights = acts * _EXP_SIZE[np.where(big, 0, sizes)]
     if big.any():
         with np.errstate(divide="ignore", over="ignore"):
-            out[big] = np.exp(sizes[big] + np.log(acts[big]))
-    return out
-
-
-def _add_node_loads(load: np.ndarray, words: np.ndarray, weights: np.ndarray) -> None:
-    """load[b] += each weight whose mask holds node b, one at a time in order.
-
-    words is node_words over len(load) nodes.
-    """
+            weights[big] = np.exp(sizes[big] + np.log(acts[big]))
     for b in range(len(load)):
         through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
         if len(through):
             load[b] = np.add.accumulate(np.concatenate(([load[b]], through)))[-1]
+    return max(load.tolist(), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +743,7 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     small: list[float] = []
     large: list[float] = []
     load = np.zeros(graph.n + graph.m)
-    polymer_count = 0
+    polymer_count, q = 0, 0.0
     for choices, prod in leaves.loops():
         count, largest, union = leaves.split(choices)
         is_large = largest >= threshold
@@ -766,9 +751,7 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
         small += prod[~is_large].tolist()
         connected = count == 1
         polymer_count += int(connected.sum())
-        _add_node_loads(
-            load, union[:, connected], _q_weights(prod[connected], largest[connected])
-        )
+        q = polymer_q(load, union[:, connected], prod[connected], largest[connected])
     z_small, r_large = 1.0 + math.fsum(small), math.fsum(large)
     return LoopSumResult(
         # with either list empty the other's fsum is already the whole sum
@@ -777,7 +760,7 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
         polymer_count=polymer_count,
         z_small=z_small,
         r_large=r_large,
-        q=max(load.tolist(), default=0.0),
+        q=q,
     )
 
 

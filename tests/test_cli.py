@@ -430,6 +430,27 @@ def test_verify_identity_walks_the_loops_once(tmp_path, monkeypatch):
     assert len(walks) == 3
 
 
+@pytest.mark.parametrize("flag", ["--out", "--dump-loops"])
+def test_verify_identity_refuses_a_missing_directory_before_any_work(
+    tmp_path, capsys, monkeypatch, flag
+):
+    # an output path that cannot be written is refused before the graph is
+    # read, so no walk runs and no payload reaches stdout
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    path = _ldpc_file(tmp_path)
+    monkeypatch.setattr("loopgas.loops._walk", no_work)
+    monkeypatch.setattr("loopgas.cli._load_graph_arg", no_work)
+    missing = tmp_path / "missing" / "loops.csv"
+    argv = ["verify-identity", "--graph", path, "--p", "0.42", "--channel-seed", "1"]
+    assert main([*argv, flag, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: directory of {missing} does not exist\n"
+    assert not missing.parent.exists()
+
+
 def test_dump_loops_activities_match_the_evaluator(tmp_path):
     # the CSV takes each activity from the walk; ActivityEvaluator.value
     # rebuilds it from the loop's edge list alone

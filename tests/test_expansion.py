@@ -17,7 +17,7 @@ from loopgas.errors import (
 )
 
 import support as sp
-from loopgas.loops import _q_weights
+from loopgas.loops import node_words, polymer_q
 
 
 def _mask_polymer(mask: int) -> lg.Polymer:
@@ -422,6 +422,14 @@ def test_q_bound_variant_dominates_activity_q():
     assert bound.q >= act.q
 
 
+def _q_weights(acts, sizes):
+    # each polymer alone on its own node, so the loads polymer_q leaves are
+    # the weights themselves (0 + w is w)
+    load = np.zeros(len(acts))
+    polymer_q(load, node_words([1 << j for j in range(len(acts))], len(acts)), acts, sizes)
+    return load
+
+
 def test_q_weights_past_the_range_of_e_to_the_size():
     # |K| e^size bit for bit while e^size is finite, e^(size + ln|K|)
     # after; 0 for K = 0, inf only past float range, never NaN
@@ -433,6 +441,26 @@ def test_q_weights_past_the_range_of_e_to_the_size():
     assert got[0] == 0.0
     assert got[1] == pytest.approx(math.exp(800 - 300 * math.log(10)), rel=1e-12)
     assert got[2:] == [math.inf] * 3
+
+
+@pytest.mark.parametrize(
+    "g, cutoff",
+    [
+        (sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1), 6),
+        (sp.ldgm_instance(2, 4, 12, 0.45, 1), None),
+    ],
+    ids=["readme-demo", "ldgm-2-4-n12"],
+)
+def test_series_and_both_criteria_give_one_q(g, cutoff):
+    # the series, the criterion and the bound criterion with |K| as its
+    # bound score the same polymer list through polymer_q, bit for bit
+    messages = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g, max_size=cutoff)
+    ev = lg.ActivityEvaluator(g, messages)
+    series = lg.polymer_series(g, messages, m_max=1, polymers=polys)
+    criterion = lg.convergence_criterion_q(g, messages, polymers=polys)
+    bound = lg.convergence_criterion_q_bound(g, polys, lambda p: abs(ev.value(p.edge_ids)))
+    assert series.q == criterion.q == bound.q > 0.0
 
 
 def test_q_on_a_ring_past_709_nodes():
