@@ -281,9 +281,6 @@ def _dump_loops(args, graph: FactorGraph) -> None:
 def cmd_verify_identity(args) -> int:
     if math.isnan(args.tolerance):
         raise ValueError(f"--tolerance must be a number, got {args.tolerance}")
-    for path in (args.out, args.dump_loops):
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"directory of {path} does not exist")
     graph = _load_graph_arg(args)
     report = verify_loop_identity(
         graph,
@@ -660,6 +657,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # an output path that cannot be written is refused before any work
+        for path in (args.out, getattr(args, "dump_loops", None)):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"directory of {path} does not exist")
         return args.func(args)
     except (BudgetExceededError, TooLargeError, DegreeTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,11 +29,10 @@ temporaries.  The visit budget is checked at every chunk boundary, so an
 over-budget walk is refused after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk.  A loop splits into
-polymers along its checks: two of its check blocks meet when their node
-masks share a bit, which only happens for checks that share a variable,
-and a transitive closure over the checks gives each loop's polymers, for
-all loops of a chunk at once.  The identity check adds the exact ln Z, BP
-and the Bethe free energy to the loop sum.
+polymers along its checks: Warshall's closure on the node masks of its
+check blocks merges every two blocks that share a node, for all loops of a
+chunk at once.  The identity check adds the exact ln Z, BP and the Bethe
+free energy to the loop sum.
 
 One function, polymer_q, scores the convergence statistic q for the loop
 sum (in walk order) and for expansion's series and both criteria (in
@@ -292,13 +291,12 @@ class _Leaves:
     index among the states after check a - 1 (the single root before check
     0) and its option index at check a.  prod holds each leaf's activity;
     visits counts every state, the root included.  option_words[a] holds
-    the node masks of check a's options, as node_words.
+    the node masks of check a's options, as node_words, and lower[a] the
+    bits of the checks below a, as a (words, 1) column.
 
-    A loop's check blocks meet when they share a variable, and its polymers
-    are the classes of checks joined by meets.  Check bits never coincide,
-    so two blocks meet exactly when their node words share a bit; meets
-    lists the pairs of checks a < b that share a variable in the graph, the
-    only pairs whose blocks can meet.
+    A loop's polymers are the classes of checks whose blocks are joined by
+    shared variables.  Check bits never coincide, so two blocks share a
+    variable exactly when their node words share a bit.
 
     Arrays over loops keep the loops on their last axis, so that reductions
     over checks or mask words run across whole rows.
@@ -326,8 +324,8 @@ class _Leaves:
             ]:
                 words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
             self.option_words.append(words)
-        checks = [sorted(graph.edges[e][1] for e in eids) for eids in graph.var_edges]
-        self.meets = sorted({pair for c in checks for pair in itertools.combinations(c, 2)})
+        lower = [(1 << (graph.n + a)) - (1 << graph.n) for a in range(graph.m)]
+        self.lower = node_words(lower, graph.n + graph.m).T[:, :, None]
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
@@ -358,60 +356,30 @@ class _Leaves:
         count, the size of its largest polymer and its (words, loops) node
         masks.
 
-        The loops go through in slices; each slice gathers its check blocks,
-        the node words of its chosen options, once.  reach[a] is the set of
-        checks in the polymer that holds check a, bit b % 64 of word b // 64
-        for check b, and empty when a is outside the loop; a word is the
-        narrowest unsigned type that holds m bits, 64 bits past 64 checks.
-        Each check in the loop reaches itself and the checks of meets whose
-        blocks share a bit, and Warshall closes that over the checks.  Its m
-        passes over reach are why a slice holds at most 512 * _CHUNK bytes
-        of reach.  A connected loop's polymer is the whole loop, so
-        per-polymer node masks are built only for the others.
+        The loops go through in slices.  part[a] starts as check a's block,
+        the node words of its chosen option, empty when a is outside the
+        loop.  Warshall's closure on node masks: for k = 0..m-1, every part
+        that shares a node with part[k] takes it in, after which part[a] is
+        the node mask of the polymer that holds check a.  A polymer is
+        counted at its lowest check, the one whose part holds no lower
+        check's bit.  The closure's m passes over the parts are why a slice
+        holds at most 512 * _CHUNK bytes of them.
         """
         m = len(self.option_words)
-        words = max(1, (m + 63) // 64)
-        word = np.min_scalar_type((1 << m) - 1).type if m <= 64 else np.uint64
-        at, bit = np.arange(m) >> 6, (np.arange(m) & 63).astype(word)
         count = np.empty(choices.shape[1], dtype=np.intp)
         largest = np.empty(choices.shape[1], dtype=np.intp)
         union = np.empty((self.mask_words, choices.shape[1]), dtype=np.uint64)
-        step = max(1, 512 * _CHUNK // (m * words * np.dtype(word).itemsize))
+        step = max(1, 512 * _CHUNK // (m * self.mask_words * 8))
         for start in range(0, choices.shape[1], step):
             here = slice(start, start + step)
             chosen = choices[:, here]
-            # (checks, words, loops) node masks of the slice's check blocks
-            blocks = np.stack([table[:, c] for table, c in zip(self.option_words, chosen)])
-            union[:, here] = np.bitwise_or.reduce(blocks, axis=0)
-            largest[here] = np.bitwise_count(union[:, here]).sum(axis=0)
-            reach = np.zeros((m, words, chosen.shape[1]), dtype=word)
-            for a in range(m):
-                reach[a, at[a]] = (chosen[a] != 0) * (word(1) << bit[a])
-            for a, b in self.meets:
-                meet = (blocks[a] & blocks[b]).any(axis=0).astype(word)
-                reach[a, at[b]] |= meet << bit[b]
-                reach[b, at[a]] |= meet << bit[a]
+            # (checks, words, loops)
+            part = np.stack([table[:, c] for table, c in zip(self.option_words, chosen)])
+            union[:, here] = np.bitwise_or.reduce(part, axis=0)
             for k in range(m):
-                reach |= reach[k] * (reach[:, at[k], None] >> bit[k] & word(1))
-            # a check is counted when it is in the loop and no earlier row
-            # holds it, so each polymer is counted at its lowest check
-            held = np.bitwise_or.accumulate(reach[:-1], axis=0)[np.arange(m - 1), at[1:]]
-            parts = (chosen != 0).sum(axis=0) - (held >> bit[1:, None] & word(1)).sum(
-                axis=0, dtype=np.intp
-            )
-            count[here] = parts
-            cut = np.flatnonzero(parts > 1)
-            if not len(cut):
-                continue
-            rows = start + cut
-            largest[rows] = 0
-            cut_blocks = blocks[:, :, cut]
-            for group in reach[:, :, cut]:
-                inside = (group[at] >> bit[:, None] & word(1)).astype(bool)
-                size = np.bitwise_count(
-                    np.bitwise_or.reduce(cut_blocks * inside[:, None], axis=0)
-                ).sum(axis=0)
-                largest[rows] = np.maximum(largest[rows], size)
+                part |= part[k] * (part & part[k]).any(axis=1, keepdims=True)
+            largest[here] = np.bitwise_count(part).sum(axis=1).max(axis=0)
+            count[here] = ((chosen != 0) & ~(part & self.lower).any(axis=1)).sum(axis=0)
         return count, largest, union
 
     def records(self, choices: np.ndarray) -> list[Polymer]:
@@ -815,6 +783,16 @@ def verify_loop_identity(
 # activity bounds
 
 
+def _size_power(graph: FactorGraph, polymer: Polymer, x: float) -> float:
+    """x^(2|g|/(2+r_max)), the per-size decay of the first three bounds."""
+    return x ** (2.0 * polymer.size / (2.0 + graph.r_max))
+
+
+def _check_theta_window(theta: float) -> None:
+    if not 0.0 < theta <= 0.1:
+        raise HypothesisNotMetError(f"theta = {theta} outside the validity window (0, 0.1]")
+
+
 def high_temperature_activity_bound(graph: FactorGraph, polymer: Polymer) -> float:
     """(6 e mu)^(2|g|/(2+r_max)) for general weights at small coupling mass."""
     w = graph.weights
@@ -826,7 +804,7 @@ def high_temperature_activity_bound(graph: FactorGraph, polymer: Polymer) -> flo
         raise HypothesisNotMetError(
             f"coupling mass mu = {mu} is not below 1/(2 l_max^2 r_max) = {limit}"
         )
-    return (6.0 * math.e * mu) ** (2.0 * polymer.size / (2.0 + graph.r_max))
+    return _size_power(graph, polymer, 6.0 * math.e * mu)
 
 
 def ldgm_activity_bound(graph: FactorGraph, polymer: Polymer) -> float:
@@ -840,7 +818,7 @@ def ldgm_activity_bound(graph: FactorGraph, polymer: Polymer) -> float:
         raise HypothesisNotMetError(
             f"field strength h = {h} is not below 1/(4 l_max^2 r_max) = {limit}"
         )
-    return (12.0 * math.e * h) ** (2.0 * polymer.size / (2.0 + graph.r_max))
+    return _size_power(graph, polymer, 12.0 * math.e * h)
 
 
 def ldgm_trivial_activity_bound(
@@ -868,7 +846,7 @@ def ldgm_trivial_activity_bound(
         raise HypothesisNotMetError(
             f"messages reach {peak}; the bound holds at the all-zero fixed point"
         )
-    return (1.0 - 2.0 * p) ** (2.0 * polymer.size / (2.0 + graph.r_max))
+    return _size_power(graph, polymer, 1.0 - 2.0 * p)
 
 
 def ldpc_type_activity_bound(
@@ -889,10 +867,7 @@ def ldpc_type_activity_bound(
     """
     if not isinstance(graph.weights, LdpcWeights):
         raise HypothesisNotMetError("the type bound needs ldpc weights")
-    if not 0.0 < theta <= 0.1:
-        raise HypothesisNotMetError(
-            f"theta = {theta} outside the validity window (0, 0.1]"
-        )
+    _check_theta_window(theta)
     var_deg: dict[int, int] = {}
     check_deg: dict[int, int] = {}
     for e in polymer.edge_ids:
@@ -926,10 +901,7 @@ def expander_activity_bound(
         raise HypothesisNotMetError("the expander bound needs ldpc weights")
     if not certificate.certified:
         raise HypothesisNotMetError("the expansion property is not certified")
-    if not 0.0 < theta <= 0.1:
-        raise HypothesisNotMetError(
-            f"theta = {theta} outside the validity window (0, 0.1]"
-        )
+    _check_theta_window(theta)
     if not polymer.size < expander.lam * graph.n:
         raise HypothesisNotMetError(
             f"polymer size {polymer.size} is not below lambda*n = {expander.lam * graph.n}"

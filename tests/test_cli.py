@@ -430,20 +430,51 @@ def test_verify_identity_walks_the_loops_once(tmp_path, monkeypatch):
     assert len(walks) == 3
 
 
-@pytest.mark.parametrize("flag", ["--out", "--dump-loops"])
+# every function that does a subcommand's work, patched to fail below
+_NO_WORK = [
+    "loops._walk", "cli._load_graph_arg", "cli.sample_regular_bipartite", "cli.log_partition",
+    "cli.solve_fixed_point", "cli.polymer_series", "cli.rate_function_profile",
+    "cli._trend_instance", "cli._entropy_instance",
+]
+_VERIFY = ["verify-identity", "--graph", "{graph}", "--p", "0.42", "--channel-seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(_VERIFY, "--out", id="--out"),
+        pytest.param(_VERIFY, "--dump-loops", id="--dump-loops"),
+    ]
+    + [
+        pytest.param(argv, "--out", id=argv[0])
+        for argv in [
+            ["gen", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "4"],
+            ["exact", "--graph", "{graph}"],
+            ["bp", "--graph", "{graph}"],
+            ["bethe", "--graph", "{graph}"],
+            ["series", "--graph", "{graph}", "--p", "0.42"],
+            ["rate-function", "--l", "3", "--r", "4", "--thetas", "1e-3", "--lambda", "0.1"],
+            ["trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n-list", "8",
+             "--p", "0.45", "--instances", "2", "--threads", "1"],
+            ["entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "8",
+             "--p", "0.1", "--instances", "2", "--threads", "1"],
+        ]
+    ],
+)
 def test_verify_identity_refuses_a_missing_directory_before_any_work(
-    tmp_path, capsys, monkeypatch, flag
+    argv, flag, tmp_path, capsys, monkeypatch
 ):
-    # an output path that cannot be written is refused before the graph is
-    # read, so no walk runs and no payload reaches stdout
+    # an output path that cannot be written is refused before any work, for
+    # verify-identity's --out and --dump-loops and every other subcommand's
+    # --out, so no payload reaches stdout
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the output paths were checked")
 
     path = _ldpc_file(tmp_path)
-    monkeypatch.setattr("loopgas.loops._walk", no_work)
-    monkeypatch.setattr("loopgas.cli._load_graph_arg", no_work)
-    missing = tmp_path / "missing" / "loops.csv"
-    argv = ["verify-identity", "--graph", path, "--p", "0.42", "--channel-seed", "1"]
+    for name in _NO_WORK:
+        monkeypatch.setattr(f"loopgas.{name}", no_work)
+    missing = tmp_path / "missing" / "out.txt"
+    argv = [word.format(graph=path) for word in argv]
     assert main([*argv, flag, str(missing)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

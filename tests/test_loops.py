@@ -535,7 +535,7 @@ def test_level_walk_matches_recursive_walk(case, monkeypatch):
     sums = {lam: sp.recursive_loop_sum(g, messages, split_lambda=lam) for lam in (0.3, 0.5, 1.0)}
     polymers = {k: sp.recursive_polymers(g, k) for k in (0, 4, 6, 9, None)}
     # chunks of 7 cut every level and every batch of leaves, and past 64
-    # checks the polymer split takes a batch 3 loops at a time
+    # checks the polymer split takes a batch 2 loops at a time
     for chunk in (lg.loops._CHUNK, 7):
         monkeypatch.setattr(lg.loops, "_CHUNK", chunk)
         for lam, want in sums.items():
@@ -715,6 +715,32 @@ def test_one_pass_identity_matches_separate_routes(graph):
         assert report.r_large == pytest.approx(brute.r_large, abs=1e-12)
         assert report.q == pytest.approx(q, rel=1e-12, abs=0.0)
         assert report.bp_residual == bp.residual
+
+
+# ldpc (3,4) and ldgm (2,4) down to p = 1e-3, general (2,4) up to beta = 2
+_ENVELOPE = {
+    f"{kind}-p{p}-s{s}": functools.partial(build, l, 4, 8, p, s, chan_seed=s)
+    for kind, build, l in [("ldpc", sp.ldpc_instance, 3), ("ldgm", sp.ldgm_instance, 2)]
+    for p in (1e-3, 1e-2, 0.05, 0.2)
+    for s in range(3)
+}
+_ENVELOPE.update(
+    (f"general-b{beta}-s{s}", functools.partial(sp.general_instance, 2, 4, 8, beta, s))
+    for beta in (0.5, 1.0, 2.0)
+    for s in range(3)
+)
+
+
+@pytest.mark.parametrize("case", list(_ENVELOPE))
+def test_identity_holds_at_low_noise_and_strong_coupling(case):
+    # the identity is exact at any BP fixed point, not only in the
+    # high-noise and weak-coupling corner the other identity tests sample
+    graph = _ENVELOPE[case]()
+    assert lg.solve_fixed_point(graph).converged
+    report = lg.verify_loop_identity(graph)
+    assert report.residual <= 1e-8
+    for name, value in vars(report).items():
+        assert not isinstance(value, float) or math.isfinite(value), name
 
 
 def test_full_expansion_on_arbitrary_messages():
