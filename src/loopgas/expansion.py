@@ -6,6 +6,12 @@ gives the series summed here; its convergence is certified through the
 standard single-node criterion q (loops.polymer_q), and the combinatorial
 lemmas that control the number of polymers are exposed alongside for
 direct verification.
+
+Order M grows every order-(M-1) multiset, its prefix, by one more polymer
+index: the prefix's overlap pattern and, per Ursell value, its activity
+product are formed once and shared by all of its children.  The pieces of
+an order are added exactly, by exponent-binned integer sums (_exact_sum,
+bit for bit math.fsum), so their order does not matter.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from .loops import (
 )
 
 URSELL_MAX_ORDER = 7
-SERIES_BLOCK = 1 << 12  # multisets per block of polymer_series; bounds its memory
-_UNKNOWN = np.iinfo(np.int32).min  # Ursell coefficient of a pattern not yet seen
+SERIES_BLOCK = 1 << 12  # prefixes per block, children per chunk; bounds memory
+_UNKNOWN = np.iinfo(np.int32).min  # chain row of a pattern code not yet seen
+_BIN_LIMIT = 1 << 26  # elements _exact_sum bins before it folds the bins
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ def check_series_options(m_max: int, size_cutoff: int | None, z: float) -> None:
             f"order {m_max} exceeds the supported maximum {URSELL_MAX_ORDER}"
         )
     if size_cutoff is not None and size_cutoff < 0:
-        raise ValueError(f"max_size must be >= 0, got {size_cutoff}")
+        raise ValueError(f"size_cutoff must be >= 0, got {size_cutoff}")
 
 
 def polymer_series(
@@ -193,45 +200,183 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
 
     A piece is float(U) * acts[j] over the multiset's indices in
     nondecreasing order, then divided by k! for each run of k equal indices,
-    in run order; multisets with U = 0 give no piece.  The Ursell coefficient
-    U depends only on which slots overlap, so it is looked up per pattern
-    code (bit i set when the i-th slot pair overlaps) in a table filled on
-    first use.  math.fsum is exactly rounded, so the order in which the
-    blocks visit the multisets does not change the term.
+    in run order; multisets with U = 0 give no piece.  Each multiset is a
+    prefix, its first order - 1 indices, grown by one index j >= the
+    prefix's last.  _multiset_blocks unranks the prefixes SERIES_BLOCK at a
+    time, and each block's children are formed prefix-major, SERIES_BLOCK
+    at a time, so memory is bounded by the block.  U depends only on which
+    slots overlap: slot pair (a, b) sets bit b(b-1)/2 + a of a pattern code,
+    and a table filled on first use maps codes to U.  A prefix's pairs are
+    tested once per block; a child tests only its order - 1 pairs with j,
+    on node words.  For each U met so far, the chain
+    ((U * a_i1) * a_i2) ... * a_i(order-1) over the prefix is formed once per
+    block, and a child's piece is that chain times acts[j]: the products of
+    the multiset order, in that order, so every piece is the same float.
+    Only children with a repeated index are divided, since dividing by 1!
+    is exact.  _exact_sum equals math.fsum, so the order in which the
+    multisets are visited does not change the term.
     """
-    slot_pairs = list(itertools.combinations(range(order), 2))
-    ursell_of_code = np.full(1 << len(slot_pairs), _UNKNOWN, dtype=np.int32)
+    p, head = len(acts), order - 1
+    if not p:
+        return 0.0
+    slot_pairs = [(a, b) for b in range(order) for a in range(b)]
+    new_bit = len(slot_pairs) - head  # the pairs (a, head) take the top bits
+    # per pattern code: _UNKNOWN until met, -1 where U = 0, else its chain row
+    chain_row = np.full(1 << len(slot_pairs), _UNKNOWN, dtype=np.int64)
+    ursells: list[int] = []  # the nonzero U met so far, in chain-row order
     factorial = np.array([float(math.factorial(k)) for k in range(order + 1)])
 
-    def pieces():
-        for rows in _multiset_blocks(len(acts), order):
-            slot_words = [words[:, rows[:, k]] for k in range(order)]
-            code = np.zeros(len(rows), dtype=np.int64)
-            for bit, (a, b) in enumerate(slot_pairs):
-                overlap = (slot_words[a] & slot_words[b]).any(axis=0)
-                code |= overlap.astype(np.int64) << bit
-            u = ursell_of_code[code]
-            new_codes = np.unique(code[u == _UNKNOWN]).tolist()
-            for c in new_codes:
-                ursell_of_code[c] = connected_mayer_sum(
-                    order, frozenset(e for i, e in enumerate(slot_pairs) if c >> i & 1)
-                )
-            if new_codes:
-                u = ursell_of_code[code]
-            keep = u != 0
-            rows = rows[keep]
-            piece = u[keep].astype(np.float64)
-            for k in range(order):
-                piece *= acts[rows[:, k]]
-            run = np.ones(len(rows), dtype=np.int64)
-            for k in range(order - 1):
-                ends = rows[:, k] != rows[:, k + 1]
-                np.divide(piece, factorial[run], out=piece, where=ends)
-                run = np.where(ends, 1, run + 1)
-            piece /= factorial[run]
-            yield piece.tolist()
+    def chain_rows(code: np.ndarray) -> np.ndarray:
+        row = chain_row[code]
+        if not (row == _UNKNOWN).any():
+            return row
+        for c in np.unique(code[row == _UNKNOWN]).tolist():
+            u = connected_mayer_sum(
+                order, frozenset(e for i, e in enumerate(slot_pairs) if c >> i & 1)
+            )
+            if u and u not in ursells:
+                ursells.append(u)
+            chain_row[c] = ursells.index(u) if u else -1
+        return chain_row[code]
 
-    return math.fsum(itertools.chain.from_iterable(pieces()))
+    def pieces():
+        for rows in _multiset_blocks(p, head):
+            slot_words = [words[:, rows[:, a]] for a in range(head)]
+            code = np.zeros(len(rows), dtype=np.int64)
+            for bit, (a, b) in enumerate(slot_pairs[:new_bit]):
+                code |= np.left_shift(_meets(slot_words[a], slot_words[b]), bit, dtype=np.int64)
+            chain = np.empty((0, len(rows)))  # row r holds U = ursells[r]
+            # prefix i's children j = last .. p - 1 are t = ends[i] - count[i]
+            # .. ends[i] - 1, so j = t + p - ends[i]; a row's largest index is
+            # its last, and the empty prefix of order 1 takes every j
+            count = p - rows.max(axis=1, initial=0)
+            ends = np.cumsum(count)
+            # a child j of prefix i holds a repeated index iff j <= tied[i]:
+            # every child where the prefix repeats one, else only j = last
+            tied = np.where((rows[:, 1:] == rows[:, :-1]).any(axis=1), p, p - count)
+
+            def pattern(parent: np.ndarray, j: np.ndarray) -> np.ndarray:
+                code_of = code[parent]
+                child_words = words[:, j]
+                for a in range(head):
+                    overlap = _meets(np.take(slot_words[a], parent, axis=1), child_words)
+                    code_of |= np.left_shift(overlap, new_bit + a, dtype=np.int64)
+                return code_of
+
+            def grow(start: int, stop: int) -> np.ndarray:
+                nonlocal chain
+                # the state x option idiom of loops._walk: children start ..
+                # stop - 1 belong to the runs of prefixes lo .. hi
+                lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+                skip = start - int(ends[lo] - count[lo])
+                parent = np.repeat(np.arange(lo, hi + 1), count[lo : hi + 1])
+                parent = parent[skip : skip + stop - start]
+                j = np.arange(start + p, stop + p) - ends[parent]
+                row = chain_rows(pattern(parent, j))
+                if len(chain) < len(ursells):
+                    new = np.array(ursells[len(chain) :], dtype=np.float64)
+                    new = np.repeat(new[:, None], len(rows), axis=1)
+                    for k in range(head):
+                        new *= acts[rows[:, k]]
+                    chain = np.vstack([chain, new])
+                if (row < 0).any():
+                    keep = np.flatnonzero(row >= 0)
+                    parent, j, row = parent[keep], j[keep], row[keep]
+                row *= len(rows)
+                row += parent
+                piece = chain.ravel()[row] * acts[j]
+                split = np.flatnonzero(j <= tied[parent])
+                if len(split):
+                    runs = np.column_stack([rows[parent[split]], j[split]])
+                    piece[split] = _divide_runs(piece[split], runs, factorial)
+                return piece
+
+            for start in range(0, int(ends[-1]), SERIES_BLOCK):
+                yield grow(start, min(start + SERIES_BLOCK, int(ends[-1])))
+
+    return _exact_sum(pieces())
+
+
+def _divide_runs(piece: np.ndarray, rows: np.ndarray, factorial: np.ndarray) -> np.ndarray:
+    """piece / k! for each run of k equal indices in its row, in run order."""
+    run = np.ones(len(rows), dtype=np.int64)
+    for k in range(rows.shape[1] - 1):
+        ends = rows[:, k] != rows[:, k + 1]
+        np.divide(piece, factorial[run], out=piece, where=ends)
+        run = np.where(ends, 1, run + 1)
+    return piece / factorial[run]
+
+
+def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which columns of the node-word arrays x and y share a node."""
+    out = (x[0] & y[0]) != 0
+    for w in range(1, len(x)):
+        out |= (x[w] & y[w]) != 0
+    return out
+
+
+def _exact_sum(chunks) -> float:
+    """math.fsum of the concatenated float64 chunks, bit for bit.
+
+    A finite x is m * 2**e (np.frexp) with m * 2**53 an integer below 2**53
+    in magnitude, even for subnormals; it splits into halves hi * 2**26 + lo
+    with |hi| < 2**27 and |lo| < 2**26.  Per exponent each half is summed by
+    a float64 bincount, exact while fewer than 2**26 elements share the
+    bins, which are then folded into one Python int in units of 2**-1126.
+    One correctly rounded int / int division gives the sum, +0.0 when it is
+    0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives nan
+    and an inf inf; a finite sum past the float range raises OverflowError.
+    fsum also raises that when a running sum leaves the range and the total
+    comes back, which depends on the order of the elements; this does not.
+    """
+    total, binned = 0, 0
+    bins = np.zeros((2, 2098))  # hi and lo sums per exponent + 1073
+    nan = pos = neg = False
+    for x in chunks:
+        finite = np.isfinite(x)
+        if not finite.all():
+            special = x[~finite]
+            nan |= bool(np.isnan(special).any())
+            pos |= bool((special > 0).any())
+            neg |= bool((special < 0).any())
+            x = x[finite]
+        if binned + len(x) > _BIN_LIMIT:
+            total += _unbin(bins)
+            bins[:] = 0.0
+            binned = 0
+        binned += len(x)
+        _bin(x, bins)
+    total += _unbin(bins)
+    try:
+        value = total / (1 << 1126)
+    except OverflowError:
+        raise OverflowError("intermediate overflow in fsum") from None
+    if pos and neg:
+        raise ValueError("-inf + inf in fsum")
+    if nan:
+        return math.nan
+    if pos or neg:
+        return math.inf if pos else -math.inf
+    return value
+
+
+def _bin(x: np.ndarray, bins: np.ndarray) -> None:
+    """Add the halves of the finite float64 array x to bins, per exponent."""
+    m, e = np.frexp(x)
+    m *= 2.0**27
+    hi = np.trunc(m)
+    m -= hi
+    m *= 2.0**26
+    e += 1073  # the least exponent, of 2**-1074, is -1073
+    bins[0] += np.bincount(e, hi, minlength=bins.shape[1])
+    bins[1] += np.bincount(e, m, minlength=bins.shape[1])
+
+
+def _unbin(bins: np.ndarray) -> int:
+    """The sum held by the bins, in units of 2**-1126."""
+    at = np.flatnonzero(bins.any(axis=0))
+    hi, lo = bins[:, at].tolist()
+    return sum(((int(a) << 26) + int(b)) << k for k, a, b in zip(at.tolist(), hi, lo))
 
 
 def _multiset_blocks(p: int, order: int):
@@ -239,7 +384,8 @@ def _multiset_blocks(p: int, order: int):
 
     Colex rank r unranks to c_1 < ... < c_order in range(p + order - 1) with
     r = sum_k C(c_k, k); the tuple is (c_k - k + 1)_k.  Each block unranks
-    its own rank range, so memory does not grow with the tuple count.
+    its own rank range, so memory does not grow with the tuple count, and
+    its work arrays are freed before the block is handed on.
     """
     total = math.comb(p + order - 1, order)
     # C(c, k) for c < p + order - 1; entries past `total` exceed every rank,
@@ -250,14 +396,18 @@ def _multiset_blocks(p: int, order: int):
         )
         for k in range(1, order + 1)
     }
-    for start in range(0, total, SERIES_BLOCK):
+
+    def unrank(start: int) -> np.ndarray:
         rank = np.arange(start, min(start + SERIES_BLOCK, total), dtype=np.int64)
         rows = np.empty((len(rank), order), dtype=np.int64)
         for k in range(order, 0, -1):
             c = np.searchsorted(binom[k], rank, side="right") - 1
             rank -= binom[k][c]
             rows[:, k - 1] = c - (k - 1)
-        yield rows
+        return rows
+
+    for start in range(0, total, SERIES_BLOCK):
+        yield unrank(start)
 
 
 def convergence_criterion_q(

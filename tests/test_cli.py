@@ -858,7 +858,7 @@ def test_trend_refuses_a_bad_epsilon_before_any_instance(tmp_path, monkeypatch, 
          "z must be a finite number, got nan"),
         (["series", "--m-max", "2", "--size-cutoff", "6", "--z", "inf"],
          "z must be a finite number, got inf"),
-        (["series", "--m-max", "2", "--size-cutoff", "-1"], "max_size must be >= 0, got -1"),
+        (["series", "--m-max", "2", "--size-cutoff", "-1"], "size_cutoff must be >= 0, got -1"),
         (["verify-identity", "--split-lambda", "nan"],
          "split_lambda must be a finite number, got nan"),
         (["verify-identity", "--tolerance", "nan"], "--tolerance must be a number, got nan"),

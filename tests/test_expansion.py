@@ -206,6 +206,17 @@ def _ldgm_four_cycles(n, m, extra_edges, ks):
     )
 
 
+def _general_k63(seed: int, couplings_per_check: int):
+    """General (3,6) n = 6, the complete bipartite K_{6,3}, at beta = 0.3."""
+    g = lg.sample_regular_bipartite(3, 6, 6, seed=seed)
+    g = lg.build_factor_graph(
+        g.n, g.m, g.edges, lg.LdpcWeights(variable_fields=(0.0,) * g.n), meta=dict(g.meta)
+    )
+    return lg.attach_random_general_weights(
+        g, beta=0.3, seed=seed, couplings_per_check=couplings_per_check
+    )
+
+
 SERIES_CASES = {
     # the three criterion-6 fixtures, every order the Ursell table supports;
     # order 6 includes multisets such as (0, 0, 0, 1, 1, 1), divided by 3! twice
@@ -244,6 +255,19 @@ SERIES_CASES = {
         lambda: sp.general_instance(3, 4, 8, 0.3, 1),
         {"m_max": 4, "size_cutoff": 4, "z": 0.5},
     ),
+    # the second 4-cycle shares a check, not a variable: again three
+    # polymers, so order 7 meets every run pattern (k1, k2, k3) of 7
+    "shared-check-uneven-m7": (
+        lambda: _ldgm_four_cycles(4, 3, [(2, 1), (3, 1), (2, 2), (3, 2)], [0.61, 0.43, 0.07]),
+        {"m_max": lg.expansion.URSELL_MAX_ORDER},
+    ),
+    # K_{6,3} as on the benchmark, with eight couplings per check so that
+    # all 45 polymers have nonzero activity; every two of them share a check,
+    # so each order-M pattern is complete and every multiset has a piece
+    "general-3-6-n6-k8-c4-m4": (
+        lambda: _general_k63(seed=0, couplings_per_check=8),
+        {"m_max": 4, "size_cutoff": 4},
+    ),
     "tree-m4": (lambda: sp.random_tree(9, 1, "ldgm"), {"m_max": 4}),
     # n + m = 72 nodes: node masks span two uint64 words
     "ldpc-3-6-n48-c6-m2": (
@@ -281,6 +305,10 @@ def test_series_terms_match_the_multiset_loop(case, monkeypatch):
         assert sr.q == 0.0
     if case.startswith("tree"):
         assert sr.polymer_count == 0 and all(t == 0.0 for t in sr.terms)
+    if case.endswith("-m7"):
+        assert sr.polymer_count <= 3
+    if case.startswith("general-3-6"):
+        assert sr.polymer_count == 45 and all(t != 0.0 for t in sr.terms)
     if case == "ldpc-3-6-n48-c6-m2":
         low = (1 << 64) - 1
         assert any(
@@ -300,6 +328,64 @@ def test_multiset_blocks_cover_each_multiset_once(p, order, block, monkeypatch):
     )
 
 
+def _exact_sum_cases():
+    rng = np.random.default_rng(0)
+    n = 3000
+    wide = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1130, 1000, n))
+    subnormal = rng.integers(-(1 << 52), 1 << 52, n) * 2.0**-1074
+    ones = rng.uniform(-1.0, 1.0, n)
+    # pairs that cancel exactly, around values that do not
+    cancel = np.concatenate([wide, -wide, ones * 1e-300, ones])
+    rng.shuffle(cancel)
+    # 1 + 2**-53 is a tie, broken to even, and a further 2**-106 breaks it up
+    tie = np.array([1.0, 2.0**-53, -(2.0**-53), 2.0**-53, 2.0**-106])
+    return {
+        "wide": wide,
+        "subnormal": subnormal,
+        "subnormal-total": np.array([2.0**-1074, 2.0**-1074, -(2.0**-1073), 2.0**-1070]),
+        "cancel": cancel,
+        "tie": tie,
+        "tie-even": np.array([1.0, 2.0**-53]),
+        "tie-odd": np.array([1.0 + 2.0**-52, 2.0**-53]),
+        "near-max": np.array([1.7e308, -1.6e308, 1.5e308, 1e292]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_exact_sum_cases()))
+@pytest.mark.parametrize("chunks", [1, 3, 17])
+def test_exact_sum_is_fsum_bit_for_bit(case, chunks, monkeypatch):
+    x = _exact_sum_cases()[case]
+    parts = np.array_split(x, chunks) + [x[:0]]
+    want = math.fsum(x.tolist()).hex()
+    assert lg.expansion._exact_sum(parts).hex() == want
+    # folding the bins into the integer every few elements changes nothing
+    monkeypatch.setattr(lg.expansion, "_BIN_LIMIT", 7)
+    assert lg.expansion._exact_sum(np.array_split(x, len(x) // 5 + 1)).hex() == want
+
+
+def test_exact_sum_of_zeros_and_non_finite_values_is_fsums():
+    exact = lg.expansion._exact_sum
+    zeros = [np.array([-0.0, -0.0]), np.array([]), np.array([0.0, -0.0])]
+    assert exact(zeros).hex() == math.fsum([-0.0, -0.0, 0.0, -0.0]).hex() == "0x0.0p+0"
+    assert exact([np.array([-0.0])]).hex() == "0x0.0p+0"
+    assert exact([]).hex() == math.fsum([]).hex()
+    for values in ([1.0, math.nan], [math.inf, 2.0, math.nan], [-math.inf, 1.0], [math.inf, -5.0]):
+        want = math.fsum(values)
+        got = exact([np.array(values[:1]), np.array(values[1:])])
+        assert math.isnan(got) if math.isnan(want) else got.hex() == want.hex()
+    for values in ([math.inf, -math.inf], [math.nan, -math.inf, 1.0, math.inf]):
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            math.fsum(values)
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            exact([np.array(values)])
+    # a finite total past the float range
+    for values in ([1.7e308, 1.7e308], [-1e308, -1e308, -1e308]):
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        with pytest.raises(OverflowError):
+            exact([np.array(values[:1]), np.array(values[1:])])
+
+
 def test_series_memory_is_bounded_by_the_block(monkeypatch):
     g = sp.ldpc_instance(3, 6, 48, 0.45, 1)
     msgs = lg.solve_fixed_point(g).messages
@@ -307,10 +393,10 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
     assert math.comb(len(polys) + 1, 2) > 24_000
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", 256)
 
-    def peak(m_max):
+    def peak(m_max, polymers=polys):
         tracemalloc.start()
         try:
-            lg.polymer_series(g, msgs, m_max=m_max, polymers=polys)
+            lg.polymer_series(g, msgs, m_max=m_max, polymers=polymers)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -319,6 +405,12 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
     # order 2 adds 24,310 multisets, 6,486 of them overlapping pairs: one Python
     # float per piece would hold about 200 KB, one 256-row block about 15 KB
     assert peak(2) - peak(1) < 60_000
+    # order 3 over the first 100 polymers grows 5,050 two-polymer prefixes
+    # into 171,700 multisets: a table of the whole order would hold 1.4 MB,
+    # a 100 x 100 overlap matrix of int64 80 KB
+    few = polys[:100]
+    assert math.comb(len(few) + 2, 3) > 600 * 256
+    assert peak(3, few) - peak(1, few) < 60_000
 
 
 def test_series_over_budget_is_refused_before_any_work(monkeypatch):
@@ -360,6 +452,8 @@ def test_bad_series_and_loop_sum_numbers_are_refused_before_the_walk(monkeypatch
             lg.polymer_series(g, msgs, m_max=2, size_cutoff=4, z=z)
     with pytest.raises(ValueError, match="max_size must be >= 0, got -1"):
         lg.enumerate_polymers(g, max_size=-1)
+    with pytest.raises(ValueError, match="size_cutoff must be >= 0, got -1"):
+        lg.polymer_series(g, msgs, m_max=2, size_cutoff=-1)
     with pytest.raises(ValueError, match="split_lambda must be a finite number, got nan"):
         lg.loop_sum_direct(g, msgs, split_lambda=math.nan)
     with pytest.raises(ValueError, match="split_lambda must be a finite number, got inf"):
