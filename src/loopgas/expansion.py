@@ -9,9 +9,10 @@ direct verification.
 
 Order M grows every order-(M-1) multiset, its prefix, by one more polymer
 index: the prefix's overlap pattern and, per Ursell value, its activity
-product are formed once and shared by all of its children.  The pieces of
-an order are added exactly, by exponent-binned integer sums (_exact_sum,
-bit for bit math.fsum), so their order does not matter.
+product are formed once and shared by all of its children.  The Ursell
+value of each overlap pattern is computed once per process.  The pieces of
+an order are added exactly, by the loop sum's exponent-binned integer sum
+(loops._exact_sum, bit for bit math.fsum), so their order does not matter.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .graphs import FactorGraph
 from .loops import (
     ActivityEvaluator,
     Polymer,
+    _exact_sum,
+    _meets,
     enumerate_polymers,
     node_words,
     polymer_q,
@@ -41,7 +43,6 @@ from .loops import (
 URSELL_MAX_ORDER = 7
 SERIES_BLOCK = 1 << 12  # prefixes per block, children per chunk; bounds memory
 _UNKNOWN = np.iinfo(np.int32).min  # chain row of a pattern code not yet seen
-_BIN_LIMIT = 1 << 26  # elements _exact_sum bins before it folds the bins
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,17 @@ def connected_mayer_sum(m: int, edges: frozenset[tuple[int, int]]) -> int:
             raise ValueError(f"bad edge ({u}, {v}) for {m} vertices")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return _ursell_masked(m, tuple(adj), (1 << m) - 1)
+    return _ursell_masked(tuple(adj), (1 << m) - 1, {})
 
 
-@lru_cache(maxsize=65536)
-def _ursell_masked(m: int, adj: tuple[int, ...], vmask: int) -> int:
+def _ursell_masked(adj: tuple[int, ...], vmask: int, memo: dict[int, int]) -> int:
+    """The signed count on the vertices of vmask; memo holds the counts of
+    the vertex sets of this pattern done so far."""
     if vmask.bit_count() == 1:
         return 1
-    members = [i for i in range(m) if (vmask >> i) & 1]
+    if vmask in memo:
+        return memo[vmask]
+    members = [i for i in range(len(adj)) if (vmask >> i) & 1]
 
     def edgeless(mask: int) -> bool:
         return all(not (adj[i] & mask) for i in members if (mask >> i) & 1)
@@ -118,21 +122,33 @@ def _ursell_masked(m: int, adj: tuple[int, ...], vmask: int) -> int:
         sub = (sub - 1) & rest
         w = sub | (1 << v0)
         if w != vmask and edgeless(vmask & ~w):
-            total -= _ursell_masked(m, adj, w)
+            total -= _ursell_masked(adj, w, memo)
         if sub == 0:
             break
+    memo[vmask] = total
     return total
+
+
+# U per (order, pattern code), kept for the life of the process: slot pair
+# (a, b) of an order-`order` tuple sets bit b(b-1)/2 + a of its code
+_URSELL: dict[tuple[int, int], int] = {}
+
+
+def _pattern_ursell(order: int, code: int) -> int:
+    """U of the overlap pattern `code` on `order` slots, evaluated once."""
+    if (order, code) not in _URSELL:
+        pairs = [(a, b) for b in range(order) for a in range(b)]
+        edges = frozenset(pair for i, pair in enumerate(pairs) if code >> i & 1)
+        _URSELL[order, code] = connected_mayer_sum(order, edges)
+    return _URSELL[order, code]
 
 
 def _multiset_ursell(masks: tuple[int, ...]) -> int:
     m = len(masks)
-    edges = frozenset(
-        (u, v)
-        for u in range(m)
-        for v in range(u + 1, m)
-        if masks[u] & masks[v]
+    return _pattern_ursell(
+        m,
+        sum(1 << (b * (b - 1) // 2 + a) for b in range(m) for a in range(b) if masks[a] & masks[b]),
     )
-    return connected_mayer_sum(m, edges)
 
 
 def check_series_options(m_max: int, size_cutoff: int | None, z: float) -> None:
@@ -206,15 +222,16 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
     time, and each block's children are formed prefix-major, SERIES_BLOCK
     at a time, so memory is bounded by the block.  U depends only on which
     slots overlap: slot pair (a, b) sets bit b(b-1)/2 + a of a pattern code,
-    and a table filled on first use maps codes to U.  A prefix's pairs are
-    tested once per block; a child tests only its order - 1 pairs with j,
-    on node words.  For each U met so far, the chain
+    and a table filled on first use maps codes to U, read from the
+    process-wide _pattern_ursell.  A prefix's pairs are tested once per
+    block; a child tests only its order - 1 pairs with j, on node words
+    (loops._meets).  For each U met so far, the chain
     ((U * a_i1) * a_i2) ... * a_i(order-1) over the prefix is formed once per
     block, and a child's piece is that chain times acts[j]: the products of
     the multiset order, in that order, so every piece is the same float.
     Only children with a repeated index are divided, since dividing by 1!
-    is exact.  _exact_sum equals math.fsum, so the order in which the
-    multisets are visited does not change the term.
+    is exact.  loops._exact_sum equals math.fsum, so the order in which
+    the multisets are visited does not change the term.
     """
     p, head = len(acts), order - 1
     if not p:
@@ -231,9 +248,7 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
         if not (row == _UNKNOWN).any():
             return row
         for c in np.unique(code[row == _UNKNOWN]).tolist():
-            u = connected_mayer_sum(
-                order, frozenset(e for i, e in enumerate(slot_pairs) if c >> i & 1)
-            )
+            u = _pattern_ursell(order, c)
             if u and u not in ursells:
                 ursells.append(u)
             chain_row[c] = ursells.index(u) if u else -1
@@ -305,78 +320,6 @@ def _divide_runs(piece: np.ndarray, rows: np.ndarray, factorial: np.ndarray) -> 
         np.divide(piece, factorial[run], out=piece, where=ends)
         run = np.where(ends, 1, run + 1)
     return piece / factorial[run]
-
-
-def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Which columns of the node-word arrays x and y share a node."""
-    out = (x[0] & y[0]) != 0
-    for w in range(1, len(x)):
-        out |= (x[w] & y[w]) != 0
-    return out
-
-
-def _exact_sum(chunks) -> float:
-    """math.fsum of the concatenated float64 chunks, bit for bit.
-
-    A finite x is m * 2**e (np.frexp) with m * 2**53 an integer below 2**53
-    in magnitude, even for subnormals; it splits into halves hi * 2**26 + lo
-    with |hi| < 2**27 and |lo| < 2**26.  Per exponent each half is summed by
-    a float64 bincount, exact while fewer than 2**26 elements share the
-    bins, which are then folded into one Python int in units of 2**-1126.
-    One correctly rounded int / int division gives the sum, +0.0 when it is
-    0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives nan
-    and an inf inf; a finite sum past the float range raises OverflowError.
-    fsum also raises that when a running sum leaves the range and the total
-    comes back, which depends on the order of the elements; this does not.
-    """
-    total, binned = 0, 0
-    bins = np.zeros((2, 2098))  # hi and lo sums per exponent + 1073
-    nan = pos = neg = False
-    for x in chunks:
-        finite = np.isfinite(x)
-        if not finite.all():
-            special = x[~finite]
-            nan |= bool(np.isnan(special).any())
-            pos |= bool((special > 0).any())
-            neg |= bool((special < 0).any())
-            x = x[finite]
-        if binned + len(x) > _BIN_LIMIT:
-            total += _unbin(bins)
-            bins[:] = 0.0
-            binned = 0
-        binned += len(x)
-        _bin(x, bins)
-    total += _unbin(bins)
-    try:
-        value = total / (1 << 1126)
-    except OverflowError:
-        raise OverflowError("intermediate overflow in fsum") from None
-    if pos and neg:
-        raise ValueError("-inf + inf in fsum")
-    if nan:
-        return math.nan
-    if pos or neg:
-        return math.inf if pos else -math.inf
-    return value
-
-
-def _bin(x: np.ndarray, bins: np.ndarray) -> None:
-    """Add the halves of the finite float64 array x to bins, per exponent."""
-    m, e = np.frexp(x)
-    m *= 2.0**27
-    hi = np.trunc(m)
-    m -= hi
-    m *= 2.0**26
-    e += 1073  # the least exponent, of 2**-1074, is -1073
-    bins[0] += np.bincount(e, hi, minlength=bins.shape[1])
-    bins[1] += np.bincount(e, m, minlength=bins.shape[1])
-
-
-def _unbin(bins: np.ndarray) -> int:
-    """The sum held by the bins, in units of 2**-1126."""
-    at = np.flatnonzero(bins.any(axis=0))
-    hi, lo = bins[:, at].tolist()
-    return sum(((int(a) << 26) + int(b)) << k for k, a, b in zip(at.tolist(), hi, lo))
 
 
 def _multiset_blocks(p: int, order: int):

@@ -28,11 +28,14 @@ and the leaves handed on, in chunks of _CHUNK, which bounds the
 temporaries.  The visit budget is checked at every chunk boundary, so an
 over-budget walk is refused after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
-small/large split read the leaf arrays chunk by chunk.  A loop splits into
-polymers along its checks: Warshall's closure on the node masks of its
-check blocks merges every two blocks that share a node, for all loops of a
-chunk at once.  The identity check adds the exact ln Z, BP and the Bethe
-free energy to the loop sum.
+small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
+is the empty loop.  A loop splits into polymers along its checks:
+Warshall's closure on the node masks of its check blocks merges every two
+blocks that share a node, for all loops of a chunk at once and for each
+connected component of the graph's checks on its own.  The loop sum keeps
+its terms as float64 arrays and adds them exactly (_exact_sum, shared with
+expansion's series).  The identity check adds the exact ln Z, BP and the
+Bethe free energy to the loop sum.
 
 One function, polymer_q, scores the convergence statistic q for the loop
 sum (in walk order) and for expansion's series and both criteria (in
@@ -290,13 +293,16 @@ class _Leaves:
     levels[a] = (parent, option): for each state after check a, its parent's
     index among the states after check a - 1 (the single root before check
     0) and its option index at check a.  prod holds each leaf's activity;
+    leaf 0 takes the empty option at every check, the only empty leaf.
     visits counts every state, the root included.  option_words[a] holds
-    the node masks of check a's options, as node_words, and lower[a] the
-    bits of the checks below a, as a (words, 1) column.
+    the node masks of check a's options, as node_words.  order lists the
+    checks by connected component of the graph, and lower[:, r] holds the
+    bits of the checks below order[r], as a (words, 1) column.
 
     A loop's polymers are the classes of checks whose blocks are joined by
     shared variables.  Check bits never coincide, so two blocks share a
-    variable exactly when their node words share a bit.
+    variable exactly when their node words share a bit, and blocks of
+    different components of the graph's checks never do.
 
     Arrays over loops keep the loops on their last axis, so that reductions
     over checks or mask words run across whole rows.
@@ -324,25 +330,46 @@ class _Leaves:
             ]:
                 words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
             self.option_words.append(words)
-        lower = [(1 << (graph.n + a)) - (1 << graph.n) for a in range(graph.m)]
-        self.lower = node_words(lower, graph.n + graph.m).T[:, :, None]
+        # the checks by connected component of the graph, ascending within
+        # each; components holds the row slice of every component of two or
+        # more checks, since a lone check is a polymer of its own
+        seen: set[int] = set()
+        self.order: list[int] = []
+        self.components: list[slice] = []
+        for a in range(graph.m):
+            if a in seen:
+                continue
+            reached, todo = {a}, [a]
+            while todo:
+                for e in graph.check_edges[todo.pop()]:
+                    for f in graph.var_edges[graph.edges[e][0]]:
+                        b = graph.edges[f][1]
+                        if b not in reached:
+                            reached.add(b)
+                            todo.append(b)
+            if len(reached) > 1:
+                self.components.append(slice(len(self.order), len(self.order) + len(reached)))
+            self.order += sorted(reached)
+            seen |= reached
+        lower = [(1 << (graph.n + a)) - (1 << graph.n) for a in self.order]
+        self.lower = node_words(lower, graph.n + graph.m)[:, :, None]
 
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
         walk order; choices[a, j] is loop j's option index at check a,
-        rebuilt by backtracking through the levels."""
-        m = len(self.levels)
-        for start in range(0, len(self.prod), _CHUNK):
+        rebuilt by backtracking through the levels.  Leaf 0, the empty
+        option at every check, is the only empty leaf, so the chunks start
+        at leaf 1."""
+        levels = [(p.astype(np.intp), o.astype(np.intp)) for p, o in self.levels]
+        for start in range(1, len(self.prod), _CHUNK):
             stop = min(start + _CHUNK, len(self.prod))
             idx = np.arange(start, stop)
-            choices = np.empty((m, stop - start), dtype=np.intp)
-            for a in range(m - 1, -1, -1):
-                parent, option = self.levels[a]
-                choices[a] = option[idx]
+            choices = np.empty((len(levels), stop - start), dtype=np.intp)
+            for a in range(len(levels) - 1, -1, -1):
+                parent, option = levels[a]
+                np.take(option, idx, out=choices[a])
                 idx = parent[idx]
-            rows = np.flatnonzero(choices.any(axis=0))
-            if len(rows):
-                yield choices[:, rows], self.prod[start:stop][rows]
+            yield choices, self.prod[start:stop]
 
     def union(self, choices: np.ndarray) -> np.ndarray:
         """(words, loops) node masks of the given loops."""
@@ -356,14 +383,16 @@ class _Leaves:
         count, the size of its largest polymer and its (words, loops) node
         masks.
 
-        The loops go through in slices.  part[a] starts as check a's block,
-        the node words of its chosen option, empty when a is outside the
-        loop.  Warshall's closure on node masks: for k = 0..m-1, every part
-        that shares a node with part[k] takes it in, after which part[a] is
-        the node mask of the polymer that holds check a.  A polymer is
-        counted at its lowest check, the one whose part holds no lower
-        check's bit.  The closure's m passes over the parts are why a slice
-        holds at most 512 * _CHUNK bytes of them.
+        The loops go through in slices.  part[:, r] starts as the block of
+        check order[r], the node words of its chosen option, empty when the
+        check is outside the loop; each component of the graph's checks is
+        one run of rows, a view.  Warshall's closure on node masks, one
+        component at a time: for each row k of it, every part of the
+        component that shares a node with part[:, k] takes it in, after
+        which each part is the node mask of the polymer that holds its
+        check.  A polymer is counted at its lowest check, the one whose
+        part holds no lower check's bit.  The closure's passes over the
+        parts are why a slice holds at most 512 * _CHUNK bytes of them.
         """
         m = len(self.option_words)
         count = np.empty(choices.shape[1], dtype=np.intp)
@@ -372,14 +401,18 @@ class _Leaves:
         step = max(1, 512 * _CHUNK // (m * self.mask_words * 8))
         for start in range(0, choices.shape[1], step):
             here = slice(start, start + step)
-            chosen = choices[:, here]
-            # (checks, words, loops)
-            part = np.stack([table[:, c] for table, c in zip(self.option_words, chosen)])
-            union[:, here] = np.bitwise_or.reduce(part, axis=0)
-            for k in range(m):
-                part |= part[k] * (part & part[k]).any(axis=1, keepdims=True)
-            largest[here] = np.bitwise_count(part).sum(axis=1).max(axis=0)
-            count[here] = ((chosen != 0) & ~(part & self.lower).any(axis=1)).sum(axis=0)
+            chosen = choices[self.order, here]
+            # (words, checks, loops)
+            part = np.stack(
+                [self.option_words[a][:, c] for a, c in zip(self.order, chosen)], axis=1
+            )
+            union[:, here] = np.bitwise_or.reduce(part, axis=1)
+            for rows in self.components:
+                block = part[:, rows]
+                for k in range(block.shape[1]):
+                    block |= block[:, k : k + 1] * _meets(block, block[:, k])
+            largest[here] = np.bitwise_count(part).sum(axis=0).max(axis=0)
+            count[here] = ((chosen != 0) & ~_meets(part, self.lower)).sum(axis=0)
         return count, largest, union
 
     def records(self, choices: np.ndarray) -> list[Polymer]:
@@ -438,8 +471,9 @@ def _admitted_options(
     variable closing there off induced degree one.
 
     masks holds the options' local masks (bit k for the check's k-th edge);
-    closing lists each closing variable's (frontier column of bits, position
-    in the check).  A state fixes the bits of the closing variables its
+    bits is the frontier's (columns, states) included-edge bits; closing
+    lists each closing variable's (frontier column, position in the
+    check).  A state fixes the bits of the closing variables its
     included-edge bits leave at degree 0 or 1, and needs set exactly those
     at degree 1; an option is admitted when its mask, restricted to the
     fixed bits, equals the needed ones.  States are grouped by their (fixed,
@@ -449,10 +483,10 @@ def _admitted_options(
     first, count): the admitted option indices of every group, run after
     run, and per state its group's run start and length.
     """
-    bit = np.array([1 << k for _c, k in closing], dtype=masks.dtype)
-    degree = np.bitwise_count(bits[:, [c for c, _k in closing]])
-    fixed = np.bitwise_or.reduce((degree < 2) * bit, axis=1)
-    needed = np.bitwise_or.reduce((degree == 1) * bit, axis=1)
+    bit = np.array([1 << k for _c, k in closing], dtype=masks.dtype)[:, None]
+    degree = np.bitwise_count(bits[[c for c, _k in closing]])
+    fixed = np.bitwise_or.reduce((degree < 2) * bit, axis=0)
+    needed = np.bitwise_or.reduce((degree == 1) * bit, axis=0)
     # one key per pair, fixed in the high and needed in the low 32 bits (a
     # mask has at most CHECK_TABLE_MAX_DEGREE bits), so the groups sort by
     # fixed and then by needed
@@ -490,14 +524,17 @@ def _walk(
     paired only with those, in option order.  The pairs are kept
     state-major, so the leaves come out in depth-first order (empty option
     first), exactly as if every state were crossed with every option and
-    the dead pairs dropped.  The frontier
-    holds each state's activity and the included-edge bits of the variables
-    still open; with an evaluator the activity is built up on the way down:
+    the dead pairs dropped.  The frontier holds each state's activity and
+    the included-edge bits of the variables still open, column-major: one
+    contiguous row of states per open variable, so each flip, closing-table
+    lookup and degree read runs over one row.  With an evaluator the
+    activity is built up on the way down:
     prod * the check's table entry at the option's mask, then times each
     closing variable's entry at its included-edge bits, in the fixed closing
     order.  Every variable table is read before the first check, and each
     check's option entries at its level.  Without an evaluator it stays 1.
-    The node tally, the factors and the lookups run only on admitted pairs.
+    The node tally is kept only when max_nodes can bind; it, the factors
+    and the lookups run only on admitted pairs.
     Each level keeps only (parent, option) per state, from which _Leaves
     rebuilds the leaves.
 
@@ -521,9 +558,9 @@ def _walk(
     ]
 
     open_vars: list[int] = []  # frontier column -> variable
-    bits = np.zeros((1, 0), dtype=bits_dtype)
+    bits = np.zeros((0, 1), dtype=bits_dtype)  # (columns, states)
     prod = np.ones(1)
-    nodes = np.zeros(1, dtype=np.min_scalar_type(n + m))
+    nodes = np.zeros(1, dtype=np.min_scalar_type(n + m))  # the node tally, when capped
     levels: list[tuple[np.ndarray, np.ndarray]] = []
     visits = 1
     if visits > budget:
@@ -535,9 +572,11 @@ def _walk(
         check_vars = [graph.edges[e][0] for e in eids]
         cols = open_vars + [i for i in check_vars if i not in open_vars]
         col = {i: c for c, i in enumerate(cols)}
-        bits = np.pad(bits, ((0, 0), (0, len(cols) - bits.shape[1])))
+        bits = np.pad(bits, ((0, len(cols) - len(bits)), (0, 0)))
         var_cols = [col[i] for i in check_vars]
-        flips = opts.astype(bits_dtype) * np.array([local_bit[e] for e in eids], dtype=bits_dtype)
+        # per check edge, its option membership and its variable's flip by option
+        member = np.ascontiguousarray(opts.T)
+        flips = member * np.array([[local_bit[e]] for e in eids], dtype=bits_dtype)
         factor = np.ones(len(opts)) if evaluator is None else evaluator.table(n + a, masks)
         # closing variables in index order, the order their factors multiply in
         closing = [(col[i], var_table[i]) for i in sorted(cols) if last_check[i] == a]
@@ -552,7 +591,7 @@ def _walk(
         first -= ends - count
         pairs = int(ends[-1]) if states else 0
         # an empty part keeps the level defined when no pair survives
-        parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[:0, staying], prod[:0], nodes[:0])]
+        parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[staying, :0], prod[:0], nodes[:0])]
         for start in range(0, pairs, _CHUNK):
             stop = min(start + _CHUNK, pairs)
             # the runs of states lo..hi hold pairs start..stop - 1
@@ -560,24 +599,24 @@ def _walk(
             skip = start - int(ends[lo] - count[lo])
             parent = np.repeat(np.arange(lo, hi + 1), count[lo : hi + 1])[skip : skip + stop - start]
             option = admitted[first[parent] + np.arange(start, stop)]
-            child = bits[parent]
-            grown = nodes[parent]
+            child = bits[:, parent]
+            grown = nodes[:0]
             if capped:
-                grown = grown + (option > 0)
+                grown = nodes[parent] + (option > 0)
                 for k, c in enumerate(var_cols):
-                    grown += opts[option, k] & (child[:, c] == 0)
+                    grown += member[k][option] & (child[c] == 0)
                 keep = np.flatnonzero(grown <= n_cap)
-                parent, option, child, grown = parent[keep], option[keep], child[keep], grown[keep]
+                parent, option, child, grown = parent[keep], option[keep], child[:, keep], grown[keep]
             for k, c in enumerate(var_cols):
-                child[:, c] ^= flips[option, k]
+                child[c] ^= flips[k][option]
             p = prod[parent] * factor[option]
             for c, table in closing:
-                p = p * table[child[:, c]]
+                p = p * table[child[c]]
             visits += len(parent)
             if visits > budget:
                 raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-            parts.append((parent, option, child[:, staying], p, grown))
-        parent, option, bits, prod, nodes = (np.concatenate(x) for x in zip(*parts))
+            parts.append((parent, option, child[staying], p, grown))
+        parent, option, bits, prod, nodes = (np.concatenate(x, axis=-1) for x in zip(*parts))
         levels.append(
             (
                 parent.astype(np.min_scalar_type(max(states - 1, 0))),
@@ -601,9 +640,19 @@ def node_words(masks: list[int], node_count: int) -> np.ndarray:
     return out
 
 
+def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where the node-word arrays x and y (words on the first axis,
+    broadcast over the rest) share a node, one word at a time."""
+    out = (x[0] & y[0]) != 0
+    for w in range(1, len(x)):
+        out |= (x[w] & y[w]) != 0
+    return out
+
+
 # e^s for the sizes s = 0..709 where it is finite; math.exp, not np.exp,
 # which may differ in the last bit
 _EXP_SIZE = np.array([math.exp(s) for s in range(710)])
+_BIN_LIMIT = 1 << 26  # elements _exact_sum bins before it folds the bins
 
 
 def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
@@ -626,8 +675,74 @@ def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
     for b in range(len(load)):
         through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
         if len(through):
-            load[b] = np.add.accumulate(np.concatenate(([load[b]], through)))[-1]
+            # load + w0 is w0 + load: addition commutes in IEEE arithmetic
+            through[0] += load[b]
+            load[b] = np.add.accumulate(through)[-1]
     return max(load.tolist(), default=0.0)
+
+
+def _exact_sum(chunks) -> float:
+    """math.fsum of the concatenated float64 chunks, bit for bit.
+
+    A finite x is m * 2**e (np.frexp) with m * 2**53 an integer below 2**53
+    in magnitude, even for subnormals; it splits into halves hi * 2**26 + lo
+    with |hi| < 2**27 and |lo| < 2**26.  Per exponent each half is summed by
+    a float64 bincount, exact while fewer than 2**26 elements share the
+    bins, which are then folded into one Python int in units of 2**-1126.
+    One correctly rounded int / int division gives the sum, +0.0 when it is
+    0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives nan
+    and an inf inf; a finite sum past the float range raises OverflowError.
+    fsum also raises that when a running sum leaves the range and the total
+    comes back, which depends on the order of the elements; this does not.
+    """
+    total, binned = 0, 0
+    bins = np.zeros((2, 2098))  # hi and lo sums per exponent + 1073
+    nan = pos = neg = False
+    for x in chunks:
+        finite = np.isfinite(x)
+        if not finite.all():
+            special = x[~finite]
+            nan |= bool(np.isnan(special).any())
+            pos |= bool((special > 0).any())
+            neg |= bool((special < 0).any())
+            x = x[finite]
+        if binned + len(x) > _BIN_LIMIT:
+            total += _unbin(bins)
+            bins[:] = 0.0
+            binned = 0
+        binned += len(x)
+        _bin(x, bins)
+    total += _unbin(bins)
+    try:
+        value = total / (1 << 1126)
+    except OverflowError:
+        raise OverflowError("intermediate overflow in fsum") from None
+    if pos and neg:
+        raise ValueError("-inf + inf in fsum")
+    if nan:
+        return math.nan
+    if pos or neg:
+        return math.inf if pos else -math.inf
+    return value
+
+
+def _bin(x: np.ndarray, bins: np.ndarray) -> None:
+    """Add the halves of the finite float64 array x to bins, per exponent."""
+    m, e = np.frexp(x)
+    m *= 2.0**27
+    hi = np.trunc(m)
+    m -= hi
+    m *= 2.0**26
+    e += 1073  # the least exponent, of 2**-1074, is -1073
+    bins[0] += np.bincount(e, hi, minlength=bins.shape[1])
+    bins[1] += np.bincount(e, m, minlength=bins.shape[1])
+
+
+def _unbin(bins: np.ndarray) -> int:
+    """The sum held by the bins, in units of 2**-1126."""
+    at = np.flatnonzero(bins.any(axis=0))
+    hi, lo = bins[:, at].tolist()
+    return sum(((int(a) << 26) + int(b)) << k for k, a, b in zip(at.tolist(), hi, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +802,14 @@ def loop_sum_direct(
 ) -> LoopSumResult:
     """1 + sum of activities over all generalized loops, in one walk.
 
-    The loop terms are fsummed, so the total is the exactly rounded sum of
-    the per-loop activities.  The same walk splits the sum by polymer size:
-    a loop term is small when each polymer of its disjoint decomposition
-    has size < split_lambda * n; z_small is 1 plus the small terms, r_large
-    the rest.  The connected loops are the polymers; q is
-    convergence_criterion_q's single-node statistic over them, each node's
-    sum taken in the walk's depth-first leaf order.
+    The loop terms are added exactly (_exact_sum, bit for bit math.fsum),
+    so the total is the exactly rounded sum of the per-loop activities.
+    The same walk splits the sum by polymer size: a loop term is small when
+    each polymer of its disjoint decomposition has size < split_lambda * n;
+    z_small is 1 plus the small terms, r_large the rest.  The connected
+    loops are the polymers; q is convergence_criterion_q's single-node
+    statistic over them, each node's sum taken in the walk's depth-first
+    leaf order.
     """
     _check_split_lambda(split_lambda)
     return _loop_sum(ActivityEvaluator(graph, messages), budget, split_lambda)
@@ -708,23 +824,29 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     graph = evaluator.graph
     leaves = _walk(graph, budget, evaluator)
     threshold = split_lambda * graph.n
-    small: list[float] = []
-    large: list[float] = []
+    small: list[np.ndarray] = []
+    large: list[np.ndarray] = []
     load = np.zeros(graph.n + graph.m)
     polymer_count, q = 0, 0.0
     for choices, prod in leaves.loops():
         count, largest, union = leaves.split(choices)
         is_large = largest >= threshold
-        large += prod[is_large].tolist()
-        small += prod[~is_large].tolist()
+        large.append(prod[is_large])
+        small.append(prod[~is_large])
         connected = count == 1
         polymer_count += int(connected.sum())
         q = polymer_q(load, union[:, connected], prod[connected], largest[connected])
-    z_small, r_large = 1.0 + math.fsum(small), math.fsum(large)
+    loop_count = len(leaves.prod) - 1
+    large_count = sum(map(len, large))
+    z_small, r_large = 1.0 + _exact_sum(small), _exact_sum(large)
     return LoopSumResult(
-        # with either list empty the other's fsum is already the whole sum
-        total=1.0 + math.fsum(small + large) if small and large else z_small + r_large,
-        loop_count=len(small) + len(large),
+        # with either part empty the other's sum is already the whole sum
+        total=(
+            1.0 + _exact_sum(small + large)
+            if 0 < large_count < loop_count
+            else z_small + r_large
+        ),
+        loop_count=loop_count,
         polymer_count=polymer_count,
         z_small=z_small,
         r_large=r_large,

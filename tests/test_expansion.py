@@ -357,14 +357,14 @@ def test_exact_sum_is_fsum_bit_for_bit(case, chunks, monkeypatch):
     x = _exact_sum_cases()[case]
     parts = np.array_split(x, chunks) + [x[:0]]
     want = math.fsum(x.tolist()).hex()
-    assert lg.expansion._exact_sum(parts).hex() == want
+    assert lg.loops._exact_sum(parts).hex() == want
     # folding the bins into the integer every few elements changes nothing
-    monkeypatch.setattr(lg.expansion, "_BIN_LIMIT", 7)
-    assert lg.expansion._exact_sum(np.array_split(x, len(x) // 5 + 1)).hex() == want
+    monkeypatch.setattr(lg.loops, "_BIN_LIMIT", 7)
+    assert lg.loops._exact_sum(np.array_split(x, len(x) // 5 + 1)).hex() == want
 
 
 def test_exact_sum_of_zeros_and_non_finite_values_is_fsums():
-    exact = lg.expansion._exact_sum
+    exact = lg.loops._exact_sum
     zeros = [np.array([-0.0, -0.0]), np.array([]), np.array([0.0, -0.0])]
     assert exact(zeros).hex() == math.fsum([-0.0, -0.0, 0.0, -0.0]).hex() == "0x0.0p+0"
     assert exact([np.array([-0.0])]).hex() == "0x0.0p+0"
@@ -411,6 +411,23 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
     few = polys[:100]
     assert math.comb(len(few) + 2, 3) > 600 * 256
     assert peak(3, few) - peak(1, few) < 60_000
+
+
+def test_repeated_series_evaluates_no_ursell_coefficient(monkeypatch):
+    # U is kept per (order, pattern code) for the life of the process, so an
+    # identical second call meets only patterns whose U is known
+    g = sp.general_instance(3, 4, 8, 0.3, 1)
+    msgs = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g, max_size=4)
+    calls = []
+    mayer = lg.expansion.connected_mayer_sum
+    monkeypatch.setattr(
+        lg.expansion, "connected_mayer_sum", lambda *a: calls.append(a) or mayer(*a)
+    )
+    first = lg.polymer_series(g, msgs, m_max=6, polymers=polys)
+    calls.clear()
+    assert lg.polymer_series(g, msgs, m_max=6, polymers=polys) == first
+    assert calls == []
 
 
 def test_series_over_budget_is_refused_before_any_work(monkeypatch):

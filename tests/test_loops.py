@@ -451,6 +451,23 @@ def _three_chorded_cycles() -> lg.FactorGraph:
     return sp.disjoint_union([_long_cycle_with_chord(21) for _ in range(3)], seed=4)
 
 
+def _interleaved_components() -> lg.FactorGraph:
+    # a chorded 5-cycle code (6 checks) and a (3,4) code on 4 variables (3
+    # checks), with check ids taken from the two in turn: the walk's
+    # frontier mixes both, and the polymer split's rows in component order
+    # are a true permutation of the checks
+    parts = [_long_cycle_with_chord(5), sp.ldpc_instance(3, 4, 4, 0.45, 1, chan_seed=1)]
+    turn = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5)]
+    check_id = {part_check: a for a, part_check in enumerate(turn)}
+    edges = [
+        (i + parts[0].n * k, check_id[k, a]) for k, g in enumerate(parts) for i, a in g.edges
+    ]
+    fields = parts[0].weights.variable_fields + parts[1].weights.variable_fields
+    return lg.build_factor_graph(
+        sum(g.n for g in parts), len(turn), edges, lg.LdpcWeights(fields)
+    )
+
+
 # the perfbench identity battery's families and sizes with the seeds to run
 # them at; (3,6) at n = 6 is K_{6,3} whatever the seed, so one seed covers its
 # walk (and its 14,016 loops make the oracle slow)
@@ -480,6 +497,7 @@ _WALK_CASES["three-chorded-cycles"] = _three_chorded_cycles
 _WALK_CASES["edgeless-variable"] = _with_edgeless_variable
 _WALK_CASES["wide-closing-check"] = _wide_closing_check
 _WALK_CASES["twin-check-d6"] = _twin_checks
+_WALK_CASES["interleaved-components"] = _interleaved_components
 
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["demo-3-4-n8"])
@@ -549,6 +567,30 @@ def test_level_walk_matches_recursive_walk(case, monkeypatch):
     arbitrary = sp.random_messages(g, seed=7)
     assert lg.loop_sum_direct(g, arbitrary) == sp.recursive_loop_sum(g, arbitrary)
     assert loop_activities(g, arbitrary) == sp.recursive_loop_activities(g, arbitrary)
+
+
+@pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["capped-at-0"])
+def test_leaves_are_every_nonempty_leaf_in_walk_order(case, monkeypatch):
+    # leaf 0 is the empty loop and the only empty leaf: the leaf pass yields
+    # every other leaf once, none empty, in walk order (the lexicographic
+    # order of the option indices, check 0 first), also across chunks
+    if case == "capped-at-0":
+        g = sp.ldpc_instance(3, 4, 4, 0.45, 1, chan_seed=1)
+        assert lg.enumerate_polymers(g, max_size=0) == []
+        leaves = lg.loops._walk(g, 10**9, max_nodes=0)
+    else:
+        leaves = lg.loops._walk(_WALK_CASES[case](), 10**9)
+    for chunk in (lg.loops._CHUNK, 7):
+        monkeypatch.setattr(lg.loops, "_CHUNK", chunk)
+        batches = list(leaves.loops())
+        choices = np.concatenate([c for c, _ in batches] or [np.zeros((len(leaves.levels), 0))], 1)
+        prod = np.concatenate([p for _, p in batches] or [np.zeros(0)])
+        assert choices.shape[1] == len(leaves.prod) - 1
+        assert choices.any(axis=0).all()
+        rows = list(map(tuple, choices.T.tolist()))
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert prod.tobytes() == leaves.prod[1:].tobytes()
+    assert len(leaves.prod) == 1 if case == "capped-at-0" else len(leaves.prod) > 1
 
 
 def test_readme_demo_loop_sum_is_pinned():
@@ -635,7 +677,9 @@ def test_admitted_options_keep_closing_variables_off_degree_one(width):
     bits = rng.choice(np.array([0, 4, 5], dtype=np.uint8), size=(20, width + 1), p=[0.04, 0.04, 0.92])
     bits = bits[rng.integers(0, len(bits), size=60)]
     closing = [(c + 1, c) for c in range(width)]
-    admitted, first, count = lg.loops._admitted_options(masks, bits, closing)
+    # the walk's frontier is column-major: (columns, states)
+    frontier = np.ascontiguousarray(bits.T)
+    admitted, first, count = lg.loops._admitted_options(masks, frontier, closing)
     degrees = np.bitwise_count(bits[:, 1:])
     passed = 0
     for state, deg in enumerate(degrees.tolist()):
