@@ -144,27 +144,40 @@ def table_degree(graph: FactorGraph, node: int) -> int:
 def check_tables(graph: FactorGraph) -> list[list[float]]:
     """Per check of a general-weight graph: psi_a over its 2^d local
     configurations.  Bit k of a configuration is set when the k-th neighbour
-    in check_neighbors order has spin -1."""
+    in check_neighbors order has spin -1.
+
+    The checks of one degree d and one term count are tabulated together:
+    each term's parity over all 2^d configurations is one numpy mask, the
+    log weights beta * J * (+-1) are added term by term in coupling order,
+    starting from 0.0, and math.exp is taken entry by entry, so every entry
+    is the float the per-configuration sum gives."""
     w = graph.weights
     assert isinstance(w, GeneralWeights)
     for a in range(graph.m):
         table_degree(graph, graph.n + a)
     check_weight_range(graph)
-    tables = []
-    for a in range(graph.m):
-        hood = graph.check_neighbors(a)
-        pos = {i: k for k, i in enumerate(hood)}
-        terms = [
-            (sum(1 << pos[i] for i in subset), w.beta * j)
-            for subset, j in w.couplings[a]
-        ]
-        psi = []
-        for cfg in range(1 << len(hood)):
-            log_psi = 0.0
-            for mask, bj in terms:
-                log_psi += bj * (1.0 - 2.0 * ((cfg & mask).bit_count() & 1))
-            psi.append(math.exp(log_psi))
-        tables.append(psi)
+    groups: dict[tuple[int, int], list[int]] = {}
+    masks = []
+    var_of = [i for i, _a in graph.edges]
+    powers = [1 << k for k in range(CHECK_TABLE_MAX_DEGREE)]
+    for a, (eids, terms) in enumerate(zip(graph.check_edges, w.couplings)):
+        # a check's edges are consecutive, its neighbours in increasing order
+        start = eids[0] if eids else 0
+        bit = dict(zip(var_of[start : start + len(eids)], powers))
+        masks.append([sum(map(bit.__getitem__, subset)) for subset, _j in terms])
+        groups.setdefault((len(eids), len(terms)), []).append(a)
+    tables: list[list[float]] = [[] for _ in range(graph.m)]
+    for (d, count), checks in groups.items():
+        shape = (len(checks), count, 1)
+        mask = np.array([masks[a] for a in checks], dtype=np.int32).reshape(shape)
+        scaled = [[w.beta * j for _s, j in w.couplings[a]] for a in checks]
+        bj = np.array(scaled, dtype=float).reshape(shape)
+        odd = np.bitwise_count(np.arange(1 << d, dtype=np.int32) & mask) & 1
+        log_psi = np.zeros((len(checks), 1 << d))
+        for t in range(count):
+            log_psi += bj[:, t] * (1.0 - 2.0 * odd[:, t])
+        for a, psi in zip(checks, elementwise(math.exp, log_psi).tolist()):
+            tables[a] = psi
     return tables
 
 

@@ -94,8 +94,114 @@ def _write_text(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # the C encoder: no indent
+_OPEN, _CLOSE, _COMMA = b"[],"
+_MAX_NESTING = 42  # three kinds of tag byte per depth fit in 0x80..0xff
+_SLICE = 2048  # list items per C encoder call, which bounds each call's temporaries
+
+
+def write_json(obj, fh) -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=True) + "\n" to the text
+    file fh, byte for byte, piece by piece.
+
+    The indenting encoder is pure Python, so lists go to the C encoder
+    instead, _SLICE items per call.  A slice that holds only numbers,
+    booleans, nulls and such lists is then indented (see _indent_lists); a
+    slice that holds a string or a dict, and every dict, is laid out here
+    one entry at a time.
+    """
+    _write_json(obj, 0, fh.write)
+    fh.write("\n")
+
+
+def json_text(obj) -> str:
+    """The text write_json writes."""
+    buf = io.StringIO()
+    write_json(obj, buf)
+    return buf.getvalue()
+
+
+def _write_json(obj, level: int, write) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            write(sep + _json_key(key) + ": ")
+            _write_json(value, level + 1, write)
+            sep = "," + inner
+        write(inner[:-2] + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for k in range(0, len(obj), _SLICE):
+            items = obj[k : k + _SLICE]
+            text = _COMPACT.encode(items)
+            laid = None if '"' in text or "{" in text else _indent_lists(text, level)
+            if laid is not None:
+                # the slice laid out as a list of its own, less its brackets
+                write(sep + laid[len(sep) : 1 - len(inner)])
+                sep = "," + inner
+                continue
+            for item in items:
+                write(sep)
+                _write_json(item, level + 1, write)
+                sep = "," + inner
+        write(inner[:-2] + "]")
+    else:
+        write(_COMPACT.encode(obj))
+
+
+def _json_key(key) -> str:
+    # json writes a number, boolean or null key as the quoted text of its value
+    if isinstance(key, str):
+        return _COMPACT.encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _COMPACT.encode(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _indent_lists(text: str, level: int) -> str | None:
+    """text, the compact JSON of a nonempty list of numbers, booleans, nulls
+    and such lists, laid out as the indenting encoder lays it out at depth level;
+    None past _MAX_NESTING levels of lists.
+
+    A nonempty list's "[" and each "," end a line; its "]" starts one,
+    indented to the list's own depth, and each line inside is indented to
+    the depth of the items.  An empty list stays "[]".  Each bracket and
+    comma that starts or ends a line is swapped for a byte above 0x7f that
+    names its kind and depth, which the ASCII text never holds, and each
+    such byte is then replaced by its text, one bytes.replace per byte.
+    """
+    if text.count("[") == 1:  # a flat list: every comma ends a line
+        newline = "\n" + "  " * level
+        return "[" + newline + "  " + text[1:-1].replace(",", "," + newline + "  ") + newline + "]"
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    at = np.flatnonzero((raw == _OPEN) | (raw == _CLOSE) | (raw == _COMMA))
+    char = raw[at]
+    opens, closes = char == _OPEN, char == _CLOSE
+    # the depth below this list of the items each bracket or comma borders
+    depth = np.cumsum(opens, dtype=np.intp) - np.cumsum(closes, dtype=np.intp) + closes
+    if depth.max() > _MAX_NESTING:
+        return None
+    empty = np.zeros(at.size, dtype=bool)
+    empty[:-1] = opens[:-1] & closes[1:] & (np.diff(at) == 1)
+    empty[1:] |= empty[:-1].copy()
+    kind = np.where(opens, 0, np.where(closes, 2, 1))
+    tags = (0x80 + _MAX_NESTING * kind + depth - 1)[~empty]
+    marked = raw.copy()
+    marked[at[~empty]] = tags
+    out = marked.tobytes()
+    for tag in np.flatnonzero(np.bincount(tags)).tolist():
+        which, below = divmod(tag - 0x80, _MAX_NESTING)
+        line = b"\n" + b"  " * (level + below + 1)
+        out = out.replace(bytes((tag,)), (b"[" + line, b"," + line, line[:-2] + b"]")[which])
+    return out.decode("ascii")
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -120,7 +226,7 @@ def _emit(
     else:
         payload = dict(payload)
         payload["schema_version"] = SCHEMA_VERSION
-        _write_text(args.out, _json_text(payload))
+        _write_text(args.out, json_text(payload))
 
 
 def _parse_dist(text: str) -> dict[int, float]:

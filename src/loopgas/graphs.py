@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -311,21 +312,36 @@ def build_factor_graph(
         DuplicateEdgeError: the same pair appears twice.
         InconsistentWeightsError: weight payload does not fit the graph.
     """
+    return _assemble(n, m, [(int(i), int(a)) for i, a in edges], weights, meta)
+
+
+def _assemble(
+    n: int,
+    m: int,
+    edge_list: list[tuple[int, int]],
+    weights: WeightSpec,
+    meta: dict | None,
+) -> FactorGraph:
+    """build_factor_graph on edges already read as (int, int) pairs; sorts
+    edge_list in place.  Each error names the first offending edge in the
+    given order."""
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
-    edge_list = [(int(i), int(a)) for i, a in edges]
-    for i, a in edge_list:
-        if not (0 <= i < n):
-            raise IndexOutOfRangeError(f"variable index {i} outside [0, {n})")
-        if not (0 <= a < m):
-            raise IndexOutOfRangeError(f"check index {a} outside [0, {m})")
+    if edge_list:
+        var_of, check_of = zip(*edge_list)
+        if min(var_of) < 0 or max(var_of) >= n or min(check_of) < 0 or max(check_of) >= m:
+            for i, a in edge_list:
+                if not (0 <= i < n):
+                    raise IndexOutOfRangeError(f"variable index {i} outside [0, {n})")
+                if not (0 <= a < m):
+                    raise IndexOutOfRangeError(f"check index {a} outside [0, {m})")
     if len(set(edge_list)) != len(edge_list):
         seen: set[tuple[int, int]] = set()
         for pair in edge_list:
             if pair in seen:
                 raise DuplicateEdgeError(f"edge {pair} appears more than once")
             seen.add(pair)
-    edge_list.sort(key=lambda ia: (ia[1], ia[0]))
+    edge_list.sort(key=operator.itemgetter(1, 0))
     edges_t = tuple(edge_list)
 
     var_edges: list[list[int]] = [[] for _ in range(n)]
@@ -422,9 +438,19 @@ def _pair_stubs_simple(
     max_restarts: int,
 ) -> list[tuple[int, int]]:
     # Configuration model conditioned on simplicity: shuffle one stub list,
-    # pair positionally, restart from scratch on any repeated pair.
+    # pair positionally, restart from scratch on any repeated pair.  The
+    # shuffle is random.Random.shuffle written out, drawing the same
+    # getrandbits stream (CPython 3.10-3.13): for i from the top down, swap
+    # slot i with slot j, j uniform on [0, i] by rejection on
+    # (i + 1).bit_length() bits.
+    getrandbits = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(len(var_stubs) - 1, 0, -1)]
     for _ in range(max_restarts):
-        rng.shuffle(var_stubs)
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            var_stubs[i], var_stubs[j] = var_stubs[j], var_stubs[i]
         pairs = list(zip(var_stubs, check_stubs))
         if len(set(pairs)) == len(pairs):
             return pairs
@@ -787,7 +813,8 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
     """Inverse of graph_to_json_dict.
 
     Raises MalformedGraphError for a missing key or a value of the wrong
-    shape, and build_factor_graph's errors for data that does not fit.
+    shape, and build_factor_graph's errors for data that does not fit.  The
+    edges are read as int pairs once, here.
     """
     if not isinstance(data, Mapping):
         raise MalformedGraphError(
@@ -819,13 +846,14 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
         raise MalformedGraphError(
             f"graph JSON has a value of the wrong shape: {exc}"
         ) from exc
-    return build_factor_graph(n, m, edges, weights, meta=meta)
+    return _assemble(n, m, edges, weights, meta)
 
 
 def save_graph(graph: FactorGraph, path: str) -> None:
+    from .cli import write_json  # the one JSON writer; cli imports this module
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(graph_to_json_dict(graph), fh)
 
 
 def load_graph(path: str) -> FactorGraph:

@@ -331,24 +331,31 @@ class _Leaves:
                 words[b >> 6] |= member.astype(np.uint64) << np.uint64(b & 63)
             self.option_words.append(words)
         # the checks by connected component of the graph, ascending within
-        # each; components holds the row slice of every component of two or
-        # more checks, since a lone check is a polymer of its own
+        # each; components holds, for every component of two or more
+        # checks (a lone check is a polymer of its own), its row slice and
+        # the slice of node words from the lowest to the highest that its
+        # nodes occupy: no other word of its parts is ever set
         seen: set[int] = set()
         self.order: list[int] = []
-        self.components: list[slice] = []
+        self.components: list[tuple[slice, slice]] = []
         for a in range(graph.m):
             if a in seen:
                 continue
             reached, todo = {a}, [a]
+            nodes = {graph.n + a}
             while todo:
                 for e in graph.check_edges[todo.pop()]:
+                    nodes.add(graph.edges[e][0])
                     for f in graph.var_edges[graph.edges[e][0]]:
                         b = graph.edges[f][1]
                         if b not in reached:
                             reached.add(b)
+                            nodes.add(graph.n + b)
                             todo.append(b)
             if len(reached) > 1:
-                self.components.append(slice(len(self.order), len(self.order) + len(reached)))
+                rows = slice(len(self.order), len(self.order) + len(reached))
+                words = slice(min(nodes) >> 6, (max(nodes) >> 6) + 1)
+                self.components.append((rows, words))
             self.order += sorted(reached)
             seen |= reached
         lower = [(1 << (graph.n + a)) - (1 << graph.n) for a in self.order]
@@ -386,11 +393,11 @@ class _Leaves:
         The loops go through in slices.  part[:, r] starts as the block of
         check order[r], the node words of its chosen option, empty when the
         check is outside the loop; each component of the graph's checks is
-        one run of rows, a view.  Warshall's closure on node masks, one
-        component at a time: for each row k of it, every part of the
-        component that shares a node with part[:, k] takes it in, after
-        which each part is the node mask of the polymer that holds its
-        check.  A polymer is counted at its lowest check, the one whose
+        one run of rows over the span of words its nodes occupy, a view.
+        Warshall's closure on node masks, one component at a time: for each
+        row k of it, every part of the component that shares a node with
+        part[:, k] takes it in, after which each part is the node mask of
+        the polymer that holds its check.  A polymer is counted at its lowest check, the one whose
         part holds no lower check's bit.  The closure's passes over the
         parts are why a slice holds at most 512 * _CHUNK bytes of them.
         """
@@ -407,8 +414,8 @@ class _Leaves:
                 [self.option_words[a][:, c] for a, c in zip(self.order, chosen)], axis=1
             )
             union[:, here] = np.bitwise_or.reduce(part, axis=1)
-            for rows in self.components:
-                block = part[:, rows]
+            for rows, words in self.components:
+                block = part[words, rows]
                 for k in range(block.shape[1]):
                     block |= block[:, k : k + 1] * _meets(block, block[:, k])
             largest[here] = np.bitwise_count(part).sum(axis=0).max(axis=0)

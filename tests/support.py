@@ -183,6 +183,31 @@ def oracle_check_sum(graph: FactorGraph, a: int, weight) -> float:
     return total
 
 
+def check_tables(graph: FactorGraph) -> list[list[float]]:
+    """bp.check_tables one configuration at a time: per check, psi_a over
+    its 2^d local configurations, bit k set when the k-th neighbour in
+    check_neighbors order has spin -1, each log weight summed term by term
+    in coupling order from 0.0."""
+    w = graph.weights
+    assert isinstance(w, GeneralWeights)
+    tables = []
+    for a in range(graph.m):
+        hood = graph.check_neighbors(a)
+        pos = {i: k for k, i in enumerate(hood)}
+        terms = [
+            (sum(1 << pos[i] for i in subset), w.beta * j)
+            for subset, j in w.couplings[a]
+        ]
+        psi = []
+        for cfg in range(1 << len(hood)):
+            log_psi = 0.0
+            for mask, bj in terms:
+                log_psi += bj * (1.0 - 2.0 * ((cfg & mask).bit_count() & 1))
+            psi.append(math.exp(log_psi))
+        tables.append(psi)
+    return tables
+
+
 def check_marginal(
     psi: list[float], w: list[tuple[float, float]], k: int
 ) -> tuple[float, float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -185,6 +186,37 @@ def test_field_sign_flip_negates_messages():
     b = lg.solve_fixed_point(flipped)
     assert np.allclose(a.messages.var_to_check, -b.messages.var_to_check, atol=1e-14)
     assert np.allclose(a.messages.check_to_var, -b.messages.check_to_var, atol=1e-14)
+
+
+def _mixed_general_graph(seed: int) -> lg.FactorGraph:
+    """General weights on checks of degrees 0 to 6 holding 0 to d + 1 terms:
+    one check of each degree has a subset of every size 1..d, and a term
+    may repeat an earlier term's subset."""
+    rng = random.Random(seed)
+    n, degrees = 9, [0, 1, 2, 3, 4, 5, 6, 6, 4, 3, 2, 4, 5, 1]
+    edges, couplings = [], []
+    for a, d in enumerate(degrees):
+        hood = sorted(rng.sample(range(n), d))
+        edges += [(i, a) for i in hood]
+        sizes = list(range(1, d + 1)) if a <= 6 else [
+            rng.randint(1, d) for _ in range(rng.randint(0, d + 1))
+        ]
+        terms = [(tuple(sorted(rng.sample(hood, k))), rng.uniform(-1.0, 1.0)) for k in sizes]
+        if terms and rng.random() < 0.5:
+            terms.append((rng.choice(terms)[0], rng.uniform(-1.0, 1.0)))
+        rng.shuffle(terms)
+        couplings.append(tuple(terms))
+    beta = rng.choice([0.05, 0.7, 3.0])
+    return lg.build_factor_graph(n, len(degrees), edges, lg.GeneralWeights(beta, tuple(couplings)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_tables_equal_the_per_configuration_oracle_bit_for_bit(seed):
+    g = _mixed_general_graph(seed)
+    assert len({(len(e), len(t)) for e, t in zip(g.check_edges, g.weights.couplings)}) > 4
+    assert bp.check_tables(g) == sp.check_tables(g)
+    big = sp.general_instance(3, 4, 40, beta=0.4, seed=seed)
+    assert bp.check_tables(big) == sp.check_tables(big)
 
 
 def test_degree_cap_on_general_checks_only():

@@ -9,16 +9,19 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import importlib
 import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import support as sp
@@ -27,17 +30,27 @@ from loopgas import (
     ActivityEvaluator,
     FactorGraph,
     apply_channel,
+    attach_random_general_weights,
     bethe_free_energy,
+    graph_to_json_dict,
     load_graph,
     log_partition,
     log_partitions,
+    sample_regular_bipartite,
     save_graph,
     solve_fixed_point,
     solve_fixed_points,
     verify_loop_identity,
 )
 from loopgas import ratefunc
-from loopgas.cli import COMMANDS, _instance_seeds, _sample_ensemble, build_parser, main
+from loopgas.cli import (
+    COMMANDS,
+    _instance_seeds,
+    _sample_ensemble,
+    build_parser,
+    json_text,
+    main,
+)
 from loopgas.exact import codeword_count_gf2, null_space_gf2
 
 LN2 = math.log(2.0)
@@ -1157,6 +1170,73 @@ def test_entropy_exhaustive_average(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+_WRITER_CASES = {
+    "special-floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7, 0.1],
+    "ints-bools-none": {"big": 10**40, "neg": -(2**70), "flags": [True, False, None, 0, 1]},
+    "empty": {"list": [], "dict": {}, "tuple": (), "both": [[], {}, ()], "deep": [[[]], [[], [1]]]},
+    "strings": {"sep": ", ", "list": ["x, y", "[1, 2]", 'say "hi"'], "text": "é, ☃ \u2028"},
+    "numpy-floats": {"one": np.float64(0.1), "list": [np.float64(-0.0), np.float64(1e300)]},
+    "number-lists": {
+        "pairs": [[0, 1], [2, 3]],
+        "terms": [[[[0, 1, 2], 0.5], [[3], -1.5]], [[[1], 2.0]]],
+        "ragged": [[1], [2, [3, [4]]], 5, []],
+        "tuples": ((1, 2.5), (3, None)),
+    },
+    "rows": {"rows": [{"n": 8, "gap": 0.25, "ok": [True]}, {"n": 12, "gap": -0.0}]},
+    "int-keys": {10: "ten", 2: [2.0], -1: {}},
+    "float-keys": {1.5: 1, -0.0: 2, math.inf: 3},
+    "bool-none-keys": {True: 1, False: 2},
+    "null-key": {None: [1]},
+    "scalar": 2.5,
+    "string": "top, level",
+    # longer than the writer's slices, with a string and a dict in late ones
+    "long-mixed": list(range(5000)) + ["x, y", {"k": [1]}] + [[i, -i] for i in range(3000)],
+    "deep": functools.reduce(lambda inner, k: [k, inner, []], range(45), [0.5]),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRITER_CASES))
+def test_json_text_is_the_indenting_encoders_text(case):
+    obj = _WRITER_CASES[case]
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["ldpc", "general"])
+def test_saved_graph_files_are_the_indenting_encoders_text(tmp_path, kind):
+    if kind == "ldpc":
+        g = apply_channel(sample_regular_bipartite(3, 4, 3000, 5), 0.05, 3)
+    else:
+        g = attach_random_general_weights(sample_regular_bipartite(3, 4, 1000, 5), 0.3, 6)
+    path = tmp_path / "g.json"
+    save_graph(g, str(path))
+    want = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_readme_cli_payloads_are_the_indenting_encoders_text(tmp_path, monkeypatch, capsys):
+    # every JSON the README's CLI tour prints or writes (the lines run in one
+    # process here, --threads 1, which yields the same payloads)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick tour (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.strip().startswith("loopgas "):
+            continue
+        words = shlex.split(line)[1:]
+        if "--threads" in words:
+            words[words.index("--threads") + 1] = "1"
+        code = main(words)
+        texts = [capsys.readouterr().out]
+        if "--out" in words and code == 0:
+            texts.append(Path(words[words.index("--out") + 1]).read_text(encoding="utf-8"))
+        for text in texts:
+            if text.startswith("{"):
+                assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+                checked += 1
+    assert checked >= 7
 
 
 def test_argparse_and_io_exit_codes(tmp_path):

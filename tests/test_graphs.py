@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
+import random
+import re
 
 import pytest
 
 import loopgas as lg
+from loopgas.graphs import _pair_stubs_simple
 from loopgas.errors import (
     DivisibilityError,
     DuplicateEdgeError,
@@ -64,6 +69,24 @@ def test_build_rejects_out_of_range_indices():
         lg.build_factor_graph(2, 1, [(0, 0), (1, 1)], lg.LdpcWeights((0.0, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "edges,error,message",
+    [
+        ([(0, 0), (1, 3), (-1, 0), (5, 0)], IndexOutOfRangeError, "check index 3 outside [0, 2)"),
+        ([(0, 1), (4, 0), (1, -2)], IndexOutOfRangeError, "variable index 4 outside [0, 4)"),
+        ([(3, 1), (2, 0), (3, 1), (2, 0)], DuplicateEdgeError, "edge (3, 1) appears"),
+    ],
+)
+def test_edge_errors_name_the_first_offender_in_input_order(edges, error, message):
+    weights = lg.LdpcWeights((0.0,) * 4)
+    with pytest.raises(error, match=re.escape(message)):
+        lg.build_factor_graph(4, 2, edges, weights)
+    data = lg.graph_to_json_dict(lg.build_factor_graph(4, 2, [], weights))
+    data["edges"] = [list(e) for e in edges]
+    with pytest.raises(error, match=re.escape(message)):
+        lg.graph_from_json_dict(data)
+
+
 def test_build_rejects_wrong_field_counts():
     with pytest.raises(InconsistentWeightsError):
         lg.build_factor_graph(2, 1, [(0, 0), (1, 0)], lg.LdpcWeights((0.0,)))
@@ -102,6 +125,31 @@ def test_regular_sampler_shape_and_determinism():
     assert g.is_regular() and g.l_max == 3 and g.r_max == 6
     again = lg.sample_regular_bipartite(3, 6, 12, seed=7)
     assert g.edges == again.edges
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 24, 9000])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_sampler_shuffle_draws_the_random_shuffle_stream(length, seed):
+    # with distinct check stubs every pairing is simple, so one shuffle runs
+    rng, ref = random.Random(seed), random.Random(seed)
+    want = list(range(length))
+    ref.shuffle(want)
+    pairs = _pair_stubs_simple(list(range(length)), list(range(length)), rng, 1)
+    assert [i for i, _a in pairs] == want
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (0, "ff75e842c7eaa63b2f6b8fc9f88d56dd7cf35e0a88f913c794a8d715f08e74dc"),
+        (7, "d77327f77118b8294158cb91e4d40dba84dbd8e47890545ff6e61032e96961cb"),
+    ],
+)
+def test_regular_sampler_edges_are_pinned(seed, digest):
+    # SHA-256 of the edges as sampled through random.Random.shuffle
+    g = lg.sample_regular_bipartite(3, 4, 3000, seed)
+    assert hashlib.sha256(json.dumps(g.edges).encode()).hexdigest() == digest
 
 
 def test_regular_sampler_divisibility():
