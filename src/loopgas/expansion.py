@@ -9,10 +9,13 @@ direct verification.
 
 Order M grows every order-(M-1) multiset, its prefix, by one more polymer
 index: the prefix's overlap pattern and, per Ursell value, its activity
-product are formed once and shared by all of its children.  The Ursell
-value of each overlap pattern is computed once per process.  The pieces of
-an order are added exactly, by the loop sum's exponent-binned integer sum
-(loops._exact_sum, bit for bit math.fsum), so their order does not matter.
+product are formed once and shared by all of its children.  The prefixes
+are themselves grown the same way from the tuples of the order before, and
+both growths expand (tuple, next index) pairs with the loop walk's
+generator, loops.runs.  The Ursell value of each overlap pattern is
+computed once per process.  The pieces of an order are added exactly, by
+the loop sum's exponent-binned integer sum (loops._exact_sum, bit for bit
+math.fsum), so their order does not matter.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .loops import (
     enumerate_polymers,
     node_words,
     polymer_q,
+    runs,
 )
 
 URSELL_MAX_ORDER = 7
@@ -218,12 +222,13 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
     nondecreasing order, then divided by k! for each run of k equal indices,
     in run order; multisets with U = 0 give no piece.  Each multiset is a
     prefix, its first order - 1 indices, grown by one index j >= the
-    prefix's last.  _multiset_blocks unranks the prefixes SERIES_BLOCK at a
-    time, and each block's children are formed prefix-major, SERIES_BLOCK
-    at a time, so memory is bounded by the block.  U depends only on which
-    slots overlap: slot pair (a, b) sets bit b(b-1)/2 + a of a pattern code,
-    and a table filled on first use maps codes to U, read from the
-    process-wide _pattern_ursell.  A prefix's pairs are tested once per
+    prefix's last.  _multiset_blocks grows the prefixes from the tuples of
+    the order before, SERIES_BLOCK at a time, and each block's children
+    are formed prefix-major, SERIES_BLOCK at a time (loops.runs), so memory
+    is bounded by the block.  U depends only on which slots overlap: slot
+    pair (a, b) sets bit b(b-1)/2 + a of a pattern code, and a table filled
+    on first use maps codes to U, read from the process-wide
+    _pattern_ursell.  A prefix's pairs are tested once per
     block; a child tests only its order - 1 pairs with j, on node words
     (loops._meets).  For each U met so far, the chain
     ((U * a_i1) * a_i2) ... * a_i(order-1) over the prefix is formed once per
@@ -261,53 +266,41 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
             for bit, (a, b) in enumerate(slot_pairs[:new_bit]):
                 code |= np.left_shift(_meets(slot_words[a], slot_words[b]), bit, dtype=np.int64)
             chain = np.empty((0, len(rows)))  # row r holds U = ursells[r]
-            # prefix i's children j = last .. p - 1 are t = ends[i] - count[i]
-            # .. ends[i] - 1, so j = t + p - ends[i]; a row's largest index is
-            # its last, and the empty prefix of order 1 takes every j
-            count = p - rows.max(axis=1, initial=0)
-            ends = np.cumsum(count)
+            # a row's largest index is its last; the empty prefix of order 1
+            # takes every j
+            last = rows.max(axis=1, initial=0)
             # a child j of prefix i holds a repeated index iff j <= tied[i]:
             # every child where the prefix repeats one, else only j = last
-            tied = np.where((rows[:, 1:] == rows[:, :-1]).any(axis=1), p, p - count)
-
-            def pattern(parent: np.ndarray, j: np.ndarray) -> np.ndarray:
-                code_of = code[parent]
+            tied = np.where((rows[:, 1:] == rows[:, :-1]).any(axis=1), p, last)
+            # prefix i's k-th child is j = last[i] + k; the chunk's arrays are
+            # updated in place where they can be, since the ones still named
+            # stay alive while _exact_sum bins the piece
+            for parent, j in runs(p - last, SERIES_BLOCK):
+                j += last[parent]
+                row = code[parent]
                 child_words = words[:, j]
                 for a in range(head):
                     overlap = _meets(np.take(slot_words[a], parent, axis=1), child_words)
-                    code_of |= np.left_shift(overlap, new_bit + a, dtype=np.int64)
-                return code_of
-
-            def grow(start: int, stop: int) -> np.ndarray:
-                nonlocal chain
-                # the state x option idiom of loops._walk: children start ..
-                # stop - 1 belong to the runs of prefixes lo .. hi
-                lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
-                skip = start - int(ends[lo] - count[lo])
-                parent = np.repeat(np.arange(lo, hi + 1), count[lo : hi + 1])
-                parent = parent[skip : skip + stop - start]
-                j = np.arange(start + p, stop + p) - ends[parent]
-                row = chain_rows(pattern(parent, j))
+                    row |= np.left_shift(overlap, new_bit + a, dtype=np.int64)
+                row = chain_rows(row)
                 if len(chain) < len(ursells):
-                    new = np.array(ursells[len(chain) :], dtype=np.float64)
-                    new = np.repeat(new[:, None], len(rows), axis=1)
-                    for k in range(head):
-                        new *= acts[rows[:, k]]
-                    chain = np.vstack([chain, new])
-                if (row < 0).any():
-                    keep = np.flatnonzero(row >= 0)
+                    met = len(chain)
+                    u = np.array(ursells[met:], dtype=np.float64)[:, None]
+                    chain = np.vstack([chain, np.repeat(u, len(rows), axis=1)])
+                    for a in range(head):
+                        chain[met:] *= acts[rows[:, a]]
+                keep = row >= 0
+                if not keep.all():
                     parent, j, row = parent[keep], j[keep], row[keep]
                 row *= len(rows)
                 row += parent
                 piece = chain.ravel()[row] * acts[j]
                 split = np.flatnonzero(j <= tied[parent])
                 if len(split):
-                    runs = np.column_stack([rows[parent[split]], j[split]])
-                    piece[split] = _divide_runs(piece[split], runs, factorial)
-                return piece
-
-            for start in range(0, int(ends[-1]), SERIES_BLOCK):
-                yield grow(start, min(start + SERIES_BLOCK, int(ends[-1])))
+                    piece[split] = _divide_runs(
+                        piece[split], np.column_stack([rows[parent[split]], j[split]]), factorial
+                    )
+                yield piece
 
     return _exact_sum(pieces())
 
@@ -323,34 +316,16 @@ def _divide_runs(piece: np.ndarray, rows: np.ndarray, factorial: np.ndarray) -> 
 
 
 def _multiset_blocks(p: int, order: int):
-    """Every nondecreasing `order`-tuple over range(p), SERIES_BLOCK rows at a time.
-
-    Colex rank r unranks to c_1 < ... < c_order in range(p + order - 1) with
-    r = sum_k C(c_k, k); the tuple is (c_k - k + 1)_k.  Each block unranks
-    its own rank range, so memory does not grow with the tuple count, and
-    its work arrays are freed before the block is handed on.
-    """
-    total = math.comb(p + order - 1, order)
-    # C(c, k) for c < p + order - 1; entries past `total` exceed every rank,
-    # so they are clipped to fit int64
-    binom = {
-        k: np.array(
-            [min(math.comb(c, k), total) for c in range(p + order - 1)], dtype=np.int64
-        )
-        for k in range(1, order + 1)
-    }
-
-    def unrank(start: int) -> np.ndarray:
-        rank = np.arange(start, min(start + SERIES_BLOCK, total), dtype=np.int64)
-        rows = np.empty((len(rank), order), dtype=np.int64)
-        for k in range(order, 0, -1):
-            c = np.searchsorted(binom[k], rank, side="right") - 1
-            rank -= binom[k][c]
-            rows[:, k - 1] = c - (k - 1)
-        return rows
-
-    for start in range(0, total, SERIES_BLOCK):
-        yield unrank(start)
+    """Every nondecreasing `order`-tuple over range(p), in lexicographic
+    order, at most SERIES_BLOCK rows at a time: each block of (order -
+    1)-tuples grown by every index j >= its last (loops.runs)."""
+    if not order:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
+    for rows in _multiset_blocks(p, order - 1):
+        last = rows.max(axis=1, initial=0)
+        for s, k in runs(p - last, SERIES_BLOCK):
+            yield np.column_stack([rows[s], last[s] + k])
 
 
 def convergence_criterion_q(

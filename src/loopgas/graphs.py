@@ -809,12 +809,22 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A count or node index read from graph JSON.  Anything but an integer
+    (a float such as 1.0 or 1.5, a bool, a string, a list) raises TypeError;
+    nothing is rounded or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def graph_from_json_dict(data: Mapping) -> FactorGraph:
     """Inverse of graph_to_json_dict.
 
     Raises MalformedGraphError for a missing key or a value of the wrong
-    shape, and build_factor_graph's errors for data that does not fit.  The
-    edges are read as int pairs once, here.
+    shape, and build_factor_graph's errors for data that does not fit.  n,
+    m, the edges' endpoints and the coupling subsets' variables are read
+    through _json_int, once, here.
     """
     if not isinstance(data, Mapping):
         raise MalformedGraphError(
@@ -831,14 +841,14 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
             weights = GeneralWeights(
                 beta=float(w["beta"]),
                 couplings=tuple(
-                    tuple((tuple(subset), float(j)) for subset, j in terms)
+                    tuple((tuple(map(_json_int, subset)), float(j)) for subset, j in terms)
                     for terms in w["couplings"]
                 ),
             )
         else:
             raise InconsistentWeightsError(f"unknown weight kind {kind!r}")
-        n, m = int(data["n"]), int(data["m"])
-        edges = [(int(i), int(a)) for i, a in data["edges"]]
+        n, m = _json_int(data["n"]), _json_int(data["m"])
+        edges = [(_json_int(i), _json_int(a)) for i, a in data["edges"]]
         meta = dict(data.get("meta", {}))
     except KeyError as exc:
         raise MalformedGraphError(f"graph JSON lacks the key {exc}") from exc

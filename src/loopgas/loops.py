@@ -20,13 +20,15 @@ each check it crosses a state only with the options that keep every
 variable closing there off induced degree one, decided once per pattern of
 those variables' degrees, so no pair that one of them would end is ever
 built; what it keeps, and in what order, is the same as crossing every
-state with every option and filtering.  The pairs run state-major, so the
-leaves come out in depth-first order: the lexicographic order of the
-per-check options, with the empty option first.  That order is part of the
-output, because q adds each node's weights in it.  The frontier is expanded,
-and the leaves handed on, in chunks of _CHUNK, which bounds the
-temporaries.  The visit budget is checked at every chunk boundary, so an
-over-budget walk is refused after at most one chunk more than the budget.
+state with every option and filtering.  One generator, runs, expands the
+(state, option) pairs state-major, in chunks of _CHUNK, which bounds the
+temporaries; expansion's series grows its multisets with the same
+generator.  State-major pairs put the leaves in depth-first order: the
+lexicographic order of the per-check options, with the empty option first.
+That order is part of the output, because q adds each node's weights in
+it.  The leaves are handed on in chunks of _CHUNK too.  The visit budget
+is checked at every chunk boundary, so an over-budget walk is refused
+after at most one chunk more than the budget.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
 is the empty loop.  A loop splits into polymers along its checks:
@@ -513,6 +515,24 @@ def _admitted_options(
     return np.concatenate(admitted), (np.cumsum(count) - count)[group], count[group]
 
 
+def runs(count: np.ndarray, chunk: int):
+    """Every pair (s, k) with 0 <= k < count[s], s-major with k ascending,
+    as arrays (s, k) of at most chunk pairs each; no chunk is empty."""
+    ends = np.cumsum(count)
+    base = ends - count  # the pair index of each run's first pair
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        # the runs lo..hi hold pairs start..stop - 1, the first and the last
+        # of them cut to the chunk
+        lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+        size = count[lo : hi + 1].copy()
+        size[0] -= start - base[lo]
+        size[-1] -= ends[hi] - stop
+        s = np.repeat(np.arange(lo, hi + 1), size)
+        yield s, np.arange(start, stop) - base[s]
+
+
 def _walk(
     graph: FactorGraph,
     budget: int,
@@ -528,15 +548,15 @@ def _walk(
     distinct degree pattern of the variables closing at the check, the
     locally admissible edge subsets (see _check_options) that keep them all
     off degree one, by one test on their local masks, and each state is
-    paired only with those, in option order.  The pairs are kept
-    state-major, so the leaves come out in depth-first order (empty option
-    first), exactly as if every state were crossed with every option and
-    the dead pairs dropped.  The frontier holds each state's activity and
-    the included-edge bits of the variables still open, column-major: one
-    contiguous row of states per open variable, so each flip, closing-table
-    lookup and degree read runs over one row.  With an evaluator the
-    activity is built up on the way down:
-    prod * the check's table entry at the option's mask, then times each
+    paired only with those, in option order: runs yields the pairs (state,
+    its n-th admitted option) state-major, so the leaves come out in
+    depth-first order (empty option first), exactly as if every state were
+    crossed with every option and the dead pairs dropped.  The frontier
+    holds each state's activity and the included-edge bits of the
+    variables still open, column-major: one contiguous row of states per
+    open variable, so each flip, closing-table lookup and degree read runs
+    over one row.  With an evaluator the activity is built up on the way
+    down: prod * the check's table entry at the option's mask, then times each
     closing variable's entry at its included-edge bits, in the fixed closing
     order.  Every variable table is read before the first check, and each
     check's option entries at its level.  Without an evaluator it stays 1.
@@ -545,9 +565,9 @@ def _walk(
     Each level keeps only (parent, option) per state, from which _Leaves
     rebuilds the leaves.
 
-    The admitted pairs are expanded in chunks of at most _CHUNK, a state's
-    run of options split across chunks where it must, and every surviving
-    state counts against the budget: BudgetExceededError is raised at the
+    The admitted pairs come in chunks of at most _CHUNK, a state's run of
+    options split across chunks where it must, and every surviving state
+    counts against the budget: BudgetExceededError is raised at the
     first chunk boundary where the visits exceed it, so exactly when the
     walk would visit more than budget states.
     """
@@ -592,20 +612,11 @@ def _walk(
         admitted, first, count = _admitted_options(
             masks, bits, [(c, var_cols.index(c)) for c, _table in closing]
         )
-        # the level's pairs run state-major, each state's admitted options in
-        # order: pair j, in state s's run, takes option admitted[first[s] + j]
-        ends = np.cumsum(count)
-        first -= ends - count
-        pairs = int(ends[-1]) if states else 0
         # an empty part keeps the level defined when no pair survives
         parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[staying, :0], prod[:0], nodes[:0])]
-        for start in range(0, pairs, _CHUNK):
-            stop = min(start + _CHUNK, pairs)
-            # the runs of states lo..hi hold pairs start..stop - 1
-            lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
-            skip = start - int(ends[lo] - count[lo])
-            parent = np.repeat(np.arange(lo, hi + 1), count[lo : hi + 1])[skip : skip + stop - start]
-            option = admitted[first[parent] + np.arange(start, stop)]
+        # pair (s, n) takes state s's n-th admitted option
+        for parent, nth in runs(count, _CHUNK):
+            option = admitted[first[parent] + nth]
             child = bits[:, parent]
             grown = nodes[:0]
             if capped:

@@ -1264,9 +1264,16 @@ def test_argparse_and_io_exit_codes(tmp_path):
         ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "general", '
          '"beta": 0.5, "couplings": [[[[0, 1], NaN]]]}}',
          "check 0 has coupling J = nan on (0, 1), not a finite number"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "general", '
+         '"beta": 0.5, "couplings": [[[[[0], 1], 1.0]]]}}', "[0] is not an integer"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1, 0]], "weights": {"kind": "general", '
+         '"beta": 0.5, "couplings": [[[[1.0, 0], 1.0]]]}}', "1.0 is not an integer"),
+        ('{"n": 2, "m": 1, "edges": [[0, 0], [1.5, 0]], "weights": {"kind": "ldpc", '
+         '"fields": [0.1, 0.2]}}', "1.5 is not an integer"),
     ],
     ids=["no-weights", "top-level-array", "short-edge", "weights-array", "text-field",
-         "nan-ldpc-field", "infinite-ldgm-field", "nan-beta", "nan-coupling"],
+         "nan-ldpc-field", "infinite-ldgm-field", "nan-beta", "nan-coupling",
+         "list-in-coupling-subset", "float-coupling-index", "float-edge-index"],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

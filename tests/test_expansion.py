@@ -322,10 +322,39 @@ def test_multiset_blocks_cover_each_multiset_once(p, order, block, monkeypatch):
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", block)
     blocks = list(lg.expansion._multiset_blocks(p, order))
     assert all(0 < len(rows) <= block for rows in blocks)
+    # in lexicographic order, as grown
     rows = [tuple(r) for rows in blocks for r in rows.tolist()]
-    assert sorted(rows) == list(
-        itertools.combinations_with_replacement(range(p), order)
-    )
+    assert rows == list(itertools.combinations_with_replacement(range(p), order))
+
+
+@pytest.mark.parametrize("block", [7, 97])
+def test_series_hands_on_one_piece_per_multiset_with_nonzero_ursell(block, monkeypatch):
+    # the term check above compares sums, which a dropped or doubled piece
+    # of value 0 does not change; this counts the pieces instead
+    g = sp.general_instance(3, 4, 8, 0.3, 1)
+    msgs = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g, max_size=4)
+    m_max = 4
+    monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", block)
+    counts = []
+
+    def counting_sum(chunks):
+        chunks = list(chunks)
+        counts.append(sum(len(c) for c in chunks))
+        return lg.loops._exact_sum(chunks)
+
+    monkeypatch.setattr(lg.expansion, "_exact_sum", counting_sum)
+    sr = lg.polymer_series(g, msgs, m_max=m_max, polymers=polys)
+    assert len(counts) == m_max and all(t != 0.0 for t in sr.terms)
+    want = [
+        sum(
+            lg.ursell([polys[i] for i in multiset]) != 0
+            for multiset in itertools.combinations_with_replacement(range(len(polys)), order)
+        )
+        for order in range(1, m_max + 1)
+    ]
+    assert counts == want
+    assert want[-1] < math.comb(len(polys) + m_max - 1, m_max)
 
 
 def _exact_sum_cases():

@@ -569,6 +569,19 @@ def test_level_walk_matches_recursive_walk(case, monkeypatch):
     assert loop_activities(g, arbitrary) == sp.recursive_loop_activities(g, arbitrary)
 
 
+@pytest.mark.parametrize(
+    "count", [[], [0], [0, 0, 0], [3], [2, 0, 5, 0, 0, 1, 4, 0], [0, 7, 1, 0, 2]]
+)
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_runs_yield_every_pair_once_state_major_in_small_chunks(count, chunk):
+    chunks = list(lg.loops.runs(np.array(count, dtype=np.intp), chunk))
+    assert all(0 < len(s) == len(k) <= chunk for s, k in chunks)
+    pairs = [(s, k) for ss, kk in chunks for s, k in zip(ss.tolist(), kk.tolist())]
+    assert pairs == [(s, k) for s, c in enumerate(count) for k in range(c)]
+    if chunk < sum(count):
+        assert all(len(s) == chunk for s, _k in chunks[:-1])
+
+
 @pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["capped-at-0"])
 def test_leaves_are_every_nonempty_leaf_in_walk_order(case, monkeypatch):
     # leaf 0 is the empty loop and the only empty leaf: the leaf pass yields
