@@ -10,12 +10,11 @@ direct verification.
 Order M grows every order-(M-1) multiset, its prefix, by one more polymer
 index: the prefix's overlap pattern and, per Ursell value, its activity
 product are formed once and shared by all of its children.  The prefixes
-are themselves grown the same way from the tuples of the order before, and
-both growths expand (tuple, next index) pairs with the loop walk's
-generator, loops.runs.  The Ursell value of each overlap pattern is
-computed once per process.  The pieces of an order are added exactly, by
-the loop sum's exponent-binned integer sum (loops._exact_sum, bit for bit
-math.fsum), so their order does not matter.
+are grown the same way from the tuples of the order before, both with the
+loop walk's pair generator, loops._runs.  The Ursell value of each overlap
+pattern is computed once per process.  The pieces of an order are added
+exactly, by the loop sum's exponent-binned integer sum (loops._exact_sum,
+bit for bit math.fsum), so their order does not matter.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .loops import (
     enumerate_polymers,
     node_words,
     polymer_q,
-    runs,
+    _runs,
 )
 
 URSELL_MAX_ORDER = 7
@@ -224,7 +223,7 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
     prefix, its first order - 1 indices, grown by one index j >= the
     prefix's last.  _multiset_blocks grows the prefixes from the tuples of
     the order before, SERIES_BLOCK at a time, and each block's children
-    are formed prefix-major, SERIES_BLOCK at a time (loops.runs), so memory
+    are formed prefix-major, SERIES_BLOCK at a time (loops._runs), so memory
     is bounded by the block.  U depends only on which slots overlap: slot
     pair (a, b) sets bit b(b-1)/2 + a of a pattern code, and a table filled
     on first use maps codes to U, read from the process-wide
@@ -266,16 +265,14 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
             for bit, (a, b) in enumerate(slot_pairs[:new_bit]):
                 code |= np.left_shift(_meets(slot_words[a], slot_words[b]), bit, dtype=np.int64)
             chain = np.empty((0, len(rows)))  # row r holds U = ursells[r]
-            # a row's largest index is its last; the empty prefix of order 1
-            # takes every j
-            last = rows.max(axis=1, initial=0)
+            # each row's largest index is its last; the empty prefix takes every j
+            last = rows[:, -1] if head else np.zeros(1, dtype=np.int64)
             # a child j of prefix i holds a repeated index iff j <= tied[i]:
             # every child where the prefix repeats one, else only j = last
             tied = np.where((rows[:, 1:] == rows[:, :-1]).any(axis=1), p, last)
-            # prefix i's k-th child is j = last[i] + k; the chunk's arrays are
-            # updated in place where they can be, since the ones still named
-            # stay alive while _exact_sum bins the piece
-            for parent, j in runs(p - last, SERIES_BLOCK):
+            # prefix i's k-th child is j = last[i] + k; the chunk's arrays, updated
+            # in place where they can be, are let go before _exact_sum bins the piece
+            for parent, j in _runs(p - last, SERIES_BLOCK):
                 j += last[parent]
                 row = code[parent]
                 child_words = words[:, j]
@@ -300,6 +297,7 @@ def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
                     piece[split] = _divide_runs(
                         piece[split], np.column_stack([rows[parent[split]], j[split]]), factorial
                     )
+                del parent, j, row, child_words, keep, split
                 yield piece
 
     return _exact_sum(pieces())
@@ -318,14 +316,16 @@ def _divide_runs(piece: np.ndarray, rows: np.ndarray, factorial: np.ndarray) -> 
 def _multiset_blocks(p: int, order: int):
     """Every nondecreasing `order`-tuple over range(p), in lexicographic
     order, at most SERIES_BLOCK rows at a time: each block of (order -
-    1)-tuples grown by every index j >= its last (loops.runs)."""
+    1)-tuples grown by every index j >= its last (loops._runs)."""
     if not order:
         yield np.zeros((1, 0), dtype=np.int64)
         return
     for rows in _multiset_blocks(p, order - 1):
-        last = rows.max(axis=1, initial=0)
-        for s, k in runs(p - last, SERIES_BLOCK):
-            yield np.column_stack([rows[s], last[s] + k])
+        last = rows[:, -1] if order > 1 else np.zeros(1, dtype=np.int64)
+        for s, k in _runs(p - last, SERIES_BLOCK):
+            block = np.column_stack([rows[s], last[s] + k])
+            del s, k  # else every level would keep its chunk across the yield
+            yield block
 
 
 def convergence_criterion_q(

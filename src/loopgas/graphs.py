@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass, field
@@ -809,13 +810,17 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """A count or node index read from graph JSON.  Anything but an integer
-    (a float such as 1.0 or 1.5, a bool, a string, a list) raises TypeError;
-    nothing is rounded or parsed."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
+def _json_ints(rows: list) -> list:
+    """rows of graph JSON indices or counts as tuples of ints.  A value that
+    is not an integer, or is a bool, raises TypeError (1.0 and 1.5 too);
+    numpy integers, from a dict built in memory, are read as ints.  Rows of
+    Python ints, all a JSON file holds, pass one type test in C as given."""
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        return rows
+    for value in itertools.chain.from_iterable(rows):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{value!r} is not an integer")
+    return [tuple(map(int, row)) for row in rows]
 
 
 def graph_from_json_dict(data: Mapping) -> FactorGraph:
@@ -823,8 +828,8 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
 
     Raises MalformedGraphError for a missing key or a value of the wrong
     shape, and build_factor_graph's errors for data that does not fit.  n,
-    m, the edges' endpoints and the coupling subsets' variables are read
-    through _json_int, once, here.
+    m, the edges and the coupling subsets are checked by _json_ints; a
+    subset is kept as given, as build_factor_graph keeps it.
     """
     if not isinstance(data, Mapping):
         raise MalformedGraphError(
@@ -838,17 +843,15 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
         elif kind == "ldgm":
             weights = LdgmWeights(tuple(map(float, w["fields"])))
         elif kind == "general":
-            weights = GeneralWeights(
-                beta=float(w["beta"]),
-                couplings=tuple(
-                    tuple((tuple(map(_json_int, subset)), float(j)) for subset, j in terms)
-                    for terms in w["couplings"]
-                ),
+            couplings = tuple(
+                tuple((tuple(subset), float(j)) for subset, j in terms) for terms in w["couplings"]
             )
+            _json_ints([subset for terms in couplings for subset, _j in terms])
+            weights = GeneralWeights(beta=float(w["beta"]), couplings=couplings)
         else:
             raise InconsistentWeightsError(f"unknown weight kind {kind!r}")
-        n, m = _json_int(data["n"]), _json_int(data["m"])
-        edges = [(_json_int(i), _json_int(a)) for i, a in data["edges"]]
+        [(n, m)] = _json_ints([(data["n"], data["m"])])
+        edges = _json_ints([(i, a) for i, a in data["edges"]])
         meta = dict(data.get("meta", {}))
     except KeyError as exc:
         raise MalformedGraphError(f"graph JSON lacks the key {exc}") from exc

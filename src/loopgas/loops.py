@@ -20,15 +20,14 @@ each check it crosses a state only with the options that keep every
 variable closing there off induced degree one, decided once per pattern of
 those variables' degrees, so no pair that one of them would end is ever
 built; what it keeps, and in what order, is the same as crossing every
-state with every option and filtering.  One generator, runs, expands the
-(state, option) pairs state-major, in chunks of _CHUNK, which bounds the
-temporaries; expansion's series grows its multisets with the same
-generator.  State-major pairs put the leaves in depth-first order: the
+state with every option and filtering.  _runs expands the (state, option)
+pairs state-major, so the leaves come out in depth-first order: the
 lexicographic order of the per-check options, with the empty option first.
 That order is part of the output, because q adds each node's weights in
-it.  The leaves are handed on in chunks of _CHUNK too.  The visit budget
-is checked at every chunk boundary, so an over-budget walk is refused
-after at most one chunk more than the budget.
+it.  Pairs and leaves go in chunks of _CHUNK, which bounds the
+temporaries, and the visit budget is checked at every chunk boundary, so
+an over-budget walk is refused after at most one chunk more than the
+budget.  Expansion's series grows its multisets with _runs too.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
 is the empty loop.  A loop splits into polymers along its checks:
@@ -515,22 +514,25 @@ def _admitted_options(
     return np.concatenate(admitted), (np.cumsum(count) - count)[group], count[group]
 
 
-def runs(count: np.ndarray, chunk: int):
+def _runs(count: np.ndarray, chunk: int):
     """Every pair (s, k) with 0 <= k < count[s], s-major with k ascending,
-    as arrays (s, k) of at most chunk pairs each; no chunk is empty."""
+    as arrays (s, k) of at most chunk pairs each; no chunk is empty.  Only
+    the run ends stay alive between chunks."""
     ends = np.cumsum(count)
-    base = ends - count  # the pair index of each run's first pair
     total = int(ends[-1]) if len(ends) else 0
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        # the runs lo..hi hold pairs start..stop - 1, the first and the last
-        # of them cut to the chunk
-        lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
-        size = count[lo : hi + 1].copy()
-        size[0] -= start - base[lo]
-        size[-1] -= ends[hi] - stop
-        s = np.repeat(np.arange(lo, hi + 1), size)
-        yield s, np.arange(start, stop) - base[s]
+        yield _run_chunk(count, ends, start, min(start + chunk, total))
+
+
+def _run_chunk(count: np.ndarray, ends: np.ndarray, start: int, stop: int):
+    # the runs lo..hi hold pairs start..stop - 1, the first and the last of
+    # them cut to the chunk; run s's first pair is ends[s] - count[s]
+    lo, hi = np.searchsorted(ends, [start, stop - 1], side="right").tolist()
+    size = count[lo : hi + 1].copy()
+    size[0] = ends[lo] - start
+    size[-1] -= ends[hi] - stop
+    s = np.repeat(np.arange(lo, hi + 1), size)
+    return s, np.arange(start, stop) - ends[s] + count[s]
 
 
 def _walk(
@@ -547,11 +549,10 @@ def _walk(
     state is crossed with the next check: _admitted_options picks, per
     distinct degree pattern of the variables closing at the check, the
     locally admissible edge subsets (see _check_options) that keep them all
-    off degree one, by one test on their local masks, and each state is
-    paired only with those, in option order: runs yields the pairs (state,
-    its n-th admitted option) state-major, so the leaves come out in
-    depth-first order (empty option first), exactly as if every state were
-    crossed with every option and the dead pairs dropped.  The frontier
+    off degree one, by one test on their local masks, and _runs pairs each
+    state with its admitted options in order, state-major, so the leaves
+    are exactly those of crossing every state with every option and
+    dropping the dead pairs, in the same order.  The frontier
     holds each state's activity and the included-edge bits of the
     variables still open, column-major: one contiguous row of states per
     open variable, so each flip, closing-table lookup and degree read runs
@@ -565,11 +566,10 @@ def _walk(
     Each level keeps only (parent, option) per state, from which _Leaves
     rebuilds the leaves.
 
-    The admitted pairs come in chunks of at most _CHUNK, a state's run of
-    options split across chunks where it must, and every surviving state
-    counts against the budget: BudgetExceededError is raised at the
-    first chunk boundary where the visits exceed it, so exactly when the
-    walk would visit more than budget states.
+    Every surviving state counts against the budget: BudgetExceededError
+    is raised at the first chunk boundary (every _CHUNK pairs) where the
+    visits exceed it, so exactly when the walk would visit more than
+    budget states.
     """
     n, m = graph.n, graph.m
     n_cap = n + m if max_nodes is None else max_nodes
@@ -615,7 +615,7 @@ def _walk(
         # an empty part keeps the level defined when no pair survives
         parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[staying, :0], prod[:0], nodes[:0])]
         # pair (s, n) takes state s's n-th admitted option
-        for parent, nth in runs(count, _CHUNK):
+        for parent, nth in _runs(count, _CHUNK):
             option = admitted[first[parent] + nth]
             child = bits[:, parent]
             grown = nodes[:0]

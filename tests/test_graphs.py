@@ -9,6 +9,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 import loopgas as lg
@@ -20,6 +21,7 @@ from loopgas.errors import (
     InconsistentWeightsError,
     IndexOutOfRangeError,
     InfeasibleDegreeSequenceError,
+    MalformedGraphError,
     RejectionBudgetError,
     WrongWeightKindError,
 )
@@ -384,3 +386,28 @@ def test_json_roundtrip(kind, tmp_path):
     lg.save_graph(g, str(path))
     loaded = lg.load_graph(str(path))
     assert loaded.edges == g.edges and loaded.weights == g.weights
+
+
+def test_in_memory_numpy_integers_are_accepted_and_bools_are_refused():
+    # a dict built in memory may hold numpy integers, which a JSON file never
+    # does: n, m and the edges are read as ints, a coupling subset is kept as
+    # given (as build_factor_graph keeps it), and a bool is refused like 1.0
+    g = sp.general_instance(3, 4, 4, beta=0.2, seed=2)
+    d = lg.graph_to_json_dict(g)
+    d["n"] = np.int64(d["n"])
+    d["edges"] = [[np.int64(i), np.int32(a)] for i, a in d["edges"]]
+    d["weights"]["couplings"] = [
+        [(tuple(np.array(subset, dtype=np.int64)), j) for subset, j in terms]
+        for terms in d["weights"]["couplings"]
+    ]
+    back = lg.graph_from_json_dict(d)
+    assert back.n == g.n and back.edges == g.edges and back.weights == g.weights
+    assert {type(x) for x in [back.n, *itertools.chain.from_iterable(back.edges)]} == {int}
+    assert lg.log_partition(back) == lg.log_partition(g)
+    d["edges"][1][0] = True
+    with pytest.raises(MalformedGraphError, match="True is not an integer"):
+        lg.graph_from_json_dict(d)
+    d = lg.graph_to_json_dict(g)
+    d["weights"]["couplings"][0][0][0][0] = False
+    with pytest.raises(MalformedGraphError, match="False is not an integer"):
+        lg.graph_from_json_dict(d)

@@ -574,7 +574,7 @@ def test_level_walk_matches_recursive_walk(case, monkeypatch):
 )
 @pytest.mark.parametrize("chunk", [1, 3, 1000])
 def test_runs_yield_every_pair_once_state_major_in_small_chunks(count, chunk):
-    chunks = list(lg.loops.runs(np.array(count, dtype=np.intp), chunk))
+    chunks = list(lg.loops._runs(np.array(count, dtype=np.intp), chunk))
     assert all(0 < len(s) == len(k) <= chunk for s, k in chunks)
     pairs = [(s, k) for ss, kk in chunks for s, k in zip(ss.tolist(), kk.tolist())]
     assert pairs == [(s, k) for s, c in enumerate(count) for k in range(c)]
