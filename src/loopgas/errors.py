@@ -56,7 +56,8 @@ class DegreeTooLargeError(LoopGasError):
 
 
 class WeightOverflowError(LoopGasError):
-    """A local weight exp(beta * sum |J|) is too large for a float."""
+    """A local weight exp(beta * sum |J|), or a polymer-series activity
+    product or term, is too large for a float."""
 
 
 class NoSignChangeError(LoopGasError):

@@ -1,20 +1,22 @@
 """Polymer-expansion series for the log of the loop-corrected partition sum.
 
-ln(1 + sum of loop activities) = sum over ordered tuples of polymers of
-Ursell coefficients times activity products.  Grouping tuples into multisets
-gives the series summed here; its convergence is certified through the
-standard single-node criterion q (loops.polymer_q), and the combinatorial
-lemmas that control the number of polymers are exposed alongside for
-direct verification.
+Every generalized loop is a unique disjoint union of polymers, so the loop
+sum is Xi(1) for the hard-core polymer gas Xi(z) = 1 + sum_k a_k z^k, where
+a_k sums the activity products over the sets of k pairwise node-disjoint
+polymers.  The order-M series term is [z^M] ln Xi(z), the cluster expansion
+(Kotecky and Preiss; Scott and Sokal): the sum, over multisets of M polymers,
+of the Ursell coefficient of their overlap pattern times the activity
+product over the multiplicity factorials.  Its convergence is certified
+through the standard single-node criterion q (loops.polymer_q), and the
+combinatorial lemmas that control the number of polymers are exposed
+alongside for direct verification.
 
-Order M grows every order-(M-1) multiset, its prefix, by one more polymer
-index: the prefix's overlap pattern and, per Ursell value, its activity
-product are formed once and shared by all of its children.  The prefixes
-are grown the same way from the tuples of the order before, both with the
-loop walk's pair generator, loops._runs.  The Ursell value of each overlap
-pattern is computed once per process.  The pieces of an order are added
-exactly, by the loop sum's exponent-binned integer sum (loops._exact_sum,
-bit for bit math.fsum), so their order does not matter.
+The series is summed through Xi, not multiset by multiset: the disjoint
+families are grown one polymer at a time with the loop walk's pair
+generator, loops._runs, each a_k is kept exact (loops._exact_total), and the
+terms follow from M c_M = M a_M - sum_{k<M} k c_k a_{M-k} in exact rational
+arithmetic, each rounded once.  Disjoint families are rare exactly where the
+multisets are many, among densely overlapping polymers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,12 +33,13 @@ from .errors import (
     BudgetExceededError,
     InvalidDegreeSequenceError,
     OrderTooLargeError,
+    WeightOverflowError,
 )
 from .graphs import FactorGraph
 from .loops import (
     ActivityEvaluator,
     Polymer,
-    _exact_sum,
+    _exact_total,
     _meets,
     enumerate_polymers,
     node_words,
@@ -44,8 +48,7 @@ from .loops import (
 )
 
 URSELL_MAX_ORDER = 7
-SERIES_BLOCK = 1 << 12  # prefixes per block, children per chunk; bounds memory
-_UNKNOWN = np.iinfo(np.int32).min  # chain row of a pattern code not yet seen
+SERIES_BLOCK = 1 << 12  # families per block; bounds memory
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,11 @@ def ursell(polymers: list[Polymer] | tuple[Polymer, ...]) -> int:
     """
     if len(polymers) < 1:
         raise ValueError("need at least one polymer")
-    return _multiset_ursell(tuple(p.node_mask for p in polymers))
+    masks = [p.node_mask for p in polymers]
+    return connected_mayer_sum(
+        len(masks),
+        frozenset((a, b) for b in range(len(masks)) for a in range(b) if masks[a] & masks[b]),
+    )
 
 
 def connected_mayer_sum(m: int, edges: frozenset[tuple[int, int]]) -> int:
@@ -132,28 +139,6 @@ def _ursell_masked(adj: tuple[int, ...], vmask: int, memo: dict[int, int]) -> in
     return total
 
 
-# U per (order, pattern code), kept for the life of the process: slot pair
-# (a, b) of an order-`order` tuple sets bit b(b-1)/2 + a of its code
-_URSELL: dict[tuple[int, int], int] = {}
-
-
-def _pattern_ursell(order: int, code: int) -> int:
-    """U of the overlap pattern `code` on `order` slots, evaluated once."""
-    if (order, code) not in _URSELL:
-        pairs = [(a, b) for b in range(order) for a in range(b)]
-        edges = frozenset(pair for i, pair in enumerate(pairs) if code >> i & 1)
-        _URSELL[order, code] = connected_mayer_sum(order, edges)
-    return _URSELL[order, code]
-
-
-def _multiset_ursell(masks: tuple[int, ...]) -> int:
-    m = len(masks)
-    return _pattern_ursell(
-        m,
-        sum(1 << (b * (b - 1) // 2 + a) for b in range(m) for a in range(b) if masks[a] & masks[b]),
-    )
-
-
 def check_series_options(m_max: int, size_cutoff: int | None, z: float) -> None:
     """Refuse series options before any work: a non-finite z, an order
     outside 1..URSELL_MAX_ORDER, a negative size cutoff."""
@@ -180,13 +165,18 @@ def polymer_series(
 ) -> SeriesResult:
     """Orders 1..m_max of the series for ln(1 + sum of loop activities).
 
-    Order M sums, over multisets of M polymers, the Ursell coefficient of
-    their overlap pattern times the product of activities divided by the
-    multiplicity factorials.  Multisets of pairwise disjoint polymers drop
-    out on their own (their pattern is disconnected).  `z` scales every
-    activity; the default 1 evaluates the series itself, smaller values
-    probe its decay.  `budget` caps the number of multisets over all orders;
-    a series that needs more is refused before any of them is evaluated.
+    Order M is the sum, over multisets of M polymers, of the Ursell
+    coefficient of their overlap pattern times the product of activities
+    divided by the multiplicity factorials.  It is evaluated as [z^M] of
+    ln Xi, the log of the hard-core polymer gas (module docstring): each
+    term is exact given the activities and the float64 products over the
+    disjoint families, rounded once, and the tests hold it within 2 ulp of
+    the multiset sum done exactly.  `z` scales every activity; the
+    default 1 evaluates the series itself, smaller values probe its decay.
+    `budget` caps the number of multisets over all orders, which bounds
+    the families tried; a series that needs more is refused before any
+    work.  An activity product or a term past the float range raises
+    WeightOverflowError naming its order.
     """
     check_series_options(m_max, size_cutoff, z)
     check_weight_range(graph)
@@ -203,7 +193,7 @@ def polymer_series(
     ev = ActivityEvaluator(graph, messages)
     acts = z * ev.values([p.edge_ids for p in polymers])
     words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
-    terms = [_series_term(order, words, acts) for order in range(1, m_max + 1)]
+    terms = _log_gas_terms(words, acts, m_max)
     partial = list(itertools.accumulate(terms))
     return SeriesResult(
         terms=tuple(terms),
@@ -214,118 +204,66 @@ def polymer_series(
     )
 
 
-def _series_term(order: int, words: np.ndarray, acts: np.ndarray) -> float:
-    """Order-`order` term: the exact sum of one piece per multiset.
-
-    A piece is float(U) * acts[j] over the multiset's indices in
-    nondecreasing order, then divided by k! for each run of k equal indices,
-    in run order; multisets with U = 0 give no piece.  Each multiset is a
-    prefix, its first order - 1 indices, grown by one index j >= the
-    prefix's last.  _multiset_blocks grows the prefixes from the tuples of
-    the order before, SERIES_BLOCK at a time, and each block's children
-    are formed prefix-major, SERIES_BLOCK at a time (loops._runs), so memory
-    is bounded by the block.  U depends only on which slots overlap: slot
-    pair (a, b) sets bit b(b-1)/2 + a of a pattern code, and a table filled
-    on first use maps codes to U, read from the process-wide
-    _pattern_ursell.  A prefix's pairs are tested once per
-    block; a child tests only its order - 1 pairs with j, on node words
-    (loops._meets).  For each U met so far, the chain
-    ((U * a_i1) * a_i2) ... * a_i(order-1) over the prefix is formed once per
-    block, and a child's piece is that chain times acts[j]: the products of
-    the multiset order, in that order, so every piece is the same float.
-    Only children with a repeated index are divided, since dividing by 1!
-    is exact.  loops._exact_sum equals math.fsum, so the order in which
-    the multisets are visited does not change the term.
-    """
-    p, head = len(acts), order - 1
-    if not p:
-        return 0.0
-    slot_pairs = [(a, b) for b in range(order) for a in range(b)]
-    new_bit = len(slot_pairs) - head  # the pairs (a, head) take the top bits
-    # per pattern code: _UNKNOWN until met, -1 where U = 0, else its chain row
-    chain_row = np.full(1 << len(slot_pairs), _UNKNOWN, dtype=np.int64)
-    ursells: list[int] = []  # the nonzero U met so far, in chain-row order
-    factorial = np.array([float(math.factorial(k)) for k in range(order + 1)])
-
-    def chain_rows(code: np.ndarray) -> np.ndarray:
-        row = chain_row[code]
-        if not (row == _UNKNOWN).any():
-            return row
-        for c in np.unique(code[row == _UNKNOWN]).tolist():
-            u = _pattern_ursell(order, c)
-            if u and u not in ursells:
-                ursells.append(u)
-            chain_row[c] = ursells.index(u) if u else -1
-        return chain_row[code]
-
-    def pieces():
-        for rows in _multiset_blocks(p, head):
-            slot_words = [words[:, rows[:, a]] for a in range(head)]
-            code = np.zeros(len(rows), dtype=np.int64)
-            for bit, (a, b) in enumerate(slot_pairs[:new_bit]):
-                code |= np.left_shift(_meets(slot_words[a], slot_words[b]), bit, dtype=np.int64)
-            chain = np.empty((0, len(rows)))  # row r holds U = ursells[r]
-            # each row's largest index is its last; the empty prefix takes every j
-            last = rows[:, -1] if head else np.zeros(1, dtype=np.int64)
-            # a child j of prefix i holds a repeated index iff j <= tied[i]:
-            # every child where the prefix repeats one, else only j = last
-            tied = np.where((rows[:, 1:] == rows[:, :-1]).any(axis=1), p, last)
-            # prefix i's k-th child is j = last[i] + k; the chunk's arrays, updated
-            # in place where they can be, are let go before _exact_sum bins the piece
-            for parent, j in _runs(p - last, SERIES_BLOCK):
-                j += last[parent]
-                row = code[parent]
-                child_words = words[:, j]
-                for a in range(head):
-                    overlap = _meets(np.take(slot_words[a], parent, axis=1), child_words)
-                    row |= np.left_shift(overlap, new_bit + a, dtype=np.int64)
-                row = chain_rows(row)
-                if len(chain) < len(ursells):
-                    met = len(chain)
-                    u = np.array(ursells[met:], dtype=np.float64)[:, None]
-                    chain = np.vstack([chain, np.repeat(u, len(rows), axis=1)])
-                    for a in range(head):
-                        chain[met:] *= acts[rows[:, a]]
-                keep = row >= 0
-                if not keep.all():
-                    parent, j, row = parent[keep], j[keep], row[keep]
-                row *= len(rows)
-                row += parent
-                piece = chain.ravel()[row] * acts[j]
-                split = np.flatnonzero(j <= tied[parent])
-                if len(split):
-                    piece[split] = _divide_runs(
-                        piece[split], np.column_stack([rows[parent[split]], j[split]]), factorial
-                    )
-                del parent, j, row, child_words, keep, split
-                yield piece
-
-    return _exact_sum(pieces())
+def _family_sums(words: np.ndarray, acts: np.ndarray, m_max: int) -> list[int]:
+    """a_0..a_m_max of Xi exactly, as ints in units of 2**-1126: a_k adds
+    the activity products over the sets of k pairwise node-disjoint
+    polymers (_disjoint_blocks), a_0 the empty set's 1.  A non-finite
+    product raises before any of them is added."""
+    sums = [1 << 1126] + [0] * m_max
+    for order, prod in _disjoint_blocks(words, acts, m_max):
+        if not np.isfinite(prod).all():
+            raise WeightOverflowError(
+                f"order {order}: an activity product passes the float range"
+            )
+        sums[order] += _exact_total([prod])
+    return sums
 
 
-def _divide_runs(piece: np.ndarray, rows: np.ndarray, factorial: np.ndarray) -> np.ndarray:
-    """piece / k! for each run of k equal indices in its row, in run order."""
-    run = np.ones(len(rows), dtype=np.int64)
-    for k in range(rows.shape[1] - 1):
-        ends = rows[:, k] != rows[:, k + 1]
-        np.divide(piece, factorial[run], out=piece, where=ends)
-        run = np.where(ends, 1, run + 1)
-    return piece / factorial[run]
+def _log_gas_terms(words: np.ndarray, acts: np.ndarray, m_max: int) -> list[float]:
+    """[z^M] ln Xi(z) for M = 1..m_max, each rounded once, from the exact
+    a_k (_family_sums) by M c_M = M a_M - sum_{k<M} k c_k a_{M-k}, which is
+    Xi' = Xi (ln Xi)', in Fractions."""
+    a = [Fraction(s, 1 << 1126) for s in _family_sums(words, acts, m_max)]
+    c, terms = [Fraction(0)], []
+    for order in range(1, m_max + 1):
+        c.append((order * a[order] - sum(k * c[k] * a[order - k] for k in range(1, order))) / order)
+        try:
+            terms.append(float(c[order]))
+        except OverflowError:
+            raise WeightOverflowError(f"order {order}: the term passes the float range") from None
+    return terms
 
 
-def _multiset_blocks(p: int, order: int):
-    """Every nondecreasing `order`-tuple over range(p), in lexicographic
-    order, at most SERIES_BLOCK rows at a time: each block of (order -
-    1)-tuples grown by every index j >= its last (loops._runs)."""
-    if not order:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    for rows in _multiset_blocks(p, order - 1):
-        last = rows[:, -1] if order > 1 else np.zeros(1, dtype=np.int64)
-        for s, k in _runs(p - last, SERIES_BLOCK):
-            block = np.column_stack([rows[s], last[s] + k])
-            del s, k  # else every level would keep its chunk across the yield
-            yield block
+def _disjoint_blocks(words: np.ndarray, acts: np.ndarray, m_max: int):
+    """Every set of 1..m_max pairwise node-disjoint polymers, in blocks
+    (k, products) of at most SERIES_BLOCK sets of size k: each set's
+    activities multiplied in increasing index order.  A block comes before
+    the blocks grown from it, so the sets of each size come in
+    lexicographic order."""
+    root = np.full(1, -1), np.zeros((len(words), 1), dtype=np.uint64), np.ones(1)
+    return _grow(words, acts, m_max, 1, *root)
+
+
+def _grow(words, acts, m_max, order, last, union, prod):
+    """The `order`-sets grown from a block of (order - 1)-sets, given by
+    their last indices, union node words and products, then the sets grown
+    from those: each set by every j past its last index whose node words
+    miss its union (loops._runs, SERIES_BLOCK at a time)."""
+    for parent, j in _runs(len(acts) - 1 - last, SERIES_BLOCK):
+        j += last[parent] + 1
+        # np.take, as indexing along axis 1 is several times slower
+        free = ~_meets(np.take(union, parent, axis=1), np.take(words, j, axis=1))
+        if not free.all():
+            parent, j = parent[free], j[free]
+        if not len(j):
+            continue
+        with np.errstate(over="ignore"):  # _family_sums refuses an inf
+            block = prod[parent] * acts[j]
+        yield order, block
+        if order < m_max:
+            grown = np.take(union, parent, axis=1) | np.take(words, j, axis=1)
+            del parent, free  # else each level keeps its chunk
+            yield from _grow(words, acts, m_max, order + 1, j, grown, block)
 
 
 def convergence_criterion_q(

@@ -309,11 +309,13 @@ def build_factor_graph(
         meta: free-form provenance dictionary carried along unvalidated.
 
     Raises:
+        MalformedGraphError: an endpoint or a coupling-subset member is not
+            an integer (a bool or 1.0 included).
         IndexOutOfRangeError: an endpoint is outside its index range.
         DuplicateEdgeError: the same pair appears twice.
         InconsistentWeightsError: weight payload does not fit the graph.
     """
-    return _assemble(n, m, [(int(i), int(a)) for i, a in edges], weights, meta)
+    return _assemble(n, m, [(i, a) for i, a in edges], weights, meta)
 
 
 def _assemble(
@@ -323,9 +325,16 @@ def _assemble(
     weights: WeightSpec,
     meta: dict | None,
 ) -> FactorGraph:
-    """build_factor_graph on edges already read as (int, int) pairs; sorts
-    edge_list in place.  Each error names the first offending edge in the
-    given order."""
+    """build_factor_graph on edges given as (variable, check) tuples; sorts
+    edge_list in place, or its int copy where it holds numpy integers.  The
+    endpoints and coupling-subset members must pass _json_ints.  Each error
+    names the first offending edge in the given order."""
+    try:
+        edge_list = _json_ints(edge_list)
+        if isinstance(weights, GeneralWeights):
+            _json_ints([subset for terms in weights.couplings for subset, _j in terms])
+    except TypeError as exc:
+        raise MalformedGraphError(f"graph has an index of the wrong type: {exc}") from exc
     if n < 1 or m < 0:
         raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if edge_list:
@@ -811,10 +820,11 @@ def graph_to_json_dict(graph: FactorGraph) -> dict:
 
 
 def _json_ints(rows: list) -> list:
-    """rows of graph JSON indices or counts as tuples of ints.  A value that
-    is not an integer, or is a bool, raises TypeError (1.0 and 1.5 too);
-    numpy integers, from a dict built in memory, are read as ints.  Rows of
-    Python ints, all a JSON file holds, pass one type test in C as given."""
+    """rows of graph indices or counts as tuples of ints.  A value that is
+    not an integer, or is a bool, raises TypeError (1.0 and 1.5 too); numpy
+    integers, from a dict or lists built in memory, are read as ints.  Rows
+    of Python ints, all a JSON file or a sampler holds, pass one type test
+    in C as given."""
     if set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         return rows
     for value in itertools.chain.from_iterable(rows):
@@ -828,8 +838,8 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
 
     Raises MalformedGraphError for a missing key or a value of the wrong
     shape, and build_factor_graph's errors for data that does not fit.  n,
-    m, the edges and the coupling subsets are checked by _json_ints; a
-    subset is kept as given, as build_factor_graph keeps it.
+    m, the edges and the coupling subsets are checked by _json_ints (the
+    last two in build_factor_graph's _assemble); a subset is kept as given.
     """
     if not isinstance(data, Mapping):
         raise MalformedGraphError(
@@ -846,12 +856,11 @@ def graph_from_json_dict(data: Mapping) -> FactorGraph:
             couplings = tuple(
                 tuple((tuple(subset), float(j)) for subset, j in terms) for terms in w["couplings"]
             )
-            _json_ints([subset for terms in couplings for subset, _j in terms])
             weights = GeneralWeights(beta=float(w["beta"]), couplings=couplings)
         else:
             raise InconsistentWeightsError(f"unknown weight kind {kind!r}")
         [(n, m)] = _json_ints([(data["n"], data["m"])])
-        edges = _json_ints([(i, a) for i, a in data["edges"]])
+        edges = [(i, a) for i, a in data["edges"]]
         meta = dict(data.get("meta", {}))
     except KeyError as exc:
         raise MalformedGraphError(f"graph JSON lacks the key {exc}") from exc

@@ -27,16 +27,16 @@ That order is part of the output, because q adds each node's weights in
 it.  Pairs and leaves go in chunks of _CHUNK, which bounds the
 temporaries, and the visit budget is checked at every chunk boundary, so
 an over-budget walk is refused after at most one chunk more than the
-budget.  Expansion's series grows its multisets with _runs too.
+budget.  Expansion's series grows its polymer families with _runs too.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
 is the empty loop.  A loop splits into polymers along its checks:
 Warshall's closure on the node masks of its check blocks merges every two
 blocks that share a node, for all loops of a chunk at once and for each
 connected component of the graph's checks on its own.  The loop sum keeps
-its terms as float64 arrays and adds them exactly (_exact_sum, shared with
-expansion's series).  The identity check adds the exact ln Z, BP and the
-Bethe free energy to the loop sum.
+its terms as float64 arrays and adds them exactly (_exact_sum; its integer
+total, _exact_total, also sums expansion's families).  The identity check
+adds the exact ln Z, BP and the Bethe free energy to the loop sum.
 
 One function, polymer_q, scores the convergence statistic q for the loop
 sum (in walk order) and for expansion's series and both criteria (in
@@ -670,7 +670,7 @@ def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # e^s for the sizes s = 0..709 where it is finite; math.exp, not np.exp,
 # which may differ in the last bit
 _EXP_SIZE = np.array([math.exp(s) for s in range(710)])
-_BIN_LIMIT = 1 << 26  # elements _exact_sum bins before it folds the bins
+_BIN_LIMIT = 1 << 26  # elements _exact_total bins before it folds the bins
 
 
 def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
@@ -702,46 +702,60 @@ def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
 def _exact_sum(chunks) -> float:
     """math.fsum of the concatenated float64 chunks, bit for bit.
 
+    The finite values are added exactly (_exact_total) and the total is
+    rounded once, by a correctly rounded int / int division; it is +0.0
+    when 0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives
+    nan and an inf inf; a finite sum past the float range raises
+    OverflowError.  fsum also raises that when a running sum leaves the
+    range and the total comes back, which depends on the order of the
+    elements; this does not.
+    """
+    special = []
+
+    def finite(chunks):
+        for x in chunks:
+            keep = np.isfinite(x)
+            if not keep.all():
+                special.append(x[~keep])
+                x = x[keep]
+            yield x
+
+    total = _exact_total(finite(chunks))
+    try:
+        value = total / (1 << 1126)
+    except OverflowError:
+        raise OverflowError("intermediate overflow in fsum") from None
+    if special:
+        special = np.concatenate(special)
+        pos, neg = bool((special > 0).any()), bool((special < 0).any())
+        if pos and neg:
+            raise ValueError("-inf + inf in fsum")
+        if np.isnan(special).any():
+            return math.nan
+        return math.inf if pos else -math.inf
+    return value
+
+
+def _exact_total(chunks) -> int:
+    """The exact sum of the finite float64 chunks, as an int in units of
+    2**-1126.
+
     A finite x is m * 2**e (np.frexp) with m * 2**53 an integer below 2**53
     in magnitude, even for subnormals; it splits into halves hi * 2**26 + lo
     with |hi| < 2**27 and |lo| < 2**26.  Per exponent each half is summed by
     a float64 bincount, exact while fewer than 2**26 elements share the
-    bins, which are then folded into one Python int in units of 2**-1126.
-    One correctly rounded int / int division gives the sum, +0.0 when it is
-    0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives nan
-    and an inf inf; a finite sum past the float range raises OverflowError.
-    fsum also raises that when a running sum leaves the range and the total
-    comes back, which depends on the order of the elements; this does not.
+    bins, which are then folded into one Python int.
     """
     total, binned = 0, 0
     bins = np.zeros((2, 2098))  # hi and lo sums per exponent + 1073
-    nan = pos = neg = False
     for x in chunks:
-        finite = np.isfinite(x)
-        if not finite.all():
-            special = x[~finite]
-            nan |= bool(np.isnan(special).any())
-            pos |= bool((special > 0).any())
-            neg |= bool((special < 0).any())
-            x = x[finite]
         if binned + len(x) > _BIN_LIMIT:
             total += _unbin(bins)
             bins[:] = 0.0
             binned = 0
         binned += len(x)
         _bin(x, bins)
-    total += _unbin(bins)
-    try:
-        value = total / (1 << 1126)
-    except OverflowError:
-        raise OverflowError("intermediate overflow in fsum") from None
-    if pos and neg:
-        raise ValueError("-inf + inf in fsum")
-    if nan:
-        return math.nan
-    if pos or neg:
-        return math.inf if pos else -math.inf
-    return value
+    return total + _unbin(bins)
 
 
 def _bin(x: np.ndarray, bins: np.ndarray) -> None:

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -985,7 +986,7 @@ def recursive_loop_sum(
     )
 
 
-def oracle_polymer_series(
+def oracle_series_exact(
     graph: FactorGraph,
     messages: MessageSet,
     m_max: int,
@@ -993,42 +994,53 @@ def oracle_polymer_series(
     polymers: list[Polymer] | None = None,
     budget: int = 10_000_000,
     z: float = 1.0,
-) -> tuple[float, ...]:
-    """Per-order polymer-series terms, one multiset at a time.
+) -> tuple[Fraction, ...]:
+    """Per-order polymer-series terms, exactly, one multiset at a time.
 
-    The reference for `polymer_series`: the same pieces, formed one Python
-    multiset after another (Ursell coefficient from the overlap pattern,
-    activity product in index order, one division per run of equal indices)
-    and summed per order by math.fsum.  The budget fires at the first tuple
-    past it, after the work on the earlier ones.
+    The reference for `polymer_series`, from the definition: order M is the
+    sum, over every multiset of M polymers, of the Ursell coefficient of its
+    overlap pattern times the product of the (float) activities divided by
+    the multiplicity factorials, in exact arithmetic.  Every finite float is
+    an integer times 2**-1074, so an order's multisets add up in one integer,
+    each weighted by the multinomial M! / prod mult!, over M! 2**(1074 M).
+    U is computed once per overlap pattern.  The budget fires at the first
+    tuple past it, after the work on the earlier ones.
     """
     if polymers is None:
         polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     ev = ScalarFactors(graph, messages)
-    acts = [z * oracle_activity(ev, p.edge_ids) for p in polymers]
+    acts = [int(Fraction(z * oracle_activity(ev, p.edge_ids)) * 2**1074) for p in polymers]
+    masks = [p.node_mask for p in polymers]
+    ursells: dict[tuple[bool, ...], int] = {}
     terms = []
     tuples_seen = 0
     for order in range(1, m_max + 1):
-        pieces = []
-        for combo in itertools.combinations_with_replacement(
-            range(len(polymers)), order
-        ):
+        pairs = list(itertools.combinations(range(order), 2))
+        total = 0
+        for combo in itertools.combinations_with_replacement(range(len(polymers)), order):
             tuples_seen += 1
             if tuples_seen > budget:
                 raise BudgetExceededError(
                     f"series enumeration exceeded budget of {budget} tuples"
                 )
-            u = ursell([polymers[j] for j in combo])
-            if u == 0:
+            pattern = tuple(bool(masks[combo[a]] & masks[combo[b]]) for a, b in pairs)
+            if pattern not in ursells:
+                ursells[pattern] = ursell([polymers[j] for j in combo])
+            if not ursells[pattern]:
                 continue
-            weight = float(u)
+            weight = ursells[pattern] * math.factorial(order)
+            for _idx, reps in itertools.groupby(combo):
+                weight //= math.factorial(len(list(reps)))
             for j in combo:
                 weight *= acts[j]
-            for _idx, reps in itertools.groupby(combo):
-                weight /= math.factorial(len(list(reps)))
-            pieces.append(weight)
-        terms.append(math.fsum(pieces))
+            total += weight
+        terms.append(Fraction(total, math.factorial(order) << (1074 * order)))
     return tuple(terms)
+
+
+def series_ulps(term: float, exact: Fraction) -> float:
+    """|term - exact| in units of the last place of exact rounded to float."""
+    return float(abs(Fraction(term) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def max_factorization_error(

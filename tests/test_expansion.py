@@ -14,6 +14,7 @@ from loopgas.errors import (
     BudgetExceededError,
     InvalidDegreeSequenceError,
     OrderTooLargeError,
+    WeightOverflowError,
 )
 
 import support as sp
@@ -288,11 +289,15 @@ def test_series_terms_match_the_multiset_loop(case, monkeypatch):
     build, kwargs = SERIES_CASES[case]
     g = build()
     msgs = lg.solve_fixed_point(g).messages
-    # a small block makes every order with more than 97 multisets span blocks
+    # a small block makes every order with more than 97 candidate families
+    # span blocks
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", 97)
     sr = lg.polymer_series(g, msgs, **kwargs)
-    expected = sp.oracle_polymer_series(g, msgs, **kwargs)
-    assert [t.hex() for t in sr.terms] == [t.hex() for t in expected]
+    # each term is ln Xi's, rounded once from the exact family sums: within
+    # 2 ulp of the multiset definition done exactly (1.38 at most measured)
+    exact = sp.oracle_series_exact(g, msgs, **kwargs)
+    assert len(sr.terms) == len(exact)
+    assert max(sp.series_ulps(t, x) for t, x in zip(sr.terms, exact)) <= 2.0
     polys = lg.enumerate_polymers(g, max_size=kwargs.get("size_cutoff"))
     factors = sp.ScalarFactors(g, msgs)
     weights = [
@@ -317,44 +322,104 @@ def test_series_terms_match_the_multiset_loop(case, monkeypatch):
         ), "no polymer pair overlaps only above bit 63"
 
 
+def _disjoint_sets(masks, k):
+    """The k-sets of pairwise disjoint masks, in lexicographic order."""
+    return [
+        combo
+        for combo in itertools.combinations(range(len(masks)), k)
+        if all(not masks[a] & masks[b] for a, b in itertools.combinations(combo, 2))
+    ]
+
+
 @pytest.mark.parametrize("p,order,block", [(0, 3, 5), (1, 7, 3), (5, 4, 7), (9, 3, 1000)])
 def test_multiset_blocks_cover_each_multiset_once(p, order, block, monkeypatch):
+    # the family generator's blocks hold each pairwise-disjoint k-set once, in
+    # lexicographic order; activities that are distinct primes name each set
+    # by its product, which stays an exact float
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", block)
-    blocks = list(lg.expansion._multiset_blocks(p, order))
-    assert all(0 < len(rows) <= block for rows in blocks)
-    # in lexicographic order, as grown
-    rows = [tuple(r) for rows in blocks for r in rows.tolist()]
-    assert rows == list(itertools.combinations_with_replacement(range(p), order))
+    rng = np.random.default_rng(p)
+    masks = [int(1 << a | 1 << b) for a, b in rng.integers(0, 3 * p + 1, (p, 2)).tolist()]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23][:p]
+    words, acts = node_words(masks, 64), np.array(primes, dtype=float)
+    blocks = list(lg.expansion._disjoint_blocks(words, acts, order))
+    assert all(0 < len(prod) <= block for _k, prod in blocks)
+    for k in range(1, order + 1):
+        got = [
+            tuple(i for i, q in enumerate(primes) if int(x) % q == 0)
+            for size, prod in blocks if size == k for x in prod.tolist()
+        ]
+        assert [math.prod(primes[i] for i in c) for c in got] == [
+            x for size, prod in blocks if size == k for x in prod.tolist()
+        ]
+        assert got == _disjoint_sets(masks, k)
+    if p == 9:
+        assert _disjoint_sets(masks, 3), "no disjoint triple to grow"
 
 
 @pytest.mark.parametrize("block", [7, 97])
 def test_series_hands_on_one_piece_per_multiset_with_nonzero_ursell(block, monkeypatch):
-    # the term check above compares sums, which a dropped or doubled piece
-    # of value 0 does not change; this counts the pieces instead
+    # the term check above compares values, which a dropped or doubled family
+    # of activity product 0 does not change; this counts the families instead
     g = sp.general_instance(3, 4, 8, 0.3, 1)
     msgs = lg.solve_fixed_point(g).messages
     polys = lg.enumerate_polymers(g, max_size=4)
     m_max = 4
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", block)
-    counts = []
+    counts = [0] * (m_max + 1)
+    blocks = lg.expansion._disjoint_blocks
 
-    def counting_sum(chunks):
-        chunks = list(chunks)
-        counts.append(sum(len(c) for c in chunks))
-        return lg.loops._exact_sum(chunks)
+    def counting_blocks(*args):
+        for order, prod in blocks(*args):
+            counts[order] += len(prod)
+            yield order, prod
 
-    monkeypatch.setattr(lg.expansion, "_exact_sum", counting_sum)
+    monkeypatch.setattr(lg.expansion, "_disjoint_blocks", counting_blocks)
     sr = lg.polymer_series(g, msgs, m_max=m_max, polymers=polys)
-    assert len(counts) == m_max and all(t != 0.0 for t in sr.terms)
-    want = [
-        sum(
-            lg.ursell([polys[i] for i in multiset]) != 0
-            for multiset in itertools.combinations_with_replacement(range(len(polys)), order)
-        )
-        for order in range(1, m_max + 1)
-    ]
-    assert counts == want
-    assert want[-1] < math.comb(len(polys) + m_max - 1, m_max)
+    assert all(t != 0.0 for t in sr.terms)
+    masks = [p.node_mask for p in polys]
+    want = [len(_disjoint_sets(masks, k)) for k in range(1, m_max + 1)]
+    assert counts[1:] == want and want[1] > 0
+    assert sum(want) < math.comb(len(polys) + m_max - 1, m_max)
+
+
+XI_CASES = {
+    # a (3,4) code on n = 4, where no two loops are disjoint, and two
+    # disjoint 4-cycle codes, whose two cycles form one loop together
+    "ldpc-3-4-n4": lambda: sp.ldpc_instance(3, 4, 4, 0.45, 2),
+    "two-4-cycles": lambda: _ldgm_four_cycles(
+        4, 4, [(2, 2), (3, 2), (2, 3), (3, 3)], [0.31, 0.2, 0.45, 0.27]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(XI_CASES))
+def test_family_sums_add_up_to_the_loop_sum(case):
+    # every generalized loop is one disjoint family of polymers, so with no
+    # size cutoff and m_max past the most polymers a loop holds, Xi(1) is the
+    # loop sum
+    g = XI_CASES[case]()
+    msgs = lg.solve_fixed_point(g).messages
+    polys = lg.enumerate_polymers(g)
+    acts = lg.ActivityEvaluator(g, msgs).values([p.edge_ids for p in polys])
+    words = node_words([p.node_mask for p in polys], g.n + g.m)
+    sums = lg.expansion._family_sums(words, acts, 4)
+    most = max(k for k, s in enumerate(sums) if s)
+    assert most == (1 if case == "ldpc-3-4-n4" else 2) and sums[-1] == 0
+    xi = sum(sums) / (1 << 1126)
+    total = lg.loop_sum_direct(g, msgs).total
+    assert abs(xi - total) <= 1e-13 * abs(total)
+
+
+def test_series_products_past_the_float_range_raise_naming_the_order():
+    # activities near 1e200: the two 4-cycles' product, 1e400, is no float,
+    # and neither is a lone polymer's order-2 term -K^2 / 2
+    pair = _ldgm_four_cycles(4, 4, [(2, 2), (3, 2), (2, 3), (3, 3)], [0.09] * 4)
+    single = _ldgm_four_cycles(2, 2, [], [0.09, 0.09])
+    for g, message in ((pair, "order 2: an activity product"), (single, "order 2: the term")):
+        msgs = lg.solve_fixed_point(g).messages
+        assert lg.polymer_series(g, msgs, m_max=1, z=1.2e202).terms[0] > 9e199
+        with pytest.raises(WeightOverflowError, match=message):
+            lg.polymer_series(g, msgs, m_max=2, z=1.2e202)
 
 
 def _exact_sum_cases():
@@ -431,32 +496,31 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
             tracemalloc.stop()
 
     peak(1)  # first-call allocations (caches, lazy imports) are not the series'
-    # order 2 adds 24,310 multisets, 6,486 of them overlapping pairs: one Python
-    # float per piece would hold about 200 KB, one 256-row block about 15 KB
+    # order 2 tries 24,090 pairs, 17,824 of them disjoint: one Python float per
+    # pair would hold about 200 KB
     assert peak(2) - peak(1) < 60_000
-    # order 3 over the first 100 polymers grows 5,050 two-polymer prefixes
-    # into 171,700 multisets: a table of the whole order would hold 1.4 MB,
-    # a 100 x 100 overlap matrix of int64 80 KB
+    # order 3 over the first 100 polymers tries up to 161,700 triples, 58,552
+    # of them disjoint: a table of the whole order would hold 1.3 MB, a
+    # 100 x 100 overlap matrix of int64 80 KB
     few = polys[:100]
-    assert math.comb(len(few) + 2, 3) > 600 * 256
+    assert math.comb(len(few), 3) > 600 * 256
     assert peak(3, few) - peak(1, few) < 60_000
 
 
 def test_repeated_series_evaluates_no_ursell_coefficient(monkeypatch):
-    # U is kept per (order, pattern code) for the life of the process, so an
-    # identical second call meets only patterns whose U is known
+    # the series reads its terms off ln Xi, so no call, not even a first one
+    # at order 7, evaluates an Ursell coefficient
     g = sp.general_instance(3, 4, 8, 0.3, 1)
     msgs = lg.solve_fixed_point(g).messages
     polys = lg.enumerate_polymers(g, max_size=4)
-    calls = []
-    mayer = lg.expansion.connected_mayer_sum
-    monkeypatch.setattr(
-        lg.expansion, "connected_mayer_sum", lambda *a: calls.append(a) or mayer(*a)
-    )
-    first = lg.polymer_series(g, msgs, m_max=6, polymers=polys)
-    calls.clear()
-    assert lg.polymer_series(g, msgs, m_max=6, polymers=polys) == first
-    assert calls == []
+
+    def no_mayer_sum(*args):
+        raise AssertionError("connected_mayer_sum ran")
+
+    monkeypatch.setattr(lg.expansion, "connected_mayer_sum", no_mayer_sum)
+    first = lg.polymer_series(g, msgs, m_max=7, polymers=polys)
+    assert lg.polymer_series(g, msgs, m_max=7, polymers=polys) == first
+    assert all(t != 0.0 for t in first.terms)
 
 
 def test_series_over_budget_is_refused_before_any_work(monkeypatch):
@@ -477,11 +541,10 @@ def test_series_over_budget_is_refused_before_any_work(monkeypatch):
         lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
     assert calls == []
     with pytest.raises(BudgetExceededError):
-        sp.oracle_polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
+        sp.oracle_series_exact(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
     at_cap = lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples)
-    assert at_cap.terms == sp.oracle_polymer_series(
-        g, msgs, m_max=3, polymers=polys, budget=tuples
-    )
+    exact = sp.oracle_series_exact(g, msgs, m_max=3, polymers=polys, budget=tuples)
+    assert max(sp.series_ulps(t, x) for t, x in zip(at_cap.terms, exact)) <= 2.0
     assert calls
 
 

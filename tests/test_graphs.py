@@ -411,3 +411,21 @@ def test_in_memory_numpy_integers_are_accepted_and_bools_are_refused():
     d["weights"]["couplings"][0][0][0][0] = False
     with pytest.raises(MalformedGraphError, match="False is not an integer"):
         lg.graph_from_json_dict(d)
+
+
+def test_build_factor_graph_refuses_non_integer_indices():
+    # the library entry point reads indices by the JSON reader's rule: a float
+    # endpoint is no longer truncated to an edge, and a float subset member no
+    # longer passes the neighbourhood test (1.0 == 1) to fail later in exact
+    weights = lg.LdpcWeights((0.1, 0.2))
+    with pytest.raises(MalformedGraphError, match="1.7 is not an integer"):
+        lg.build_factor_graph(2, 1, [(0, 0), (1.7, 0)], weights)
+    with pytest.raises(MalformedGraphError, match="True is not an integer"):
+        lg.build_factor_graph(2, 1, [(0, 0), (True, 0)], weights)
+    general = lg.GeneralWeights(beta=0.5, couplings=((((0, 1.0), 0.4),),))
+    with pytest.raises(MalformedGraphError, match="1.0 is not an integer"):
+        lg.build_factor_graph(2, 1, [(0, 0), (1, 0)], general)
+    # numpy integers are read as ints, as from an in-memory JSON dict
+    g = lg.build_factor_graph(2, 1, [(np.int64(1), np.int32(0)), (0, 0)], weights)
+    assert g.edges == ((0, 0), (1, 0))
+    assert {type(x) for x in itertools.chain.from_iterable(g.edges)} == {int}
