@@ -52,6 +52,7 @@ from .exact import (
     channel_average,
     conditional_entropy_ldgm,
     conditional_entropy_ldpc,
+    gauge_keys,
     log_partition,
     log_partitions,
 )
@@ -545,10 +546,28 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
         reports = log_partitions(graph, fields)
         return [report.log_z / graph.n for report in reports]
 
+    # BP and the Bethe assembly run once per gauge class (gauge_keys), kept
+    # across chunks; the exact side stays per pattern, as its span sums add
+    # a class's terms in another order
+    solved: dict[bytes, tuple[float, bool]] = {}  # key: (f_bethe, converged)
+    unconverged = 0
+
     def f_bethe(fields: np.ndarray) -> list[float]:
-        results = solve_fixed_points(graph, fields, **_bp_options(args))
-        breakdowns = bethe_free_energies(graph, fields, [res.messages for res in results])
-        return [breakdown.f_bethe for breakdown in breakdowns]
+        nonlocal unconverged
+        keys = gauge_keys(graph, fields)
+        new: dict[bytes, int] = {}
+        for row, key in enumerate(keys):
+            if key not in solved:
+                new.setdefault(key, row)
+        if new:
+            rows = fields[list(new.values())]
+            results = solve_fixed_points(graph, rows, **_bp_options(args))
+            breakdowns = bethe_free_energies(graph, rows, [res.messages for res in results])
+            for key, res, breakdown in zip(new, results, breakdowns):
+                solved[key] = breakdown.f_bethe, res.converged
+        values = [solved[key] for key in keys]
+        unconverged += sum(not converged for _f, converged in values)
+        return [f for f, _converged in values]
 
     kwargs = dict(
         exhaustive_limit=args.exhaustive_limit,
@@ -571,6 +590,7 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
         "gap": h_bethe - h_exact,
         "method": avg_exact.method,
         "patterns": avg_exact.patterns,
+        "bp_unconverged": unconverged,
     }
 
 
@@ -703,7 +723,9 @@ def _entropy_flags(sub) -> None:
     sub.add_argument("--instances", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    sub.add_argument("--exhaustive-limit", type=int, default=20)
+    sub.add_argument("--exhaustive-limit", type=int, default=20,
+                     help="enumerate every pattern of at most this many fields, else "
+                          "sample; past 26 fields an enumeration exits 3")
     sub.add_argument("--mc-samples", type=int, default=2_000)
     _add_bp_flags(sub)
     _add_output_flags(sub, default_format=None)

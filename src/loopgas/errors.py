@@ -82,10 +82,6 @@ class SingularDenominatorError(LoopGasError):
     set, or a BP update at messages saturated at +-1."""
 
 
-class OrderTooLargeError(LoopGasError):
-    """A combinatorial order parameter exceeds its exhaustive-enumeration cap."""
-
-
 class HypothesisNotMetError(LoopGasError):
     """A bound was requested outside the hypotheses that make it valid."""
 

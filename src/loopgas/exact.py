@@ -418,6 +418,36 @@ class ChannelAverage:
     patterns: int
 
 
+def gauge_keys(graph: FactorGraph, fields) -> list[bytes]:
+    """One key per row of fields (see channel_fields): two rows share a key
+    exactly when their magnitudes agree and their sign bits differ by a
+    gauge flip, a codeword for ldpc or the check parities of a set of
+    variable flips for ldgm.
+
+    Across such a flip BP's messages change sign on the flipped variables'
+    edges, and each Bethe term is kept or has two summands swapped, exactly
+    in floating point, so the rows of one key share BP's convergence and
+    f_bethe bit for bit.  A key is the parities of the row's sign bits
+    against a basis of the flips' orthogonal complement (the row space of H
+    for ldpc, the null space of the variable-by-check incidence for ldgm),
+    then the bytes of the row's magnitudes.  Refuses general weights.
+    """
+    slots = channel_slots(graph)
+    rows = channel_fields(graph, fields)
+    if graph.weights.kind == "ldpc":
+        checks = _term_rows(graph.m, [graph.var_neighbors(i) for i in range(graph.n)])
+        complement = list(_reduced_rows(checks).values())
+    else:
+        incidence = _term_rows(graph.n, [graph.check_neighbors(a) for a in range(graph.m)])
+        complement = null_space_gf2(incidence, slots)
+    masks = np.array([_bits(vec, slots) for vec in complement])
+    parities = (np.signbit(rows) @ masks.reshape(-1, slots).T % 2.0).astype(np.uint8)
+    return [
+        bits.tobytes() + size.tobytes()
+        for bits, size in zip(np.packbits(parities, axis=1), np.abs(rows))
+    ]
+
+
 def channel_average(
     graph: FactorGraph,
     p: float,
@@ -439,9 +469,10 @@ def channel_average(
     per pattern.  It sees the patterns in chunks of at most CHANNEL_CHUNK
     rows, in pattern order, so 2^20 patterns are never held at once.
 
-    Raises ValueError for p outside (0, 1/2] or mc_samples < 1, and
-    WrongWeightKindError for general weights, before value_fn is called;
-    ValueError when value_fn returns the wrong number of values.
+    Raises ValueError for p outside (0, 1/2] or mc_samples < 1,
+    WrongWeightKindError for general weights, and TooLargeError for an
+    enumeration of more than 2^EXACT_MAX_BITS patterns, before value_fn is
+    called; ValueError when value_fn returns the wrong number of values.
     """
     h = ChannelParams(p=p).h
     if mc_samples < 1:
@@ -459,6 +490,11 @@ def channel_average(
         return ChannelAverage(mean=val, stderr=0.0, method="degenerate", patterns=1)
 
     if count <= exhaustive_limit:
+        if count > EXACT_MAX_BITS:
+            raise TooLargeError(
+                f"exhaustive channel average over 2^{count} sign patterns exceeds the "
+                f"cap 2^{EXACT_MAX_BITS}; an exhaustive limit below {count} samples them"
+            )
         slots = np.arange(count)
         contribs = []
         for start in range(0, 1 << count, CHANNEL_CHUNK):

@@ -29,12 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bp import MessageSet, check_weight_range
-from .errors import (
-    BudgetExceededError,
-    InvalidDegreeSequenceError,
-    OrderTooLargeError,
-    WeightOverflowError,
-)
+from .errors import BudgetExceededError, InvalidDegreeSequenceError, WeightOverflowError
 from .graphs import FactorGraph
 from .loops import (
     ActivityEvaluator,
@@ -47,7 +42,6 @@ from .loops import (
     _runs,
 )
 
-URSELL_MAX_ORDER = 7
 SERIES_BLOCK = 1 << 12  # families per block; bounds memory
 
 
@@ -71,85 +65,13 @@ class QReport:
     size_cutoff: int | None
 
 
-def ursell(polymers: list[Polymer] | tuple[Polymer, ...]) -> int:
-    """Ursell coefficient of a tuple of polymers.
-
-    Sums, over the connected spanning subgraphs of the overlap pattern
-    (vertices = tuple slots, an edge wherever two polymers share a node),
-    the product of -1 per edge.  A single polymer gives 1, an overlapping
-    pair -1, and any tuple whose overlap pattern is disconnected gives 0.
-    """
-    if len(polymers) < 1:
-        raise ValueError("need at least one polymer")
-    masks = [p.node_mask for p in polymers]
-    return connected_mayer_sum(
-        len(masks),
-        frozenset((a, b) for b in range(len(masks)) for a in range(b) if masks[a] & masks[b]),
-    )
-
-
-def connected_mayer_sum(m: int, edges: frozenset[tuple[int, int]]) -> int:
-    """Signed count of connected spanning subgraphs of a graph on m vertices.
-
-    The abstract core of the Ursell coefficient, taking the overlap pattern
-    directly: +1 for a single vertex, -1 for one edge on two vertices, 0
-    whenever the pattern is disconnected.  Vertices are 0..m-1; edges are
-    unordered pairs.
-    """
-    if m < 1:
-        raise ValueError(f"need at least one vertex, got m = {m}")
-    if m > URSELL_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"order {m} exceeds the supported maximum {URSELL_MAX_ORDER}"
-        )
-    adj = [0] * m
-    for u, v in edges:
-        if not (0 <= u < m and 0 <= v < m) or u == v:
-            raise ValueError(f"bad edge ({u}, {v}) for {m} vertices")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return _ursell_masked(tuple(adj), (1 << m) - 1, {})
-
-
-def _ursell_masked(adj: tuple[int, ...], vmask: int, memo: dict[int, int]) -> int:
-    """The signed count on the vertices of vmask; memo holds the counts of
-    the vertex sets of this pattern done so far."""
-    if vmask.bit_count() == 1:
-        return 1
-    if vmask in memo:
-        return memo[vmask]
-    members = [i for i in range(len(adj)) if (vmask >> i) & 1]
-
-    def edgeless(mask: int) -> bool:
-        return all(not (adj[i] & mask) for i in members if (mask >> i) & 1)
-
-    total = 1 if edgeless(vmask) else 0
-    v0 = members[0]
-    rest = vmask & ~(1 << v0)
-    # proper submasks W of vmask containing v0
-    sub = rest
-    while True:
-        sub = (sub - 1) & rest
-        w = sub | (1 << v0)
-        if w != vmask and edgeless(vmask & ~w):
-            total -= _ursell_masked(adj, w, memo)
-        if sub == 0:
-            break
-    memo[vmask] = total
-    return total
-
-
 def check_series_options(m_max: int, size_cutoff: int | None, z: float) -> None:
     """Refuse series options before any work: a non-finite z, an order
-    outside 1..URSELL_MAX_ORDER, a negative size cutoff."""
+    below 1, a negative size cutoff."""
     if not math.isfinite(z):
         raise ValueError(f"z must be a finite number, got {z}")
     if m_max < 1:
         raise ValueError(f"m_max must be positive, got {m_max}")
-    if m_max > URSELL_MAX_ORDER:
-        raise OrderTooLargeError(
-            f"order {m_max} exceeds the supported maximum {URSELL_MAX_ORDER}"
-        )
     if size_cutoff is not None and size_cutoff < 0:
         raise ValueError(f"size_cutoff must be >= 0, got {size_cutoff}")
 

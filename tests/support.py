@@ -36,7 +36,6 @@ from loopgas import (
     log_partition,
     sample_ldgm,
     sample_regular_bipartite,
-    ursell,
 )
 from loopgas.bp import _Batch, _one_row, check_forms, check_weight_range, parity_form
 from loopgas.errors import (
@@ -986,6 +985,75 @@ def recursive_loop_sum(
     )
 
 
+URSELL_MAX_ORDER = 7  # the most vertices connected_mayer_sum takes
+
+
+def ursell(polymers: list[Polymer] | tuple[Polymer, ...]) -> int:
+    """Ursell coefficient of a tuple of polymers.
+
+    Sums, over the connected spanning subgraphs of the overlap pattern
+    (vertices = tuple slots, an edge wherever two polymers share a node),
+    the product of -1 per edge.  A single polymer gives 1, an overlapping
+    pair -1, and any tuple whose overlap pattern is disconnected gives 0.
+    """
+    if len(polymers) < 1:
+        raise ValueError("need at least one polymer")
+    masks = [p.node_mask for p in polymers]
+    return connected_mayer_sum(
+        len(masks),
+        frozenset((a, b) for b in range(len(masks)) for a in range(b) if masks[a] & masks[b]),
+    )
+
+
+def connected_mayer_sum(m: int, edges: frozenset[tuple[int, int]]) -> int:
+    """Signed count of connected spanning subgraphs of a graph on m vertices.
+
+    The abstract core of the Ursell coefficient, taking the overlap pattern
+    directly: +1 for a single vertex, -1 for one edge on two vertices, 0
+    whenever the pattern is disconnected.  Vertices are 0..m-1; edges are
+    unordered pairs.
+    """
+    if m < 1:
+        raise ValueError(f"need at least one vertex, got m = {m}")
+    if m > URSELL_MAX_ORDER:
+        raise ValueError(f"order {m} exceeds the supported maximum {URSELL_MAX_ORDER}")
+    adj = [0] * m
+    for u, v in edges:
+        if not (0 <= u < m and 0 <= v < m) or u == v:
+            raise ValueError(f"bad edge ({u}, {v}) for {m} vertices")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _ursell_masked(tuple(adj), (1 << m) - 1, {})
+
+
+def _ursell_masked(adj: tuple[int, ...], vmask: int, memo: dict[int, int]) -> int:
+    """The signed count on the vertices of vmask; memo holds the counts of
+    the vertex sets of this pattern done so far."""
+    if vmask.bit_count() == 1:
+        return 1
+    if vmask in memo:
+        return memo[vmask]
+    members = [i for i in range(len(adj)) if (vmask >> i) & 1]
+
+    def edgeless(mask: int) -> bool:
+        return all(not (adj[i] & mask) for i in members if (mask >> i) & 1)
+
+    total = 1 if edgeless(vmask) else 0
+    v0 = members[0]
+    rest = vmask & ~(1 << v0)
+    # proper submasks W of vmask containing v0
+    sub = rest
+    while True:
+        sub = (sub - 1) & rest
+        w = sub | (1 << v0)
+        if w != vmask and edgeless(vmask & ~w):
+            total -= _ursell_masked(adj, w, memo)
+        if sub == 0:
+            break
+    memo[vmask] = total
+    return total
+
+
 def oracle_series_exact(
     graph: FactorGraph,
     messages: MessageSet,
@@ -1341,6 +1409,32 @@ def oracle_codewords(graph: FactorGraph) -> list[int]:
 
     left, right = table(0, n // 2), table(n // 2, n)
     return sorted(x | y for s, xs in left.items() for x in xs for y in right.get(s, ()))
+
+
+def oracle_gauge_flips(graph: FactorGraph) -> set[int]:
+    """The channel sign flips that leave BP and the Bethe free energy as
+    they are, as bitmasks over the channel slots: the codewords of an ldpc
+    graph, or for ldgm the check parities of each of the 2^n sets of
+    variable flips, listed one set at a time."""
+    if isinstance(graph.weights, LdpcWeights):
+        return set(oracle_codewords(graph))
+    checks = [graph.check_neighbors(a) for a in range(graph.m)]
+    return {
+        sum(1 << a for a, nbrs in enumerate(checks) if sum(u >> i & 1 for i in nbrs) % 2)
+        for u in range(1 << graph.n)
+    }
+
+
+def oracle_gauge_classes(graph: FactorGraph, fields) -> list[tuple]:
+    """Per field row, a label shared exactly by the rows whose magnitudes
+    agree and whose negative signs differ by an oracle_gauge_flips flip:
+    the magnitudes and the least sign mask of the row's class."""
+    flips = oracle_gauge_flips(graph)
+    out = []
+    for row in np.asarray(fields, dtype=float).tolist():
+        signs = sum(1 << k for k, h in enumerate(row) if math.copysign(1.0, h) < 0)
+        out.append((tuple(abs(h) for h in row), min(signs ^ x for x in flips)))
+    return out
 
 
 def oracle_ldpc_log_z(graph: FactorGraph) -> float:

@@ -1168,6 +1168,124 @@ def test_entropy_exhaustive_average(tmp_path):
     assert payload["max_abs_gap"] >= payload["mean_abs_gap"] >= 0.0
 
 
+_LDPC_3_4 = ["--ensemble", "ldpc-regular", "--l", "3", "--r", "4"]
+_SAMPLED = ["--exhaustive-limit", "4"]
+# (flags, CHANNEL_CHUNK): a small chunk makes a class recur across chunks
+ENTROPY_GAUGE_CASES = {
+    "ldpc-3-4-n8 exhaustive": ([*_LDPC_3_4, "--n", "8"], 37),
+    "ldpc-3-4-n8 exhaustive max-iter 60": ([*_LDPC_3_4, "--n", "8", "--max-iter", "60"], None),
+    "ldpc-3-4-n8 montecarlo max-iter 60": (
+        [*_LDPC_3_4, "--n", "8", *_SAMPLED, "--mc-samples", "90", "--max-iter", "60"], 37
+    ),
+    "ldpc-3-4-n12 montecarlo": ([*_LDPC_3_4, "--n", "12", *_SAMPLED, "--mc-samples", "60"], None),
+    "ldgm-2-4-n12 exhaustive": (["--ensemble", "ldgm", "--l", "2", "--r", "4", "--n", "12"], 5),
+    "ldgm-2-4-n12 montecarlo": (
+        ["--ensemble", "ldgm", "--l", "2", "--r", "4", "--n", "12", *_SAMPLED, "--mc-samples", "30"],
+        None,
+    ),
+    "ldgm-3-6-n6 exhaustive": (["--ensemble", "ldgm", "--l", "3", "--r", "6", "--n", "6"], None),
+}
+
+
+def _entropy_row(tmp_path, flags: list[str]) -> dict:
+    out = tmp_path / "entropy.json"
+    assert main([
+        "entropy", *flags, "--p", "0.3", "--instances", "1", "--seed", "5", "--threads", "1",
+        "--out", str(out),
+    ]) == 0
+    (row,) = json.loads(out.read_text())["per_instance"]
+    return row
+
+
+def _entropy_graph(flags: list[str]):
+    """The parsed flags, the channel seed and the graph of instance 0 at seed 5."""
+    args = build_parser("entropy").parse_args(["entropy", *flags, "--p", "0.3"])
+    topo, channel = _instance_seeds(5, args.n, 0)
+    return args, channel, _sample_ensemble(args.ensemble, args.l, args.r, args.n, topo)
+
+
+@pytest.mark.parametrize("case", list(ENTROPY_GAUGE_CASES))
+def test_entropy_bethe_side_equals_the_per_pattern_scalar_oracle(case, tmp_path, monkeypatch):
+    # one solve per gauge class gives every pattern the float that its own
+    # scalar BP and node-by-node Bethe assembly give, and bp_unconverged
+    # counts patterns, not classes
+    flags, chunk = ENTROPY_GAUGE_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr("loopgas.exact.CHANNEL_CHUNK", chunk)
+    row = _entropy_row(tmp_path, flags)
+    args, channel, graph = _entropy_graph(flags)
+    unconverged = []
+
+    def scalar_f_bethe(g):
+        result = sp.scalar_solve(g, max_iter=args.max_iter)
+        unconverged.append(not result.converged)
+        return sp.scalar_bethe_free_energy(g, result.messages).f_bethe
+
+    avg = sp.oracle_channel_average(
+        graph, 0.3, scalar_f_bethe, exhaustive_limit=args.exhaustive_limit,
+        mc_samples=args.mc_samples, seed=channel,
+    )
+    if graph.weights.kind == "ldpc":
+        want = loopgas.conditional_entropy_ldpc(avg.mean, 0.3)
+    else:
+        want = loopgas.conditional_entropy_ldgm(avg.mean, 0.3, graph.m / graph.n)
+    assert row["h_bethe"] == want
+    assert row["patterns"] == len(unconverged)
+    assert row["bp_unconverged"] == sum(unconverged)
+    if "max-iter" in case:
+        assert 0 < row["bp_unconverged"] < row["patterns"]
+
+
+@pytest.mark.parametrize(
+    "flags, chunks",
+    [
+        ([*_LDPC_3_4, "--n", "12"], 4),
+        ([*_LDPC_3_4, "--n", "12", *_SAMPLED, "--mc-samples", "1500"], 2),
+        (["--ensemble", "ldgm", "--l", "2", "--r", "4", "--n", "12"], 1),
+        (["--ensemble", "ldgm", "--l", "3", "--r", "6", "--n", "6"], 1),
+    ],
+)
+def test_entropy_solves_bp_once_per_gauge_class(flags, chunks, tmp_path, monkeypatch):
+    solved, seen = [], []
+
+    def counting_solve(graph, fields, **kwargs):
+        solved.append(len(fields))
+        return solve_fixed_points(graph, fields, **kwargs)
+
+    def recording_keys(graph, fields):
+        seen.append(fields.tolist())
+        return loopgas.exact.gauge_keys(graph, fields)
+
+    monkeypatch.setattr("loopgas.cli.solve_fixed_points", counting_solve)
+    monkeypatch.setattr("loopgas.cli.gauge_keys", recording_keys)
+    row = _entropy_row(tmp_path, flags)
+    _args, _channel, graph = _entropy_graph(flags)
+    patterns = [fields for chunk in seen for fields in chunk]
+    classes = set(sp.oracle_gauge_classes(graph, patterns))
+    assert len(seen) == chunks and len(patterns) == row["patterns"]
+    assert sum(solved) == len(classes) < row["patterns"]
+    if row["method"] == "exhaustive":
+        assert len(classes) == row["patterns"] // len(sp.oracle_gauge_flips(graph))
+
+
+def test_entropy_refuses_a_runaway_enumeration_before_any_solve(tmp_path, monkeypatch, capsys):
+    # (3,4) at n = 40 passes the codeword cap (k >= 10), but 2^40 patterns
+    # are refused with exit 3 before any ln Z or BP
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pattern was evaluated")
+
+    monkeypatch.setattr("loopgas.cli.log_partitions", no_work)
+    monkeypatch.setattr("loopgas.cli.solve_fixed_points", no_work)
+    out = tmp_path / "entropy.json"
+    rc = main([
+        "entropy", *_LDPC_3_4, "--n", "40", "--p", "0.45", "--instances", "1",
+        "--exhaustive-limit", "40", "--threads", "1", "--out", str(out),
+    ])
+    assert rc == 3
+    assert "2^40 sign patterns exceeds the cap 2^26" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

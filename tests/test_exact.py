@@ -11,7 +11,7 @@ import pytest
 
 import loopgas as lg
 from loopgas.errors import LogDomainError, TooLargeError, WrongWeightKindError
-from loopgas.exact import EXACT_MAX_BITS, _reduced_rows, null_space_gf2
+from loopgas.exact import EXACT_MAX_BITS, _reduced_rows, gauge_keys, null_space_gf2
 
 import support as sp
 
@@ -674,6 +674,81 @@ def test_channel_average_refuses_a_wrong_value_count(extra):
     for options in ({}, {"exhaustive_limit": 2, "mc_samples": 10}):
         with pytest.raises(ValueError, match="value_fn returned"):
             lg.channel_average(g, 0.3, miscounting, **options)
+
+
+def test_channel_average_refuses_a_runaway_enumeration_before_any_value():
+    # (3,4) n = 40 draws 40 fields: 2^40 patterns are refused up front, and
+    # the cap itself is the last size enumerated
+    calls = []
+
+    def counting(fields):
+        calls.append(len(fields))
+        return [0.0] * len(fields)
+
+    g = lg.sample_regular_bipartite(3, 4, 40, seed=0)
+    with pytest.raises(TooLargeError, match=r"2\^40 sign patterns exceeds the cap 2\^26"):
+        lg.channel_average(g, 0.3, counting, exhaustive_limit=40)
+    assert calls == []
+    # under it, sampling still runs, and so does p = 1/2's single value
+    assert lg.channel_average(g, 0.3, counting, exhaustive_limit=39, mc_samples=5).patterns == 5
+    assert lg.channel_average(g, 0.5, counting, exhaustive_limit=40).patterns == 1
+    assert calls == [5, 1]
+
+
+def test_channel_average_enumerates_up_to_the_cap(monkeypatch):
+    g = lg.sample_regular_bipartite(3, 4, 8, seed=0)
+
+    def zeros(fields):
+        return [0.0] * len(fields)
+
+    monkeypatch.setattr(lg.exact, "EXACT_MAX_BITS", 8)
+    assert lg.channel_average(g, 0.3, zeros).patterns == 256
+    monkeypatch.setattr(lg.exact, "EXACT_MAX_BITS", 7)
+    with pytest.raises(TooLargeError, match=r"2\^8 sign patterns"):
+        lg.channel_average(g, 0.3, zeros)
+
+
+GAUGE_CASES = {
+    "ldpc-3-4-n8": lambda: lg.sample_regular_bipartite(3, 4, 8, seed=0),
+    "ldpc-3-4-n12": lambda: lg.sample_regular_bipartite(3, 4, 12, seed=1),
+    "ldgm-2-4-n12": lambda: lg.sample_ldgm({2: 1.0}, {4: 1.0}, 12, seed=0),
+    "ldgm-3-6-n6": lambda: lg.sample_ldgm({3: 1.0}, {6: 1.0}, 6, seed=0),
+}
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
+@pytest.mark.parametrize("case", sorted(GAUGE_CASES))
+def test_gauge_keys_partition_patterns_as_the_gauge_flips_do(case, mode):
+    # two patterns share a key exactly when their signs differ by a codeword
+    # (ldpc) or by the check parities of some variable flips (ldgm), found
+    # here by listing those flips
+    g = GAUGE_CASES[case]()
+    rows = []
+
+    def record(fields):
+        rows.extend(fields.tolist())
+        return [0.0] * len(fields)
+
+    options = {"exhaustive_limit": 0, "mc_samples": 300, "seed": 5} if mode == "montecarlo" else {}
+    lg.channel_average(g, 0.3, record, **options)
+    fields = np.array(rows)
+    keys = gauge_keys(g, fields)
+    classes = sp.oracle_gauge_classes(g, fields)
+    assert len(set(keys)) == len(set(classes)) == len(set(zip(keys, classes)))
+    slots = fields.shape[1]
+    if mode == "exhaustive":
+        assert len(fields) == 1 << slots
+        assert len(set(keys)) == (1 << slots) // len(sp.oracle_gauge_flips(g))
+    # the magnitudes are part of the key, and rows keep their order
+    doubled = gauge_keys(g, 2.0 * fields)
+    assert set(doubled).isdisjoint(keys)
+    assert gauge_keys(g, fields[::-1]) == keys[::-1]
+
+
+def test_gauge_keys_refuse_general_weights():
+    g = sp.general_instance(3, 4, 8, 0.3, 0)
+    with pytest.raises(WrongWeightKindError):
+        gauge_keys(g, np.zeros((1, g.m)))
 
 
 # ---------------------------------------------------------------------------

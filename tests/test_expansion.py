@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 import loopgas as lg
-from loopgas.errors import (
-    BudgetExceededError,
-    InvalidDegreeSequenceError,
-    OrderTooLargeError,
-    WeightOverflowError,
-)
+from loopgas.errors import BudgetExceededError, InvalidDegreeSequenceError, WeightOverflowError
 
 import support as sp
 from loopgas.loops import node_words, polymer_q
@@ -67,20 +62,20 @@ def test_ursell_hand_values():
     b = _mask_polymer(0b0110)
     c = _mask_polymer(0b1100)
     d = _mask_polymer(0b110000)
-    assert lg.ursell([a]) == 1
-    assert lg.ursell([a, b]) == -1
-    assert lg.ursell([a, c]) == 0  # disjoint
-    assert lg.ursell([a, b, c]) == 1  # path overlap
+    assert sp.ursell([a]) == 1
+    assert sp.ursell([a, b]) == -1
+    assert sp.ursell([a, c]) == 0  # disjoint
+    assert sp.ursell([a, b, c]) == 1  # path overlap
     tri = _overlap_polymers(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-    assert lg.ursell(tri) == 2  # triangle overlap
-    assert lg.ursell([a, b, c, d]) == 0  # d floats free
+    assert sp.ursell(tri) == 2  # triangle overlap
+    assert sp.ursell([a, b, c, d]) == 0  # d floats free
 
 
 def test_ursell_order_cap():
     a = _mask_polymer(0b1)
-    lg.ursell([a] * 7)
-    with pytest.raises(OrderTooLargeError):
-        lg.ursell([a] * 8)
+    sp.ursell([a] * 7)
+    with pytest.raises(ValueError, match="order 8 exceeds the supported maximum 7"):
+        sp.ursell([a] * 8)
 
 
 def test_connected_mayer_sum_matches_subset_oracle():
@@ -90,7 +85,7 @@ def test_connected_mayer_sum_matches_subset_oracle():
             edges = frozenset(
                 all_edges[k] for k in range(len(all_edges)) if bits >> k & 1
             )
-            assert lg.connected_mayer_sum(m, edges) == sp.oracle_mayer(m, edges)
+            assert sp.connected_mayer_sum(m, edges) == sp.oracle_mayer(m, edges)
 
 
 def test_ursell_equals_mayer_sum_of_overlap_pattern():
@@ -102,7 +97,7 @@ def test_ursell_equals_mayer_sum_of_overlap_pattern():
     ]
     for edges in patterns:
         polys = _overlap_polymers(4, edges)
-        assert lg.ursell(polys) == lg.connected_mayer_sum(4, edges)
+        assert sp.ursell(polys) == sp.connected_mayer_sum(4, edges)
 
 
 def test_ursell_tree_graph_inequality():
@@ -113,7 +108,7 @@ def test_ursell_tree_graph_inequality():
             edges = frozenset(
                 all_edges[k] for k in range(len(all_edges)) if bits >> k & 1
             )
-            u = lg.connected_mayer_sum(m, edges)
+            u = sp.connected_mayer_sum(m, edges)
             assert abs(u) <= sp.spanning_tree_count(m, edges)
 
 
@@ -130,6 +125,17 @@ def test_series_single_polymer_is_log_expansion(k):
         expected = (-1.0) ** (order - 1) * k**order / order
         assert sr.terms[order - 1] == pytest.approx(expected, abs=1e-14)
     assert abs(sr.partial_sums[-1] - math.log1p(k)) <= abs(k) ** 7
+
+
+def test_series_takes_any_order():
+    # ln Xi's recurrence has no order cap: order 16 of one polymer is
+    # -k^16 / 16, and the partial sums close on ln(1 + k)
+    k = 0.3
+    g, zero = _single_polymer_fixture(k)
+    sr = lg.polymer_series(g, zero, m_max=16)
+    assert len(sr.terms) == 16
+    assert sr.terms[-1] == pytest.approx(-(k**16) / 16, rel=1e-12)
+    assert abs(sr.partial_sums[-1] - math.log1p(k)) <= k**17
 
 
 @pytest.mark.parametrize("k", [0.15, -0.2, 0.3])
@@ -260,7 +266,7 @@ SERIES_CASES = {
     # polymers, so order 7 meets every run pattern (k1, k2, k3) of 7
     "shared-check-uneven-m7": (
         lambda: _ldgm_four_cycles(4, 3, [(2, 1), (3, 1), (2, 2), (3, 2)], [0.61, 0.43, 0.07]),
-        {"m_max": lg.expansion.URSELL_MAX_ORDER},
+        {"m_max": sp.URSELL_MAX_ORDER},
     ),
     # K_{6,3} as on the benchmark, with eight couplings per check so that
     # all 45 polymers have nonzero activity; every two of them share a check,
@@ -508,8 +514,10 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
 
 
 def test_repeated_series_evaluates_no_ursell_coefficient(monkeypatch):
-    # the series reads its terms off ln Xi, so no call, not even a first one
-    # at order 7, evaluates an Ursell coefficient
+    # the series reads its terms off ln Xi, so the package holds no Ursell
+    # coefficient at all, and no call, not even a first one past the old
+    # cap of order 7, evaluates one
+    assert not hasattr(lg, "ursell") and not hasattr(lg.expansion, "connected_mayer_sum")
     g = sp.general_instance(3, 4, 8, 0.3, 1)
     msgs = lg.solve_fixed_point(g).messages
     polys = lg.enumerate_polymers(g, max_size=4)
@@ -517,10 +525,10 @@ def test_repeated_series_evaluates_no_ursell_coefficient(monkeypatch):
     def no_mayer_sum(*args):
         raise AssertionError("connected_mayer_sum ran")
 
-    monkeypatch.setattr(lg.expansion, "connected_mayer_sum", no_mayer_sum)
-    first = lg.polymer_series(g, msgs, m_max=7, polymers=polys)
-    assert lg.polymer_series(g, msgs, m_max=7, polymers=polys) == first
-    assert all(t != 0.0 for t in first.terms)
+    monkeypatch.setattr(sp, "connected_mayer_sum", no_mayer_sum)
+    first = lg.polymer_series(g, msgs, m_max=9, polymers=polys)
+    assert lg.polymer_series(g, msgs, m_max=9, polymers=polys) == first
+    assert len(first.terms) == 9 and all(t != 0.0 for t in first.terms)
 
 
 def test_series_over_budget_is_refused_before_any_work(monkeypatch):
@@ -533,10 +541,8 @@ def test_series_over_budget_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(
         lg.ActivityEvaluator, "values", lambda self, t: calls.append(t) or values(self, t)
     )
-    ursell_masked = lg.expansion._ursell_masked
-    monkeypatch.setattr(
-        lg.expansion, "_ursell_masked", lambda *a: calls.append(a) or ursell_masked(*a)
-    )
+    ursell_masked = sp._ursell_masked
+    monkeypatch.setattr(sp, "_ursell_masked", lambda *a: calls.append(a) or ursell_masked(*a))
     with pytest.raises(BudgetExceededError):
         lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
     assert calls == []
