@@ -4,12 +4,14 @@ The free energy is assembled from check, variable and edge contributions;
 on a tree at a BP fixed point it reproduces (1/n) ln Z exactly, and in
 general it is the reference point the loop corrections attach to.
 
-The assembly runs on one graph under a (rows, slots) matrix of field rows,
-say the channel patterns of one code, like solve_fixed_points, and over the
-same degree buckets and stacked check forms (bp._Batch; a general graph's
-check tables are tabulated once and shared with BP).  Without field rows
-every message row shares the graph's own weights.  Each term is formed
-column by column in the operation order of the per-node formula:
+The assembly runs on the batch of BP (bp._Batch): components, each a
+graph under one row of fields, as their disjoint union, over the same
+degree buckets and stacked check forms (a general graph's check tables are
+tabulated once and shared with BP).  bethe_graphs takes distinct graphs,
+say the instances of trend; bethe_free_energies copies of one graph, under
+a (rows, slots) matrix of field rows, say the channel patterns of one code,
+or under its own weights.  Each term is formed column by column in the
+operation order of the per-node formula:
 
 - checks: 1 + tau * prod t, the product taken in math.prod order; general
   checks fold their stacked tables with bp.table_fold, one weight pair
@@ -17,8 +19,9 @@ column by column in the operation order of the per-node formula:
 - variables: e^{+-h} prod (1 +- t_hat);
 - edges: 1 + t * t_hat.
 
-Every logarithm is math.log of a Python float and every row sum math.fsum,
-so each term and each f_bethe is the float a node-by-node loop gives.
+Every logarithm is math.log of a Python float and each component's sums
+are math.fsum of its own terms, so each term and each f_bethe is the float
+a node-by-node loop over that graph alone gives.
 bethe_free_energy is the batch of one.
 """
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import BoundaryTooCloseError, LogDomainError
 from .bp import MessageSet, _Batch, check_weight_range, elementwise, table_fold
-from .graphs import FactorGraph
+from .graphs import FactorGraph, channel_fields
 
 LN2 = math.log(2.0)
 _PROBE_ENTRIES = 1 << 18  # messages per stationarity_check assembly, at most
@@ -61,113 +64,105 @@ def bethe_free_energies(
     graph: FactorGraph, fields, messages: list[MessageSet]
 ) -> list[BetheBreakdown]:
     """bethe_free_energy of graph under each row of fields (see
-    channel_fields) with the message set of that row, as one batch; with
-    fields None every message set is a row under the graph's own weights.
+    channel_fields) with the message set of that row, as one batch whose
+    components are copies of graph; with fields None every message set is a
+    component under the graph's own weights.
 
     ValueError when the message sets do not match the rows in number or
     length.  LogDomainError names the first failing check, else variable,
     else edge of the first failing row.
     """
     check_weight_range(graph, fields)
-    batch = _Batch(graph, fields)
-    if fields is not None and len(messages) != batch.size:
+    rows = channel_fields(graph, fields)
+    if fields is not None and len(messages) != len(rows):
         raise ValueError(f"need one message set per field row, got {len(messages)}")
-    if not messages:
-        return []
-    t = np.array([m.var_to_check for m in messages], dtype=float)
-    that = np.array([m.check_to_var for m in messages], dtype=float)
-    if t.shape != (len(messages), batch.edge_count) or that.shape != t.shape:
-        raise ValueError(
-            f"need {batch.edge_count} messages per direction, got {t.shape[1:]} "
-            f"and {that.shape[1:]}"
-        )
-    return _assemble(batch, t, that)
+    batch = _Batch([graph] * len(messages), None if fields is None else rows.ravel())
+    return _assemble(batch, *batch.stack(messages))
 
 
-def _assemble(batch, t: np.ndarray, that: np.ndarray):
-    """BetheBreakdown per row of (t, that), under the field rows of batch:
-    one per row, or a single row that every row shares."""
-    rows = len(t)
+def bethe_graphs(graphs: list[FactorGraph], messages: list[MessageSet]) -> list[BetheBreakdown]:
+    """bethe_free_energy of every graph, all of one weight kind, with its
+    message set, as one batch; results in graph order.  ValueError and
+    LogDomainError as for bethe_free_energies, per graph."""
+    if len(messages) != len(graphs):
+        raise ValueError(f"need one message set per graph, got {len(messages)}")
+    for graph in graphs:
+        check_weight_range(graph)
+    batch = _Batch(list(graphs))
+    return _assemble(batch, *batch.stack(messages))
+
+
+def _assemble(batch, t: np.ndarray, that: np.ndarray) -> list[BetheBreakdown]:
+    """BetheBreakdown per component of batch, at the union's messages."""
     kind = batch.kind
-    m, n = batch.m, batch.n
-
-    # one log argument per check, variable and edge, in that order
-    args = np.empty((rows, m + n + batch.edge_count))
-    for (nodes, columns), forms in zip(batch.check_buckets, batch.check_rows):
-        x = [t[:, col] for col in columns]
+    check_args = np.empty(batch.m)
+    for nodes, columns, forms in batch.check_buckets:
+        x = [t[col] for col in columns]
         if kind == "general":
             pairs = [[((1.0 + xk) / 2.0, (1.0 - xk) / 2.0)] for xk in x]
-            args[:, nodes] = table_fold(forms, pairs)[..., 0]
+            check_args[nodes] = table_fold(forms, pairs)[..., 0]
             continue
-        prod = x[0] if x else np.ones((rows, len(nodes)))
+        prod = x[0] if x else np.ones(len(nodes))
         for xk in x[1:]:
             prod = prod * xk
-        args[:, nodes] = 1.0 + (prod if forms is None else forms * prod)
+        check_args[nodes] = 1.0 + (prod if forms is None else forms * prod)
 
     if kind == "ldpc":
         plus_base = elementwise(math.exp, batch.fields)
         minus_base = elementwise(math.exp, -batch.fields)
     else:
-        plus_base = minus_base = np.ones((1, n))
+        plus_base = minus_base = np.ones(batch.n)
     one_plus, one_minus = 1.0 + that, 1.0 - that
     # each term is log(arg) + shift: ln c_a for a check, -d ln 2 for a
     # variable of degree d, -ln 2 for an edge (x - y is x + (-y) bit for
     # bit, and adding 0.0 leaves a logarithm as it is)
-    shift = np.empty((1, m + n + batch.edge_count))
-    for nodes, columns in batch.var_buckets:
-        plus, minus = plus_base[:, nodes], minus_base[:, nodes]
+    var_args, var_shift = np.empty(batch.n), np.empty(batch.n)
+    for nodes, columns, _base in batch.var_buckets:
+        plus, minus = plus_base[nodes], minus_base[nodes]
         for col in columns:
-            plus = plus * one_plus[:, col]
-            minus = minus * one_minus[:, col]
-        args[:, m + np.asarray(nodes, dtype=np.intp)] = plus + minus
-        shift[0, m + np.asarray(nodes, dtype=np.intp)] = -(len(columns) * LN2)
-    args[:, m + n :] = 1.0 + t * that
-    shift[0, m + n :] = -LN2
-    _refuse_non_positive(args, m, n)
+            plus = plus * one_plus[col]
+            minus = minus * one_minus[col]
+        var_args[nodes] = plus + minus
+        var_shift[nodes] = -(len(columns) * LN2)
+    edge_args = 1.0 + t * that
+    _refuse_non_positive(batch, (check_args, var_args, edge_args))
 
     if kind == "ldgm":
-        log_c = elementwise(math.log, elementwise(math.cosh, batch.fields))
-        shift = np.repeat(shift, len(log_c), axis=0)
-        shift[:, :m] = log_c
+        check_shift = elementwise(math.log, elementwise(math.cosh, batch.fields))
     else:
-        shift[0, :m] = math.log(0.5) if kind == "ldpc" else 0.0
-    terms = (elementwise(math.log, args) + shift).tolist()
+        check_shift = math.log(0.5) if kind == "ldpc" else 0.0
+    c_terms = (elementwise(math.log, check_args) + check_shift).tolist()
+    v_terms = (elementwise(math.log, var_args) + var_shift).tolist()
+    e_terms = (elementwise(math.log, edge_args) - LN2).tolist()
 
     # check terms carry c_a, so a parity check is already in the halved
     # normalisation the general terms get from their (1 +- t)/2 weights;
     # for the variable and edge terms that normalisation cancels between the
     # two sums except for the explicit log-2 bookkeeping carried along.
     out = []
-    for row in terms:
-        c_row, v_row, e_row = row[:m], row[m : m + n], row[m + n :]
-        f = (math.fsum(c_row) + math.fsum(v_row) - math.fsum(e_row)) / n
-        out.append(
-            BetheBreakdown(
-                f_bethe=f,
-                check_terms=tuple(c_row),
-                var_terms=tuple(v_row),
-                edge_terms=tuple(e_row),
-            )
-        )
+    cs, vs, es = (s.tolist() for s in (batch.check_starts, batch.var_starts, batch.edge_starts))
+    for k, graph in enumerate(batch.graphs):
+        c_row, v_row = c_terms[cs[k] : cs[k + 1]], v_terms[vs[k] : vs[k + 1]]
+        e_row = e_terms[es[k] : es[k + 1]]
+        f = (math.fsum(c_row) + math.fsum(v_row) - math.fsum(e_row)) / graph.n
+        out.append(BetheBreakdown(f, tuple(c_row), tuple(v_row), tuple(e_row)))
     return out
 
 
-def _refuse_non_positive(args: np.ndarray, m: int, n: int) -> None:
-    """LogDomainError for the first row with a log argument <= 0, naming its
-    first such check, else variable, else edge (the column order of args)."""
-    bad = args <= 0.0
-    if not bad.any():
-        return
-    row = np.flatnonzero(bad.any(axis=1))[0]
-    col = int(np.flatnonzero(bad[row])[0])
-    if col < m:
-        what = f"check {col}"
-    elif col < m + n:
-        what = f"variable {col - m}"
-    else:
-        what = f"edge {col - m - n}"
-    x = float(args[row, col])
-    raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
+def _refuse_non_positive(batch, parts: tuple) -> None:
+    """LogDomainError for the first component with a log argument <= 0,
+    naming its first such check, else variable, else edge."""
+    first = None
+    starts = (batch.check_starts, batch.var_starts, batch.edge_starts)
+    for name, args, at in zip(("check", "variable", "edge"), parts, starts):
+        bad = np.flatnonzero(args <= 0.0)
+        if bad.size:
+            k = int(np.searchsorted(at, bad[0], side="right")) - 1
+            if first is None or k < first[0]:
+                first = k, f"{name} {bad[0] - at[k]}", float(args[bad[0]])
+    if first is not None:
+        _k, what, x = first
+        raise LogDomainError(f"{what} produced a non-positive log argument: {x}")
 
 
 def stationarity_check(
@@ -179,39 +174,32 @@ def stationarity_check(
     finite differences.  At an interior BP fixed point this is O(fd_step^2).
 
     The 4E perturbed message sets (each direction of each edge, stepped up
-    and down) are assembled as the rows of batches.
+    and down) are assembled as the components of batches.
     """
-    t = np.asarray(messages.var_to_check, dtype=float)
-    that = np.asarray(messages.check_to_var, dtype=float)
-    biggest = max(
-        float(np.abs(t).max(initial=0.0)), float(np.abs(that).max(initial=0.0))
-    )
+    base = np.concatenate([
+        np.asarray(messages.var_to_check, dtype=float),
+        np.asarray(messages.check_to_var, dtype=float),
+    ])
+    biggest = float(np.abs(base).max(initial=0.0))
     if biggest >= 1.0 - fd_step:
         raise BoundaryTooCloseError(
             f"messages reach {biggest}, too close to the boundary for step {fd_step}"
         )
 
-    # probe r sets message (side, edge) of row r; rows come in (up, down) pairs
-    sides, edges, values = [], [], []
-    for side, base in enumerate((t, that)):
-        for e, x in enumerate(base.tolist()):
-            theta = math.atanh(x)
-            sides += [side, side]
-            edges += [e, e]
-            values += [math.tanh(theta + fd_step), math.tanh(theta - fd_step)]
-    sides, edges, values = np.array(sides), np.array(edges), np.array(values)
-
-    batch = _Batch(graph)
-    step = max(1, _PROBE_ENTRIES // max(1, graph.edge_count))
+    # probe 2j steps message j of (t, that) up, probe 2j + 1 down
+    theta = elementwise(math.atanh, base)
+    values = np.stack(
+        [elementwise(math.tanh, theta + fd_step), elementwise(math.tanh, theta - fd_step)], axis=1
+    ).ravel()
+    e = graph.edge_count
+    step = max(1, _PROBE_ENTRIES // max(1, e))
     f = []
     for start in range(0, len(values), step):
-        part = slice(start, start + step)
-        size = len(values[part])
-        probe = [np.repeat(base[None, :], size, axis=0) for base in (t, that)]
-        for side in (0, 1):
-            mine = np.flatnonzero(sides[part] == side)
-            probe[side][mine, edges[part][mine]] = values[part][mine]
-        f += [b.f_bethe for b in _assemble(batch, *probe)]
+        size = len(values[start : start + step])
+        probe = np.repeat(base[None, :], size, axis=0)
+        probe[np.arange(size), np.arange(start, start + size) // 2] = values[start : start + size]
+        batch = _Batch([graph] * size)
+        f += [b.f_bethe for b in _assemble(batch, probe[:, :e].ravel(), probe[:, e:].ravel())]
 
     worst = 0.0
     for fp, fm in zip(f[0::2], f[1::2]):

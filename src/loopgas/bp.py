@@ -18,21 +18,20 @@ whose largest log weight beta * sum |J| would overflow a float is refused
 serves both the Bethe check terms (one weight pair per edge) and the loop
 activity tables (two pairs per edge, one table entry per choice of pairs).
 
-A sweep runs on numpy arrays.  The nodes of each side are grouped by degree
-once per topology; a degree-d bucket keeps the edge ids of its nodes as d
-columns, so each update rule runs column by column over every node of that
-degree at once: prefix and suffix products (parity checks), prefix and
-suffix tanh-domain sums (variables), and the marginal folds over stacked
-tables (general checks), in the operation order of the scalar rules,
-so every message is the same float the per-edge rule gives.  The arrays
-carry a leading row axis: solve_fixed_points sweeps one graph under a
-(rows, slots) matrix of field rows (see channel_fields), say the channel
-patterns of one code.  A row freezes at the first iteration where its own
-residual is <= tol and leaves the batch, so each row ends exactly where
-the solo solve of the graph under that row ends; solve_fixed_point is the
-batch of one.  A sweep that divides by zero or
-yields a non-finite message, which saturated messages at +-1 can do, raises
-SingularDenominatorError.  The Bethe assembly runs over the same batch.
+A sweep runs on numpy arrays over one batch axis of components, each a
+graph under one row of fields (see channel_fields), swept as their disjoint
+union (_Batch): distinct graphs in solve_graphs, copies of one graph under
+a (rows, slots) matrix of field rows in solve_fixed_points, one graph in
+solve_fixed_point.  Each update rule runs column by column over a degree
+bucket of every component at once: prefix and suffix products (parity
+checks), prefix and suffix tanh-domain sums (variables), and the marginal
+folds over stacked tables (general checks), in the operation order of the
+scalar rules, so every message is the same float the per-edge rule gives.
+Components share no edge, and each leaves the batch at the first iteration
+where its own residual is <= tol, so each ends exactly where its solo solve
+ends.  A sweep that divides by zero or yields a non-finite message, which
+saturated messages at +-1 can do, raises SingularDenominatorError.  The
+Bethe assembly runs over the same batch.
 """
 
 from __future__ import annotations
@@ -193,21 +192,54 @@ def check_forms(graph: FactorGraph) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the sweep: degree buckets over the field rows of one graph
+# the sweep: degree buckets over the disjoint union of components
 
 
-def _buckets(incidence: tuple[tuple[int, ...], ...]) -> list[tuple[list, tuple]]:
-    """(nodes, columns) per degree d present, in increasing d: the nodes of
-    that degree in increasing order, and d index arrays, columns[k] holding
-    the k-th edge of each node in check_edges / var_edges order.  Isolated
-    nodes form a bucket with no columns: no message touches them, but the
-    Bethe free energy has a term for each."""
-    by_degree: dict[int, list[int]] = {}
-    for node, eids in enumerate(incidence):
-        by_degree.setdefault(len(eids), []).append(node)
+def _topology(graph: FactorGraph) -> tuple:
+    """(check buckets, variable buckets) of graph, kept in its cache: per
+    degree d present, in increasing d, (nodes, columns, tables), the nodes
+    of that degree in increasing order, a (d, count) array whose row k holds
+    the k-th edge of each node in check_edges / var_edges order, and the
+    check_forms tables of general checks, stacked (count, 2^d), else None.
+    Isolated nodes form a bucket with no columns: no message touches them,
+    but the Bethe free energy has a term for each."""
+    if "buckets" not in graph.cache:
+        tables = check_forms(graph) if isinstance(graph.weights, GeneralWeights) else None
+        sides = []
+        for incidence, forms in ((graph.check_edges, tables), (graph.var_edges, None)):
+            by_degree: dict[int, list[int]] = {}
+            for node, eids in enumerate(incidence):
+                by_degree.setdefault(len(eids), []).append(node)
+            sides.append([
+                (
+                    np.array(nodes, dtype=np.intp),
+                    np.array([incidence[v] for v in nodes], dtype=np.intp)
+                    .reshape(len(nodes), d).T,
+                    None if forms is None else np.array([forms[a] for a in nodes]),
+                )
+                for d, nodes in sorted(by_degree.items())
+            ])
+        graph.cache["buckets"] = tuple(sides)
+    return graph.cache["buckets"]
+
+
+def _union(groups, side: int, node_starts, edge_starts) -> list[list]:
+    """[nodes, columns, forms] per degree present on one side (0 checks,
+    1 variables) of the disjoint union, in increasing degree: that bucket of
+    each (graph, components) group's graph, offset to each component."""
+    parts: dict[int, list] = {}
+    for g, ks in groups:
+        node_off, edge_off = node_starts[ks, None], edge_starts[ks, None]
+        for nodes, columns, tables in _topology(g)[side]:
+            parts.setdefault(len(columns), []).append((
+                (nodes + node_off).ravel(),
+                (columns[:, None, :] + edge_off).reshape(len(columns), len(ks) * len(nodes)),
+                None if tables is None else np.tile(tables, (len(ks), 1)),
+            ))
     return [
-        (nodes, tuple(np.array([incidence[v] for v in nodes], dtype=np.intp).T.copy()))
-        for _d, nodes in sorted(by_degree.items())
+        [np.concatenate(nodes), np.concatenate(columns, axis=1),
+         None if tables[0] is None else np.concatenate(tables)]
+        for nodes, columns, tables in (zip(*parts[d]) for d in sorted(parts))
     ]
 
 
@@ -246,8 +278,8 @@ def _exclusive_products(x: list) -> list:
 
 def _table_ratios(tables: np.ndarray, x: list) -> list:
     """Per slot k: (plus - minus) / (plus + minus), (plus, minus) the sums of
-    psi(x) prod_{j != k} w_j(x_j) over x_k = +-1 for stacked tables (rows,
-    ..., 2^d) under weights (1 + x_j, 1 - x_j).  The axes above k fold from
+    psi(x) prod_{j != k} w_j(x_j) over x_k = +-1 for stacked tables (...,
+    2^d) under weights (1 + x_j, 1 - x_j).  The axes above k fold from
     the top, shared between consecutive k, then those below k from the
     bottom, each as p * wp + q * wm."""
     d = len(x)
@@ -298,83 +330,88 @@ def elementwise(fn, values: np.ndarray) -> np.ndarray:
 
 
 class _Batch:
-    """One graph under rows of fields (see channel_fields), swept together.
+    """Components swept as their disjoint union: graphs, of one weight kind
+    (else ValueError), under fields, the channel slots of every component in
+    turn, by default their own (None for general weights); tanh, if given,
+    is elementwise math.tanh of fields.  Each component's variables, checks
+    and edges follow those of the components before it (var_starts,
+    check_starts, edge_starts).  A bucket [nodes, columns, forms] holds the
+    nodes of one degree of every component with their check forms (tanh h_a
+    for ldgm, tables for general checks) or fields (tanh h_i for ldpc)."""
 
-    Every message array has one row per field row.  The degree buckets are
-    built once per graph object, kept in its cache; the check forms (tanh
-    h_a for ldgm, check_tables for general weights) and the ldpc variable
-    fields tanh h_i are stacked once per bucket, one row per field row.
-    """
+    def __init__(self, graphs: list[FactorGraph], fields=None, tanh=None) -> None:
+        kinds = sorted({g.weights.kind for g in graphs})
+        if len(kinds) > 1:
+            raise ValueError(f"a batch takes graphs of one weight kind, got {kinds}")
+        self.kind = kinds[0] if kinds else None
+        if fields is None and self.kind in ("ldpc", "ldgm"):
+            fields = np.concatenate([channel_fields(g) for g in graphs], axis=None)
+        self.graphs, self.fields = graphs, fields
+        groups: dict[int, list] = {}  # per graph object: [graph, its components]
+        for k, g in enumerate(graphs):
+            groups.setdefault(id(g), [g, []])[1].append(k)
+        sizes = np.array([(g.n, g.m, g.edge_count) for g in graphs], dtype=np.intp)
+        starts = np.vstack([np.zeros((1, 3), dtype=np.intp), sizes.reshape(-1, 3).cumsum(axis=0)])
+        self.var_starts, self.check_starts, self.edge_starts = starts.T
+        self.n, self.m, self.edge_count = starts[-1].tolist()
+        self.check_buckets = _union(groups.values(), 0, self.check_starts, self.edge_starts)
+        self.var_buckets = _union(groups.values(), 1, self.var_starts, self.edge_starts)
+        if fields is not None:
+            self.tanh = elementwise(math.tanh, fields) if tanh is None else tanh
+            for bucket in self.var_buckets if self.kind == "ldpc" else self.check_buckets:
+                bucket[2] = self.tanh[bucket[0]]
 
-    def __init__(self, graph: FactorGraph, fields=None) -> None:
-        self.fields = channel_fields(graph, fields)
-        self.kind = graph.weights.kind
-        self.n, self.m = graph.n, graph.m
-        self.edge_count = graph.edge_count
-        if "buckets" not in graph.cache:
-            graph.cache["buckets"] = (
-                _buckets(graph.check_edges),
-                _buckets(graph.var_edges),
-            )
-        self.check_buckets, self.var_buckets = graph.cache["buckets"]
-        self.size = 1 if self.fields is None else len(self.fields)
-        self.var_fields = None
-        self.var_rows: list = [None] * len(self.var_buckets)
-        self.check_rows: list = [None] * len(self.check_buckets)
-        if self.kind == "ldpc":
-            self.var_fields = elementwise(math.tanh, self.fields)
-            self.var_rows = [self.var_fields[:, nodes] for nodes, _ in self.var_buckets]
-            self.edge_vars = np.array([i for i, _a in graph.edges], dtype=np.intp)
-        elif self.kind == "ldgm":
-            taus = elementwise(math.tanh, self.fields)
-            self.check_rows = [taus[:, nodes] for nodes, _ in self.check_buckets]
-        else:
-            tables = check_forms(graph)
-            self.check_rows = [
-                np.array([[tables[a] for a in nodes]]) for nodes, _ in self.check_buckets
-            ]
+    def keep(self, live: np.ndarray) -> "_Batch":
+        """The batch of the components where live is True."""
+        graphs = [g for g, alive in zip(self.graphs, live.tolist()) if alive]
+        if self.fields is None:
+            return _Batch(graphs)
+        starts = self.var_starts if self.kind == "ldpc" else self.check_starts
+        slots = np.repeat(live, np.diff(starts))
+        return _Batch(graphs, self.fields[slots], self.tanh[slots])
 
-    def keep(self, live: np.ndarray) -> None:
-        """Drop the rows where live is False."""
-        if self.fields is not None:
-            self.fields = self.fields[live]
-        self.check_rows = [r if r is None else r[live] for r in self.check_rows]
-        self.var_rows = [r if r is None else r[live] for r in self.var_rows]
-        if self.var_fields is not None:
-            self.var_fields = self.var_fields[live]
-        self.size = int(np.count_nonzero(live))
+    def stack(self, messages: list[MessageSet]) -> tuple[np.ndarray, np.ndarray]:
+        """One message set per component as the union's two message vectors;
+        ValueError unless each has its component's edge count per direction."""
+        t = [np.asarray(x.var_to_check, dtype=float) for x in messages]
+        that = [np.asarray(x.check_to_var, dtype=float) for x in messages]
+        for x, y, e in zip(t, that, np.diff(self.edge_starts).tolist()):
+            if x.shape != (e,) or y.shape != (e,):
+                raise ValueError(f"need {e} messages per direction, got {x.shape} and {y.shape}")
+        return np.concatenate([np.zeros(0), *t]), np.concatenate([np.zeros(0), *that])
 
     def initial(self) -> tuple[np.ndarray, np.ndarray]:
-        """The default start of every row (see initial_messages)."""
-        if self.var_fields is None:
-            zeros = np.zeros((self.size, self.edge_count))
-            return zeros, zeros.copy()
-        v = self.var_fields[:, self.edge_vars]
-        c = np.empty_like(v)
+        """The default start of every component (see initial_messages)."""
+        if self.kind != "ldpc":
+            return np.zeros(self.edge_count), np.zeros(self.edge_count)
+        v, c = np.empty(self.edge_count), np.empty(self.edge_count)
+        for _nodes, columns, tanh_h in self.var_buckets:
+            for col in columns:
+                v[col] = tanh_h
         self.check_update(v, c)
         return v, c
 
     def check_update(self, v: np.ndarray, out: np.ndarray) -> None:
-        for (_nodes, columns), rows in zip(self.check_buckets, self.check_rows):
-            x = [v[:, col] for col in columns]
+        for _nodes, columns, forms in self.check_buckets:
+            x = [v[col] for col in columns]
             if self.kind == "general":
-                values = _table_ratios(rows, x)
+                values = _table_ratios(forms, x)
             else:
                 values = _exclusive_products(x)
-                if rows is not None:
-                    values = [rows * value for value in values]
+                if forms is not None:
+                    values = [forms * value for value in values]
             for col, value in zip(columns, values):
-                out[:, col] = value
+                out[col] = value
 
     def var_update(self, c: np.ndarray, out: np.ndarray) -> None:
-        for (_nodes, columns), base in zip(self.var_buckets, self.var_rows):
-            y = [c[:, col] for col in columns]
+        for _nodes, columns, base in self.var_buckets:
+            y = [c[col] for col in columns]
             values = _exclusive_combine(y, 0.0 if base is None else base)
             for col, value in zip(columns, values):
-                out[:, col] = value
+                out[col] = value
 
     def sweep(self, v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One synchronous sweep of every row: (new v, new c).
+        """One synchronous sweep of every component: (new v, new c).
 
         Raises SingularDenominatorError when a rule divides by zero or a
         message comes out non-finite (saturated, contradictory messages).
@@ -394,34 +431,63 @@ class _Batch:
             raise SingularDenominatorError("a BP sweep produced a non-finite message")
         return new_v, new_c
 
-
-def _row_distance(v1, c1, v0, c0) -> np.ndarray:
-    """Per row: the sup-norm distance between two message sets."""
-    return np.maximum(
-        np.abs(v1 - v0).max(axis=-1, initial=0.0),
-        np.abs(c1 - c0).max(axis=-1, initial=0.0),
-    )
-
-
-def _one_row(messages: MessageSet) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.asarray(messages.var_to_check, dtype=float)[None, :],
-        np.asarray(messages.check_to_var, dtype=float)[None, :],
-    )
+    def distance(self, v1, c1, v0, c0) -> np.ndarray:
+        """Per component: the sup-norm distance between two message sets
+        (0.0 without edges)."""
+        gap = np.append(np.maximum(np.abs(v1 - v0), np.abs(c1 - c0)), 0.0)
+        most = np.maximum.reduceat(gap, self.edge_starts[:-1])
+        return np.where(np.diff(self.edge_starts) > 0, most, 0.0)
 
 
 def initial_messages(graph: FactorGraph) -> MessageSet:
     """Default starting point: zeros, except ldpc which seeds the channel
     fields on variable messages and their first-order products on check
     messages."""
-    v, c = _Batch(graph).initial()
-    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
+    v, c = _Batch([graph]).initial()
+    return MessageSet(kind=graph.weights.kind, var_to_check=v, check_to_var=c)
 
 
 def residual_of(graph: FactorGraph, messages: MessageSet) -> float:
     """Sup-norm distance between messages and one undamped sweep of them."""
-    v, c = _one_row(messages)
-    return float(_row_distance(*_Batch(graph).sweep(v, c), v, c)[0])
+    return solve_fixed_point(graph, init=messages, max_iter=1).residual
+
+
+def _solve(batch: _Batch, inits, damping: float, tol: float, max_iter: int) -> list[BPResult]:
+    """Sweep every component of batch from its start (inits, else the
+    default start) until its own residual is <= tol, at most max_iter
+    times; a component that stops leaves the batch.  Results in component
+    order."""
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    size, kind = len(batch.graphs), batch.kind
+    if inits is not None and len(inits) != size:
+        raise ValueError(f"need one start per component, got {len(inits)} for {size}")
+    v, c = batch.initial() if inits is None else batch.stack(inits)
+    results: list = [None] * size
+    live = np.arange(size)  # the component of each live component
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        new_v, new_c = batch.sweep(v, c)
+        if damping > 0.0:
+            new_v = (1.0 - damping) * new_v + damping * v
+            new_c = (1.0 - damping) * new_c + damping * c
+        res = batch.distance(new_v, new_c, v, c)
+        v, c = new_v, new_c
+        stop = (res <= tol) | (it == max_iter)
+        if stop.any():
+            bounds = batch.edge_starts.tolist()
+            for j in np.flatnonzero(stop).tolist():
+                messages = MessageSet(kind, v[bounds[j] : bounds[j + 1]].copy(),
+                                      c[bounds[j] : bounds[j + 1]].copy())
+                results[live[j]] = BPResult(messages, float(res[j]), it, bool(res[j] <= tol))
+            moving = np.repeat(~stop, np.diff(batch.edge_starts))
+            live, v, c, batch = live[~stop], v[moving], c[moving], batch.keep(~stop)
+    return results
 
 
 def solve_fixed_points(
@@ -433,65 +499,30 @@ def solve_fixed_points(
     inits: list[MessageSet] | None = None,
 ) -> list[BPResult]:
     """solve_fixed_point of graph under every row of fields (see
-    channel_fields), as one batch; results in row order.
+    channel_fields), as one batch of copies of graph; results in row order.
 
     Bad field rows, and inits other than one start per row, are refused
     before any sweep.  Each row freezes at the first iteration where its
     own residual is <= tol, so every result equals the solo
     solve_fixed_point of the graph under that row, bit for bit.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a number >= 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    batch = _Batch(graph, fields)
-    if inits is None:
-        v, c = batch.initial()
-    else:
-        v = np.array([m.var_to_check for m in inits], dtype=float)
-        c = np.array([m.check_to_var for m in inits], dtype=float)
-        if v.shape != (batch.size, batch.edge_count) or c.shape != v.shape:
-            raise ValueError(
-                f"need one start of {batch.edge_count} messages per row, got "
-                f"{v.shape} and {c.shape} for {batch.size} rows"
-            )
-    if not batch.size:
-        return []
-    live = np.arange(batch.size)  # the field row of each live row
-    residual = np.full(batch.size, math.inf)
-    iterations = np.zeros(batch.size, dtype=int)
-    final_v, final_c = np.empty_like(v), np.empty_like(c)
-    for it in range(1, max_iter + 1):
-        new_v, new_c = batch.sweep(v, c)
-        if damping > 0.0:
-            new_v = (1.0 - damping) * new_v + damping * v
-            new_c = (1.0 - damping) * new_c + damping * c
-        res = _row_distance(new_v, new_c, v, c)
-        v, c = new_v, new_c
-        residual[live] = res
-        iterations[live] = it
-        done = res <= tol
-        if done.any():
-            final_v[live[done]] = v[done]
-            final_c[live[done]] = c[done]
-            going = ~done
-            live, v, c = live[going], v[going], c[going]
-            batch.keep(going)
-            if not live.size:
-                break
-    final_v[live] = v
-    final_c[live] = c
-    return [
-        BPResult(
-            messages=MessageSet(kind=batch.kind, var_to_check=mv, check_to_var=mc),
-            residual=float(r),
-            iterations=int(k),
-            converged=bool(r <= tol),
-        )
-        for mv, mc, r, k in zip(final_v, final_c, residual, iterations)
-    ]
+    if fields is None:
+        return _solve(_Batch([graph]), inits, damping, tol, max_iter)
+    rows = channel_fields(graph, fields)
+    return _solve(_Batch([graph] * len(rows), rows.ravel()), inits, damping, tol, max_iter)
+
+
+def solve_graphs(
+    graphs: list[FactorGraph],
+    damping: float = 0.0,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    inits: list[MessageSet] | None = None,
+) -> list[BPResult]:
+    """solve_fixed_point of every graph, all of one weight kind, as one
+    batch; results in graph order.  Each result equals the graph's solo
+    solve, bit for bit; a failing sweep raises for the whole batch."""
+    return _solve(_Batch(list(graphs)), inits, damping, tol, max_iter)
 
 
 def solve_fixed_point(
@@ -513,6 +544,7 @@ def solve_fixed_point(
     return solve_fixed_points(
         graph, damping=damping, tol=tol, max_iter=max_iter, inits=inits
     )[0]
+
 
 # ---------------------------------------------------------------------------
 # fixed-point verification predicates

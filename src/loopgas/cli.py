@@ -33,11 +33,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bethe import bethe_free_energies, bethe_free_energy
+from .bethe import bethe_free_energies, bethe_free_energy, bethe_graphs
 from .bp import (
     check_weight_range,
     solve_fixed_point,
     solve_fixed_points,
+    solve_graphs,
     verify_high_noise,
     verify_ldgm_message_bounds,
 )
@@ -479,58 +480,69 @@ def cmd_rate_function(args) -> int:
 # trend / entropy (instance-parallel)
 
 
-def _trend_instance(channel, args, job: tuple[int, int]) -> tuple[float, float, bool]:
-    n, index = job
-    topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
-    graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
-    graph = apply_channel(graph, channel.p, channel_seed)
-    # exact first: an over-cap space is refused before any BP work
-    f_exact = log_partition(graph).log_z / graph.n
-    result = _run_bp(graph, args)
-    f_bethe = bethe_free_energy(graph, result.messages).f_bethe
-    if graph.weights.kind == "ldpc":
-        verified = verify_high_noise(result.messages, channel)
-    else:
-        verified = verify_ldgm_message_bounds(result.messages, graph)
-    return abs(f_exact - f_bethe), result.residual, verified
+def _trend_instances(channel, args, jobs: list[tuple[int, int]]) -> list[tuple]:
+    """(gap, BP residual, verified) per job (n, index).  Every instance is
+    sampled and its exact ln Z taken first, so an over-cap space is refused
+    before any BP work; then one BP batch and one Bethe batch take them all
+    (solve_graphs, bethe_graphs)."""
+    graphs, f_exact = [], []
+    for n, index in jobs:
+        topo_seed, channel_seed = _instance_seeds(args.seed, n, index)
+        graph = _sample_ensemble(args.ensemble, args.l, args.r, n, topo_seed)
+        graphs.append(apply_channel(graph, channel.p, channel_seed))
+        f_exact.append(log_partition(graphs[-1]).log_z / n)
+    results = solve_graphs(graphs, **_bp_options(args))
+    breakdowns = bethe_graphs(graphs, [result.messages for result in results])
+    out = []
+    for graph, exact, result, breakdown in zip(graphs, f_exact, results, breakdowns):
+        if graph.weights.kind == "ldpc":
+            verified = verify_high_noise(result.messages, channel)
+        else:
+            verified = verify_ldgm_message_bounds(result.messages, graph)
+        out.append((abs(exact - breakdown.f_bethe), result.residual, verified))
+    return out
 
 
 def _map_instances(worker, args, sizes: list[int]) -> list[list]:
-    """worker(args, (n, index)) for every size n and instance index, on one
-    pool of args.threads processes; one list per size, in index order.
-    Refuses fewer than one instance up front."""
+    """worker(args, chunk) on contiguous chunks of the jobs (n, index), every
+    size n and instance index in order: one chunk at --threads 1, else one
+    per process of a pool of min(args.threads, jobs); worker returns one
+    result per job.  One list per size, in index order.  Refuses fewer than
+    one instance or thread up front."""
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     jobs = [(n, index) for n in sizes for index in range(args.instances)]
-    if args.threads <= 1 or len(jobs) <= 1:
-        results = [worker(args, job) for job in jobs]
+    procs = min(args.threads, len(jobs))
+    if procs == 1:
+        results = worker(args, jobs)
     else:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(functools.partial(worker, args), jobs))
+        cuts = [len(jobs) * k // procs for k in range(procs + 1)]
+        chunks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            done = pool.map(functools.partial(worker, args), chunks)
+            results = [result for chunk in done for result in chunk]
     return [results[k : k + args.instances] for k in range(0, len(jobs), args.instances)]
 
 
 def cmd_trend(args) -> int:
     # the channel and the sizes are checked once, before any instance
     channel = ChannelParams(p=args.p, epsilon=args.epsilon)
-    worker = functools.partial(_trend_instance, channel)
+    worker = functools.partial(_trend_instances, channel)
     sizes = _parse_list("--n-list", int, args.n_list)
     if not sizes:
         raise ValueError(f"--n-list names no size, got {args.n_list!r}")
     rows = []
     for n, results in zip(sizes, _map_instances(worker, args, sizes)):
-        gaps = [gap for gap, _res, _ok in results]
-        rows.append(
-            {
-                "n": n,
-                "mean_gap": statistics.fmean(gaps),
-                "std_gap": statistics.pstdev(gaps) if len(gaps) > 1 else 0.0,
-                "mean_bp_residual": statistics.fmean(res for _g, res, _ok in results),
-                "fraction_verified": statistics.fmean(
-                    1.0 if ok else 0.0 for _g, _res, ok in results
-                ),
-            }
-        )
+        gaps, residuals, verified = zip(*results)
+        rows.append({
+            "n": n,
+            "mean_gap": statistics.fmean(gaps),
+            "std_gap": statistics.pstdev(gaps) if len(gaps) > 1 else 0.0,
+            "mean_bp_residual": statistics.fmean(residuals),
+            "fraction_verified": statistics.fmean(1.0 if ok else 0.0 for ok in verified),
+        })
     fieldnames = ["n", "mean_gap", "std_gap", "mean_bp_residual", "fraction_verified"]
     _emit(args, {"rows": rows}, fieldnames, rows)
     return EXIT_OK
@@ -594,8 +606,12 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
     }
 
 
+def _entropy_instances(args, jobs: list[tuple[int, int]]) -> list[dict]:
+    return [_entropy_instance(args, job) for job in jobs]
+
+
 def cmd_entropy(args) -> int:
-    (per_instance,) = _map_instances(_entropy_instance, args, [args.n])
+    (per_instance,) = _map_instances(_entropy_instances, args, [args.n])
     gaps = [row["gap"] for row in per_instance]
     payload = {
         "per_instance": per_instance,

@@ -37,7 +37,7 @@ from loopgas import (
     sample_ldgm,
     sample_regular_bipartite,
 )
-from loopgas.bp import _Batch, _one_row, check_forms, check_weight_range, parity_form
+from loopgas.bp import _Batch, check_forms, check_weight_range, parity_form
 from loopgas.errors import (
     BudgetExceededError,
     InfeasibleDomainError,
@@ -104,6 +104,24 @@ def general_instance(l: int, r: int, n: int, beta: float, seed: int) -> FactorGr
         g.n, g.m, g.edges, LdpcWeights(variable_fields=(0.0,) * g.n), meta=dict(g.meta)
     )
     return attach_random_general_weights(g, beta=beta, seed=seed)
+
+
+def graph_batch(kind: str) -> list[FactorGraph]:
+    """Graphs of one weight kind at mixed n and degrees, the second of them
+    edgeless (m = 0): the components of one solve_graphs batch."""
+    if kind == "ldpc":
+        graphs = [ldpc_instance(3, 4, 8, 0.3, 0), ldpc_instance(3, 6, 12, 0.25, 1, 1),
+                  ldpc_instance(2, 4, 16, 0.3, 2, 2)]
+        edgeless = LdpcWeights((0.2, -0.1, 0.3))
+    elif kind == "ldgm":
+        mixed = apply_channel(sample_ldgm({2: 0.5, 3: 0.5}, {4: 0.5, 6: 0.5}, 24, 3), 0.2, 4)
+        graphs = [ldgm_instance(2, 4, 8, 0.3, 0), mixed, ldgm_instance(3, 6, 12, 0.3, 2, 2)]
+        edgeless = LdgmWeights(())
+    else:
+        graphs = [general_instance(3, 4, 8, 0.3, 0), general_instance(3, 6, 12, 0.2, 1),
+                  general_instance(2, 4, 16, 0.3, 2)]
+        edgeless = GeneralWeights(0.3, ())
+    return [graphs[0], build_factor_graph(3, 0, [], edgeless), *graphs[1:]]
 
 
 def random_tree(n_vars: int, seed: int, kind: str = "ldpc") -> FactorGraph:
@@ -307,8 +325,11 @@ def _sweep(graph: FactorGraph, messages: MessageSet, forms: list) -> MessageSet:
 def bp_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:
     """One synchronous sweep of the batched kernel: both directions
     recomputed from the old iterate."""
-    v, c = _Batch(graph).sweep(*_one_row(messages))
-    return MessageSet(kind=graph.weights.kind, var_to_check=v[0], check_to_var=c[0])
+    v, c = _Batch([graph]).sweep(
+        np.asarray(messages.var_to_check, dtype=float),
+        np.asarray(messages.check_to_var, dtype=float),
+    )
+    return MessageSet(kind=graph.weights.kind, var_to_check=v, check_to_var=c)
 
 
 def scalar_sweep(graph: FactorGraph, messages: MessageSet) -> MessageSet:

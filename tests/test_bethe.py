@@ -307,3 +307,55 @@ def test_assembly_refuses_mismatched_batches():
             lg.bethe_free_energies(g, fields, [short])
     assert lg.bethe_free_energies(g, None, []) == []
     assert lg.bethe_free_energies(g, np.empty((0, g.n)), []) == []
+
+
+# ---------------------------------------------------------------------------
+# graph batches: distinct graphs as the components of one assembly
+
+
+@pytest.mark.parametrize("kind", ["ldpc", "ldgm", "general"])
+def test_graph_batch_assembly_equals_the_scalar_oracle_bit_for_bit(kind):
+    graphs = sp.graph_batch(kind)
+    labels = ["damped", None, "near-saturated", "random"]  # the second is edgeless
+    messages = [
+        lg.solve_fixed_point(g).messages if label is None else _message_sets(g)[label]
+        for g, label in zip(graphs, labels)
+    ]
+    want = [_hexes(sp.scalar_bethe_free_energy(g, m)) for g, m in zip(graphs, messages)]
+    assert [_hexes(bd) for bd in lg.bethe_graphs(graphs, messages)] == want
+    for g, m, one in zip(graphs, messages, want):
+        assert [_hexes(bd) for bd in lg.bethe_graphs([g], [m])] == [one]
+        assert _hexes(lg.bethe_free_energy(g, m)) == one
+
+
+@pytest.mark.parametrize("kind", ["ldpc", "ldgm", "general"])
+def test_graph_batch_log_domain_errors_name_the_first_failing_graph(kind):
+    # the first failing graph raises, naming its own node, as a loop over
+    # the graphs would, even where a later graph fails at an earlier node kind
+    graphs = sp.graph_batch(kind)
+    good = [lg.solve_fixed_point(g).messages for g in graphs]
+    seen = set()
+    for bad in _bad_messages(graphs[2]).values():
+        for late in _bad_messages(graphs[3]).values():
+            messages = [good[0], good[1], bad, late]
+            want = None
+            for g, m in zip(graphs, messages):
+                want = _outcome(lambda: sp.scalar_bethe_free_energy(g, m))
+                if want[0] != "ok":
+                    break
+            assert _outcome(lambda: lg.bethe_graphs(graphs, messages)[-1]) == want
+            if want[0] != "ok":
+                seen.add(want[1].split()[0])
+    assert seen == {"check", "variable", "edge"}
+
+
+def test_graph_batch_assembly_refuses_mismatched_batches():
+    g, h = sp.ldpc_instance(3, 6, 12, 0.3, 0), sp.ldgm_instance(2, 4, 8, 0.3, 0)
+    msgs, other = lg.solve_fixed_point(g).messages, lg.solve_fixed_point(h).messages
+    with pytest.raises(ValueError, match="one message set per graph"):
+        lg.bethe_graphs([g, g], [msgs])
+    with pytest.raises(ValueError, match=f"need {g.edge_count} messages per direction"):
+        lg.bethe_graphs([g, g], [msgs, other])
+    with pytest.raises(ValueError, match="one weight kind"):
+        lg.bethe_graphs([g, h], [msgs, other])
+    assert lg.bethe_graphs([], []) == []

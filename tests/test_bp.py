@@ -451,6 +451,57 @@ def test_batch_refuses_a_start_count_other_than_the_row_count():
 
 
 # ---------------------------------------------------------------------------
+# graph batches: distinct graphs as the components of one disjoint union
+
+
+@pytest.mark.parametrize("option", [*OPTIONS, "half-damped", "init"])
+@pytest.mark.parametrize("kind", ["ldpc", "ldgm", "general"])
+def test_graph_batches_equal_solo_and_scalar_solves_bit_for_bit(kind, option):
+    graphs = sp.graph_batch(kind)
+    options = {"half-damped": {"damping": 0.5}}.get(option, OPTIONS.get(option, {}))
+    inits = None
+    if option == "init":
+        inits = [sp.random_messages(g, seed=3 + s, scale=0.4) for s, g in enumerate(graphs)]
+    got = lg.solve_graphs(graphs, inits=inits, **options)
+    assert len(got) == len(graphs)
+    for k, (g, res) in enumerate(zip(graphs, got)):
+        init = None if inits is None else inits[k]
+        _assert_same_result(res, sp.scalar_solve(g, init=init, **options))
+        _assert_same_result(res, lg.solve_fixed_point(g, init=init, **options))
+        (alone,) = lg.solve_graphs([g], inits=None if init is None else [init], **options)
+        _assert_same_result(alone, res)
+    # the edgeless graph converges at the first sweep with residual 0
+    assert (got[1].iterations, got[1].residual, got[1].converged) == (1, 0.0, True)
+    assert got[1].messages.var_to_check.shape == (0,)
+
+
+def test_graph_batch_stops_each_graph_at_its_own_iteration():
+    # the trees converge in 5 and 7 sweeps, the (3,4) code takes 88 alone;
+    # the batch runs on for the code, which stops unconverged at max_iter
+    graphs = [sp.random_tree(9, 0), sp.ldpc_instance(3, 4, 8, 0.3, 1), sp.random_tree(13, 1)]
+    got = lg.solve_graphs(graphs, max_iter=12)
+    assert [res.converged for res in got] == [True, False, True]
+    assert got[1].iterations == 12 and got[0].iterations < 12 and got[2].iterations < 12
+    for g, res in zip(graphs, got):
+        _assert_same_result(res, sp.scalar_solve(g, max_iter=12))
+
+
+def test_graph_batch_refusals():
+    ldpc, ldgm = sp.ldpc_instance(3, 4, 8, 0.3, 0), sp.ldgm_instance(2, 4, 8, 0.3, 0)
+    with pytest.raises(ValueError, match="one weight kind"):
+        lg.solve_graphs([ldpc, ldgm])
+    with pytest.raises(ValueError, match="one start per component"):
+        lg.solve_graphs([ldpc, ldpc], inits=[lg.initial_messages(ldpc)])
+    with pytest.raises(ValueError, match=f"need {ldpc.edge_count} messages per direction"):
+        starts = [lg.initial_messages(ldpc), lg.initial_messages(ldgm)]
+        lg.solve_graphs([ldpc, ldpc], inits=starts)
+    assert lg.solve_graphs([]) == []
+    # a saturating graph fails the whole batch, as its solo solve fails
+    with pytest.raises(SingularDenominatorError):
+        lg.solve_graphs([ldpc, _saturated_pair(), ldpc])
+
+
+# ---------------------------------------------------------------------------
 # refusals
 
 

@@ -17,6 +17,7 @@ import math
 import os
 import shlex
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,7 @@ from loopgas import (
     save_graph,
     solve_fixed_point,
     solve_fixed_points,
+    solve_graphs,
     verify_loop_identity,
 )
 from loopgas import ratefunc
@@ -447,7 +449,7 @@ def test_verify_identity_walks_the_loops_once(tmp_path, monkeypatch):
 _NO_WORK = [
     "loops._walk", "cli._load_graph_arg", "cli.sample_regular_bipartite", "cli.log_partition",
     "cli.solve_fixed_point", "cli.polymer_series", "cli.rate_function_profile",
-    "cli._trend_instance", "cli._entropy_instance",
+    "cli._trend_instances", "cli._entropy_instance",
 ]
 _VERIFY = ["verify-identity", "--graph", "{graph}", "--p", "0.42", "--channel-seed", "1"]
 
@@ -813,6 +815,60 @@ def test_trend_and_entropy_refuse_fewer_than_one_instance(command, tmp_path, cap
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trend", "entropy"])
+def test_trend_and_entropy_refuse_fewer_than_one_thread(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("loopgas.cli.log_partition", _no_sweep)
+    monkeypatch.setattr("loopgas.cli.sample_regular_bipartite", _no_sweep)
+    sizes = ["--n-list", "8"] if command == "trend" else ["--n", "8"]
+    out = tmp_path / f"{command}.json"
+    for threads in ("0", "-3"):
+        rc = main([
+            command, "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", *sizes,
+            "--p", "0.45", "--instances", "2", "--threads", threads, "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("ensemble", ["ldpc-regular", "ldgm"])
+def test_trend_payload_equals_a_per_instance_serial_oracle(ensemble, tmp_path):
+    # every instance on its own: the scalar BP sweep and the node-by-node
+    # Bethe assembly, then the row statistics; --threads 2 cuts the 6 jobs
+    # into two chunks of 3, each solved as one batch
+    l, r, p, sizes, count = 3 if ensemble == "ldpc-regular" else 2, 4, 0.45, [8, 12], 3
+    channel = loopgas.ChannelParams(p=p, epsilon=0.1)
+    want = []
+    for n in sizes:
+        gaps, residuals, verified = [], [], []
+        for index in range(count):
+            topo, chan = _instance_seeds(5, n, index)
+            g = apply_channel(_sample_ensemble(ensemble, l, r, n, topo), p, chan)
+            res = sp.scalar_solve(g)
+            f_bethe = sp.scalar_bethe_free_energy(g, res.messages).f_bethe
+            gaps.append(abs(log_partition(g).log_z / g.n - f_bethe))
+            residuals.append(res.residual)
+            if ensemble == "ldpc-regular":
+                verified.append(loopgas.verify_high_noise(res.messages, channel))
+            else:
+                verified.append(loopgas.verify_ldgm_message_bounds(res.messages, g))
+        want.append({
+            "n": n,
+            "mean_gap": statistics.fmean(gaps),
+            "std_gap": statistics.pstdev(gaps),
+            "mean_bp_residual": statistics.fmean(residuals),
+            "fraction_verified": statistics.fmean(1.0 if ok else 0.0 for ok in verified),
+        })
+    for threads in ("1", "2"):
+        out = tmp_path / f"trend{threads}.json"
+        assert main([
+            "trend", "--ensemble", ensemble, "--l", str(l), "--r", str(r), "--n-list", "8,12",
+            "--p", str(p), "--instances", str(count), "--seed", "5", "--threads", threads,
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["rows"] == want
+
+
 def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypatch):
     # (3,6) at n = 60 has k >= 30 > 26: exit 3 without a single BP solve
     calls = []
@@ -826,6 +882,7 @@ def test_trend_and_entropy_refuse_an_over_cap_code_before_bp(tmp_path, monkeypat
 
     monkeypatch.setattr("loopgas.cli.solve_fixed_point", counting(solve_fixed_point))
     monkeypatch.setattr("loopgas.cli.solve_fixed_points", counting(solve_fixed_points))
+    monkeypatch.setattr("loopgas.cli.solve_graphs", counting(solve_graphs))
     rc = main([
         "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "6",
         "--n-list", "60", "--p", "0.45", "--instances", "2", "--seed", "0",
