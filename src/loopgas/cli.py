@@ -46,7 +46,9 @@ from .errors import (
     BudgetExceededError,
     DegreeTooLargeError,
     HypothesisNotMetError,
+    LogDomainError,
     LoopGasError,
+    SingularDenominatorError,
     TooLargeError,
 )
 from .exact import (
@@ -504,11 +506,12 @@ def _trend_instances(channel, args, jobs: list[tuple[int, int]]) -> list[tuple]:
 
 
 def _map_instances(worker, args, sizes: list[int]) -> list[list]:
-    """worker(args, chunk) on contiguous chunks of the jobs (n, index), every
-    size n and instance index in order: one chunk at --threads 1, else one
-    per process of a pool of min(args.threads, jobs); worker returns one
-    result per job.  One list per size, in index order.  Refuses fewer than
-    one instance or thread up front."""
+    """worker(args, chunk) on the jobs (n, index), every size n and instance
+    index in order: all of them at --threads 1, else dealt round-robin over
+    a pool of procs = min(args.threads, jobs) processes, process k taking
+    jobs[k::procs], so every process gets small and large sizes alike;
+    worker returns one result per job.  One list per size, in index order.
+    Refuses fewer than one instance or thread up front."""
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
     if args.threads < 1:
@@ -518,11 +521,11 @@ def _map_instances(worker, args, sizes: list[int]) -> list[list]:
     if procs == 1:
         results = worker(args, jobs)
     else:
-        cuts = [len(jobs) * k // procs for k in range(procs + 1)]
-        chunks = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
+        results = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            done = pool.map(functools.partial(worker, args), chunks)
-            results = [result for chunk in done for result in chunk]
+            dealt = [jobs[k::procs] for k in range(procs)]
+            for k, chunk in enumerate(pool.map(functools.partial(worker, args), dealt)):
+                results[k::procs] = chunk
     return [results[k : k + args.instances] for k in range(0, len(jobs), args.instances)]
 
 
@@ -587,7 +590,11 @@ def _entropy_instance(args, job: tuple[int, int]) -> dict:
         seed=channel_seed,
     )
     avg_exact = channel_average(graph, p, f_exact, **kwargs)
-    avg_bethe = channel_average(graph, p, f_bethe, **kwargs)
+    try:
+        avg_bethe = channel_average(graph, p, f_bethe, **kwargs)
+    except (LogDomainError, SingularDenominatorError) as exc:
+        # a saturating pattern stops the run: say which instance to re-run
+        raise type(exc)(f"instance {index} (n = {n}): {exc}") from exc
     if graph.weights.kind == "ldpc":
         h_exact = conditional_entropy_ldpc(avg_exact.mean, p)
         h_bethe = conditional_entropy_ldpc(avg_bethe.mean, p)

@@ -52,12 +52,12 @@ class TooLargeError(LoopGasError):
 
 
 class DegreeTooLargeError(LoopGasError):
-    """A check degree exceeds the cap for exhaustive local-configuration tables."""
+    """A check's or a variable's degree d exceeds the cap for 2^d-entry tables."""
 
 
 class WeightOverflowError(LoopGasError):
-    """A local weight exp(beta * sum |J|), or a polymer-series activity
-    product or term, is too large for a float."""
+    """A local weight exp(beta * sum |J|), a loop activity, the loop sum, or
+    a polymer-series activity product or term is not a finite float."""
 
 
 class NoSignChangeError(LoopGasError):

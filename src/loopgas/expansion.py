@@ -137,7 +137,7 @@ def _family_sums(words: np.ndarray, acts: np.ndarray, m_max: int) -> list[int]:
             raise WeightOverflowError(
                 f"order {order}: an activity product passes the float range"
             )
-        sums[order] += _exact_total([prod])
+        sums[order] += _exact_total(prod)
     return sums
 
 

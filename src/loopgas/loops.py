@@ -33,9 +33,9 @@ small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
 is the empty loop.  A loop splits into polymers along its checks:
 Warshall's closure on the node masks of its check blocks merges every two
 blocks that share a node, for all loops of a chunk at once and for each
-connected component of the graph's checks on its own.  The loop sum keeps
-its terms as float64 arrays and adds them exactly (_exact_sum; its integer
-total, _exact_total, also sums expansion's families).  The identity check
+connected component of the graph's checks on its own.  The loop sum adds
+each chunk's terms into exact integers (_exact_total; it also sums
+expansion's families) and rounds once at the end.  The identity check
 adds the exact ln Z, BP and the Bethe free energy to the loop sum.
 
 One function, polymer_q, scores the convergence statistic q for the loop
@@ -66,6 +66,7 @@ from .errors import (
     HypothesisNotMetError,
     LogDomainError,
     SingularDenominatorError,
+    WeightOverflowError,
 )
 from .exact import log_partition
 from .graphs import (
@@ -365,17 +366,16 @@ class _Leaves:
     def loops(self):
         """(choices, activities) of the nonempty leaves, chunk by chunk in
         walk order; choices[a, j] is loop j's option index at check a,
-        rebuilt by backtracking through the levels.  Leaf 0, the empty
-        option at every check, is the only empty leaf, so the chunks start
-        at leaf 1."""
-        levels = [(p.astype(np.intp), o.astype(np.intp)) for p, o in self.levels]
+        rebuilt by backtracking through the levels in their stored narrow
+        types, so no copy of them is made.  Leaf 0, the empty option at
+        every check, is the only empty leaf, so the chunks start at leaf 1."""
         for start in range(1, len(self.prod), _CHUNK):
             stop = min(start + _CHUNK, len(self.prod))
             idx = np.arange(start, stop)
-            choices = np.empty((len(levels), stop - start), dtype=np.intp)
-            for a in range(len(levels) - 1, -1, -1):
-                parent, option = levels[a]
-                np.take(option, idx, out=choices[a])
+            choices = np.empty((len(self.levels), stop - start), dtype=np.intp)
+            for a in range(len(self.levels) - 1, -1, -1):
+                parent, option = self.levels[a]
+                choices[a] = option[idx]
                 idx = parent[idx]
             yield choices, self.prod[start:stop]
 
@@ -670,7 +670,6 @@ def _meets(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # e^s for the sizes s = 0..709 where it is finite; math.exp, not np.exp,
 # which may differ in the last bit
 _EXP_SIZE = np.array([math.exp(s) for s in range(710)])
-_BIN_LIMIT = 1 << 26  # elements _exact_total bins before it folds the bins
 
 
 def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
@@ -699,81 +698,28 @@ def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
     return max(load.tolist(), default=0.0)
 
 
-def _exact_sum(chunks) -> float:
-    """math.fsum of the concatenated float64 chunks, bit for bit.
-
-    The finite values are added exactly (_exact_total) and the total is
-    rounded once, by a correctly rounded int / int division; it is +0.0
-    when 0.  Like fsum, an inf and a -inf raise ValueError, else a nan gives
-    nan and an inf inf; a finite sum past the float range raises
-    OverflowError.  fsum also raises that when a running sum leaves the
-    range and the total comes back, which depends on the order of the
-    elements; this does not.
-    """
-    special = []
-
-    def finite(chunks):
-        for x in chunks:
-            keep = np.isfinite(x)
-            if not keep.all():
-                special.append(x[~keep])
-                x = x[keep]
-            yield x
-
-    total = _exact_total(finite(chunks))
-    try:
-        value = total / (1 << 1126)
-    except OverflowError:
-        raise OverflowError("intermediate overflow in fsum") from None
-    if special:
-        special = np.concatenate(special)
-        pos, neg = bool((special > 0).any()), bool((special < 0).any())
-        if pos and neg:
-            raise ValueError("-inf + inf in fsum")
-        if np.isnan(special).any():
-            return math.nan
-        return math.inf if pos else -math.inf
-    return value
-
-
-def _exact_total(chunks) -> int:
-    """The exact sum of the finite float64 chunks, as an int in units of
-    2**-1126.
+def _exact_total(x: np.ndarray) -> int:
+    """The exact sum of the finite float64 array x, as an int in units of
+    2**-1126, which total / 2**1126 rounds correctly (math.fsum's value,
+    +0.0 when 0).  x holds fewer than 2**26 elements, else ValueError.
 
     A finite x is m * 2**e (np.frexp) with m * 2**53 an integer below 2**53
     in magnitude, even for subnormals; it splits into halves hi * 2**26 + lo
     with |hi| < 2**27 and |lo| < 2**26.  Per exponent each half is summed by
-    a float64 bincount, exact while fewer than 2**26 elements share the
-    bins, which are then folded into one Python int.
+    a float64 bincount, exact for fewer than 2**26 elements, and the bins
+    are folded into one Python int.
     """
-    total, binned = 0, 0
-    bins = np.zeros((2, 2098))  # hi and lo sums per exponent + 1073
-    for x in chunks:
-        if binned + len(x) > _BIN_LIMIT:
-            total += _unbin(bins)
-            bins[:] = 0.0
-            binned = 0
-        binned += len(x)
-        _bin(x, bins)
-    return total + _unbin(bins)
-
-
-def _bin(x: np.ndarray, bins: np.ndarray) -> None:
-    """Add the halves of the finite float64 array x to bins, per exponent."""
+    if len(x) >= 1 << 26:
+        raise ValueError(f"_exact_total adds fewer than 2**26 elements at once, got {len(x)}")
     m, e = np.frexp(x)
     m *= 2.0**27
     hi = np.trunc(m)
     m -= hi
     m *= 2.0**26
     e += 1073  # the least exponent, of 2**-1074, is -1073
-    bins[0] += np.bincount(e, hi, minlength=bins.shape[1])
-    bins[1] += np.bincount(e, m, minlength=bins.shape[1])
-
-
-def _unbin(bins: np.ndarray) -> int:
-    """The sum held by the bins, in units of 2**-1126."""
-    at = np.flatnonzero(bins.any(axis=0))
-    hi, lo = bins[:, at].tolist()
+    hi, lo = np.bincount(e, hi), np.bincount(e, m)
+    at = np.flatnonzero((hi != 0) | (lo != 0))
+    hi, lo = hi[at].tolist(), lo[at].tolist()
     return sum(((int(a) << 26) + int(b)) << k for k, a, b in zip(at.tolist(), hi, lo))
 
 
@@ -834,11 +780,13 @@ def loop_sum_direct(
 ) -> LoopSumResult:
     """1 + sum of activities over all generalized loops, in one walk.
 
-    The loop terms are added exactly (_exact_sum, bit for bit math.fsum),
-    so the total is the exactly rounded sum of the per-loop activities.
-    The same walk splits the sum by polymer size: a loop term is small when
-    each polymer of its disjoint decomposition has size < split_lambda * n;
-    z_small is 1 plus the small terms, r_large the rest.  The connected
+    The loop terms are added exactly, chunk by chunk (_exact_total), and
+    rounded once: bit for bit 1.0 + math.fsum of the activities.  A
+    non-finite activity, or a sum past the float range, raises
+    WeightOverflowError.  The walk also splits the sum by polymer size: a
+    loop term is small when each polymer of its disjoint decomposition has
+    size < split_lambda * n; z_small is 1 plus the small terms, r_large the
+    rest, each rounded once likewise.  The connected
     loops are the polymers; q is convergence_criterion_q's single-node
     statistic over them, each node's sum taken in the walk's depth-first
     leaf order.
@@ -856,31 +804,30 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
     graph = evaluator.graph
     leaves = _walk(graph, budget, evaluator)
     threshold = split_lambda * graph.n
-    small: list[np.ndarray] = []
-    large: list[np.ndarray] = []
+    small = large = 0  # exact, in units of 2**-1126 (_exact_total)
     load = np.zeros(graph.n + graph.m)
     polymer_count, q = 0, 0.0
     for choices, prod in leaves.loops():
+        j = int(np.isfinite(prod).argmin())  # the first non-finite term if any
+        if not math.isfinite(prod[j]):
+            edges = list(leaves.records(choices[:, j : j + 1])[0].edge_ids)
+            raise WeightOverflowError(f"loop on edges {edges} has non-finite activity {prod[j]}")
         count, largest, union = leaves.split(choices)
         is_large = largest >= threshold
-        large.append(prod[is_large])
-        small.append(prod[~is_large])
+        large += _exact_total(prod[is_large])
+        small += _exact_total(prod[~is_large])
         connected = count == 1
         polymer_count += int(connected.sum())
         q = polymer_q(load, union[:, connected], prod[connected], largest[connected])
-    loop_count = len(leaves.prod) - 1
-    large_count = sum(map(len, large))
-    z_small, r_large = 1.0 + _exact_sum(small), _exact_sum(large)
+    try:
+        total, z_small, r_large = (s / (1 << 1126) for s in (small + large, small, large))
+    except OverflowError:
+        raise WeightOverflowError("the loop sum passes the float range") from None
     return LoopSumResult(
-        # with either part empty the other's sum is already the whole sum
-        total=(
-            1.0 + _exact_sum(small + large)
-            if 0 < large_count < loop_count
-            else z_small + r_large
-        ),
-        loop_count=loop_count,
+        total=1.0 + total,
+        loop_count=len(leaves.prod) - 1,
         polymer_count=polymer_count,
-        z_small=z_small,
+        z_small=1.0 + z_small,
         r_large=r_large,
         q=q,
     )

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import loopgas.loops
 from loopgas import (
     BPResult,
     BetheBreakdown,
@@ -54,6 +55,29 @@ from loopgas.ratefunc import (
     f_xy,
     k_theta,
 )
+
+# ---------------------------------------------------------------------------
+# test doubles
+
+
+def walk_with_terms(monkeypatch, terms) -> list:
+    """Make every walk hand the given activities to its first loops of two
+    or more polymers, which q does not read; returns the edge ids of those
+    loops, filled in by each walk."""
+    walk, patched_loops = loopgas.loops._walk, []
+
+    def patched(*args, **kwargs):
+        leaves = walk(*args, **kwargs)
+        choices = next(leaves.loops())[0]
+        at = np.flatnonzero(leaves.split(choices)[0] > 1)[: len(terms)]
+        assert len(at) == len(terms)
+        leaves.prod[at + 1] = terms
+        patched_loops[:] = [list(loop.edge_ids) for loop in leaves.records(choices[:, at])]
+        return leaves
+
+    monkeypatch.setattr(loopgas.loops, "_walk", patched)
+    return patched_loops
+
 
 # ---------------------------------------------------------------------------
 # instance builders

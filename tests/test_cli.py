@@ -409,6 +409,33 @@ def test_verify_identity_budget_exit(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([math.inf], "has non-finite activity inf"),
+        ([math.nan], "has non-finite activity nan"),
+        ([1e308, 1e308], "the loop sum passes the float range"),
+    ],
+)
+def test_verify_identity_exits_2_on_a_non_finite_loop_sum(
+    tmp_path, capsys, monkeypatch, terms, message
+):
+    # the README demo, whose loops of two or more polymers take the terms
+    path = _gen(
+        tmp_path, "demo.json",
+        "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "8", "--seed", "7",
+    )
+    sp.walk_with_terms(monkeypatch, terms)
+    out = tmp_path / "vi.json"
+    rc = main([
+        "verify-identity", "--graph", path, "--p", "0.42", "--channel-seed", "1",
+        "--out", str(out),
+    ])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_identity_payload_is_the_library_report(tmp_path):
     path = _ldpc_file(tmp_path)
     out = str(tmp_path / "vi.json")
@@ -834,8 +861,8 @@ def test_trend_and_entropy_refuse_fewer_than_one_thread(command, tmp_path, capsy
 @pytest.mark.parametrize("ensemble", ["ldpc-regular", "ldgm"])
 def test_trend_payload_equals_a_per_instance_serial_oracle(ensemble, tmp_path):
     # every instance on its own: the scalar BP sweep and the node-by-node
-    # Bethe assembly, then the row statistics; --threads 2 cuts the 6 jobs
-    # into two chunks of 3, each solved as one batch
+    # Bethe assembly, then the row statistics; --threads 2 deals the 6 jobs
+    # round-robin, 3 to each process, which solves them as one batch
     l, r, p, sizes, count = 3 if ensemble == "ldpc-regular" else 2, 4, 0.45, [8, 12], 3
     channel = loopgas.ChannelParams(p=p, epsilon=0.1)
     want = []
@@ -994,9 +1021,9 @@ def test_comma_list_errors_name_the_flag_and_the_piece(argv, message, monkeypatc
 
 
 def test_trend_maps_every_size_through_one_pool(monkeypatch, tmp_path):
-    # one executor for all (n, index) jobs; the rows regroup by size, as the
-    # in-process run orders them
-    pools = []
+    # one executor for all (n, index) jobs, dealt round-robin over its
+    # processes; the rows regroup by size, as the in-process run orders them
+    pools, dealt = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -1008,8 +1035,9 @@ def test_trend_maps_every_size_through_one_pool(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, chunks):
+            dealt.extend(chunks)
+            return map(fn, dealt)
 
     args = [
         "trend", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4",
@@ -1022,6 +1050,7 @@ def test_trend_maps_every_size_through_one_pool(monkeypatch, tmp_path):
     monkeypatch.setattr("loopgas.cli.ProcessPoolExecutor", InlinePool)
     assert main(args + ["--threads", "2", "--out", str(two)]) == 0
     assert pools == [2]
+    assert dealt == [[(4, 0), (8, 0), (4, 0)], [(4, 1), (8, 1), (4, 1)]]
     assert one.read_bytes() == two.read_bytes()
     rows = json.loads(one.read_text())["rows"]
     for k, size in enumerate(["4", "8", "4"]):  # each row is its size run alone
@@ -1175,6 +1204,30 @@ def test_entropy_refuses_bad_p_and_samples_before_any_sum(tmp_path, monkeypatch,
     assert "error: mc_samples must be at least 1, got 0" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "entropy.json").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("0", "a BP update met a zero denominator"),
+        ("8", "check 0 produced a non-positive log argument"),
+    ],
+)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_entropy_names_the_instance_a_saturating_pattern_stops(
+    tmp_path, capsys, seed, message, threads
+):
+    # instance 2 of 3 at n = 12 holds a channel pattern whose BP or Bethe
+    # step fails; the exit code stays 2, and the error says what to re-run
+    out = tmp_path / "entropy.json"
+    rc = main([
+        "entropy", "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "12",
+        "--p", "0.3", "--instances", "3", "--seed", seed, "--threads", threads,
+        "--out", str(out),
+    ])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: instance 2 (n = 12): {message}")
 
 
 def test_entropy_symmetric_channel_matches_code_dimension(tmp_path):

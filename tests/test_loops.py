@@ -19,6 +19,7 @@ from loopgas.errors import (
     HypothesisNotMetError,
     SingularDenominatorError,
     TooLargeError,
+    WeightOverflowError,
 )
 
 import support as sp
@@ -621,6 +622,77 @@ def test_readme_demo_loop_sum_is_pinned():
         assert lg.loop_sum_direct(g, messages, split_lambda=lam) == lg.LoopSumResult(
             total, 151338, 149181, z_small, r_large, q
         ), lam
+
+
+def _demo():
+    g = sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1)
+    return g, lg.solve_fixed_point(g).messages
+
+
+def test_split_sums_are_fsums_of_the_walks_terms(monkeypatch):
+    # with both parts nonempty each of the three is its own terms' fsum,
+    # rounded once, here across chunks; on these messages the total is not
+    # z_small + r_large
+    monkeypatch.setattr(lg.loops, "_CHUNK", 1024)
+    g = _demo()[0]
+    messages = sp.random_messages(g, seed=1)
+    leaves = lg.loops._walk(g, 10**7, lg.ActivityEvaluator(g, messages))
+    small, large = [], []
+    for choices, prod in leaves.loops():
+        is_large = leaves.split(choices)[1] >= 1.2 * g.n
+        small += prod[~is_large].tolist()
+        large += prod[is_large].tolist()
+    assert len(small) > 1000 and len(large) > 1000
+    res = lg.loop_sum_direct(g, messages, split_lambda=1.2)
+    assert res.total.hex() == (1.0 + math.fsum(small + large)).hex()
+    assert res.z_small.hex() == (1.0 + math.fsum(small)).hex()
+    assert res.r_large.hex() == math.fsum(large).hex()
+    assert res.total != res.z_small + res.r_large
+
+
+def test_loop_sum_pass_holds_one_chunk_at_a_time(monkeypatch):
+    # past the walk's own leaf arrays, the pass keeps no copy of the terms
+    # or of the levels: its peak stays below the activity array alone
+    monkeypatch.setattr(lg.loops, "_CHUNK", 1024)
+    g, messages = _demo()
+    ev = lg.ActivityEvaluator(g, messages)
+    leaves = lg.loops._walk(g, 10**7, ev)
+    monkeypatch.setattr(lg.loops, "_walk", lambda *args: leaves)
+    tracemalloc.start()
+    try:
+        assert lg.loops._loop_sum(ev, 10**7, 0.5).loop_count == 151338
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < leaves.prod.nbytes
+
+
+def test_non_finite_loop_activity_raises_naming_the_loop(monkeypatch):
+    g = sp.ldpc_instance(3, 4, 4, 0.3, 1)
+    nan = lg.MessageSet(
+        kind="ldpc",
+        var_to_check=np.full(g.edge_count, np.nan),
+        check_to_var=np.full(g.edge_count, 0.5),
+    )
+    pattern = r"^loop on edges \[[\d, ]+\] has non-finite activity nan$"
+    with pytest.raises(WeightOverflowError, match=pattern):
+        lg.loop_sum_direct(g, nan)
+    g, messages = _demo()
+    for terms, value in (([math.inf], "inf"), ([1.0, -math.inf], "-inf"), ([math.nan], "nan")):
+        loops = sp.walk_with_terms(monkeypatch, terms)
+        with pytest.raises(WeightOverflowError) as info:
+            lg.loop_sum_direct(g, messages)
+        assert str(info.value) == f"loop on edges {loops[-1]} has non-finite activity {value}"
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("terms", [[1e308, 1e308], [-1.7e308, -1.7e308, 1e300]])
+def test_loop_sum_past_the_float_range_raises(monkeypatch, terms):
+    # every term is a float, their sum is not
+    g, messages = _demo()
+    sp.walk_with_terms(monkeypatch, terms)
+    with pytest.raises(WeightOverflowError, match="^the loop sum passes the float range$"):
+        lg.loop_sum_direct(g, messages)
 
 
 def test_level_walk_chunking_does_not_change_results(monkeypatch):
