@@ -16,7 +16,8 @@ families are grown one polymer at a time with the loop walk's pair
 generator, loops._runs, each a_k is kept exact (loops._exact_total), and the
 terms follow from M c_M = M a_M - sum_{k<M} k c_k a_{M-k} in exact rational
 arithmetic, each rounded once.  Disjoint families are rare exactly where the
-multisets are many, among densely overlapping polymers.
+multisets are many, among densely overlapping polymers.  The polymers and
+their activities come from one loop walk (loops._polymer_arrays).
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .loops import (
     Polymer,
     _exact_total,
     _meets,
-    enumerate_polymers,
+    _polymer_arrays,
+    _runs,
     node_words,
     polymer_q,
-    _runs,
 )
 
 SERIES_BLOCK = 1 << 12  # families per block; bounds memory
@@ -81,7 +82,6 @@ def polymer_series(
     messages: MessageSet,
     m_max: int = 4,
     size_cutoff: int | None = None,
-    polymers: list[Polymer] | None = None,
     budget: int = 10_000_000,
     z: float = 1.0,
 ) -> SeriesResult:
@@ -95,33 +95,31 @@ def polymer_series(
     disjoint families, rounded once, and the tests hold it within 2 ulp of
     the multiset sum done exactly.  `z` scales every activity; the
     default 1 evaluates the series itself, smaller values probe its decay.
-    `budget` caps the number of multisets over all orders, which bounds
-    the families tried; a series that needs more is refused before any
-    work.  An activity product or a term past the float range raises
-    WeightOverflowError naming its order.
+    `budget` caps the walk's visits and the multisets over all orders; a
+    series that needs more multisets is refused before any family is grown.
+    A product or a term past the float range raises WeightOverflowError
+    naming its order, a q past it one naming q.
     """
     check_series_options(m_max, size_cutoff, z)
     check_weight_range(graph)
-    if polymers is None:
-        polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
-    tuples = sum(
-        math.comb(len(polymers) + order - 1, order) for order in range(1, m_max + 1)
-    )
+    ev = ActivityEvaluator(graph, messages)
+    words, acts, sizes = _polymer_arrays(graph, size_cutoff, budget, ev)
+    tuples = sum(math.comb(len(acts) + order - 1, order) for order in range(1, m_max + 1))
     if tuples > budget:
         raise BudgetExceededError(
             f"series needs {tuples} tuples, over the budget of {budget};"
             " lower m_max or restrict size_cutoff"
         )
-    ev = ActivityEvaluator(graph, messages)
-    acts = z * ev.values([p.edge_ids for p in polymers])
-    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
+    acts = z * acts
     terms = _log_gas_terms(words, acts, m_max)
-    partial = list(itertools.accumulate(terms))
+    q = _q_report(graph, words, acts, sizes, size_cutoff).q
+    if not math.isfinite(q):
+        raise WeightOverflowError(f"q = {q} passes the float range")
     return SeriesResult(
         terms=tuple(terms),
-        partial_sums=tuple(partial),
-        q=_q_report(graph, polymers, acts, size_cutoff, words).q,
-        polymer_count=len(polymers),
+        partial_sums=tuple(itertools.accumulate(terms)),
+        q=q,
+        polymer_count=len(acts),
         size_cutoff=size_cutoff,
     )
 
@@ -192,17 +190,16 @@ def convergence_criterion_q(
     graph: FactorGraph,
     messages: MessageSet,
     size_cutoff: int | None = None,
-    polymers: list[Polymer] | None = None,
     budget: int = 10_000_000,
 ) -> QReport:
     """q = max over nodes of sum_{polymers through it} e^size * |activity|.
 
-    q < 1 certifies a convergent series with per-order error decay.
+    q < 1 certifies a convergent series with per-order error decay; the
+    polymers come from one walk, as the series', and past the float range
+    q reads inf.
     """
-    if polymers is None:
-        polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
-    acts = ActivityEvaluator(graph, messages).values([p.edge_ids for p in polymers])
-    return _q_report(graph, polymers, acts, size_cutoff)
+    ev = ActivityEvaluator(graph, messages)
+    return _q_report(graph, *_polymer_arrays(graph, size_cutoff, budget, ev), size_cutoff)
 
 
 def convergence_criterion_q_bound(
@@ -211,16 +208,16 @@ def convergence_criterion_q_bound(
     bound_fn,
     size_cutoff: int | None = None,
 ) -> QReport:
-    """Same statistic with a per-polymer activity bound in place of |K|."""
-    return _q_report(graph, polymers, [float(bound_fn(p)) for p in polymers], size_cutoff)
+    """Same statistic over a polymer list with a per-polymer activity
+    bound, such as |ActivityEvaluator.value|, in place of |K|."""
+    words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
+    bounds = [float(bound_fn(p)) for p in polymers]
+    return _q_report(graph, words, bounds, [p.size for p in polymers], size_cutoff)
 
 
-def _q_report(graph: FactorGraph, polymers, acts, size_cutoff, words=None) -> QReport:
-    """polymer_q over polymers in list order with activities (or bounds)
-    acts; words, when given, is their node_words."""
-    if words is None:
-        words = node_words([p.node_mask for p in polymers], graph.n + graph.m)
-    q = polymer_q(np.zeros(graph.n + graph.m), words, acts, [p.size for p in polymers])
+def _q_report(graph: FactorGraph, words, acts, sizes, size_cutoff) -> QReport:
+    """polymer_q over polymers given as columns of words, acts and sizes."""
+    q = polymer_q(np.zeros(graph.n + graph.m), words, acts, sizes)
     return QReport(q=q, certified=q < 1.0, size_cutoff=size_cutoff)
 
 
@@ -244,13 +241,9 @@ def count_rooted_polymers(
         raise ValueError(f"root {root} outside the node range")
     if t < 1:
         raise ValueError(f"size threshold must be positive, got {t}")
-    polymers = enumerate_polymers(graph, max_size=t, budget=budget)
-    bit = 1 << root
-    count = sum(1 for p in polymers if p.node_mask & bit)
-    d = max(
-        max((graph.var_degree(i) for i in range(graph.n)), default=0),
-        max((graph.check_degree(a) for a in range(graph.m)), default=0),
-    )
+    words = _polymer_arrays(graph, t, budget)[0]
+    count = int(np.count_nonzero(words[root >> 6] >> np.uint64(root & 63) & np.uint64(1)))
+    d = max(graph.l_max, graph.r_max)
     return count, math.exp(d * t) if d * t <= 709 else math.inf
 
 

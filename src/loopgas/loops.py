@@ -23,11 +23,11 @@ built; what it keeps, and in what order, is the same as crossing every
 state with every option and filtering.  _runs expands the (state, option)
 pairs state-major, so the leaves come out in depth-first order: the
 lexicographic order of the per-check options, with the empty option first.
-That order is part of the output, because q adds each node's weights in
-it.  Pairs and leaves go in chunks of _CHUNK, which bounds the
-temporaries, and the visit budget is checked at every chunk boundary, so
-an over-budget walk is refused after at most one chunk more than the
-budget.  Expansion's series grows its polymer families with _runs too.
+That order is part of the output: the polymers are listed, and q adds
+each node's weights, in it.  Pairs and leaves go in chunks of _CHUNK,
+which bounds the temporaries, and the visit budget is checked at every
+chunk boundary, so an over-budget walk is refused after at most one chunk
+more than the budget.  Expansion's series grows its families with _runs.
 Enumeration (with or without activities) and the loop sum with its
 small/large split read the leaf arrays chunk by chunk, from leaf 1: leaf 0
 is the empty loop.  A loop splits into polymers along its checks:
@@ -38,14 +38,13 @@ each chunk's terms into exact integers (_exact_total; it also sums
 expansion's families) and rounds once at the end.  The identity check
 adds the exact ln Z, BP and the Bethe free energy to the loop sum.
 
-One function, polymer_q, scores the convergence statistic q for the loop
-sum (in walk order) and for expansion's series and both criteria (in
-polymer-list order).
+Expansion's series and criterion take their polymers from a walk capped
+at their size cutoff (_polymer_arrays), so without a cutoff their
+polymers, activities, order and q are the loop sum's.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,6 +171,7 @@ class ActivityEvaluator:
         for side, incidence in enumerate((graph.var_edges, graph.check_edges)):
             for eids in incidence:
                 self.edge_bits[side, list(eids)] = 1 << np.arange(len(eids))
+        self.last_check = _last_checks(graph)
 
     def _terms(self, node: int) -> tuple[np.ndarray, np.ndarray | float]:
         """(numerator, normalization) of node's factor over its local masks."""
@@ -210,6 +210,8 @@ class ActivityEvaluator:
     def _read(self, nodes: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """The table entry of each (node, mask) pair; SingularDenominatorError
         for the first pair whose entry is flagged."""
+        if not len(nodes):
+            return np.zeros(0)
         distinct, which = np.unique(nodes, return_inverse=True)
         tables = [self._entries(node) for node in distinct.tolist()]
         at = np.cumsum([0] + [len(f) for f, _, _ in tables])[which] + masks
@@ -231,32 +233,23 @@ class ActivityEvaluator:
         return self._read(np.full(len(masks), node), np.asarray(masks, dtype=np.intp))
 
     def value(self, edge_ids: tuple[int, ...]) -> float:
-        return float(self.values([edge_ids])[0])
+        """The activity of one edge subset, bit for bit the walk's product:
+        1.0 times, check by check, its table entry and then those of the
+        variables whose last check it is, ascending; see _read."""
+        edges = list(edge_ids)
+        masks: dict[int, int] = {}
+        for node, bit in zip(
+            self.edge_nodes[:, edges].ravel().tolist(), self.edge_bits[:, edges].ravel().tolist()
+        ):
+            masks[node] = masks.get(node, 0) | bit
+        n = self.graph.n
+        nodes = sorted(masks, key=lambda v: (v - n, -1) if v >= n else (self.last_check[v], v))
+        factors = self._read(np.array(nodes, np.intp), np.array([masks[v] for v in nodes], np.intp))
+        return float(math.prod(factors.tolist()))
 
     def values(self, edge_id_tuples) -> np.ndarray:
-        """The activity of every edge subset, as one float64 array: 1.0
-        times each touched node's table entry, variables ascending, then
-        checks.  Only the entries the subsets use are read."""
-        sizes = np.array([len(s) for s in edge_id_tuples], dtype=np.intp)
-        out = np.ones(len(sizes))
-        edges = np.fromiter(itertools.chain.from_iterable(edge_id_tuples), np.intp)
-        if not len(edges):
-            return out
-        node_count = self.graph.n + self.graph.m
-        # one entry per (subset, touched node), sorted by subset, then node
-        key = np.repeat(np.arange(len(sizes)), sizes) * node_count + self.edge_nodes[:, edges]
-        order = np.argsort(key.ravel(), kind="stable")
-        key = key.ravel()[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        masks = np.bitwise_or.reduceat(self.edge_bits[:, edges].ravel()[order], starts)
-        subset, node = np.divmod(key[starts], node_count)
-        factors = self._read(node, masks)
-        count = np.bincount(subset, minlength=len(sizes))
-        first = np.cumsum(count) - count
-        for r in range(int(count.max())):
-            rows = np.flatnonzero(count > r)
-            out[rows] *= factors[first[rows] + r]
-        return out
+        """value of every edge subset, as one float64 array."""
+        return np.array([self.value(s) for s in edge_id_tuples], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +372,6 @@ class _Leaves:
                 idx = parent[idx]
             yield choices, self.prod[start:stop]
 
-    def union(self, choices: np.ndarray) -> np.ndarray:
-        """(words, loops) node masks of the given loops."""
-        out = np.zeros((self.mask_words, choices.shape[1]), dtype=np.uint64)
-        for table, chosen in zip(self.option_words, choices):
-            out |= table[:, chosen]
-        return out
-
     def split(self, choices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(count, largest, union) of the given loops: each loop's polymer
         count, the size of its largest polymer and its (words, loops) node
@@ -431,7 +417,9 @@ class _Leaves:
         order = np.array([e for eids in self.graph.check_edges for e in eids], dtype=np.intp)
         edge_ids = order[included.nonzero()[1]].tolist()
         ends = np.cumsum(included.sum(axis=1)).tolist()
-        union = self.union(choices)
+        union = np.zeros((self.mask_words, choices.shape[1]), dtype=np.uint64)
+        for words, chosen in zip(self.option_words, choices):
+            union |= words[:, chosen]
         sizes = np.bitwise_count(union).sum(axis=0).tolist()
         masks = union[0].tolist()
         for w in range(1, len(union)):
@@ -535,6 +523,11 @@ def _run_chunk(count: np.ndarray, ends: np.ndarray, start: int, stop: int):
     return s, np.arange(start, stop) - ends[s] + count[s]
 
 
+def _last_checks(graph: FactorGraph) -> list[int]:
+    """Per variable, its highest check (-1 for none), where the walk closes it."""
+    return [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
+
+
 def _walk(
     graph: FactorGraph,
     budget: int,
@@ -575,7 +568,7 @@ def _walk(
     n_cap = n + m if max_nodes is None else max_nodes
     # the node tally only matters when the cap can bind
     capped = n_cap < n + m
-    last_check = [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
+    last_check = _last_checks(graph)
     local_bit = {e: 1 << k for eids in graph.var_edges for k, e in enumerate(eids)}
     bits_dtype = np.min_scalar_type((1 << graph.l_max) - 1)
     # per variable, its factor by included-edge bits
@@ -608,12 +601,13 @@ def _walk(
         # closing variables in index order, the order their factors multiply in
         closing = [(col[i], var_table[i]) for i in sorted(cols) if last_check[i] == a]
         staying = np.array([c for c, i in enumerate(cols) if last_check[i] != a], dtype=np.intp)
-        states = len(prod)
+        # each chunk's (parent, option) narrowed before it is kept
+        narrow = np.min_scalar_type(max(len(prod) - 1, 0)), np.min_scalar_type(len(opts) - 1)
         admitted, first, count = _admitted_options(
             masks, bits, [(c, var_cols.index(c)) for c, _table in closing]
         )
         # an empty part keeps the level defined when no pair survives
-        parts = [(np.zeros(0, dtype=np.intp), admitted[:0], bits[staying, :0], prod[:0], nodes[:0])]
+        parts = [(*(np.zeros(0, t) for t in narrow), bits[staying, :0], prod[:0], nodes[:0])]
         # pair (s, n) takes state s's n-th admitted option
         for parent, nth in _runs(count, _CHUNK):
             option = admitted[first[parent] + nth]
@@ -633,14 +627,11 @@ def _walk(
             visits += len(parent)
             if visits > budget:
                 raise BudgetExceededError(f"loop walk exceeded budget of {budget} visits")
-            parts.append((parent, option, child[staying], p, grown))
+            narrowed = parent.astype(narrow[0]), option.astype(narrow[1])
+            parts.append((*narrowed, child[staying], p, grown))
         parent, option, bits, prod, nodes = (np.concatenate(x, axis=-1) for x in zip(*parts))
-        levels.append(
-            (
-                parent.astype(np.min_scalar_type(max(states - 1, 0))),
-                option.astype(np.min_scalar_type(len(opts) - 1)),
-            )
-        )
+        del parts
+        levels.append((parent, option))
         open_vars = [cols[c] for c in staying.tolist()]
     return _Leaves(graph, options, levels, prod, visits)
 
@@ -685,9 +676,9 @@ def polymer_q(load: np.ndarray, words: np.ndarray, acts, sizes) -> float:
     acts = np.abs(np.asarray(acts, dtype=np.float64))
     sizes = np.asarray(sizes, dtype=np.intp)
     big = sizes >= len(_EXP_SIZE)
-    weights = acts * _EXP_SIZE[np.where(big, 0, sizes)]
-    if big.any():
-        with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        weights = acts * _EXP_SIZE[np.where(big, 0, sizes)]
+        if big.any():
             weights[big] = np.exp(sizes[big] + np.log(acts[big]))
     for b in range(len(load)):
         through = weights[(words[b >> 6] >> (b & 63) & 1).astype(bool)]
@@ -760,7 +751,8 @@ def enumerate_polymers(
     max_size: int | None = None,
     budget: int = 10_000_000,
 ) -> list[Polymer]:
-    """Connected generalized loops with at most max_size touched nodes."""
+    """Connected generalized loops with at most max_size touched nodes, in
+    walk order."""
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
     leaves = _walk(graph, budget, max_nodes=max_size)
@@ -768,8 +760,21 @@ def enumerate_polymers(
     for choices, _prod in leaves.loops():
         connected = leaves.split(choices)[0] == 1
         out += leaves.records(choices[:, connected])
-    out.sort(key=lambda g: (len(g.edge_ids), g.edge_ids))
     return out
+
+
+def _polymer_arrays(graph: FactorGraph, max_size: int | None, budget: int, evaluator=None):
+    """(node words, activities, sizes) of enumerate_polymers' polymers, in
+    its order, from one walk; the activities are 1.0 without an evaluator."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
+    leaves = _walk(graph, budget, evaluator, max_nodes=max_size)
+    parts = [(np.zeros((leaves.mask_words, 0), np.uint64), leaves.prod[:0], np.zeros(0, np.intp))]
+    for choices, prod in leaves.loops():
+        count, largest, union = leaves.split(choices)
+        connected = count == 1
+        parts.append((union[:, connected], prod[connected], largest[connected]))
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
 
 
 def loop_sum_direct(
@@ -786,10 +791,9 @@ def loop_sum_direct(
     WeightOverflowError.  The walk also splits the sum by polymer size: a
     loop term is small when each polymer of its disjoint decomposition has
     size < split_lambda * n; z_small is 1 plus the small terms, r_large the
-    rest, each rounded once likewise.  The connected
-    loops are the polymers; q is convergence_criterion_q's single-node
-    statistic over them, each node's sum taken in the walk's depth-first
-    leaf order.
+    rest, each rounded once likewise.  The connected loops are the
+    polymers; q is polymer_q over them in walk order, convergence_criterion_q
+    with no cutoff, and a q past the float range raises WeightOverflowError.
     """
     _check_split_lambda(split_lambda)
     return _loop_sum(ActivityEvaluator(graph, messages), budget, split_lambda)
@@ -823,6 +827,8 @@ def _loop_sum(evaluator: ActivityEvaluator, budget: int, split_lambda: float) ->
         total, z_small, r_large = (s / (1 << 1126) for s in (small + large, small, large))
     except OverflowError:
         raise WeightOverflowError("the loop sum passes the float range") from None
+    if not math.isfinite(q):
+        raise WeightOverflowError(f"q = {q} passes the float range")
     return LoopSumResult(
         total=1.0 + total,
         loop_count=len(leaves.prod) - 1,
@@ -863,6 +869,8 @@ def verify_loop_identity(
     if loops.total <= 0.0:
         raise LogDomainError(f"loop-sum total {loops.total} is not positive")
     ln_loop = math.log(loops.total)
+    # a single edge's activity is its variable's entry times its check's
+    variable, check = (ev._read(ev.edge_nodes[k], ev.edge_bits[k]) for k in (0, 1))
     return IdentityReport(
         ln_z_exact=ln_z,
         f_bethe=f,
@@ -874,9 +882,7 @@ def verify_loop_identity(
         r_large=loops.r_large,
         loop_count=loops.loop_count,
         polymer_count=loops.polymer_count,
-        max_dangling_activity=max(
-            map(abs, ev.values([(e,) for e in range(graph.edge_count)]).tolist()), default=0.0
-        ),
+        max_dangling_activity=float(np.abs(variable * check).max(initial=0.0)),
     )
 
 

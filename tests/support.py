@@ -60,16 +60,18 @@ from loopgas.ratefunc import (
 # test doubles
 
 
-def walk_with_terms(monkeypatch, terms) -> list:
+def walk_with_terms(monkeypatch, terms, polymers: bool = False) -> list:
     """Make every walk hand the given activities to its first loops of two
-    or more polymers, which q does not read; returns the edge ids of those
-    loops, filled in by each walk."""
+    or more polymers, which q does not read, or with polymers set to its
+    first polymers; returns the edge ids of those loops, filled in by each
+    walk."""
     walk, patched_loops = loopgas.loops._walk, []
 
     def patched(*args, **kwargs):
         leaves = walk(*args, **kwargs)
         choices = next(leaves.loops())[0]
-        at = np.flatnonzero(leaves.split(choices)[0] > 1)[: len(terms)]
+        count = leaves.split(choices)[0]
+        at = np.flatnonzero(count == 1 if polymers else count > 1)[: len(terms)]
         assert len(at) == len(terms)
         leaves.prod[at + 1] = terms
         patched_loops[:] = [list(loop.edge_ids) for loop in leaves.records(choices[:, at])]
@@ -597,17 +599,20 @@ class ScalarFactors:
 
 
 def oracle_activity(factors: ScalarFactors, edge_ids: tuple[int, ...]) -> float:
-    """K(edge subset) one node at a time: 1.0 times each touched variable's
-    factor in increasing order, then each touched check's.  The reference
-    for ActivityEvaluator.values."""
+    """K(edge subset) one node at a time, in the walk's order: 1.0 times,
+    check by check ascending, each touched check's factor and then those of
+    the touched variables whose last check it is, ascending.  The reference
+    for ActivityEvaluator.value."""
+    graph = factors.graph
     g_edges = set(edge_ids)
-    tv = sorted({factors.graph.edges[e][0] for e in edge_ids})
-    tc = sorted({factors.graph.edges[e][1] for e in edge_ids})
+    last = [max((graph.edges[e][1] for e in eids), default=-1) for eids in graph.var_edges]
+    touched = {graph.edges[e][0] for e in edge_ids}
     out = 1.0
-    for i in tv:
-        out *= factors.var_factor(i, g_edges)
-    for a in tc:
-        out *= factors.check_factor(a, g_edges)
+    for a in range(graph.m):
+        if any(graph.edges[e][1] == a for e in edge_ids):
+            out *= factors.check_factor(a, g_edges)
+        for i in sorted(i for i in touched if last[i] == a):
+            out *= factors.var_factor(i, g_edges)
     return out
 
 
@@ -975,7 +980,8 @@ def recursive_loops(graph: FactorGraph, budget: int = 10_000_000) -> list[Polyme
 def recursive_polymers(
     graph: FactorGraph, max_size: int | None = None, budget: int = 10_000_000
 ) -> list[Polymer]:
-    """enumerate_polymers over the recursive walk."""
+    """enumerate_polymers over the recursive walk, in its depth-first
+    order."""
     out: list[Polymer] = []
 
     def leaf(_prod: float, blocks) -> None:
@@ -983,7 +989,7 @@ def recursive_polymers(
             out.append(_loop_record(blocks))
 
     recursive_walk(graph, leaf, budget, max_nodes=max_size)
-    return sorted(out, key=_by_edges)
+    return out
 
 
 def recursive_loop_activities(
@@ -1104,7 +1110,6 @@ def oracle_series_exact(
     messages: MessageSet,
     m_max: int,
     size_cutoff: int | None = None,
-    polymers: list[Polymer] | None = None,
     budget: int = 10_000_000,
     z: float = 1.0,
 ) -> tuple[Fraction, ...]:
@@ -1119,8 +1124,7 @@ def oracle_series_exact(
     U is computed once per overlap pattern.  The budget fires at the first
     tuple past it, after the work on the earlier ones.
     """
-    if polymers is None:
-        polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
+    polymers = enumerate_polymers(graph, max_size=size_cutoff, budget=budget)
     ev = ScalarFactors(graph, messages)
     acts = [int(Fraction(z * oracle_activity(ev, p.edge_ids)) * 2**1074) for p in polymers]
     masks = [p.node_mask for p in polymers]

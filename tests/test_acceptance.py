@@ -325,10 +325,10 @@ def test_criterion_06_polymer_series_convergence(record_criterion):
         activities = [evaluator.value(p.edge_ids) for p in polymers]
         assert all(abs(a) <= 0.2 for a in activities)
         lsum = loop_sum_direct(graph, result.messages)
-        series = polymer_series(graph, result.messages, m_max=6, polymers=polymers)
+        series = polymer_series(graph, result.messages, m_max=6)
         err6 = abs(math.exp(series.partial_sums[5]) - lsum.total)
         cap = 2.0 * sum(abs(a) for a in activities) ** 7
-        q = convergence_criterion_q(graph, result.messages, polymers=polymers).q
+        q = convergence_criterion_q(graph, result.messages).q
         tail_ok = err6 <= cap
         decrease_ok = True
         if q < 0.5:

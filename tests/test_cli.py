@@ -436,6 +436,25 @@ def test_verify_identity_exits_2_on_a_non_finite_loop_sum(
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "command", [["verify-identity"], ["series", "--m-max", "1", "--size-cutoff", "6"]]
+)
+def test_q_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the README demo, whose first polymer takes a finite activity with an
+    # infinite weight |K| e^size
+    path = _gen(
+        tmp_path, "demo.json",
+        "--ensemble", "ldpc-regular", "--l", "3", "--r", "4", "--n", "8", "--seed", "7",
+    )
+    sp.walk_with_terms(monkeypatch, [1e307], polymers=True)
+    out = tmp_path / "out.json"
+    rc = main([
+        *command, "--graph", path, "--p", "0.42", "--channel-seed", "1", "--out", str(out),
+    ])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "error: q = inf passes the float range\n"
+
+
 def test_verify_identity_payload_is_the_library_report(tmp_path):
     path = _ldpc_file(tmp_path)
     out = str(tmp_path / "vi.json")
@@ -526,7 +545,8 @@ def test_verify_identity_refuses_a_missing_directory_before_any_work(
 
 def test_dump_loops_activities_match_the_evaluator(tmp_path):
     # the CSV takes each activity from the walk; ActivityEvaluator.value
-    # rebuilds it from the loop's edge list alone
+    # rebuilds it from the loop's edge list alone, in the walk's order, so
+    # bit for bit
     ldpc = _ldpc_file(tmp_path)
     general = _gen(
         tmp_path, "general_cold.json",
@@ -546,9 +566,7 @@ def test_dump_loops_activities_match_the_evaluator(tmp_path):
         assert rows
         for row in rows:
             edge_ids = tuple(int(tok) for tok in row["edges"].split("|"))
-            want = ev.value(edge_ids)
-            got = float(row["activity"])
-            assert abs(got - want) <= max(1e-12 * abs(want), 1e-15), row
+            assert float(row["activity"]) == ev.value(edge_ids), row
 
 
 def test_dump_loops_rows_and_type_bounds(tmp_path):

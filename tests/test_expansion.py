@@ -192,10 +192,11 @@ def test_series_size_cutoff_matches_restricted_polymer_list():
     res = lg.solve_fixed_point(g)
     cut = lg.polymer_series(g, res.messages, m_max=2, size_cutoff=5)
     small = lg.enumerate_polymers(g, max_size=5)
-    manual = lg.polymer_series(g, res.messages, m_max=2, polymers=small)
-    assert cut.polymer_count == len(small) == manual.polymer_count
-    for a, b in zip(cut.terms, manual.terms):
-        assert a == pytest.approx(b, abs=1e-14)
+    ev = lg.ActivityEvaluator(g, res.messages)
+    words = node_words([p.node_mask for p in small], g.n + g.m)
+    acts = ev.values([p.edge_ids for p in small])
+    assert cut.polymer_count == len(small)
+    assert list(cut.terms) == lg.expansion._log_gas_terms(words, acts, 2)
 
 
 def test_series_tuple_budget():
@@ -380,7 +381,7 @@ def test_series_hands_on_one_piece_per_multiset_with_nonzero_ursell(block, monke
             yield order, prod
 
     monkeypatch.setattr(lg.expansion, "_disjoint_blocks", counting_blocks)
-    sr = lg.polymer_series(g, msgs, m_max=m_max, polymers=polys)
+    sr = lg.polymer_series(g, msgs, m_max=m_max, size_cutoff=4)
     assert all(t != 0.0 for t in sr.terms)
     masks = [p.node_mask for p in polys]
     want = [len(_disjoint_sets(masks, k)) for k in range(1, m_max + 1)]
@@ -481,16 +482,17 @@ def test_exact_total_refuses_2_to_the_26_elements():
 
 
 def test_series_memory_is_bounded_by_the_block(monkeypatch):
+    # the family sums past the polymers' own arrays, which the walk builds
     g = sp.ldpc_instance(3, 6, 48, 0.45, 1)
-    msgs = lg.solve_fixed_point(g).messages
-    polys = lg.enumerate_polymers(g, max_size=6)
-    assert math.comb(len(polys) + 1, 2) > 24_000
+    ev = lg.ActivityEvaluator(g, lg.solve_fixed_point(g).messages)
+    words, acts, _sizes = lg.loops._polymer_arrays(g, 6, 10**7, ev)
+    assert math.comb(len(acts) + 1, 2) > 24_000
     monkeypatch.setattr(lg.expansion, "SERIES_BLOCK", 256)
 
-    def peak(m_max, polymers=polys):
+    def peak(m_max, columns=slice(None)):
         tracemalloc.start()
         try:
-            lg.polymer_series(g, msgs, m_max=m_max, polymers=polymers)
+            lg.expansion._log_gas_terms(words[:, columns], acts[columns], m_max)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,8 +504,8 @@ def test_series_memory_is_bounded_by_the_block(monkeypatch):
     # order 3 over the first 100 polymers tries up to 161,700 triples, 58,552
     # of them disjoint: a table of the whole order would hold 1.3 MB, a
     # 100 x 100 overlap matrix of int64 80 KB
-    few = polys[:100]
-    assert math.comb(len(few), 3) > 600 * 256
+    few = slice(100)
+    assert math.comb(len(acts[few]), 3) > 600 * 256
     assert peak(3, few) - peak(1, few) < 60_000
 
 
@@ -514,14 +516,13 @@ def test_repeated_series_evaluates_no_ursell_coefficient(monkeypatch):
     assert not hasattr(lg, "ursell") and not hasattr(lg.expansion, "connected_mayer_sum")
     g = sp.general_instance(3, 4, 8, 0.3, 1)
     msgs = lg.solve_fixed_point(g).messages
-    polys = lg.enumerate_polymers(g, max_size=4)
 
     def no_mayer_sum(*args):
         raise AssertionError("connected_mayer_sum ran")
 
     monkeypatch.setattr(sp, "connected_mayer_sum", no_mayer_sum)
-    first = lg.polymer_series(g, msgs, m_max=9, polymers=polys)
-    assert lg.polymer_series(g, msgs, m_max=9, polymers=polys) == first
+    first = lg.polymer_series(g, msgs, m_max=9, size_cutoff=4)
+    assert lg.polymer_series(g, msgs, m_max=9, size_cutoff=4) == first
     assert len(first.terms) == 9 and all(t != 0.0 for t in first.terms)
 
 
@@ -530,20 +531,22 @@ def test_series_over_budget_is_refused_before_any_work(monkeypatch):
     msgs = lg.solve_fixed_point(g).messages
     polys = lg.enumerate_polymers(g, max_size=4)
     tuples = sum(math.comb(len(polys) + k - 1, k) for k in range(1, 4))
+    # the walk's visits stay far below the tuples, so only the tuples refuse
+    assert lg.loops._walk(g, 10**7, max_nodes=4).visits < tuples - 1
     calls = []
-    values = lg.ActivityEvaluator.values  # value calls it too
+    blocks = lg.expansion._disjoint_blocks
     monkeypatch.setattr(
-        lg.ActivityEvaluator, "values", lambda self, t: calls.append(t) or values(self, t)
+        lg.expansion, "_disjoint_blocks", lambda *a: calls.append(a) or blocks(*a)
     )
     ursell_masked = sp._ursell_masked
     monkeypatch.setattr(sp, "_ursell_masked", lambda *a: calls.append(a) or ursell_masked(*a))
-    with pytest.raises(BudgetExceededError):
-        lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
+    with pytest.raises(BudgetExceededError, match=f"series needs {tuples} tuples"):
+        lg.polymer_series(g, msgs, m_max=3, size_cutoff=4, budget=tuples - 1)
     assert calls == []
     with pytest.raises(BudgetExceededError):
-        sp.oracle_series_exact(g, msgs, m_max=3, polymers=polys, budget=tuples - 1)
-    at_cap = lg.polymer_series(g, msgs, m_max=3, polymers=polys, budget=tuples)
-    exact = sp.oracle_series_exact(g, msgs, m_max=3, polymers=polys, budget=tuples)
+        sp.oracle_series_exact(g, msgs, m_max=3, size_cutoff=4, budget=tuples - 1)
+    at_cap = lg.polymer_series(g, msgs, m_max=3, size_cutoff=4, budget=tuples)
+    exact = sp.oracle_series_exact(g, msgs, m_max=3, size_cutoff=4, budget=tuples)
     assert max(sp.series_ulps(t, x) for t, x in zip(at_cap.terms, exact)) <= 2.0
     assert calls
 
@@ -650,20 +653,24 @@ def test_q_weights_past_the_range_of_e_to_the_size():
     "g, cutoff",
     [
         (sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1), 6),
+        (sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1), None),
         (sp.ldgm_instance(2, 4, 12, 0.45, 1), None),
     ],
-    ids=["readme-demo", "ldgm-2-4-n12"],
+    ids=["readme-demo", "readme-demo-uncut", "ldgm-2-4-n12"],
 )
 def test_series_and_both_criteria_give_one_q(g, cutoff):
     # the series, the criterion and the bound criterion with |K| as its
-    # bound score the same polymer list through polymer_q, bit for bit
+    # bound score the same polymers, in walk order, through polymer_q, bit
+    # for bit; with no cutoff so does the loop sum
     messages = lg.solve_fixed_point(g).messages
     polys = lg.enumerate_polymers(g, max_size=cutoff)
     ev = lg.ActivityEvaluator(g, messages)
-    series = lg.polymer_series(g, messages, m_max=1, polymers=polys)
-    criterion = lg.convergence_criterion_q(g, messages, polymers=polys)
+    series = lg.polymer_series(g, messages, m_max=1, size_cutoff=cutoff)
+    criterion = lg.convergence_criterion_q(g, messages, size_cutoff=cutoff)
     bound = lg.convergence_criterion_q_bound(g, polys, lambda p: abs(ev.value(p.edge_ids)))
     assert series.q == criterion.q == bound.q > 0.0
+    if cutoff is None:
+        assert lg.verify_loop_identity(g).q == criterion.q
 
 
 def test_q_on_a_ring_past_709_nodes():

@@ -503,9 +503,9 @@ _WALK_CASES["interleaved-components"] = _interleaved_components
 
 @pytest.mark.parametrize("case", sorted(_WALK_CASES) + ["demo-3-4-n8"])
 def test_batched_activities_equal_the_scalar_oracle(case):
-    # values shares node factors across subsets; every entry must still carry
-    # the bits of the one-subset-at-a-time product, on fixed-point and on
-    # arbitrary messages, for capped polymer lists, single edges and ()
+    # every activity carries the bits of the one-node-at-a-time product in
+    # walk order, on fixed-point and on arbitrary messages, for capped
+    # polymer lists, single edges and ()
     if case == "demo-3-4-n8":
         g, cutoff = sp.ldpc_instance(3, 4, 8, 0.42, 7, chan_seed=1), 8
     else:
@@ -695,6 +695,41 @@ def test_loop_sum_past_the_float_range_raises(monkeypatch, terms):
         lg.loop_sum_direct(g, messages)
 
 
+def test_q_past_the_float_range_raises(monkeypatch):
+    # a finite activity whose weight |K| e^size is not a float: polymer_q
+    # returns inf without a numpy overflow warning (an error under the
+    # tests' filter), the loop sum and the series refuse it, and the
+    # criterion reports it uncertified
+    assert lg.loops.polymer_q(np.zeros(4), lg.loops.node_words([3], 4), [1e300], [20]) == math.inf
+    g, messages = _demo()
+    sp.walk_with_terms(monkeypatch, [1e307], polymers=True)
+    message = "^q = inf passes the float range$"
+    with pytest.raises(WeightOverflowError, match=message):
+        lg.loop_sum_direct(g, messages)
+    with pytest.raises(WeightOverflowError, match=message):
+        lg.polymer_series(g, messages, m_max=1, size_cutoff=6)
+    report = lg.convergence_criterion_q(g, messages)
+    assert report.q == math.inf and not report.certified
+
+
+def test_walk_peak_memory_stays_near_its_leaves():
+    # each chunk's (parent, option) is narrowed before the level keeps it,
+    # so the walk's peak stays within 3.5 times the levels and activities
+    # it returns (about 5 times when the chunks were kept as intp)
+    g, messages = _demo()
+    ev = lg.ActivityEvaluator(g, messages)
+    lg.loops._walk(g, 10**7, ev)  # the node tables are built once, before
+    tracemalloc.start()
+    try:
+        leaves = lg.loops._walk(g, 10**7, ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = leaves.prod.nbytes + sum(p.nbytes + o.nbytes for p, o in leaves.levels)
+    assert len(leaves.prod) == 151339
+    assert peak < 3.5 * kept
+
+
 def test_level_walk_chunking_does_not_change_results(monkeypatch):
     # tiny chunks split every level and the leaves several times over, so
     # the q carry, the fsums and the records cross chunk boundaries
@@ -827,9 +862,7 @@ def test_walk_budget_is_the_visit_count(graph):
 )
 def test_one_pass_identity_matches_separate_routes(graph):
     bp = lg.solve_fixed_point(graph)
-    q = lg.convergence_criterion_q(
-        graph, bp.messages, polymers=lg.enumerate_polymers(graph)
-    ).q
+    q = lg.convergence_criterion_q(graph, bp.messages).q
     for lam in (0.3, 0.5, 0.9, 1.5):
         report = lg.verify_loop_identity(graph, split_lambda=lam)
         direct = lg.loop_sum_direct(graph, bp.messages, split_lambda=lam)
@@ -842,7 +875,7 @@ def test_one_pass_identity_matches_separate_routes(graph):
         assert report.q == direct.q
         assert report.z_small == pytest.approx(brute.z_small, abs=1e-12)
         assert report.r_large == pytest.approx(brute.r_large, abs=1e-12)
-        assert report.q == pytest.approx(q, rel=1e-12, abs=0.0)
+        assert report.q == q
         assert report.bp_residual == bp.residual
 
 
